@@ -24,19 +24,14 @@ from .linalg import (
     NoConvergenceError,
     NotHermitianError,
     hermitian_eigenvalues,
-    kron,
     negative_eigenvalue_sum,
     trace_norm,
 )
 from .measures import (
-    TangleReport,
+    COLUMNS,
     big_pi4_tangle,
+    evaluate,
     negativity,
-    one_one_tangles,
-    one_three_tangles,
-    one_two_tangles,
-    pi4_tangle,
-    residual_pi,
     tangle_report,
     von_neumann_entropy,
 )
@@ -65,6 +60,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AccelerationParam",
     "AxisSpec",
+    "COLUMNS",
     "CheckResult",
     "ConfigError",
     "DensityMatrix",
@@ -79,14 +75,13 @@ __all__ = [
     "Scenario",
     "StateVector",
     "SweepConfig",
-    "TangleReport",
     "acceleration_to_r",
     "apply_rindler",
     "basis_index",
     "big_pi4_tangle",
     "entropy_one_accel",
+    "evaluate",
     "hermitian_eigenvalues",
-    "kron",
     "n_ab_const",
     "n_d1_abc",
     "n_i_d1",
@@ -95,14 +90,9 @@ __all__ = [
     "negative_eigenvalue_sum",
     "negativity",
     "observed_density",
-    "one_one_tangles",
-    "one_three_tangles",
-    "one_two_tangles",
     "partial_trace",
     "partial_transpose",
-    "pi4_tangle",
     "pure_to_density",
-    "residual_pi",
     "run_check",
     "run_sweep",
     "tangle_report",

@@ -1,23 +1,25 @@
 """Cross-validation: numeric pipeline values against the closed-form curves.
 
-Every check sweeps its own grid, compares the two routes pointwise and
-reports the maximum absolute deviation.  The perturb argument shifts the
-r values fed to the numeric side only, which makes the harness fail on
-purpose; it exists so the failure path itself can be tested.
+Each curve check is one row of ORACLE_ROWS: a measure column, the closed form
+it must match and the points to compare them at.  The check evaluates the
+column at every point, compares the two routes pointwise and reports the
+maximum absolute deviation.  The perturb argument shifts the r values fed to
+the numeric side only, which makes the harness fail on purpose; it exists so
+the failure path itself can be tested.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import DensityMatrix, partial_trace, w_state
-from .measures import negativity, von_neumann_entropy
+from .fock import w_state
+from .measures import evaluate
 from .oracles import (
-    R_MAX,
     entropy_one_accel,
     n_ab_const,
     n_d1_abc,
@@ -26,7 +28,7 @@ from .oracles import (
     n_pair_accel_one,
     vanishing_threshold,
 )
-from .rindler import observed_density
+from .rindler import R_MAX, observed_density
 
 GRID_1D = 101
 GRID_2D = 21
@@ -46,79 +48,51 @@ class CheckResult:
     detail: str = ""
 
 
+def _line(points: int) -> list[dict[str, float]]:
+    return [{"D": r} for r in np.linspace(0.0, R_MAX, points)]
+
+
+def _grid(points: int) -> list[dict[str, float]]:
+    axis = np.linspace(0.0, R_MAX, points)
+    return [{"C": r_c, "D": r_d} for r_c in axis for r_d in axis]
+
+
+class OracleRow(NamedTuple):
+    name: str
+    column: str
+    closed_form: Callable[[dict[str, float]], float]  # of the unshifted r values
+    points: list[dict[str, float]]
+    tol: float
+    detail: str
+
+
+ORACLE_ROWS = (
+    OracleRow("n_d1_abc", "N_D_rest", lambda r: n_d1_abc(r["D"]), _line(GRID_1D),
+              VALUE_TOL, f"{GRID_1D} points, one accelerated observer"),
+    OracleRow("n_ab_const", "N_AB", lambda r: n_ab_const(), _line(GRID_1D) + _grid(6),
+              CONSTANT_TOL, "both scenarios; constant for every acceleration"),
+    OracleRow("n_i_d1", "N_AD", lambda r: n_i_d1(r["D"]), _line(GRID_1D),
+              VALUE_TOL, f"{GRID_1D} points, pair of inertial and accelerated"),
+    OracleRow("n_pair_accel_one", "N_AC", lambda r: n_pair_accel_one(r["C"]), _grid(GRID_2D),
+              VALUE_TOL, f"{GRID_2D}x{GRID_2D} grid; independent of the other acceleration"),
+    OracleRow("n_pair_accel_both", "N_CD", lambda r: n_pair_accel_both(r["C"], r["D"]),
+              _grid(GRID_2D), VALUE_TOL,
+              f"{GRID_2D}x{GRID_2D} grid, pair of accelerated observers"),
+    OracleRow("entropy_one_accel", "S", lambda r: entropy_one_accel(r["D"]), _line(GRID_1D),
+              VALUE_TOL, f"{GRID_1D} points, one accelerated observer"),
+)
+
+
 def _shift(r: float, perturb: float) -> float:
     return min(max(r + perturb, 0.0), R_MAX)
 
 
-def _one_observer(r_d: float) -> DensityMatrix:
-    return observed_density(w_state(4), {"D": r_d})
-
-
-def _two_observer(r_c: float, r_d: float) -> DensityMatrix:
-    return observed_density(w_state(4), {"C": r_c, "D": r_d})
-
-
-def _pair_negativity(rho: DensityMatrix, i: int, j: int) -> float:
-    return negativity(partial_trace(rho, [i, j]), [0])
-
-
-def _check_n_d1_abc(perturb: float) -> CheckResult:
-    grid = np.linspace(0.0, R_MAX, GRID_1D)
-    dev = max(abs(negativity(_one_observer(_shift(r, perturb)), [3]) - n_d1_abc(r))
-              for r in grid)
-    return CheckResult("n_d1_abc", dev, VALUE_TOL, dev <= VALUE_TOL,
-                       f"{GRID_1D} points, one accelerated observer")
-
-
-def _check_n_ab_const(perturb: float) -> CheckResult:
-    expected = n_ab_const()
+def _check_row(row: OracleRow, perturb: float) -> CheckResult:
     dev = 0.0
-    for r in np.linspace(0.0, R_MAX, GRID_1D):
-        dev = max(dev, abs(_pair_negativity(_one_observer(_shift(r, perturb)), 0, 1) - expected))
-    for r_c in np.linspace(0.0, R_MAX, 6):
-        for r_d in np.linspace(0.0, R_MAX, 6):
-            rho = _two_observer(_shift(r_c, perturb), _shift(r_d, perturb))
-            dev = max(dev, abs(_pair_negativity(rho, 0, 1) - expected))
-    return CheckResult("n_ab_const", dev, CONSTANT_TOL, dev <= CONSTANT_TOL,
-                       "both scenarios; constant for every acceleration")
-
-
-def _check_n_i_d1(perturb: float) -> CheckResult:
-    grid = np.linspace(0.0, R_MAX, GRID_1D)
-    dev = max(abs(_pair_negativity(_one_observer(_shift(r, perturb)), 0, 3) - n_i_d1(r))
-              for r in grid)
-    return CheckResult("n_i_d1", dev, VALUE_TOL, dev <= VALUE_TOL,
-                       f"{GRID_1D} points, pair of inertial and accelerated")
-
-
-def _check_n_pair_accel_one(perturb: float) -> CheckResult:
-    grid = np.linspace(0.0, R_MAX, GRID_2D)
-    dev = 0.0
-    for r_c in grid:
-        for r_d in grid:
-            rho = _two_observer(_shift(r_c, perturb), _shift(r_d, perturb))
-            dev = max(dev, abs(_pair_negativity(rho, 0, 2) - n_pair_accel_one(r_c)))
-    return CheckResult("n_pair_accel_one", dev, VALUE_TOL, dev <= VALUE_TOL,
-                       f"{GRID_2D}x{GRID_2D} grid; independent of the other acceleration")
-
-
-def _check_n_pair_accel_both(perturb: float) -> CheckResult:
-    grid = np.linspace(0.0, R_MAX, GRID_2D)
-    dev = 0.0
-    for r_c in grid:
-        for r_d in grid:
-            rho = _two_observer(_shift(r_c, perturb), _shift(r_d, perturb))
-            dev = max(dev, abs(_pair_negativity(rho, 2, 3) - n_pair_accel_both(r_c, r_d)))
-    return CheckResult("n_pair_accel_both", dev, VALUE_TOL, dev <= VALUE_TOL,
-                       f"{GRID_2D}x{GRID_2D} grid, pair of accelerated observers")
-
-
-def _check_entropy(perturb: float) -> CheckResult:
-    grid = np.linspace(0.0, R_MAX, GRID_1D)
-    dev = max(abs(von_neumann_entropy(_one_observer(_shift(r, perturb))) - entropy_one_accel(r))
-              for r in grid)
-    return CheckResult("entropy_one_accel", dev, VALUE_TOL, dev <= VALUE_TOL,
-                       f"{GRID_1D} points, one accelerated observer")
+    for r in row.points:
+        rho = observed_density(w_state(4), {obs: _shift(v, perturb) for obs, v in r.items()})
+        dev = max(dev, abs(evaluate(rho, [row.column])[row.column] - row.closed_form(r)))
+    return CheckResult(row.name, dev, row.tol, dev <= row.tol, row.detail)
 
 
 def _check_vanishing_threshold(perturb: float) -> CheckResult:
@@ -132,13 +106,8 @@ def _check_vanishing_threshold(perturb: float) -> CheckResult:
     return CheckResult("vanishing_threshold", dev, THRESHOLD_TOL, passed, detail)
 
 
-CHECKS = {
-    "n_d1_abc": _check_n_d1_abc,
-    "n_ab_const": _check_n_ab_const,
-    "n_i_d1": _check_n_i_d1,
-    "n_pair_accel_one": _check_n_pair_accel_one,
-    "n_pair_accel_both": _check_n_pair_accel_both,
-    "entropy_one_accel": _check_entropy,
+CHECKS: dict[str, Callable[[float], CheckResult]] = {
+    **{row.name: partial(_check_row, row) for row in ORACLE_ROWS},
     "vanishing_threshold": _check_vanishing_threshold,
 }
 

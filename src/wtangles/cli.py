@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -12,10 +13,9 @@ import numpy as np
 
 from .checks import run_check
 from .fock import partial_transpose, w_state
-from .rindler import observed_density
+from .rindler import R_MAX, observed_density
 from .sweep import (
     PRESETS,
-    R_MAX,
     AxisSpec,
     ConfigError,
     SweepConfig,
@@ -130,13 +130,26 @@ def _build_sweep_config(args: argparse.Namespace) -> SweepConfig:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_sweep_config(args)
-    header, rows = run_sweep(config)
-    if config.output_path and config.output_path != "-":
-        with open(config.output_path, "w", encoding="utf-8", newline="") as handle:
+    target = config.output_path
+    if not target or target == "-":
+        write_csv(*run_sweep(config), sys.stdout)
+        return 0
+    # open the output before the sweep runs, so an unwritable path fails fast;
+    # the CSV goes to a temporary file next to the target and replaces it whole
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        handle = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write {target}: {exc.strerror}") from None
+    try:
+        with handle:
+            header, rows = run_sweep(config)
             write_csv(header, rows, handle)
-        print(f"wrote {len(rows)} rows to {config.output_path}", file=sys.stderr)
-    else:
-        write_csv(header, rows, sys.stdout)
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
+    print(f"wrote {len(rows)} rows to {target}", file=sys.stderr)
     return 0
 
 
@@ -272,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

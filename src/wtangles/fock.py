@@ -20,12 +20,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
+from .linalg import HERMITICITY_TOL, hermitian_eigenvalues
 
 MAX_MODES = 12
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
-HERMITICITY_TOL = 1e-12
 MIN_EIGENVALUE = -1e-10
 
 

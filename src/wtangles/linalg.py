@@ -21,15 +21,6 @@ class NoConvergenceError(RuntimeError):
     """Raised when the eigenvalue iteration fails to converge."""
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 2-D arrays."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("kron expects 2-D arrays")
-    return np.kron(a, b)
-
-
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -46,15 +37,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     h = _require_hermitian(m)
     try:
         return np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergenceError(str(exc)) from exc
-
-
-def hermitian_eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors as columns, for diagnostics."""
-    h = _require_hermitian(m)
-    try:
-        return np.linalg.eigh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
 

@@ -2,18 +2,21 @@
 
 Negativity is twice the summed magnitude of the negative eigenvalues of a
 partial transpose, equivalently its trace norm minus one.  On a four-mode
-state the 1-3 tangle transposes a single mode, the 1-2 tangle first traces
-one mode away, and the 1-1 tangle first traces two.  The residual tangle of
-mode k subtracts its three squared pairwise negativities from its squared
-1-3 tangle; pi4 and Pi4 are the arithmetic and geometric means of the four
-residuals, and the von Neumann entropy -sum(lambda ln lambda) measures how
-mixed the observed state is.
+state the 1-3 tangle transposes a single mode and the 1-1 tangle first traces
+two modes away.  The residual tangle of mode k subtracts its three squared
+pairwise negativities from its squared 1-3 tangle; pi4 and Pi4 are the
+arithmetic and geometric means of the four residuals, and the von Neumann
+entropy -sum(lambda ln lambda) measures how mixed the observed state is.
+
+MEASURES is the one table of measures: it maps each CSV column name to a
+function (rho, get) -> float, where get returns another column at the same
+point.  evaluate computes the requested columns, each at most once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from itertools import combinations
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -22,84 +25,14 @@ from .linalg import hermitian_eigenvalues, negative_eigenvalue_sum
 
 RESIDUAL_CLIP = -1e-10
 PAIR_SYMMETRY_TOL = 1e-12
+OBSERVERS = ("A", "B", "C", "D")
 
-PairKey = tuple[str, str]
+Measure = Callable[[DensityMatrix, Callable[[str], float]], float]
 
 
 def negativity(rho: DensityMatrix, part: Iterable[int]) -> float:
     """Negativity of rho across the partition given by mode positions."""
     return negative_eigenvalue_sum(partial_transpose(rho, part))
-
-
-def _require_four_modes(rho: DensityMatrix, op: str) -> None:
-    if rho.layout.n != 4:
-        raise ValueError(f"{op} needs a four-mode state, got {rho.layout.n} modes")
-
-
-def one_three_tangles(rho: DensityMatrix) -> dict[str, float]:
-    """Negativity of each single mode against the other three, by observer."""
-    _require_four_modes(rho, "one_three_tangles")
-    return {mode.observer: negativity(rho, [k]) for k, mode in enumerate(rho.layout.modes)}
-
-
-def one_one_tangles(rho: DensityMatrix) -> dict[PairKey, float]:
-    """Pairwise negativities after tracing the other two modes, per pair."""
-    _require_four_modes(rho, "one_one_tangles")
-    out: dict[PairKey, float] = {}
-    for i in range(4):
-        for j in range(i + 1, 4):
-            reduced = partial_trace(rho, [i, j])
-            value = negativity(reduced, [0])
-            mirror = negativity(reduced, [1])
-            # transposing either side of a pair must give the same negativity
-            if abs(value - mirror) > PAIR_SYMMETRY_TOL:
-                raise ValueError(
-                    f"pair negativity asymmetry {abs(value - mirror):.3e} for positions ({i},{j})")
-            key = (rho.layout.modes[i].observer, rho.layout.modes[j].observer)
-            out[key] = value
-    return out
-
-
-def one_two_tangles(rho: DensityMatrix) -> dict[tuple[str, PairKey], float]:
-    """One-versus-two negativities after tracing a single mode away.
-
-    Keyed by (observer, pair of remaining observers); 12 entries for a
-    four-mode state.
-    """
-    _require_four_modes(rho, "one_two_tangles")
-    out: dict[tuple[str, PairKey], float] = {}
-    for dropped in range(4):
-        kept = [p for p in range(4) if p != dropped]
-        reduced = partial_trace(rho, kept)
-        for local, pos in enumerate(kept):
-            others = tuple(rho.layout.modes[p].observer for p in kept if p != pos)
-            key = (rho.layout.modes[pos].observer, others)
-            out[key] = negativity(reduced, [local])
-    return out
-
-
-def residual_pi(one_three: Mapping[str, float],
-                one_one: Mapping[PairKey, float]) -> dict[str, float]:
-    """Residual tangle per observer: N_1-3 squared minus the squared pairs."""
-    observers = list(one_three)
-    if len(observers) != 4:
-        raise ValueError(f"residual_pi needs 4 one-three entries, got {len(observers)}")
-    by_pair = {frozenset(pair): value for pair, value in one_one.items()}
-    expected = {frozenset((a, b)) for i, a in enumerate(observers) for b in observers[i + 1:]}
-    if set(by_pair) != expected:
-        raise ValueError("residual_pi needs all 6 pair entries for the same observers")
-    out = {}
-    for obs in observers:
-        pairs = sum(by_pair[frozenset((obs, other))] ** 2 for other in observers if other != obs)
-        out[obs] = one_three[obs] ** 2 - pairs
-    return out
-
-
-def pi4_tangle(pi_k: Mapping[str, float]) -> float:
-    """Arithmetic mean of the four residual tangles."""
-    if len(pi_k) != 4:
-        raise ValueError(f"pi4_tangle needs 4 residuals, got {len(pi_k)}")
-    return sum(pi_k.values()) / 4.0
 
 
 def big_pi4_tangle(pi_k: Mapping[str, float]) -> float:
@@ -125,34 +58,55 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     return float(-(w * np.log(w)).sum())
 
 
-@dataclass(frozen=True)
-class TangleReport:
-    """Every measure for one scenario point."""
-
-    r_values: dict[str, float]
-    one_three: dict[str, float]
-    one_one: dict[PairKey, float]
-    pi_k: dict[str, float]
-    pi4: float
-    big_pi4: float
-    entropy: float
-    one_two: dict[tuple[str, PairKey], float] | None = None
+def _one_three(k: int) -> Measure:
+    return lambda rho, get: negativity(rho, [k])
 
 
-def tangle_report(rho: DensityMatrix, r_values: Mapping[str, float] | None = None,
-                  include_one_two: bool = False) -> TangleReport:
-    """Compute the full measure bundle for a four-mode density matrix."""
-    _require_four_modes(rho, "tangle_report")
-    one_three = one_three_tangles(rho)
-    one_one = one_one_tangles(rho)
-    pi_k = residual_pi(one_three, one_one)
-    return TangleReport(
-        r_values=dict(r_values or {}),
-        one_three=one_three,
-        one_one=one_one,
-        pi_k=pi_k,
-        pi4=pi4_tangle(pi_k),
-        big_pi4=big_pi4_tangle(pi_k),
-        entropy=von_neumann_entropy(rho),
-        one_two=one_two_tangles(rho) if include_one_two else None,
-    )
+def _pair(i: int, j: int) -> Measure:
+    def measure(rho: DensityMatrix, get: Callable[[str], float]) -> float:
+        reduced = partial_trace(rho, [i, j])
+        value = negativity(reduced, [0])
+        mirror = negativity(reduced, [1])
+        # transposing either side of a pair must give the same negativity
+        if abs(value - mirror) > PAIR_SYMMETRY_TOL:
+            raise ValueError(
+                f"pair negativity asymmetry {abs(value - mirror):.3e} for positions ({i},{j})")
+        return value
+    return measure
+
+
+def _residual(obs: str) -> Measure:
+    pairs = ["N_" + "".join(sorted(obs + other)) for other in OBSERVERS if other != obs]
+    return lambda rho, get: get(f"N_{obs}_rest") ** 2 - sum(get(pair) ** 2 for pair in pairs)
+
+
+MEASURES: dict[str, Measure] = {
+    **{f"N_{obs}_rest": _one_three(k) for k, obs in enumerate(OBSERVERS)},
+    **{f"N_{OBSERVERS[i]}{OBSERVERS[j]}": _pair(i, j) for i, j in combinations(range(4), 2)},
+    **{f"pi_{obs}": _residual(obs) for obs in OBSERVERS},
+    "pi4": lambda rho, get: sum(get(f"pi_{obs}") for obs in OBSERVERS) / 4.0,
+    "Pi4": lambda rho, get: big_pi4_tangle({obs: get(f"pi_{obs}") for obs in OBSERVERS}),
+    "S": lambda rho, get: von_neumann_entropy(rho),
+}
+COLUMNS = tuple(MEASURES)
+
+
+def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float]:
+    """The requested columns at one four-mode state, in request order."""
+    if rho.layout.n != 4:
+        raise ValueError(f"measures need a four-mode state, got {rho.layout.n} modes")
+    values: dict[str, float] = {}
+
+    def get(column: str) -> float:
+        if column not in values:
+            if column not in MEASURES:
+                raise ValueError(f"unknown measure column {column!r}")
+            values[column] = MEASURES[column](rho, get)
+        return values[column]
+
+    return {column: get(column) for column in columns}
+
+
+def tangle_report(rho: DensityMatrix) -> dict[str, float]:
+    """Every measure column for one four-mode density matrix."""
+    return evaluate(rho, COLUMNS)

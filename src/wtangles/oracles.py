@@ -16,8 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-R_MAX = math.pi / 4
-DOMAIN_TOL = 1e-12
+from .rindler import R_MAX, R_TOL
+
 SQRT2 = math.sqrt(2.0)
 
 THRESHOLD_BRACKET = (0.4, 0.55)
@@ -26,7 +26,7 @@ THRESHOLD_XTOL = 1e-10
 
 def _check_domain(name: str, **r_args: float) -> None:
     for arg, value in r_args.items():
-        if not -DOMAIN_TOL <= value <= R_MAX + DOMAIN_TOL:
+        if not -R_TOL <= value <= R_MAX + R_TOL:
             raise ValueError(f"{name}: {arg}={value!r} outside [0, pi/4]")
 
 

@@ -35,17 +35,15 @@ from .fock import (
 )
 
 R_MAX = math.pi / 4
+# slack on the r domain, so endpoints that carry roundoff are still accepted
 R_TOL = 1e-12
 
 
 @dataclass(frozen=True)
 class AccelerationParam:
-    """Rindler parameter r, optionally remembering the physical inputs."""
+    """Rindler parameter r in [0, pi/4]."""
 
     r: float
-    acceleration: float | None = None
-    frequency: float | None = None
-    light_speed: float | None = None
 
     def __post_init__(self) -> None:
         if not -R_TOL <= self.r <= R_MAX + R_TOL:
@@ -109,8 +107,7 @@ def acceleration_to_r(acceleration: float, frequency: float, light_speed: float 
     else:
         exponent = -2.0 * math.pi * frequency * light_speed / acceleration
         r = math.acos(1.0 / math.sqrt(math.exp(exponent) + 1.0))
-    return AccelerationParam(r, acceleration=acceleration, frequency=frequency,
-                             light_speed=light_speed)
+    return AccelerationParam(r)
 
 
 def apply_rindler(psi: StateVector, observer: str, param: ParamLike) -> StateVector:

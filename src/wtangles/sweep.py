@@ -9,32 +9,23 @@ across runs and round-trips losslessly.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import IO, Sequence
 
 import numpy as np
 
 from .fock import w_state
-from .measures import TangleReport, tangle_report
-from .rindler import observed_density
+from .measures import COLUMNS, OBSERVERS, evaluate
+from .rindler import R_MAX, R_TOL, observed_density
 
-R_MAX = math.pi / 4
-RANGE_TOL = 1e-12
 DEFAULT_GRID_1D = 101
 DEFAULT_GRID_2D = 41
 
-OBSERVERS = ("A", "B", "C", "D")
-ONE_THREE_COLUMNS = tuple(f"N_{obs}_rest" for obs in OBSERVERS)
-ONE_ONE_COLUMNS = ("N_AB", "N_AC", "N_AD", "N_BC", "N_BD", "N_CD")
-PI_COLUMNS = tuple(f"pi_{obs}" for obs in OBSERVERS)
-SCALAR_COLUMNS = ("pi4", "Pi4", "S")
-ALL_COLUMNS = ONE_THREE_COLUMNS + ONE_ONE_COLUMNS + PI_COLUMNS + SCALAR_COLUMNS
 MEASURE_GROUPS = {
-    "one_three": ONE_THREE_COLUMNS,
-    "one_one": ONE_ONE_COLUMNS,
-    "pi": PI_COLUMNS,
-    "all": ALL_COLUMNS,
+    "one_three": tuple(c for c in COLUMNS if c.endswith("_rest")),
+    "one_one": tuple(c for c in COLUMNS if c.startswith("N_") and not c.endswith("_rest")),
+    "pi": tuple(c for c in COLUMNS if c.startswith("pi_")),
+    "all": COLUMNS,
 }
 
 
@@ -86,7 +77,7 @@ def normalize_measures(tokens: Sequence[str]) -> tuple[str, ...]:
             for name in MEASURE_GROUPS[token]:
                 add(name)
             continue
-        if token in ALL_COLUMNS:
+        if token in COLUMNS:
             add(token)
             continue
         if token == "entropy":
@@ -95,7 +86,7 @@ def normalize_measures(tokens: Sequence[str]) -> tuple[str, ...]:
         resolved = _resolve_alias(token)
         if resolved is None:
             raise ConfigError(
-                f"unknown measure {raw!r}; use column names {', '.join(ALL_COLUMNS)}, "
+                f"unknown measure {raw!r}; use column names {', '.join(COLUMNS)}, "
                 f"groups {', '.join(MEASURE_GROUPS)}, or region-tagged aliases")
         add(resolved)
     if not columns:
@@ -136,7 +127,7 @@ def _validated(config: SweepConfig) -> SweepConfig:
             raise ConfigError(f"accel: observer {axis.observer!r} given twice")
         seen.add(axis.observer)
         for value in (axis.lo, axis.hi):
-            if not -RANGE_TOL <= value <= R_MAX + RANGE_TOL:
+            if not -R_TOL <= value <= R_MAX + R_TOL:
                 raise ConfigError(f"accel: r={value!r} for {axis.observer} outside [0, pi/4]")
         if axis.lo > axis.hi:
             raise ConfigError(f"accel: range for {axis.observer} has lo > hi")
@@ -156,20 +147,6 @@ def _validated(config: SweepConfig) -> SweepConfig:
                    measures=normalize_measures(config.measures))
 
 
-def _column_value(report: TangleReport, column: str) -> float:
-    if column.endswith("_rest"):
-        return report.one_three[column[2]]
-    if column.startswith("N_"):
-        return report.one_one[(column[2], column[3])]
-    if column.startswith("pi_"):
-        return report.pi_k[column[3]]
-    if column == "pi4":
-        return report.pi4
-    if column == "Pi4":
-        return report.big_pi4
-    return report.entropy
-
-
 def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
     """Evaluate the sweep; returns (header, rows) in deterministic order."""
     cfg = _validated(config)
@@ -179,27 +156,25 @@ def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
     points = cfg.grid or (DEFAULT_GRID_2D if two_axis else DEFAULT_GRID_1D)
     header = [f"r_{a.observer}" for a in swept] + list(cfg.measures)
 
-    def evaluate(r_by_observer: dict[str, float]) -> list[float]:
-        scenario = dict(fixed, **r_by_observer)
-        rho = observed_density(w_state(4), scenario)
-        report = tangle_report(rho, r_values=scenario)
-        return ([r_by_observer[a.observer] for a in swept]
-                + [_column_value(report, column) for column in cfg.measures])
+    def row(r_by_observer: dict[str, float]) -> list[float]:
+        rho = observed_density(w_state(4), dict(fixed, **r_by_observer))
+        values = evaluate(rho, cfg.measures)
+        return [r_by_observer[a.observer] for a in swept] + list(values.values())
 
     rows: list[list[float]] = []
     if not swept:
-        rows.append(evaluate({}))
+        rows.append(row({}))
     elif len(swept) == 1:
         for r in np.linspace(swept[0].lo, swept[0].hi, points):
-            rows.append(evaluate({swept[0].observer: float(r)}))
+            rows.append(row({swept[0].observer: float(r)}))
     elif cfg.diagonal:
         for r in np.linspace(swept[0].lo, swept[0].hi, points):
-            rows.append(evaluate({a.observer: float(r) for a in swept}))
+            rows.append(row({a.observer: float(r) for a in swept}))
     else:
         first, second = swept
         for r1 in np.linspace(first.lo, first.hi, points):
             for r2 in np.linspace(second.lo, second.hi, points):
-                rows.append(evaluate({first.observer: float(r1), second.observer: float(r2)}))
+                rows.append(row({first.observer: float(r1), second.observer: float(r2)}))
     return header, rows
 
 

@@ -13,15 +13,8 @@ import numpy as np
 from wtangles.checks import run_check
 from wtangles.fock import partial_trace, partial_transpose, pure_to_density, w_state
 from wtangles.fock import DensityMatrix, ModeLayout, StateVector
-from wtangles.linalg import hermitian_eigensystem, hermitian_eigenvalues, kron
-from wtangles.measures import (
-    negativity,
-    one_one_tangles,
-    one_three_tangles,
-    residual_pi,
-    tangle_report,
-    von_neumann_entropy,
-)
+from wtangles.linalg import hermitian_eigenvalues
+from wtangles.measures import evaluate, negativity, tangle_report, von_neumann_entropy
 from wtangles.oracles import vanishing_threshold
 from wtangles.rindler import observed_density
 
@@ -71,19 +64,20 @@ def test_criterion_03_constant_inertial_pair():
     dev = 0.0
     for r in np.linspace(0.0, R_MAX, 26):
         rho = observed_density(w_state(4), {"D": float(r)})
-        dev = max(dev, abs(one_one_tangles(rho)[("A", "B")] - expected))
+        dev = max(dev, abs(evaluate(rho, ["N_AB"])["N_AB"] - expected))
     for r_c in np.linspace(0.0, R_MAX, 6):
         for r_d in np.linspace(0.0, R_MAX, 6):
             rho = observed_density(w_state(4), {"C": float(r_c), "D": float(r_d)})
-            dev = max(dev, abs(one_one_tangles(rho)[("A", "B")] - expected))
+            dev = max(dev, abs(evaluate(rho, ["N_AB"])["N_AB"] - expected))
     _record(3, "constant inertial pair", dev <= 1e-12,
             f"max dev {dev:.2e} (tol 1e-12), both scenarios up to r = pi/4")
 
 
 def test_criterion_04_infinite_acceleration_endpoints():
     rho = observed_density(w_state(4), {"D": R_MAX})
-    dev_pair = abs(one_one_tangles(rho)[("A", "D")])
-    dev_13 = abs(one_three_tangles(rho)["D"] - patterns.N_ACCEL_LIMIT)
+    values = evaluate(rho, ["N_AD", "N_D_rest"])
+    dev_pair = abs(values["N_AD"])
+    dev_13 = abs(values["N_D_rest"] - patterns.N_ACCEL_LIMIT)
     passed = dev_pair <= 1e-10 and dev_13 <= 1e-10
     _record(4, "infinite-acceleration endpoints", passed,
             f"mixed pair residue {dev_pair:.2e}, 1-3 limit dev {dev_13:.2e} (tol 1e-10)")
@@ -102,8 +96,8 @@ def test_criterion_05_vanishing_threshold():
 
 def test_criterion_06_inertial_whole_entanglement():
     report = tangle_report(pure_to_density(w_state(4)))
-    dev_pi = max(abs(value - patterns.RESIDUAL_INERTIAL) for value in report.pi_k.values())
-    dev_means = abs(report.pi4 - report.big_pi4)
+    dev_pi = max(abs(report[f"pi_{obs}"] - patterns.RESIDUAL_INERTIAL) for obs in "ABCD")
+    dev_means = abs(report["pi4"] - report["Pi4"])
     passed = dev_pi <= 1e-10 and dev_means <= 1e-10
     _record(6, "inertial whole entanglement", passed,
             f"pi_k dev {dev_pi:.2e}, |pi4 - Pi4| = {dev_means:.2e} (tol 1e-10)")
@@ -112,13 +106,14 @@ def test_criterion_06_inertial_whole_entanglement():
 def test_criterion_07_mean_ordering():
     worst = math.inf
     for r in np.linspace(0.0, R_MAX, 101):
-        report = tangle_report(observed_density(w_state(4), {"D": float(r)}))
-        worst = min(worst, report.pi4 - report.big_pi4)
+        means = evaluate(observed_density(w_state(4), {"D": float(r)}), ["pi4", "Pi4"])
+        worst = min(worst, means["pi4"] - means["Pi4"])
     grid = np.linspace(0.0, R_MAX, 21)
     for r_c in grid:
         for r_d in grid:
-            report = tangle_report(observed_density(w_state(4), {"C": float(r_c), "D": float(r_d)}))
-            worst = min(worst, report.pi4 - report.big_pi4)
+            rho = observed_density(w_state(4), {"C": float(r_c), "D": float(r_d)})
+            means = evaluate(rho, ["pi4", "Pi4"])
+            worst = min(worst, means["pi4"] - means["Pi4"])
     _record(7, "arithmetic vs geometric mean", worst >= -1e-10,
             f"min(pi4 - Pi4) = {worst:.2e} (slack 1e-10) over 101 + 21x21 points")
 
@@ -142,8 +137,8 @@ def test_criterion_08_entropy():
 def test_criterion_09_symmetry_suite():
     dev_trio = 0.0
     for r in np.linspace(0.0, R_MAX, 26):
-        tangles = one_three_tangles(observed_density(w_state(4), {"D": float(r)}))
-        trio = (tangles["A"], tangles["B"], tangles["C"])
+        trio = evaluate(observed_density(w_state(4), {"D": float(r)}),
+                        ["N_A_rest", "N_B_rest", "N_C_rest"]).values()
         dev_trio = max(dev_trio, max(trio) - min(trio))
     dev_pair = 0.0
     dev_swap = 0.0
@@ -151,12 +146,11 @@ def test_criterion_09_symmetry_suite():
     for r_c in grid:
         for r_d in grid:
             rho = observed_density(w_state(4), {"C": float(r_c), "D": float(r_d)})
-            tangles = one_three_tangles(rho)
-            dev_pair = max(dev_pair, abs(tangles["A"] - tangles["B"]))
-            pi_here = residual_pi(tangles, one_one_tangles(rho))
+            here = evaluate(rho, ["N_A_rest", "N_B_rest", "pi_C"])
+            dev_pair = max(dev_pair, abs(here["N_A_rest"] - here["N_B_rest"]))
             mirror = observed_density(w_state(4), {"C": float(r_d), "D": float(r_c)})
-            pi_mirror = residual_pi(one_three_tangles(mirror), one_one_tangles(mirror))
-            dev_swap = max(dev_swap, abs(pi_here["C"] - pi_mirror["D"]))
+            pi_mirror = evaluate(mirror, ["pi_D"])["pi_D"]
+            dev_swap = max(dev_swap, abs(here["pi_C"] - pi_mirror))
     passed = max(dev_trio, dev_pair, dev_swap) <= 1e-10
     _record(9, "symmetry suite", passed,
             f"inertial trio spread {dev_trio:.2e}, A/B dev {dev_pair:.2e}, "
@@ -177,14 +171,14 @@ def test_criterion_10_randomized_property_suite():
     for _ in range(100):
         dim = int(rng.integers(2, 9))
         h = hermitian(dim)
-        w, v = hermitian_eigensystem(h)
+        w, v = np.linalg.eigh(h)
         worst["eigensystem"] = max(worst["eigensystem"],
                                    float(np.abs(v @ np.diag(w) @ v.conj().T - h).max()))
 
         a, b = hermitian(3), hermitian(2)
         target = np.sort(np.outer(hermitian_eigenvalues(a), hermitian_eigenvalues(b)).ravel())
         worst["kron"] = max(worst["kron"],
-                            float(np.abs(hermitian_eigenvalues(kron(a, b)) - target).max()))
+                            float(np.abs(hermitian_eigenvalues(np.kron(a, b)) - target).max()))
 
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         m = g @ g.conj().T

@@ -62,12 +62,38 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["sweep", "--accel", "D=0:0.5", "--grid", "1"], "grid"),
     (["sweep", "--preset", "fig99"], "preset"),
     (["sweep", "--accel", "D=0:0.5", "--measures", "N_XY"], "measure"),
+    (["sweep", "--accel", "D=0.5", "--out", "no-such-dir/x.csv"], "cannot write no-such-dir/x.csv"),
+    (["sweep", "--config", "no-such-dir/sweep.cfg"], "no-such-dir/sweep.cfg"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert err.count("\n") == 1
     assert fragment in err
+
+
+def test_unwritable_out_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
+    def no_sweep(config):
+        raise AssertionError("the sweep ran before the output was opened")
+    monkeypatch.setattr("wtangles.cli.run_sweep", no_sweep)
+    out = tmp_path / "missing" / "x.csv"
+    assert main(["sweep", "--accel", "D=0.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_failed_sweep_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "curve.csv"
+    out.write_text("old\n", encoding="utf-8")
+
+    def failing_sweep(config):
+        raise ValueError("sweep failed")
+    monkeypatch.setattr("wtangles.cli.run_sweep", failing_sweep)
+    assert main(["sweep", "--accel", "D=0.5", "--out", str(out)]) == 2
+    assert "sweep failed" in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 
 def test_config_file_drives_a_sweep(tmp_path, capsys):

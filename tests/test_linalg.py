@@ -6,28 +6,10 @@ import pytest
 from wtangles.linalg import (
     NoConvergenceError,
     NotHermitianError,
-    hermitian_eigensystem,
     hermitian_eigenvalues,
-    kron,
     negative_eigenvalue_sum,
     trace_norm,
 )
-
-
-def test_kron_block_structure():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.eye(2)
-    out = kron(a, b)
-    assert out.shape == (4, 4)
-    np.testing.assert_allclose(out[:2, :2], b)
-    np.testing.assert_allclose(out[:2, 2:], 2.0 * b)
-    np.testing.assert_allclose(out[2:, 2:], 4.0 * b)
-
-
-@pytest.mark.parametrize("bad", [np.ones(3), np.ones((2, 2, 2))])
-def test_kron_rejects_wrong_rank(bad):
-    with pytest.raises(ValueError):
-        kron(bad, np.eye(2))
 
 
 def test_eigenvalues_known_pair():
@@ -57,14 +39,6 @@ def test_error_types_subclass_builtins():
     # callers may catch plain ValueError / RuntimeError
     assert issubclass(NotHermitianError, ValueError)
     assert issubclass(NoConvergenceError, RuntimeError)
-
-
-def test_eigensystem_reconstructs_matrix():
-    rng = np.random.default_rng(11)
-    g = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
-    h = 0.5 * (g + g.conj().T)
-    w, v = hermitian_eigensystem(h)
-    np.testing.assert_allclose(v @ np.diag(w) @ v.conj().T, h, atol=1e-12)
 
 
 def test_trace_norm_mixed_sign_spectrum():

@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 
 from wtangles.fock import DensityMatrix, ModeLayout, StateVector, pure_to_density, w_state
+from wtangles import measures
+from wtangles.fock import partial_trace
 from wtangles.measures import (
+    COLUMNS,
     big_pi4_tangle,
+    evaluate,
     negativity,
-    one_one_tangles,
-    one_three_tangles,
-    one_two_tangles,
-    pi4_tangle,
-    residual_pi,
     tangle_report,
     von_neumann_entropy,
 )
@@ -36,58 +35,58 @@ def test_negativity_of_product_state_is_zero():
 
 
 def test_one_three_tangles_inertial():
-    values = one_three_tangles(pure_to_density(w_state(4)))
-    assert set(values) == {"A", "B", "C", "D"}
+    values = evaluate(pure_to_density(w_state(4)), [f"N_{obs}_rest" for obs in "ABCD"])
+    assert list(values) == ["N_A_rest", "N_B_rest", "N_C_rest", "N_D_rest"]
     for value in values.values():
         assert value == pytest.approx(patterns.N_ONE_THREE_INERTIAL, abs=1e-12)
 
 
 def test_one_one_tangles_inertial():
-    values = one_one_tangles(pure_to_density(w_state(4)))
+    pairs = ["N_AB", "N_AC", "N_AD", "N_BC", "N_BD", "N_CD"]
+    values = evaluate(pure_to_density(w_state(4)), pairs)
     assert len(values) == 6
-    assert ("A", "B") in values and ("C", "D") in values
+    assert "N_AB" in values and "N_CD" in values
     for value in values.values():
         assert value == pytest.approx(patterns.N_PAIR_CONST, abs=1e-12)
 
 
 def test_one_two_tangles_inertial():
-    values = one_two_tangles(pure_to_density(w_state(4)))
+    # no column carries the 1-2 tangles; they are still one trace and one transpose away
+    rho = pure_to_density(w_state(4))
+    values = [negativity(partial_trace(rho, [p for p in range(4) if p != dropped]), [local])
+              for dropped in range(4) for local in range(3)]
     assert len(values) == 12
-    assert ("A", ("B", "C")) in values
-    for value in values.values():
+    for value in values:
         assert value == pytest.approx(patterns.N_ONE_TWO_INERTIAL, abs=1e-12)
 
 
 def test_measures_reject_wrong_mode_count():
     rho = _bell_pair()
-    for measure in (one_three_tangles, one_one_tangles, one_two_tangles):
+    for columns in (["N_A_rest"], ["N_AB"], ["S"]):
         with pytest.raises(ValueError):
-            measure(rho)
+            evaluate(rho, columns)
+    with pytest.raises(ValueError):
+        tangle_report(rho)
 
 
 def test_residual_pi_inertial():
-    rho = pure_to_density(w_state(4))
-    pi_k = residual_pi(one_three_tangles(rho), one_one_tangles(rho))
-    assert set(pi_k) == {"A", "B", "C", "D"}
+    pi_k = evaluate(pure_to_density(w_state(4)), [f"pi_{obs}" for obs in "ABCD"])
+    assert len(pi_k) == 4
     for value in pi_k.values():
         assert value == pytest.approx(patterns.RESIDUAL_INERTIAL, abs=1e-10)
 
 
 def test_residual_pi_input_validation():
-    one_three = {obs: 1.0 for obs in "ABCD"}
-    pairs = {(a, b): 0.1 for i, a in enumerate("ABCD") for b in "ABCD"[i + 1:]}
-    assert residual_pi(one_three, pairs)["A"] == pytest.approx(1.0 - 3 * 0.01)
-    with pytest.raises(ValueError):
-        residual_pi({"A": 1.0}, pairs)
-    incomplete = dict(pairs)
-    del incomplete[("A", "B")]
-    with pytest.raises(ValueError):
-        residual_pi(one_three, incomplete)
+    rho = observed_density(w_state(4), {"C": 0.2, "D": 0.6})
+    values = tangle_report(rho)
+    pairs = values["N_AB"] ** 2 + values["N_AC"] ** 2 + values["N_AD"] ** 2
+    assert values["pi_A"] == values["N_A_rest"] ** 2 - pairs
+    with pytest.raises(ValueError, match="unknown measure column"):
+        evaluate(rho, ["pi_E"])
 
 
 def test_mean_tangles_on_plain_numbers():
     pi_k = {"A": 1.0, "B": 4.0, "C": 1.0, "D": 4.0}
-    assert pi4_tangle(pi_k) == pytest.approx(2.5)
     assert big_pi4_tangle(pi_k) == pytest.approx(2.0)
 
 
@@ -98,8 +97,6 @@ def test_geometric_mean_clips_roundoff_but_rejects_real_negatives():
 
 
 def test_mean_tangles_need_four_entries():
-    with pytest.raises(ValueError):
-        pi4_tangle({"A": 1.0})
     with pytest.raises(ValueError):
         big_pi4_tangle({"A": 1.0})
 
@@ -121,18 +118,37 @@ def test_entropy_frozen_values_under_acceleration():
 
 def test_tangle_report_bundle_is_consistent():
     rho = observed_density(w_state(4), {"D": 0.3})
-    report = tangle_report(rho, r_values={"D": 0.3})
-    assert report.r_values == {"D": 0.3}
-    assert report.one_two is None
-    assert report.one_three["D"] == pytest.approx(patterns.N_ACCEL_AT_03, abs=1e-12)
-    assert report.pi4 == pytest.approx(sum(report.pi_k.values()) / 4.0)
+    report = tangle_report(rho)
+    assert tuple(report) == COLUMNS
+    assert report["N_D_rest"] == pytest.approx(patterns.N_ACCEL_AT_03, abs=1e-12)
+    pi_k = [report[f"pi_{obs}"] for obs in "ABCD"]
+    assert report["pi4"] == pytest.approx(sum(pi_k) / 4.0)
     product = 1.0
-    for value in report.pi_k.values():
+    for value in pi_k:
         product *= max(value, 0.0)
-    assert report.big_pi4 == pytest.approx(product ** 0.25)
+    assert report["Pi4"] == pytest.approx(product ** 0.25)
+    assert evaluate(rho, ["S", "N_AB"]) == {"S": report["S"], "N_AB": report["N_AB"]}
 
 
-def test_tangle_report_optional_one_two_block():
-    report = tangle_report(pure_to_density(w_state(4)), include_one_two=True)
-    assert report.one_two is not None
-    assert len(report.one_two) == 12
+def test_evaluate_takes_each_spectrum_once(monkeypatch):
+    spectra = []
+
+    def counted(name):
+        original = getattr(measures, name)
+
+        def wrapper(m):
+            spectra.append((name, m.shape[0]))
+            return original(m)
+        monkeypatch.setattr(measures, name, wrapper)
+
+    counted("hermitian_eigenvalues")
+    counted("negative_eigenvalue_sum")
+    rho = observed_density(w_state(4), {"C": 0.2, "D": 0.6})
+    evaluate(rho, ["S"])
+    assert spectra == [("hermitian_eigenvalues", 16)]
+    spectra.clear()
+    evaluate(rho, ["N_AB"])
+    assert spectra == [("negative_eigenvalue_sum", 4)] * 2      # the pair and its mirror
+    spectra.clear()
+    evaluate(rho, ["pi4", "Pi4", "pi_A", "N_AB"])
+    assert len(spectra) == 4 + 6 * 2                            # 1-3 tangles, pairs with mirrors

@@ -12,7 +12,7 @@ from wtangles.fock import (
     partial_transpose,
     pure_to_density,
 )
-from wtangles.linalg import hermitian_eigenvalues, kron, negative_eigenvalue_sum, trace_norm
+from wtangles.linalg import hermitian_eigenvalues, negative_eigenvalue_sum, trace_norm
 from wtangles.measures import negativity, von_neumann_entropy
 from wtangles.rindler import R_MAX, apply_rindler
 
@@ -64,7 +64,7 @@ def test_kron_spectrum_is_product_of_spectra(seed):
     a = random_hermitian(rng, 3)
     b = random_hermitian(rng, 4)
     target = np.sort(np.outer(hermitian_eigenvalues(a), hermitian_eigenvalues(b)).ravel())
-    np.testing.assert_allclose(hermitian_eigenvalues(kron(a, b)), target, atol=1e-8)
+    np.testing.assert_allclose(hermitian_eigenvalues(np.kron(a, b)), target, atol=1e-8)
 
 
 @given(seed=seeds, n_modes=mode_counts)
@@ -105,9 +105,9 @@ def test_partial_transpose_involution_on_separable_state(seed):
     a = random_qubit_density(rng)
     b = random_qubit_density(rng)
     layout = ModeLayout.inertial("A", "B")
-    rho = DensityMatrix(layout, kron(a, b))
+    rho = DensityMatrix(layout, np.kron(a, b))
     once = partial_transpose(rho, [0])
-    np.testing.assert_allclose(once, kron(a.T, b), atol=1e-12)
+    np.testing.assert_allclose(once, np.kron(a.T, b), atol=1e-12)
     twice = partial_transpose(DensityMatrix(layout, once), [0])
     np.testing.assert_allclose(twice, rho.matrix, atol=1e-12)
     assert negativity(rho, [0]) < 1e-10     # product states stay positive under PT
@@ -129,7 +129,7 @@ def test_entropy_is_additive_on_product_states(seed):
     rng = np.random.default_rng(seed)
     a = random_qubit_density(rng)
     b = random_qubit_density(rng)
-    joint = DensityMatrix(ModeLayout.inertial("A", "B"), kron(a, b))
+    joint = DensityMatrix(ModeLayout.inertial("A", "B"), np.kron(a, b))
     s_a = von_neumann_entropy(DensityMatrix(ModeLayout.inertial("A"), a))
     s_b = von_neumann_entropy(DensityMatrix(ModeLayout.inertial("B"), b))
     assert abs(von_neumann_entropy(joint) - s_a - s_b) < 1e-9

@@ -51,8 +51,6 @@ def test_acceleration_to_r_matches_definition():
     # cos r = (exp(-2 pi omega c / a) + 1)^(-1/2)
     expected = (math.exp(-2.0 * math.pi * 0.7 * 1.3 / 2.0) + 1.0) ** -0.5
     assert param.cos_r == pytest.approx(expected, abs=1e-15)
-    assert param.acceleration == 2.0
-    assert param.frequency == 0.7
 
 
 def test_acceleration_to_r_monotone():

@@ -1,11 +1,13 @@
 import io
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from wtangles.measures import COLUMNS
 from wtangles.oracles import n_pair_accel_one
 from wtangles.sweep import (
-    ALL_COLUMNS,
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
     PRESETS,
@@ -19,6 +21,7 @@ from wtangles.sweep import (
 
 from . import patterns
 
+DATA = Path(__file__).with_name("data")
 R_MAX = math.pi / 4
 EXPECTED_PRESETS = {
     "fig1a", "fig1b", "fig2", "fig3", "fig4a", "fig4b",
@@ -37,7 +40,7 @@ def swept(observer, lo=0.0, hi=R_MAX):
 def test_normalize_groups_and_dedup():
     assert normalize_measures(["one_one"]) == ("N_AB", "N_AC", "N_AD", "N_BC", "N_BD", "N_CD")
     assert normalize_measures(["S", "entropy", "pi4"]) == ("S", "pi4")
-    assert normalize_measures(["all"]) == ALL_COLUMNS
+    assert normalize_measures(["all"]) == COLUMNS
 
 
 @pytest.mark.parametrize("alias, column", [
@@ -186,6 +189,15 @@ def test_preset_registry():
         normalize_measures(config.measures)
         swept_axes = [a for a in config.accelerated if a.lo != a.hi]
         assert 1 <= len(swept_axes) <= 2
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS))
+def test_preset_golden_csv_byte_for_byte(name):
+    # frozen output of every preset at grid 5; pins every column family
+    golden = (DATA / f"{name}_grid5.csv").read_text(encoding="utf-8")
+    buffer = io.StringIO()
+    write_csv(*run_sweep(replace(PRESETS[name], grid=5)), buffer)
+    assert buffer.getvalue() == golden
 
 
 def test_preset_shapes():
