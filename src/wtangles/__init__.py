@@ -14,7 +14,6 @@ from .fock import (
     ModeLayout,
     Region,
     StateVector,
-    basis_index,
     partial_trace,
     partial_transpose,
     pure_to_density,
@@ -36,8 +35,6 @@ from .measures import (
     von_neumann_entropy,
 )
 from .oracles import (
-    ORACLES,
-    OracleCurve,
     entropy_one_accel,
     n_ab_const,
     n_d1_abc,
@@ -48,7 +45,6 @@ from .oracles import (
 )
 from .rindler import (
     AccelerationParam,
-    Scenario,
     acceleration_to_r,
     apply_rindler,
     observed_density,
@@ -68,16 +64,12 @@ __all__ = [
     "ModeLayout",
     "NoConvergenceError",
     "NotHermitianError",
-    "ORACLES",
-    "OracleCurve",
     "PRESETS",
     "Region",
-    "Scenario",
     "StateVector",
     "SweepConfig",
     "acceleration_to_r",
     "apply_rindler",
-    "basis_index",
     "big_pi4_tangle",
     "entropy_one_accel",
     "evaluate",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import os
 import sys
@@ -241,6 +242,7 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wtangles",

@@ -5,23 +5,30 @@ and a Rindler region (Minkowski for inertial observers, region I or II after
 the mode has been split by acceleration).  Basis indexing is big-endian: the
 first mode of the layout is the most significant bit of the index, so for the
 four-mode layout A,B,C,D the pattern |0001> sits at index 1 and |1000> at 8.
+That is exactly the C-order reshape of an amplitude vector to the (2,)*n
+occupation tensor, with axis p holding mode p, and of a density matrix to
+(2,)*2n, with row axes 0..n-1 and column axes n..2n-1.
 
 State vectors and density matrices carry their layout, which lets partial
-traces and partial transposes be requested by mode position.  Density
-matrices validate Hermiticity, unit trace and positivity on construction;
-violations raise instead of being clipped.
+traces and partial transposes be requested by mode position.  Both are axis
+permutations of the occupation tensor: a partial transpose swaps the row and
+column axes of the transposed modes, and a partial trace moves the traced
+axes aside and sums the diagonal blocks one traced pattern at a time, in
+index order.  Density matrices validate Hermiticity, unit trace and
+positivity on construction; violations raise instead of being clipped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .linalg import HERMITICITY_TOL, hermitian_eigenvalues
 
+# the cap on layouts: a 12-mode density matrix is 4096 x 4096 complex, 256 MiB
 MAX_MODES = 12
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -135,19 +142,6 @@ class DensityMatrix:
         object.__setattr__(self, "matrix", m)
 
 
-def basis_index(occupations: Sequence[int], layout: ModeLayout) -> int:
-    """Big-endian basis index of an occupation pattern (first mode = MSB)."""
-    if len(occupations) != layout.n:
-        raise ValueError(
-            f"occupation list has length {len(occupations)}, layout has {layout.n} modes")
-    index = 0
-    for bit in occupations:
-        if bit not in (0, 1):
-            raise ValueError(f"occupations must be 0 or 1, got {bit!r}")
-        index = (index << 1) | bit
-    return index
-
-
 def w_state(n: int) -> StateVector:
     """|W_n>: equal superposition of the n single-excitation patterns.
 
@@ -160,8 +154,7 @@ def w_state(n: int) -> StateVector:
         raise ValueError(f"w_state supports at most {MAX_MODES} modes, got {n}")
     labels = "ABCDEFGHIJKL"[:n]
     amplitudes = np.zeros(1 << n, dtype=complex)
-    for k in range(n):
-        amplitudes[1 << (n - 1 - k)] = 1.0 / np.sqrt(n)
+    amplitudes[1 << np.arange(n)] = 1.0 / np.sqrt(n)
     return StateVector(ModeLayout.inertial(*labels), amplitudes)
 
 
@@ -177,9 +170,8 @@ def pure_to_density(psi: StateVector) -> DensityMatrix:
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every mode not in keep; kept modes stay in original order.
 
-    Implemented by direct index summation: for each occupation pattern of the
-    traced modes, the matching rows and columns of the full matrix are
-    gathered and accumulated.
+    The occupation tensor is permuted to (kept, traced, kept, traced) and the
+    diagonal blocks of the traced patterns are summed in index order.
     """
     keep_sorted = sorted(set(keep))
     if not keep_sorted:
@@ -188,18 +180,13 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
         raise ValueError(f"keep positions {keep_sorted} out of range for a {n}-mode layout")
     traced = [p for p in range(n) if p not in keep_sorted]
-    k = len(keep_sorted)
-    sub = np.arange(1 << k)
-    kept_bits = np.zeros(1 << k, dtype=np.intp)
-    for j, p in enumerate(keep_sorted):
-        kept_bits |= ((sub >> (k - 1 - j)) & 1) << (n - 1 - p)
-    out = np.zeros((1 << k, 1 << k), dtype=complex)
-    for pattern in range(1 << len(traced)):
-        traced_bits = 0
-        for j, p in enumerate(traced):
-            traced_bits |= ((pattern >> (len(traced) - 1 - j)) & 1) << (n - 1 - p)
-        rows = kept_bits + traced_bits
-        out += rho.matrix[np.ix_(rows, rows)]
+    dk, dt = 1 << len(keep_sorted), 1 << len(traced)
+    axes = keep_sorted + traced
+    blocks = rho.matrix.reshape((2,) * 2 * n).transpose(axes + [n + p for p in axes])
+    blocks = blocks.reshape(dk, dt, dk, dt)
+    out = np.zeros((dk, dk), dtype=complex)
+    for t in range(dt):
+        out += blocks[:, t, :, t]
     sub_layout = ModeLayout(tuple(rho.layout.modes[p] for p in keep_sorted))
     return DensityMatrix(sub_layout, out)
 
@@ -217,12 +204,8 @@ def partial_transpose(rho: DensityMatrix, part: Iterable[int]) -> np.ndarray:
     n = rho.layout.n
     if part_sorted[0] < 0 or part_sorted[-1] >= n:
         raise ValueError(f"transpose positions {part_sorted} out of range for a {n}-mode layout")
-    mask = 0
+    axes = list(range(2 * n))
     for p in part_sorted:
-        mask |= 1 << (n - 1 - p)
+        axes[p], axes[n + p] = n + p, p
     dim = rho.layout.dim
-    rows = np.arange(dim)[:, None]
-    cols = np.arange(dim)[None, :]
-    src_rows = (rows & ~mask) | (cols & mask)
-    src_cols = (cols & ~mask) | (rows & mask)
-    return rho.matrix[src_rows, src_cols]
+    return rho.matrix.reshape((2,) * 2 * n).transpose(axes).reshape(dim, dim)

@@ -13,8 +13,6 @@ r_d.  For a single accelerated observer only r_d is relevant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 from .rindler import R_MAX, R_TOL
 
@@ -133,21 +131,3 @@ def entropy_one_accel(r_d: float) -> float:
             total -= lam * math.log(lam)
     return total
 
-
-@dataclass(frozen=True)
-class OracleCurve:
-    """A named closed form with its number of r arguments."""
-
-    name: str
-    arity: int
-    evaluator: Callable[..., float]
-
-
-ORACLES: dict[str, OracleCurve] = {curve.name: curve for curve in (
-    OracleCurve("n_d1_abc", 1, n_d1_abc),
-    OracleCurve("n_ab_const", 0, n_ab_const),
-    OracleCurve("n_i_d1", 1, n_i_d1),
-    OracleCurve("n_pair_accel_one", 1, n_pair_accel_one),
-    OracleCurve("n_pair_accel_both", 2, n_pair_accel_both),
-    OracleCurve("entropy_one_accel", 1, entropy_one_accel),
-)}

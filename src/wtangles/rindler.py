@@ -8,12 +8,17 @@ splits into a pair of Rindler modes, one in each wedge:
 
 with cos r = (exp(-2 pi omega c / a) + 1)**(-1/2), so the parameter r runs
 over [0, pi/4] as the proper acceleration a runs from 0 to infinity.  The
-transformation is applied as a plain linear map on occupation patterns; no
-anticommutation sign convention is introduced.  In the enlarged layout the
-region-I mode takes the original mode's position and the region-II mode is
-appended at the end, which keeps the accessible modes contiguous.  Region II
-is causally disconnected, so the observed state is obtained by tracing out
-every region-II mode.
+transformation is applied as a plain linear map on the occupation tensor; no
+anticommutation sign convention is introduced.  The split mode's axis is
+moved last and gains a region-II axis, with three slice assignments filling
+the 00, 11 and 10 entries of the new (I, II) pair.  In the enlarged layout
+the region-I mode takes the original mode's position and the region-II mode
+is appended at the end, which keeps the accessible modes contiguous.
+
+Region II is causally disconnected, so the observed state traces out every
+region-II mode.  With the k appended region-II modes last, the amplitudes
+reshape to a (2^n, 2^k) matrix V, and rho is the sum of the outer products
+of V's columns with their conjugates, added in column (index) order.
 """
 
 from __future__ import annotations
@@ -24,15 +29,7 @@ from typing import Mapping, Union
 
 import numpy as np
 
-from .fock import (
-    DensityMatrix,
-    Mode,
-    ModeLayout,
-    Region,
-    StateVector,
-    partial_trace,
-    pure_to_density,
-)
+from .fock import DensityMatrix, Mode, ModeLayout, Region, StateVector
 
 R_MAX = math.pi / 4
 # slack on the r domain, so endpoints that carry roundoff are still accepted
@@ -59,39 +56,6 @@ class AccelerationParam:
 
 
 ParamLike = Union[AccelerationParam, float]
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """Which observers accelerate, and how fast, as (label, parameter) pairs."""
-
-    accelerated: tuple[tuple[str, AccelerationParam], ...] = ()
-
-    @classmethod
-    def of(cls, accelerated: Mapping[str, ParamLike] | None = None, **by_label: ParamLike) -> "Scenario":
-        """Build from a mapping or keywords; bare floats are wrapped as r values."""
-        merged: dict[str, AccelerationParam] = {}
-        for source in (accelerated or {}, by_label):
-            for obs, param in source.items():
-                if not isinstance(param, AccelerationParam):
-                    param = AccelerationParam(float(param))
-                merged[obs] = param
-        return cls(tuple(sorted(merged.items())))
-
-    def params(self) -> dict[str, AccelerationParam]:
-        return dict(self.accelerated)
-
-
-ScenarioLike = Union[Scenario, Mapping[str, ParamLike], None]
-
-
-def as_scenario(scenario: ScenarioLike) -> Scenario:
-    """Coerce a Scenario, mapping or None into a Scenario."""
-    if scenario is None:
-        return Scenario()
-    if isinstance(scenario, Scenario):
-        return scenario
-    return Scenario.of(scenario)
 
 
 def acceleration_to_r(acceleration: float, frequency: float, light_speed: float = 1.0) -> AccelerationParam:
@@ -126,35 +90,31 @@ def apply_rindler(psi: StateVector, observer: str, param: ParamLike) -> StateVec
             raise ValueError(f"observer {observer!r} is already transformed")
         raise ValueError(f"unknown observer {observer!r}")
     pos = candidates[0]
-    n = layout.n
     modes = list(layout.modes)
     modes[pos] = Mode(observer, Region.RINDLER_I)
     modes.append(Mode(observer, Region.RINDLER_II))
-    out = np.zeros(1 << (n + 1), dtype=complex)
-    # appending the region-II mode shifts every old bit up by one
-    region_i_bit = 1 << (n - pos)
-    src = psi.amplitudes
-    cos_r, sin_r = param.cos_r, param.sin_r
-    for index in np.flatnonzero(src):
-        index = int(index)
-        base = index << 1
-        if (index >> (n - 1 - pos)) & 1:
-            out[base] += src[index]
-        else:
-            out[base] += cos_r * src[index]
-            out[base | region_i_bit | 1] += sin_r * src[index]
-    return StateVector(ModeLayout(tuple(modes)), out)
+    # the split mode's axis goes last, then gains the region-II axis
+    src = np.moveaxis(psi.amplitudes.reshape((2,) * layout.n), pos, -1)
+    out = np.zeros(src.shape + (2,), dtype=complex)
+    out[..., 0, 0] = param.cos_r * src[..., 0]
+    out[..., 1, 1] = param.sin_r * src[..., 0]
+    out[..., 1, 0] = src[..., 1]
+    return StateVector(ModeLayout(tuple(modes)), np.moveaxis(out, -2, pos).reshape(-1))
 
 
-def observed_density(psi0: StateVector, scenario: ScenarioLike) -> DensityMatrix:
+def observed_density(psi0: StateVector,
+                     scenario: Mapping[str, ParamLike] | None) -> DensityMatrix:
     """Density matrix seen after acceleration: transform, then drop region II.
 
-    Each accelerated observer's mode is split (in ascending layout position),
-    the pure density is formed, and all region-II modes are traced out.  For
-    the four-mode W register the result is the A,B,C,D_I or A,B,C_I,D_I
-    state, with inertial observers untouched.
+    scenario maps each accelerated observer to its r (a float or an
+    AccelerationParam); None means nobody accelerates.  Each accelerated
+    observer's mode is split (in ascending layout position) and the
+    region-II modes are traced out of the pure state directly.  For the
+    four-mode W register the result is the A,B,C,D_I or A,B,C_I,D_I state,
+    with inertial observers untouched.
     """
-    params = as_scenario(scenario).params()
+    params = {obs: p if isinstance(p, AccelerationParam) else AccelerationParam(float(p))
+              for obs, p in (scenario or {}).items()}
     layout = psi0.layout
     if any(m.region is not Region.MINKOWSKI for m in layout.modes):
         raise ValueError("observed_density expects an all-Minkowski input state")
@@ -165,8 +125,9 @@ def observed_density(psi0: StateVector, scenario: ScenarioLike) -> DensityMatrix
     psi = psi0
     for obs in sorted(params, key=layout.position):
         psi = apply_rindler(psi, obs, params[obs])
-    rho = pure_to_density(psi)
-    hidden = set(psi.layout.positions(Region.RINDLER_II))
-    if not hidden:
-        return rho
-    return partial_trace(rho, [p for p in range(psi.layout.n) if p not in hidden])
+    # rows: the accessible modes; columns: the region-II patterns, appended last
+    v = psi.amplitudes.reshape(layout.dim, -1)
+    rho = np.zeros((layout.dim, layout.dim), dtype=complex)
+    for t in range(v.shape[1]):
+        rho += np.outer(v[:, t], v[:, t].conj())
+    return DensityMatrix(ModeLayout(psi.layout.modes[:layout.n]), rho)

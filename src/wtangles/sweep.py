@@ -20,6 +20,8 @@ from .rindler import R_MAX, R_TOL, observed_density
 
 DEFAULT_GRID_1D = 101
 DEFAULT_GRID_2D = 41
+# a sweep larger than this is a typo in --grid, not a run worth hours
+MAX_POINTS = 250_000
 
 MEASURE_GROUPS = {
     "one_three": tuple(c for c in COLUMNS if c.endswith("_rest")),
@@ -141,6 +143,11 @@ def _validated(config: SweepConfig) -> SweepConfig:
             raise ConfigError("diagonal: needs exactly 2 swept axes")
         if any((a.lo, a.hi) != (swept[0].lo, swept[0].hi) for a in swept):
             raise ConfigError("diagonal: swept axes must share one range")
+    if config.grid is not None:
+        total = config.grid ** (1 if config.diagonal else len(swept))
+        if total > MAX_POINTS:
+            raise ConfigError(
+                f"grid: {config.grid} points per axis give {total} points, above {MAX_POINTS}")
     # fix the axis order so row order never depends on flag order
     ordered = tuple(sorted(config.accelerated, key=lambda a: a.observer))
     return replace(config, accelerated=ordered,

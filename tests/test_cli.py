@@ -20,6 +20,18 @@ def test_parser_program_name_and_subcommands():
     assert args.command == "sweep"
 
 
+def test_main_calls_parse_independently(capsys):
+    assert build_parser() is build_parser()
+    assert main(["matrix", "--accel", "D=0.3"]) == 0
+    assert capsys.readouterr().out.startswith("layout: A, B, C, D_I\n")
+    # no --accel carried over from the matrix call: one inertial row, no r column
+    assert main(["sweep", "--measures", "S"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "S" and len(lines) == 2
+    assert main(["matrix"]) == 0
+    assert capsys.readouterr().out.startswith("layout: A, B, C, D\n")
+
+
 def test_sweep_writes_csv_file(tmp_path, capsys):
     out = tmp_path / "curve.csv"
     code = main(["sweep", "--accel", "D=0:pi/4", "--grid", "3",
@@ -64,8 +76,12 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["sweep", "--accel", "D=0:0.5", "--measures", "N_XY"], "measure"),
     (["sweep", "--accel", "D=0.5", "--out", "no-such-dir/x.csv"], "cannot write no-such-dir/x.csv"),
     (["sweep", "--config", "no-such-dir/sweep.cfg"], "no-such-dir/sweep.cfg"),
+    (["sweep", "--accel", "C=0:0.5,D=0:0.5", "--grid", "100000"], "grid"),
 ])
-def test_bad_arguments_exit_2(argv, fragment, capsys):
+def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
+    def no_points(*args):
+        raise AssertionError("a rejected sweep computed a point")
+    monkeypatch.setattr("wtangles.sweep.observed_density", no_points)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -9,7 +9,6 @@ from wtangles.fock import (
     ModeLayout,
     Region,
     StateVector,
-    basis_index,
     partial_trace,
     partial_transpose,
     pure_to_density,
@@ -44,21 +43,6 @@ def test_layout_region_disambiguation():
     assert layout.position("D", Region.RINDLER_I) == 1
     assert layout.positions(Region.RINDLER_II) == (2,)
     assert layout.positions(Region.MINKOWSKI) == (0,)
-
-
-def test_basis_index_big_endian():
-    layout = ModeLayout.inertial("A", "B", "C", "D")
-    assert basis_index([1, 0, 0, 0], layout) == 8
-    assert basis_index([0, 0, 0, 1], layout) == 1
-    assert basis_index([1, 1, 1, 1], layout) == 15
-
-
-def test_basis_index_validation():
-    layout = ModeLayout.inertial("A", "B")
-    with pytest.raises(ValueError):
-        basis_index([1], layout)
-    with pytest.raises(ValueError):
-        basis_index([0, 2], layout)
 
 
 def test_w_state_amplitudes():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from wtangles.oracles import (
-    ORACLES,
     entropy_one_accel,
     n_ab_const,
     n_d1_abc,
@@ -88,13 +87,3 @@ def test_entropy_curve():
 def test_domain_validation(call):
     with pytest.raises(ValueError):
         call()
-
-
-def test_registry_names_and_arities():
-    assert set(ORACLES) == {
-        "n_d1_abc", "n_ab_const", "n_i_d1",
-        "n_pair_accel_one", "n_pair_accel_both", "entropy_one_accel",
-    }
-    assert ORACLES["n_ab_const"].arity == 0
-    assert ORACLES["n_pair_accel_both"].arity == 2
-    assert ORACLES["n_d1_abc"].evaluator(0.2) == n_d1_abc(0.2)

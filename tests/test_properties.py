@@ -1,5 +1,7 @@
 """Randomized invariants of the linear-algebra and state machinery."""
 
+from itertools import product
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,6 +83,54 @@ def test_partial_trace_stepwise_matches_direct(seed):
     direct = partial_trace(rho, [1, 3])
     step = partial_trace(partial_trace(rho, [1, 2, 3]), [0, 2])
     np.testing.assert_allclose(step.matrix, direct.matrix, atol=1e-12)
+
+
+def _index(bits):
+    # big-endian: the first mode is the most significant bit
+    return int("".join(map(str, bits)), 2)
+
+
+def _merge(n, chosen, chosen_bits, rest_bits):
+    """Occupation pattern with chosen_bits on the chosen positions, rest_bits elsewhere."""
+    chosen_it, rest_it = iter(chosen_bits), iter(rest_bits)
+    return [next(chosen_it) if p in chosen else next(rest_it) for p in range(n)]
+
+
+def reference_partial_trace(m, n, keep):
+    k = len(keep)
+    out = np.zeros((1 << k, 1 << k), dtype=complex)
+    for t in product((0, 1), repeat=n - k):
+        for a in product((0, 1), repeat=k):
+            for b in product((0, 1), repeat=k):
+                out[_index(a), _index(b)] += m[_index(_merge(n, keep, a, t)),
+                                               _index(_merge(n, keep, b, t))]
+    return out
+
+
+def reference_partial_transpose(m, n, part):
+    out = np.zeros_like(m)
+    for a in product((0, 1), repeat=n):
+        for b in product((0, 1), repeat=n):
+            # <a_part a_rest| M |b_part b_rest> = <b_part a_rest| rho |a_part b_rest>
+            row = [b[p] if p in part else a[p] for p in range(n)]
+            col = [a[p] if p in part else b[p] for p in range(n)]
+            out[_index(a), _index(b)] = m[_index(row), _index(col)]
+    return out
+
+
+@settings(max_examples=40)
+@given(seed=seeds, n_modes=st.integers(min_value=1, max_value=6))
+def test_trace_and_transpose_match_entrywise_definitions(seed, n_modes):
+    rng = np.random.default_rng(seed)
+    rho = random_density(rng, n_modes)
+    subset = sorted(int(p) for p in rng.choice(
+        n_modes, size=rng.integers(1, n_modes + 1), replace=False))
+    assert np.array_equal(partial_transpose(rho, subset),
+                          reference_partial_transpose(rho.matrix, n_modes, subset))
+    reduced = partial_trace(rho, subset)
+    assert reduced.layout.n == len(subset)
+    expected = reference_partial_trace(rho.matrix, n_modes, subset)
+    assert np.abs(reduced.matrix - expected).max() <= 1e-15
 
 
 @given(seed=seeds, n_modes=mode_counts)

@@ -17,7 +17,6 @@ from wtangles.fock import (
 from wtangles.rindler import (
     R_MAX,
     AccelerationParam,
-    Scenario,
     acceleration_to_r,
     apply_rindler,
     observed_density,
@@ -64,14 +63,6 @@ def test_acceleration_to_r_validation():
         acceleration_to_r(-1.0, 1.0)
     with pytest.raises(ValueError):
         acceleration_to_r(1.0, 0.0)
-
-
-def test_scenario_wraps_bare_floats():
-    scenario = Scenario.of({"D": 0.2}, C=AccelerationParam(0.1))
-    params = scenario.params()
-    assert set(params) == {"C", "D"}
-    assert params["D"].r == 0.2
-    assert params["C"].r == 0.1
 
 
 def test_vacuum_mode_splits_into_both_wedges():
@@ -132,14 +123,34 @@ def test_observed_density_layouts():
     assert one.layout.labels() == ("A", "B", "C", "D_I")
     two = observed_density(w_state(4), {"D": 0.2, "C": 0.5})
     assert two.layout.labels() == ("A", "B", "C_I", "D_I")
+    wrapped = observed_density(w_state(4), {"D": AccelerationParam(0.2), "C": 0.5})
+    assert np.array_equal(wrapped.matrix, two.matrix)
 
 
 def test_observed_density_rejects_bad_input():
     with pytest.raises(ValueError):
         observed_density(w_state(4), {"X": 0.1})
+    with pytest.raises(ValueError, match="outside"):
+        observed_density(w_state(4), {"D": 1.0})
     split = apply_rindler(w_state(4), "D", 0.1)
     with pytest.raises(ValueError):
         observed_density(split, {"C": 0.1})
+
+
+@pytest.mark.parametrize("r", [0.0, 0.3, patterns.THRESHOLD_R, math.pi / 4])
+@pytest.mark.parametrize("scenario_at", [
+    lambda r: {"D": r}, lambda r: {"C": r, "D": r}, lambda r: {"C": R_MAX, "D": r},
+], ids=["D", "C=D", "C=pi/4"])
+def test_observed_density_equals_trace_of_split_projector(r, scenario_at):
+    # reference route: the full pure projector, then the region-II trace-out
+    scenario = scenario_at(r)
+    split = w_state(4)
+    for obs in sorted(scenario):
+        split = apply_rindler(split, obs, scenario[obs])
+    reference = partial_trace(pure_to_density(split), [0, 1, 2, 3])
+    rho = observed_density(w_state(4), scenario)
+    assert rho.layout == reference.layout
+    assert np.array_equal(rho.matrix, reference.matrix)
 
 
 @pytest.mark.parametrize("r_d", [0.0, 0.3, 0.6, math.pi / 4])
