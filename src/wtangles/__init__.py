@@ -30,6 +30,7 @@ from .measures import (
     COLUMNS,
     big_pi4_tangle,
     evaluate,
+    evaluate_points,
     negativity,
     tangle_report,
     von_neumann_entropy,
@@ -47,6 +48,7 @@ from .rindler import (
     AccelerationParam,
     acceleration_to_r,
     apply_rindler,
+    observed_densities,
     observed_density,
 )
 from .sweep import PRESETS, AxisSpec, ConfigError, SweepConfig, run_sweep, write_csv
@@ -73,6 +75,7 @@ __all__ = [
     "big_pi4_tangle",
     "entropy_one_accel",
     "evaluate",
+    "evaluate_points",
     "hermitian_eigenvalues",
     "n_ab_const",
     "n_d1_abc",
@@ -81,6 +84,7 @@ __all__ = [
     "n_pair_accel_one",
     "negative_eigenvalue_sum",
     "negativity",
+    "observed_densities",
     "observed_density",
     "partial_trace",
     "partial_transpose",

@@ -1,8 +1,9 @@
 """Cross-validation: numeric pipeline values against the closed-form curves.
 
 Each curve check is one row of ORACLE_ROWS: a measure column, the closed form
-it must match and the points to compare them at.  The check evaluates the
-column at every point, compares the two routes pointwise and reports the
+it must match and the points to compare them at, as groups of points that
+share their accelerated observers.  The check evaluates the column over each
+group as one stack, compares the two routes pointwise and reports the
 maximum absolute deviation.  The perturb argument shifts the r values fed to
 the numeric side only, which makes the harness fail on purpose; it exists so
 the failure path itself can be tested.
@@ -17,8 +18,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import w_state
-from .measures import evaluate
+from .measures import evaluate_points
 from .oracles import (
     entropy_one_accel,
     n_ab_const,
@@ -28,7 +28,7 @@ from .oracles import (
     n_pair_accel_one,
     vanishing_threshold,
 )
-from .rindler import R_MAX, observed_density
+from .rindler import R_MAX
 
 GRID_1D = 101
 GRID_2D = 21
@@ -48,50 +48,56 @@ class CheckResult:
     detail: str = ""
 
 
-def _line(points: int) -> list[dict[str, float]]:
-    return [{"D": r} for r in np.linspace(0.0, R_MAX, points)]
+class Points(NamedTuple):
+    """Points with the same accelerated observers: r[p, j] is observers[j]'s r."""
+
+    observers: tuple[str, ...]
+    r: np.ndarray
 
 
-def _grid(points: int) -> list[dict[str, float]]:
+def _line(points: int) -> Points:
+    return Points(("D",), np.linspace(0.0, R_MAX, points)[:, None])
+
+
+def _grid(points: int) -> Points:
     axis = np.linspace(0.0, R_MAX, points)
-    return [{"C": r_c, "D": r_d} for r_c in axis for r_d in axis]
+    return Points(("C", "D"), np.column_stack([np.repeat(axis, points), np.tile(axis, points)]))
 
 
 class OracleRow(NamedTuple):
     name: str
     column: str
     closed_form: Callable[[dict[str, float]], float]  # of the unshifted r values
-    points: list[dict[str, float]]
+    points: tuple[Points, ...]
     tol: float
     detail: str
 
 
 ORACLE_ROWS = (
-    OracleRow("n_d1_abc", "N_D_rest", lambda r: n_d1_abc(r["D"]), _line(GRID_1D),
+    OracleRow("n_d1_abc", "N_D_rest", lambda r: n_d1_abc(r["D"]), (_line(GRID_1D),),
               VALUE_TOL, f"{GRID_1D} points, one accelerated observer"),
-    OracleRow("n_ab_const", "N_AB", lambda r: n_ab_const(), _line(GRID_1D) + _grid(6),
+    OracleRow("n_ab_const", "N_AB", lambda r: n_ab_const(), (_line(GRID_1D), _grid(6)),
               CONSTANT_TOL, "both scenarios; constant for every acceleration"),
-    OracleRow("n_i_d1", "N_AD", lambda r: n_i_d1(r["D"]), _line(GRID_1D),
+    OracleRow("n_i_d1", "N_AD", lambda r: n_i_d1(r["D"]), (_line(GRID_1D),),
               VALUE_TOL, f"{GRID_1D} points, pair of inertial and accelerated"),
-    OracleRow("n_pair_accel_one", "N_AC", lambda r: n_pair_accel_one(r["C"]), _grid(GRID_2D),
+    OracleRow("n_pair_accel_one", "N_AC", lambda r: n_pair_accel_one(r["C"]), (_grid(GRID_2D),),
               VALUE_TOL, f"{GRID_2D}x{GRID_2D} grid; independent of the other acceleration"),
     OracleRow("n_pair_accel_both", "N_CD", lambda r: n_pair_accel_both(r["C"], r["D"]),
-              _grid(GRID_2D), VALUE_TOL,
+              (_grid(GRID_2D),), VALUE_TOL,
               f"{GRID_2D}x{GRID_2D} grid, pair of accelerated observers"),
-    OracleRow("entropy_one_accel", "S", lambda r: entropy_one_accel(r["D"]), _line(GRID_1D),
+    OracleRow("entropy_one_accel", "S", lambda r: entropy_one_accel(r["D"]), (_line(GRID_1D),),
               VALUE_TOL, f"{GRID_1D} points, one accelerated observer"),
 )
 
 
-def _shift(r: float, perturb: float) -> float:
-    return min(max(r + perturb, 0.0), R_MAX)
-
-
 def _check_row(row: OracleRow, perturb: float) -> CheckResult:
-    dev = 0.0
-    for r in row.points:
-        rho = observed_density(w_state(4), {obs: _shift(v, perturb) for obs, v in r.items()})
-        dev = max(dev, abs(evaluate(rho, [row.column])[row.column] - row.closed_form(r)))
+    deviations = []
+    for group in row.points:
+        shifted = np.clip(group.r + perturb, 0.0, R_MAX)
+        numeric = evaluate_points(group.observers, shifted, [row.column])[row.column]
+        closed = [row.closed_form(dict(zip(group.observers, r))) for r in group.r.tolist()]
+        deviations.append(np.abs(numeric - closed))
+    dev = float(np.concatenate(deviations).max())
     return CheckResult(row.name, dev, row.tol, dev <= row.tol, row.detail)
 
 

@@ -16,6 +16,12 @@ column axes of the transposed modes, and a partial trace moves the traced
 axes aside and sums the diagonal blocks one traced pattern at a time, in
 index order.  Density matrices validate Hermiticity, unit trace and
 positivity on construction; violations raise instead of being clipped.
+
+A DensityMatrix may also hold a stack of states over one layout, a matrix of
+shape (..., dim, dim).  The whole stack is validated at once, and an error
+names the worst value in it; partial traces and transposes act on every state
+of the stack.  Indexing selects states without checking them again:
+rho[p] is state p of a stack and rho[None] a stack of one.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import HERMITICITY_TOL, hermitian_eigenvalues
+from .linalg import NotHermitianError, hermitian_eigenvalues
 
 # the cap on layouts: a 12-mode density matrix is 4096 x 4096 complex, 256 MiB
 MAX_MODES = 12
@@ -110,16 +116,14 @@ class StateVector:
         if amp.shape != (self.layout.dim,):
             raise ValueError(
                 f"amplitude vector has shape {amp.shape}, layout wants ({self.layout.dim},)")
-        norm_sq = float(np.vdot(amp, amp).real)
-        if abs(norm_sq - 1.0) > NORM_TOL:
-            raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
+        _require_normalized(amp)
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator over a layout."""
+    """Hermitian, unit-trace, positive-semidefinite operator(s) over a layout."""
 
     layout: ModeLayout
     matrix: np.ndarray
@@ -127,19 +131,39 @@ class DensityMatrix:
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         dim = self.layout.dim
-        if m.shape != (dim, dim):
+        if m.ndim < 2 or m.shape[-2:] != (dim, dim):
             raise ValueError(f"matrix has shape {m.shape}, layout wants ({dim}, {dim})")
-        herm_dev = float(np.abs(m - m.conj().T).max())
-        if herm_dev > HERMITICITY_TOL:
-            raise ValueError(f"density matrix deviates from Hermiticity by {herm_dev:.3e}")
-        trace = float(m.trace().real)
-        if abs(trace - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace is {trace!r}, expected 1")
-        smallest = float(hermitian_eigenvalues(m)[0])
-        if smallest < MIN_EIGENVALUE:
+        try:
+            spectra = hermitian_eigenvalues(m)
+        except NotHermitianError as exc:
+            # the same test and tolerance, reported as a defect of the density matrix
+            raise ValueError(f"density {exc}") from None
+        traces = m.trace(axis1=-2, axis2=-1).real
+        deviations = np.abs(traces - 1.0)
+        if not deviations.max() <= TRACE_TOL:
+            worst = float(np.ravel(traces)[np.ravel(deviations).argmax()])
+            raise ValueError(f"density matrix trace is {worst!r}, expected 1")
+        smallest = float(spectra[..., 0].min())
+        if not smallest >= MIN_EIGENVALUE:
             raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below {MIN_EIGENVALUE}")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+    def __getitem__(self, index) -> "DensityMatrix":
+        """The states at index of the stack, already validated with it."""
+        matrix = self.matrix[index]
+        if matrix.shape[-2:] != self.matrix.shape[-2:]:
+            raise IndexError("a DensityMatrix index selects whole states")
+        view = object.__new__(DensityMatrix)
+        object.__setattr__(view, "layout", self.layout)
+        object.__setattr__(view, "matrix", matrix)
+        return view
+
+
+def _require_normalized(amp: np.ndarray) -> None:
+    norm_sq = float(np.vdot(amp, amp).real)
+    if not abs(norm_sq - 1.0) <= NORM_TOL:
+        raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
 
 
 def w_state(n: int) -> StateVector:
@@ -161,9 +185,7 @@ def w_state(n: int) -> StateVector:
 def pure_to_density(psi: StateVector) -> DensityMatrix:
     """Rank-1 projector |psi><psi| as a DensityMatrix."""
     amp = psi.amplitudes
-    norm_sq = float(np.vdot(amp, amp).real)
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
+    _require_normalized(amp)
     return DensityMatrix(psi.layout, np.outer(amp, amp.conj()))
 
 
@@ -181,12 +203,14 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
         raise ValueError(f"keep positions {keep_sorted} out of range for a {n}-mode layout")
     traced = [p for p in range(n) if p not in keep_sorted]
     dk, dt = 1 << len(keep_sorted), 1 << len(traced)
-    axes = keep_sorted + traced
-    blocks = rho.matrix.reshape((2,) * 2 * n).transpose(axes + [n + p for p in axes])
-    blocks = blocks.reshape(dk, dt, dk, dt)
-    out = np.zeros((dk, dk), dtype=complex)
+    lead = rho.matrix.shape[:-2]
+    order = [len(lead) + p for p in keep_sorted + traced]
+    axes = list(range(len(lead))) + order + [n + a for a in order]
+    blocks = rho.matrix.reshape(lead + (2,) * 2 * n).transpose(axes)
+    blocks = blocks.reshape(lead + (dk, dt, dk, dt))
+    out = np.zeros(lead + (dk, dk), dtype=complex)
     for t in range(dt):
-        out += blocks[:, t, :, t]
+        out += blocks[..., :, t, :, t]
     sub_layout = ModeLayout(tuple(rho.layout.modes[p] for p in keep_sorted))
     return DensityMatrix(sub_layout, out)
 
@@ -204,8 +228,9 @@ def partial_transpose(rho: DensityMatrix, part: Iterable[int]) -> np.ndarray:
     n = rho.layout.n
     if part_sorted[0] < 0 or part_sorted[-1] >= n:
         raise ValueError(f"transpose positions {part_sorted} out of range for a {n}-mode layout")
-    axes = list(range(2 * n))
+    shape = rho.matrix.shape
+    lead = len(shape) - 2
+    axes = list(range(lead + 2 * n))
     for p in part_sorted:
-        axes[p], axes[n + p] = n + p, p
-    dim = rho.layout.dim
-    return rho.matrix.reshape((2,) * 2 * n).transpose(axes).reshape(dim, dim)
+        axes[lead + p], axes[lead + n + p] = lead + n + p, lead + p
+    return rho.matrix.reshape(shape[:-2] + (2,) * 2 * n).transpose(axes).reshape(shape)

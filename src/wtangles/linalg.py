@@ -1,8 +1,11 @@
 """Dense Hermitian matrix helpers for the entanglement pipeline.
 
-Matrices are plain numpy arrays (real or complex); spectra are real arrays
-sorted ascending.  Problem sizes stay at or below 64x64, so everything is
-dense double precision.
+Matrices are plain numpy arrays (real or complex), either one (d, d) matrix
+or a stack of shape (..., d, d); spectra are real arrays sorted ascending
+along the last axis, and a stack is diagonalized by one eigvalsh call.
+Problem sizes stay at or below 64x64, so everything is dense double
+precision.  Tolerance tests are written as "not value <= tol", so a NaN
+anywhere in a stack fails them.
 """
 
 from __future__ import annotations
@@ -21,19 +24,25 @@ class NoConvergenceError(RuntimeError):
     """Raised when the eigenvalue iteration fails to converge."""
 
 
+def _per_matrix(values: np.ndarray) -> np.ndarray | float:
+    # one matrix gives a float, a stack an array over its leading axes
+    return values if values.ndim else float(values)
+
+
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
-    deviation = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-    if deviation > HERMITICITY_TOL:
+    adjoint = m.conj().swapaxes(-1, -2)
+    deviation = float(np.abs(m - adjoint).max()) if m.size else 0.0
+    if not deviation <= HERMITICITY_TOL:
         raise NotHermitianError(f"matrix deviates from Hermiticity by {deviation:.3e}")
     # symmetrize to suppress roundoff asymmetry before diagonalizing
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + adjoint)
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """All real eigenvalues of a Hermitian matrix, sorted ascending."""
+    """All real eigenvalues of each Hermitian matrix, sorted ascending."""
     h = _require_hermitian(m)
     try:
         return np.linalg.eigvalsh(h)
@@ -41,15 +50,19 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def trace_norm(m: np.ndarray) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(hermitian_eigenvalues(m)).sum())
+def trace_norm(m: np.ndarray) -> np.ndarray | float:
+    """Sum of absolute eigenvalues of each Hermitian matrix."""
+    return _per_matrix(np.abs(hermitian_eigenvalues(m)).sum(axis=-1))
 
 
-def negative_eigenvalue_sum(m: np.ndarray) -> float:
-    """Twice the summed magnitude of negative eigenvalues.
+def negative_eigenvalue_sum(m: np.ndarray) -> np.ndarray | float:
+    """Twice the summed magnitude of the negative eigenvalues of each matrix.
 
-    Equals trace_norm(m) - trace(m) for Hermitian m.
+    Equals trace_norm(m) - trace(m) for Hermitian m.  The spectrum is
+    ascending, so a running sum of |min(w, 0)| adds the negative eigenvalues
+    left to right and then only zeros.
     """
     w = hermitian_eigenvalues(m)
-    return float(2.0 * np.abs(w[w < 0.0]).sum())
+    if not w.shape[-1]:
+        return _per_matrix(np.zeros(w.shape[:-1]))
+    return _per_matrix(2.0 * np.abs(np.minimum(w, 0.0)).cumsum(axis=-1)[..., -1])

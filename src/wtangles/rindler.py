@@ -9,23 +9,32 @@ splits into a pair of Rindler modes, one in each wedge:
 with cos r = (exp(-2 pi omega c / a) + 1)**(-1/2), so the parameter r runs
 over [0, pi/4] as the proper acceleration a runs from 0 to infinity.  The
 transformation is applied as a plain linear map on the occupation tensor; no
-anticommutation sign convention is introduced.  The split mode's axis is
-moved last and gains a region-II axis, with three slice assignments filling
-the 00, 11 and 10 entries of the new (I, II) pair.  In the enlarged layout
-the region-I mode takes the original mode's position and the region-II mode
-is appended at the end, which keeps the accessible modes contiguous.
+anticommutation sign convention is introduced.  The amplitudes are viewed
+with the split mode's axis between the modes before and after it, a
+region-II axis is appended, and three slice assignments fill the 00, 11 and
+10 entries of the new (I, II) pair.  In the enlarged layout the region-I
+mode takes the original mode's position and the region-II mode is appended
+at the end, which keeps the accessible modes contiguous.
 
 Region II is causally disconnected, so the observed state traces out every
 region-II mode.  With the k appended region-II modes last, the amplitudes
 reshape to a (2^n, 2^k) matrix V, and rho is the sum of the outer products
-of V's columns with their conjugates, added in column (index) order.
+of V's columns with their conjugates, added in column (index) order (a plain
+V V^dagger rounds differently).
+
+observed_densities does this for N points at once: the amplitudes are an
+(N, 2^n) stack split by per-point cos r and sin r columns, rho is an
+(N, 2^n, 2^n) stack formed by the same ordered column sum, and the stack is
+validated once.  cos r and sin r come from math.cos and math.sin, value by
+value, so a point's state does not depend on which stack it is in.
+observed_density is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -74,15 +83,8 @@ def acceleration_to_r(acceleration: float, frequency: float, light_speed: float 
     return AccelerationParam(r)
 
 
-def apply_rindler(psi: StateVector, observer: str, param: ParamLike) -> StateVector:
-    """Split one observer's Minkowski mode into region I and region II.
-
-    The region-I mode keeps the original layout position; the region-II mode
-    is appended at the end.  Norm is preserved for any input state.
-    """
-    if not isinstance(param, AccelerationParam):
-        param = AccelerationParam(float(param))
-    layout = psi.layout
+def _split_layout(layout: ModeLayout, observer: str) -> tuple[int, ModeLayout]:
+    """Position of the observer's Minkowski mode and the layout after its split."""
     candidates = [i for i, m in enumerate(layout.modes)
                   if m.observer == observer and m.region is Region.MINKOWSKI]
     if not candidates:
@@ -93,13 +95,70 @@ def apply_rindler(psi: StateVector, observer: str, param: ParamLike) -> StateVec
     modes = list(layout.modes)
     modes[pos] = Mode(observer, Region.RINDLER_I)
     modes.append(Mode(observer, Region.RINDLER_II))
-    # the split mode's axis goes last, then gains the region-II axis
-    src = np.moveaxis(psi.amplitudes.reshape((2,) * layout.n), pos, -1)
+    return pos, ModeLayout(tuple(modes))
+
+
+def _split(amp: np.ndarray, pos: int, cos_r: np.ndarray, sin_r: np.ndarray) -> np.ndarray:
+    """Split mode pos of each (N, 2^n) amplitude row; region II is appended last."""
+    points = len(amp)
+    # axes (point, modes left of pos, mode pos, modes right of pos)
+    src = amp.reshape(points, 1 << pos, 2, -1)
     out = np.zeros(src.shape + (2,), dtype=complex)
-    out[..., 0, 0] = param.cos_r * src[..., 0]
-    out[..., 1, 1] = param.sin_r * src[..., 0]
-    out[..., 1, 0] = src[..., 1]
-    return StateVector(ModeLayout(tuple(modes)), np.moveaxis(out, -2, pos).reshape(-1))
+    out[:, :, 0, :, 0] = cos_r.reshape(points, 1, 1) * src[:, :, 0]
+    out[:, :, 1, :, 1] = sin_r.reshape(points, 1, 1) * src[:, :, 0]
+    out[:, :, 1, :, 0] = src[:, :, 1]
+    return out.reshape(points, -1)
+
+
+def apply_rindler(psi: StateVector, observer: str, param: ParamLike) -> StateVector:
+    """Split one observer's Minkowski mode into region I and region II.
+
+    The region-I mode keeps the original layout position; the region-II mode
+    is appended at the end.  Norm is preserved for any input state.
+    """
+    if not isinstance(param, AccelerationParam):
+        param = AccelerationParam(float(param))
+    pos, layout = _split_layout(psi.layout, observer)
+    amp = _split(psi.amplitudes[None], pos, np.array([param.cos_r]), np.array([param.sin_r]))
+    return StateVector(layout, amp[0])
+
+
+def observed_densities(psi0: StateVector, observers: Sequence[str], r) -> DensityMatrix:
+    """Observed states at N points, as one validated (N, dim, dim) stack.
+
+    r is an (N, k) array: r[p, j] is the parameter of observers[j] at point
+    p.  The observers' modes are split in ascending layout position and the
+    region-II modes are traced out of the pure states directly.  For the
+    four-mode W register each state is the A,B,C,D_I or A,B,C_I,D_I state,
+    with inertial observers untouched.
+    """
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 2 or r.shape[1] != len(observers):
+        raise ValueError(f"r has shape {r.shape}, want (points, {len(observers)})")
+    if r.size and not (r.min() >= -R_TOL and r.max() <= R_MAX + R_TOL):
+        for value in r.ravel().tolist():
+            AccelerationParam(value)  # raises at the first value outside the domain
+    layout = psi0.layout
+    if any(m.region is not Region.MINKOWSKI for m in layout.modes):
+        raise ValueError("observed_density expects an all-Minkowski input state")
+    known = {m.observer for m in layout.modes}
+    for obs in observers:
+        if obs not in known:
+            raise ValueError(f"unknown observer {obs!r}")
+    points = len(r)
+    amp = psi0.amplitudes[None].repeat(points, axis=0)
+    split = layout
+    for j in sorted(range(len(observers)), key=lambda j: layout.position(observers[j])):
+        pos, split = _split_layout(split, observers[j])
+        column = r[:, j].tolist()
+        amp = _split(amp, pos, np.array([math.cos(x) for x in column]),
+                     np.array([math.sin(x) for x in column]))
+    # rows: the accessible modes; columns: the region-II patterns, appended last
+    v = amp.reshape(points, layout.dim, -1)
+    rho = np.zeros((points, layout.dim, layout.dim), dtype=complex)
+    for t in range(v.shape[2]):
+        rho += v[:, :, t, None] * v[:, None, :, t].conj()
+    return DensityMatrix(ModeLayout(split.modes[:layout.n]), rho)
 
 
 def observed_density(psi0: StateVector,
@@ -107,27 +166,9 @@ def observed_density(psi0: StateVector,
     """Density matrix seen after acceleration: transform, then drop region II.
 
     scenario maps each accelerated observer to its r (a float or an
-    AccelerationParam); None means nobody accelerates.  Each accelerated
-    observer's mode is split (in ascending layout position) and the
-    region-II modes are traced out of the pure state directly.  For the
-    four-mode W register the result is the A,B,C,D_I or A,B,C_I,D_I state,
-    with inertial observers untouched.
+    AccelerationParam); None means nobody accelerates.  This is
+    observed_densities at one point.
     """
-    params = {obs: p if isinstance(p, AccelerationParam) else AccelerationParam(float(p))
-              for obs, p in (scenario or {}).items()}
-    layout = psi0.layout
-    if any(m.region is not Region.MINKOWSKI for m in layout.modes):
-        raise ValueError("observed_density expects an all-Minkowski input state")
-    known = {m.observer for m in layout.modes}
-    for obs in params:
-        if obs not in known:
-            raise ValueError(f"unknown observer {obs!r}")
-    psi = psi0
-    for obs in sorted(params, key=layout.position):
-        psi = apply_rindler(psi, obs, params[obs])
-    # rows: the accessible modes; columns: the region-II patterns, appended last
-    v = psi.amplitudes.reshape(layout.dim, -1)
-    rho = np.zeros((layout.dim, layout.dim), dtype=complex)
-    for t in range(v.shape[1]):
-        rho += np.outer(v[:, t], v[:, t].conj())
-    return DensityMatrix(ModeLayout(psi.layout.modes[:layout.n]), rho)
+    params = dict(scenario or {})
+    r = [[float(p.r if isinstance(p, AccelerationParam) else p) for p in params.values()]]
+    return observed_densities(psi0, tuple(params), r)[0]

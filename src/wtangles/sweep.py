@@ -2,21 +2,24 @@
 
 A sweep fixes or sweeps the Rindler parameter of each accelerated observer,
 computes the requested measures at every grid point and returns rows in
-deterministic lexicographic grid order.  Rows are plain floats; the CSV
-writer renders them with 17 significant digits so output is byte-identical
-across runs and round-trips losslessly.
+deterministic lexicographic grid order.  The grid is a lazy stream of points
+(the product of the axes' linspace values, or one shared axis on the
+diagonal), and measures.evaluate_points reads it measures.CHUNK points at a
+time, building and evaluating each chunk as one stack.  Rows are plain
+floats; the CSV writer renders them with 17 significant digits so output is
+byte-identical across runs and round-trips losslessly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from typing import IO, Sequence
 
 import numpy as np
 
-from .fock import w_state
-from .measures import COLUMNS, OBSERVERS, evaluate
-from .rindler import R_MAX, R_TOL, observed_density
+from .measures import COLUMNS, OBSERVERS, evaluate_points
+from .rindler import R_MAX, R_TOL
 
 DEFAULT_GRID_1D = 101
 DEFAULT_GRID_2D = 41
@@ -158,31 +161,25 @@ def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
     """Evaluate the sweep; returns (header, rows) in deterministic order."""
     cfg = _validated(config)
     swept = [a for a in cfg.accelerated if not a.fixed]
-    fixed = {a.observer: a.lo for a in cfg.accelerated if a.fixed}
+    fixed = [a for a in cfg.accelerated if a.fixed]
     two_axis = len(swept) == 2 and not cfg.diagonal
     points = cfg.grid or (DEFAULT_GRID_2D if two_axis else DEFAULT_GRID_1D)
     header = [f"r_{a.observer}" for a in swept] + list(cfg.measures)
 
-    def row(r_by_observer: dict[str, float]) -> list[float]:
-        rho = observed_density(w_state(4), dict(fixed, **r_by_observer))
-        values = evaluate(rho, cfg.measures)
-        return [r_by_observer[a.observer] for a in swept] + list(values.values())
+    lines = [np.linspace(a.lo, a.hi, points).tolist() for a in swept]
+    fixed_r = tuple(a.lo for a in fixed)
 
-    rows: list[list[float]] = []
-    if not swept:
-        rows.append(row({}))
-    elif len(swept) == 1:
-        for r in np.linspace(swept[0].lo, swept[0].hi, points):
-            rows.append(row({swept[0].observer: float(r)}))
-    elif cfg.diagonal:
-        for r in np.linspace(swept[0].lo, swept[0].hi, points):
-            rows.append(row({a.observer: float(r) for a in swept}))
-    else:
-        first, second = swept
-        for r1 in np.linspace(first.lo, first.hi, points):
-            for r2 in np.linspace(second.lo, second.hi, points):
-                rows.append(row({first.observer: float(r1), second.observer: float(r2)}))
-    return header, rows
+    def grid():
+        # the swept r of every point, in lexicographic grid order; lazily, so
+        # no point is built before the evaluation starts
+        if cfg.diagonal:
+            return ((r,) * len(swept) for r in lines[0])
+        return product(*lines)
+
+    values = evaluate_points([a.observer for a in swept + fixed],
+                             (r + fixed_r for r in grid()), cfg.measures)
+    columns = np.array([values[c] for c in cfg.measures]).T.tolist()
+    return header, [list(r) + row for r, row in zip(grid(), columns)]
 
 
 def write_csv(header: Sequence[str], rows: Sequence[Sequence[float]], stream: IO[str]) -> None:

@@ -81,7 +81,7 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
         raise AssertionError("a rejected sweep computed a point")
-    monkeypatch.setattr("wtangles.sweep.observed_density", no_points)
+    monkeypatch.setattr("wtangles.sweep.evaluate_points", no_points)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -171,3 +171,56 @@ def test_partial_transpose_validation():
         partial_transpose(rho, [])
     with pytest.raises(ValueError):
         partial_transpose(rho, [5])
+
+
+def _three_states():
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    m = g @ g.conj().swapaxes(1, 2)
+    return m / np.trace(m, axis1=1, axis2=2).real[:, None, None]
+
+
+def test_stack_validation_names_the_worst_state():
+    layout = ModeLayout.inertial("A", "B")
+    good = _three_states()
+    stack = DensityMatrix(layout, good)
+    assert stack.matrix.shape == (3, 4, 4)
+    asymmetric = good.copy()
+    asymmetric[1, 0, 1] += 1e-6
+    asymmetric[2, 0, 1] += 1e-9
+    with pytest.raises(ValueError, match=r"density matrix deviates from Hermiticity by 1\.0+e-06"):
+        DensityMatrix(layout, asymmetric)
+    scaled = good.copy()
+    scaled[2] *= 1.5
+    with pytest.raises(ValueError, match=r"density matrix trace is 1\.5, expected 1"):
+        DensityMatrix(layout, scaled)
+    negative = good.copy()
+    negative[0] = np.diag([1.25, 0.0, 0.0, -0.25])
+    with pytest.raises(ValueError, match=r"density matrix has eigenvalue -2\.500e-01 below"):
+        DensityMatrix(layout, negative)
+    with pytest.raises(ValueError, match="layout wants"):
+        DensityMatrix(layout, good[:, :2, :2])
+
+
+def test_stack_indexing_selects_states():
+    layout = ModeLayout.inertial("A", "B")
+    stack = DensityMatrix(layout, _three_states())
+    assert np.array_equal(stack[1].matrix, stack.matrix[1])
+    assert stack[1].layout == layout
+    assert stack[1][None].matrix.shape == (1, 4, 4)
+    assert np.array_equal(partial_trace(stack, [1]).matrix[2], partial_trace(stack[2], [1]).matrix)
+    assert np.array_equal(partial_transpose(stack, [0])[0], partial_transpose(stack[0], [0]))
+    with pytest.raises(IndexError):
+        stack[0][0]
+
+
+def test_nan_fails_validation():
+    layout = ModeLayout.inertial("A")
+    with pytest.raises(ValueError, match="Hermiticity by nan"):
+        DensityMatrix(layout, np.array([[np.nan, 0.0], [0.0, 0.5]]))
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(layout, np.array([np.nan, 1.0]))
+    stack = _three_states()
+    stack[1, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="Hermiticity by nan"):
+        DensityMatrix(ModeLayout.inertial("A", "B"), stack)

@@ -6,6 +6,7 @@ import pytest
 from wtangles.linalg import (
     NoConvergenceError,
     NotHermitianError,
+    _require_hermitian,
     hermitian_eigenvalues,
     negative_eigenvalue_sum,
     trace_norm,
@@ -59,3 +60,30 @@ def test_trace_norm_minus_trace_identity():
     h = g + g.T
     lhs = trace_norm(h) - float(np.trace(h))
     assert lhs == pytest.approx(negative_eigenvalue_sum(h), abs=1e-10)
+
+
+def test_stacks_are_diagonalized_matrix_by_matrix():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
+    stack = g + g.conj().swapaxes(1, 2)
+    spectra = hermitian_eigenvalues(stack)
+    negative = negative_eigenvalue_sum(stack)
+    norms = trace_norm(stack)
+    assert spectra.shape == (5, 6) and negative.shape == norms.shape == (5,)
+    for k, m in enumerate(stack):
+        assert np.array_equal(spectra[k], hermitian_eigenvalues(m))
+        assert negative[k] == negative_eigenvalue_sum(m)
+        assert isinstance(negative_eigenvalue_sum(m), float)
+
+
+def test_nan_is_rejected_not_diagonalized():
+    nan = np.array([[np.nan, 0.0], [0.0, 0.5]])
+    with pytest.raises(NotHermitianError, match="nan"):
+        _require_hermitian(nan)
+    with pytest.raises(NotHermitianError):
+        hermitian_eigenvalues(nan)
+    with pytest.raises(NotHermitianError):
+        negative_eigenvalue_sum(nan)
+    stack = np.stack([np.eye(2) / 2.0, nan, np.eye(2) / 2.0])
+    with pytest.raises(NotHermitianError, match="nan"):
+        hermitian_eigenvalues(stack)

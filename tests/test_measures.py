@@ -8,13 +8,14 @@ from wtangles import measures
 from wtangles.fock import partial_trace
 from wtangles.measures import (
     COLUMNS,
+    _sum_left,
     big_pi4_tangle,
     evaluate,
     negativity,
     tangle_report,
     von_neumann_entropy,
 )
-from wtangles.rindler import observed_density
+from wtangles.rindler import observed_densities, observed_density
 
 from . import patterns
 
@@ -137,18 +138,70 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
         original = getattr(measures, name)
 
         def wrapper(m):
-            spectra.append((name, m.shape[0]))
+            spectra.append((name, m.shape))
             return original(m)
         monkeypatch.setattr(measures, name, wrapper)
 
     counted("hermitian_eigenvalues")
     counted("negative_eigenvalue_sum")
-    rho = observed_density(w_state(4), {"C": 0.2, "D": 0.6})
-    evaluate(rho, ["S"])
-    assert spectra == [("hermitian_eigenvalues", 16)]
+    stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1], [0.7, 0.7]])
+    evaluate(stack, ["S"])
+    assert spectra == [("hermitian_eigenvalues", (3, 16, 16))]
     spectra.clear()
-    evaluate(rho, ["N_AB"])
-    assert spectra == [("negative_eigenvalue_sum", 4)] * 2      # the pair and its mirror
+    evaluate(stack, ["N_AB"])
+    # the pair and its mirror, stacked into one call
+    assert spectra == [("negative_eigenvalue_sum", (6, 4, 4))]
     spectra.clear()
-    evaluate(rho, ["pi4", "Pi4", "pi_A", "N_AB"])
-    assert len(spectra) == 4 + 6 * 2                            # 1-3 tangles, pairs with mirrors
+    evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
+    # one stacked spectrum per 1-3 tangle and per pair
+    assert sorted(spectra) == [("negative_eigenvalue_sum", (3, 16, 16))] * 4 + [
+        ("negative_eigenvalue_sum", (6, 4, 4))] * 6
+    spectra.clear()
+    evaluate(stack[1], ["N_AB"])
+    assert spectra == [("negative_eigenvalue_sum", (2, 4, 4))]
+
+
+def test_evaluate_stack_and_single_state_agree():
+    r = [[0.2, 0.6], [0.4, 0.1], [math.pi / 4, 0.0]]
+    stack = observed_densities(w_state(4), ["C", "D"], r)
+    columns = evaluate(stack, COLUMNS)
+    for p, (r_c, r_d) in enumerate(r):
+        single = tangle_report(observed_density(w_state(4), {"C": r_c, "D": r_d}))
+        assert single == {column: float(values[p]) for column, values in columns.items()}
+    with pytest.raises(ValueError, match="stack"):
+        evaluate(DensityMatrix(stack.layout, stack.matrix[None]), ["S"])
+
+
+def test_sums_run_left_to_right():
+    # a compensated sum, as builtin sum() is from Python 3.12 on, differs here
+    assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
+    assert _sum_left([1.0, 1e-16, 1e-16]) == 1.0
+    pi_k = {f"pi_{obs}": np.array([value]) for obs, value in zip("ABCD", [1.0, 1e-16, 1e-16, 0.0])}
+    assert measures.MEASURES["pi4"](None, pi_k.__getitem__).tolist() == [0.25]
+    values = {"N_A_rest": 2.0, "N_AB": 1.0, "N_AC": 1e-8, "N_AD": 1e-8}
+    get = {column: np.array([value]) for column, value in values.items()}.__getitem__
+    assert measures.MEASURES["pi_A"](None, get).tolist() == [3.0]
+
+
+def test_pair_mirror_asymmetry_raises(monkeypatch):
+    original = measures.negative_eigenvalue_sum
+
+    def lopsided(m):
+        values = original(m)
+        values[len(values) // 2:] += 1e-9     # the mirror half of the stack
+        return values
+    monkeypatch.setattr(measures, "negative_eigenvalue_sum", lopsided)
+    stack = observed_densities(w_state(4), ["D"], [[0.1], [0.3]])
+    with pytest.raises(ValueError, match=r"asymmetry 1\.000e-09 for positions \(0,1\)"):
+        evaluate(stack, ["N_AB"])
+
+
+def test_geometric_mean_over_a_stack_names_the_worst_residual():
+    pi_k = {"A": np.array([1.0, 16.0]), "B": np.array([1.0, 1.0]),
+            "C": np.array([1.0, 1.0]), "D": np.array([-5e-11, 1.0])}
+    assert big_pi4_tangle(pi_k).tolist() == [0.0, 2.0]
+    pi_k["D"] = np.array([-2e-9, -1e-9])
+    with pytest.raises(ValueError, match=r"residual tangle D=-2\.000e-09"):
+        big_pi4_tangle(pi_k)
+    with pytest.raises(ValueError):
+        big_pi4_tangle({"A": 1.0, "B": 1.0, "C": 1.0, "D": math.nan})

@@ -3,7 +3,7 @@
 from itertools import product
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wtangles.fock import (
@@ -13,10 +13,18 @@ from wtangles.fock import (
     partial_trace,
     partial_transpose,
     pure_to_density,
+    w_state,
 )
 from wtangles.linalg import hermitian_eigenvalues, negative_eigenvalue_sum, trace_norm
-from wtangles.measures import negativity, von_neumann_entropy
-from wtangles.rindler import R_MAX, apply_rindler
+from wtangles.measures import (
+    CHUNK,
+    COLUMNS,
+    evaluate,
+    evaluate_points,
+    negativity,
+    von_neumann_entropy,
+)
+from wtangles.rindler import R_MAX, apply_rindler, observed_density
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
@@ -195,3 +203,15 @@ def test_pure_state_negativity_matches_schmidt_formula(seed, n_modes, cut):
     expected = float(schmidt.sum() ** 2 - 1.0)
     value = negativity(pure_to_density(psi), list(range(cut)))
     assert abs(value - expected) < 1e-9
+
+
+@settings(max_examples=20)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=2 * CHUNK + 3),
+       observers=st.sampled_from([(), ("D",), ("C", "D"), ("D", "A"), ("A", "B", "C", "D")]))
+@example(seed=0, points=CHUNK + 1, observers=("C", "D"))
+def test_stacked_columns_equal_single_points(seed, points, observers):
+    r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
+    columns = evaluate_points(observers, r, COLUMNS)
+    for p in range(points):
+        single = evaluate(observed_density(w_state(4), dict(zip(observers, r[p]))), COLUMNS)
+        assert all(np.array_equal(columns[c][p], single[c]) for c in COLUMNS)

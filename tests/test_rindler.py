@@ -19,6 +19,7 @@ from wtangles.rindler import (
     AccelerationParam,
     acceleration_to_r,
     apply_rindler,
+    observed_densities,
     observed_density,
 )
 
@@ -151,6 +152,32 @@ def test_observed_density_equals_trace_of_split_projector(r, scenario_at):
     rho = observed_density(w_state(4), scenario)
     assert rho.layout == reference.layout
     assert np.array_equal(rho.matrix, reference.matrix)
+
+
+def test_observed_stack_equals_points_one_by_one():
+    r = np.array([[0.6, 0.2], [0.0, R_MAX], [patterns.THRESHOLD_R, 0.3], [R_MAX, 0.0]])
+    # the observers' order in the call does not matter, only the layout order
+    stack = observed_densities(w_state(4), ["D", "C"], r)
+    assert stack.matrix.shape == (4, 16, 16)
+    assert stack.layout.labels() == ("A", "B", "C_I", "D_I")
+    for p, (r_d, r_c) in enumerate(r):
+        single = observed_density(w_state(4), {"C": r_c, "D": r_d})
+        assert np.array_equal(stack.matrix[p], single.matrix)
+    inertial = observed_densities(w_state(4), [], np.empty((2, 0)))
+    assert np.array_equal(inertial.matrix[1], observed_density(w_state(4), None).matrix)
+
+
+@pytest.mark.parametrize("observers, r, fragment", [
+    (["D"], [[0.1, 0.2]], "shape"),
+    (["D"], [0.1, 0.2], "shape"),
+    (["D"], [[0.1], [1.0]], "r=1.0 outside"),
+    (["D"], [[0.1], [math.nan]], "r=nan outside"),
+    (["X"], [[0.1]], "unknown observer"),
+    (["D", "D"], [[0.1, 0.2]], "already transformed"),
+])
+def test_observed_stack_rejects_bad_input(observers, r, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        observed_densities(w_state(4), observers, r)
 
 
 @pytest.mark.parametrize("r_d", [0.0, 0.3, 0.6, math.pi / 4])

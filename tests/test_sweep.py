@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 from dataclasses import replace
@@ -198,6 +199,31 @@ def test_preset_golden_csv_byte_for_byte(name):
     buffer = io.StringIO()
     write_csv(*run_sweep(replace(PRESETS[name], grid=5)), buffer)
     assert buffer.getvalue() == golden
+
+
+# sha256 of each preset's CSV at its default grid, unchanged since the first
+# release; fig6a, fig6b and fig7 drift in the last bit if sums are compensated
+DEFAULT_GRID_SHA256 = {
+    "fig1a": "f7970ca295071710ed11964ad67c96b432da27c99805376f26cd81236fa62efc",
+    "fig1b": "7b0278db9d47252d21faa26d850a80821b6967ed2c3e20bffe7318a4a465f39b",
+    "fig2": "ad78c3990eab1e1a66af1fb6bc8cc0710ef001aebff2c4536dd46bfa1347fda6",
+    "fig3": "df82a3ae1fd7d9a0d0ca5bc2c0de063537060cf44f067232b9895a724fb556ce",
+    "fig4a": "0f5c8d8524c57a6a43cd3ceb05146da1791a893600c43d619aa3d63b436a6b84",
+    "fig4b": "d9a89976cb8c7c1dc839422026682797ad6193bf553f7426e99fe0ec8ba3998e",
+    "fig5": "15372e4df9325addfda70919bf0e80927c879e0e60f6b9a9962ed5c78cbf0058",
+    "fig6a": "915be90c29c712cb3a2fcc1de600caedb097c1c532305e2aa622f31b17672771",
+    "fig6b": "7303a7d64b7231f2df7b8d8770de5ea9b1dc5011ae7f822297e94abcf26f843a",
+    "fig7": "a87b65879750c43a005485e21511c1a1b1ab60d62fcce382c3640879c38e53fb",
+    "fig8": "b403e10e302c5ff0f6e562acd4952043e2465886cb72cf0182781f3480638bcd",
+    "fig9": "5aa23ecd1887d00f4c77f5e0fac6b13bd263849b149f75057851ff48b4ef5a68",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED_PRESETS))
+def test_preset_default_grid_sha256(name):
+    buffer = io.StringIO()
+    write_csv(*run_sweep(PRESETS[name]), buffer)
+    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == DEFAULT_GRID_SHA256[name]
 
 
 def test_preset_shapes():
