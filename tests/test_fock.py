@@ -73,6 +73,8 @@ def test_state_vector_validation():
         StateVector(layout, np.array([1.0, 0.0, 0.0]))   # wrong length
     with pytest.raises(ValueError):
         StateVector(layout, np.array([1.0, 1.0]))        # norm 2
+    with pytest.raises(ValueError, match="not normalized"):
+        StateVector(layout, np.array([np.nan, 1.0]))
 
 
 def test_state_vector_amplitudes_read_only():
@@ -89,6 +91,8 @@ def test_density_matrix_validation():
         DensityMatrix(layout, np.diag([0.7, 0.7]))
     with pytest.raises(ValueError):
         DensityMatrix(layout, np.diag([1.5, -0.5]))
+    with pytest.raises(ValueError, match="Hermiticity by nan"):
+        DensityMatrix(layout, np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
 
 def test_pure_to_density_is_projector():
@@ -200,6 +204,10 @@ def test_stack_validation_names_the_worst_state():
         DensityMatrix(layout, negative)
     with pytest.raises(ValueError, match="layout wants"):
         DensityMatrix(layout, good[:, :2, :2])
+    one_nan = good.copy()
+    one_nan[1, 2, 2] = np.nan
+    with pytest.raises(ValueError, match="Hermiticity by nan"):
+        DensityMatrix(layout, one_nan)
 
 
 def test_stack_indexing_selects_states():
@@ -212,15 +220,3 @@ def test_stack_indexing_selects_states():
     assert np.array_equal(partial_transpose(stack, [0])[0], partial_transpose(stack[0], [0]))
     with pytest.raises(IndexError):
         stack[0][0]
-
-
-def test_nan_fails_validation():
-    layout = ModeLayout.inertial("A")
-    with pytest.raises(ValueError, match="Hermiticity by nan"):
-        DensityMatrix(layout, np.array([[np.nan, 0.0], [0.0, 0.5]]))
-    with pytest.raises(ValueError, match="not normalized"):
-        StateVector(layout, np.array([np.nan, 1.0]))
-    stack = _three_states()
-    stack[1, 2, 2] = np.nan
-    with pytest.raises(ValueError, match="Hermiticity by nan"):
-        DensityMatrix(ModeLayout.inertial("A", "B"), stack)
