@@ -17,6 +17,7 @@ from .fock import (
     partial_trace,
     partial_transpose,
     pure_to_density,
+    validate_density,
     w_state,
 )
 from .linalg import (
@@ -93,6 +94,7 @@ __all__ = [
     "run_sweep",
     "tangle_report",
     "trace_norm",
+    "validate_density",
     "vanishing_threshold",
     "von_neumann_entropy",
     "w_state",

@@ -168,30 +168,49 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _symbol_table(params: dict[str, float]) -> list[tuple[str, float]]:
-    base = []
-    if "C" in params:
-        base += [("α", np.sin(params["C"])), ("γ", np.cos(params["C"]))]
-    if "D" in params:
-        base += [("β", np.sin(params["D"])), ("δ", np.cos(params["D"]))]
-    table: list[tuple[int, str, float]] = [(0, "1", 1.0)]
-    for exponents in itertools.product(range(5), repeat=len(base)):
+@functools.cache
+def _symbol_entries(symbols: tuple[str, ...]) -> tuple[tuple[str, tuple, tuple], ...]:
+    """The names of the table in match order, each with the recipe of its value.
+
+    A recipe is either the (symbol, power) factors of a monomial of degree 0
+    to 4, or the two symbols of a sum of squares.  Neither depends on r, so
+    each symbol set is enumerated once.
+    """
+    entries = []
+    for exponents in itertools.product(range(5), repeat=len(symbols)):
         degree = sum(exponents)
-        if not 1 <= degree <= 4:
+        if degree > 4:
             continue
-        name = ""
-        value = 1.0
-        for (symbol, sym_value), power in zip(base, exponents):
-            if power == 0:
-                continue
-            name += symbol if power == 1 else f"{symbol}^{power}"
-            value *= sym_value ** power
-        table.append((degree, name, value))
-    squares = [(f"{s}^2", v * v) for s, v in base if s in ("α", "β")]
-    for (name_a, val_a), (name_b, val_b) in itertools.combinations(squares, 2):
-        table.append((4, f"{name_a}+{name_b}", val_a + val_b))
-    table.sort(key=lambda item: (item[0], item[1]))
-    return [(name, value) for _, name, value in table]
+        factors = tuple((k, power) for k, power in enumerate(exponents) if power)
+        name = "".join(symbols[k] if power == 1 else f"{symbols[k]}^{power}"
+                       for k, power in factors)
+        entries.append((degree, name or "1", factors, ()))
+    squares = [k for k, symbol in enumerate(symbols) if symbol in ("α", "β")]
+    for a, b in itertools.combinations(squares, 2):
+        entries.append((4, f"{symbols[a]}^2+{symbols[b]}^2", (), (a, b)))
+    entries.sort(key=lambda entry: (entry[0], entry[1]))
+    return tuple(entry[1:] for entry in entries)
+
+
+def _symbol_table(params: dict[str, float]) -> list[tuple[str, float]]:
+    symbols, values = (), []
+    if "C" in params:
+        symbols += ("α", "γ")
+        values += [np.sin(params["C"]), np.cos(params["C"])]
+    if "D" in params:
+        symbols += ("β", "δ")
+        values += [np.sin(params["D"]), np.cos(params["D"])]
+    table = []
+    for name, factors, squares in _symbol_entries(symbols):
+        if squares:
+            a, b = squares
+            value = values[a] * values[a] + values[b] * values[b]
+        else:
+            value = 1.0
+            for k, power in factors:
+                value *= values[k] ** power
+        table.append((name, value))
+    return table
 
 
 def _match_symbol(value: float, table: list[tuple[str, float]]) -> str:
@@ -237,6 +256,8 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     for axis in axes:
         if not axis.fixed:
             raise ConfigError(f"matrix: needs a fixed r for {axis.observer}, got a range")
+        if axis.observer in params:
+            raise ConfigError(f"accel: observer {axis.observer!r} given twice")
         params[axis.observer] = axis.lo
     print(emit_matrix(params, transpose=args.transpose, symbolic=args.symbolic))
     return 0

@@ -14,19 +14,25 @@ traces and partial transposes be requested by mode position.  Both are axis
 permutations of the occupation tensor: a partial transpose swaps the row and
 column axes of the transposed modes, and a partial trace moves the traced
 axes aside and sums the diagonal blocks one traced pattern at a time, in
-index order.  Density matrices validate Hermiticity, unit trace and
-positivity on construction; violations raise instead of being clipped.
+index order.  Their bare-array cores (_transposed, _trace_blocks and
+_add_blocks) act on any (..., 2^n, 2^n) array; run on np.arange they give
+the flat index tables with which measures gathers many transposes and
+reduced states of a stack at once, in the same order.
+
+Density matrices validate Hermiticity, unit trace and positivity on
+construction (validate_density); violations raise instead of being clipped.
+The spectra that validation computes are kept as rho.spectra, ascending.
 
 A DensityMatrix may also hold a stack of states over one layout, a matrix of
 shape (..., dim, dim).  The whole stack is validated at once, and an error
 names the worst value in it; partial traces and transposes act on every state
-of the stack.  Indexing selects states without checking them again:
-rho[p] is state p of a stack and rho[None] a stack of one.
+of the stack.  Indexing selects states and their spectra without checking
+them again: rho[p] is state p of a stack and rho[None] a stack of one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable
 
@@ -121,33 +127,47 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amp)
 
 
+def validate_density(m: np.ndarray) -> np.ndarray:
+    """The spectra of a (..., dim, dim) stack of density matrices, ascending.
+
+    Each matrix must be Hermitian, of unit trace and positive semidefinite
+    within the module tolerances; a failed check raises, naming the worst
+    value in the stack.
+    """
+    try:
+        spectra = hermitian_eigenvalues(m)
+    except NotHermitianError as exc:
+        # the same test and tolerance, reported as a defect of the density matrix
+        raise ValueError(f"density {exc}") from None
+    traces = m.trace(axis1=-2, axis2=-1).real
+    deviations = np.abs(traces - 1.0)
+    if not deviations.max() <= TRACE_TOL:
+        worst = float(np.ravel(traces)[np.ravel(deviations).argmax()])
+        raise ValueError(f"density matrix trace is {worst!r}, expected 1")
+    smallest = float(spectra[..., 0].min())
+    if not smallest >= MIN_EIGENVALUE:
+        raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below {MIN_EIGENVALUE}")
+    return spectra
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator(s) over a layout."""
 
     layout: ModeLayout
     matrix: np.ndarray
+    # the eigenvalues of each state, ascending, as validation computed them
+    spectra: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
         dim = self.layout.dim
         if m.ndim < 2 or m.shape[-2:] != (dim, dim):
             raise ValueError(f"matrix has shape {m.shape}, layout wants ({dim}, {dim})")
-        try:
-            spectra = hermitian_eigenvalues(m)
-        except NotHermitianError as exc:
-            # the same test and tolerance, reported as a defect of the density matrix
-            raise ValueError(f"density {exc}") from None
-        traces = m.trace(axis1=-2, axis2=-1).real
-        deviations = np.abs(traces - 1.0)
-        if not deviations.max() <= TRACE_TOL:
-            worst = float(np.ravel(traces)[np.ravel(deviations).argmax()])
-            raise ValueError(f"density matrix trace is {worst!r}, expected 1")
-        smallest = float(spectra[..., 0].min())
-        if not smallest >= MIN_EIGENVALUE:
-            raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below {MIN_EIGENVALUE}")
+        spectra = validate_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "spectra", spectra)
 
     def __getitem__(self, index) -> "DensityMatrix":
         """The states at index of the stack, already validated with it."""
@@ -157,6 +177,7 @@ class DensityMatrix:
         view = object.__new__(DensityMatrix)
         object.__setattr__(view, "layout", self.layout)
         object.__setattr__(view, "matrix", matrix)
+        object.__setattr__(view, "spectra", self.spectra[index])
         return view
 
 
@@ -189,6 +210,39 @@ def pure_to_density(psi: StateVector) -> DensityMatrix:
     return DensityMatrix(psi.layout, np.outer(amp, amp.conj()))
 
 
+def _transposed(m: np.ndarray, n: int, part: Iterable[int]) -> np.ndarray:
+    """Each (..., 2^n, 2^n) matrix of m with the row and column axes of part swapped."""
+    shape = m.shape
+    lead = len(shape) - 2
+    axes = list(range(lead + 2 * n))
+    for p in part:
+        axes[lead + p], axes[lead + n + p] = lead + n + p, lead + p
+    return m.reshape(shape[:-2] + (2,) * 2 * n).transpose(axes).reshape(shape)
+
+
+def _trace_blocks(m: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
+    """The diagonal blocks that tracing all modes but keep adds up.
+
+    m is (..., 2^n, 2^n) and keep sorted; the result is (..., dt, dk, dk),
+    with block t that of traced pattern t.
+    """
+    traced = [p for p in range(n) if p not in keep]
+    dk, dt = 1 << len(keep), 1 << len(traced)
+    lead = m.shape[:-2]
+    order = [len(lead) + p for p in keep + traced]
+    axes = list(range(len(lead))) + order + [n + a for a in order]
+    blocks = m.reshape(lead + (2,) * 2 * n).transpose(axes).reshape(lead + (dk, dt, dk, dt))
+    return np.moveaxis(blocks.diagonal(axis1=-3, axis2=-1), -1, -3)
+
+
+def _add_blocks(blocks: np.ndarray) -> np.ndarray:
+    """The sum over axis -3 of (..., t, d, d) blocks, added in index order."""
+    out = np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=complex)
+    for t in range(blocks.shape[-3]):
+        out += blocks[..., t, :, :]
+    return out
+
+
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Trace out every mode not in keep; kept modes stay in original order.
 
@@ -201,16 +255,7 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     n = rho.layout.n
     if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
         raise ValueError(f"keep positions {keep_sorted} out of range for a {n}-mode layout")
-    traced = [p for p in range(n) if p not in keep_sorted]
-    dk, dt = 1 << len(keep_sorted), 1 << len(traced)
-    lead = rho.matrix.shape[:-2]
-    order = [len(lead) + p for p in keep_sorted + traced]
-    axes = list(range(len(lead))) + order + [n + a for a in order]
-    blocks = rho.matrix.reshape(lead + (2,) * 2 * n).transpose(axes)
-    blocks = blocks.reshape(lead + (dk, dt, dk, dt))
-    out = np.zeros(lead + (dk, dk), dtype=complex)
-    for t in range(dt):
-        out += blocks[..., :, t, :, t]
+    out = _add_blocks(_trace_blocks(rho.matrix, n, keep_sorted))
     sub_layout = ModeLayout(tuple(rho.layout.modes[p] for p in keep_sorted))
     return DensityMatrix(sub_layout, out)
 
@@ -228,9 +273,4 @@ def partial_transpose(rho: DensityMatrix, part: Iterable[int]) -> np.ndarray:
     n = rho.layout.n
     if part_sorted[0] < 0 or part_sorted[-1] >= n:
         raise ValueError(f"transpose positions {part_sorted} out of range for a {n}-mode layout")
-    shape = rho.matrix.shape
-    lead = len(shape) - 2
-    axes = list(range(lead + 2 * n))
-    for p in part_sorted:
-        axes[lead + p], axes[lead + n + p] = lead + n + p, lead + p
-    return rho.matrix.reshape(shape[:-2] + (2,) * 2 * n).transpose(axes).reshape(shape)
+    return _transposed(rho.matrix, n, part_sorted)

@@ -8,13 +8,25 @@ pairwise negativities from its squared 1-3 tangle; pi4 and Pi4 are the
 arithmetic and geometric means of the four residuals, and the von Neumann
 entropy -sum(lambda ln lambda) measures how mixed the observed state is.
 
-MEASURES is the one table of measures: it maps each CSV column name to a
+Each CSV column is of one of three kinds.  ONE_THREE maps each 1-3 tangle
+to the mode it transposes and PAIRS each 1-1 tangle to the pair of modes it
+keeps; these are read off spectra.  MEASURES maps every other column to a
 function (rho, get) -> (N,) array over a stack of N states, where get returns
-another column over the same stack.  evaluate computes the requested columns,
-each at most once, taking one eigvalsh call per spectrum and stack; a single
-state is a stack of one.  evaluate_points is the evaluation core of sweeps and
-checks: it builds the observed |W4> states of N points CHUNK points at a
-time and evaluates each stack.
+another column over the same stack, and REQUIRES names the columns that each
+residual and mean reads.
+
+evaluate plans a request once per column tuple (the plan is cached): from
+REQUIRES it works out which 1-3 transposes and which pairs the request
+needs, with flat index tables to gather them.  Each stack then takes at most
+three eigvalsh calls: every needed rho^{T_k} at once, every reduced pair
+state at once (to validate it), and both partial transposes of every pair at
+once, whose negativities must agree.  S reads the spectra that rho's own
+validation computed, so with that validation a chunk of points takes four
+eigvalsh calls whatever columns it needs.  eigvalsh diagonalizes each matrix
+of a stack on its own, so the grouping changes no bit.  A single state is a
+stack of one.  evaluate_points is the evaluation core of sweeps and checks:
+it builds the observed |W4> states of N points CHUNK points at a time and
+evaluates each stack.
 
 A point's values do not depend on how it is stacked.  Residuals, pi4 and
 Pi4 are assembled point by point in Python floats, because numpy's x**2 and
@@ -24,13 +36,22 @@ right, because builtin sum() is compensated from Python 3.12 on.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, islice
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fock import DensityMatrix, partial_trace, partial_transpose, w_state
-from .linalg import hermitian_eigenvalues, negative_eigenvalue_sum
+from .fock import (
+    DensityMatrix,
+    _add_blocks,
+    _trace_blocks,
+    _transposed,
+    partial_transpose,
+    validate_density,
+    w_state,
+)
+from .linalg import negative_eigenvalue_sum
 from .rindler import observed_densities
 
 RESIDUAL_CLIP = -1e-10
@@ -87,8 +108,11 @@ def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> float | np.ndarray
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
-    """S = -sum(lambda ln lambda) over each state's spectrum, with 0 ln 0 = 0."""
-    spectra = hermitian_eigenvalues(rho.matrix)
+    """S = -sum(lambda ln lambda) over each state's spectrum, with 0 ln 0 = 0.
+
+    The spectra are those rho's validation computed, so S takes no eigensolve.
+    """
+    spectra = rho.spectra
     entropies = []
     for w in spectra.reshape(-1, spectra.shape[-1]):
         w = w[w > 0.0]
@@ -97,28 +121,21 @@ def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
     return out if out.ndim else float(out)
 
 
-def _one_three(k: int) -> Measure:
-    return lambda rho, get: negativity(rho, [k])
+# the spectral columns: the mode each 1-3 tangle transposes and the pair of
+# modes each 1-1 tangle keeps
+ONE_THREE = {f"N_{obs}_rest": k for k, obs in enumerate(OBSERVERS)}
+PAIRS = {f"N_{OBSERVERS[i]}{OBSERVERS[j]}": (i, j) for i, j in combinations(range(4), 2)}
+# the columns that each column assembled from other columns reads
+REQUIRES = {
+    **{f"pi_{obs}": (f"N_{obs}_rest", *(column for column, pair in PAIRS.items() if k in pair))
+       for k, obs in enumerate(OBSERVERS)},
+    "pi4": _PI_K,
+    "Pi4": _PI_K,
+}
 
 
-def _pair(i: int, j: int) -> Measure:
-    def measure(rho: DensityMatrix, get: Callable[[str], np.ndarray]) -> np.ndarray:
-        transposed = partial_transpose(partial_trace(rho, [i, j]), [0])
-        # transposing either side of a pair must give the same negativity; the
-        # other side's partial transpose is the full transpose of this one
-        both = negative_eigenvalue_sum(np.concatenate([transposed, transposed.swapaxes(1, 2)]))
-        value, mirror = both[:len(rho.matrix)], both[len(rho.matrix):]
-        asymmetry = float(np.abs(value - mirror).max())
-        if not asymmetry <= PAIR_SYMMETRY_TOL:
-            raise ValueError(
-                f"pair negativity asymmetry {asymmetry:.3e} for positions ({i},{j})")
-        return value
-    return measure
-
-
-def _residual(obs: str) -> Measure:
-    terms = [f"N_{obs}_rest"] + ["N_" + "".join(sorted(obs + other))
-                                 for other in OBSERVERS if other != obs]
+def _residual(column: str) -> Measure:
+    terms = REQUIRES[column]
 
     def measure(rho: DensityMatrix, get: Callable[[str], np.ndarray]) -> np.ndarray:
         return np.array([rest ** 2 - _sum_left(n ** 2 for n in pairs)
@@ -126,15 +143,78 @@ def _residual(obs: str) -> Measure:
     return measure
 
 
+# the columns computed from other columns or from rho's spectra
 MEASURES: dict[str, Measure] = {
-    **{f"N_{obs}_rest": _one_three(k) for k, obs in enumerate(OBSERVERS)},
-    **{f"N_{OBSERVERS[i]}{OBSERVERS[j]}": _pair(i, j) for i, j in combinations(range(4), 2)},
-    **{f"pi_{obs}": _residual(obs) for obs in OBSERVERS},
-    "pi4": lambda rho, get: np.array([_sum_left(pi_k) / 4.0 for pi_k in _per_point(get, _PI_K)]),
-    "Pi4": lambda rho, get: big_pi4_tangle(dict(zip(OBSERVERS, map(get, _PI_K)))),
+    **{column: _residual(column) for column in _PI_K},
+    "pi4": lambda rho, get: np.array([_sum_left(pi_k) / 4.0
+                                      for pi_k in _per_point(get, REQUIRES["pi4"])]),
+    "Pi4": lambda rho, get: big_pi4_tangle(dict(zip(OBSERVERS, map(get, REQUIRES["Pi4"])))),
     "S": lambda rho, get: von_neumann_entropy(rho),
 }
-COLUMNS = tuple(MEASURES)
+COLUMNS = (*ONE_THREE, *PAIRS, *MEASURES)
+
+# flat index tables into a (16, 16) matrix, from fock's own kernels: the
+# entries of each rho^{T_k}, the traced blocks of each pair's reduced state,
+# and the two partial transposes of a (4, 4) pair state
+_FLAT = np.arange(256).reshape(16, 16)
+_TRANSPOSED = {column: _transposed(_FLAT, 4, [k]) for column, k in ONE_THREE.items()}
+_TRACED = {column: _trace_blocks(_FLAT, 4, list(pair)) for column, pair in PAIRS.items()}
+_BOTH_SIDES = np.stack([_transposed(np.arange(16).reshape(4, 4), 2, [side]) for side in (0, 1)])
+
+
+class _Plan(NamedTuple):
+    """The spectra a set of columns takes: which 1-3 tangles and which pairs."""
+
+    one_three: tuple[str, ...]
+    transposed: np.ndarray      # (K, 16, 16) flat indices of their rho^{T_k}
+    pairs: tuple[str, ...]
+    traced: np.ndarray          # (P, 4, 4, 4) flat indices of their traced blocks
+
+
+@lru_cache(maxsize=64)
+def _plan(columns: tuple[str, ...]) -> _Plan:
+    for column in columns:
+        if column not in COLUMNS:
+            raise ValueError(f"unknown measure column {column!r}")
+    needed, todo = set(), list(columns)
+    while todo:
+        column = todo.pop()
+        if column not in needed:
+            needed.add(column)
+            todo.extend(REQUIRES.get(column, ()))
+    one_three = tuple(column for column in ONE_THREE if column in needed)
+    pairs = tuple(column for column in PAIRS if column in needed)
+    return _Plan(one_three, np.array([_TRANSPOSED[column] for column in one_three]),
+                 pairs, np.array([_TRACED[column] for column in pairs]))
+
+
+def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
+    """The plan's 1-3 and 1-1 tangles over a stack of N states, as (N,) arrays.
+
+    All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
+    The pair states are gathered into one (N, P, 4, 4) stack, validated with
+    one eigvalsh call, and both partial transposes of every pair take one
+    more: the two sides must give the same negativity.
+    """
+    flat = rho.matrix.reshape(len(rho.matrix), -1)
+    out = {}
+    if plan.one_three:
+        transposed = np.take(flat, plan.transposed, axis=1)
+        out.update(zip(plan.one_three, negative_eigenvalue_sum(transposed, overwrite=True).T))
+    if plan.pairs:
+        reduced = _add_blocks(np.take(flat, plan.traced, axis=1))
+        validate_density(reduced)
+        sides = negative_eigenvalue_sum(
+            np.take(reduced.reshape(reduced.shape[:2] + (16,)), _BOTH_SIDES, axis=2), overwrite=True)
+        values = sides[..., 0]
+        asymmetry = np.abs(values - sides[..., 1])
+        worst = int(asymmetry.argmax())
+        if not asymmetry.max() <= PAIR_SYMMETRY_TOL:
+            i, j = PAIRS[plan.pairs[worst % len(plan.pairs)]]
+            raise ValueError(f"pair negativity asymmetry {float(asymmetry.flat[worst]):.3e} "
+                             f"for positions ({i},{j})")
+        out.update(zip(plan.pairs, values.T))
+    return out
 
 
 class _Columns(dict):
@@ -149,8 +229,6 @@ class _Columns(dict):
         self.rho = rho
 
     def __missing__(self, column: str) -> np.ndarray:
-        if column not in MEASURES:
-            raise ValueError(f"unknown measure column {column!r}")
         value = self[column] = MEASURES[column](self.rho, self.__getitem__)
         return value
 
@@ -166,7 +244,10 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     single = rho.matrix.ndim == 2
     if not single and rho.matrix.ndim != 3:
         raise ValueError(f"evaluate takes one state or a stack, got shape {rho.matrix.shape}")
+    columns = tuple(columns)
+    plan = _plan(columns)
     values = _Columns(rho[None] if single else rho)
+    values.update(_spectral_columns(values.rho, plan))
     out = {column: values[column] for column in columns}
     return {column: float(v[0]) for column, v in out.items()} if single else out
 
@@ -188,6 +269,6 @@ def evaluate_points(observers: Sequence[str], points: Iterable[Sequence[float]],
     return {column: np.concatenate([chunk[column] for chunk in chunks]) for column in columns}
 
 
-def tangle_report(rho: DensityMatrix) -> dict[str, float]:
-    """Every measure column for one four-mode density matrix."""
+def tangle_report(rho: DensityMatrix) -> dict[str, float | np.ndarray]:
+    """Every measure column for one four-mode state, or for a stack of them."""
     return evaluate(rho, COLUMNS)

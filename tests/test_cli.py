@@ -77,6 +77,8 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["sweep", "--accel", "D=0.5", "--out", "no-such-dir/x.csv"], "cannot write no-such-dir/x.csv"),
     (["sweep", "--config", "no-such-dir/sweep.cfg"], "no-such-dir/sweep.cfg"),
     (["sweep", "--accel", "C=0:0.5,D=0:0.5", "--grid", "100000"], "grid"),
+    (["sweep", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
+    (["matrix", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
@@ -214,6 +216,14 @@ def test_emit_matrix_returns_string():
     text = emit_matrix({"D": 0.3}, transpose="D", symbolic=True)
     assert "layout: A, B, C, D_I" in text
     assert "nonzero entries" in text
+
+
+def test_matrix_symbolic_golden_byte_for_byte(capsys):
+    golden = (DATA / "matrix_C0.3_D0.4_symbolic.txt").read_text(encoding="utf-8")
+    assert main(["matrix", "--accel", "C=0.3", "--accel", "D=0.4", "--symbolic"]) == 0
+    assert capsys.readouterr().out == golden
+    # the golden holds a monomial and the sum of squares
+    assert "  ( 1, 2)  γδ\n" in golden and "  ( 3, 3)  α^2+β^2\n" in golden
 
 
 def test_module_entry_point_runs():

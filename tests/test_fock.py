@@ -12,8 +12,10 @@ from wtangles.fock import (
     partial_trace,
     partial_transpose,
     pure_to_density,
+    validate_density,
     w_state,
 )
+from wtangles.linalg import hermitian_eigenvalues
 
 from . import patterns
 
@@ -208,6 +210,16 @@ def test_stack_validation_names_the_worst_state():
     one_nan[1, 2, 2] = np.nan
     with pytest.raises(ValueError, match="Hermiticity by nan"):
         DensityMatrix(layout, one_nan)
+    # the reduced pair states of a (points, pairs) stack, as measures checks them
+    pairs = np.stack([good, good[::-1]])
+    assert np.array_equal(validate_density(pairs), hermitian_eigenvalues(pairs))
+    corrupted = pairs.copy()
+    corrupted[1, 2] = np.diag([1.25, 0.0, 0.0, -0.25])
+    with pytest.raises(ValueError, match=r"density matrix has eigenvalue -2\.500e-01 below"):
+        validate_density(corrupted)
+    corrupted[0, 1, 0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"density matrix deviates from Hermiticity by 1\.0+e-06"):
+        validate_density(corrupted)
 
 
 def test_stack_indexing_selects_states():
@@ -220,3 +232,15 @@ def test_stack_indexing_selects_states():
     assert np.array_equal(partial_transpose(stack, [0])[0], partial_transpose(stack[0], [0]))
     with pytest.raises(IndexError):
         stack[0][0]
+
+
+def test_spectra_are_kept_from_validation():
+    stack = DensityMatrix(ModeLayout.inertial("A", "B"), _three_states())
+    assert np.array_equal(stack.spectra, hermitian_eigenvalues(stack.matrix))
+    assert np.array_equal(stack[2].spectra, stack.spectra[2])
+    assert np.array_equal(stack[1:][None].spectra, stack.spectra[None, 1:])
+    rho = pure_to_density(w_state(4))
+    assert np.array_equal(rho.spectra, hermitian_eigenvalues(rho.matrix))
+    assert rho[None].spectra.shape == (1, 16)
+    reduced = partial_trace(stack, [0])
+    assert np.array_equal(reduced.spectra, hermitian_eigenvalues(reduced.matrix))

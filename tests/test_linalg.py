@@ -80,3 +80,24 @@ def test_stacks_are_diagonalized_matrix_by_matrix():
         assert np.array_equal(spectra[k], hermitian_eigenvalues(m))
         assert negative[k] == negative_eigenvalue_sum(m)
         assert isinstance(negative_eigenvalue_sum(m), float)
+
+
+def test_large_stacks_are_checked_block_by_block():
+    # 40 16x16 complex matrices span three blocks of the Hermiticity check
+    rng = np.random.default_rng(9)
+    g = rng.standard_normal((2, 20, 16, 16)) + 1j * rng.standard_normal((2, 20, 16, 16))
+    stack = g + g.conj().swapaxes(-1, -2)
+    spectra = hermitian_eigenvalues(stack)
+    assert spectra.shape == (2, 20, 16)
+    assert np.array_equal(spectra[1, 19], hermitian_eigenvalues(stack[1, 19]))
+    scratch = stack.copy()
+    assert np.array_equal(negative_eigenvalue_sum(scratch, overwrite=True),
+                          negative_eigenvalue_sum(stack))
+    bad = stack.copy()
+    bad[0, 3, 0, 1] += 2e-6       # first block
+    bad[1, 19, 0, 1] += 3e-6      # last block: the worst names the stack
+    with pytest.raises(NotHermitianError, match=r"by 3\.000e-06"):
+        hermitian_eigenvalues(bad)
+    bad[1, 0, 2, 2] = np.nan      # a NaN in a middle block is worse than any number
+    with pytest.raises(NotHermitianError, match="by nan"):
+        negative_eigenvalue_sum(bad, overwrite=True)

@@ -5,7 +5,7 @@ import pytest
 
 from wtangles.fock import DensityMatrix, ModeLayout, StateVector, pure_to_density, w_state
 from wtangles import measures
-from wtangles.fock import partial_trace
+from wtangles.fock import _add_blocks, partial_trace, partial_transpose
 from wtangles.measures import (
     COLUMNS,
     _sum_left,
@@ -132,33 +132,57 @@ def test_tangle_report_bundle_is_consistent():
 
 
 def test_evaluate_takes_each_spectrum_once(monkeypatch):
-    spectra = []
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
 
-    def counted(name):
-        original = getattr(measures, name)
-
-        def wrapper(m):
-            spectra.append((name, m.shape))
-            return original(m)
-        monkeypatch.setattr(measures, name, wrapper)
-
-    counted("hermitian_eigenvalues")
-    counted("negative_eigenvalue_sum")
+    def counted(m):
+        shapes.append(m.shape)
+        return eigvalsh(m)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1], [0.7, 0.7]])
+    # rho's validation; S reads the spectra it kept
+    assert shapes == [(3, 16, 16)]
+    shapes.clear()
     evaluate(stack, ["S"])
-    assert spectra == [("hermitian_eigenvalues", (3, 16, 16))]
-    spectra.clear()
+    assert shapes == []
     evaluate(stack, ["N_AB"])
-    # the pair and its mirror, stacked into one call
-    assert spectra == [("negative_eigenvalue_sum", (6, 4, 4))]
-    spectra.clear()
+    # the pair state's validation, then both sides of the pair in one call
+    assert shapes == [(3, 1, 4, 4), (3, 1, 2, 4, 4)]
+    shapes.clear()
     evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
-    # one stacked spectrum per 1-3 tangle and per pair
-    assert sorted(spectra) == [("negative_eigenvalue_sum", (3, 16, 16))] * 4 + [
-        ("negative_eigenvalue_sum", (6, 4, 4))] * 6
-    spectra.clear()
+    # every 1-3 transpose in one call, every pair state in one, every pair's two sides in one
+    assert shapes == [(3, 4, 16, 16), (3, 6, 4, 4), (3, 6, 2, 4, 4)]
+    shapes.clear()
+    evaluate(stack, ["pi_B", "N_C_rest"])
+    assert shapes == [(3, 2, 16, 16), (3, 3, 4, 4), (3, 3, 2, 4, 4)]
+    shapes.clear()
     evaluate(stack[1], ["N_AB"])
-    assert spectra == [("negative_eigenvalue_sum", (2, 4, 4))]
+    assert shapes == [(1, 1, 4, 4), (1, 1, 2, 4, 4)]
+    shapes.clear()
+    tangle_report(observed_densities(w_state(4), ["D"], [[0.1], [0.5]]))
+    assert len(shapes) == 4
+
+
+def test_index_tables_gather_what_the_fock_kernels_compute():
+    stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.7, 0.1]])
+    flat = stack.matrix.reshape(2, -1)
+    for column, k in measures.ONE_THREE.items():
+        assert np.array_equal(flat[:, measures._TRANSPOSED[column]], partial_transpose(stack, [k]))
+    for column, pair in measures.PAIRS.items():
+        reduced = partial_trace(stack, pair)
+        assert np.array_equal(_add_blocks(flat[:, measures._TRACED[column]]), reduced.matrix)
+        sides = reduced.matrix.reshape(2, 16)[:, measures._BOTH_SIDES]
+        assert np.array_equal(sides[:, 0], partial_transpose(reduced, [0]))
+        assert np.array_equal(sides[:, 1], partial_transpose(reduced, [1]))
+
+
+def test_plans_are_cached_by_column_tuple():
+    plan = measures._plan(("pi_B", "S"))
+    assert plan is measures._plan(("pi_B", "S"))
+    assert plan.one_three == ("N_B_rest",)
+    assert plan.pairs == ("N_AB", "N_BC", "N_BD")
+    assert measures._plan(("S",)).one_three == measures._plan(("S",)).pairs == ()
+    assert measures._plan(("pi4",)).pairs == tuple(measures.PAIRS)
 
 
 def test_evaluate_stack_and_single_state_agree():
@@ -186,14 +210,19 @@ def test_sums_run_left_to_right():
 def test_pair_mirror_asymmetry_raises(monkeypatch):
     original = measures.negative_eigenvalue_sum
 
-    def lopsided(m):
-        values = original(m)
-        values[len(values) // 2:] += 1e-9     # the mirror half of the stack
+    def lopsided(m, overwrite=False):
+        values = original(m, overwrite)
+        if m.shape[-2:] == (4, 4):      # (points, pairs, side): shift side 1 by pair
+            values[..., 1] += np.arange(values.shape[-2]) * 1e-9
         return values
     monkeypatch.setattr(measures, "negative_eigenvalue_sum", lopsided)
     stack = observed_densities(w_state(4), ["D"], [[0.1], [0.3]])
-    with pytest.raises(ValueError, match=r"asymmetry 1\.000e-09 for positions \(0,1\)"):
-        evaluate(stack, ["N_AB"])
+    # pairs are stacked in column order: N_AB's sides still agree, N_AD's do not
+    with pytest.raises(ValueError, match=r"asymmetry 1\.000e-09 for positions \(0,3\)"):
+        evaluate(stack, ["N_AD", "N_AB", "N_A_rest"])
+    # the message names the worst pair
+    with pytest.raises(ValueError, match=r"asymmetry 2\.000e-09 for positions \(2,3\)"):
+        evaluate(stack, ["N_CD", "N_AB", "N_BD"])
 
 
 def test_geometric_mean_over_a_stack_names_the_worst_residual():

@@ -22,9 +22,10 @@ from wtangles.measures import (
     evaluate,
     evaluate_points,
     negativity,
+    tangle_report,
     von_neumann_entropy,
 )
-from wtangles.rindler import R_MAX, apply_rindler, observed_density
+from wtangles.rindler import R_MAX, apply_rindler, observed_densities, observed_density
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
@@ -215,3 +216,17 @@ def test_stacked_columns_equal_single_points(seed, points, observers):
     for p in range(points):
         single = evaluate(observed_density(w_state(4), dict(zip(observers, r[p]))), COLUMNS)
         assert all(np.array_equal(columns[c][p], single[c]) for c in COLUMNS)
+
+
+@settings(max_examples=30)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1),
+       columns=st.lists(st.sampled_from(COLUMNS), min_size=1, max_size=6, unique=True))
+@example(seed=1, points=CHUNK + 1, columns=["pi_C", "N_AB", "S"])
+def test_column_subsets_equal_the_full_report(seed, points, columns):
+    # a subset takes fewer, differently grouped spectra; no value may change by a bit
+    r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, 2))
+    stack = observed_densities(w_state(4), ["C", "D"], r)
+    report = tangle_report(stack)
+    subset = evaluate(stack, columns)
+    assert list(subset) == columns
+    assert all(np.array_equal(subset[c], report[c]) for c in columns)
