@@ -14,9 +14,7 @@ from .fock import (
     ModeLayout,
     Region,
     StateVector,
-    partial_trace,
     partial_transpose,
-    pure_to_density,
     validate_density,
     w_state,
 )
@@ -25,14 +23,12 @@ from .linalg import (
     NotHermitianError,
     hermitian_eigenvalues,
     negative_eigenvalue_sum,
-    trace_norm,
 )
 from .measures import (
     COLUMNS,
     big_pi4_tangle,
     evaluate,
     evaluate_points,
-    negativity,
     tangle_report,
     von_neumann_entropy,
 )
@@ -45,19 +41,12 @@ from .oracles import (
     n_pair_accel_one,
     vanishing_threshold,
 )
-from .rindler import (
-    AccelerationParam,
-    acceleration_to_r,
-    apply_rindler,
-    observed_densities,
-    observed_density,
-)
+from .rindler import observed_densities, observed_density
 from .sweep import PRESETS, AxisSpec, ConfigError, SweepConfig, run_sweep, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccelerationParam",
     "AxisSpec",
     "COLUMNS",
     "CheckResult",
@@ -71,8 +60,6 @@ __all__ = [
     "Region",
     "StateVector",
     "SweepConfig",
-    "acceleration_to_r",
-    "apply_rindler",
     "big_pi4_tangle",
     "entropy_one_accel",
     "evaluate",
@@ -84,16 +71,12 @@ __all__ = [
     "n_pair_accel_both",
     "n_pair_accel_one",
     "negative_eigenvalue_sum",
-    "negativity",
     "observed_densities",
     "observed_density",
-    "partial_trace",
     "partial_transpose",
-    "pure_to_density",
     "run_check",
     "run_sweep",
     "tangle_report",
-    "trace_norm",
     "validate_density",
     "vanishing_threshold",
     "von_neumann_entropy",

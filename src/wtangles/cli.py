@@ -20,6 +20,7 @@ from .sweep import (
     AxisSpec,
     ConfigError,
     SweepConfig,
+    check_axes,
     run_sweep,
     write_csv,
 )
@@ -135,6 +136,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not target or target == "-":
         write_csv(*run_sweep(config), sys.stdout)
         return 0
+    # a directory would pass the temporary file's open and fail only at the rename
+    if os.path.isdir(target):
+        raise IsADirectoryError(f"cannot write {target}: Is a directory")
     # open the output before the sweep runs, so an unwritable path fails fast;
     # the CSV goes to a temporary file next to the target and replaces it whole
     temp = f"{target}.{os.getpid()}.tmp"
@@ -252,13 +256,12 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
 
 def _cmd_matrix(args: argparse.Namespace) -> int:
     axes = _parse_accel_tokens(args.accel or [])
-    params = {}
+    # sweep's checks first, since a NaN bound never equals itself and would read as a range
+    check_axes(axes)
     for axis in axes:
         if not axis.fixed:
             raise ConfigError(f"matrix: needs a fixed r for {axis.observer}, got a range")
-        if axis.observer in params:
-            raise ConfigError(f"accel: observer {axis.observer!r} given twice")
-        params[axis.observer] = axis.lo
+    params = {axis.observer: axis.lo for axis in axes}
     print(emit_matrix(params, transpose=args.transpose, symbolic=args.symbolic))
     return 0
 

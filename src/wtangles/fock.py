@@ -1,33 +1,28 @@
 """Occupation-number bookkeeping for a register of fermionic qubit modes.
 
 A layout is an ordered register of modes, each tagged with an observer label
-and a Rindler region (Minkowski for inertial observers, region I or II after
-the mode has been split by acceleration).  Basis indexing is big-endian: the
+and a Rindler region (Minkowski for inertial observers, region I after the
+mode has been split by acceleration).  Basis indexing is big-endian: the
 first mode of the layout is the most significant bit of the index, so for the
 four-mode layout A,B,C,D the pattern |0001> sits at index 1 and |1000> at 8.
 That is exactly the C-order reshape of an amplitude vector to the (2,)*n
 occupation tensor, with axis p holding mode p, and of a density matrix to
 (2,)*2n, with row axes 0..n-1 and column axes n..2n-1.
 
-State vectors and density matrices carry their layout, which lets partial
-traces and partial transposes be requested by mode position.  Both are axis
-permutations of the occupation tensor: a partial transpose swaps the row and
-column axes of the transposed modes, and a partial trace moves the traced
-axes aside and sums the diagonal blocks one traced pattern at a time, in
-index order.  Their bare-array cores (_transposed, _trace_blocks and
-_add_blocks) act on any (..., 2^n, 2^n) array; run on np.arange they give
-the flat index tables with which measures gathers many transposes and
-reduced states of a stack at once, in the same order.
+Partial transposes and partial traces are axis permutations of that tensor:
+a partial transpose swaps the row and column axes of the transposed modes,
+and a partial trace moves the traced axes aside and sums the diagonal blocks
+one traced pattern at a time, in index order.  Their bare-array kernels
+(_transposed, _trace_blocks and _add_blocks) act on any (..., 2^n, 2^n)
+array; run on np.arange they give the flat index tables with which measures
+gathers the transposes and reduced states of a stack.
 
-Density matrices validate Hermiticity, unit trace and positivity on
-construction (validate_density); violations raise instead of being clipped.
-The spectra that validation computes are kept as rho.spectra, ascending.
-
-A DensityMatrix may also hold a stack of states over one layout, a matrix of
-shape (..., dim, dim).  The whole stack is validated at once, and an error
-names the worst value in it; partial traces and transposes act on every state
-of the stack.  Indexing selects states and their spectra without checking
-them again: rho[p] is state p of a stack and rho[None] a stack of one.
+A DensityMatrix holds one state or a (..., dim, dim) stack of states over one
+layout, and validates Hermiticity, unit trace and positivity on construction
+(validate_density); violations raise instead of being clipped.  The spectra
+this computes are kept as rho.spectra, ascending.  Indexing selects states
+and their spectra without checking them again: rho[p] is state p of a stack
+and rho[None] a stack of one.
 """
 
 from __future__ import annotations
@@ -40,19 +35,16 @@ import numpy as np
 
 from .linalg import NotHermitianError, hermitian_eigenvalues
 
-# the cap on layouts: a 12-mode density matrix is 4096 x 4096 complex, 256 MiB
-MAX_MODES = 12
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-10
 
 
 class Region(Enum):
-    """Which wedge a mode belongs to; region II is causally inaccessible."""
+    """Which wedge a mode is seen in: inertial, or region I of an accelerated frame."""
 
     MINKOWSKI = "M"
     RINDLER_I = "I"
-    RINDLER_II = "II"
 
 
 @dataclass(frozen=True)
@@ -61,7 +53,7 @@ class Mode:
     region: Region = Region.MINKOWSKI
 
     def label(self) -> str:
-        """Human-readable tag such as A, D_I or D_II."""
+        """Human-readable tag such as A or D_I."""
         if self.region is Region.MINKOWSKI:
             return self.observer
         return f"{self.observer}_{self.region.value}"
@@ -74,8 +66,8 @@ class ModeLayout:
     modes: tuple[Mode, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= len(self.modes) <= MAX_MODES:
-            raise ValueError(f"layout needs 1..{MAX_MODES} modes, got {len(self.modes)}")
+        if not self.modes:
+            raise ValueError("layout needs at least one mode")
         if len(set(self.modes)) != len(self.modes):
             raise ValueError("duplicate (observer, region) pair in layout")
 
@@ -105,10 +97,6 @@ class ModeLayout:
             raise ValueError(f"observer {observer!r} is ambiguous here; pass a region")
         return hits[0]
 
-    def positions(self, region: Region) -> tuple[int, ...]:
-        """All positions whose mode lives in the given region."""
-        return tuple(i for i, m in enumerate(self.modes) if m.region is region)
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -122,7 +110,9 @@ class StateVector:
         if amp.shape != (self.layout.dim,):
             raise ValueError(
                 f"amplitude vector has shape {amp.shape}, layout wants ({self.layout.dim},)")
-        _require_normalized(amp)
+        norm_sq = float(np.vdot(amp, amp).real)
+        if not abs(norm_sq - 1.0) <= NORM_TOL:
+            raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
@@ -181,33 +171,17 @@ class DensityMatrix:
         return view
 
 
-def _require_normalized(amp: np.ndarray) -> None:
-    norm_sq = float(np.vdot(amp, amp).real)
-    if not abs(norm_sq - 1.0) <= NORM_TOL:
-        raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
-
-
 def w_state(n: int) -> StateVector:
-    """|W_n>: equal superposition of the n single-excitation patterns.
+    """|W4>: equal superposition of the four single-excitation patterns.
 
-    Observers are labelled with the first n uppercase letters, so w_state(4)
-    puts amplitude 1/2 on indices 8, 4, 2 and 1 of the A,B,C,D register.
+    The observers are A, B, C and D, so w_state(4) puts amplitude 1/2 on
+    indices 8, 4, 2 and 1.  Every measure is four-mode, so n must be 4.
     """
-    if n < 2:
-        raise ValueError(f"w_state needs at least 2 modes, got {n}")
-    if n > MAX_MODES:
-        raise ValueError(f"w_state supports at most {MAX_MODES} modes, got {n}")
-    labels = "ABCDEFGHIJKL"[:n]
-    amplitudes = np.zeros(1 << n, dtype=complex)
-    amplitudes[1 << np.arange(n)] = 1.0 / np.sqrt(n)
-    return StateVector(ModeLayout.inertial(*labels), amplitudes)
-
-
-def pure_to_density(psi: StateVector) -> DensityMatrix:
-    """Rank-1 projector |psi><psi| as a DensityMatrix."""
-    amp = psi.amplitudes
-    _require_normalized(amp)
-    return DensityMatrix(psi.layout, np.outer(amp, amp.conj()))
+    if n != 4:
+        raise ValueError(f"w_state supports only the four-mode W state, got n={n}")
+    amplitudes = np.zeros(16, dtype=complex)
+    amplitudes[[8, 4, 2, 1]] = 0.5
+    return StateVector(ModeLayout.inertial("A", "B", "C", "D"), amplitudes)
 
 
 def _transposed(m: np.ndarray, n: int, part: Iterable[int]) -> np.ndarray:
@@ -241,23 +215,6 @@ def _add_blocks(blocks: np.ndarray) -> np.ndarray:
     for t in range(blocks.shape[-3]):
         out += blocks[..., t, :, :]
     return out
-
-
-def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Trace out every mode not in keep; kept modes stay in original order.
-
-    The occupation tensor is permuted to (kept, traced, kept, traced) and the
-    diagonal blocks of the traced patterns are summed in index order.
-    """
-    keep_sorted = sorted(set(keep))
-    if not keep_sorted:
-        raise ValueError("keep set must not be empty")
-    n = rho.layout.n
-    if keep_sorted[0] < 0 or keep_sorted[-1] >= n:
-        raise ValueError(f"keep positions {keep_sorted} out of range for a {n}-mode layout")
-    out = _add_blocks(_trace_blocks(rho.matrix, n, keep_sorted))
-    sub_layout = ModeLayout(tuple(rho.layout.modes[p] for p in keep_sorted))
-    return DensityMatrix(sub_layout, out)
 
 
 def partial_transpose(rho: DensityMatrix, part: Iterable[int]) -> np.ndarray:

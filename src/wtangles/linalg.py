@@ -2,13 +2,13 @@
 
 Matrices are plain numpy arrays (real or complex), either one (d, d) matrix
 or a stack of shape (..., d, d); spectra are real arrays sorted ascending
-along the last axis, and a stack is diagonalized by one eigvalsh call.
-Problem sizes stay at or below 64x64, so everything is dense double
-precision.  Tolerance tests are written as "not value <= tol", so a NaN
-anywhere in a stack fails them.  The Hermiticity check and symmetrization
-before each eigvalsh run block by block over a stack, and may work in place
-on a scratch stack (overwrite=True), so a large stack costs little more
-memory than itself.
+along the last axis, results are arrays over the leading axes, and a stack
+is diagonalized by one eigvalsh call.  Problem sizes stay at or below
+64x64, so everything is dense double precision.  Tolerance tests are
+written as "not value <= tol", so a NaN anywhere in a stack fails them.
+The Hermiticity check and symmetrization before each eigvalsh run block by
+block over a stack, and may work in place on a scratch stack
+(overwrite=True), so a large stack costs little more memory than itself.
 """
 
 from __future__ import annotations
@@ -28,11 +28,6 @@ class NotHermitianError(ValueError):
 
 class NoConvergenceError(RuntimeError):
     """Raised when the eigenvalue iteration fails to converge."""
-
-
-def _per_matrix(values: np.ndarray) -> np.ndarray | float:
-    # one matrix gives a float, a stack an array over its leading axes
-    return values if values.ndim else float(values)
 
 
 def _require_hermitian(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
@@ -78,20 +73,13 @@ def hermitian_eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def trace_norm(m: np.ndarray) -> np.ndarray | float:
-    """Sum of absolute eigenvalues of each Hermitian matrix."""
-    return _per_matrix(np.abs(hermitian_eigenvalues(m)).sum(axis=-1))
-
-
-def negative_eigenvalue_sum(m: np.ndarray, overwrite: bool = False) -> np.ndarray | float:
+def negative_eigenvalue_sum(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
     """Twice the summed magnitude of the negative eigenvalues of each matrix.
 
-    Equals trace_norm(m) - trace(m) for Hermitian m.  The spectrum is
+    Equals the trace norm minus the trace for Hermitian m.  The spectrum is
     ascending, so a running sum of |min(w, 0)| adds the negative eigenvalues
     left to right and then only zeros.  overwrite is as for
     hermitian_eigenvalues.
     """
     w = hermitian_eigenvalues(m, overwrite)
-    if not w.shape[-1]:
-        return _per_matrix(np.zeros(w.shape[:-1]))
-    return _per_matrix(2.0 * np.abs(np.minimum(w, 0.0)).cumsum(axis=-1)[..., -1])
+    return 2.0 * np.abs(np.minimum(w, 0.0)).cumsum(axis=-1)[..., -1]

@@ -21,17 +21,12 @@ needs, with flat index tables to gather them.  Each stack then takes at most
 three eigvalsh calls: every needed rho^{T_k} at once, every reduced pair
 state at once (to validate it), and both partial transposes of every pair at
 once, whose negativities must agree.  S reads the spectra that rho's own
-validation computed, so with that validation a chunk of points takes four
-eigvalsh calls whatever columns it needs.  eigvalsh diagonalizes each matrix
-of a stack on its own, so the grouping changes no bit.  A single state is a
-stack of one.  evaluate_points is the evaluation core of sweeps and checks:
-it builds the observed |W4> states of N points CHUNK points at a time and
-evaluates each stack.
-
-A point's values do not depend on how it is stacked.  Residuals, pi4 and
-Pi4 are assembled point by point in Python floats, because numpy's x**2 and
-x**0.25 can round differently from Python's, and their sums run left to
-right, because builtin sum() is compensated from Python 3.12 on.
+validation computed.  evaluate is the one place that tells a single state
+from a stack: it evaluates a single state as a stack of one and returns
+floats.  evaluate_points, the core of sweeps and checks, evaluates CHUNK
+points per stack.  Residuals, pi4 and Pi4 are assembled point by point in
+Python floats with sums run left to right, which keeps a point's values
+independent of its stack (see the README Notes).
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from .fock import (
     _add_blocks,
     _trace_blocks,
     _transposed,
-    partial_transpose,
     validate_density,
     w_state,
 )
@@ -57,7 +51,7 @@ from .rindler import observed_densities
 RESIDUAL_CLIP = -1e-10
 PAIR_SYMMETRY_TOL = 1e-12
 OBSERVERS = ("A", "B", "C", "D")
-_PI_K = tuple(f"pi_{obs}" for obs in OBSERVERS)
+RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
 # points per stack in evaluate_points: small stacks keep peak memory flat
 CHUNK = 16
 _W4 = w_state(4)
@@ -78,12 +72,7 @@ def _per_point(get: Callable[[str], np.ndarray], columns: Sequence[str]):
     return zip(*(get(column).tolist() for column in columns))
 
 
-def negativity(rho: DensityMatrix, part: Iterable[int]) -> float | np.ndarray:
-    """Negativity of each state of rho across the partition given by mode positions."""
-    return negative_eigenvalue_sum(partial_transpose(rho, part))
-
-
-def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
     """Geometric mean of the four residual tangles, point by point.
 
     The residuals are floats, or arrays with one value per point.  Residuals
@@ -103,11 +92,10 @@ def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> float | np.ndarray
         for value in point:
             product *= max(value, 0.0)
         means.append(product ** 0.25)
-    out = np.array(means).reshape(values.shape[1:])
-    return out if out.ndim else float(out)
+    return np.array(means).reshape(values.shape[1:])
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
+def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
     """S = -sum(lambda ln lambda) over each state's spectrum, with 0 ln 0 = 0.
 
     The spectra are those rho's validation computed, so S takes no eigensolve.
@@ -117,8 +105,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> float | np.ndarray:
     for w in spectra.reshape(-1, spectra.shape[-1]):
         w = w[w > 0.0]
         entropies.append(float(-(w * np.log(w)).sum()))
-    out = np.array(entropies).reshape(spectra.shape[:-1])
-    return out if out.ndim else float(out)
+    return np.array(entropies).reshape(spectra.shape[:-1])
 
 
 # the spectral columns: the mode each 1-3 tangle transposes and the pair of
@@ -129,8 +116,8 @@ PAIRS = {f"N_{OBSERVERS[i]}{OBSERVERS[j]}": (i, j) for i, j in combinations(rang
 REQUIRES = {
     **{f"pi_{obs}": (f"N_{obs}_rest", *(column for column, pair in PAIRS.items() if k in pair))
        for k, obs in enumerate(OBSERVERS)},
-    "pi4": _PI_K,
-    "Pi4": _PI_K,
+    "pi4": RESIDUALS,
+    "Pi4": RESIDUALS,
 }
 
 
@@ -145,7 +132,7 @@ def _residual(column: str) -> Measure:
 
 # the columns computed from other columns or from rho's spectra
 MEASURES: dict[str, Measure] = {
-    **{column: _residual(column) for column in _PI_K},
+    **{column: _residual(column) for column in RESIDUALS},
     "pi4": lambda rho, get: np.array([_sum_left(pi_k) / 4.0
                                       for pi_k in _per_point(get, REQUIRES["pi4"])]),
     "Pi4": lambda rho, get: big_pi4_tangle(dict(zip(OBSERVERS, map(get, REQUIRES["Pi4"])))),
@@ -264,8 +251,6 @@ def evaluate_points(observers: Sequence[str], points: Iterable[Sequence[float]],
     chunks = []
     while chunk := list(islice(points, CHUNK)):
         chunks.append(evaluate(observed_densities(_W4, observers, chunk), columns))
-    if len(chunks) == 1:
-        return chunks[0]
     return {column: np.concatenate([chunk[column] for chunk in chunks]) for column in columns}
 
 

@@ -18,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .measures import COLUMNS, OBSERVERS, evaluate_points
+from .measures import COLUMNS, OBSERVERS, ONE_THREE, PAIRS, RESIDUALS, evaluate_points
 from .rindler import R_MAX, R_TOL
 
 DEFAULT_GRID_1D = 101
@@ -27,9 +27,9 @@ DEFAULT_GRID_2D = 41
 MAX_POINTS = 250_000
 
 MEASURE_GROUPS = {
-    "one_three": tuple(c for c in COLUMNS if c.endswith("_rest")),
-    "one_one": tuple(c for c in COLUMNS if c.startswith("N_") and not c.endswith("_rest")),
-    "pi": tuple(c for c in COLUMNS if c.startswith("pi_")),
+    "one_three": tuple(ONE_THREE),
+    "one_one": tuple(PAIRS),
+    "pi": RESIDUALS,
     "all": COLUMNS,
 }
 
@@ -121,11 +121,10 @@ def _resolve_alias(token: str) -> str | None:
     return None
 
 
-def _validated(config: SweepConfig) -> SweepConfig:
-    if config.state != "W4":
-        raise ConfigError(f"state: unknown state {config.state!r}, supported: W4")
+def check_axes(axes: Sequence[AxisSpec]) -> None:
+    """Reject an unknown or repeated observer, an r outside [0, pi/4] or NaN, and lo > hi."""
     seen = set()
-    for axis in config.accelerated:
+    for axis in axes:
         if axis.observer not in OBSERVERS:
             raise ConfigError(f"accel: unknown observer {axis.observer!r}, use one of {OBSERVERS}")
         if axis.observer in seen:
@@ -136,6 +135,12 @@ def _validated(config: SweepConfig) -> SweepConfig:
                 raise ConfigError(f"accel: r={value!r} for {axis.observer} outside [0, pi/4]")
         if axis.lo > axis.hi:
             raise ConfigError(f"accel: range for {axis.observer} has lo > hi")
+
+
+def _validated(config: SweepConfig) -> SweepConfig:
+    if config.state != "W4":
+        raise ConfigError(f"state: unknown state {config.state!r}, supported: W4")
+    check_axes(config.accelerated)
     if config.grid is not None and config.grid < 2:
         raise ConfigError(f"grid: need at least 2 points, got {config.grid}")
     swept = [a for a in config.accelerated if not a.fixed]

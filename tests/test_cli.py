@@ -79,6 +79,7 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["sweep", "--accel", "C=0:0.5,D=0:0.5", "--grid", "100000"], "grid"),
     (["sweep", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
     (["matrix", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
+    (["matrix", "--accel", "D=nan"], "accel: r=nan for D outside [0, pi/4]"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
@@ -99,6 +100,10 @@ def test_unwritable_out_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
     assert main(["sweep", "--accel", "D=0.5", "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
     assert not (tmp_path / "missing").exists()
+    # a directory target, which a temporary file next to it would not reveal
+    assert main(["sweep", "--accel", "D=0.5", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert list(tmp_path.parent.glob(f"{tmp_path.name}.*")) == []
 
 
 def test_failed_sweep_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypatch):

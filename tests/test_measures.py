@@ -3,40 +3,45 @@ import math
 import numpy as np
 import pytest
 
-from wtangles.fock import DensityMatrix, ModeLayout, StateVector, pure_to_density, w_state
+from wtangles.fock import DensityMatrix, ModeLayout, w_state
 from wtangles import measures
-from wtangles.fock import _add_blocks, partial_trace, partial_transpose
+from wtangles.fock import _add_blocks, _trace_blocks, _transposed, partial_transpose
+from wtangles.linalg import negative_eigenvalue_sum
 from wtangles.measures import (
     COLUMNS,
     _sum_left,
     big_pi4_tangle,
     evaluate,
-    negativity,
     tangle_report,
     von_neumann_entropy,
 )
 from wtangles.rindler import observed_densities, observed_density
 
-from . import patterns
+from . import patterns, reference
+
+# |W4><W4|, as the pipeline builds it for an all-inertial observation
+W4 = observed_density(w_state(4), None)
+
+
+def _pair(amp):
+    return DensityMatrix(ModeLayout.inertial("A", "B"), reference.projector(amp))
 
 
 def _bell_pair():
-    amp = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    return pure_to_density(StateVector(ModeLayout.inertial("A", "B"), amp))
+    return _pair(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
 
 
 def test_negativity_of_maximally_entangled_pair():
-    assert negativity(_bell_pair(), [0]) == pytest.approx(1.0, abs=1e-14)
+    value = negative_eigenvalue_sum(partial_transpose(_bell_pair(), [0]))
+    assert value == pytest.approx(1.0, abs=1e-14)
 
 
 def test_negativity_of_product_state_is_zero():
-    amp = np.array([1.0, 0.0, 0.0, 0.0])
-    rho = pure_to_density(StateVector(ModeLayout.inertial("A", "B"), amp))
-    assert negativity(rho, [0]) == 0.0
+    assert negative_eigenvalue_sum(partial_transpose(_pair([1.0, 0.0, 0.0, 0.0]), [0])) == 0.0
 
 
 def test_one_three_tangles_inertial():
-    values = evaluate(pure_to_density(w_state(4)), [f"N_{obs}_rest" for obs in "ABCD"])
+    values = evaluate(W4, [f"N_{obs}_rest" for obs in "ABCD"])
     assert list(values) == ["N_A_rest", "N_B_rest", "N_C_rest", "N_D_rest"]
     for value in values.values():
         assert value == pytest.approx(patterns.N_ONE_THREE_INERTIAL, abs=1e-12)
@@ -44,7 +49,7 @@ def test_one_three_tangles_inertial():
 
 def test_one_one_tangles_inertial():
     pairs = ["N_AB", "N_AC", "N_AD", "N_BC", "N_BD", "N_CD"]
-    values = evaluate(pure_to_density(w_state(4)), pairs)
+    values = evaluate(W4, pairs)
     assert len(values) == 6
     assert "N_AB" in values and "N_CD" in values
     for value in values.values():
@@ -53,9 +58,11 @@ def test_one_one_tangles_inertial():
 
 def test_one_two_tangles_inertial():
     # no column carries the 1-2 tangles; they are still one trace and one transpose away
-    rho = pure_to_density(w_state(4))
-    values = [negativity(partial_trace(rho, [p for p in range(4) if p != dropped]), [local])
-              for dropped in range(4) for local in range(3)]
+    values = []
+    for dropped in range(4):
+        kept = [p for p in range(4) if p != dropped]
+        reduced = _add_blocks(_trace_blocks(W4.matrix, 4, kept))
+        values += [negative_eigenvalue_sum(_transposed(reduced, 3, [local])) for local in range(3)]
     assert len(values) == 12
     for value in values:
         assert value == pytest.approx(patterns.N_ONE_TWO_INERTIAL, abs=1e-12)
@@ -71,7 +78,7 @@ def test_measures_reject_wrong_mode_count():
 
 
 def test_residual_pi_inertial():
-    pi_k = evaluate(pure_to_density(w_state(4)), [f"pi_{obs}" for obs in "ABCD"])
+    pi_k = evaluate(W4, [f"pi_{obs}" for obs in "ABCD"])
     assert len(pi_k) == 4
     for value in pi_k.values():
         assert value == pytest.approx(patterns.RESIDUAL_INERTIAL, abs=1e-10)
@@ -103,7 +110,7 @@ def test_mean_tangles_need_four_entries():
 
 
 def test_entropy_pure_and_maximally_mixed():
-    assert von_neumann_entropy(pure_to_density(w_state(4))) == pytest.approx(0.0, abs=1e-12)
+    assert von_neumann_entropy(W4) == pytest.approx(0.0, abs=1e-12)
     mixed = DensityMatrix(ModeLayout.inertial("A", "B"), np.eye(4) / 4.0)
     assert von_neumann_entropy(mixed) == pytest.approx(math.log(4.0), abs=1e-14)
 
@@ -169,7 +176,8 @@ def test_index_tables_gather_what_the_fock_kernels_compute():
     for column, k in measures.ONE_THREE.items():
         assert np.array_equal(flat[:, measures._TRANSPOSED[column]], partial_transpose(stack, [k]))
     for column, pair in measures.PAIRS.items():
-        reduced = partial_trace(stack, pair)
+        reduced = DensityMatrix(ModeLayout.inertial("P", "Q"),
+                                _add_blocks(_trace_blocks(stack.matrix, 4, list(pair))))
         assert np.array_equal(_add_blocks(flat[:, measures._TRACED[column]]), reduced.matrix)
         sides = reduced.matrix.reshape(2, 16)[:, measures._BOTH_SIDES]
         assert np.array_equal(sides[:, 0], partial_transpose(reduced, [0]))

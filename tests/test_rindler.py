@@ -6,110 +6,74 @@ import numpy as np
 import pytest
 
 from wtangles.fock import (
+    DensityMatrix,
+    Mode,
     ModeLayout,
     Region,
     StateVector,
-    partial_trace,
+    _add_blocks,
+    _trace_blocks,
     partial_transpose,
-    pure_to_density,
     w_state,
 )
-from wtangles.rindler import (
-    R_MAX,
-    AccelerationParam,
-    acceleration_to_r,
-    apply_rindler,
-    observed_densities,
-    observed_density,
-)
+from wtangles.rindler import R_MAX, _split, observed_densities, observed_density
 
-from . import patterns
+from . import patterns, reference
+
+
+def _split_one(amp, pos, r):
+    """The pipeline's split of mode pos of one amplitude vector."""
+    return _split(np.asarray(amp, dtype=complex)[None], pos,
+                  np.array([math.cos(r)]), np.array([math.sin(r)]))[0]
+
+
+def _reduced_pair(rho, pair):
+    """The pipeline's reduced state of a pair of modes of a four-mode state."""
+    return DensityMatrix(ModeLayout.inertial("P", "Q"),
+                         _add_blocks(_trace_blocks(rho.matrix, 4, list(pair))))
 
 
 def test_parameter_range_validation():
-    AccelerationParam(0.0)
-    AccelerationParam(R_MAX)
-    with pytest.raises(ValueError):
-        AccelerationParam(-0.01)
-    with pytest.raises(ValueError):
-        AccelerationParam(R_MAX + 0.01)
-
-
-def test_parameter_trig_shortcuts():
-    p = AccelerationParam(0.3)
-    assert p.sin_r == pytest.approx(math.sin(0.3))
-    assert p.cos_r == pytest.approx(math.cos(0.3))
-
-
-def test_acceleration_to_r_limits():
-    assert acceleration_to_r(0.0, 1.0).r == 0.0
-    assert acceleration_to_r(math.inf, 1.0).r == pytest.approx(R_MAX)
-
-
-def test_acceleration_to_r_matches_definition():
-    param = acceleration_to_r(2.0, 0.7, light_speed=1.3)
-    # cos r = (exp(-2 pi omega c / a) + 1)^(-1/2)
-    expected = (math.exp(-2.0 * math.pi * 0.7 * 1.3 / 2.0) + 1.0) ** -0.5
-    assert param.cos_r == pytest.approx(expected, abs=1e-15)
-
-
-def test_acceleration_to_r_monotone():
-    rs = [acceleration_to_r(a, 1.0).r for a in (0.5, 1.0, 2.0, 8.0, 100.0)]
-    assert rs == sorted(rs)
-    assert all(0.0 < r < R_MAX for r in rs)
-
-
-def test_acceleration_to_r_validation():
-    with pytest.raises(ValueError):
-        acceleration_to_r(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        acceleration_to_r(1.0, 0.0)
+    observed_densities(w_state(4), ["D"], [[0.0], [R_MAX]])
+    for r in (-0.01, R_MAX + 0.01):
+        with pytest.raises(ValueError, match=r"acceleration parameter r=.* outside \[0, pi/4\]"):
+            observed_densities(w_state(4), ["D"], [[r]])
 
 
 def test_vacuum_mode_splits_into_both_wedges():
-    psi = apply_rindler(StateVector(ModeLayout.inertial("A"), np.array([1.0, 0.0])), "A", 0.3)
-    assert psi.layout.labels() == ("A_I", "A_II")
-    amp = psi.amplitudes
+    amp = _split_one([1.0, 0.0], 0, 0.3)
     assert amp[0] == pytest.approx(math.cos(0.3))    # |0_I 0_II>
     assert amp[3] == pytest.approx(math.sin(0.3))    # |1_I 1_II>
     assert amp[1] == amp[2] == 0.0
+    assert np.array_equal(amp, reference.rindler_split(np.array([1.0, 0.0]), 1, 0, 0.3))
 
 
 def test_occupied_mode_stays_in_region_one():
-    psi = apply_rindler(StateVector(ModeLayout.inertial("A"), np.array([0.0, 1.0])), "A", 0.3)
-    amp = psi.amplitudes
+    amp = _split_one([0.0, 1.0], 0, 0.3)
     assert amp[2] == pytest.approx(1.0)              # |1_I 0_II>
     assert amp[0] == amp[1] == amp[3] == 0.0
+    assert np.array_equal(amp, reference.rindler_split(np.array([0.0, 1.0]), 1, 0, 0.3))
 
 
 def test_w4_splits_into_seven_terms():
     r = 0.4
-    psi = apply_rindler(w_state(4), "D", r)
-    assert psi.layout.labels() == ("A", "B", "C", "D_I", "D_II")
-    amp = psi.amplitudes
+    psi = w_state(4)
+    amp = reference.rindler_split(psi.amplitudes, 4, 3, r)     # A,B,C,D_I,D_II
     for index in (16, 8, 4):
         assert amp[index] == pytest.approx(0.5 * math.cos(r))
     for index in (19, 11, 7):
         assert amp[index] == pytest.approx(0.5 * math.sin(r))
     assert amp[2] == pytest.approx(0.5)
     assert np.count_nonzero(amp) == 7
+    assert np.array_equal(_split_one(psi.amplitudes, 3, r), amp)
 
 
 def test_split_preserves_norm():
     rng = np.random.default_rng(5)
     for _ in range(8):
         v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        psi = StateVector(ModeLayout.inertial("A", "B", "C"), v / np.linalg.norm(v))
-        out = apply_rindler(psi, "B", float(rng.uniform(0.0, R_MAX)))
-        assert np.vdot(out.amplitudes, out.amplitudes).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_split_errors():
-    with pytest.raises(ValueError):
-        apply_rindler(w_state(4), "E", 0.2)
-    once = apply_rindler(w_state(4), "D", 0.2)
-    with pytest.raises(ValueError):
-        apply_rindler(once, "D", 0.2)
+        out = _split_one(v / np.linalg.norm(v), 1, float(rng.uniform(0.0, R_MAX)))
+        assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-12)
 
 
 def test_observed_density_inertial_is_pure():
@@ -124,8 +88,6 @@ def test_observed_density_layouts():
     assert one.layout.labels() == ("A", "B", "C", "D_I")
     two = observed_density(w_state(4), {"D": 0.2, "C": 0.5})
     assert two.layout.labels() == ("A", "B", "C_I", "D_I")
-    wrapped = observed_density(w_state(4), {"D": AccelerationParam(0.2), "C": 0.5})
-    assert np.array_equal(wrapped.matrix, two.matrix)
 
 
 def test_observed_density_rejects_bad_input():
@@ -133,8 +95,9 @@ def test_observed_density_rejects_bad_input():
         observed_density(w_state(4), {"X": 0.1})
     with pytest.raises(ValueError, match="outside"):
         observed_density(w_state(4), {"D": 1.0})
-    split = apply_rindler(w_state(4), "D", 0.1)
-    with pytest.raises(ValueError):
+    split = StateVector(ModeLayout((*ModeLayout.inertial("A", "B", "C").modes,
+                                    Mode("D", Region.RINDLER_I))), w_state(4).amplitudes)
+    with pytest.raises(ValueError, match="all-Minkowski"):
         observed_density(split, {"C": 0.1})
 
 
@@ -143,15 +106,17 @@ def test_observed_density_rejects_bad_input():
     lambda r: {"D": r}, lambda r: {"C": r, "D": r}, lambda r: {"C": R_MAX, "D": r},
 ], ids=["D", "C=D", "C=pi/4"])
 def test_observed_density_equals_trace_of_split_projector(r, scenario_at):
-    # reference route: the full pure projector, then the region-II trace-out
+    # reference route: split pattern by pattern, the full pure projector, then
+    # the region-II trace-out, entry by entry
     scenario = scenario_at(r)
-    split = w_state(4)
+    amp, n = w_state(4).amplitudes, 4
     for obs in sorted(scenario):
-        split = apply_rindler(split, obs, scenario[obs])
-    reference = partial_trace(pure_to_density(split), [0, 1, 2, 3])
+        amp = reference.rindler_split(amp, n, "ABCD".index(obs), scenario[obs])
+        n += 1
+    expected = reference.partial_trace(reference.projector(amp), n, [0, 1, 2, 3])
     rho = observed_density(w_state(4), scenario)
-    assert rho.layout == reference.layout
-    assert np.array_equal(rho.matrix, reference.matrix)
+    assert rho.layout.labels() == tuple(f"{obs}_I" if obs in scenario else obs for obs in "ABCD")
+    assert np.array_equal(rho.matrix, expected)
 
 
 def test_observed_stack_equals_points_one_by_one():
@@ -206,17 +171,17 @@ def test_one_observer_partial_transpose_patterns():
 def test_reduced_pair_matrices_match_printed_forms():
     r_d = 0.52
     rho = observed_density(w_state(4), {"D": r_d})
-    ab = partial_trace(rho, [0, 1])
+    ab = _reduced_pair(rho, (0, 1))
     np.testing.assert_allclose(partial_transpose(ab, [0]).real,
                                patterns.PAIR_INERTIAL_PT, atol=1e-12)
-    ad = partial_trace(rho, [0, 3])
+    ad = _reduced_pair(rho, (0, 3))
     np.testing.assert_allclose(partial_transpose(ad, [0]).real,
                                patterns.pair_mixed_pt(r_d), atol=1e-12)
 
 
 def test_pair_form_unchanged_by_second_acceleration():
     rho = observed_density(w_state(4), {"C": 0.33, "D": 0.52})
-    ad = partial_trace(rho, [0, 3])
+    ad = _reduced_pair(rho, (0, 3))
     np.testing.assert_allclose(partial_transpose(ad, [0]).real,
                                patterns.pair_mixed_pt(0.52), atol=1e-12)
 
@@ -251,9 +216,8 @@ def test_swapping_accelerated_observers_permutes_the_state():
 
 def test_transform_order_does_not_change_observed_state():
     base = observed_density(w_state(4), {"C": 0.3, "D": 0.5}).matrix
-    flipped = apply_rindler(apply_rindler(w_state(4), "D", 0.5), "C", 0.3)
-    rho = pure_to_density(flipped)
-    hidden = set(flipped.layout.positions(Region.RINDLER_II))
-    reduced = partial_trace(rho, [p for p in range(flipped.layout.n) if p not in hidden])
-    assert reduced.layout.labels() == ("A", "B", "C_I", "D_I")
-    np.testing.assert_allclose(reduced.matrix, base, atol=1e-14)
+    # D first: region-II modes D_II, C_II, both appended after the accessible four
+    flipped = reference.rindler_split(w_state(4).amplitudes, 4, 3, 0.5)
+    flipped = reference.rindler_split(flipped, 5, 2, 0.3)
+    reduced = reference.partial_trace(reference.projector(flipped), 6, [0, 1, 2, 3])
+    np.testing.assert_allclose(reduced, base, atol=1e-14)

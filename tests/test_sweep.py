@@ -39,7 +39,9 @@ def swept(observer, lo=0.0, hi=R_MAX):
 
 
 def test_normalize_groups_and_dedup():
+    assert normalize_measures(["one_three"]) == ("N_A_rest", "N_B_rest", "N_C_rest", "N_D_rest")
     assert normalize_measures(["one_one"]) == ("N_AB", "N_AC", "N_AD", "N_BC", "N_BD", "N_CD")
+    assert normalize_measures(["pi"]) == ("pi_A", "pi_B", "pi_C", "pi_D")
     assert normalize_measures(["S", "entropy", "pi4"]) == ("S", "pi4")
     assert normalize_measures(["all"]) == COLUMNS
 
