@@ -1,4 +1,5 @@
-"""Brute-force references: the trace-out, the partial transpose, the Rindler split.
+"""Brute-force references: the trace-out, the partial transpose, the Rindler split,
+a pure projector and the n-mode W state.
 
 Each is written entry by entry from its definition over occupation patterns
 and imports nothing from wtangles, so a bookkeeping bug in the pipeline's
@@ -76,4 +77,13 @@ def rindler_split(amp, n, pos, r):
             occupied = bits[:pos] + (1,) + bits[pos + 1:]
             out[_index(bits + (0,))] = math.cos(r) * value
             out[_index(occupied + (1,))] = math.sin(r) * value
+    return out
+
+
+def w_amplitudes(n):
+    """|W_n>: amplitude 1/sqrt(n) on each pattern with exactly one occupied mode."""
+    out = np.zeros(1 << n, dtype=complex)
+    for bits in product((0, 1), repeat=n):
+        if sum(bits) == 1:
+            out[_index(bits)] = 1 / math.sqrt(n)
     return out

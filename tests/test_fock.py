@@ -64,10 +64,18 @@ def test_w_state_amplitudes():
         assert amp[index] == pytest.approx(0.5 if index in hot else 0.0)
 
 
-def test_w_state_normalized():
-    amp = w_state(4).amplitudes
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_w_state_normalized(n):
+    # only w_state(4) is built by the package; other sizes check that
+    # StateVector accepts and keeps an n-mode W state built entrywise
+    if n == 4:
+        psi = w_state(4)
+    else:
+        psi = StateVector(ModeLayout.inertial(*"ABCDEF"[:n]), reference.w_amplitudes(n))
+    amp = psi.amplitudes
     assert np.vdot(amp, amp).real == pytest.approx(1.0, abs=1e-14)
-    assert np.count_nonzero(amp) == 4
+    assert np.count_nonzero(amp) == n
+    assert np.array_equal(amp, reference.w_amplitudes(n))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 13])
