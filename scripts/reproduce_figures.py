@@ -5,9 +5,15 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 import time
 
 from wtangles.sweep import PRESETS, run_sweep, write_csv
+
+
+def _fail(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def main() -> int:
@@ -22,13 +28,21 @@ def main() -> int:
         parser.error(f"unknown presets {unknown}; known: {', '.join(PRESETS)}")
 
     out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _fail(f"cannot create {out_dir}: {exc.strerror}")
     total_start = time.perf_counter()
     for name in names:
         start = time.perf_counter()
-        header, rows = run_sweep(PRESETS[name])
         path = out_dir / f"{name}.csv"
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        # open the file before the sweep, so an unwritable path fails before the work
+        try:
+            handle = open(path, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            return _fail(f"cannot write {path}: {exc.strerror}")
+        with handle:
+            header, rows = run_sweep(PRESETS[name])
             write_csv(header, rows, handle)
         print(f"{name}: {len(rows)} rows in {time.perf_counter() - start:.2f} s -> {path}")
     print(f"total: {time.perf_counter() - total_start:.2f} s")

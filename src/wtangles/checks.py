@@ -120,6 +120,8 @@ CHECKS: dict[str, Callable[[float], CheckResult]] = {
 
 def run_check(names: Sequence[str] | None = None, perturb: float = 0.0) -> list[CheckResult]:
     """Run the named checks (all of them by default) in registry order."""
+    if not math.isfinite(perturb):
+        raise ValueError(f"perturb: expected a finite number, got {perturb!r}")
     if names is None or list(names) == ["all"]:
         selected = list(CHECKS)
     else:

@@ -1,13 +1,13 @@
 """Occupation-number bookkeeping for a register of fermionic qubit modes.
 
-A layout is an ordered register of modes, each tagged with an observer label
-and a Rindler region (Minkowski for inertial observers, region I after the
-mode has been split by acceleration).  Basis indexing is big-endian: the
-first mode of the layout is the most significant bit of the index, so for the
-four-mode layout A,B,C,D the pattern |0001> sits at index 1 and |1000> at 8.
-That is exactly the C-order reshape of an amplitude vector to the (2,)*n
-occupation tensor, with axis p holding mode p, and of a density matrix to
-(2,)*2n, with row axes 0..n-1 and column axes n..2n-1.
+A layout is an ordered register of modes, one per observer, each tagged with
+its observer label and a Rindler region (Minkowski for inertial observers,
+region I after the mode has been split by acceleration).  Basis indexing is
+big-endian: the first mode of the layout is the most significant bit of the
+index, so for the four-mode layout A,B,C,D the pattern |0001> sits at index 1
+and |1000> at 8.  That is exactly the C-order reshape of an amplitude vector
+to the (2,)*n occupation tensor, with axis p holding mode p, and of a density
+matrix to (2,)*2n, with row axes 0..n-1 and column axes n..2n-1.
 
 Partial transposes and partial traces are axis permutations of that tensor:
 a partial transpose swaps the row and column axes of the transposed modes,
@@ -61,15 +61,17 @@ class Mode:
 
 @dataclass(frozen=True)
 class ModeLayout:
-    """Ordered register of modes; positions are 0-based from the left."""
+    """Ordered register of one mode per observer; positions are 0-based from the left."""
 
     modes: tuple[Mode, ...]
 
     def __post_init__(self) -> None:
         if not self.modes:
             raise ValueError("layout needs at least one mode")
-        if len(set(self.modes)) != len(self.modes):
-            raise ValueError("duplicate (observer, region) pair in layout")
+        observers = [m.observer for m in self.modes]
+        for k, obs in enumerate(observers):
+            if obs in observers[:k]:
+                raise ValueError(f"observer {obs!r} appears twice in layout")
 
     @classmethod
     def inertial(cls, *observers: str) -> "ModeLayout":
@@ -87,15 +89,12 @@ class ModeLayout:
     def labels(self) -> tuple[str, ...]:
         return tuple(m.label() for m in self.modes)
 
-    def position(self, observer: str, region: Region | None = None) -> int:
-        """Position of the unique mode matching observer (and region if given)."""
-        hits = [i for i, m in enumerate(self.modes)
-                if m.observer == observer and (region is None or m.region is region)]
-        if not hits:
-            raise ValueError(f"no mode for observer {observer!r} in layout")
-        if len(hits) > 1:
-            raise ValueError(f"observer {observer!r} is ambiguous here; pass a region")
-        return hits[0]
+    def position(self, observer: str) -> int:
+        """Position of the observer's mode."""
+        for i, m in enumerate(self.modes):
+            if m.observer == observer:
+                return i
+        raise ValueError(f"no mode for observer {observer!r} in layout")
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,32 +8,31 @@ pairwise negativities from its squared 1-3 tangle; pi4 and Pi4 are the
 arithmetic and geometric means of the four residuals, and the von Neumann
 entropy -sum(lambda ln lambda) measures how mixed the observed state is.
 
-Each CSV column is of one of three kinds.  ONE_THREE maps each 1-3 tangle
-to the mode it transposes and PAIRS each 1-1 tangle to the pair of modes it
-keeps; these are read off spectra.  MEASURES maps every other column to a
-function (rho, get) -> (N,) array over a stack of N states, where get returns
-another column over the same stack, and REQUIRES names the columns that each
-residual and mean reads.
+The columns form a fixed chain.  ONE_THREE maps each 1-3 tangle to the mode
+it transposes and PAIRS each 1-1 tangle to the pair of modes it keeps; these
+are read off spectra.  TERMS maps each residual to the 1-3 tangle and the
+three pairs it reads; pi4 and Pi4 read all four residuals, and S reads rho's
+own spectra.
 
-evaluate plans a request once per column tuple (the plan is cached): from
-REQUIRES it works out which 1-3 transposes and which pairs the request
-needs, with flat index tables to gather them.  Each stack then takes at most
-three eigvalsh calls: every needed rho^{T_k} at once, every reduced pair
-state at once (to validate it), and both partial transposes of every pair at
-once, whose negativities must agree.  S reads the spectra that rho's own
-validation computed.  evaluate is the one place that tells a single state
-from a stack: it evaluates a single state as a stack of one and returns
-floats.  evaluate_points, the core of sweeps and checks, evaluates CHUNK
-points per stack.  Residuals, pi4 and Pi4 are assembled point by point in
-Python floats with sums run left to right, which keeps a point's values
-independent of its stack (see the README Notes).
+evaluate plans a request once per column tuple (the plan is cached): which
+residuals it needs (all four for pi4 or Pi4), and from them which 1-3
+transposes and which pairs, with flat index tables to gather them.  Each
+stack then takes at most three eigvalsh calls: every needed rho^{T_k} at
+once, every reduced pair state at once (to validate it), and both partial
+transposes of every pair at once, whose negativities must agree.  evaluate
+then fills the planned residuals, pi4, Pi4 and S in that order, point by
+point in Python floats with sums run left to right, which keeps a point's
+values independent of its stack (see the README Notes).  evaluate is the one
+place that tells a single state from a stack: it evaluates a single state as
+a stack of one and returns floats.  evaluate_points, the core of sweeps and
+checks, evaluates CHUNK points per stack.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, islice
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,8 +55,6 @@ RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
 CHUNK = 16
 _W4 = w_state(4)
 
-Measure = Callable[[DensityMatrix, Callable[[str], np.ndarray]], np.ndarray]
-
 
 def _sum_left(terms: Iterable[float]) -> float:
     """Plain left-to-right sum, the same on every Python."""
@@ -65,11 +62,6 @@ def _sum_left(terms: Iterable[float]) -> float:
     for term in terms:
         total = total + term
     return total
-
-
-def _per_point(get: Callable[[str], np.ndarray], columns: Sequence[str]):
-    """The values of the columns, one tuple of Python floats per point."""
-    return zip(*(get(column).tolist() for column in columns))
 
 
 def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
@@ -112,33 +104,10 @@ def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
 # modes each 1-1 tangle keeps
 ONE_THREE = {f"N_{obs}_rest": k for k, obs in enumerate(OBSERVERS)}
 PAIRS = {f"N_{OBSERVERS[i]}{OBSERVERS[j]}": (i, j) for i, j in combinations(range(4), 2)}
-# the columns that each column assembled from other columns reads
-REQUIRES = {
-    **{f"pi_{obs}": (f"N_{obs}_rest", *(column for column, pair in PAIRS.items() if k in pair))
-       for k, obs in enumerate(OBSERVERS)},
-    "pi4": RESIDUALS,
-    "Pi4": RESIDUALS,
-}
-
-
-def _residual(column: str) -> Measure:
-    terms = REQUIRES[column]
-
-    def measure(rho: DensityMatrix, get: Callable[[str], np.ndarray]) -> np.ndarray:
-        return np.array([rest ** 2 - _sum_left(n ** 2 for n in pairs)
-                         for rest, *pairs in _per_point(get, terms)])
-    return measure
-
-
-# the columns computed from other columns or from rho's spectra
-MEASURES: dict[str, Measure] = {
-    **{column: _residual(column) for column in RESIDUALS},
-    "pi4": lambda rho, get: np.array([_sum_left(pi_k) / 4.0
-                                      for pi_k in _per_point(get, REQUIRES["pi4"])]),
-    "Pi4": lambda rho, get: big_pi4_tangle(dict(zip(OBSERVERS, map(get, REQUIRES["Pi4"])))),
-    "S": lambda rho, get: von_neumann_entropy(rho),
-}
-COLUMNS = (*ONE_THREE, *PAIRS, *MEASURES)
+# each residual's terms: its 1-3 tangle, then the three pairs that hold its mode
+TERMS = {f"pi_{obs}": (f"N_{obs}_rest", *(column for column, pair in PAIRS.items() if k in pair))
+         for k, obs in enumerate(OBSERVERS)}
+COLUMNS = (*ONE_THREE, *PAIRS, *RESIDUALS, "pi4", "Pi4", "S")
 
 # flat index tables into a (16, 16) matrix, from fock's own kernels: the
 # entries of each rho^{T_k}, the traced blocks of each pair's reduced state,
@@ -150,12 +119,13 @@ _BOTH_SIDES = np.stack([_transposed(np.arange(16).reshape(4, 4), 2, [side]) for 
 
 
 class _Plan(NamedTuple):
-    """The spectra a set of columns takes: which 1-3 tangles and which pairs."""
+    """What a set of columns takes: its residuals, 1-3 tangles and pairs."""
 
     one_three: tuple[str, ...]
     transposed: np.ndarray      # (K, 16, 16) flat indices of their rho^{T_k}
     pairs: tuple[str, ...]
     traced: np.ndarray          # (P, 4, 4, 4) flat indices of their traced blocks
+    residuals: tuple[str, ...]
 
 
 @lru_cache(maxsize=64)
@@ -163,16 +133,13 @@ def _plan(columns: tuple[str, ...]) -> _Plan:
     for column in columns:
         if column not in COLUMNS:
             raise ValueError(f"unknown measure column {column!r}")
-    needed, todo = set(), list(columns)
-    while todo:
-        column = todo.pop()
-        if column not in needed:
-            needed.add(column)
-            todo.extend(REQUIRES.get(column, ()))
+    means = "pi4" in columns or "Pi4" in columns
+    residuals = tuple(column for column in RESIDUALS if means or column in columns)
+    needed = set(columns).union(*(TERMS[column] for column in residuals))
     one_three = tuple(column for column in ONE_THREE if column in needed)
     pairs = tuple(column for column in PAIRS if column in needed)
     return _Plan(one_three, np.array([_TRANSPOSED[column] for column in one_three]),
-                 pairs, np.array([_TRACED[column] for column in pairs]))
+                 pairs, np.array([_TRACED[column] for column in pairs]), residuals)
 
 
 def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
@@ -204,22 +171,6 @@ def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
     return out
 
 
-class _Columns(dict):
-    """Measure columns over one stack, each computed on first lookup.
-
-    Not a closure that calls itself: that is a reference cycle, which keeps
-    every stack alive until the cyclic garbage collector runs.
-    """
-
-    def __init__(self, rho: DensityMatrix) -> None:
-        super().__init__()
-        self.rho = rho
-
-    def __missing__(self, column: str) -> np.ndarray:
-        value = self[column] = MEASURES[column](self.rho, self.__getitem__)
-        return value
-
-
 def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np.ndarray]:
     """The requested columns, in request order.
 
@@ -233,8 +184,20 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
         raise ValueError(f"evaluate takes one state or a stack, got shape {rho.matrix.shape}")
     columns = tuple(columns)
     plan = _plan(columns)
-    values = _Columns(rho[None] if single else rho)
-    values.update(_spectral_columns(values.rho, plan))
+    if single:
+        rho = rho[None]
+    values = _spectral_columns(rho, plan)
+    for residual in plan.residuals:
+        terms = zip(*(values[column].tolist() for column in TERMS[residual]))
+        values[residual] = np.array([rest ** 2 - _sum_left(n ** 2 for n in pairs)
+                                     for rest, *pairs in terms])
+    if "pi4" in columns:
+        residuals = zip(*(values[column].tolist() for column in RESIDUALS))
+        values["pi4"] = np.array([_sum_left(pi_k) / 4.0 for pi_k in residuals])
+    if "Pi4" in columns:
+        values["Pi4"] = big_pi4_tangle({obs: values[f"pi_{obs}"] for obs in OBSERVERS})
+    if "S" in columns:
+        values["S"] = von_neumann_entropy(rho)
     out = {column: values[column] for column in columns}
     return {column: float(v[0]) for column, v in out.items()} if single else out
 

@@ -80,11 +80,14 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["sweep", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
     (["matrix", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
     (["matrix", "--accel", "D=nan"], "accel: r=nan for D outside [0, pi/4]"),
+    (["check", "--perturb", "nan"], "perturb: expected a finite number, got nan"),
+    (["check", "--perturb", "inf"], "perturb: expected a finite number, got inf"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
-        raise AssertionError("a rejected sweep computed a point")
+        raise AssertionError("a rejected command computed a point")
     monkeypatch.setattr("wtangles.sweep.evaluate_points", no_points)
+    monkeypatch.setattr("wtangles.checks.evaluate_points", no_points)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -236,6 +239,22 @@ def test_module_entry_point_runs():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0
     assert "1 checks, 1 passed" in result.stdout
+
+
+@pytest.mark.parametrize("out_dir, message", [
+    ("taken", "cannot create {tmp}/taken: File exists"),
+    ("taken/sub", "cannot create {tmp}/taken/sub: Not a directory"),
+    ("figures", "cannot write {tmp}/figures/fig3.csv: Is a directory"),
+], ids=["a-file", "under-a-file", "csv-is-a-directory"])
+def test_reproduce_figures_bad_out_dir_exits_2(out_dir, message, tmp_path):
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    (tmp_path / "figures" / "fig3.csv").mkdir(parents=True)
+    script = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
+    result = subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path / out_dir),
+                             "--only", "fig3"], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message.format(tmp=tmp_path)}\n"
+    assert result.stdout == ""
 
 
 def test_golden_sweep_reproduced_byte_for_byte(capsys):

@@ -42,17 +42,11 @@ def test_layout_labels_and_positions():
 def test_layout_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
         ModeLayout((Mode("A"), Mode("A")))
+    # one observer's mode in two regions is still one observer twice
+    with pytest.raises(ValueError, match="observer 'D' appears twice"):
+        ModeLayout((Mode("A"), Mode("D"), Mode("D", Region.RINDLER_I)))
     with pytest.raises(ValueError):
         ModeLayout(())
-
-
-def test_layout_region_disambiguation():
-    layout = ModeLayout((Mode("A"), Mode("D"), Mode("D", Region.RINDLER_I)))
-    assert layout.labels() == ("A", "D", "D_I")
-    with pytest.raises(ValueError):
-        layout.position("D")            # two D modes, region required
-    assert layout.position("D", Region.RINDLER_I) == 2
-    assert layout.position("D", Region.MINKOWSKI) == 1
 
 
 def test_w_state_amplitudes():

@@ -189,8 +189,11 @@ def test_plans_are_cached_by_column_tuple():
     assert plan is measures._plan(("pi_B", "S"))
     assert plan.one_three == ("N_B_rest",)
     assert plan.pairs == ("N_AB", "N_BC", "N_BD")
+    assert plan.residuals == ("pi_B",)
     assert measures._plan(("S",)).one_three == measures._plan(("S",)).pairs == ()
+    assert measures._plan(("S",)).residuals == ()
     assert measures._plan(("pi4",)).pairs == tuple(measures.PAIRS)
+    assert measures._plan(("pi4",)).residuals == measures.RESIDUALS
 
 
 def test_evaluate_stack_and_single_state_agree():
@@ -204,15 +207,21 @@ def test_evaluate_stack_and_single_state_agree():
         evaluate(DensityMatrix(stack.layout, stack.matrix[None]), ["S"])
 
 
-def test_sums_run_left_to_right():
+def test_sums_run_left_to_right(monkeypatch):
     # a compensated sum, as builtin sum() is from Python 3.12 on, differs here
     assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
     assert _sum_left([1.0, 1e-16, 1e-16]) == 1.0
-    pi_k = {f"pi_{obs}": np.array([value]) for obs, value in zip("ABCD", [1.0, 1e-16, 1e-16, 0.0])}
-    assert measures.MEASURES["pi4"](None, pi_k.__getitem__).tolist() == [0.25]
-    values = {"N_A_rest": 2.0, "N_AB": 1.0, "N_AC": 1e-8, "N_AD": 1e-8}
-    get = {column: np.array([value]) for column, value in values.items()}.__getitem__
-    assert measures.MEASURES["pi_A"](None, get).tolist() == [3.0]
+    # synthetic tangles at two points: at point 0 pi_A = 2^2 - (1 + 1e-16 + 1e-16),
+    # at point 1 the pairs vanish and the residuals are 1, 1e-16, 1e-16 and 0
+    spectral = {column: np.zeros(2) for column in (*measures.ONE_THREE, *measures.PAIRS)}
+    spectral.update(N_A_rest=np.array([2.0, 1.0]), N_B_rest=np.array([0.0, 1e-8]),
+                    N_C_rest=np.array([0.0, 1e-8]), N_AB=np.array([1.0, 0.0]),
+                    N_AC=np.array([1e-8, 0.0]), N_AD=np.array([1e-8, 0.0]))
+    monkeypatch.setattr(measures, "_spectral_columns", lambda rho, plan: dict(spectral))
+    stack = observed_densities(w_state(4), ["D"], [[0.1], [0.3]])
+    columns = evaluate(stack, ["pi_A", "pi4"])
+    assert columns["pi_A"].tolist()[0] == 3.0
+    assert columns["pi4"].tolist()[1] == 0.25
 
 
 def test_pair_mirror_asymmetry_raises(monkeypatch):
