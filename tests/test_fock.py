@@ -42,11 +42,19 @@ def test_layout_labels_and_positions():
 def test_layout_rejects_duplicates_and_empty():
     with pytest.raises(ValueError):
         ModeLayout((Mode("A"), Mode("A")))
+    with pytest.raises(ValueError):
+        ModeLayout(())
+
+
+def test_layout_region_disambiguation():
+    layout = ModeLayout((Mode("A"), Mode("B", Region.RINDLER_I), Mode("D", Region.RINDLER_I)))
+    assert layout.labels() == ("A", "B_I", "D_I")
+    # a mode is found by its observer alone, whatever region it is seen in
+    assert layout.position("B") == 1
+    assert layout.position("D") == 2
     # one observer's mode in two regions is still one observer twice
     with pytest.raises(ValueError, match="observer 'D' appears twice"):
         ModeLayout((Mode("A"), Mode("D"), Mode("D", Region.RINDLER_I)))
-    with pytest.raises(ValueError):
-        ModeLayout(())
 
 
 def test_w_state_amplitudes():
