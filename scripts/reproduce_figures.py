@@ -8,7 +8,7 @@ import pathlib
 import sys
 import time
 
-from wtangles.sweep import PRESETS, run_sweep, write_csv
+from wtangles.sweep import PRESETS, atomic_output, run_sweep, write_csv
 
 
 def _fail(message: str) -> int:
@@ -36,14 +36,13 @@ def main() -> int:
     for name in names:
         start = time.perf_counter()
         path = out_dir / f"{name}.csv"
-        # open the file before the sweep, so an unwritable path fails before the work
+        # the CSV replaces the old one whole, only once its preset is done
         try:
-            handle = open(path, "w", encoding="utf-8", newline="")
+            with atomic_output(str(path)) as handle:
+                header, rows = run_sweep(PRESETS[name])
+                write_csv(header, rows, handle)
         except OSError as exc:
-            return _fail(f"cannot write {path}: {exc.strerror}")
-        with handle:
-            header, rows = run_sweep(PRESETS[name])
-            write_csv(header, rows, handle)
+            return _fail(str(exc))
         print(f"{name}: {len(rows)} rows in {time.perf_counter() - start:.2f} s -> {path}")
     print(f"total: {time.perf_counter() - total_start:.2f} s")
     return 0

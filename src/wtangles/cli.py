@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import os
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -20,6 +19,7 @@ from .sweep import (
     AxisSpec,
     ConfigError,
     SweepConfig,
+    atomic_output,
     check_axes,
     run_sweep,
     write_csv,
@@ -136,24 +136,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not target or target == "-":
         write_csv(*run_sweep(config), sys.stdout)
         return 0
-    # a directory would pass the temporary file's open and fail only at the rename
-    if os.path.isdir(target):
-        raise IsADirectoryError(f"cannot write {target}: Is a directory")
-    # open the output before the sweep runs, so an unwritable path fails fast;
-    # the CSV goes to a temporary file next to the target and replaces it whole
-    temp = f"{target}.{os.getpid()}.tmp"
-    try:
-        handle = open(temp, "x", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write {target}: {exc.strerror}") from None
-    try:
-        with handle:
-            header, rows = run_sweep(config)
-            write_csv(header, rows, handle)
-        os.replace(temp, target)
-    except BaseException:
-        os.remove(temp)
-        raise
+    with atomic_output(target) as handle:
+        header, rows = run_sweep(config)
+        write_csv(header, rows, handle)
     print(f"wrote {len(rows)} rows to {target}", file=sys.stderr)
     return 0
 

@@ -6,9 +6,9 @@ along the last axis, results are arrays over the leading axes, and a stack
 is diagonalized by one eigvalsh call.  Problem sizes stay at or below
 64x64, so everything is dense double precision.  Tolerance tests are
 written as "not value <= tol", so a NaN anywhere in a stack fails them.
-The Hermiticity check and symmetrization before each eigvalsh run block by
-block over a stack, and may work in place on a scratch stack
-(overwrite=True), so a large stack costs little more memory than itself.
+The Hermiticity check before each eigvalsh runs block by block over a
+stack, so a large stack costs little more memory than itself; only a stack
+that is not exactly Hermitian is symmetrized, into a copy.
 """
 
 from __future__ import annotations
@@ -30,56 +30,51 @@ class NoConvergenceError(RuntimeError):
     """Raised when the eigenvalue iteration fails to converge."""
 
 
-def _require_hermitian(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """m symmetrized as 0.5 * (m + m^H), after checking each matrix is Hermitian.
+def _require_hermitian(m: np.ndarray) -> np.ndarray:
+    """m after checking each matrix is Hermitian, symmetrized if not exactly.
 
-    The check and the symmetrization run over the stack in blocks of about
-    _BLOCK_BYTES, so their temporaries stay small however large the stack
-    is.  With overwrite=True the symmetrized blocks may replace m's own.
+    The check runs over the stack in blocks of about _BLOCK_BYTES, so its
+    temporaries stay small however large the stack is.  A stack whose every
+    matrix equals its adjoint exactly is returned as it is, since
+    0.5 * (m + m^H) would give back m's own bits.  Any other stack that
+    passes the check comes back as a new array 0.5 * (m + m^H), which
+    suppresses its roundoff asymmetry.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise NotHermitianError(f"expected a square matrix, got shape {m.shape}")
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
-    dtype = np.result_type(m, 0.5)
-    if overwrite and stack.dtype == dtype and stack.flags.writeable:
-        out = stack
-    else:
-        out = np.empty(stack.shape, dtype)
     step = max(1, _BLOCK_BYTES // max(1, m.itemsize * m.shape[-1] ** 2))
     deviation = 0.0
     for start in range(0, len(stack), step):
         block = stack[start:start + step]
-        adjoint = np.conjugate(block.swapaxes(1, 2), order="C")
-        worst = float(np.abs(block - adjoint).max()) if block.size else 0.0
+        difference = block - np.conjugate(block.swapaxes(1, 2), order="C")
+        # any() is cheaper than the moduli, and true for a NaN too
+        worst = float(np.abs(difference).max()) if difference.any() else 0.0
         if worst > deviation or worst != worst:     # a NaN stays the worst
             deviation = worst
-        # symmetrize to suppress roundoff asymmetry before diagonalizing
-        np.multiply(0.5, block + adjoint, out=out[start:start + step])
     if not deviation <= HERMITICITY_TOL:
         raise NotHermitianError(f"matrix deviates from Hermiticity by {deviation:.3e}")
-    return out.reshape(m.shape)
+    if deviation == 0.0:
+        return m
+    return 0.5 * (m + np.conjugate(np.swapaxes(m, -1, -2)))
 
 
-def hermitian_eigenvalues(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    """All real eigenvalues of each Hermitian matrix, sorted ascending.
-
-    overwrite=True lets the call symmetrize m in place, when m is scratch.
-    """
-    h = _require_hermitian(m, overwrite)
+def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """All real eigenvalues of each Hermitian matrix, sorted ascending."""
+    h = _require_hermitian(m)
     try:
         return np.linalg.eigvalsh(h)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceError(str(exc)) from exc
 
 
-def negative_eigenvalue_sum(m: np.ndarray, overwrite: bool = False) -> np.ndarray:
+def negative_eigenvalue_sum(m: np.ndarray) -> np.ndarray:
     """Twice the summed magnitude of the negative eigenvalues of each matrix.
 
     Equals the trace norm minus the trace for Hermitian m.  The spectrum is
     ascending, so a running sum of |min(w, 0)| adds the negative eigenvalues
-    left to right and then only zeros.  overwrite is as for
-    hermitian_eigenvalues.
+    left to right and then only zeros.
     """
-    w = hermitian_eigenvalues(m, overwrite)
+    w = hermitian_eigenvalues(m)
     return 2.0 * np.abs(np.minimum(w, 0.0)).cumsum(axis=-1)[..., -1]

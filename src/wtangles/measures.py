@@ -20,12 +20,13 @@ transposes and which pairs, with flat index tables to gather them.  Each
 stack then takes at most three eigvalsh calls: every needed rho^{T_k} at
 once, every reduced pair state at once (to validate it), and both partial
 transposes of every pair at once, whose negativities must agree.  evaluate
-then fills the planned residuals, pi4, Pi4 and S in that order, point by
-point in Python floats with sums run left to right, which keeps a point's
-values independent of its stack (see the README Notes).  evaluate is the one
-place that tells a single state from a stack: it evaluates a single state as
-a stack of one and returns floats.  evaluate_points, the core of sweeps and
-checks, evaluates CHUNK points per stack.
+then fills the planned residuals, pi4, Pi4 and S in that order.  Squares
+and fourth roots are taken value by value in Python floats, and sums run
+left to right over whole arrays, which keeps a point's values independent
+of its stack (see the README Notes).  evaluate is the one place that tells
+a single state from a stack: it evaluates a single state as a stack of one
+and returns floats.  evaluate_points, the core of sweeps and checks,
+evaluates CHUNK points per stack.
 """
 
 from __future__ import annotations
@@ -51,13 +52,15 @@ RESIDUAL_CLIP = -1e-10
 PAIR_SYMMETRY_TOL = 1e-12
 OBSERVERS = ("A", "B", "C", "D")
 RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
-# points per stack in evaluate_points: small stacks keep peak memory flat
-CHUNK = 16
+# points per stack in evaluate_points: large enough that per-stack Python and
+# numpy overhead is small next to the eigensolves, small enough that a stack
+# of 1-3 transposes stays about 1 MiB (CHUNK 256 measured slower than 64)
+CHUNK = 64
 _W4 = w_state(4)
 
 
-def _sum_left(terms: Iterable[float]) -> float:
-    """Plain left-to-right sum, the same on every Python."""
+def _sum_left(terms: Iterable):
+    """Plain left-to-right sum of floats or of arrays, the same on every Python."""
     total = 0.0
     for term in terms:
         total = total + term
@@ -78,13 +81,10 @@ def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
     for obs, worst in zip(pi_k, rows.min(axis=1).tolist()):
         if not worst >= RESIDUAL_CLIP:
             raise ValueError(f"residual tangle {obs}={worst:.3e} is negative beyond roundoff")
-    means = []
-    for point in rows.T.tolist():
-        product = 1.0
-        for value in point:
-            product *= max(value, 0.0)
-        means.append(product ** 0.25)
-    return np.array(means).reshape(values.shape[1:])
+    product = 1.0
+    for row in rows:
+        product = product * np.maximum(row, 0.0)
+    return np.array([p ** 0.25 for p in product.tolist()]).reshape(values.shape[1:])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
@@ -153,13 +153,14 @@ def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
     flat = rho.matrix.reshape(len(rho.matrix), -1)
     out = {}
     if plan.one_three:
-        transposed = np.take(flat, plan.transposed, axis=1)
-        out.update(zip(plan.one_three, negative_eigenvalue_sum(transposed, overwrite=True).T))
+        # the (N, K, 16, 16) stack is a temporary, freed before the pair stage
+        negativities = negative_eigenvalue_sum(np.take(flat, plan.transposed, axis=1))
+        out.update(zip(plan.one_three, negativities.T))
     if plan.pairs:
         reduced = _add_blocks(np.take(flat, plan.traced, axis=1))
         validate_density(reduced)
         sides = negative_eigenvalue_sum(
-            np.take(reduced.reshape(reduced.shape[:2] + (16,)), _BOTH_SIDES, axis=2), overwrite=True)
+            np.take(reduced.reshape(reduced.shape[:2] + (16,)), _BOTH_SIDES, axis=2))
         values = sides[..., 0]
         asymmetry = np.abs(values - sides[..., 1])
         worst = int(asymmetry.argmax())
@@ -187,13 +188,15 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     if single:
         rho = rho[None]
     values = _spectral_columns(rho, plan)
+    # each square once, value by value in Python floats; the sums then run
+    # over whole (N,) arrays, which round each element as the float sums do
+    squares = {column: np.array([n ** 2 for n in values[column].tolist()])
+               for column in {term for residual in plan.residuals for term in TERMS[residual]}}
     for residual in plan.residuals:
-        terms = zip(*(values[column].tolist() for column in TERMS[residual]))
-        values[residual] = np.array([rest ** 2 - _sum_left(n ** 2 for n in pairs)
-                                     for rest, *pairs in terms])
+        rest, *pairs = TERMS[residual]
+        values[residual] = squares[rest] - _sum_left(squares[column] for column in pairs)
     if "pi4" in columns:
-        residuals = zip(*(values[column].tolist() for column in RESIDUALS))
-        values["pi4"] = np.array([_sum_left(pi_k) / 4.0 for pi_k in residuals])
+        values["pi4"] = _sum_left(values[column] for column in RESIDUALS) / 4.0
     if "Pi4" in columns:
         values["Pi4"] = big_pi4_tangle({obs: values[f"pi_{obs}"] for obs in OBSERVERS})
     if "S" in columns:

@@ -12,9 +12,11 @@ byte-identical across runs and round-trips losslessly.
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
@@ -188,10 +190,40 @@ def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
 
 
 def write_csv(header: Sequence[str], rows: Sequence[Sequence[float]], stream: IO[str]) -> None:
-    """Write rows with 17 significant digits, LF endings, '.' decimals."""
+    """Write rows with 17 significant digits, LF endings, '.' decimals.
+
+    Each row holds one value per header column.
+    """
     stream.write(",".join(header) + "\n")
+    # one printf template per row: the same bytes as formatting each value
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
     for row in rows:
-        stream.write(",".join(f"{value:.17g}" for value in row) + "\n")
+        stream.write(row_format % tuple(row))
+
+
+@contextlib.contextmanager
+def atomic_output(target: str) -> Iterator[IO[str]]:
+    """A text handle whose contents replace the file target whole on success.
+
+    The handle is a temporary file next to target, opened on entry, so an
+    unwritable path fails before any work; a failed or interrupted block
+    removes it and leaves target as it was.  Open errors name target.
+    """
+    # a directory would pass the temporary file's open and fail only at the rename
+    if os.path.isdir(target):
+        raise IsADirectoryError(f"cannot write {target}: Is a directory")
+    temp = f"{target}.{os.getpid()}.tmp"
+    try:
+        handle = open(temp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write {target}: {exc.strerror}") from None
+    try:
+        with handle:
+            yield handle
+        os.replace(temp, target)
+    except BaseException:
+        os.remove(temp)
+        raise
 
 
 def _axis(observer: str, lo: float = 0.0, hi: float = R_MAX) -> AxisSpec:

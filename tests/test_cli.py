@@ -1,5 +1,6 @@
 """Command-line behaviour, config files and the frozen sweep output."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -255,6 +256,30 @@ def test_reproduce_figures_bad_out_dir_exits_2(out_dir, message, tmp_path):
     assert result.returncode == 2
     assert result.stderr == f"error: {message.format(tmp=tmp_path)}\n"
     assert result.stdout == ""
+
+
+def test_reproduce_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location(
+        "reproduce_figures", Path(__file__).parents[1] / "scripts" / "reproduce_figures.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    run_sweep = script.run_sweep
+
+    def failing_on_fig8(config):
+        if config is script.PRESETS["fig8"]:
+            raise ValueError("sweep failed")
+        return run_sweep(config)
+    monkeypatch.setattr(script, "run_sweep", failing_on_fig8)
+    for name in ("fig3", "fig8"):
+        (tmp_path / f"{name}.csv").write_text("old\n", encoding="utf-8")
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--out-dir", str(tmp_path),
+                                      "--only", "fig3,fig8"])
+    with pytest.raises(ValueError, match="sweep failed"):
+        script.main()
+    # fig3 was replaced whole; fig8 failed part-way and is left as it was
+    assert (tmp_path / "fig3.csv").read_text(encoding="utf-8").startswith("r_D,pi4,Pi4\n")
+    assert (tmp_path / "fig8.csv").read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3.csv", "fig8.csv"]
 
 
 def test_golden_sweep_reproduced_byte_for_byte(capsys):

@@ -1,0 +1,187 @@
+"""Exact structural invariants of the observed states and the stacks diagonalized.
+
+Two facts make the pipeline's shortcuts bit-neutral, and both are asserted
+here with exact 0.0, not with a tolerance:
+
+* Every stack handed to eigvalsh is exactly Hermitian.  rho is an ordered sum
+  of outer products v v^H; a partial transpose moves each entry together with
+  its adjoint partner, and a reduced pair state adds Hermitian blocks.  So
+  skipping the symmetrization 0.5 * (m + m^H) changes no bit.
+* The Rindler map conserves Q = N_I - N_II and has real amplitudes, so rho is
+  real and block-diagonal in the region-I occupation N_I, and each rho^{T_k}
+  is block-diagonal in q = N_rest - n_k, with blocks of 1 + 4 + 6 + 4 + 1.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wtangles import linalg, measures, rindler, sweep
+from wtangles.fock import _add_blocks, partial_transpose, w_state
+from wtangles.measures import CHUNK, COLUMNS, evaluate_points
+from wtangles.rindler import R_MAX, observed_densities
+from wtangles.sweep import PRESETS
+
+seeds = st.integers(min_value=0, max_value=2**32 - 1)
+observer_sets = st.sampled_from([("D",), ("C", "D"), ("A",), ("B", "D"), ("D", "A", "C"),
+                                 ("A", "B", "C", "D")])
+
+# the region-I occupation of each basis index, and the bit of mode k in it
+OCCUPATION = np.array([bin(i).count("1") for i in range(16)])
+MODE_BITS = [(np.arange(16) >> (3 - k)) & 1 for k in range(4)]
+# q = N_rest - n_k of each basis index, for the transpose of mode k
+Q = [OCCUPATION - 2 * bits for bits in MODE_BITS]
+
+
+def _deviation(m):
+    """The largest |m - m^H| entry of a stack; NaN if any entry is NaN."""
+    return float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
+
+
+def _off_block(m, charge):
+    """The largest |entry| of a stack that joins two different charges."""
+    return float(np.abs(m[..., charge[:, None] != charge[None, :]]).max())
+
+
+@functools.cache
+def _preset_points(name):
+    """The observers and (N, k) r array that run_sweep evaluates for a preset."""
+    seen = {}
+
+    def capture(observers, points, columns):
+        seen["observers"], seen["r"] = tuple(observers), np.array(list(points))
+        return {column: np.zeros(len(seen["r"])) for column in columns}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sweep, "evaluate_points", capture)
+        sweep.run_sweep(PRESETS[name])
+    return seen["observers"], seen["r"]
+
+
+def _stack_kind(m):
+    if m.ndim == 3:
+        return "rho"
+    if m.ndim == 5:
+        return "pair sides"
+    return "one-three" if m.shape[-1] == 16 else "pair states"
+
+
+def _deviations_seen(monkeypatch, run):
+    """The Hermiticity deviation of every stack checked while run() runs, by kind."""
+    seen = {}
+    check = linalg._require_hermitian
+
+    def recording(m):
+        seen.setdefault(_stack_kind(m), []).append(_deviation(m))
+        return check(m)
+    monkeypatch.setattr(linalg, "_require_hermitian", recording)
+    run()
+    monkeypatch.undo()
+    return seen
+
+
+def _kinds_taken(columns):
+    plan = measures._plan(tuple(columns))
+    kinds = {"rho"}
+    if plan.one_three:
+        kinds.add("one-three")
+    if plan.pairs:
+        kinds.update(("pair states", "pair sides"))
+    return kinds
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_every_preset_stack_is_exactly_hermitian(name, monkeypatch):
+    # rho, each rho^{T_k}, each pair state and both sides of each pair, as the
+    # sweep hands them to eigvalsh: all have rho's deviation, exactly 0.0
+    seen = _deviations_seen(monkeypatch, lambda: sweep.run_sweep(PRESETS[name]))
+    assert set(seen) == _kinds_taken(sweep.normalize_measures(PRESETS[name].measures))
+    assert {kind: max(deviations) for kind, deviations in seen.items()} == dict.fromkeys(seen, 0.0)
+
+
+@settings(max_examples=20)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1), observers=observer_sets)
+def test_every_stack_at_random_points_is_exactly_hermitian(seed, points, observers):
+    r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
+    with pytest.MonkeyPatch.context() as patch:
+        seen = _deviations_seen(patch, lambda: evaluate_points(observers, r, COLUMNS))
+    assert set(seen) == _kinds_taken(COLUMNS)
+    assert {kind: max(deviations) for kind, deviations in seen.items()} == dict.fromkeys(seen, 0.0)
+
+
+@settings(max_examples=30)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=8),
+       scale=st.sampled_from([0.0, 1e-14, 1.0]))
+def test_gathered_transposes_keep_their_parents_deviation(seed, points, scale):
+    # any stack, Hermitian or not: the gathered rho^{T_k} and both sides of a
+    # pair state deviate from Hermiticity exactly as much as their parent
+    rng = np.random.default_rng(seed)
+
+    def stack(*shape):
+        g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return g + g.conj().swapaxes(-1, -2) + scale * rng.standard_normal(shape)
+    rho = stack(points, 16, 16)
+    parent = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    flat = rho.reshape(points, -1)
+    for table in measures._TRANSPOSED.values():
+        transposed = np.take(flat, table, axis=1)
+        assert np.array_equal(np.abs(transposed - transposed.conj().swapaxes(-1, -2))
+                              .max(axis=(-2, -1)), parent)
+    pair = stack(points, 4, 4)
+    parent = np.abs(pair - pair.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    sides = np.take(pair.reshape(points, 16), measures._BOTH_SIDES, axis=1)
+    for side in (0, 1):
+        assert np.array_equal(np.abs(sides[:, side] - sides[:, side].conj().swapaxes(-1, -2))
+                              .max(axis=(-2, -1)), parent)
+    if scale == 0.0:
+        # an exactly Hermitian parent gives exactly Hermitian reduced pair states
+        for table in measures._TRACED.values():
+            assert _deviation(_add_blocks(np.take(flat, table, axis=1))) == 0.0
+
+
+def test_charge_labels_give_the_expected_blocks():
+    assert np.bincount(OCCUPATION).tolist() == [1, 4, 6, 4, 1]
+    for q in Q:
+        assert np.unique(q, return_counts=True)[1].tolist() == [1, 4, 6, 4, 1]
+
+
+def _assert_charge_blocks(rho):
+    assert float(np.abs(rho.matrix.imag).max()) == 0.0
+    assert _off_block(rho.matrix, OCCUPATION) == 0.0
+    for k in range(4):
+        assert _off_block(partial_transpose(rho, [k]), Q[k]) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_states_are_real_and_charge_block_diagonal(name):
+    observers, r = _preset_points(name)
+    for start in range(0, len(r), CHUNK):
+        _assert_charge_blocks(observed_densities(w_state(4), observers, r[start:start + CHUNK]))
+
+
+@settings(max_examples=40)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=8), observers=observer_sets)
+def test_random_states_are_real_and_charge_block_diagonal(seed, points, observers):
+    r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
+    _assert_charge_blocks(observed_densities(w_state(4), observers, r))
+
+
+def test_misplaced_split_amplitude_breaks_the_charge_blocks(monkeypatch):
+    def misplaced(amp, pos, cos_r, sin_r):
+        # |1>_M sent to |0_I 1_II> rather than |1_I 0_II>: still an isometry
+        points = len(amp)
+        src = amp.reshape(points, 1 << pos, 2, -1)
+        out = np.zeros(src.shape + (2,), dtype=complex)
+        out[:, :, 0, :, 0] = cos_r.reshape(points, 1, 1) * src[:, :, 0]
+        out[:, :, 1, :, 1] = sin_r.reshape(points, 1, 1) * src[:, :, 0]
+        out[:, :, 0, :, 1] = src[:, :, 1]
+        return out.reshape(points, -1)
+    monkeypatch.setattr(rindler, "_split", misplaced)
+    # the state still passes every DensityMatrix check: trace, Hermiticity, positivity
+    rho = observed_densities(w_state(4), ["D"], [[0.3]])
+    assert float(np.abs(rho.matrix.imag).max()) == 0.0
+    assert _off_block(rho.matrix, OCCUPATION) > 0.0
+    with pytest.raises(AssertionError):
+        _assert_charge_blocks(rho)

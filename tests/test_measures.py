@@ -211,6 +211,8 @@ def test_sums_run_left_to_right(monkeypatch):
     # a compensated sum, as builtin sum() is from Python 3.12 on, differs here
     assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
     assert _sum_left([1.0, 1e-16, 1e-16]) == 1.0
+    # over arrays the fold runs left to right in each element alike
+    assert _sum_left(np.array([[1.0, 1e-16], [1e-16, 1.0], [1e-16, 1e-16]])).tolist() == [1.0, 1.0]
     # synthetic tangles at two points: at point 0 pi_A = 2^2 - (1 + 1e-16 + 1e-16),
     # at point 1 the pairs vanish and the residuals are 1, 1e-16, 1e-16 and 0
     spectral = {column: np.zeros(2) for column in (*measures.ONE_THREE, *measures.PAIRS)}
@@ -227,8 +229,8 @@ def test_sums_run_left_to_right(monkeypatch):
 def test_pair_mirror_asymmetry_raises(monkeypatch):
     original = measures.negative_eigenvalue_sum
 
-    def lopsided(m, overwrite=False):
-        values = original(m, overwrite)
+    def lopsided(m):
+        values = original(m)
         if m.shape[-2:] == (4, 4):      # (points, pairs, side): shift side 1 by pair
             values[..., 1] += np.arange(values.shape[-2]) * 1e-9
         return values

@@ -16,6 +16,8 @@ from wtangles.linalg import hermitian_eigenvalues, negative_eigenvalue_sum
 from wtangles.measures import (
     CHUNK,
     COLUMNS,
+    RESIDUALS,
+    TERMS,
     evaluate,
     evaluate_points,
     tangle_report,
@@ -197,3 +199,37 @@ def test_column_subsets_equal_the_full_report(seed, points, columns):
     subset = evaluate(stack, columns)
     assert list(subset) == columns
     assert all(np.array_equal(subset[c], report[c]) for c in columns)
+
+
+def per_point_assembly(columns):
+    """Residuals, pi4 and Pi4 assembled point by point in Python floats.
+
+    The reference for the array-wise assembly: each square taken per value,
+    each sum folded left to right from 0.0, and the geometric mean clipped
+    and multiplied value by value.
+    """
+    rows = []
+    for p in range(len(columns["N_A_rest"])):
+        residuals = []
+        for residual in RESIDUALS:
+            rest, *pairs = (float(columns[c][p]) for c in TERMS[residual])
+            total = 0.0
+            for n in pairs:
+                total = total + n ** 2
+            residuals.append(rest ** 2 - total)
+        total, product = 0.0, 1.0
+        for value in residuals:
+            total = total + value
+            product *= max(value, 0.0)
+        rows.append((*residuals, total / 4.0, product ** 0.25))
+    return dict(zip((*RESIDUALS, "pi4", "Pi4"), np.array(rows).T))
+
+
+@settings(max_examples=20)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1),
+       observers=st.sampled_from([(), ("D",), ("C", "D"), ("A", "B", "C", "D")]))
+def test_array_assembly_equals_per_point_floats(seed, points, observers):
+    r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
+    report = tangle_report(observed_densities(w_state(4), observers, r))
+    for column, values in per_point_assembly(report).items():
+        assert report[column].tobytes() == values.tobytes(), column
