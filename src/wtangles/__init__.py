@@ -10,9 +10,6 @@ form is also available as an independent oracle for cross-checking.
 from .checks import CheckResult, run_check
 from .fock import (
     DensityMatrix,
-    Mode,
-    ModeLayout,
-    Region,
     StateVector,
     partial_transpose,
     validate_density,
@@ -52,12 +49,9 @@ __all__ = [
     "CheckResult",
     "ConfigError",
     "DensityMatrix",
-    "Mode",
-    "ModeLayout",
     "NoConvergenceError",
     "NotHermitianError",
     "PRESETS",
-    "Region",
     "StateVector",
     "SweepConfig",
     "big_pi4_tangle",

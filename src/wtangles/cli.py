@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from .checks import run_check
-from .fock import partial_transpose, w_state
+from .fock import OBSERVERS, partial_transpose, w_state
 from .rindler import R_MAX, observed_density
 from .sweep import (
     PRESETS,
@@ -25,7 +25,7 @@ from .sweep import (
     write_csv,
 )
 
-CONFIG_KEYS = ("state", "accel", "grid", "measures", "out", "preset", "diagonal")
+CONFIG_KEYS = ("accel", "grid", "measures", "out", "preset", "diagonal")
 SYMBOL_MATCH_TOL = 1e-9
 ZERO_ENTRY_TOL = 1e-12
 
@@ -90,8 +90,6 @@ def _read_config_file(path: str) -> dict[str, str]:
 def _build_sweep_config(args: argparse.Namespace) -> SweepConfig:
     settings = _read_config_file(args.config) if args.config else {}
     # command-line flags override file values
-    if args.state is not None:
-        settings["state"] = args.state
     if args.accel:
         settings["accel"] = ",".join(args.accel)
     if args.grid is not None:
@@ -112,8 +110,6 @@ def _build_sweep_config(args: argparse.Namespace) -> SweepConfig:
         config = PRESETS[name]
     else:
         config = SweepConfig()
-    if "state" in settings:
-        config = replace(config, state=settings["state"])
     if "accel" in settings:
         config = replace(config, accelerated=_parse_accel_tokens([settings["accel"]]))
     if "grid" in settings:
@@ -216,12 +212,15 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     With symbolic=True, each nonzero entry (times 4) is matched against the
     monomials in the trig shorthands of the accelerated observers.
     """
+    if transpose is not None and transpose not in OBSERVERS:
+        raise ConfigError(f"transpose: unknown observer {transpose!r}, use one of {OBSERVERS}")
     rho = observed_density(w_state(4), params)
     if transpose is None:
         matrix = rho.matrix
     else:
-        matrix = partial_transpose(rho, [rho.layout.position(transpose)])
-    lines = [f"layout: {', '.join(rho.layout.labels())}"]
+        matrix = partial_transpose(rho, [OBSERVERS.index(transpose)])
+    labels = (f"{obs}_I" if obs in params else obs for obs in OBSERVERS)
+    lines = [f"layout: {', '.join(labels)}"]
     if transpose is not None:
         lines.append(f"partial transpose over: {transpose}")
     for row in matrix:
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="sweep acceleration parameters, emit CSV")
-    sweep.add_argument("--state", choices=["W4"], help="initial state (default W4)")
     sweep.add_argument("--accel", action="append", metavar="OBS=R|OBS=LO:HI",
                        help="accelerated observer, fixed r or swept range; repeatable")
     sweep.add_argument("--grid", type=int, help="points per swept axis (default 101, 41 for 2D)")

@@ -1,13 +1,12 @@
 """Occupation-number bookkeeping for a register of fermionic qubit modes.
 
-A layout is an ordered register of modes, one per observer, each tagged with
-its observer label and a Rindler region (Minkowski for inertial observers,
-region I after the mode has been split by acceleration).  Basis indexing is
-big-endian: the first mode of the layout is the most significant bit of the
-index, so for the four-mode layout A,B,C,D the pattern |0001> sits at index 1
-and |1000> at 8.  That is exactly the C-order reshape of an amplitude vector
-to the (2,)*n occupation tensor, with axis p holding mode p, and of a density
-matrix to (2,)*2n, with row axes 0..n-1 and column axes n..2n-1.
+The register holds one mode per observer, in the order OBSERVERS: A, B, C,
+D.  An accelerated observer's mode, as observed, keeps its position.  Basis
+indexing is big-endian: the first mode is the most significant bit of the
+index, so the pattern |0001> sits at index 1 and |1000> at 8.  That is
+exactly the C-order reshape of an amplitude vector to the (2,)*n occupation
+tensor, with axis p holding mode p, and of a density matrix to (2,)*2n,
+with row axes 0..n-1 and column axes n..2n-1.
 
 Partial transposes and partial traces are axis permutations of that tensor:
 a partial transpose swaps the row and column axes of the transposed modes,
@@ -17,8 +16,8 @@ one traced pattern at a time, in index order.  Their bare-array kernels
 array; run on np.arange they give the flat index tables with which measures
 gathers the transposes and reduced states of a stack.
 
-A DensityMatrix holds one state or a (..., dim, dim) stack of states over one
-layout, and validates Hermiticity, unit trace and positivity on construction
+A DensityMatrix holds one state or a (..., 2^n, 2^n) stack of states, with
+n >= 1, and validates Hermiticity, unit trace and positivity on construction
 (validate_density); violations raise instead of being clipped.  The spectra
 this computes are kept as rho.spectra, ascending.  Indexing selects states
 and their spectra without checking them again: rho[p] is state p of a stack
@@ -28,7 +27,6 @@ and rho[None] a stack of one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Iterable
 
 import numpy as np
@@ -38,77 +36,24 @@ from .linalg import NotHermitianError, hermitian_eigenvalues
 NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-10
+OBSERVERS = ("A", "B", "C", "D")
 
 
-class Region(Enum):
-    """Which wedge a mode is seen in: inertial, or region I of an accelerated frame."""
-
-    MINKOWSKI = "M"
-    RINDLER_I = "I"
-
-
-@dataclass(frozen=True)
-class Mode:
-    observer: str
-    region: Region = Region.MINKOWSKI
-
-    def label(self) -> str:
-        """Human-readable tag such as A or D_I."""
-        if self.region is Region.MINKOWSKI:
-            return self.observer
-        return f"{self.observer}_{self.region.value}"
-
-
-@dataclass(frozen=True)
-class ModeLayout:
-    """Ordered register of one mode per observer; positions are 0-based from the left."""
-
-    modes: tuple[Mode, ...]
-
-    def __post_init__(self) -> None:
-        if not self.modes:
-            raise ValueError("layout needs at least one mode")
-        observers = [m.observer for m in self.modes]
-        for k, obs in enumerate(observers):
-            if obs in observers[:k]:
-                raise ValueError(f"observer {obs!r} appears twice in layout")
-
-    @classmethod
-    def inertial(cls, *observers: str) -> "ModeLayout":
-        """Layout with one Minkowski mode per observer, in the given order."""
-        return cls(tuple(Mode(obs) for obs in observers))
-
-    @property
-    def n(self) -> int:
-        return len(self.modes)
-
-    @property
-    def dim(self) -> int:
-        return 1 << len(self.modes)
-
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label() for m in self.modes)
-
-    def position(self, observer: str) -> int:
-        """Position of the observer's mode."""
-        for i, m in enumerate(self.modes):
-            if m.observer == observer:
-                return i
-        raise ValueError(f"no mode for observer {observer!r} in layout")
+def _is_register(dim: int) -> bool:
+    """Whether dim is 2^n for some n >= 1."""
+    return dim >= 2 and dim & (dim - 1) == 0
 
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
-    """Normalized complex amplitudes over the occupation basis of a layout."""
+    """Normalized complex amplitudes over the occupation basis of n >= 1 modes."""
 
-    layout: ModeLayout
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape != (self.layout.dim,):
-            raise ValueError(
-                f"amplitude vector has shape {amp.shape}, layout wants ({self.layout.dim},)")
+        if amp.ndim != 1 or not _is_register(len(amp)):
+            raise ValueError(f"amplitude vector has shape {amp.shape}, want (2^n,) with n >= 1")
         norm_sq = float(np.vdot(amp, amp).real)
         if not abs(norm_sq - 1.0) <= NORM_TOL:
             raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
@@ -141,18 +86,16 @@ def validate_density(m: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator(s) over a layout."""
+    """Hermitian, unit-trace, positive-semidefinite operator(s) over n >= 1 modes."""
 
-    layout: ModeLayout
     matrix: np.ndarray
     # the eigenvalues of each state, ascending, as validation computed them
     spectra: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        dim = self.layout.dim
-        if m.ndim < 2 or m.shape[-2:] != (dim, dim):
-            raise ValueError(f"matrix has shape {m.shape}, layout wants ({dim}, {dim})")
+        if m.ndim < 2 or m.shape[-2] != m.shape[-1] or not _is_register(m.shape[-1]):
+            raise ValueError(f"matrix has shape {m.shape}, want (..., 2^n, 2^n) with n >= 1")
         spectra = validate_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -164,7 +107,6 @@ class DensityMatrix:
         if matrix.shape[-2:] != self.matrix.shape[-2:]:
             raise IndexError("a DensityMatrix index selects whole states")
         view = object.__new__(DensityMatrix)
-        object.__setattr__(view, "layout", self.layout)
         object.__setattr__(view, "matrix", matrix)
         object.__setattr__(view, "spectra", self.spectra[index])
         return view
@@ -180,7 +122,7 @@ def w_state(n: int) -> StateVector:
         raise ValueError(f"w_state supports only the four-mode W state, got n={n}")
     amplitudes = np.zeros(16, dtype=complex)
     amplitudes[[8, 4, 2, 1]] = 0.5
-    return StateVector(ModeLayout.inertial("A", "B", "C", "D"), amplitudes)
+    return StateVector(amplitudes)
 
 
 def _transposed(m: np.ndarray, n: int, part: Iterable[int]) -> np.ndarray:
@@ -226,7 +168,7 @@ def partial_transpose(rho: DensityMatrix, part: Iterable[int]) -> np.ndarray:
     part_sorted = sorted(set(part))
     if not part_sorted:
         raise ValueError("partial transpose needs a nonempty mode subset")
-    n = rho.layout.n
+    n = rho.matrix.shape[-1].bit_length() - 1
     if part_sorted[0] < 0 or part_sorted[-1] >= n:
-        raise ValueError(f"transpose positions {part_sorted} out of range for a {n}-mode layout")
+        raise ValueError(f"transpose positions {part_sorted} out of range for {n} modes")
     return _transposed(rho.matrix, n, part_sorted)

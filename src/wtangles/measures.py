@@ -38,6 +38,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .fock import (
+    OBSERVERS,
     DensityMatrix,
     _add_blocks,
     _trace_blocks,
@@ -50,7 +51,6 @@ from .rindler import observed_densities
 
 RESIDUAL_CLIP = -1e-10
 PAIR_SYMMETRY_TOL = 1e-12
-OBSERVERS = ("A", "B", "C", "D")
 RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
 # points per stack in evaluate_points: large enough that per-stack Python and
 # numpy overhead is small next to the eigensolves, small enough that a stack
@@ -178,11 +178,12 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     rho is one four-mode state, giving a float per column, or a stack of N
     states, giving an (N,) array per column.
     """
-    if rho.layout.n != 4:
-        raise ValueError(f"measures need a four-mode state, got {rho.layout.n} modes")
-    single = rho.matrix.ndim == 2
-    if not single and rho.matrix.ndim != 3:
-        raise ValueError(f"evaluate takes one state or a stack, got shape {rho.matrix.shape}")
+    shape = rho.matrix.shape
+    if shape[-2:] != (16, 16):
+        raise ValueError(f"measures need a four-mode state, got shape {shape}")
+    single = len(shape) == 2
+    if not single and len(shape) != 3:
+        raise ValueError(f"evaluate takes one state or a stack, got shape {shape}")
     columns = tuple(columns)
     plan = _plan(columns)
     if single:

@@ -20,7 +20,8 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .measures import COLUMNS, OBSERVERS, ONE_THREE, PAIRS, RESIDUALS, evaluate_points
+from .fock import OBSERVERS
+from .measures import COLUMNS, ONE_THREE, PAIRS, RESIDUALS, evaluate_points
 from .rindler import R_MAX, R_TOL
 
 DEFAULT_GRID_1D = 101
@@ -55,7 +56,6 @@ class AxisSpec:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    state: str = "W4"
     accelerated: tuple[AxisSpec, ...] = ()
     grid: int | None = None
     measures: tuple[str, ...] = ("all",)
@@ -140,8 +140,6 @@ def check_axes(axes: Sequence[AxisSpec]) -> None:
 
 
 def _validated(config: SweepConfig) -> SweepConfig:
-    if config.state != "W4":
-        raise ConfigError(f"state: unknown state {config.state!r}, supported: W4")
     check_axes(config.accelerated)
     if config.grid is not None and config.grid < 2:
         raise ConfigError(f"grid: need at least 2 points, got {config.grid}")

@@ -12,7 +12,7 @@ import numpy as np
 
 from wtangles.checks import run_check
 from wtangles.fock import _add_blocks, _trace_blocks, partial_transpose, w_state
-from wtangles.fock import DensityMatrix, ModeLayout
+from wtangles.fock import DensityMatrix
 from wtangles.linalg import hermitian_eigenvalues, negative_eigenvalue_sum
 from wtangles.measures import evaluate, tangle_report, von_neumann_entropy
 from wtangles.oracles import vanishing_threshold
@@ -167,7 +167,6 @@ def test_criterion_10_randomized_property_suite():
         return g + g.conj().T
 
     labels = "ABCD"
-    layout4 = ModeLayout.inertial(*labels)
     for _ in range(100):
         dim = int(rng.integers(2, 9))
         h = hermitian(dim)
@@ -182,7 +181,7 @@ def test_criterion_10_randomized_property_suite():
 
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         m = g @ g.conj().T
-        rho = DensityMatrix(layout4, m / np.trace(m).real)
+        rho = DensityMatrix(m / np.trace(m).real)
         direct = _add_blocks(_trace_blocks(rho.matrix, 4, [0, 2]))
         step = _add_blocks(_trace_blocks(_add_blocks(_trace_blocks(rho.matrix, 4, [0, 2, 3])),
                                          3, [0, 1]))
@@ -202,7 +201,7 @@ def test_criterion_10_randomized_property_suite():
         cut = int(rng.integers(1, 3))
         schmidt = np.linalg.svd(v3.reshape(1 << cut, 1 << (3 - cut)), compute_uv=False)
         expected = float(schmidt.sum() ** 2 - 1.0)
-        pure = DensityMatrix(ModeLayout.inertial("A", "B", "C"), reference.projector(v3))
+        pure = DensityMatrix(reference.projector(v3))
         value = negative_eigenvalue_sum(partial_transpose(pure, list(range(cut))))
         worst["schmidt"] = max(worst["schmidt"], abs(value - expected))
 

@@ -83,12 +83,14 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["matrix", "--accel", "D=nan"], "accel: r=nan for D outside [0, pi/4]"),
     (["check", "--perturb", "nan"], "perturb: expected a finite number, got nan"),
     (["check", "--perturb", "inf"], "perturb: expected a finite number, got inf"),
+    (["matrix", "--transpose", "X"], "transpose"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
         raise AssertionError("a rejected command computed a point")
     monkeypatch.setattr("wtangles.sweep.evaluate_points", no_points)
     monkeypatch.setattr("wtangles.checks.evaluate_points", no_points)
+    monkeypatch.setattr("wtangles.cli.observed_density", no_points)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
@@ -127,7 +129,6 @@ def test_config_file_drives_a_sweep(tmp_path, capsys):
     config = tmp_path / "sweep.cfg"
     config.write_text(
         "# one accelerated observer\n"
-        "state = W4\n"
         "accel = D=0:pi/4\n"
         "grid = 3\n"
         "measures = N_D_rest,S   # trailing comment\n",
@@ -172,7 +173,7 @@ def test_config_file_errors(tmp_path, capsys, text, fragment):
 
 def test_config_file_error_names_the_line(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("state = W4\nspeed = 3\n", encoding="utf-8")
+    config.write_text("grid = 3\nspeed = 3\n", encoding="utf-8")
     assert main(["sweep", "--config", str(config)]) == 2
     assert f"{config}:2:" in capsys.readouterr().err
 
@@ -225,6 +226,8 @@ def test_emit_matrix_returns_string():
     text = emit_matrix({"D": 0.3}, transpose="D", symbolic=True)
     assert "layout: A, B, C, D_I" in text
     assert "nonzero entries" in text
+    with pytest.raises(ValueError, match="transpose: unknown observer 'X'"):
+        emit_matrix({"D": 0.3}, transpose="X")
 
 
 def test_matrix_symbolic_golden_byte_for_byte(capsys):

@@ -1,13 +1,10 @@
-"""Register bookkeeping: layouts, state containers, trace and transpose."""
+"""Register bookkeeping: state containers, trace and transpose."""
 
 import numpy as np
 import pytest
 
 from wtangles.fock import (
     DensityMatrix,
-    Mode,
-    ModeLayout,
-    Region,
     StateVector,
     _add_blocks,
     _trace_blocks,
@@ -29,38 +26,8 @@ def _traced(m, n, keep):
     return _add_blocks(_trace_blocks(m, n, keep))
 
 
-def test_layout_labels_and_positions():
-    layout = ModeLayout.inertial("A", "B", "C", "D")
-    assert layout.n == 4
-    assert layout.dim == 16
-    assert layout.labels() == ("A", "B", "C", "D")
-    assert layout.position("C") == 2
-    with pytest.raises(ValueError):
-        layout.position("E")
-
-
-def test_layout_rejects_duplicates_and_empty():
-    with pytest.raises(ValueError):
-        ModeLayout((Mode("A"), Mode("A")))
-    with pytest.raises(ValueError):
-        ModeLayout(())
-
-
-def test_layout_region_disambiguation():
-    layout = ModeLayout((Mode("A"), Mode("B", Region.RINDLER_I), Mode("D", Region.RINDLER_I)))
-    assert layout.labels() == ("A", "B_I", "D_I")
-    # a mode is found by its observer alone, whatever region it is seen in
-    assert layout.position("B") == 1
-    assert layout.position("D") == 2
-    # one observer's mode in two regions is still one observer twice
-    with pytest.raises(ValueError, match="observer 'D' appears twice"):
-        ModeLayout((Mode("A"), Mode("D"), Mode("D", Region.RINDLER_I)))
-
-
 def test_w_state_amplitudes():
-    psi = w_state(4)
-    assert psi.layout.labels() == ("A", "B", "C", "D")
-    amp = psi.amplitudes
+    amp = w_state(4).amplitudes
     hot = {8, 4, 2, 1}
     for index in range(16):
         assert amp[index] == pytest.approx(0.5 if index in hot else 0.0)
@@ -73,7 +40,7 @@ def test_w_state_normalized(n):
     if n == 4:
         psi = w_state(4)
     else:
-        psi = StateVector(ModeLayout.inertial(*"ABCDEF"[:n]), reference.w_amplitudes(n))
+        psi = StateVector(reference.w_amplitudes(n))
     amp = psi.amplitudes
     assert np.vdot(amp, amp).real == pytest.approx(1.0, abs=1e-14)
     assert np.count_nonzero(amp) == n
@@ -87,13 +54,13 @@ def test_w_state_rejects_bad_sizes(n):
 
 
 def test_state_vector_validation():
-    layout = ModeLayout.inertial("A")
+    for shape in [(3,), (1,), (2, 2)]:    # not 2^n amplitudes with n >= 1
+        with pytest.raises(ValueError, match=r"want \(2\^n,\) with n >= 1"):
+            StateVector(np.eye(1, np.prod(shape)).reshape(shape))
     with pytest.raises(ValueError):
-        StateVector(layout, np.array([1.0, 0.0, 0.0]))   # wrong length
-    with pytest.raises(ValueError):
-        StateVector(layout, np.array([1.0, 1.0]))        # norm 2
+        StateVector(np.array([1.0, 1.0]))        # norm 2
     with pytest.raises(ValueError, match="not normalized"):
-        StateVector(layout, np.array([np.nan, 1.0]))
+        StateVector(np.array([np.nan, 1.0]))
 
 
 def test_state_vector_amplitudes_read_only():
@@ -103,15 +70,17 @@ def test_state_vector_amplitudes_read_only():
 
 
 def test_density_matrix_validation():
-    layout = ModeLayout.inertial("A")
+    for shape in [(1, 1), (2,), (2, 4), (3, 3)]:    # not (..., 2^n, 2^n) with n >= 1
+        with pytest.raises(ValueError, match=r"want \(\.\.\., 2\^n, 2\^n\) with n >= 1"):
+            DensityMatrix(np.eye(1, np.prod(shape)).reshape(shape))
     with pytest.raises(ValueError):
-        DensityMatrix(layout, np.array([[0.5, 1.0], [0.0, 0.5]]))
+        DensityMatrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
     with pytest.raises(ValueError):
-        DensityMatrix(layout, np.diag([0.7, 0.7]))
+        DensityMatrix(np.diag([0.7, 0.7]))
     with pytest.raises(ValueError):
-        DensityMatrix(layout, np.diag([1.5, -0.5]))
+        DensityMatrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="Hermiticity by nan"):
-        DensityMatrix(layout, np.array([[np.nan, 0.0], [0.0, 0.5]]))
+        DensityMatrix(np.array([[np.nan, 0.0], [0.0, 0.5]]))
 
 
 def test_pure_to_density_is_projector():
@@ -147,18 +116,17 @@ def test_partial_trace_keep_all_is_identity():
 def test_partial_transpose_on_product_state():
     a = np.array([[0.7, 0.3j], [-0.3j, 0.3]])
     b = np.diag([0.2, 0.8])
-    layout = ModeLayout.inertial("A", "B")
-    rho = DensityMatrix(layout, np.kron(a, b))
+    rho = DensityMatrix(np.kron(a, b))
     once = partial_transpose(rho, [0])
     np.testing.assert_allclose(once, np.kron(a.T, b), atol=1e-15)
     # transposing the same part again restores the original
-    twice = partial_transpose(DensityMatrix(layout, once), [0])
+    twice = partial_transpose(DensityMatrix(once), [0])
     np.testing.assert_allclose(twice, rho.matrix, atol=1e-15)
 
 
 def test_partial_transpose_all_modes_is_plain_transpose():
     v = np.array([0.5, 0.5j, 0.5, -0.5j])
-    rho = DensityMatrix(ModeLayout.inertial("A", "B"), reference.projector(v))
+    rho = DensityMatrix(reference.projector(v))
     np.testing.assert_allclose(partial_transpose(rho, [0, 1]), rho.matrix.T, atol=1e-15)
 
 
@@ -173,7 +141,7 @@ def test_partial_transpose_of_w4_spectrum():
 
 
 def test_partial_transpose_validation():
-    rho = DensityMatrix(ModeLayout.inertial("A", "B"), np.eye(4) / 4.0)
+    rho = DensityMatrix(np.eye(4) / 4.0)
     with pytest.raises(ValueError):
         partial_transpose(rho, [])
     with pytest.raises(ValueError):
@@ -188,29 +156,28 @@ def _three_states():
 
 
 def test_stack_validation_names_the_worst_state():
-    layout = ModeLayout.inertial("A", "B")
     good = _three_states()
-    stack = DensityMatrix(layout, good)
+    stack = DensityMatrix(good)
     assert stack.matrix.shape == (3, 4, 4)
     asymmetric = good.copy()
     asymmetric[1, 0, 1] += 1e-6
     asymmetric[2, 0, 1] += 1e-9
     with pytest.raises(ValueError, match=r"density matrix deviates from Hermiticity by 1\.0+e-06"):
-        DensityMatrix(layout, asymmetric)
+        DensityMatrix(asymmetric)
     scaled = good.copy()
     scaled[2] *= 1.5
     with pytest.raises(ValueError, match=r"density matrix trace is 1\.5, expected 1"):
-        DensityMatrix(layout, scaled)
+        DensityMatrix(scaled)
     negative = good.copy()
     negative[0] = np.diag([1.25, 0.0, 0.0, -0.25])
     with pytest.raises(ValueError, match=r"density matrix has eigenvalue -2\.500e-01 below"):
-        DensityMatrix(layout, negative)
-    with pytest.raises(ValueError, match="layout wants"):
-        DensityMatrix(layout, good[:, :2, :2])
+        DensityMatrix(negative)
+    with pytest.raises(ValueError, match=r"shape \(3, 3, 3\), want"):
+        DensityMatrix(good[:, :3, :3])
     one_nan = good.copy()
     one_nan[1, 2, 2] = np.nan
     with pytest.raises(ValueError, match="Hermiticity by nan"):
-        DensityMatrix(layout, one_nan)
+        DensityMatrix(one_nan)
     # the reduced pair states of a (points, pairs) stack, as measures checks them
     pairs = np.stack([good, good[::-1]])
     assert np.array_equal(validate_density(pairs), hermitian_eigenvalues(pairs))
@@ -224,10 +191,8 @@ def test_stack_validation_names_the_worst_state():
 
 
 def test_stack_indexing_selects_states():
-    layout = ModeLayout.inertial("A", "B")
-    stack = DensityMatrix(layout, _three_states())
+    stack = DensityMatrix(_three_states())
     assert np.array_equal(stack[1].matrix, stack.matrix[1])
-    assert stack[1].layout == layout
     assert stack[1][None].matrix.shape == (1, 4, 4)
     assert np.array_equal(_traced(stack.matrix, 2, [1])[2], _traced(stack[2].matrix, 2, [1]))
     assert np.array_equal(partial_transpose(stack, [0])[0], partial_transpose(stack[0], [0]))
@@ -236,11 +201,11 @@ def test_stack_indexing_selects_states():
 
 
 def test_spectra_are_kept_from_validation():
-    stack = DensityMatrix(ModeLayout.inertial("A", "B"), _three_states())
+    stack = DensityMatrix(_three_states())
     assert np.array_equal(stack.spectra, hermitian_eigenvalues(stack.matrix))
     assert np.array_equal(stack[2].spectra, stack.spectra[2])
     assert np.array_equal(stack[1:][None].spectra, stack.spectra[None, 1:])
     assert np.array_equal(W4.spectra, hermitian_eigenvalues(W4.matrix))
     assert W4[None].spectra.shape == (1, 16)
-    reduced = DensityMatrix(ModeLayout.inertial("A"), _traced(stack.matrix, 2, [0]))
+    reduced = DensityMatrix(_traced(stack.matrix, 2, [0]))
     assert np.array_equal(reduced.spectra, hermitian_eigenvalues(reduced.matrix))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from wtangles.fock import DensityMatrix, ModeLayout, w_state
+from wtangles.fock import DensityMatrix, w_state
 from wtangles import measures
 from wtangles.fock import _add_blocks, _trace_blocks, _transposed, partial_transpose
 from wtangles.linalg import negative_eigenvalue_sum
@@ -24,7 +24,7 @@ W4 = observed_density(w_state(4), None)
 
 
 def _pair(amp):
-    return DensityMatrix(ModeLayout.inertial("A", "B"), reference.projector(amp))
+    return DensityMatrix(reference.projector(amp))
 
 
 def _bell_pair():
@@ -75,6 +75,12 @@ def test_measures_reject_wrong_mode_count():
             evaluate(rho, columns)
     with pytest.raises(ValueError):
         tangle_report(rho)
+    # a valid two-mode state, or a stack of them, is one line naming its shape
+    for state in (rho, rho[None]):
+        with pytest.raises(ValueError) as excinfo:
+            evaluate(state, ["S"])
+        assert str(excinfo.value) == (
+            f"measures need a four-mode state, got shape {state.matrix.shape}")
 
 
 def test_residual_pi_inertial():
@@ -111,7 +117,7 @@ def test_mean_tangles_need_four_entries():
 
 def test_entropy_pure_and_maximally_mixed():
     assert von_neumann_entropy(W4) == pytest.approx(0.0, abs=1e-12)
-    mixed = DensityMatrix(ModeLayout.inertial("A", "B"), np.eye(4) / 4.0)
+    mixed = DensityMatrix(np.eye(4) / 4.0)
     assert von_neumann_entropy(mixed) == pytest.approx(math.log(4.0), abs=1e-14)
 
 
@@ -176,8 +182,7 @@ def test_index_tables_gather_what_the_fock_kernels_compute():
     for column, k in measures.ONE_THREE.items():
         assert np.array_equal(flat[:, measures._TRANSPOSED[column]], partial_transpose(stack, [k]))
     for column, pair in measures.PAIRS.items():
-        reduced = DensityMatrix(ModeLayout.inertial("P", "Q"),
-                                _add_blocks(_trace_blocks(stack.matrix, 4, list(pair))))
+        reduced = DensityMatrix(_add_blocks(_trace_blocks(stack.matrix, 4, list(pair))))
         assert np.array_equal(_add_blocks(flat[:, measures._TRACED[column]]), reduced.matrix)
         sides = reduced.matrix.reshape(2, 16)[:, measures._BOTH_SIDES]
         assert np.array_equal(sides[:, 0], partial_transpose(reduced, [0]))
@@ -204,7 +209,7 @@ def test_evaluate_stack_and_single_state_agree():
         single = tangle_report(observed_density(w_state(4), {"C": r_c, "D": r_d}))
         assert single == {column: float(values[p]) for column, values in columns.items()}
     with pytest.raises(ValueError, match="stack"):
-        evaluate(DensityMatrix(stack.layout, stack.matrix[None]), ["S"])
+        evaluate(DensityMatrix(stack.matrix[None]), ["S"])
 
 
 def test_sums_run_left_to_right(monkeypatch):

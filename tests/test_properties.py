@@ -1,12 +1,15 @@
 """Randomized invariants of the linear-algebra and state machinery."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wtangles.fock import (
     DensityMatrix,
-    ModeLayout,
     _add_blocks,
     _trace_blocks,
     partial_transpose,
@@ -27,6 +30,8 @@ from wtangles.rindler import R_MAX, _split, observed_densities, observed_density
 
 from . import reference
 
+PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
 mode_counts = st.integers(min_value=2, max_value=4)
@@ -43,7 +48,7 @@ def random_density(rng, n_modes):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     m /= np.trace(m).real
-    return DensityMatrix(ModeLayout.inertial(*"ABCDEF"[:n_modes]), m)
+    return DensityMatrix(m)
 
 
 def random_amplitudes(rng, n_modes):
@@ -53,7 +58,7 @@ def random_amplitudes(rng, n_modes):
 
 def traced(rho, keep):
     """The pipeline's trace-out of every mode of rho but the sorted positions keep."""
-    return _add_blocks(_trace_blocks(rho.matrix, rho.layout.n, keep))
+    return _add_blocks(_trace_blocks(rho.matrix, rho.matrix.shape[-1].bit_length() - 1, keep))
 
 
 def random_qubit_density(rng):
@@ -88,7 +93,7 @@ def test_kron_spectrum_is_product_of_spectra(seed):
 def test_partial_trace_yields_a_valid_state(seed, n_modes):
     rho = random_density(np.random.default_rng(seed), n_modes)
     # construction validates Hermiticity, unit trace and positivity
-    DensityMatrix(ModeLayout.inertial("A"), traced(rho, [0]))
+    DensityMatrix(traced(rho, [0]))
 
 
 @given(seed=seeds)
@@ -133,11 +138,10 @@ def test_partial_transpose_involution_on_separable_state(seed):
     rng = np.random.default_rng(seed)
     a = random_qubit_density(rng)
     b = random_qubit_density(rng)
-    layout = ModeLayout.inertial("A", "B")
-    rho = DensityMatrix(layout, np.kron(a, b))
+    rho = DensityMatrix(np.kron(a, b))
     once = partial_transpose(rho, [0])
     np.testing.assert_allclose(once, np.kron(a.T, b), atol=1e-12)
-    twice = partial_transpose(DensityMatrix(layout, once), [0])
+    twice = partial_transpose(DensityMatrix(once), [0])
     np.testing.assert_allclose(twice, rho.matrix, atol=1e-12)
     assert negative_eigenvalue_sum(once) < 1e-10     # product states stay positive under PT
 
@@ -157,9 +161,9 @@ def test_entropy_is_additive_on_product_states(seed):
     rng = np.random.default_rng(seed)
     a = random_qubit_density(rng)
     b = random_qubit_density(rng)
-    joint = DensityMatrix(ModeLayout.inertial("A", "B"), np.kron(a, b))
-    s_a = von_neumann_entropy(DensityMatrix(ModeLayout.inertial("A"), a))
-    s_b = von_neumann_entropy(DensityMatrix(ModeLayout.inertial("B"), b))
+    joint = DensityMatrix(np.kron(a, b))
+    s_a = von_neumann_entropy(DensityMatrix(a))
+    s_b = von_neumann_entropy(DensityMatrix(b))
     assert abs(von_neumann_entropy(joint) - s_a - s_b) < 1e-9
 
 
@@ -170,7 +174,7 @@ def test_pure_state_negativity_matches_schmidt_formula(seed, n_modes, cut):
     amp = random_amplitudes(np.random.default_rng(seed), n_modes)
     schmidt = np.linalg.svd(amp.reshape(1 << cut, 1 << (n_modes - cut)), compute_uv=False)
     expected = float(schmidt.sum() ** 2 - 1.0)
-    rho = DensityMatrix(ModeLayout.inertial(*"ABCD"[:n_modes]), reference.projector(amp))
+    rho = DensityMatrix(reference.projector(amp))
     value = negative_eigenvalue_sum(partial_transpose(rho, list(range(cut))))
     assert abs(value - expected) < 1e-9
 
@@ -233,3 +237,22 @@ def test_array_assembly_equals_per_point_floats(seed, points, observers):
     report = tangle_report(observed_densities(w_state(4), observers, r))
     for column, values in per_point_assembly(report).items():
         assert report[column].tobytes() == values.tobytes(), column
+
+
+def test_failing_property_reports_its_example(tmp_path):
+    # the suite's pytest settings must not turn a hypothesis failure into an
+    # INTERNALERROR that swallows the falsifying example and the FAILED line
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n", encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(PYPROJECT),
+         "--rootdir", str(tmp_path), "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "Falsifying example" in output
+    assert "FAILED test_fails.py::test_fails" in output
+    assert "INTERNALERROR" not in output

@@ -8,9 +8,8 @@ import wtangles.cli
 import wtangles.oracles
 
 PUBLIC = (
-    "AxisSpec", "COLUMNS", "CheckResult", "ConfigError", "DensityMatrix", "Mode", "ModeLayout",
-    "NoConvergenceError", "NotHermitianError", "PRESETS", "Region", "StateVector",
-    "SweepConfig", "big_pi4_tangle", "entropy_one_accel", "evaluate", "evaluate_points",
+    "AxisSpec", "COLUMNS", "CheckResult", "ConfigError", "DensityMatrix", "NoConvergenceError",
+    "NotHermitianError", "PRESETS", "StateVector", "SweepConfig", "big_pi4_tangle", "entropy_one_accel", "evaluate", "evaluate_points",
     "hermitian_eigenvalues", "n_ab_const", "n_d1_abc", "n_i_d1", "n_pair_accel_both",
     "n_pair_accel_one", "negative_eigenvalue_sum", "observed_densities", "observed_density",
     "partial_transpose", "run_check", "run_sweep", "tangle_report", "validate_density",
@@ -23,7 +22,7 @@ VERIFY = Path(__file__).resolve().parent.parent / "perfbench" / "verify.py"
 
 
 def test_all_names_exactly_the_public_surface():
-    assert len(PUBLIC) == 35
+    assert len(PUBLIC) == 32
     assert sorted(wtangles.__all__) == sorted(PUBLIC)
     for name in wtangles.__all__:
         assert hasattr(wtangles, name), name

@@ -1,4 +1,4 @@
-"""Mode splitting under acceleration and the observed (region-I) state."""
+"""Splitting modes under acceleration, and the observed (region-I) state."""
 
 import math
 
@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from wtangles.fock import (
+    OBSERVERS,
     DensityMatrix,
-    Mode,
-    ModeLayout,
-    Region,
     StateVector,
     _add_blocks,
     _trace_blocks,
@@ -29,8 +27,7 @@ def _split_one(amp, pos, r):
 
 def _reduced_pair(rho, pair):
     """The pipeline's reduced state of a pair of modes of a four-mode state."""
-    return DensityMatrix(ModeLayout.inertial("P", "Q"),
-                         _add_blocks(_trace_blocks(rho.matrix, 4, list(pair))))
+    return DensityMatrix(_add_blocks(_trace_blocks(rho.matrix, 4, list(pair))))
 
 
 def test_parameter_range_validation():
@@ -78,16 +75,16 @@ def test_split_preserves_norm():
 
 def test_observed_density_inertial_is_pure():
     rho = observed_density(w_state(4), None)
-    assert rho.layout.labels() == ("A", "B", "C", "D")
     w = np.linalg.eigvalsh(rho.matrix)
     assert w[-1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_observed_density_layouts():
-    one = observed_density(w_state(4), {"D": 0.2})
-    assert one.layout.labels() == ("A", "B", "C", "D_I")
-    two = observed_density(w_state(4), {"D": 0.2, "C": 0.5})
-    assert two.layout.labels() == ("A", "B", "C_I", "D_I")
+    # each observer's mode is split at its own position in the register A, B, C, D
+    for pos, obs in enumerate(OBSERVERS):
+        amp = reference.rindler_split(w_state(4).amplitudes, 4, pos, 0.2)
+        expected = reference.partial_trace(reference.projector(amp), 5, [0, 1, 2, 3])
+        assert np.array_equal(observed_density(w_state(4), {obs: 0.2}).matrix, expected)
 
 
 def test_observed_density_rejects_bad_input():
@@ -95,10 +92,10 @@ def test_observed_density_rejects_bad_input():
         observed_density(w_state(4), {"X": 0.1})
     with pytest.raises(ValueError, match="outside"):
         observed_density(w_state(4), {"D": 1.0})
-    split = StateVector(ModeLayout((*ModeLayout.inertial("A", "B", "C").modes,
-                                    Mode("D", Region.RINDLER_I))), w_state(4).amplitudes)
-    with pytest.raises(ValueError, match="all-Minkowski"):
-        observed_density(split, {"C": 0.1})
+    # the register is A, B, C, D: three or five modes are not it
+    for n in (3, 5):
+        with pytest.raises(ValueError, match=f"16 amplitudes of A, B, C, D, got {1 << n}"):
+            observed_density(StateVector(reference.w_amplitudes(n)), {"C": 0.1})
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, patterns.THRESHOLD_R, math.pi / 4])
@@ -114,17 +111,14 @@ def test_observed_density_equals_trace_of_split_projector(r, scenario_at):
         amp = reference.rindler_split(amp, n, "ABCD".index(obs), scenario[obs])
         n += 1
     expected = reference.partial_trace(reference.projector(amp), n, [0, 1, 2, 3])
-    rho = observed_density(w_state(4), scenario)
-    assert rho.layout.labels() == tuple(f"{obs}_I" if obs in scenario else obs for obs in "ABCD")
-    assert np.array_equal(rho.matrix, expected)
+    assert np.array_equal(observed_density(w_state(4), scenario).matrix, expected)
 
 
 def test_observed_stack_equals_points_one_by_one():
     r = np.array([[0.6, 0.2], [0.0, R_MAX], [patterns.THRESHOLD_R, 0.3], [R_MAX, 0.0]])
-    # the observers' order in the call does not matter, only the layout order
+    # the observers' order in the call does not matter, only the register order
     stack = observed_densities(w_state(4), ["D", "C"], r)
     assert stack.matrix.shape == (4, 16, 16)
-    assert stack.layout.labels() == ("A", "B", "C_I", "D_I")
     for p, (r_d, r_c) in enumerate(r):
         single = observed_density(w_state(4), {"C": r_c, "D": r_d})
         assert np.array_equal(stack.matrix[p], single.matrix)

@@ -67,7 +67,6 @@ def test_unknown_or_empty_measures_raise():
 
 
 @pytest.mark.parametrize("config", [
-    SweepConfig(state="GHZ"),
     SweepConfig(accelerated=(swept("X"),)),
     SweepConfig(accelerated=(fixed("D", 0.1), fixed("D", 0.2))),
     SweepConfig(accelerated=(AxisSpec("D", -0.2, 0.3),)),
