@@ -198,11 +198,22 @@ def _symbol_table(params: dict[str, float]) -> list[tuple[str, float]]:
     return table
 
 
-def _match_symbol(value: float, table: list[tuple[str, float]]) -> str:
-    for name, candidate in table:
-        if abs(value - candidate) <= SYMBOL_MATCH_TOL:
-            return name
-    return f"{value:.10g}"
+def _symbolic_entries(real: np.ndarray, table: list[tuple[str, float]]) -> list[str]:
+    """One line per nonzero upper-triangle entry, in row-major order.
+
+    Each entry (times 4) is named by the first candidate of the table within
+    SYMBOL_MATCH_TOL; an entry that matches none prints as a decimal.
+    """
+    rows, cols = np.nonzero(np.triu(np.abs(real) > ZERO_ENTRY_TOL))
+    values = 4.0 * real[rows, cols]
+    candidates = np.array([value for _, value in table])
+    hits = np.abs(values[:, None] - candidates) <= SYMBOL_MATCH_TOL
+    lines = []
+    for i, j, value, k, hit in zip(rows.tolist(), cols.tolist(), values.tolist(),
+                                   hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist()):
+        label = table[k][0] if hit else f"{value:.10g}"
+        lines.append(f"  ({i:2d},{j:2d})  {label}")
+    return lines
 
 
 def emit_matrix(params: dict[str, float], transpose: str | None = None,
@@ -223,18 +234,15 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     lines = [f"layout: {', '.join(labels)}"]
     if transpose is not None:
         lines.append(f"partial transpose over: {transpose}")
-    for row in matrix:
-        lines.append(" ".join(f"{value.real: .5f}" for value in row))
+    real = matrix.real
+    # one printf template per row over Python floats: the same bytes as
+    # formatting each value
+    row_format = " ".join(["% .5f"] * real.shape[1])
+    lines.extend(row_format % tuple(row) for row in real.tolist())
     if symbolic:
-        table = _symbol_table(params)
         lines.append("")
         lines.append("nonzero entries as multiples of 1/4 (upper triangle):")
-        dim = matrix.shape[0]
-        for i in range(dim):
-            for j in range(i, dim):
-                entry = matrix[i, j].real
-                if abs(entry) > ZERO_ENTRY_TOL:
-                    lines.append(f"  ({i:2d},{j:2d})  {_match_symbol(4.0 * entry, table)}")
+        lines.extend(_symbolic_entries(real, _symbol_table(params)))
     return "\n".join(lines)
 
 

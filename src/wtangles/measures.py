@@ -218,6 +218,10 @@ def evaluate_points(observers: Sequence[str], points: Iterable[Sequence[float]],
     chunks = []
     while chunk := list(islice(points, CHUNK)):
         chunks.append(evaluate(observed_densities(_W4, observers, chunk), columns))
+    if not chunks:
+        raise ValueError("evaluate_points needs at least one point")
+    if len(chunks) == 1:
+        return chunks[0]
     return {column: np.concatenate([chunk[column] for chunk in chunks]) for column in columns}
 
 

@@ -1,15 +1,21 @@
 """Command-line behaviour, config files and the frozen sweep output."""
 
 import importlib.util
+import math
 import subprocess
 import sys
+from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from wtangles.cli import build_parser, emit_matrix, main
+from wtangles.cli import _symbol_table, build_parser, emit_matrix, main
+from wtangles.fock import OBSERVERS, partial_transpose, w_state
+from wtangles.rindler import R_MAX, observed_density
 
-from . import patterns
+from . import patterns, reference
 
 DATA = Path(__file__).with_name("data")
 
@@ -236,6 +242,43 @@ def test_matrix_symbolic_golden_byte_for_byte(capsys):
     assert capsys.readouterr().out == golden
     # the golden holds a monomial and the sum of squares
     assert "  ( 1, 2)  γδ\n" in golden and "  ( 3, 3)  α^2+β^2\n" in golden
+
+
+R_STAR = 0.5 * math.acos(2.0 - math.sqrt(2.0))
+MATRIX_SCENARIOS = ((), ("D",), ("C", "D"), ("A", "D"))
+TRANSPOSES = (None, *OBSERVERS)
+
+
+def _reference_printout(params, transpose):
+    rho = observed_density(w_state(4), params)
+    matrix = rho.matrix if transpose is None else partial_transpose(
+        rho, [OBSERVERS.index(transpose)])
+    return reference.render_matrix(matrix, params, transpose, _symbol_table(params))
+
+
+@pytest.mark.parametrize("transpose", TRANSPOSES)
+@pytest.mark.parametrize("observers", MATRIX_SCENARIOS, ids="".join)
+def test_matrix_printout_matches_the_per_entry_reference(observers, transpose):
+    # at r = 0 and pi/4 many candidates share a value, which pins first-match order
+    for r in product((0.0, R_STAR, R_MAX), repeat=len(observers)):
+        params = dict(zip(observers, r))
+        text = emit_matrix(params, transpose, symbolic=True)
+        assert text == _reference_printout(params, transpose)
+        grid = text.split("\n\n")[0]
+        assert emit_matrix(params, transpose) == grid
+
+
+def test_matrix_entries_without_shorthand_print_as_decimals():
+    # only C and D have shorthands; an entry free of r_a, such as (8, 8), keeps its monomial
+    text = emit_matrix({"A": 0.3, "D": 0.4}, symbolic=True)
+    assert "  ( 4, 4)  0.7742647962\n" in text and "  ( 8, 8)  δ^2\n" in text
+
+
+@given(observers=st.sampled_from(MATRIX_SCENARIOS), transpose=st.sampled_from(TRANSPOSES),
+       r=st.lists(st.floats(0.0, R_MAX), min_size=2, max_size=2))
+def test_matrix_printout_matches_the_reference_at_random_points(observers, transpose, r):
+    params = dict(zip(observers, r))
+    assert emit_matrix(params, transpose, symbolic=True) == _reference_printout(params, transpose)
 
 
 def test_module_entry_point_runs():

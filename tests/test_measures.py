@@ -258,3 +258,8 @@ def test_geometric_mean_over_a_stack_names_the_worst_residual():
         big_pi4_tangle(pi_k)
     with pytest.raises(ValueError):
         big_pi4_tangle({"A": 1.0, "B": 1.0, "C": 1.0, "D": math.nan})
+
+
+def test_evaluate_points_needs_a_point():
+    with pytest.raises(ValueError, match="at least one point"):
+        measures.evaluate_points(["D"], [], ["S"])
