@@ -1,4 +1,8 @@
-"""Command-line front end: sweeps, oracle cross-checks and matrix dumps."""
+"""Command-line front end: sweeps, oracle cross-checks and matrix dumps.
+
+A sweep is configured by its flags alone: --preset, or the defaults, gives
+the base SweepConfig, and each other flag given replaces one of its fields.
+"""
 
 from __future__ import annotations
 
@@ -25,7 +29,6 @@ from .sweep import (
     write_csv,
 )
 
-CONFIG_KEYS = ("accel", "grid", "measures", "out", "preset", "diagonal")
 SYMBOL_MATCH_TOL = 1e-9
 ZERO_ENTRY_TOL = 1e-12
 
@@ -59,83 +62,30 @@ def _parse_accel_tokens(tokens: Sequence[str]) -> tuple[AxisSpec, ...]:
     return tuple(axes)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"diagonal: expected a boolean, got {text!r}")
-
-
-def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key-value grammar: 'key = value' lines, '#' starts a comment."""
-    settings: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in CONFIG_KEYS:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown key {key!r}, known: {', '.join(CONFIG_KEYS)}")
-            settings[key] = value.strip()
-    return settings
-
-
 def _build_sweep_config(args: argparse.Namespace) -> SweepConfig:
-    settings = _read_config_file(args.config) if args.config else {}
-    # command-line flags override file values
+    if args.preset is not None and args.preset not in PRESETS:
+        raise ConfigError(f"preset: unknown name {args.preset!r}, known: {', '.join(PRESETS)}")
+    config = PRESETS.get(args.preset, SweepConfig())
     if args.accel:
-        settings["accel"] = ",".join(args.accel)
+        config = replace(config, accelerated=_parse_accel_tokens(args.accel))
     if args.grid is not None:
-        settings["grid"] = str(args.grid)
+        config = replace(config, grid=args.grid)
     if args.measures is not None:
-        settings["measures"] = args.measures
-    if args.out is not None:
-        settings["out"] = args.out
-    if args.preset is not None:
-        settings["preset"] = args.preset
+        config = replace(config, measures=tuple(args.measures.split(",")))
     if args.diagonal:
-        settings["diagonal"] = "true"
-
-    if "preset" in settings:
-        name = settings["preset"]
-        if name not in PRESETS:
-            raise ConfigError(f"preset: unknown name {name!r}, known: {', '.join(PRESETS)}")
-        config = PRESETS[name]
-    else:
-        config = SweepConfig()
-    if "accel" in settings:
-        config = replace(config, accelerated=_parse_accel_tokens([settings["accel"]]))
-    if "grid" in settings:
-        try:
-            config = replace(config, grid=int(settings["grid"]))
-        except ValueError:
-            raise ConfigError(f"grid: expected an integer, got {settings['grid']!r}") from None
-    if "measures" in settings:
-        config = replace(config, measures=tuple(settings["measures"].split(",")))
-    if "out" in settings:
-        config = replace(config, output_path=settings["out"])
-    if "diagonal" in settings:
-        config = replace(config, diagonal=_parse_bool(settings["diagonal"]))
+        config = replace(config, diagonal=True)
     return config
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_sweep_config(args)
-    target = config.output_path
-    if not target or target == "-":
+    if not args.out or args.out == "-":
         write_csv(*run_sweep(config), sys.stdout)
         return 0
-    with atomic_output(target) as handle:
+    with atomic_output(args.out) as handle:
         header, rows = run_sweep(config)
         write_csv(header, rows, handle)
-    print(f"wrote {len(rows)} rows to {target}", file=sys.stderr)
+    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
     return 0
 
 
@@ -271,11 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="accelerated observer, fixed r or swept range; repeatable")
     sweep.add_argument("--grid", type=int, help="points per swept axis (default 101, 41 for 2D)")
     sweep.add_argument("--measures", metavar="LIST",
-                       help="comma-separated columns or groups (default all)")
+                       help="comma-separated column names, or all (default all)")
     sweep.add_argument("--out", metavar="PATH", help="CSV output path ('-' for stdout)")
     sweep.add_argument("--preset", metavar="NAME",
                        help=f"figure preset: {', '.join(PRESETS)}")
-    sweep.add_argument("--config", metavar="FILE", help="flat key-value config file")
     sweep.add_argument("--diagonal", action="store_true",
                        help="sweep both accelerated observers along r_c = r_d")
     sweep.set_defaults(func=_cmd_sweep)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 
-from .rindler import R_MAX, R_TOL
+from .rindler import out_of_domain
 
 SQRT2 = math.sqrt(2.0)
 
@@ -24,7 +24,7 @@ THRESHOLD_XTOL = 1e-10
 
 def _check_domain(name: str, **r_args: float) -> None:
     for arg, value in r_args.items():
-        if not -R_TOL <= value <= R_MAX + R_TOL:
+        if out_of_domain(value) is not None:
             raise ValueError(f"{name}: {arg}={value!r} outside [0, pi/4]")
 
 

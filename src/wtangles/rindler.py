@@ -39,6 +39,19 @@ R_MAX = math.pi / 4
 R_TOL = 1e-12
 
 
+def out_of_domain(r) -> float | None:
+    """The first value of r, a number or an array, outside [0, pi/4] (NaN too), or None."""
+    lo, hi = -R_TOL, R_MAX + R_TOL
+    # a lone float skips numpy, whose call overhead would dominate the oracles' checks
+    if isinstance(r, float):
+        return None if lo <= r <= hi else r
+    r = np.asarray(r, dtype=float)
+    # one min and one max clear a whole array; a NaN makes both NaN, failing either test
+    if r.size == 0 or (r.min() >= lo and r.max() <= hi):
+        return None
+    return next(x for x in r.ravel().tolist() if not lo <= x <= hi)
+
+
 def _split(amp: np.ndarray, pos: int, cos_r: np.ndarray, sin_r: np.ndarray) -> np.ndarray:
     """Split mode pos of each (N, 2^n) amplitude row; region II is appended last."""
     points = len(amp)
@@ -62,8 +75,8 @@ def observed_densities(psi0: StateVector, observers: Sequence[str], r) -> Densit
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[1] != len(observers):
         raise ValueError(f"r has shape {r.shape}, want (points, {len(observers)})")
-    if r.size and not (r.min() >= -R_TOL and r.max() <= R_MAX + R_TOL):
-        bad = next(x for x in r.ravel().tolist() if not -R_TOL <= x <= R_MAX + R_TOL)
+    bad = out_of_domain(r)
+    if bad is not None:
         raise ValueError(f"acceleration parameter r={bad!r} outside [0, pi/4]")
     if psi0.amplitudes.shape != (16,):
         raise ValueError(f"observed states need the 16 amplitudes of A, B, C, D, "

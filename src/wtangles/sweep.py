@@ -2,12 +2,14 @@
 
 A sweep fixes or sweeps the Rindler parameter of each accelerated observer,
 computes the requested measures at every grid point and returns rows in
-deterministic lexicographic grid order.  The grid is a lazy stream of points
-(the product of the axes' linspace values, or one shared axis on the
-diagonal), and measures.evaluate_points reads it measures.CHUNK points at a
-time, building and evaluating each chunk as one stack.  Rows are plain
-floats; the CSV writer renders them with 17 significant digits so output is
-byte-identical across runs and round-trips losslessly.
+deterministic lexicographic grid order.  Measures are named by the
+measures.COLUMNS names alone, with all standing for every column.  The grid
+is a lazy stream of points (the product of the axes' linspace values, or one
+shared axis on the diagonal), and measures.evaluate_points reads it
+measures.CHUNK points at a time, building and evaluating each chunk as one
+stack.  Rows are plain floats; the CSV writer renders them with 17
+significant digits so output is byte-identical across runs and round-trips
+losslessly.
 """
 
 from __future__ import annotations
@@ -21,20 +23,13 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .fock import OBSERVERS
-from .measures import COLUMNS, ONE_THREE, PAIRS, RESIDUALS, evaluate_points
-from .rindler import R_MAX, R_TOL
+from .measures import COLUMNS, evaluate_points
+from .rindler import R_MAX, out_of_domain
 
 DEFAULT_GRID_1D = 101
 DEFAULT_GRID_2D = 41
 # a sweep larger than this is a typo in --grid, not a run worth hours
 MAX_POINTS = 250_000
-
-MEASURE_GROUPS = {
-    "one_three": tuple(ONE_THREE),
-    "one_one": tuple(PAIRS),
-    "pi": RESIDUALS,
-    "all": COLUMNS,
-}
 
 
 class ConfigError(ValueError):
@@ -59,68 +54,20 @@ class SweepConfig:
     accelerated: tuple[AxisSpec, ...] = ()
     grid: int | None = None
     measures: tuple[str, ...] = ("all",)
-    output_path: str | None = None
     diagonal: bool = False
 
 
 def normalize_measures(tokens: Sequence[str]) -> tuple[str, ...]:
-    """Expand group names and aliases into canonical column names.
-
-    Accepts canonical names (N_A_rest, N_AB, pi_A, pi4, Pi4, S), the groups
-    one_three / one_one / pi / all, and spellings that tag accelerated
-    observers with their region, such as N_D1_ABC, N_A_D1 or pi_C1.
-    """
-    columns: list[str] = []
-
-    def add(name: str) -> None:
-        if name not in columns:
-            columns.append(name)
-
-    for raw in tokens:
-        token = raw.strip()
-        if not token:
-            continue
-        if token in MEASURE_GROUPS:
-            for name in MEASURE_GROUPS[token]:
-                add(name)
-            continue
-        if token in COLUMNS:
-            add(token)
-            continue
-        if token == "entropy":
-            add("S")
-            continue
-        resolved = _resolve_alias(token)
-        if resolved is None:
-            raise ConfigError(
-                f"unknown measure {raw!r}; use column names {', '.join(COLUMNS)}, "
-                f"groups {', '.join(MEASURE_GROUPS)}, or region-tagged aliases")
-        add(resolved)
+    """The COLUMNS names in tokens, all expanded, each once where it first appears."""
+    names = [token.strip() for token in tokens if token.strip()]
+    columns = [column for name in names for column in (COLUMNS if name == "all" else (name,))]
+    unknown = [column for column in columns if column not in COLUMNS]
+    if unknown:
+        raise ConfigError(
+            f"unknown measure {unknown[0]!r}; use column names {', '.join(COLUMNS)}, or all")
     if not columns:
         raise ConfigError("measures: empty selection")
-    return tuple(columns)
-
-
-def _resolve_alias(token: str) -> str | None:
-    # strip region markers so N_D1_ABC, N_DI_ABC and N_A_D1 all resolve
-    for prefix, kind in (("N_", "N"), ("pi_", "pi")):
-        if not token.startswith(prefix):
-            continue
-        body = token[len(prefix):]
-        if body.endswith("_rest"):
-            body = body[:-len("_rest")]
-        if set(body) - set("ABCD1I_"):
-            return None
-        letters = [ch for ch in body if ch in "ABCD"]
-        if kind == "pi" and len(letters) == 1:
-            return f"pi_{letters[0]}"
-        if kind == "N" and len(letters) == 1:
-            return f"N_{letters[0]}_rest"
-        if kind == "N" and len(letters) == 2 and letters[0] != letters[1]:
-            return "N_" + "".join(sorted(letters))
-        if kind == "N" and len(letters) == 4 and sorted(letters) == list(OBSERVERS):
-            return f"N_{letters[0]}_rest"
-    return None
+    return tuple(dict.fromkeys(columns))
 
 
 def check_axes(axes: Sequence[AxisSpec]) -> None:
@@ -133,7 +80,7 @@ def check_axes(axes: Sequence[AxisSpec]) -> None:
             raise ConfigError(f"accel: observer {axis.observer!r} given twice")
         seen.add(axis.observer)
         for value in (axis.lo, axis.hi):
-            if not -R_TOL <= value <= R_MAX + R_TOL:
+            if out_of_domain(value) is not None:
                 raise ConfigError(f"accel: r={value!r} for {axis.observer} outside [0, pi/4]")
         if axis.lo > axis.hi:
             raise ConfigError(f"accel: range for {axis.observer} has lo > hi")

@@ -1,7 +1,8 @@
-"""Command-line behaviour, config files and the frozen sweep output."""
+"""Command-line behaviour, the README commands and the frozen sweep output."""
 
 import importlib.util
 import math
+import shlex
 import subprocess
 import sys
 from itertools import product
@@ -18,6 +19,7 @@ from wtangles.rindler import R_MAX, observed_density
 from . import patterns, reference
 
 DATA = Path(__file__).with_name("data")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_parser_program_name_and_subcommands():
@@ -82,7 +84,7 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["sweep", "--preset", "fig99"], "preset"),
     (["sweep", "--accel", "D=0:0.5", "--measures", "N_XY"], "measure"),
     (["sweep", "--accel", "D=0.5", "--out", "no-such-dir/x.csv"], "cannot write no-such-dir/x.csv"),
-    (["sweep", "--config", "no-such-dir/sweep.cfg"], "no-such-dir/sweep.cfg"),
+    (["sweep", "--accel", "D=0.5", "--measures", "one_three"], "unknown measure 'one_three'"),
     (["sweep", "--accel", "C=0:0.5,D=0:0.5", "--grid", "100000"], "grid"),
     (["sweep", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
     (["matrix", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
@@ -90,6 +92,8 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["check", "--perturb", "nan"], "perturb: expected a finite number, got nan"),
     (["check", "--perturb", "inf"], "perturb: expected a finite number, got inf"),
     (["matrix", "--transpose", "X"], "transpose"),
+    (["sweep", "--accel", "D=0.5", "--measures", "N_D1_ABC"], "unknown measure 'N_D1_ABC'"),
+    (["sweep", "--accel", "D=0.5", "--measures", "entropy"], "unknown measure 'entropy'"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
@@ -131,59 +135,6 @@ def test_failed_sweep_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypat
     assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
 
 
-def test_config_file_drives_a_sweep(tmp_path, capsys):
-    config = tmp_path / "sweep.cfg"
-    config.write_text(
-        "# one accelerated observer\n"
-        "accel = D=0:pi/4\n"
-        "grid = 3\n"
-        "measures = N_D_rest,S   # trailing comment\n",
-        encoding="utf-8")
-    assert main(["sweep", "--config", str(config)]) == 0
-    out = capsys.readouterr().out
-    assert out.startswith("r_D,N_D_rest,S\n")
-    assert len(out.splitlines()) == 4
-
-
-def test_flags_override_config_file(tmp_path, capsys):
-    config = tmp_path / "sweep.cfg"
-    config.write_text("accel = D=0:pi/4\ngrid = 3\nmeasures = S\n", encoding="utf-8")
-    assert main(["sweep", "--config", str(config), "--grid", "5"]) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 6
-
-
-def test_config_file_diagonal_sweep(tmp_path, capsys):
-    config = tmp_path / "diag.cfg"
-    config.write_text(
-        "accel = C=0:pi/4,D=0:pi/4\ndiagonal = yes\ngrid = 3\nmeasures = N_CD\n",
-        encoding="utf-8")
-    assert main(["sweep", "--config", str(config)]) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    for row in rows:
-        r_c, r_d, _ = row.split(",")
-        assert r_c == r_d
-
-
-@pytest.mark.parametrize("text, fragment", [
-    ("speed = 3\n", "unknown key"),
-    ("just some words\n", "expected 'key = value'"),
-    ("grid = fast\n", "integer"),
-    ("accel = C=0:1,D=0:1\ndiagonal = maybe\n", "boolean"),
-])
-def test_config_file_errors(tmp_path, capsys, text, fragment):
-    config = tmp_path / "bad.cfg"
-    config.write_text(text, encoding="utf-8")
-    assert main(["sweep", "--config", str(config)]) == 2
-    assert fragment in capsys.readouterr().err
-
-
-def test_config_file_error_names_the_line(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("grid = 3\nspeed = 3\n", encoding="utf-8")
-    assert main(["sweep", "--config", str(config)]) == 2
-    assert f"{config}:2:" in capsys.readouterr().err
-
-
 def test_check_passes_and_reports(capsys):
     assert main(["check", "n_ab_const", "vanishing_threshold"]) == 0
     out = capsys.readouterr().out
@@ -201,6 +152,22 @@ def test_check_perturbed_pipeline_fails(capsys):
 def test_check_unknown_name(capsys):
     assert main(["check", "no_such_curve"]) == 2
     assert "unknown oracle" in capsys.readouterr().err
+
+
+def _readme_commands():
+    """Each 'wtangles ...' line inside a fenced code block of the README."""
+    blocks = README.read_text(encoding="utf-8").split("```")[1::2]
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("wtangles ")]
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 5
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        code = main(shlex.split(command, comments=True)[1:])
+        assert code == 0, f"{command}: exit {code}, {capsys.readouterr().err}"
 
 
 def test_matrix_prints_layout_and_rows(capsys):

@@ -39,24 +39,8 @@ def swept(observer, lo=0.0, hi=R_MAX):
 
 
 def test_normalize_groups_and_dedup():
-    assert normalize_measures(["one_three"]) == ("N_A_rest", "N_B_rest", "N_C_rest", "N_D_rest")
-    assert normalize_measures(["one_one"]) == ("N_AB", "N_AC", "N_AD", "N_BC", "N_BD", "N_CD")
-    assert normalize_measures(["pi"]) == ("pi_A", "pi_B", "pi_C", "pi_D")
-    assert normalize_measures(["S", "entropy", "pi4"]) == ("S", "pi4")
+    assert normalize_measures(["S", "S", "pi4"]) == ("S", "pi4")
     assert normalize_measures(["all"]) == COLUMNS
-
-
-@pytest.mark.parametrize("alias, column", [
-    ("N_D1_ABC", "N_D_rest"),
-    ("N_DI_ABC", "N_D_rest"),
-    ("N_A_D1", "N_AD"),
-    ("N_D1_A", "N_AD"),
-    ("N_C1_D1", "N_CD"),
-    ("pi_C1", "pi_C"),
-    ("pi_CI", "pi_C"),
-])
-def test_region_tagged_aliases(alias, column):
-    assert normalize_measures([alias]) == (column,)
 
 
 def test_unknown_or_empty_measures_raise():
