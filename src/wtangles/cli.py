@@ -208,9 +208,17 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise, for main to report in one line."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # subparsers are made with the parent's class, so they raise too
+    parser = _Parser(
         prog="wtangles",
         description="Entanglement measures of the four-qubit W state "
                     "for uniformly accelerated observers.")
@@ -247,9 +255,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

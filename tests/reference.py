@@ -3,7 +3,9 @@ a pure projector, the n-mode W state and the matrix printout.
 
 Each is written entry by entry from its definition over occupation patterns
 and imports nothing from wtangles, so a bookkeeping bug in the pipeline's
-axis permutations cannot cancel against the same bug here.  Basis indexing
+axis permutations cannot cancel against the same bug here.  The exception is
+trace_out_complex, the stacked region-II trace-out in complex arithmetic,
+against which the pipeline's float64 build is held byte for byte.  Basis indexing
 is big-endian, as in the pipeline: the first mode is the most significant
 bit.  Traced patterns are summed in index order and the split multiplies each
 amplitude once, so on real amplitudes, such as those of the split |W4>, these
@@ -78,6 +80,20 @@ def rindler_split(amp, n, pos, r):
             out[_index(bits + (0,))] = math.cos(r) * value
             out[_index(occupied + (1,))] = math.sin(r) * value
     return out
+
+
+def trace_out_complex(amp):
+    """The region-I states of an (N, 16 * 2^k) stack of split amplitudes, in complex128.
+
+    Region II is the last k modes.  rho is the sum, over the region-II
+    patterns in index order, of each amplitude column times the conjugate of
+    each column, every product and sum taken in complex arithmetic.
+    """
+    v = np.asarray(amp, dtype=complex).reshape(len(amp), 16, -1)
+    rho = np.zeros((len(amp), 16, 16), dtype=complex)
+    for t in range(v.shape[2]):
+        rho += v[:, :, t, None] * v[:, None, :, t].conj()
+    return rho
 
 
 def w_amplitudes(n):

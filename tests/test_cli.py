@@ -94,6 +94,11 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["matrix", "--transpose", "X"], "transpose"),
     (["sweep", "--accel", "D=0.5", "--measures", "N_D1_ABC"], "unknown measure 'N_D1_ABC'"),
     (["sweep", "--accel", "D=0.5", "--measures", "entropy"], "unknown measure 'entropy'"),
+    # argparse's own errors: one line, no usage block
+    (["sweep", "--grid", "x"], "argument --grid: invalid int value: 'x'"),
+    (["check", "--perturb", "x"], "argument --perturb: invalid float value: 'x'"),
+    (["sweep", "--config", "f"], "unrecognized arguments: --config f"),
+    ([], "the following arguments are required: command"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
@@ -106,6 +111,16 @@ def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     assert err.startswith("error:")
     assert err.count("\n") == 1
     assert fragment in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["check", "--help"]])
+def test_help_exits_0(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: wtangles")
+    assert err == ""
 
 
 def test_unwritable_out_exits_2_before_the_sweep(tmp_path, capsys, monkeypatch):
@@ -293,6 +308,13 @@ def test_reproduce_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatc
     assert (tmp_path / "fig3.csv").read_text(encoding="utf-8").startswith("r_D,pi4,Pi4\n")
     assert (tmp_path / "fig8.csv").read_text(encoding="utf-8") == "old\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3.csv", "fig8.csv"]
+
+
+def test_check_golden_byte_for_byte(capsys):
+    golden = (DATA / "check_all.txt").read_text(encoding="utf-8")
+    assert main(["check"]) == 0
+    assert capsys.readouterr().out == golden
+    assert golden.endswith("7 checks, 7 passed\n")
 
 
 def test_golden_sweep_reproduced_byte_for_byte(capsys):

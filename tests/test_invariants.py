@@ -173,7 +173,7 @@ def test_misplaced_split_amplitude_breaks_the_charge_blocks(monkeypatch):
         # |1>_M sent to |0_I 1_II> rather than |1_I 0_II>: still an isometry
         points = len(amp)
         src = amp.reshape(points, 1 << pos, 2, -1)
-        out = np.zeros(src.shape + (2,), dtype=complex)
+        out = np.zeros(src.shape + (2,), dtype=amp.dtype)
         out[:, :, 0, :, 0] = cos_r.reshape(points, 1, 1) * src[:, :, 0]
         out[:, :, 1, :, 1] = sin_r.reshape(points, 1, 1) * src[:, :, 0]
         out[:, :, 0, :, 1] = src[:, :, 1]

@@ -1,9 +1,12 @@
 """Splitting modes under acceleration, and the observed (region-I) state."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from wtangles.fock import (
     OBSERVERS,
@@ -14,6 +17,7 @@ from wtangles.fock import (
     partial_transpose,
     w_state,
 )
+from wtangles.measures import CHUNK
 from wtangles.rindler import R_MAX, _split, observed_densities, observed_density
 
 from . import patterns, reference
@@ -96,6 +100,13 @@ def test_observed_density_rejects_bad_input():
     for n in (3, 5):
         with pytest.raises(ValueError, match=f"16 amplitudes of A, B, C, D, got {1 << n}"):
             observed_density(StateVector(reference.w_amplitudes(n)), {"C": 0.1})
+    # a relative phase: still a normalized state, but the build is real
+    phased = reference.w_amplitudes(4)
+    phased[8] = 0.5j
+    for scenario in (None, {"D": 0.3}):
+        with pytest.raises(ValueError) as info:
+            observed_density(StateVector(phased), scenario)
+        assert str(info.value) == "observed states need real amplitudes"
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, patterns.THRESHOLD_R, math.pi / 4])
@@ -124,6 +135,53 @@ def test_observed_stack_equals_points_one_by_one():
         assert np.array_equal(stack.matrix[p], single.matrix)
     inertial = observed_densities(w_state(4), [], np.empty((2, 0)))
     assert np.array_equal(inertial.matrix[1], observed_density(w_state(4), None).matrix)
+
+
+def _assert_complex_build_bytes(observers, r):
+    """observed_densities gives the bytes of the complex build, chunk by chunk.
+
+    The complex build splits the complex128 amplitudes of w_state(4) with
+    _split, which keeps their dtype, and traces region II out with
+    reference.trace_out_complex.  Comparing tobytes counts signed zeros too.
+    """
+    r = np.asarray(r, dtype=float)
+    for start in range(0, len(r), CHUNK):
+        chunk = r[start:start + CHUNK]
+        amp = w_state(4).amplitudes[None].repeat(len(chunk), axis=0)
+        for pos, j in sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers)):
+            column = chunk[:, j].tolist()
+            amp = _split(amp, pos, np.array([math.cos(x) for x in column]),
+                         np.array([math.sin(x) for x in column]))
+        expected = reference.trace_out_complex(amp)
+        matrix = observed_densities(w_state(4), observers, chunk).matrix
+        assert matrix.dtype == expected.dtype
+        assert matrix.tobytes() == expected.tobytes()
+
+
+def test_float64_build_equals_complex_build_on_the_preset_grid():
+    line = np.linspace(0.0, R_MAX, 41).tolist()
+    _assert_complex_build_bytes(["C", "D"], list(product(line, repeat=2)))
+
+
+@pytest.mark.parametrize("observer", OBSERVERS)
+def test_float64_build_equals_complex_build_on_each_observer_line(observer):
+    # the 101-point line of the one-observer presets; for D it is their line
+    line = np.linspace(0.0, R_MAX, 101).tolist()
+    _assert_complex_build_bytes([observer], [[x] for x in line])
+
+
+KINK_R = (0.0, patterns.THRESHOLD_R, R_MAX)
+
+
+@settings(max_examples=40, deadline=None)
+@given(observers=st.lists(st.sampled_from(OBSERVERS), unique=True, max_size=4),
+       rows=st.lists(st.lists(st.floats(0.0, R_MAX) | st.sampled_from(KINK_R),
+                              min_size=4, max_size=4),
+                     min_size=1, max_size=CHUNK + 1))
+@example(observers=["C", "D"], rows=[[a, b, 0.0, 0.0] for a in KINK_R for b in KINK_R])
+@example(observers=list(OBSERVERS), rows=[[x] * 4 for x in KINK_R])
+def test_float64_build_equals_complex_build_at_random_points(observers, rows):
+    _assert_complex_build_bytes(observers, [row[:len(observers)] for row in rows])
 
 
 @pytest.mark.parametrize("observers, r, fragment", [
