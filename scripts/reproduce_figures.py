@@ -3,12 +3,12 @@
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import sys
 import time
 
-from wtangles.sweep import PRESETS, atomic_output, run_sweep, write_csv
+from wtangles.cli import _Parser
+from wtangles.sweep import PRESETS, ConfigError, atomic_output, run_sweep, write_csv
 
 
 def _fail(message: str) -> int:
@@ -17,15 +17,20 @@ def _fail(message: str) -> int:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
+    # the CLI's parser class: a usage error raises, and is one error: line here too
+    parser = _Parser(description=__doc__)
     parser.add_argument("--out-dir", default="figures_csv", help="directory for the CSV files")
     parser.add_argument("--only", help="comma-separated preset names (default: all)")
-    args = parser.parse_args()
+    try:
+        args = parser.parse_args()
+    except ConfigError as exc:
+        return _fail(str(exc))
 
-    names = args.only.split(",") if args.only else list(PRESETS)
+    # each named preset once, in order of first appearance
+    names = list(dict.fromkeys(args.only.split(","))) if args.only else list(PRESETS)
     unknown = [n for n in names if n not in PRESETS]
     if unknown:
-        parser.error(f"unknown presets {unknown}; known: {', '.join(PRESETS)}")
+        return _fail(f"unknown presets {unknown}; known: {', '.join(PRESETS)}")
 
     out_dir = pathlib.Path(args.out_dir)
     try:

@@ -35,7 +35,7 @@ ZERO_ENTRY_TOL = 1e-12
 
 def _parse_r_value(text: str) -> float:
     text = text.strip()
-    if text in ("pi/4", "pi4"):
+    if text == "pi/4":
         return R_MAX
     try:
         return float(text)
@@ -44,21 +44,15 @@ def _parse_r_value(text: str) -> float:
 
 
 def _parse_accel_tokens(tokens: Sequence[str]) -> tuple[AxisSpec, ...]:
+    """One axis per --accel flag, each OBS=R or OBS=LO:HI."""
     axes = []
-    for token in itertools.chain.from_iterable(t.split(",") for t in tokens):
-        token = token.strip()
-        if not token:
-            continue
-        if "=" not in token:
+    for token in tokens:
+        observer, equals, value = token.partition("=")
+        if not equals:
             raise ConfigError(f"accel: expected OBS=R or OBS=LO:HI, got {token!r}")
-        observer, _, value = token.partition("=")
-        observer = observer.strip()
-        if ":" in value:
-            lo, _, hi = value.partition(":")
-            axes.append(AxisSpec(observer, _parse_r_value(lo), _parse_r_value(hi)))
-        else:
-            r = _parse_r_value(value)
-            axes.append(AxisSpec(observer, r, r))
+        lo, colon, hi = value.partition(":")
+        axes.append(AxisSpec(observer.strip(), _parse_r_value(lo),
+                             _parse_r_value(hi if colon else lo)))
     return tuple(axes)
 
 

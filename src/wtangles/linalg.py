@@ -7,8 +7,9 @@ is diagonalized by one eigvalsh call.  Problem sizes stay at or below
 64x64, so everything is dense double precision.  Tolerance tests are
 written as "not value <= tol", so a NaN anywhere in a stack fails them.
 The Hermiticity check before each eigvalsh runs block by block over a
-stack, so a large stack costs little more memory than itself; only a stack
-that is not exactly Hermitian is symmetrized, into a copy.
+stack, so a large stack costs little more memory than itself.  It only
+checks: a stack within HERMITICITY_TOL goes to eigvalsh as it is, never
+symmetrized or copied.
 """
 
 from __future__ import annotations
@@ -31,14 +32,12 @@ class NoConvergenceError(RuntimeError):
 
 
 def _require_hermitian(m: np.ndarray) -> np.ndarray:
-    """m after checking each matrix is Hermitian, symmetrized if not exactly.
+    """m as it is, after checking each matrix is Hermitian within HERMITICITY_TOL.
 
     The check runs over the stack in blocks of about _BLOCK_BYTES, so its
-    temporaries stay small however large the stack is.  A stack whose every
-    matrix equals its adjoint exactly is returned as it is, since
-    0.5 * (m + m^H) would give back m's own bits.  Any other stack that
-    passes the check comes back as a new array 0.5 * (m + m^H), which
-    suppresses its roundoff asymmetry.
+    temporaries stay small however large the stack is.  m is never
+    symmetrized: eigvalsh reads one triangle, so a deviation d moves the
+    eigenvalues by up to about d.
     """
     m = np.asarray(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
@@ -55,9 +54,7 @@ def _require_hermitian(m: np.ndarray) -> np.ndarray:
             deviation = worst
     if not deviation <= HERMITICITY_TOL:
         raise NotHermitianError(f"matrix deviates from Hermiticity by {deviation:.3e}")
-    if deviation == 0.0:
-        return m
-    return 0.5 * (m + np.conjugate(np.swapaxes(m, -1, -2)))
+    return m
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:

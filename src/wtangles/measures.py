@@ -25,14 +25,15 @@ and fourth roots are taken value by value in Python floats, and sums run
 left to right over whole arrays, which keeps a point's values independent
 of its stack (see the README Notes).  evaluate is the one place that tells
 a single state from a stack: it evaluates a single state as a stack of one
-and returns floats.  evaluate_points, the core of sweeps and checks,
-evaluates CHUNK points per stack.
+and returns floats.  evaluate_points, the core of sweeps and checks, takes
+the points as one (N, k) array of r values and evaluates it CHUNK rows per
+stack.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, islice
+from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -206,18 +207,16 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     return {column: float(v[0]) for column, v in out.items()} if single else out
 
 
-def evaluate_points(observers: Sequence[str], points: Iterable[Sequence[float]],
-                    columns: Sequence[str]) -> dict[str, np.ndarray]:
+def evaluate_points(observers: Sequence[str], r, columns: Sequence[str]) -> dict[str, np.ndarray]:
     """The columns of the observed |W4> at N >= 1 points, as (N,) arrays.
 
-    Each point holds the r of each observer, in order.  The points may come
-    lazily: they are read CHUNK at a time, and each chunk of states is built
-    and evaluated as one stack.
+    r is an (N, k) array: r[p, j] is the parameter of observers[j] at point
+    p.  It is evaluated in slices of CHUNK rows, each built and evaluated as
+    one stack.
     """
-    points = iter(points)
-    chunks = []
-    while chunk := list(islice(points, CHUNK)):
-        chunks.append(evaluate(observed_densities(_W4, observers, chunk), columns))
+    r = np.asarray(r, dtype=float)
+    chunks = [evaluate(observed_densities(_W4, observers, r[start:start + CHUNK]), columns)
+              for start in range(0, len(r), CHUNK)]
     if not chunks:
         raise ValueError("evaluate_points needs at least one point")
     if len(chunks) == 1:

@@ -76,7 +76,7 @@ def _split(amp: np.ndarray, pos: int, cos_r: np.ndarray, sin_r: np.ndarray) -> n
 
 
 def observed_densities(psi0: StateVector, observers: Sequence[str], r) -> DensityMatrix:
-    """Observed states at N points, as one validated (N, 16, 16) stack.
+    """Observed states at N >= 1 points, as one validated (N, 16, 16) stack.
 
     psi0 holds the 16 real amplitudes of the register A, B, C, D; a nonzero
     imaginary part raises ValueError.  r is an (N, k) array: r[p, j] is the
@@ -85,8 +85,8 @@ def observed_densities(psi0: StateVector, observers: Sequence[str], r) -> Densit
     directly.
     """
     r = np.asarray(r, dtype=float)
-    if r.ndim != 2 or r.shape[1] != len(observers):
-        raise ValueError(f"r has shape {r.shape}, want (points, {len(observers)})")
+    if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
+        raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")
     bad = out_of_domain(r)
     if bad is not None:
         raise ValueError(f"acceleration parameter r={bad!r} outside [0, pi/4]")

@@ -3,13 +3,14 @@
 A sweep fixes or sweeps the Rindler parameter of each accelerated observer,
 computes the requested measures at every grid point and returns rows in
 deterministic lexicographic grid order.  Measures are named by the
-measures.COLUMNS names alone, with all standing for every column.  The grid
-is a lazy stream of points (the product of the axes' linspace values, or one
-shared axis on the diagonal), and measures.evaluate_points reads it
-measures.CHUNK points at a time, building and evaluating each chunk as one
-stack.  Rows are plain floats; the CSV writer renders them with 17
-significant digits so output is byte-identical across runs and round-trips
-losslessly.
+measures.COLUMNS names alone, with all standing for every column.  The
+points are built once, as one (N, k) array of r values: the swept columns
+first (the product of the axes' linspace values, or one shared axis on the
+diagonal), then the fixed ones.  measures.evaluate_points evaluates it
+measures.CHUNK rows per stack, and the rows are the swept columns of that
+same array followed by the measures.  Rows are plain floats; the CSV writer
+renders them with 17 significant digits so output is byte-identical across
+runs and round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -119,19 +120,15 @@ def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
     header = [f"r_{a.observer}" for a in swept] + list(cfg.measures)
 
     lines = [np.linspace(a.lo, a.hi, points).tolist() for a in swept]
-    fixed_r = tuple(a.lo for a in fixed)
-
-    def grid():
-        # the swept r of every point, in lexicographic grid order; lazily, so
-        # no point is built before the evaluation starts
-        if cfg.diagonal:
-            return ((r,) * len(swept) for r in lines[0])
-        return product(*lines)
-
-    values = evaluate_points([a.observer for a in swept + fixed],
-                             (r + fixed_r for r in grid()), cfg.measures)
-    columns = np.array([values[c] for c in cfg.measures]).T.tolist()
-    return header, [list(r) + row for r, row in zip(grid(), columns)]
+    # the swept r of every point: along the one shared axis on the diagonal
+    # (the swept ranges are equal), else in lexicographic grid order
+    grid = list(zip(*lines) if cfg.diagonal else product(*lines))
+    r = np.empty((len(grid), len(swept) + len(fixed)))
+    r[:, :len(swept)] = grid
+    r[:, len(swept):] = [a.lo for a in fixed]
+    values = evaluate_points([a.observer for a in swept + fixed], r, cfg.measures)
+    # each row: the swept r of its point, then its measures
+    return header, np.array([*r[:, :len(swept)].T, *(values[c] for c in cfg.measures)]).T.tolist()
 
 
 def write_csv(header: Sequence[str], rows: Sequence[Sequence[float]], stream: IO[str]) -> None:

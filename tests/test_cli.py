@@ -5,6 +5,7 @@ import math
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -15,11 +16,13 @@ from hypothesis import strategies as st
 from wtangles.cli import _symbol_table, build_parser, emit_matrix, main
 from wtangles.fock import OBSERVERS, partial_transpose, w_state
 from wtangles.rindler import R_MAX, observed_density
+from wtangles.sweep import PRESETS
 
 from . import patterns, reference
 
 DATA = Path(__file__).with_name("data")
 README = Path(__file__).resolve().parents[1] / "README.md"
+REPRODUCE_FIGURES = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
 
 
 def test_parser_program_name_and_subcommands():
@@ -55,7 +58,7 @@ def test_sweep_writes_csv_file(tmp_path, capsys):
 
 
 def test_sweep_defaults_to_stdout(capsys):
-    code = main(["sweep", "--accel", "D=0:pi4", "--grid", "2", "--measures", "S"])
+    code = main(["sweep", "--accel", "D=0:pi/4", "--grid", "2", "--measures", "S"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("r_D,S\n")
@@ -69,14 +72,6 @@ def test_sweep_preset_and_override(capsys):
     assert capsys.readouterr().out.startswith("r_D,S\n")
 
 
-def test_accel_comma_and_repeated_flags_agree(capsys):
-    assert main(["sweep", "--accel", "C=0:pi/4,D=0.2", "--grid", "2", "--measures", "S"]) == 0
-    joined = capsys.readouterr().out
-    assert main(["sweep", "--accel", "C=0:pi/4", "--accel", "D=0.2",
-                 "--grid", "2", "--measures", "S"]) == 0
-    assert capsys.readouterr().out == joined
-
-
 @pytest.mark.parametrize("argv, fragment", [
     (["sweep", "--accel", "D0.3"], "accel"),
     (["sweep", "--accel", "D=x"], "accel"),
@@ -85,7 +80,7 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["sweep", "--accel", "D=0:0.5", "--measures", "N_XY"], "measure"),
     (["sweep", "--accel", "D=0.5", "--out", "no-such-dir/x.csv"], "cannot write no-such-dir/x.csv"),
     (["sweep", "--accel", "D=0.5", "--measures", "one_three"], "unknown measure 'one_three'"),
-    (["sweep", "--accel", "C=0:0.5,D=0:0.5", "--grid", "100000"], "grid"),
+    (["sweep", "--accel", "C=0:0.5", "--accel", "D=0:0.5", "--grid", "100000"], "grid"),
     (["sweep", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
     (["matrix", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
     (["matrix", "--accel", "D=nan"], "accel: r=nan for D outside [0, pi/4]"),
@@ -99,6 +94,9 @@ def test_accel_comma_and_repeated_flags_agree(capsys):
     (["check", "--perturb", "x"], "argument --perturb: invalid float value: 'x'"),
     (["sweep", "--config", "f"], "unrecognized arguments: --config f"),
     ([], "the following arguments are required: command"),
+    # one OBS=R or OBS=LO:HI per --accel, and an r value is a float or pi/4
+    (["sweep", "--accel", "C=0:pi/4,D=0.2"], "accel: cannot parse r value 'pi/4,D=0.2'"),
+    (["sweep", "--accel", "D=0:pi4"], "accel: cannot parse r value 'pi4'"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
@@ -278,19 +276,53 @@ def test_module_entry_point_runs():
 def test_reproduce_figures_bad_out_dir_exits_2(out_dir, message, tmp_path):
     (tmp_path / "taken").write_text("", encoding="utf-8")
     (tmp_path / "figures" / "fig3.csv").mkdir(parents=True)
-    script = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
-    result = subprocess.run([sys.executable, str(script), "--out-dir", str(tmp_path / out_dir),
-                             "--only", "fig3"], capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, str(REPRODUCE_FIGURES), "--out-dir",
+                             str(tmp_path / out_dir), "--only", "fig3"],
+                            capture_output=True, text=True, timeout=120)
     assert result.returncode == 2
     assert result.stderr == f"error: {message.format(tmp=tmp_path)}\n"
     assert result.stdout == ""
 
 
-def test_reproduce_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location(
-        "reproduce_figures", Path(__file__).parents[1] / "scripts" / "reproduce_figures.py")
+@pytest.mark.parametrize("argv, message", [
+    (["--only", "fig3,nope"], f"unknown presets ['nope']; known: {', '.join(PRESETS)}"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+], ids=["unknown-preset", "unknown-flag"])
+def test_reproduce_figures_bad_arguments_exit_2(argv, message, tmp_path):
+    out_dir = tmp_path / "out"
+    result = subprocess.run([sys.executable, str(REPRODUCE_FIGURES), "--out-dir", str(out_dir),
+                             *argv], capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert result.stderr == f"error: {message}\n"
+    assert result.stdout == ""
+    assert not out_dir.exists()
+
+
+def _reproduce_figures_module():
+    spec = importlib.util.spec_from_file_location("reproduce_figures", REPRODUCE_FIGURES)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_reproduce_figures_sweeps_each_named_preset_once(tmp_path, monkeypatch, capsys):
+    script = _reproduce_figures_module()
+    swept, run_sweep = [], script.run_sweep
+
+    def recording(config):
+        swept.append(next(name for name, preset in script.PRESETS.items() if preset is config))
+        return run_sweep(replace(config, grid=3))
+    monkeypatch.setattr(script, "run_sweep", recording)
+    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--out-dir", str(tmp_path),
+                                      "--only", "fig8,fig3,fig8,fig3"])
+    assert script.main() == 0
+    assert swept == ["fig8", "fig3"]
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        "fig8", "fig3", "total"]
+
+
+def test_reproduce_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatch):
+    script = _reproduce_figures_module()
     run_sweep = script.run_sweep
 
     def failing_on_fig8(config):

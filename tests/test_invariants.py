@@ -6,7 +6,8 @@ here with exact 0.0, not with a tolerance:
 * Every stack handed to eigvalsh is exactly Hermitian.  rho is an ordered sum
   of outer products v v^H; a partial transpose moves each entry together with
   its adjoint partner, and a reduced pair state adds Hermitian blocks.  So
-  skipping the symmetrization 0.5 * (m + m^H) changes no bit.
+  the Hermiticity check, which never symmetrizes, hands eigvalsh the bits
+  that 0.5 * (m + m^H) would give, and no production stack needs a repair.
 * The Rindler map conserves Q = N_I - N_II and has real amplitudes, so rho is
   real and block-diagonal in the region-I occupation N_I, and each rho^{T_k}
   is block-diagonal in q = N_rest - n_k, with blocks of 1 + 4 + 6 + 4 + 1.

@@ -261,5 +261,6 @@ def test_geometric_mean_over_a_stack_names_the_worst_residual():
 
 
 def test_evaluate_points_needs_a_point():
-    with pytest.raises(ValueError, match="at least one point"):
-        measures.evaluate_points(["D"], [], ["S"])
+    for r in ([], np.empty((0, 1))):
+        with pytest.raises(ValueError, match="at least one point"):
+            measures.evaluate_points(["D"], r, ["S"])

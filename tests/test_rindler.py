@@ -107,6 +107,10 @@ def test_observed_density_rejects_bad_input():
         with pytest.raises(ValueError) as info:
             observed_density(StateVector(phased), scenario)
         assert str(info.value) == "observed states need real amplitudes"
+    # no points: the shape check names it, not numpy's reshape
+    with pytest.raises(ValueError) as info:
+        observed_densities(w_state(4), ["D"], np.empty((0, 1)))
+    assert str(info.value) == "r has shape (0, 1), want (points >= 1, 1)"
 
 
 @pytest.mark.parametrize("r", [0.0, 0.3, patterns.THRESHOLD_R, math.pi / 4])
