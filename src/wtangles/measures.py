@@ -17,17 +17,20 @@ own spectra.
 evaluate plans a request once per column tuple (the plan is cached): which
 residuals it needs (all four for pi4 or Pi4), and from them which 1-3
 transposes and which pairs, with flat index tables to gather them.  Each
-stack then takes at most three eigvalsh calls: every needed rho^{T_k} at
-once, every reduced pair state at once (to validate it), and both partial
-transposes of every pair at once, whose negativities must agree.  evaluate
-then fills the planned residuals, pi4, Pi4 and S in that order.  Squares
-and fourth roots are taken value by value in Python floats, and sums run
-left to right over whole arrays, which keeps a point's values independent
-of its stack (see the README Notes).  evaluate is the one place that tells
-a single state from a stack: it evaluates a single state as a stack of one
-and returns floats.  evaluate_points, the core of sweeps and checks, takes
-the points as one (N, k) array of r values and evaluates it CHUNK rows per
-stack.
+stack of real states then takes at most three eigvalsh calls: every needed
+rho^{T_k} at once, every reduced pair state at once (to validate it), and
+the partial transpose on the first mode of every pair at once.  The one on
+the second mode is the plain transpose of the first, so for a real pair
+state the two hold the same bits; only pair states whose two sides differ,
+as a complex state's may, take a fourth call, and the two negativities
+must agree.  evaluate then fills the planned residuals, pi4, Pi4 and S in
+that order.  Squares and fourth roots are taken value by value in Python
+floats, and sums run left to right over whole arrays, which keeps a
+point's values independent of its stack (see the README Notes).
+evaluate is the one place that tells a single state from a stack: it
+evaluates a single state as a stack of one and returns floats.
+evaluate_points, the core of sweeps and checks, takes the points as one
+(N, k) array of r values and evaluates it CHUNK rows per stack.
 """
 
 from __future__ import annotations
@@ -92,13 +95,21 @@ def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
     """S = -sum(lambda ln lambda) over each state's spectrum, with 0 ln 0 = 0.
 
     The spectra are those rho's validation computed, so S takes no eigensolve.
+    A spectrum is ascending, so its k positive eigenvalues are its last k:
+    the states with the same k are one (n, k) array and one reduction, whose
+    rows are summed as a single spectrum's k values would be.
     """
     spectra = rho.spectra
-    entropies = []
-    for w in spectra.reshape(-1, spectra.shape[-1]):
-        w = w[w > 0.0]
-        entropies.append(float(-(w * np.log(w)).sum()))
-    return np.array(entropies).reshape(spectra.shape[:-1])
+    rows = spectra.reshape(-1, spectra.shape[-1])
+    positive = (rows > 0.0).sum(axis=1)
+    sizes = set(positive.tolist())
+    entropies = np.empty(len(rows))
+    for k in sizes:
+        # a stack with one k, a single state among them, needs no mask
+        group = positive == k if len(sizes) > 1 else slice(None)
+        w = rows[group, rows.shape[1] - k:]
+        entropies[group] = -(w * np.log(w)).sum(axis=1)
+    return entropies.reshape(spectra.shape[:-1])
 
 
 # the spectral columns: the mode each 1-3 tangle transposes and the pair of
@@ -148,8 +159,10 @@ def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
 
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
     The pair states are gathered into one (N, P, 4, 4) stack, validated with
-    one eigvalsh call, and both partial transposes of every pair take one
-    more: the two sides must give the same negativity.
+    one eigvalsh call, and side 0 of every pair, its partial transpose on the
+    first mode, takes one more and gives the values.  Side 1 is solved only
+    for the pair states where it differs from side 0, and must give the same
+    negativity within PAIR_SYMMETRY_TOL.
     """
     flat = rho.matrix.reshape(len(rho.matrix), -1)
     out = {}
@@ -160,15 +173,21 @@ def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
     if plan.pairs:
         reduced = _add_blocks(np.take(flat, plan.traced, axis=1))
         validate_density(reduced)
-        sides = negative_eigenvalue_sum(
-            np.take(reduced.reshape(reduced.shape[:2] + (16,)), _BOTH_SIDES, axis=2))
-        values = sides[..., 0]
-        asymmetry = np.abs(values - sides[..., 1])
-        worst = int(asymmetry.argmax())
-        if not asymmetry.max() <= PAIR_SYMMETRY_TOL:
-            i, j = PAIRS[plan.pairs[worst % len(plan.pairs)]]
-            raise ValueError(f"pair negativity asymmetry {float(asymmetry.flat[worst]):.3e} "
-                             f"for positions ({i},{j})")
+        sides = np.take(reduced.reshape(reduced.shape[:2] + (16,)), _BOTH_SIDES, axis=2)
+        values = negative_eigenvalue_sum(sides[:, :, 0])
+        # side 1 is the plain transpose of side 0: where the two hold the same
+        # bits, as for every real pair state, side 1 has side 0's spectrum and
+        # Hermiticity deviation, so only pair states whose sides differ are
+        # checked and solved again, and compared
+        bits = sides.view(np.uint64)
+        differ = (bits[:, :, 0] != bits[:, :, 1]).any(axis=(-2, -1))
+        if differ.any():
+            asymmetry = np.abs(values[differ] - negative_eigenvalue_sum(sides[:, :, 1][differ]))
+            worst = int(asymmetry.argmax())
+            if not asymmetry[worst] <= PAIR_SYMMETRY_TOL:
+                i, j = PAIRS[plan.pairs[np.flatnonzero(differ)[worst] % len(plan.pairs)]]
+                raise ValueError(f"pair negativity asymmetry {float(asymmetry[worst]):.3e} "
+                                 f"for positions ({i},{j})")
         out.update(zip(plan.pairs, values.T))
     return out
 
@@ -185,6 +204,8 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     single = len(shape) == 2
     if not single and len(shape) != 3:
         raise ValueError(f"evaluate takes one state or a stack, got shape {shape}")
+    if not shape[0]:
+        raise ValueError("evaluate needs at least one state, got an empty stack")
     columns = tuple(columns)
     plan = _plan(columns)
     if single:
@@ -215,6 +236,9 @@ def evaluate_points(observers: Sequence[str], r, columns: Sequence[str]) -> dict
     one stack.
     """
     r = np.asarray(r, dtype=float)
+    if not r.ndim:
+        # a scalar has no rows to slice: the shape message observed_densities gives
+        raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")
     chunks = [evaluate(observed_densities(_W4, observers, r[start:start + CHUNK]), columns)
               for start in range(0, len(r), CHUNK)]
     if not chunks:

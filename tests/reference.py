@@ -1,5 +1,5 @@
 """Brute-force references: the trace-out, the partial transpose, the Rindler split,
-a pure projector, the n-mode W state and the matrix printout.
+a pure projector, the n-mode W state, the pair negativities and the matrix printout.
 
 Each is written entry by entry from its definition over occupation patterns
 and imports nothing from wtangles, so a bookkeeping bug in the pipeline's
@@ -14,7 +14,7 @@ and vector complex products can differ in the last bit.
 """
 
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -61,6 +61,27 @@ def projector(amp):
     for i in range(dim):
         for j in range(dim):
             out[i, j] = amp[i] * np.conj(amp[j])
+    return out
+
+
+def pair_negativities(m):
+    """Both sides of N_XY for each pair of modes of a (16, 16) state, in column order.
+
+    Each pair state is traced entry by entry, both of its partial transposes
+    are written entry by entry and diagonalized one matrix at a time, and
+    each negativity adds |min(w, 0)| over the ascending spectrum left to
+    right.  Returns one (side 0, side 1) tuple per pair (i, j), i < j.
+    """
+    out = []
+    for keep in combinations(range(4), 2):
+        pair = partial_trace(m, 4, keep)
+        sides = []
+        for part in ([0], [1]):
+            total = 0.0
+            for w in np.linalg.eigvalsh(partial_transpose(pair, 2, part)).tolist():
+                total += abs(min(w, 0.0))
+            sides.append(2.0 * total)
+        out.append(tuple(sides))
     return out
 
 

@@ -14,6 +14,7 @@ here with exact 0.0, not with a tolerance:
 """
 
 import functools
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtangles import linalg, measures, rindler, sweep
-from wtangles.fock import _add_blocks, partial_transpose, w_state
+from wtangles.fock import OBSERVERS, _add_blocks, partial_transpose, w_state
 from wtangles.measures import CHUNK, COLUMNS, evaluate_points
 from wtangles.rindler import R_MAX, observed_densities
 from wtangles.sweep import PRESETS
@@ -61,29 +62,42 @@ def _preset_points(name):
     return seen["observers"], seen["r"]
 
 
-def _stack_kind(m):
-    if m.ndim == 3:
-        return "rho"
-    if m.ndim == 5:
-        return "pair sides"
-    return "one-three" if m.shape[-1] == 16 else "pair states"
+def _stack_kind(m, validating):
+    """rho (N, 16, 16), 1-3 transposes (N, K, 16, 16), pair states (N, P, 4, 4),
+    which measures validates, their side 0 (N, P, 4, 4), and the (M, 4, 4)
+    side 1 of the pair states whose two sides differ."""
+    if m.shape[-1] == 16:
+        return "rho" if m.ndim == 3 else "one-three"
+    if validating:
+        return "pair states"
+    return "pair sides" if m.ndim == 4 else "mirror sides"
 
 
 def _deviations_seen(monkeypatch, run):
     """The Hermiticity deviation of every stack checked while run() runs, by kind."""
     seen = {}
-    check = linalg._require_hermitian
+    validating = []
+    check, validate = linalg._require_hermitian, measures.validate_density
 
     def recording(m):
-        seen.setdefault(_stack_kind(m), []).append(_deviation(m))
+        seen.setdefault(_stack_kind(m, bool(validating)), []).append(_deviation(m))
         return check(m)
+
+    def validating_pairs(m):
+        validating.append(m)
+        try:
+            return validate(m)
+        finally:
+            validating.pop()
     monkeypatch.setattr(linalg, "_require_hermitian", recording)
+    monkeypatch.setattr(measures, "validate_density", validating_pairs)
     run()
     monkeypatch.undo()
     return seen
 
 
 def _kinds_taken(columns):
+    """The kinds of stack a real chunk checks: never the mirror sides."""
     plan = measures._plan(tuple(columns))
     kinds = {"rho"}
     if plan.one_three:
@@ -95,9 +109,11 @@ def _kinds_taken(columns):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_stack_is_exactly_hermitian(name, monkeypatch):
-    # rho, each rho^{T_k}, each pair state and both sides of each pair, as the
-    # sweep hands them to eigvalsh: all have rho's deviation, exactly 0.0
+    # rho, each rho^{T_k}, each pair state and side 0 of each pair, as the
+    # sweep hands them to eigvalsh: all have rho's deviation, exactly 0.0.
+    # No side 1 is solved: every preset pair state has equal sides
     seen = _deviations_seen(monkeypatch, lambda: sweep.run_sweep(PRESETS[name]))
+    assert "mirror sides" not in seen
     assert set(seen) == _kinds_taken(sweep.normalize_measures(PRESETS[name].measures))
     assert {kind: max(deviations) for kind, deviations in seen.items()} == dict.fromkeys(seen, 0.0)
 
@@ -110,6 +126,33 @@ def test_every_stack_at_random_points_is_exactly_hermitian(seed, points, observe
         seen = _deviations_seen(patch, lambda: evaluate_points(observers, r, COLUMNS))
     assert set(seen) == _kinds_taken(COLUMNS)
     assert {kind: max(deviations) for kind, deviations in seen.items()} == dict.fromkeys(seen, 0.0)
+
+
+def _side_stacks(run):
+    """The shape of every 4x4 stack whose negativities measures takes while run() runs."""
+    shapes = []
+    original = measures.negative_eigenvalue_sum
+
+    def recording(m):
+        if m.shape[-1] == 4:
+            shapes.append(m.shape)
+        return original(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "negative_eigenvalue_sum", recording)
+        run()
+    return shapes
+
+
+@pytest.mark.parametrize("observers", [observers for k in range(1, 5)
+                                       for observers in combinations(OBSERVERS, k)])
+@settings(max_examples=5)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1))
+def test_real_pair_states_never_solve_side_one(observers, seed, points):
+    # every chunk solves side 0 of its six pairs, one (n, 6, 4, 4) stack, and
+    # never the (M, 4, 4) side 1 of a pair state whose sides differ
+    r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
+    shapes = _side_stacks(lambda: evaluate_points(observers, r, COLUMNS))
+    assert shapes == [(len(r[start:start + CHUNK]), 6, 4, 4) for start in range(0, points, CHUNK)]
 
 
 @settings(max_examples=30)

@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtangles.fock import DensityMatrix, w_state
 from wtangles import measures
@@ -15,7 +18,7 @@ from wtangles.measures import (
     tangle_report,
     von_neumann_entropy,
 )
-from wtangles.rindler import observed_densities, observed_density
+from wtangles.rindler import R_MAX, observed_densities, observed_density
 
 from . import patterns, reference
 
@@ -29,6 +32,13 @@ def _pair(amp):
 
 def _bell_pair():
     return _pair(np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
+
+
+def _complex_w4(k):
+    """|W4><W4| with amplitude 0.5j on mode k, so its pair states with k are complex."""
+    amp = reference.w_amplitudes(4)
+    amp[1 << (3 - k)] *= 1j
+    return DensityMatrix(np.outer(amp, amp.conj()))
 
 
 def test_negativity_of_maximally_entangled_pair():
@@ -159,21 +169,28 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     evaluate(stack, ["S"])
     assert shapes == []
     evaluate(stack, ["N_AB"])
-    # the pair state's validation, then both sides of the pair in one call
-    assert shapes == [(3, 1, 4, 4), (3, 1, 2, 4, 4)]
+    # the pair state's validation, then side 0 of the pair: a real state's
+    # side 1 holds the same bits and is not solved
+    assert shapes == [(3, 1, 4, 4), (3, 1, 4, 4)]
     shapes.clear()
     evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
-    # every 1-3 transpose in one call, every pair state in one, every pair's two sides in one
-    assert shapes == [(3, 4, 16, 16), (3, 6, 4, 4), (3, 6, 2, 4, 4)]
+    # every 1-3 transpose in one call, every pair state in one, every pair's side 0 in one
+    assert shapes == [(3, 4, 16, 16), (3, 6, 4, 4), (3, 6, 4, 4)]
     shapes.clear()
     evaluate(stack, ["pi_B", "N_C_rest"])
-    assert shapes == [(3, 2, 16, 16), (3, 3, 4, 4), (3, 3, 2, 4, 4)]
+    assert shapes == [(3, 2, 16, 16), (3, 3, 4, 4), (3, 3, 4, 4)]
     shapes.clear()
     evaluate(stack[1], ["N_AB"])
-    assert shapes == [(1, 1, 4, 4), (1, 1, 2, 4, 4)]
+    assert shapes == [(1, 1, 4, 4), (1, 1, 4, 4)]
     shapes.clear()
     tangle_report(observed_densities(w_state(4), ["D"], [[0.1], [0.5]]))
     assert len(shapes) == 4
+    # a complex state: side 1 of the three pairs that hold the complex mode D
+    # differs from side 0, and only those three are solved again, in one call
+    rho = _complex_w4(3)
+    shapes.clear()
+    evaluate(rho, ["N_AB", "N_AD", "N_BD", "N_CD"])
+    assert shapes == [(1, 4, 4, 4), (1, 4, 4, 4), (3, 4, 4)]
 
 
 def test_index_tables_gather_what_the_fock_kernels_compute():
@@ -236,17 +253,81 @@ def test_pair_mirror_asymmetry_raises(monkeypatch):
 
     def lopsided(m):
         values = original(m)
-        if m.shape[-2:] == (4, 4):      # (points, pairs, side): shift side 1 by pair
-            values[..., 1] += np.arange(values.shape[-2]) * 1e-9
+        if m.ndim == 3:     # the (M, 4, 4) side-1 stack: shift its m-th value by (m + 1) 1e-9
+            values += np.arange(1, len(values) + 1) * 1e-9
         return values
     monkeypatch.setattr(measures, "negative_eigenvalue_sum", lopsided)
-    stack = observed_densities(w_state(4), ["D"], [[0.1], [0.3]])
-    # pairs are stacked in column order: N_AB's sides still agree, N_AD's do not
+    # point 0 is real and never reaches side 1; at point 1 mode D is complex,
+    # so the sides of each pair that holds D differ and side 1 is solved
+    real = observed_densities(w_state(4), ["D"], [[0.3]])
+    stack = DensityMatrix(np.stack([real.matrix[0], _complex_w4(3).matrix]))
+    # N_AB's sides are equal bits; N_AD's are not
     with pytest.raises(ValueError, match=r"asymmetry 1\.000e-09 for positions \(0,3\)"):
         evaluate(stack, ["N_AD", "N_AB", "N_A_rest"])
     # the message names the worst pair
     with pytest.raises(ValueError, match=r"asymmetry 2\.000e-09 for positions \(2,3\)"):
         evaluate(stack, ["N_CD", "N_AB", "N_BD"])
+    # unshifted, the two sides of the complex pairs agree within the tolerance
+    monkeypatch.undo()
+    assert set(evaluate(stack, ["N_CD", "N_AB", "N_BD"])) == {"N_CD", "N_AB", "N_BD"}
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_pair_columns_match_the_two_sided_reference_on_complex_states(k):
+    rho = _complex_w4(k)
+    values = evaluate(rho[None], list(measures.PAIRS))
+    sides = reference.pair_negativities(rho.matrix)
+    assert np.array([side0 for side0, _ in sides]).tobytes() == \
+        np.concatenate([values[column] for column in measures.PAIRS]).tobytes()
+    assert max(abs(side0 - side1) for side0, side1 in sides) <= measures.PAIR_SYMMETRY_TOL
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), points=st.integers(1, 4),
+       observers=st.sampled_from([("D",), ("C", "D"), ("B", "D", "A"), ("A", "B", "C", "D")]))
+def test_pair_columns_match_the_two_sided_reference(seed, points, observers):
+    # the N_XY columns, from side 0 alone, hold the bytes of a route that
+    # solves both sides of each pair state one matrix at a time; on a real
+    # state the two sides give the same value
+    r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
+    r[0, 0] = R_MAX
+    columns = measures.evaluate_points(observers, r, list(measures.PAIRS))
+    for p, m in enumerate(observed_densities(w_state(4), observers, r).matrix):
+        sides = reference.pair_negativities(m)
+        assert all(side0 == side1 for side0, side1 in sides)
+        assert np.array([side0 for side0, _ in sides]).tobytes() == \
+            np.array([columns[column][p] for column in measures.PAIRS]).tobytes()
+
+
+def _entropy_row_by_row(spectra):
+    """S of each spectrum on its own: -sum(w ln w) over its positive eigenvalues."""
+    entropies = []
+    for w in spectra.reshape(-1, spectra.shape[-1]):
+        w = w[w > 0.0]
+        entropies.append(float(-(w * np.log(w)).sum()))
+    return np.array(entropies).reshape(spectra.shape[:-1])
+
+
+@settings(max_examples=20)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), points=st.integers(1, 70))
+def test_entropy_groups_keep_the_bits_of_each_spectrum(seed, points):
+    # the spectra of one stack hold different numbers of positive eigenvalues,
+    # roundoff ones among them, in a range set by the accelerated observers
+    rng = np.random.default_rng(seed)
+    for observers in ([], ["D"], ["B", "D"], ["A", "C", "D"], ["A", "B", "C", "D"]):
+        rho = observed_densities(w_state(4), observers,
+                                 rng.uniform(0.0, R_MAX, (points, len(observers))))
+        assert von_neumann_entropy(rho).tobytes() == _entropy_row_by_row(rho.spectra).tobytes()
+        assert von_neumann_entropy(rho[0]).tobytes() == _entropy_row_by_row(rho.spectra[0]).tobytes()
+
+
+def test_entropy_of_a_spectrum_without_positive_eigenvalues():
+    # von_neumann_entropy reads only the spectra; a row with none positive gives -0.0
+    spectra = np.array([[-1e-17, 0.0, 0.25, 0.75], [-0.5, -0.25, -0.0, 0.0],
+                        [0.1, 0.2, 0.3, 0.4], [-1e-17, 0.0, 0.5, 0.5]])
+    entropies = von_neumann_entropy(SimpleNamespace(spectra=spectra))
+    assert entropies.tobytes() == _entropy_row_by_row(spectra).tobytes()
+    assert math.copysign(1.0, entropies[1]) == -1.0 and entropies[1] == 0.0
 
 
 def test_geometric_mean_over_a_stack_names_the_worst_residual():
@@ -264,3 +345,17 @@ def test_evaluate_points_needs_a_point():
     for r in ([], np.empty((0, 1))):
         with pytest.raises(ValueError, match="at least one point"):
             measures.evaluate_points(["D"], r, ["S"])
+
+
+def test_evaluate_points_names_the_shape_of_a_scalar_r():
+    # a scalar gets the (N, k) shape message that a 1-D r gets from observed_densities
+    for r, shape in ((0.3, r"\(\)"), ([0.3], r"\(1,\)")):
+        with pytest.raises(ValueError, match=rf"r has shape {shape}, want \(points >= 1, 1\)"):
+            measures.evaluate_points(["D"], r, ["S"])
+
+
+def test_evaluate_rejects_an_empty_stack():
+    empty = observed_densities(w_state(4), ["D"], [[0.3]])[0:0]
+    for run in (lambda: tangle_report(empty), lambda: evaluate(empty, ["S"])):
+        with pytest.raises(ValueError, match="^evaluate needs at least one state, got an empty stack$"):
+            run()
