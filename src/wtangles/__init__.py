@@ -15,12 +15,7 @@ from .fock import (
     validate_density,
     w_state,
 )
-from .linalg import (
-    NoConvergenceError,
-    NotHermitianError,
-    hermitian_eigenvalues,
-    negative_eigenvalue_sum,
-)
+from .linalg import NoConvergenceError
 from .measures import (
     COLUMNS,
     big_pi4_tangle,
@@ -50,7 +45,6 @@ __all__ = [
     "ConfigError",
     "DensityMatrix",
     "NoConvergenceError",
-    "NotHermitianError",
     "PRESETS",
     "StateVector",
     "SweepConfig",
@@ -58,13 +52,11 @@ __all__ = [
     "entropy_one_accel",
     "evaluate",
     "evaluate_points",
-    "hermitian_eigenvalues",
     "n_ab_const",
     "n_d1_abc",
     "n_i_d1",
     "n_pair_accel_both",
     "n_pair_accel_one",
-    "negative_eigenvalue_sum",
     "observed_densities",
     "observed_density",
     "partial_transpose",

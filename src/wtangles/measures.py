@@ -17,13 +17,14 @@ own spectra.
 evaluate plans a request once per column tuple (the plan is cached): which
 residuals it needs (all four for pi4 or Pi4), and from them which 1-3
 transposes and which pairs, with flat index tables to gather them.  Each
-stack of real states then takes at most three eigvalsh calls: every needed
+stack of states then takes at most three eigvalsh calls: every needed
 rho^{T_k} at once, every reduced pair state at once (to validate it), and
-the partial transpose on the first mode of every pair at once.  The one on
-the second mode is the plain transpose of the first, so for a real pair
-state the two hold the same bits; only pair states whose two sides differ,
-as a complex state's may, take a fourth call, and the two negativities
-must agree.  evaluate then fills the planned residuals, pi4, Pi4 and S in
+the partial transpose on the first mode of every pair at once.  A pair's
+negativity is taken from that side alone: the partial transpose on the
+second mode is the transpose of the first, with the same spectrum.  Only
+the pair states are checked for Hermiticity here; rho was checked when it
+was built, and a gathered partial transpose deviates exactly as much as
+its state.  evaluate then fills the planned residuals, pi4, Pi4 and S in
 that order.  Squares and fourth roots are taken value by value in Python
 floats, and sums run left to right over whole arrays, which keeps a
 point's values independent of its stack (see the README Notes).
@@ -54,7 +55,6 @@ from .linalg import negative_eigenvalue_sum
 from .rindler import observed_densities
 
 RESIDUAL_CLIP = -1e-10
-PAIR_SYMMETRY_TOL = 1e-12
 RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
 # points per stack in evaluate_points: large enough that per-stack Python and
 # numpy overhead is small next to the eigensolves, small enough that a stack
@@ -123,11 +123,11 @@ COLUMNS = (*ONE_THREE, *PAIRS, *RESIDUALS, "pi4", "Pi4", "S")
 
 # flat index tables into a (16, 16) matrix, from fock's own kernels: the
 # entries of each rho^{T_k}, the traced blocks of each pair's reduced state,
-# and the two partial transposes of a (4, 4) pair state
+# and the partial transpose of a (4, 4) pair state on its first mode
 _FLAT = np.arange(256).reshape(16, 16)
 _TRANSPOSED = {column: _transposed(_FLAT, 4, [k]) for column, k in ONE_THREE.items()}
 _TRACED = {column: _trace_blocks(_FLAT, 4, list(pair)) for column, pair in PAIRS.items()}
-_BOTH_SIDES = np.stack([_transposed(np.arange(16).reshape(4, 4), 2, [side]) for side in (0, 1)])
+_PAIR_TRANSPOSED = _transposed(np.arange(16).reshape(4, 4), 2, [0])
 
 
 class _Plan(NamedTuple):
@@ -159,10 +159,8 @@ def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
 
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
     The pair states are gathered into one (N, P, 4, 4) stack, validated with
-    one eigvalsh call, and side 0 of every pair, its partial transpose on the
-    first mode, takes one more and gives the values.  Side 1 is solved only
-    for the pair states where it differs from side 0, and must give the same
-    negativity within PAIR_SYMMETRY_TOL.
+    one eigvalsh call, and their partial transposes on the first mode take
+    one more and give the values.
     """
     flat = rho.matrix.reshape(len(rho.matrix), -1)
     out = {}
@@ -173,22 +171,8 @@ def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
     if plan.pairs:
         reduced = _add_blocks(np.take(flat, plan.traced, axis=1))
         validate_density(reduced)
-        sides = np.take(reduced.reshape(reduced.shape[:2] + (16,)), _BOTH_SIDES, axis=2)
-        values = negative_eigenvalue_sum(sides[:, :, 0])
-        # side 1 is the plain transpose of side 0: where the two hold the same
-        # bits, as for every real pair state, side 1 has side 0's spectrum and
-        # Hermiticity deviation, so only pair states whose sides differ are
-        # checked and solved again, and compared
-        bits = sides.view(np.uint64)
-        differ = (bits[:, :, 0] != bits[:, :, 1]).any(axis=(-2, -1))
-        if differ.any():
-            asymmetry = np.abs(values[differ] - negative_eigenvalue_sum(sides[:, :, 1][differ]))
-            worst = int(asymmetry.argmax())
-            if not asymmetry[worst] <= PAIR_SYMMETRY_TOL:
-                i, j = PAIRS[plan.pairs[np.flatnonzero(differ)[worst] % len(plan.pairs)]]
-                raise ValueError(f"pair negativity asymmetry {float(asymmetry[worst]):.3e} "
-                                 f"for positions ({i},{j})")
-        out.update(zip(plan.pairs, values.T))
+        transposed = np.take(reduced.reshape(reduced.shape[:2] + (16,)), _PAIR_TRANSPOSED, axis=2)
+        out.update(zip(plan.pairs, negative_eigenvalue_sum(transposed).T))
     return out
 
 

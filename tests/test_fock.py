@@ -188,6 +188,11 @@ def test_stack_validation_names_the_worst_state():
     corrupted[0, 1, 0, 1] += 1e-6
     with pytest.raises(ValueError, match=r"density matrix deviates from Hermiticity by 1\.0+e-06"):
         validate_density(corrupted)
+    # an empty stack is named, not left to numpy's empty-reduction error
+    with pytest.raises(ValueError, match=r"^density matrix stack is empty: shape \(0, 16, 16\)$"):
+        DensityMatrix(np.zeros((0, 16, 16)))
+    with pytest.raises(ValueError, match=r"^density matrix stack is empty: shape \(2, 0, 4, 4\)$"):
+        validate_density(np.zeros((2, 0, 4, 4)))
 
 
 def test_stack_indexing_selects_states():

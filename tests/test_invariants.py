@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtangles import linalg, measures, rindler, sweep
+from wtangles import fock, measures, rindler, sweep
 from wtangles.fock import OBSERVERS, _add_blocks, partial_transpose, w_state
 from wtangles.measures import CHUNK, COLUMNS, evaluate_points
 from wtangles.rindler import R_MAX, observed_densities
@@ -64,24 +64,21 @@ def _preset_points(name):
 
 def _stack_kind(m, validating):
     """rho (N, 16, 16), 1-3 transposes (N, K, 16, 16), pair states (N, P, 4, 4),
-    which measures validates, their side 0 (N, P, 4, 4), and the (M, 4, 4)
-    side 1 of the pair states whose two sides differ."""
+    which measures validates, and their side 0 (N, P, 4, 4)."""
     if m.shape[-1] == 16:
         return "rho" if m.ndim == 3 else "one-three"
-    if validating:
-        return "pair states"
-    return "pair sides" if m.ndim == 4 else "mirror sides"
+    return "pair states" if validating else "pair sides"
 
 
 def _deviations_seen(monkeypatch, run):
-    """The Hermiticity deviation of every stack checked while run() runs, by kind."""
+    """The Hermiticity deviation of every stack eigvalsh gets while run() runs, by kind."""
     seen = {}
     validating = []
-    check, validate = linalg._require_hermitian, measures.validate_density
+    eigvalsh, validate = np.linalg.eigvalsh, measures.validate_density
 
     def recording(m):
         seen.setdefault(_stack_kind(m, bool(validating)), []).append(_deviation(m))
-        return check(m)
+        return eigvalsh(m)
 
     def validating_pairs(m):
         validating.append(m)
@@ -89,7 +86,7 @@ def _deviations_seen(monkeypatch, run):
             return validate(m)
         finally:
             validating.pop()
-    monkeypatch.setattr(linalg, "_require_hermitian", recording)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     monkeypatch.setattr(measures, "validate_density", validating_pairs)
     run()
     monkeypatch.undo()
@@ -97,7 +94,7 @@ def _deviations_seen(monkeypatch, run):
 
 
 def _kinds_taken(columns):
-    """The kinds of stack a real chunk checks: never the mirror sides."""
+    """The kinds of stack a chunk hands to eigvalsh for the given columns."""
     plan = measures._plan(tuple(columns))
     kinds = {"rho"}
     if plan.one_three:
@@ -110,10 +107,8 @@ def _kinds_taken(columns):
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_stack_is_exactly_hermitian(name, monkeypatch):
     # rho, each rho^{T_k}, each pair state and side 0 of each pair, as the
-    # sweep hands them to eigvalsh: all have rho's deviation, exactly 0.0.
-    # No side 1 is solved: every preset pair state has equal sides
+    # sweep hands them to eigvalsh: all have rho's deviation, exactly 0.0
     seen = _deviations_seen(monkeypatch, lambda: sweep.run_sweep(PRESETS[name]))
-    assert "mirror sides" not in seen
     assert set(seen) == _kinds_taken(sweep.normalize_measures(PRESETS[name].measures))
     assert {kind: max(deviations) for kind, deviations in seen.items()} == dict.fromkeys(seen, 0.0)
 
@@ -149,7 +144,7 @@ def _side_stacks(run):
 @given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1))
 def test_real_pair_states_never_solve_side_one(observers, seed, points):
     # every chunk solves side 0 of its six pairs, one (n, 6, 4, 4) stack, and
-    # never the (M, 4, 4) side 1 of a pair state whose sides differ
+    # no other 4x4 negativity
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
     shapes = _side_stacks(lambda: evaluate_points(observers, r, COLUMNS))
     assert shapes == [(len(r[start:start + CHUNK]), 6, 4, 4) for start in range(0, points, CHUNK)]
@@ -159,8 +154,9 @@ def test_real_pair_states_never_solve_side_one(observers, seed, points):
 @given(seed=seeds, points=st.integers(min_value=1, max_value=8),
        scale=st.sampled_from([0.0, 1e-14, 1.0]))
 def test_gathered_transposes_keep_their_parents_deviation(seed, points, scale):
-    # any stack, Hermitian or not: the gathered rho^{T_k} and both sides of a
-    # pair state deviate from Hermiticity exactly as much as their parent
+    # any stack, Hermitian or not: the gathered rho^{T_k} and side 0 of a pair
+    # state deviate from Hermiticity exactly as much as their parent, so the
+    # check of the parent covers them
     rng = np.random.default_rng(seed)
 
     def stack(*shape):
@@ -175,14 +171,29 @@ def test_gathered_transposes_keep_their_parents_deviation(seed, points, scale):
                               .max(axis=(-2, -1)), parent)
     pair = stack(points, 4, 4)
     parent = np.abs(pair - pair.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    sides = np.take(pair.reshape(points, 16), measures._BOTH_SIDES, axis=1)
-    for side in (0, 1):
-        assert np.array_equal(np.abs(sides[:, side] - sides[:, side].conj().swapaxes(-1, -2))
-                              .max(axis=(-2, -1)), parent)
+    side = np.take(pair.reshape(points, 16), measures._PAIR_TRANSPOSED, axis=1)
+    assert np.array_equal(np.abs(side - side.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), parent)
     if scale == 0.0:
         # an exactly Hermitian parent gives exactly Hermitian reduced pair states
         for table in measures._TRACED.values():
             assert _deviation(_add_blocks(np.take(flat, table, axis=1))) == 0.0
+
+
+@settings(max_examples=10)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK), observers=observer_sets)
+def test_a_chunk_checks_hermiticity_where_its_states_are_made(seed, points, observers):
+    # one chunk checks rho when it is built and its six pair states, and no
+    # partial transpose: each has its parent's deviation (the test above)
+    r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
+    shapes, check = [], fock._check_hermitian
+
+    def recording(m):
+        shapes.append(m.shape)
+        return check(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fock, "_check_hermitian", recording)
+        evaluate_points(observers, r, COLUMNS)
+    assert shapes == [(points, 16, 16), (points, 6, 4, 4)]
 
 
 def test_charge_labels_give_the_expected_blocks():

@@ -3,13 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from wtangles import linalg
-from wtangles.linalg import (
-    NoConvergenceError,
-    NotHermitianError,
-    hermitian_eigenvalues,
-    negative_eigenvalue_sum,
-)
+from wtangles import fock
+from wtangles.fock import validate_density
+from wtangles.linalg import NoConvergenceError, hermitian_eigenvalues, negative_eigenvalue_sum
 
 
 def _trace_norm(m):
@@ -33,23 +29,31 @@ def test_eigenvalues_real_and_ascending():
 NAN = np.array([[np.nan, 0.0], [0.0, 0.5]])
 
 
+def _states(rng, *shape):
+    """A stack of random exactly Hermitian, unit-trace, positive (d, d) states."""
+    g = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    m = g @ g.conj().swapaxes(-1, -2)
+    m = m + m.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., None, None]
+
+
+# each input and the one-line message validate_density rejects it with
 @pytest.mark.parametrize("bad", [
-    np.array([[0.0, 1.0], [0.0, 0.0]]),
-    np.array([[0.0, 1.0j], [1.0j, 0.0]]),
-    np.ones((2, 3)),
-    NAN,
-    np.stack([np.eye(2) / 2.0, NAN, np.eye(2) / 2.0]),     # one NaN matrix fails its stack
+    (np.array([[0.0, 1.0], [0.0, 0.0]]), r"matrix deviates from Hermiticity by 1\.000e\+00"),
+    (np.array([[0.0, 1.0j], [1.0j, 0.0]]), r"matrix deviates from Hermiticity by 2\.000e\+00"),
+    (np.ones((2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+    (NAN, "matrix deviates from Hermiticity by nan"),
+    # one NaN matrix fails its stack
+    (np.stack([np.eye(2) / 2.0, NAN, np.eye(2) / 2.0]), "matrix deviates from Hermiticity by nan"),
 ])
 def test_non_hermitian_input_rejected(bad):
-    with pytest.raises(NotHermitianError):
-        hermitian_eigenvalues(bad)
-    with pytest.raises(NotHermitianError):
-        negative_eigenvalue_sum(bad)
+    m, message = bad
+    with pytest.raises(ValueError, match=f"^density {message}$"):
+        validate_density(m)
 
 
 def test_error_types_subclass_builtins():
-    # callers may catch plain ValueError / RuntimeError
-    assert issubclass(NotHermitianError, ValueError)
+    # callers may catch plain RuntimeError
     assert issubclass(NoConvergenceError, RuntimeError)
 
 
@@ -87,40 +91,36 @@ def test_stacks_are_diagonalized_matrix_by_matrix():
 
 def test_large_stacks_are_checked_block_by_block():
     # 40 16x16 complex matrices span three blocks of the Hermiticity check
-    rng = np.random.default_rng(9)
-    g = rng.standard_normal((2, 20, 16, 16)) + 1j * rng.standard_normal((2, 20, 16, 16))
-    stack = g + g.conj().swapaxes(-1, -2)
-    spectra = hermitian_eigenvalues(stack)
+    stack = _states(np.random.default_rng(9), 2, 20, 16, 16)
+    spectra = validate_density(stack)
     assert spectra.shape == (2, 20, 16)
     assert np.array_equal(spectra[1, 19], hermitian_eigenvalues(stack[1, 19]))
     bad = stack.copy()
     bad[0, 3, 0, 1] += 2e-6       # first block
     bad[1, 19, 0, 1] += 3e-6      # last block: the worst names the stack
-    with pytest.raises(NotHermitianError, match=r"by 3\.000e-06"):
-        hermitian_eigenvalues(bad)
+    with pytest.raises(ValueError, match=r"by 3\.000e-06"):
+        validate_density(bad)
     bad[1, 0, 2, 2] = np.nan      # a NaN in a middle block is worse than any number
-    with pytest.raises(NotHermitianError, match="by nan"):
-        negative_eigenvalue_sum(bad)
+    with pytest.raises(ValueError, match="by nan"):
+        validate_density(bad)
 
 
 def _seen_by_eigvalsh(monkeypatch, m):
-    """The array hermitian_eigenvalues hands to numpy's eigvalsh for m."""
+    """The array validate_density hands to numpy's eigvalsh for m."""
     seen, eigvalsh = [], np.linalg.eigvalsh
 
     def spy(h):
         seen.append(h)
         return eigvalsh(h)
-    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", spy)
-    hermitian_eigenvalues(m)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    validate_density(m)
     monkeypatch.undo()
     return seen[0]
 
 
 def test_stacks_within_tolerance_reach_eigvalsh_as_given(monkeypatch):
     # 40 16x16 matrices, so the check spans several blocks
-    rng = np.random.default_rng(11)
-    g = rng.standard_normal((40, 16, 16)) + 1j * rng.standard_normal((40, 16, 16))
-    exact = g + g.conj().swapaxes(-1, -2)
+    exact = _states(np.random.default_rng(11), 40, 16, 16)
     assert np.abs(exact - exact.conj().swapaxes(-1, -2)).max() == 0.0
     assert _seen_by_eigvalsh(monkeypatch, exact) is exact
     # roundoff-asymmetric stacks, complex and real, deviating by up to the tolerance
@@ -131,16 +131,16 @@ def test_stacks_within_tolerance_reach_eigvalsh_as_given(monkeypatch):
     real[3, 4, 5] += 9e-13
     for m in (inexact, real):
         deviation = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
-        assert 0.0 < deviation <= linalg.HERMITICITY_TOL
+        assert 0.0 < deviation <= fock.HERMITICITY_TOL
         before = m.copy()
         # checked, never symmetrized: eigvalsh gets the input itself, unchanged
         assert _seen_by_eigvalsh(monkeypatch, m) is m
         assert m.tobytes() == before.tobytes()
         # eigvalsh reads one triangle, so the spectra move by at most the deviation
         symmetrized = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
-        assert np.abs(hermitian_eigenvalues(m) - symmetrized).max() <= deviation
+        assert np.abs(validate_density(m) - symmetrized).max() <= deviation
     # NaN is never within the tolerance, and fails the check
     bad = exact.copy()
     bad[20, 3, 3] = np.nan
-    with pytest.raises(NotHermitianError, match="by nan"):
-        hermitian_eigenvalues(bad)
+    with pytest.raises(ValueError, match="by nan"):
+        validate_density(bad)

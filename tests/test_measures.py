@@ -169,8 +169,7 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     evaluate(stack, ["S"])
     assert shapes == []
     evaluate(stack, ["N_AB"])
-    # the pair state's validation, then side 0 of the pair: a real state's
-    # side 1 holds the same bits and is not solved
+    # the pair state's validation, then side 0 of the pair, which gives the value
     assert shapes == [(3, 1, 4, 4), (3, 1, 4, 4)]
     shapes.clear()
     evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
@@ -185,12 +184,11 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     shapes.clear()
     tangle_report(observed_densities(w_state(4), ["D"], [[0.1], [0.5]]))
     assert len(shapes) == 4
-    # a complex state: side 1 of the three pairs that hold the complex mode D
-    # differs from side 0, and only those three are solved again, in one call
+    # a complex state takes the same two pair calls: side 0 alone gives the values
     rho = _complex_w4(3)
     shapes.clear()
     evaluate(rho, ["N_AB", "N_AD", "N_BD", "N_CD"])
-    assert shapes == [(1, 4, 4, 4), (1, 4, 4, 4), (3, 4, 4)]
+    assert shapes == [(1, 4, 4, 4), (1, 4, 4, 4)]
 
 
 def test_index_tables_gather_what_the_fock_kernels_compute():
@@ -201,9 +199,8 @@ def test_index_tables_gather_what_the_fock_kernels_compute():
     for column, pair in measures.PAIRS.items():
         reduced = DensityMatrix(_add_blocks(_trace_blocks(stack.matrix, 4, list(pair))))
         assert np.array_equal(_add_blocks(flat[:, measures._TRACED[column]]), reduced.matrix)
-        sides = reduced.matrix.reshape(2, 16)[:, measures._BOTH_SIDES]
-        assert np.array_equal(sides[:, 0], partial_transpose(reduced, [0]))
-        assert np.array_equal(sides[:, 1], partial_transpose(reduced, [1]))
+        side = reduced.matrix.reshape(2, 16)[:, measures._PAIR_TRANSPOSED]
+        assert np.array_equal(side, partial_transpose(reduced, [0]))
 
 
 def test_plans_are_cached_by_column_tuple():
@@ -248,28 +245,20 @@ def test_sums_run_left_to_right(monkeypatch):
     assert columns["pi4"].tolist()[1] == 0.25
 
 
-def test_pair_mirror_asymmetry_raises(monkeypatch):
-    original = measures.negative_eigenvalue_sum
-
-    def lopsided(m):
-        values = original(m)
-        if m.ndim == 3:     # the (M, 4, 4) side-1 stack: shift its m-th value by (m + 1) 1e-9
-            values += np.arange(1, len(values) + 1) * 1e-9
-        return values
-    monkeypatch.setattr(measures, "negative_eigenvalue_sum", lopsided)
-    # point 0 is real and never reaches side 1; at point 1 mode D is complex,
-    # so the sides of each pair that holds D differ and side 1 is solved
-    real = observed_densities(w_state(4), ["D"], [[0.3]])
-    stack = DensityMatrix(np.stack([real.matrix[0], _complex_w4(3).matrix]))
-    # N_AB's sides are equal bits; N_AD's are not
-    with pytest.raises(ValueError, match=r"asymmetry 1\.000e-09 for positions \(0,3\)"):
-        evaluate(stack, ["N_AD", "N_AB", "N_A_rest"])
-    # the message names the worst pair
-    with pytest.raises(ValueError, match=r"asymmetry 2\.000e-09 for positions \(2,3\)"):
-        evaluate(stack, ["N_CD", "N_AB", "N_BD"])
-    # unshifted, the two sides of the complex pairs agree within the tolerance
-    monkeypatch.undo()
-    assert set(evaluate(stack, ["N_CD", "N_AB", "N_BD"])) == {"N_CD", "N_AB", "N_BD"}
+@settings(max_examples=200)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_pair_negativity_is_the_same_from_either_side(seed):
+    # a pair's negativity is taken from its partial transpose on the first
+    # mode alone; the one on the second mode, its transpose, agrees on any
+    # exactly Hermitian complex state
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    m = m + m.conj().T
+    pair = m / m.trace().real
+    assert np.abs(pair - pair.conj().T).max() == 0.0
+    side0, side1 = (negative_eigenvalue_sum(_transposed(pair, 2, [k])) for k in (0, 1))
+    assert abs(side0 - side1) <= 1e-12
 
 
 @pytest.mark.parametrize("k", range(4))
@@ -279,7 +268,7 @@ def test_pair_columns_match_the_two_sided_reference_on_complex_states(k):
     sides = reference.pair_negativities(rho.matrix)
     assert np.array([side0 for side0, _ in sides]).tobytes() == \
         np.concatenate([values[column] for column in measures.PAIRS]).tobytes()
-    assert max(abs(side0 - side1) for side0, side1 in sides) <= measures.PAIR_SYMMETRY_TOL
+    assert max(abs(side0 - side1) for side0, side1 in sides) <= 1e-12
 
 
 @settings(max_examples=20)
