@@ -10,12 +10,10 @@ form is also available as an independent oracle for cross-checking.
 from .checks import CheckResult, run_check
 from .fock import (
     DensityMatrix,
-    StateVector,
     partial_transpose,
     validate_density,
     w_state,
 )
-from .linalg import NoConvergenceError
 from .measures import (
     COLUMNS,
     big_pi4_tangle,
@@ -44,9 +42,7 @@ __all__ = [
     "CheckResult",
     "ConfigError",
     "DensityMatrix",
-    "NoConvergenceError",
     "PRESETS",
-    "StateVector",
     "SweepConfig",
     "big_pi4_tangle",
     "entropy_one_accel",

@@ -16,6 +16,10 @@ one traced pattern at a time, in index order.  Their bare-array kernels
 array; run on np.arange they give the flat index tables with which measures
 gathers the transposes and reduced states of a stack.
 
+The register is only ever |W4>: w_state gives its amplitudes as a plain
+read-only array, and no state vector is validated on its own, because the
+trace check of the density matrix built from it covers the norm.
+
 A DensityMatrix holds one state or a (..., 2^n, 2^n) stack of states, with
 n >= 1, and validates Hermiticity, unit trace and positivity on construction
 (validate_density); violations raise instead of being clipped.  The spectra
@@ -39,12 +43,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import hermitian_eigenvalues
-
 HERMITICITY_TOL = 1e-12
 # stack bytes that the Hermiticity check handles at once
 _BLOCK_BYTES = 1 << 16
-NORM_TOL = 1e-10
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-10
 OBSERVERS = ("A", "B", "C", "D")
@@ -53,23 +54,6 @@ OBSERVERS = ("A", "B", "C", "D")
 def _is_register(dim: int) -> bool:
     """Whether dim is 2^n for some n >= 1."""
     return dim >= 2 and dim & (dim - 1) == 0
-
-
-@dataclass(frozen=True, eq=False)
-class StateVector:
-    """Normalized complex amplitudes over the occupation basis of n >= 1 modes."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.ndim != 1 or not _is_register(len(amp)):
-            raise ValueError(f"amplitude vector has shape {amp.shape}, want (2^n,) with n >= 1")
-        norm_sq = float(np.vdot(amp, amp).real)
-        if not abs(norm_sq - 1.0) <= NORM_TOL:
-            raise ValueError(f"state vector is not normalized: |psi|^2 = {norm_sq!r}")
-        amp.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amp)
 
 
 def _check_hermitian(m: np.ndarray) -> None:
@@ -103,10 +87,12 @@ def validate_density(m: np.ndarray) -> np.ndarray:
 
     Each matrix must be Hermitian, of unit trace and positive semidefinite
     within the module tolerances; a failed check raises, naming the worst
-    value in the stack.
+    value in the stack.  m may be any array-like; a ragged one raises numpy's
+    ValueError.  A failed eigensolve raises numpy's LinAlgError, a ValueError.
     """
+    m = np.asarray(m)
     _check_hermitian(m)
-    spectra = hermitian_eigenvalues(m)
+    spectra = np.linalg.eigvalsh(m)
     traces = m.trace(axis1=-2, axis2=-1).real
     deviations = np.abs(traces - 1.0)
     if not deviations.max() <= TRACE_TOL:
@@ -146,17 +132,19 @@ class DensityMatrix:
         return view
 
 
-def w_state(n: int) -> StateVector:
+def w_state(n: int) -> np.ndarray:
     """|W4>: equal superposition of the four single-excitation patterns.
 
     The observers are A, B, C and D, so w_state(4) puts amplitude 1/2 on
-    indices 8, 4, 2 and 1.  Every measure is four-mode, so n must be 4.
+    indices 8, 4, 2 and 1, in a read-only float64 (16,) array.  Every
+    measure is four-mode, so n must be 4.
     """
     if n != 4:
         raise ValueError(f"w_state supports only the four-mode W state, got n={n}")
-    amplitudes = np.zeros(16, dtype=complex)
+    amplitudes = np.zeros(16)
     amplitudes[[8, 4, 2, 1]] = 0.5
-    return StateVector(amplitudes)
+    amplitudes.setflags(write=False)
+    return amplitudes
 
 
 def _transposed(m: np.ndarray, n: int, part: Iterable[int]) -> np.ndarray:

@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import OBSERVERS, DensityMatrix, StateVector
+from .fock import OBSERVERS, DensityMatrix
 
 R_MAX = math.pi / 4
 # slack on the r domain, so endpoints that carry roundoff are still accepted
@@ -75,14 +75,15 @@ def _split(amp: np.ndarray, pos: int, cos_r: np.ndarray, sin_r: np.ndarray) -> n
     return out.reshape(points, -1)
 
 
-def observed_densities(psi0: StateVector, observers: Sequence[str], r) -> DensityMatrix:
+def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> DensityMatrix:
     """Observed states at N >= 1 points, as one validated (N, 16, 16) stack.
 
-    psi0 holds the 16 real amplitudes of the register A, B, C, D; a nonzero
-    imaginary part raises ValueError.  r is an (N, k) array: r[p, j] is the
-    parameter of observers[j] at point p.  The observers' modes are split in
-    register order and the region-II modes are traced out of the pure states
-    directly.
+    psi0 is array-like: the 16 real amplitudes of the register A, B, C, D,
+    as w_state(4) gives them; a nonzero imaginary part raises ValueError.
+    Its norm is left to rho's trace check: the split preserves the norm, so
+    tr rho = |psi0|^2.  r is an (N, k) array: r[p, j] is the parameter of
+    observers[j] at point p.  The observers' modes are split in register
+    order and the region-II modes are traced out of the pure states directly.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
@@ -90,10 +91,11 @@ def observed_densities(psi0: StateVector, observers: Sequence[str], r) -> Densit
     bad = out_of_domain(r)
     if bad is not None:
         raise ValueError(f"acceleration parameter r={bad!r} outside [0, pi/4]")
-    if psi0.amplitudes.shape != (16,):
-        raise ValueError(f"observed states need the 16 amplitudes of A, B, C, D, "
-                         f"got {len(psi0.amplitudes)}")
-    if psi0.amplitudes.imag.any():
+    psi0 = np.asarray(psi0)
+    if psi0.shape != (16,):
+        got = len(psi0) if psi0.ndim == 1 else f"shape {psi0.shape}"
+        raise ValueError(f"observed states need the 16 amplitudes of A, B, C, D, got {got}")
+    if psi0.imag.any():
         raise ValueError("observed states need real amplitudes")
     for j, obs in enumerate(observers):
         if obs not in OBSERVERS:
@@ -101,7 +103,9 @@ def observed_densities(psi0: StateVector, observers: Sequence[str], r) -> Densit
         if obs in observers[:j]:
             raise ValueError(f"observer {obs!r} is already transformed")
     points = len(r)
-    amp = psi0.amplitudes.real[None].repeat(points, axis=0)
+    # float64 amplitudes are read in place: even this small a per-chunk temporary
+    # moved heap trimming (see the module docstring)
+    amp = np.asarray(psi0.real, dtype=float)[None].repeat(points, axis=0)
     # region-II axes go after every accessible one, so a mode's position holds
     for pos, j in sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers)):
         # math's cos and sin, value by value; numpy's vector loops may round differently
@@ -118,7 +122,7 @@ def observed_densities(psi0: StateVector, observers: Sequence[str], r) -> Densit
     return DensityMatrix(rho)
 
 
-def observed_density(psi0: StateVector, scenario: Mapping[str, float] | None) -> DensityMatrix:
+def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:
     """Density matrix seen after acceleration: transform, then drop region II.
 
     scenario maps each accelerated observer to its r; None means nobody

