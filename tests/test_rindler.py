@@ -99,10 +99,6 @@ def test_observed_density_rejects_bad_input():
     for n in (3, 5):
         with pytest.raises(ValueError, match=f"16 amplitudes of A, B, C, D, got {1 << n}"):
             observed_density(reference.w_amplitudes(n), {"C": 0.1})
-    # nor is anything but a vector
-    for amplitudes in (np.zeros((4, 4)), 0.5):
-        with pytest.raises(ValueError, match=r"A, B, C, D, got shape \((4, 4)?\)$"):
-            observed_density(amplitudes, None)
     # a relative phase: still a normalized state, but the build is real
     phased = reference.w_amplitudes(4)
     phased[8] = 0.5j
@@ -110,17 +106,6 @@ def test_observed_density_rejects_bad_input():
         with pytest.raises(ValueError) as info:
             observed_density(phased, scenario)
         assert str(info.value) == "observed states need real amplitudes"
-    # the norm is left to rho's trace check: the split preserves it, so tr rho = |psi0|^2
-    for scenario in (None, {"D": 0.3}, {"C": 0.2, "D": 0.6}):
-        with pytest.raises(ValueError) as info:
-            observed_density(2 * w_state(4), scenario)
-        assert str(info.value) == "density matrix trace is 4.0, expected 1"
-    # a NaN amplitude is one line from rho's Hermiticity check
-    unknown = reference.w_amplitudes(4)
-    unknown[4] = np.nan
-    with pytest.raises(ValueError) as info:
-        observed_density(unknown, {"D": 0.3})
-    assert str(info.value) == "density matrix deviates from Hermiticity by nan"
     # no points: the shape check names it, not numpy's reshape
     with pytest.raises(ValueError) as info:
         observed_densities(w_state(4), ["D"], np.empty((0, 1)))
