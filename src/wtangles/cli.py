@@ -122,13 +122,12 @@ def _symbol_entries(symbols: tuple[str, ...]) -> tuple[tuple[str, tuple, tuple],
 
 
 def _symbol_table(params: dict[str, float]) -> list[tuple[str, float]]:
+    """Each candidate name with its value, in Python floats from numpy's sin and cos."""
     symbols, values = (), []
-    if "C" in params:
-        symbols += ("α", "γ")
-        values += [np.sin(params["C"]), np.cos(params["C"])]
-    if "D" in params:
-        symbols += ("β", "δ")
-        values += [np.sin(params["D"]), np.cos(params["D"])]
+    for observer, names in (("C", ("α", "γ")), ("D", ("β", "δ"))):
+        if observer in params:
+            symbols += names
+            values += [float(np.sin(params[observer])), float(np.cos(params[observer]))]
     table = []
     for name, factors, squares in _symbol_entries(symbols):
         if squares:

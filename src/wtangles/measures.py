@@ -12,21 +12,21 @@ The columns form a fixed chain.  ONE_THREE maps each 1-3 tangle to the mode
 it transposes and PAIRS each 1-1 tangle to the pair of modes it keeps; these
 are read off spectra.  TERMS maps each residual to the 1-3 tangle and the
 three pairs it reads; pi4 and Pi4 read all four residuals, and S reads rho's
-own spectra.
+own spectra, which nothing else needs.
 
 evaluate plans a request once per column tuple (the plan is cached): which
 residuals it needs (all four for pi4 or Pi4), and from them which 1-3
 transposes and which pairs, with flat index tables to gather them.  Each
 stack of states then takes at most three eigvalsh calls: every needed
-rho^{T_k} at once, every reduced pair state at once (to validate it), and
-the partial transpose on the first mode of every pair at once.  A pair's
-negativity is taken from that side alone: the partial transpose on the
-second mode is the transpose of the first, with the same spectrum.  Only
-the pair states are checked for Hermiticity here; rho was checked when it
-was built, and a gathered partial transpose deviates exactly as much as
-its state.  evaluate then fills the planned residuals, pi4, Pi4 and S in
-that order.  Squares and fourth roots are taken value by value in Python
-floats, and sums run left to right over whole arrays, which keeps a
+rho^{T_k} at once, the partial transpose on the first mode of every pair at
+once, and rho for S.  A pair's negativity is taken from that side alone:
+the partial transpose on the second mode is the transpose of the first,
+with the same spectrum.  The pair states are validated here, at once and
+with no spectrum (fock.validate_density); rho was validated when it was
+built, and a gathered partial transpose deviates from Hermiticity exactly
+as much as its state.  evaluate then fills the planned residuals, pi4, Pi4
+and S in that order.  Squares and fourth roots are taken value by value in
+Python floats, and sums run left to right over whole arrays, which keeps a
 point's values independent of its stack (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
@@ -63,14 +63,6 @@ CHUNK = 64
 _W4 = w_state(4)
 
 
-def _sum_left(terms: Iterable):
-    """Plain left-to-right sum of floats or of arrays, the same on every Python."""
-    total = 0.0
-    for term in terms:
-        total = total + term
-    return total
-
-
 def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
     """Geometric mean of the four residual tangles, point by point.
 
@@ -94,12 +86,12 @@ def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
 def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
     """S = -sum(lambda ln lambda) over each state's spectrum, with 0 ln 0 = 0.
 
-    The spectra are those rho's validation computed, so S takes no eigensolve.
-    A spectrum is ascending, so its k positive eigenvalues are its last k:
-    the states with the same k are one (n, k) array and one reduction, whose
-    rows are summed as a single spectrum's k values would be.
+    One eigvalsh call over rho's states gives the spectra, ascending, so a
+    state's k positive eigenvalues are its last k: the states with the same
+    k are one (n, k) array and one reduction, whose rows are summed as a
+    single spectrum's k values would be.
     """
-    spectra = rho.spectra
+    spectra = np.linalg.eigvalsh(rho.matrix)
     rows = spectra.reshape(-1, spectra.shape[-1])
     positive = (rows > 0.0).sum(axis=1)
     sizes = set(positive.tolist())
@@ -138,6 +130,7 @@ class _Plan(NamedTuple):
     pairs: tuple[str, ...]
     traced: np.ndarray          # (P, 4, 4, 4) flat indices of their traced blocks
     residuals: tuple[str, ...]
+    terms: np.ndarray           # (R, 4) positions of their terms in one_three + pairs
 
 
 @lru_cache(maxsize=64)
@@ -150,17 +143,18 @@ def _plan(columns: tuple[str, ...]) -> _Plan:
     needed = set(columns).union(*(TERMS[column] for column in residuals))
     one_three = tuple(column for column in ONE_THREE if column in needed)
     pairs = tuple(column for column in PAIRS if column in needed)
+    terms = [[(one_three + pairs).index(term) for term in TERMS[column]] for column in residuals]
     return _Plan(one_three, np.array([_TRANSPOSED[column] for column in one_three]),
-                 pairs, np.array([_TRACED[column] for column in pairs]), residuals)
+                 pairs, np.array([_TRACED[column] for column in pairs]), residuals, np.array(terms))
 
 
 def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
     """The plan's 1-3 and 1-1 tangles over a stack of N states, as (N,) arrays.
 
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
-    The pair states are gathered into one (N, P, 4, 4) stack, validated with
-    one eigvalsh call, and their partial transposes on the first mode take
-    one more and give the values.
+    The pair states are gathered into one (N, P, 4, 4) stack and validated
+    at once, and their partial transposes on the first mode take one
+    eigvalsh call and give the values.
     """
     flat = rho.matrix.reshape(len(rho.matrix), -1)
     out = {}
@@ -195,17 +189,18 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     if single:
         rho = rho[None]
     values = _spectral_columns(rho, plan)
-    # each square once, value by value in Python floats; the sums then run
-    # over whole (N,) arrays, which round each element as the float sums do
-    squares = {column: np.array([n ** 2 for n in values[column].tolist()])
-               for column in {term for residual in plan.residuals for term in TERMS[residual]}}
-    for residual in plan.residuals:
-        rest, *pairs = TERMS[residual]
-        values[residual] = squares[rest] - _sum_left(squares[column] for column in pairs)
-    if "pi4" in columns:
-        values["pi4"] = _sum_left(values[column] for column in RESIDUALS) / 4.0
-    if "Pi4" in columns:
-        values["Pi4"] = big_pi4_tangle({obs: values[f"pi_{obs}"] for obs in OBSERVERS})
+    if plan.residuals:
+        # each value squared once in Python floats, then gathered as (R, 4, N)
+        # terms; sums run left to right over whole (N,) arrays, which round
+        # each element as the float sums do
+        spectral = np.array([values[column] for column in plan.one_three + plan.pairs])
+        sq = np.array([n ** 2 for n in spectral.ravel().tolist()]).reshape(spectral.shape)[plan.terms]
+        residuals = sq[:, 0] - ((sq[:, 1] + sq[:, 2]) + sq[:, 3])
+        values.update(zip(plan.residuals, residuals))
+        if "pi4" in columns:
+            values["pi4"] = (((residuals[0] + residuals[1]) + residuals[2]) + residuals[3]) / 4.0
+        if "Pi4" in columns:
+            values["Pi4"] = big_pi4_tangle(dict(zip(OBSERVERS, residuals)))
     if "S" in columns:
         values["S"] = von_neumann_entropy(rho)
     out = {column: values[column] for column in columns}

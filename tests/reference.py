@@ -1,5 +1,6 @@
 """Brute-force references: the trace-out, the partial transpose, the Rindler split,
-a pure projector, the n-mode W state, the pair negativities and the matrix printout.
+a pure projector, the n-mode W state, the pair negativities, the density-matrix
+checks by spectrum and the matrix printout.
 
 Each is written entry by entry from its definition over occupation patterns
 and imports nothing from wtangles, so a bookkeeping bug in the pipeline's
@@ -83,6 +84,27 @@ def pair_negativities(m):
             sides.append(2.0 * total)
         out.append(tuple(sides))
     return out
+
+
+def density_rejection(m):
+    """The message that rejects a stack of density matrices, or None if it passes.
+
+    The checks and messages of the pipeline's density validation, in its
+    order (Hermiticity within 1e-12, trace within 1e-10, then no eigenvalue
+    below -1e-10), with positivity read from numpy's eigvalsh alone.
+    """
+    m = np.asarray(m)
+    deviation = float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
+    if not deviation <= 1e-12:
+        return f"density matrix deviates from Hermiticity by {deviation:.3e}"
+    traces = np.trace(m, axis1=-2, axis2=-1).real.ravel()
+    worst = float(traces[np.abs(traces - 1.0).argmax()])
+    if not abs(worst - 1.0) <= 1e-10:
+        return f"density matrix trace is {worst!r}, expected 1"
+    smallest = float(np.linalg.eigvalsh(m)[..., 0].min())
+    if not smallest >= -1e-10:
+        return f"density matrix has eigenvalue {smallest:.3e} below -1e-10"
+    return None
 
 
 def rindler_split(amp, n, pos, r):

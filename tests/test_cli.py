@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtangles.cli import _symbol_table, build_parser, emit_matrix, main
+from wtangles.cli import _symbol_entries, _symbol_table, build_parser, emit_matrix, main
 from wtangles.fock import OBSERVERS, partial_transpose, w_state
 from wtangles.rindler import R_MAX, observed_density
 from wtangles.sweep import PRESETS
@@ -155,10 +155,16 @@ def test_failed_sweep_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypat
     ["check"],
 ])
 def test_failed_eigensolve_exits_2(argv, capsys, monkeypatch):
-    # numpy's LinAlgError is a ValueError, and reaches main as it is
+    # numpy's LinAlgError is a ValueError, and reaches main as it is; the
+    # positivity factorization fails too, so that matrix, which takes no
+    # other spectrum, goes on to the failing eigensolve
     def not_converging(m):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    def not_factoring(m):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
     monkeypatch.setattr(np.linalg, "eigvalsh", not_converging)
+    monkeypatch.setattr(np.linalg, "cholesky", not_factoring)
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
 
@@ -274,6 +280,38 @@ def test_matrix_entries_without_shorthand_print_as_decimals():
 def test_matrix_printout_matches_the_reference_at_random_points(observers, transpose, r):
     params = dict(zip(observers, r))
     assert emit_matrix(params, transpose, symbolic=True) == _reference_printout(params, transpose)
+
+
+def _numpy_scalar_table(params):
+    """The symbol table with every value a numpy float64 scalar, from numpy's sin and cos."""
+    symbols, values = (), []
+    for observer, names in (("C", ("α", "γ")), ("D", ("β", "δ"))):
+        if observer in params:
+            symbols += names
+            values += [np.sin(params[observer]), np.cos(params[observer])]
+    table = []
+    for name, factors, squares in _symbol_entries(symbols):
+        if squares:
+            value = values[squares[0]] * values[squares[0]] + values[squares[1]] * values[squares[1]]
+        else:
+            value = np.float64(1.0)
+            for k, power in factors:
+                value *= values[k] ** power
+        table.append((name, value))
+    return table
+
+
+@settings(max_examples=300)
+@given(observers=st.sampled_from(MATRIX_SCENARIOS),
+       r=st.lists(st.floats(0.0, R_MAX), min_size=2, max_size=2))
+def test_symbol_table_in_python_floats_keeps_the_numpy_bits(observers, r):
+    # the table is built in Python floats; numpy float64 scalars give the same bits
+    params = dict(zip(observers, r))
+    table, expected = _symbol_table(params), _numpy_scalar_table(params)
+    assert all(type(value) is float for _, value in table)
+    assert [name for name, _ in table] == [name for name, _ in expected]
+    assert np.array([value for _, value in table]).tobytes() == \
+        np.array([value for _, value in expected], dtype=float).tobytes()
 
 
 def test_module_entry_point_runs():

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wtangles.fock import (
     DensityMatrix,
@@ -185,9 +187,9 @@ def test_stack_validation_names_the_worst_state():
         DensityMatrix(one_nan)
     # the reduced pair states of a (points, pairs) stack, as measures checks them
     pairs = np.stack([good, good[::-1]])
-    assert np.array_equal(validate_density(pairs), np.linalg.eigvalsh(pairs))
+    validate_density(pairs)
     # a nested list is read as the array it spells; a ragged one is numpy's one-line error
-    assert np.array_equal(validate_density(pairs.tolist()), validate_density(pairs))
+    validate_density(pairs.tolist())
     with pytest.raises(ValueError, match="inhomogeneous") as info:
         validate_density([[0.5, 0.0], [0.5]])
     assert "\n" not in str(info.value)
@@ -215,12 +217,81 @@ def test_stack_indexing_selects_states():
         stack[0][0]
 
 
-def test_spectra_are_kept_from_validation():
-    stack = DensityMatrix(_three_states())
-    assert np.array_equal(stack.spectra, np.linalg.eigvalsh(stack.matrix))
-    assert np.array_equal(stack[2].spectra, stack.spectra[2])
-    assert np.array_equal(stack[1:][None].spectra, stack.spectra[None, 1:])
-    assert np.array_equal(W4.spectra, np.linalg.eigvalsh(W4.matrix))
-    assert W4[None].spectra.shape == (1, 16)
-    reduced = DensityMatrix(_traced(stack.matrix, 2, [0]))
-    assert np.array_equal(reduced.spectra, np.linalg.eigvalsh(reduced.matrix))
+def _diagonal_state(smallest, dim=4):
+    """A unit-trace diagonal state with the given smallest eigenvalue."""
+    w = np.zeros(dim)
+    w[0], w[-1] = smallest, 1.0 - smallest
+    return np.diag(w)
+
+
+def _routes(monkeypatch):
+    """The numpy linalg calls validate_density makes, each with whether it raised."""
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        def spy(m, name=name, function=getattr(np.linalg, name)):
+            try:
+                out = function(m)
+            except np.linalg.LinAlgError:
+                calls.append((name, "raised"))
+                raise
+            calls.append((name, "returned"))
+            return out
+        monkeypatch.setattr(np.linalg, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("smallest, routes", [
+    # shifted by 0.999e-10 the state is positive definite, and factors
+    (-0.9e-10, [("cholesky", "returned")]),
+    # shifted it is still indefinite: the factorization fails and the spectrum accepts
+    (-0.9995e-10, [("cholesky", "raised"), ("eigvalsh", "returned")]),
+])
+def test_positivity_near_the_threshold_is_accepted(smallest, routes, monkeypatch):
+    calls = _routes(monkeypatch)
+    validate_density(_diagonal_state(smallest))
+    assert calls == routes
+    calls.clear()
+    DensityMatrix(_diagonal_state(smallest, 16))
+    assert calls == routes
+
+
+def test_eigenvalue_below_the_threshold_is_rejected(monkeypatch):
+    calls = _routes(monkeypatch)
+    with pytest.raises(ValueError, match=r"^density matrix has eigenvalue -1\.001e-10 below -1e-10$"):
+        validate_density(_diagonal_state(-1.001e-10))
+    assert calls == [("cholesky", "raised"), ("eigvalsh", "returned")]
+
+
+def test_large_states_take_their_spectra(monkeypatch):
+    # above 16x16 the factorization's margin is not proven: eigvalsh decides
+    calls = _routes(monkeypatch)
+    DensityMatrix(_diagonal_state(-0.9e-10, 32))
+    assert calls == [("eigvalsh", "returned")]
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), dim=st.sampled_from([2, 4, 16]),
+       states=st.integers(min_value=1, max_value=4), complex_=st.booleans(),
+       smallest=st.lists(st.floats(min_value=-1.01e-10, max_value=-0.98e-10), min_size=4, max_size=4))
+def test_positivity_verdict_is_that_of_the_spectrum(seed, dim, states, complex_, smallest):
+    # random exactly Hermitian unit-trace stacks, each state with its smallest
+    # eigenvalue near both the shift and the threshold: the verdict and the
+    # message are those of a validation by eigvalsh alone
+    rng = np.random.default_rng(seed)
+    stack = []
+    for k in range(states):
+        g = rng.standard_normal((dim, dim))
+        if complex_:
+            g = g + 1j * rng.standard_normal((dim, dim))
+        u = np.linalg.qr(g)[0]
+        w = np.concatenate([[smallest[k]], rng.dirichlet(np.ones(dim - 1)) * (1.0 - smallest[k])])
+        m = (u * w) @ u.conj().T
+        stack.append(0.5 * (m + m.conj().T))
+    stack = np.array(stack)
+    expected = reference.density_rejection(stack)
+    if expected is None:
+        validate_density(stack)
+    else:
+        with pytest.raises(ValueError) as info:
+            validate_density(stack)
+        assert str(info.value) == expected

@@ -3,11 +3,13 @@
 Two facts make the pipeline's shortcuts bit-neutral, and both are asserted
 here with exact 0.0, not with a tolerance:
 
-* Every stack handed to eigvalsh is exactly Hermitian.  rho is an ordered sum
-  of outer products v v^H; a partial transpose moves each entry together with
-  its adjoint partner, and a reduced pair state adds Hermitian blocks.  So
-  the Hermiticity check, which never symmetrizes, hands eigvalsh the bits
-  that 0.5 * (m + m^H) would give, and no production stack needs a repair.
+* Every stack handed to eigvalsh or to the positivity factorization
+  (np.linalg.cholesky) is exactly Hermitian.  rho is an ordered sum of outer
+  products v v^H; a partial transpose moves each entry together with its
+  adjoint partner, a reduced pair state adds Hermitian blocks, and the
+  factorization's diagonal shift is real.  So the Hermiticity check, which
+  never symmetrizes, hands both the bits that 0.5 * (m + m^H) would give, and
+  no production stack needs a repair.
 * The Rindler map conserves Q = N_I - N_II and has real amplitudes, so rho is
   real and block-diagonal in the region-I occupation N_I, and each rho^{T_k}
   is block-diagonal in q = N_rest - n_k, with blocks of 1 + 4 + 6 + 4 + 1.
@@ -71,22 +73,25 @@ def _stack_kind(m, validating):
 
 
 def _deviations_seen(monkeypatch, run):
-    """The Hermiticity deviation of every stack eigvalsh gets while run() runs, by kind."""
+    """The Hermiticity deviation of every stack that eigvalsh and the positivity
+    factorization get while run() runs, by route and kind."""
     seen = {}
     validating = []
-    eigvalsh, validate = np.linalg.eigvalsh, measures.validate_density
 
-    def recording(m):
-        seen.setdefault(_stack_kind(m, bool(validating)), []).append(_deviation(m))
-        return eigvalsh(m)
+    def recording(route, function):
+        def recorded(m):
+            seen.setdefault((route, _stack_kind(m, bool(validating))), []).append(_deviation(m))
+            return function(m)
+        return recorded
 
-    def validating_pairs(m):
+    def validating_pairs(m, validate=measures.validate_density):
         validating.append(m)
         try:
             return validate(m)
         finally:
             validating.pop()
-    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    for route in ("eigvalsh", "cholesky"):
+        monkeypatch.setattr(np.linalg, route, recording(route, getattr(np.linalg, route)))
     monkeypatch.setattr(measures, "validate_density", validating_pairs)
     run()
     monkeypatch.undo()
@@ -94,20 +99,27 @@ def _deviations_seen(monkeypatch, run):
 
 
 def _kinds_taken(columns):
-    """The kinds of stack a chunk hands to eigvalsh for the given columns."""
+    """The (route, kind) of each stack a chunk hands to eigvalsh or the factorization.
+
+    rho and the pair states are validated by the factorization alone; rho
+    is diagonalized only for S.
+    """
     plan = measures._plan(tuple(columns))
-    kinds = {"rho"}
+    kinds = {("cholesky", "rho")}
+    if "S" in columns:
+        kinds.add(("eigvalsh", "rho"))
     if plan.one_three:
-        kinds.add("one-three")
+        kinds.add(("eigvalsh", "one-three"))
     if plan.pairs:
-        kinds.update(("pair states", "pair sides"))
+        kinds.update((("cholesky", "pair states"), ("eigvalsh", "pair sides")))
     return kinds
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_stack_is_exactly_hermitian(name, monkeypatch):
     # rho, each rho^{T_k}, each pair state and side 0 of each pair, as the
-    # sweep hands them to eigvalsh: all have rho's deviation, exactly 0.0
+    # sweep hands them to eigvalsh or the factorization: all have rho's
+    # deviation, exactly 0.0
     seen = _deviations_seen(monkeypatch, lambda: sweep.run_sweep(PRESETS[name]))
     assert set(seen) == _kinds_taken(sweep.normalize_measures(PRESETS[name].measures))
     assert {kind: max(deviations) for kind, deviations in seen.items()} == dict.fromkeys(seen, 0.0)

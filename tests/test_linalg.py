@@ -96,9 +96,7 @@ def test_stacks_are_diagonalized_matrix_by_matrix():
 def test_large_stacks_are_checked_block_by_block():
     # 40 16x16 complex matrices span three blocks of the Hermiticity check
     stack = _states(np.random.default_rng(9), 2, 20, 16, 16)
-    spectra = validate_density(stack)
-    assert spectra.shape == (2, 20, 16)
-    assert np.array_equal(spectra[1, 19], np.linalg.eigvalsh(stack[1, 19]))
+    validate_density(stack)
     bad = stack.copy()
     bad[0, 3, 0, 1] += 2e-6       # first block
     bad[1, 19, 0, 1] += 3e-6      # last block: the worst names the stack
@@ -109,40 +107,58 @@ def test_large_stacks_are_checked_block_by_block():
         validate_density(bad)
 
 
-def _seen_by_eigvalsh(monkeypatch, m):
-    """The array validate_density hands to numpy's eigvalsh for m."""
-    seen, eigvalsh = [], np.linalg.eigvalsh
+def _seen_by(monkeypatch, name, m):
+    """The arrays validate_density hands to numpy's linalg function name for m."""
+    seen, function = [], getattr(np.linalg, name)
 
     def spy(h):
         seen.append(h)
-        return eigvalsh(h)
-    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        return function(h)
+    monkeypatch.setattr(np.linalg, name, spy)
     validate_density(m)
     monkeypatch.undo()
-    return seen[0]
+    return seen
+
+
+def _shifted(m):
+    """m shifted on its diagonal as the positivity factorization takes it."""
+    return m + fock._CHOLESKY_SHIFT * np.eye(m.shape[-1])
 
 
 def test_stacks_within_tolerance_reach_eigvalsh_as_given(monkeypatch):
     # 40 16x16 matrices, so the check spans several blocks
     exact = _states(np.random.default_rng(11), 40, 16, 16)
     assert np.abs(exact - exact.conj().swapaxes(-1, -2)).max() == 0.0
-    assert _seen_by_eigvalsh(monkeypatch, exact) is exact
+    # the factorization gets the stack shifted on its diagonal, and nothing else
+    [seen] = _seen_by(monkeypatch, "cholesky", exact)
+    assert seen.tobytes() == _shifted(exact).tobytes()
+    assert _seen_by(monkeypatch, "eigvalsh", exact) == []
+    # a stack that the factorization rejects reaches eigvalsh itself
+    edge = exact.copy()
+    edge[7] = np.diag([-0.9995e-10] + [(1.0 + 0.9995e-10) / 15] * 15)
+    assert _seen_by(monkeypatch, "eigvalsh", edge)[0] is edge
     # roundoff-asymmetric stacks, complex and real, deviating by up to the tolerance
-    inexact = exact.copy()
+    inexact = edge.copy()
     inexact[0, 0, 1] += 9e-13
     inexact[39, 15, 2] -= 5e-13j
-    real = exact.real.copy()
+    real = edge.real.copy()
     real[3, 4, 5] += 9e-13
     for m in (inexact, real):
         deviation = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
         assert 0.0 < deviation <= fock.HERMITICITY_TOL
         before = m.copy()
-        # checked, never symmetrized: eigvalsh gets the input itself, unchanged
-        assert _seen_by_eigvalsh(monkeypatch, m) is m
+        # checked, never symmetrized: the factorization gets m shifted, and
+        # eigvalsh m itself, unchanged
+        [seen] = _seen_by(monkeypatch, "cholesky", m)
+        assert seen.tobytes() == _shifted(m).tobytes()
+        assert _seen_by(monkeypatch, "eigvalsh", m)[0] is m
         assert m.tobytes() == before.tobytes()
-        # eigvalsh reads one triangle, so the spectra move by at most the deviation
-        symmetrized = np.linalg.eigvalsh(0.5 * (m + m.conj().swapaxes(-1, -2)))
-        assert np.abs(validate_density(m) - symmetrized).max() <= deviation
+        # both read the lower triangle alone, so the factorization decides on
+        # the matrix whose spectrum the fallback reads (state 7 does not factor)
+        garbled = np.where(np.triu(np.ones((16, 16), dtype=bool), 1), 7.0, m)
+        assert np.array_equal(np.linalg.eigvalsh(garbled), np.linalg.eigvalsh(m))
+        assert np.array_equal(np.linalg.cholesky(_shifted(np.delete(garbled, 7, axis=0))),
+                              np.linalg.cholesky(_shifted(np.delete(m, 7, axis=0))))
     # NaN is never within the tolerance, and fails the check
     bad = exact.copy()
     bad[20, 3, 3] = np.nan

@@ -12,7 +12,6 @@ from wtangles.fock import _add_blocks, _trace_blocks, _transposed, partial_trans
 from wtangles.linalg import negative_eigenvalue_sum
 from wtangles.measures import (
     COLUMNS,
-    _sum_left,
     big_pi4_tangle,
     evaluate,
     tangle_report,
@@ -155,40 +154,42 @@ def test_tangle_report_bundle_is_consistent():
 
 
 def test_evaluate_takes_each_spectrum_once(monkeypatch):
-    shapes = []
-    eigvalsh = np.linalg.eigvalsh
+    # the positivity factorizations and the eigensolves, pinned separately
+    factored, solved = [], []
+    for name, shapes in (("cholesky", factored), ("eigvalsh", solved)):
+        def counted(m, function=getattr(np.linalg, name), shapes=shapes):
+            shapes.append(m.shape)
+            return function(m)
+        monkeypatch.setattr(np.linalg, name, counted)
 
-    def counted(m):
-        shapes.append(m.shape)
-        return eigvalsh(m)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    def taken():
+        seen = factored[:], solved[:]
+        factored.clear()
+        solved.clear()
+        return seen
     stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1], [0.7, 0.7]])
-    # rho's validation; S reads the spectra it kept
-    assert shapes == [(3, 16, 16)]
-    shapes.clear()
+    # rho's validation factors it and takes no spectrum
+    assert taken() == ([(3, 16, 16)], [])
+    # S takes rho's one eigensolve
     evaluate(stack, ["S"])
-    assert shapes == []
+    assert taken() == ([], [(3, 16, 16)])
     evaluate(stack, ["N_AB"])
     # the pair state's validation, then side 0 of the pair, which gives the value
-    assert shapes == [(3, 1, 4, 4), (3, 1, 4, 4)]
-    shapes.clear()
+    assert taken() == ([(3, 1, 4, 4)], [(3, 1, 4, 4)])
     evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
     # every 1-3 transpose in one call, every pair state in one, every pair's side 0 in one
-    assert shapes == [(3, 4, 16, 16), (3, 6, 4, 4), (3, 6, 4, 4)]
-    shapes.clear()
+    assert taken() == ([(3, 6, 4, 4)], [(3, 4, 16, 16), (3, 6, 4, 4)])
     evaluate(stack, ["pi_B", "N_C_rest"])
-    assert shapes == [(3, 2, 16, 16), (3, 3, 4, 4), (3, 3, 4, 4)]
-    shapes.clear()
+    assert taken() == ([(3, 3, 4, 4)], [(3, 2, 16, 16), (3, 3, 4, 4)])
     evaluate(stack[1], ["N_AB"])
-    assert shapes == [(1, 1, 4, 4), (1, 1, 4, 4)]
-    shapes.clear()
+    assert taken() == ([(1, 1, 4, 4)], [(1, 1, 4, 4)])
     tangle_report(observed_densities(w_state(4), ["D"], [[0.1], [0.5]]))
-    assert len(shapes) == 4
+    assert taken() == ([(2, 16, 16), (2, 6, 4, 4)], [(2, 4, 16, 16), (2, 6, 4, 4), (2, 16, 16)])
     # a complex state takes the same two pair calls: side 0 alone gives the values
     rho = _complex_w4(3)
-    shapes.clear()
+    taken()
     evaluate(rho, ["N_AB", "N_AD", "N_BD", "N_CD"])
-    assert shapes == [(1, 4, 4, 4), (1, 4, 4, 4)]
+    assert taken() == ([(1, 4, 4, 4)], [(1, 4, 4, 4)])
 
 
 def test_index_tables_gather_what_the_fock_kernels_compute():
@@ -229,9 +230,7 @@ def test_evaluate_stack_and_single_state_agree():
 def test_sums_run_left_to_right(monkeypatch):
     # a compensated sum, as builtin sum() is from Python 3.12 on, differs here
     assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
-    assert _sum_left([1.0, 1e-16, 1e-16]) == 1.0
-    # over arrays the fold runs left to right in each element alike
-    assert _sum_left(np.array([[1.0, 1e-16], [1e-16, 1.0], [1e-16, 1e-16]])).tolist() == [1.0, 1.0]
+    assert (1.0 + 1e-16) + 1e-16 == 1.0
     # synthetic tangles at two points: at point 0 pi_A = 2^2 - (1 + 1e-16 + 1e-16),
     # at point 1 the pairs vanish and the residuals are 1, 1e-16, 1e-16 and 0
     spectral = {column: np.zeros(2) for column in (*measures.ONE_THREE, *measures.PAIRS)}
@@ -306,15 +305,19 @@ def test_entropy_groups_keep_the_bits_of_each_spectrum(seed, points):
     for observers in ([], ["D"], ["B", "D"], ["A", "C", "D"], ["A", "B", "C", "D"]):
         rho = observed_densities(w_state(4), observers,
                                  rng.uniform(0.0, R_MAX, (points, len(observers))))
-        assert von_neumann_entropy(rho).tobytes() == _entropy_row_by_row(rho.spectra).tobytes()
-        assert von_neumann_entropy(rho[0]).tobytes() == _entropy_row_by_row(rho.spectra[0]).tobytes()
+        spectra = np.linalg.eigvalsh(rho.matrix)
+        assert von_neumann_entropy(rho).tobytes() == _entropy_row_by_row(spectra).tobytes()
+        assert von_neumann_entropy(rho[0]).tobytes() == _entropy_row_by_row(spectra[0]).tobytes()
 
 
 def test_entropy_of_a_spectrum_without_positive_eigenvalues():
-    # von_neumann_entropy reads only the spectra; a row with none positive gives -0.0
+    # von_neumann_entropy reads only the spectra of the matrices it is given,
+    # here diagonal ones; a row with none positive gives -0.0
     spectra = np.array([[-1e-17, 0.0, 0.25, 0.75], [-0.5, -0.25, -0.0, 0.0],
                         [0.1, 0.2, 0.3, 0.4], [-1e-17, 0.0, 0.5, 0.5]])
-    entropies = von_neumann_entropy(SimpleNamespace(spectra=spectra))
+    matrices = spectra[:, :, None] * np.eye(4)
+    assert np.array_equal(np.linalg.eigvalsh(matrices), spectra)
+    entropies = von_neumann_entropy(SimpleNamespace(matrix=matrices))
     assert entropies.tobytes() == _entropy_row_by_row(spectra).tobytes()
     assert math.copysign(1.0, entropies[1]) == -1.0 and entropies[1] == 0.0
 
