@@ -3,8 +3,9 @@
 The pipeline builds |W4>, applies the Minkowski to Rindler mode split for
 each accelerated observer, traces the causally disconnected region-II modes
 and evaluates negativity tangles, residual pi tangles, the pi4 / Pi4 means
-and the von Neumann entropy of the observed state.  Every printed closed
-form is also available as an independent oracle for cross-checking.
+and the von Neumann entropy of the observed state.  run_check holds six
+columns against independent closed forms: N_D_rest and S with one
+accelerated observer, plus N_AB, N_AD, N_AC and N_CD.
 """
 
 from .checks import CheckResult, run_check

@@ -1,18 +1,19 @@
 """Cross-validation: numeric pipeline values against the closed-form curves.
 
 Each curve check is one row of ORACLE_ROWS: a measure column, the closed form
-it must match and the points to compare them at, as groups of points that
-share their accelerated observers.  The check evaluates the column over each
-group as one stack, compares the two routes pointwise and reports the
-maximum absolute deviation.  The perturb argument shifts the r values fed to
-the numeric side only, which makes the harness fail on purpose; it exists so
-the failure path itself can be tested.
+it must match and the figure presets that plot that column, at check
+resolution.  The check walks each preset through sweep.sweep_points, the one
+point builder sweeps use, evaluates the column over its points as one stack,
+compares the two routes pointwise and reports the maximum absolute deviation.
+The perturb argument shifts the r values fed to the numeric side only, which
+makes the harness fail on purpose; it exists so the failure path itself can
+be tested.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
@@ -29,8 +30,8 @@ from .oracles import (
     vanishing_threshold,
 )
 from .rindler import R_MAX
+from .sweep import DEFAULT_GRID_1D, PRESETS, SweepConfig, sweep_points
 
-GRID_1D = 101
 GRID_2D = 21
 VALUE_TOL = 1e-10
 CONSTANT_TOL = 1e-12
@@ -48,54 +49,42 @@ class CheckResult:
     detail: str = ""
 
 
-class Points(NamedTuple):
-    """Points with the same accelerated observers: r[p, j] is observers[j]'s r."""
-
-    observers: tuple[str, ...]
-    r: np.ndarray
-
-
-def _line(points: int) -> Points:
-    return Points(("D",), np.linspace(0.0, R_MAX, points)[:, None])
-
-
-def _grid(points: int) -> Points:
-    axis = np.linspace(0.0, R_MAX, points)
-    return Points(("C", "D"), np.column_stack([np.repeat(axis, points), np.tile(axis, points)]))
-
-
 class OracleRow(NamedTuple):
     name: str
     column: str
     closed_form: Callable[[dict[str, float]], float]  # of the unshifted r values
-    points: tuple[Points, ...]
+    sweeps: tuple[SweepConfig, ...]  # presets that plot column, at check resolution
     tol: float
     detail: str
 
 
+_FIG5_GRID = replace(PRESETS["fig5"], diagonal=False, grid=GRID_2D)  # holds fig5's diagonal
+
 ORACLE_ROWS = (
-    OracleRow("n_d1_abc", "N_D_rest", lambda r: n_d1_abc(r["D"]), (_line(GRID_1D),),
-              VALUE_TOL, f"{GRID_1D} points, one accelerated observer"),
-    OracleRow("n_ab_const", "N_AB", lambda r: n_ab_const(), (_line(GRID_1D), _grid(6)),
+    OracleRow("n_d1_abc", "N_D_rest", lambda r: n_d1_abc(r["D"]), (PRESETS["fig1a"],),
+              VALUE_TOL, f"{DEFAULT_GRID_1D} points, one accelerated observer"),
+    OracleRow("n_ab_const", "N_AB", lambda r: n_ab_const(),
+              (PRESETS["fig1b"], replace(_FIG5_GRID, grid=6)),
               CONSTANT_TOL, "both scenarios; constant for every acceleration"),
-    OracleRow("n_i_d1", "N_AD", lambda r: n_i_d1(r["D"]), (_line(GRID_1D),),
-              VALUE_TOL, f"{GRID_1D} points, pair of inertial and accelerated"),
-    OracleRow("n_pair_accel_one", "N_AC", lambda r: n_pair_accel_one(r["C"]), (_grid(GRID_2D),),
+    OracleRow("n_i_d1", "N_AD", lambda r: n_i_d1(r["D"]), (PRESETS["fig1b"],),
+              VALUE_TOL, f"{DEFAULT_GRID_1D} points, pair of inertial and accelerated"),
+    OracleRow("n_pair_accel_one", "N_AC", lambda r: n_pair_accel_one(r["C"]), (_FIG5_GRID,),
               VALUE_TOL, f"{GRID_2D}x{GRID_2D} grid; independent of the other acceleration"),
     OracleRow("n_pair_accel_both", "N_CD", lambda r: n_pair_accel_both(r["C"], r["D"]),
-              (_grid(GRID_2D),), VALUE_TOL,
+              (_FIG5_GRID,), VALUE_TOL,
               f"{GRID_2D}x{GRID_2D} grid, pair of accelerated observers"),
-    OracleRow("entropy_one_accel", "S", lambda r: entropy_one_accel(r["D"]), (_line(GRID_1D),),
-              VALUE_TOL, f"{GRID_1D} points, one accelerated observer"),
+    OracleRow("entropy_one_accel", "S", lambda r: entropy_one_accel(r["D"]), (PRESETS["fig8"],),
+              VALUE_TOL, f"{DEFAULT_GRID_1D} points, one accelerated observer"),
 )
 
 
 def _check_row(row: OracleRow, perturb: float) -> CheckResult:
     deviations = []
-    for group in row.points:
-        shifted = np.clip(group.r + perturb, 0.0, R_MAX)
-        numeric = evaluate_points(group.observers, shifted, [row.column])[row.column]
-        closed = [row.closed_form(dict(zip(group.observers, r))) for r in group.r.tolist()]
+    for sweep in row.sweeps:
+        observers, r = sweep_points(sweep)
+        shifted = np.clip(r + perturb, 0.0, R_MAX)
+        numeric = evaluate_points(observers, shifted, [row.column])[row.column]
+        closed = [row.closed_form(dict(zip(observers, point))) for point in r.tolist()]
         deviations.append(np.abs(numeric - closed))
     dev = float(np.concatenate(deviations).max())
     return CheckResult(row.name, dev, row.tol, dev <= row.tol, row.detail)

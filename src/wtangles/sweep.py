@@ -3,14 +3,15 @@
 A sweep fixes or sweeps the Rindler parameter of each accelerated observer,
 computes the requested measures at every grid point and returns rows in
 deterministic lexicographic grid order.  Measures are named by the
-measures.COLUMNS names alone, with all standing for every column.  The
-points are built once, as one (N, k) array of r values: the swept columns
-first (the product of the axes' linspace values, or one shared axis on the
-diagonal), then the fixed ones.  measures.evaluate_points evaluates it
-measures.CHUNK rows per stack, and the rows are the swept columns of that
-same array followed by the measures.  Rows are plain floats; the CSV writer
-renders them with 17 significant digits so output is byte-identical across
-runs and round-trips losslessly.
+measures.COLUMNS names alone, with all standing for every column.
+sweep_points builds the points once, as one (N, k) array of r values, for
+sweeps and oracle checks alike: the swept columns first (the product of the
+axes' linspace values, or one shared axis on the diagonal), then the fixed
+ones.  measures.evaluate_points evaluates it measures.CHUNK rows per stack,
+and the rows are the swept columns of that same array followed by the
+measures.  Rows are plain floats; the CSV writer renders them with 17
+significant digits so output is byte-identical across runs and round-trips
+losslessly.
 """
 
 from __future__ import annotations
@@ -110,15 +111,12 @@ def _validated(config: SweepConfig) -> SweepConfig:
                    measures=normalize_measures(config.measures))
 
 
-def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
-    """Evaluate the sweep; returns (header, rows) in deterministic order."""
-    cfg = _validated(config)
+def sweep_points(cfg: SweepConfig) -> tuple[tuple[str, ...], np.ndarray]:
+    """The observers of a validated config, swept first, and its (N, k) r array."""
     swept = [a for a in cfg.accelerated if not a.fixed]
     fixed = [a for a in cfg.accelerated if a.fixed]
     two_axis = len(swept) == 2 and not cfg.diagonal
     points = cfg.grid or (DEFAULT_GRID_2D if two_axis else DEFAULT_GRID_1D)
-    header = [f"r_{a.observer}" for a in swept] + list(cfg.measures)
-
     lines = [np.linspace(a.lo, a.hi, points).tolist() for a in swept]
     # the swept r of every point: along the one shared axis on the diagonal
     # (the swept ranges are equal), else in lexicographic grid order
@@ -126,9 +124,18 @@ def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
     r = np.empty((len(grid), len(swept) + len(fixed)))
     r[:, :len(swept)] = grid
     r[:, len(swept):] = [a.lo for a in fixed]
-    values = evaluate_points([a.observer for a in swept + fixed], r, cfg.measures)
+    return tuple(a.observer for a in swept + fixed), r
+
+
+def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
+    """Evaluate the sweep; returns (header, rows) in deterministic order."""
+    cfg = _validated(config)
+    observers, r = sweep_points(cfg)
+    swept = sum(not a.fixed for a in cfg.accelerated)
+    header = [f"r_{o}" for o in observers[:swept]] + list(cfg.measures)
+    values = evaluate_points(observers, r, cfg.measures)
     # each row: the swept r of its point, then its measures
-    return header, np.array([*r[:, :len(swept)].T, *(values[c] for c in cfg.measures)]).T.tolist()
+    return header, np.array([*r[:, :swept].T, *(values[c] for c in cfg.measures)]).T.tolist()
 
 
 def write_csv(header: Sequence[str], rows: Sequence[Sequence[float]], stream: IO[str]) -> None:
