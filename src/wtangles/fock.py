@@ -26,6 +26,13 @@ n >= 1, and validates Hermiticity, unit trace and positivity on construction
 selects states without checking them again: rho[p] is state p of a stack and
 rho[None] a stack of one.
 
+A real matrix is stored as float64 and a complex one as complex128.  The
+observed states are real, so they stay float64 through validation, the
+trace-out and the gathers; only the eigensolve takes their complex128 cast
+(linalg).  validate_density runs on either dtype, and a real stack and its
+complex128 cast get the same verdict and message: the trace sums the real
+parts, and a spectrum is always that of the complex128 cast.
+
 validate_density is the one place Hermiticity is checked: on rho when it is
 built, and on the reduced pair states measures gathers.  A partial transpose
 moves each entry together with its adjoint partner, so it deviates from
@@ -41,6 +48,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
+
+from .linalg import _eigvalsh
 
 HERMITICITY_TOL = 1e-12
 # stack bytes that the Hermiticity check handles at once
@@ -89,14 +98,16 @@ def validate_density(m: np.ndarray) -> None:
 
     Each matrix must be Hermitian, of unit trace and positive semidefinite
     within the module tolerances; a failed check raises, naming the worst
-    value in the stack.  m may be any array-like; a ragged one raises numpy's
-    ValueError.  Positivity is a Cholesky test; only a stack it rejects, or
-    one above 16x16, is diagonalized.  A failed eigensolve raises numpy's
-    LinAlgError, a ValueError.
+    value in the stack.  m may be any array-like, real or complex, and is
+    checked in its own dtype; a ragged one raises numpy's ValueError.
+    Positivity is a Cholesky test; only a stack it rejects, or one above
+    16x16, is diagonalized, as its complex128 cast.  A failed eigensolve
+    raises numpy's LinAlgError, a ValueError.
     """
     m = np.asarray(m)
     _check_hermitian(m)
-    traces = m.trace(axis1=-2, axis2=-1).real
+    # the real parts' trace: a complex trace sums in another order
+    traces = m.real.trace(axis1=-2, axis2=-1)
     deviations = np.abs(traces - 1.0)
     if not deviations.max() <= TRACE_TOL:
         worst = float(np.ravel(traces)[np.ravel(deviations).argmax()])
@@ -105,7 +116,7 @@ def validate_density(m: np.ndarray) -> None:
         with contextlib.suppress(np.linalg.LinAlgError):
             np.linalg.cholesky(m + _CHOLESKY_SHIFT * np.eye(m.shape[-1]))
             return
-    smallest = float(np.linalg.eigvalsh(m)[..., 0].min())
+    smallest = float(_eigvalsh(m)[..., 0].min())
     if not smallest >= MIN_EIGENVALUE:
         raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below {MIN_EIGENVALUE}")
 
@@ -117,7 +128,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
+        m = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
         if m.ndim < 2 or m.shape[-2] != m.shape[-1] or not _is_register(m.shape[-1]):
             raise ValueError(f"matrix has shape {m.shape}, want (..., 2^n, 2^n) with n >= 1")
         validate_density(m)
@@ -175,8 +186,8 @@ def _trace_blocks(m: np.ndarray, n: int, keep: list[int]) -> np.ndarray:
 
 
 def _add_blocks(blocks: np.ndarray) -> np.ndarray:
-    """The sum over axis -3 of (..., t, d, d) blocks, added in index order."""
-    out = np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=complex)
+    """The sum over axis -3 of (..., t, d, d) blocks, added in index order, in their dtype."""
+    out = np.zeros(blocks.shape[:-3] + blocks.shape[-2:], dtype=blocks.dtype)
     for t in range(blocks.shape[-3]):
         out += blocks[..., t, :, :]
     return out

@@ -11,11 +11,24 @@ where a state is made (fock.validate_density); a partial transpose
 deviates from Hermiticity exactly as much as its state, so nothing is
 checked again on the way to eigvalsh.  A failed eigensolve or a
 non-square input raises numpy's LinAlgError, a ValueError, as it is.
+
+The observed states and everything gathered from them are real, and stay
+float64 up to here; _eigvalsh is the one place a real stack is cast to
+complex128.  Every spectrum is the complex solver's (zheevd), whose bits the
+golden outputs pin: the real solver (dsyevd) is faster, but it rounds
+differently, and most negativities would not keep their bits.  The cast
+adds imaginary parts +0, so each input is the same bytes as a complex build
+of the same matrices.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """The ascending spectra of each Hermitian matrix of m, from its complex128 cast."""
+    return np.linalg.eigvalsh(np.asarray(m, dtype=complex))
 
 
 def negative_eigenvalue_sum(m: np.ndarray) -> np.ndarray:
@@ -25,5 +38,5 @@ def negative_eigenvalue_sum(m: np.ndarray) -> np.ndarray:
     spectrum is ascending, so a running sum of |min(w, 0)| adds the negative
     eigenvalues left to right and then only zeros.
     """
-    w = np.linalg.eigvalsh(m)
+    w = _eigvalsh(m)
     return 2.0 * np.abs(np.minimum(w, 0.0)).cumsum(axis=-1)[..., -1]

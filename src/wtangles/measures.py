@@ -19,9 +19,12 @@ residuals it needs (all four for pi4 or Pi4), and from them which 1-3
 transposes and which pairs, with flat index tables to gather them.  Each
 stack of states then takes at most three eigvalsh calls: every needed
 rho^{T_k} at once, the partial transpose on the first mode of every pair at
-once, and rho for S.  A pair's negativity is taken from that side alone:
-the partial transpose on the second mode is the transpose of the first,
-with the same spectrum.  The pair states are validated here, at once and
+once, and rho for S.  The observed rho is real, and the pair states and
+their transposes stay real; each eigvalsh input is complex128 (linalg), so
+its spectrum has the bits of a complex build.  The 1-3 stack, the largest,
+is gathered straight into complex128.  A pair's negativity is taken from
+the first side alone: the partial transpose on the second mode is the
+transpose of the first, with the same spectrum.  The pair states are validated here, at once and
 with no spectrum (fock.validate_density); rho was validated when it was
 built, and a gathered partial transpose deviates from Hermiticity exactly
 as much as its state.  evaluate then fills the planned residuals, pi4, Pi4
@@ -51,7 +54,7 @@ from .fock import (
     validate_density,
     w_state,
 )
-from .linalg import negative_eigenvalue_sum
+from .linalg import _eigvalsh, negative_eigenvalue_sum
 from .rindler import observed_densities
 
 RESIDUAL_CLIP = -1e-10
@@ -91,7 +94,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
     k are one (n, k) array and one reduction, whose rows are summed as a
     single spectrum's k values would be.
     """
-    spectra = np.linalg.eigvalsh(rho.matrix)
+    spectra = _eigvalsh(rho.matrix)
     rows = spectra.reshape(-1, spectra.shape[-1])
     positive = (rows > 0.0).sum(axis=1)
     sizes = set(positive.tolist())
@@ -152,16 +155,21 @@ def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
     """The plan's 1-3 and 1-1 tangles over a stack of N states, as (N,) arrays.
 
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
-    The pair states are gathered into one (N, P, 4, 4) stack and validated
-    at once, and their partial transposes on the first mode take one
-    eigvalsh call and give the values.
+    The pair states are gathered into one (N, P, 4, 4) stack, in rho's dtype,
+    and validated at once, and their partial transposes on the first mode
+    take one eigvalsh call and give the values.
     """
     flat = rho.matrix.reshape(len(rho.matrix), -1)
     out = {}
     if plan.one_three:
-        # the (N, K, 16, 16) stack is a temporary, freed before the pair stage
-        negativities = negative_eigenvalue_sum(np.take(flat, plan.transposed, axis=1))
-        out.update(zip(plan.one_three, negativities.T))
+        # gathered table by table into the complex128 stack eigvalsh takes, so
+        # no real copy of the whole stack is alive next to it; the stack is
+        # freed before the pair stage
+        stack = np.empty((len(flat),) + plan.transposed.shape, dtype=complex)
+        for k, table in enumerate(plan.transposed):
+            stack[:, k] = np.take(flat, table, axis=1)
+        out.update(zip(plan.one_three, negative_eigenvalue_sum(stack).T))
+        del stack
     if plan.pairs:
         reduced = _add_blocks(np.take(flat, plan.traced, axis=1))
         validate_density(reduced)

@@ -19,14 +19,16 @@ out every region-II mode.  With the k appended region-II modes last, the
 amplitudes reshape to a (16, 2^k) matrix V, and rho is the sum of the outer
 products of V's columns, added in column (index) order.
 
-The initial amplitudes must be real, as those of |W4> are, and cos r and
-sin r are real, so V and rho are real: they are built in float64, each
-outer product through one reused buffer, and DensityMatrix makes the one
-complex copy.  That gives the bits of the complex build, whose x * conj(y)
-has real part x*y and imaginary part +0 for real x and y.  A fresh complex
-temporary per term also let glibc trim the top of the heap and fault it
-back on every chunk: a fresh process running run_check took about 9,800
-minor page faults per pass that way, and takes about 2,300 with the buffer.
+The initial amplitudes must be real, as those of |W4> are (Alsing et al.,
+PRA 74, 032326, 2006, for the real single-mode map), and cos r and sin r are
+real, so V and rho are real: they are built in float64, each outer product
+through one reused buffer, and the DensityMatrix keeps them float64.  Only
+the eigensolve casts to complex128 (linalg), and that cast is the bits of
+the complex build, whose x * conj(y) has real part x*y and imaginary part +0
+for real x and y.  Fresh arrays per chunk let glibc trim the top of the
+heap and fault it back on every chunk, so the build makes none it can
+avoid: a fresh process running run_check takes about 2,300 minor page
+faults per pass (the README Notes give the history).
 
 observed_densities does this for N points at once: the amplitudes are an
 (N, 16) stack split by per-point cos r and sin r columns, and rho is an

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+import stat
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import IO, Iterator, Sequence
@@ -150,26 +151,44 @@ def write_csv(header: Sequence[str], rows: Sequence[Sequence[float]], stream: IO
         stream.write(row_format % tuple(row))
 
 
+def _open(path: str, mode: str, target: str) -> IO[str]:
+    """path opened as a UTF-8 text handle; an error names target."""
+    try:
+        return open(path, mode, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OSError(f"cannot write {target}: {exc.strerror}") from None
+
+
 @contextlib.contextmanager
 def atomic_output(target: str) -> Iterator[IO[str]]:
     """A text handle whose contents replace the file target whole on success.
 
-    The handle is a temporary file next to target, opened on entry, so an
-    unwritable path fails before any work; a failed or interrupted block
-    removes it and leaves target as it was.  Open errors name target.
+    Symlinks are followed: the file target resolves to, which need not exist
+    yet, is replaced, and the links stay.  The handle is a temporary file
+    next to that file, opened on entry, so an unwritable path fails before
+    any work; a failed or interrupted block removes it and leaves the file as
+    it was.  A target that exists but is not a regular file, such as a FIFO
+    or a device, is written directly, as a shell redirect writes it, and
+    never replaced.  Open errors name target as given.
     """
-    # a directory would pass the temporary file's open and fail only at the rename
-    if os.path.isdir(target):
-        raise IsADirectoryError(f"cannot write {target}: Is a directory")
-    temp = f"{target}.{os.getpid()}.tmp"
+    path = os.path.realpath(target)
     try:
-        handle = open(temp, "x", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write {target}: {exc.strerror}") from None
+        mode = os.stat(path).st_mode
+    except OSError:
+        mode = stat.S_IFREG     # nothing there yet; an unreachable path fails at the open
+    # a directory would pass the temporary file's open and fail only at the rename
+    if stat.S_ISDIR(mode):
+        raise IsADirectoryError(f"cannot write {target}: Is a directory")
+    if not stat.S_ISREG(mode):
+        with _open(path, "w", target) as handle:
+            yield handle
+        return
+    temp = f"{path}.{os.getpid()}.tmp"
+    handle = _open(temp, "x", target)
     try:
         with handle:
             yield handle
-        os.replace(temp, target)
+        os.replace(temp, path)
     except BaseException:
         os.remove(temp)
         raise

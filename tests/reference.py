@@ -91,17 +91,19 @@ def density_rejection(m):
 
     The checks and messages of the pipeline's density validation, in its
     order (Hermiticity within 1e-12, trace within 1e-10, then no eigenvalue
-    below -1e-10), with positivity read from numpy's eigvalsh alone.
+    below -1e-10), with positivity read from numpy's eigvalsh alone.  Real and
+    complex stacks are judged alike: the trace sums the real parts, and the
+    spectrum is that of the complex128 cast, as every eigensolve's is.
     """
     m = np.asarray(m)
     deviation = float(np.abs(m - np.conj(np.swapaxes(m, -1, -2))).max())
     if not deviation <= 1e-12:
         return f"density matrix deviates from Hermiticity by {deviation:.3e}"
-    traces = np.trace(m, axis1=-2, axis2=-1).real.ravel()
+    traces = np.trace(m.real, axis1=-2, axis2=-1).ravel()
     worst = float(traces[np.abs(traces - 1.0).argmax()])
     if not abs(worst - 1.0) <= 1e-10:
         return f"density matrix trace is {worst!r}, expected 1"
-    smallest = float(np.linalg.eigvalsh(m)[..., 0].min())
+    smallest = float(np.linalg.eigvalsh(m.astype(complex))[..., 0].min())
     if not smallest >= -1e-10:
         return f"density matrix has eigenvalue {smallest:.3e} below -1e-10"
     return None

@@ -2,9 +2,12 @@
 
 import importlib.util
 import math
+import os
 import shlex
+import stat
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -147,6 +150,48 @@ def test_failed_sweep_leaves_target_and_no_temp_file(tmp_path, capsys, monkeypat
     assert "sweep failed" in capsys.readouterr().err
     assert out.read_text(encoding="utf-8") == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+
+
+_SMALL_SWEEP = ["sweep", "--accel", "D=0:pi/4", "--grid", "3", "--measures", "N_D_rest"]
+
+
+def _small_sweep_csv(capsys):
+    """The CSV bytes of _SMALL_SWEEP, as it writes them to stdout."""
+    assert main(_SMALL_SWEEP) == 0
+    return capsys.readouterr().out.encode("utf-8")
+
+
+@pytest.mark.parametrize("exists", [True, False], ids=["to-a-file", "dangling"])
+def test_out_through_a_symlink_writes_its_target(exists, tmp_path, capsys):
+    expected = _small_sweep_csv(capsys)
+    (tmp_path / "data").mkdir()
+    target = tmp_path / "data" / "curve.csv"
+    if exists:
+        target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert main([*_SMALL_SWEEP, "--out", str(link)]) == 0
+    assert f"to {link}" in capsys.readouterr().err
+    # the link stays a link, and the file it names holds the CSV
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["curve.csv", "data", "link.csv"]
+
+
+def test_out_to_a_fifo_writes_through_it(tmp_path, capsys):
+    expected = _small_sweep_csv(capsys)
+    fifo = tmp_path / "curve.fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*_SMALL_SWEEP, "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    # the reader got the CSV, and the FIFO was written, not replaced by a file
+    assert received == [expected]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.fifo"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wtangles.fock import (
+    HERMITICITY_TOL,
+    MIN_EIGENVALUE,
+    TRACE_TOL,
     DensityMatrix,
     _add_blocks,
     _trace_blocks,
@@ -295,3 +298,62 @@ def test_positivity_verdict_is_that_of_the_spectrum(seed, dim, states, complex_,
         with pytest.raises(ValueError) as info:
             validate_density(stack)
         assert str(info.value) == expected
+
+
+def test_density_matrix_keeps_real_states_real():
+    # a real input is stored as float64 and a complex one as complex128
+    state = np.eye(4) / 4
+    for matrix, dtype in [(state, np.float64), (state.tolist(), np.float64),
+                          (state.astype(np.float32), np.float64),
+                          (state + 0j, np.complex128), (state.astype(np.complex64), np.complex128)]:
+        rho = DensityMatrix(matrix)
+        assert rho.matrix.dtype == dtype
+        assert np.array_equal(rho.matrix, state)
+    assert observed_density(w_state(4), {"C": 0.3, "D": 0.5}).matrix.dtype == np.float64
+
+
+def _rejection(m):
+    """The message validate_density rejects m with, or None if it passes."""
+    try:
+        validate_density(m)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_EDGES = st.floats(min_value=0.99, max_value=1.01) | st.sampled_from([0.999, 1.0, 1.001])
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), dim=st.sampled_from([2, 4, 16]),
+       states=st.integers(min_value=1, max_value=3), smallest=_EDGES, asymmetry=_EDGES,
+       trace_shift=st.sampled_from([-1.0, 0.0, 1.0]), trace_edge=_EDGES)
+# each check just inside and just outside its tolerance
+@example(seed=1, dim=16, states=2, smallest=0.5, asymmetry=0.999, trace_shift=0.0, trace_edge=1.0)
+@example(seed=1, dim=16, states=2, smallest=0.5, asymmetry=1.001, trace_shift=0.0, trace_edge=1.0)
+@example(seed=2, dim=4, states=3, smallest=0.5, asymmetry=0.0, trace_shift=1.0, trace_edge=0.999)
+@example(seed=2, dim=4, states=3, smallest=0.5, asymmetry=0.0, trace_shift=-1.0, trace_edge=1.001)
+@example(seed=3, dim=16, states=1, smallest=0.999, asymmetry=0.0, trace_shift=0.0, trace_edge=1.0)
+@example(seed=3, dim=16, states=1, smallest=1.001, asymmetry=0.0, trace_shift=0.0, trace_edge=1.0)
+def test_real_and_complex_stacks_get_one_verdict(seed, dim, states, smallest, asymmetry,
+                                                 trace_shift, trace_edge):
+    # random real symmetric unit-trace stacks, whose last state's smallest
+    # eigenvalue, Hermiticity deviation and trace deviation each sit at a
+    # multiple near 1 of MIN_EIGENVALUE, HERMITICITY_TOL and TRACE_TOL: the
+    # stack and its complex128 cast get the same verdict and message
+    rng = np.random.default_rng(seed)
+    stack = []
+    for _ in range(states):
+        u = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        w = np.concatenate([[smallest * MIN_EIGENVALUE], rng.dirichlet(np.ones(dim - 1))])
+        m = (u * (w / w.sum())) @ u.T
+        stack.append(0.5 * (m + m.T))
+    real = np.array(stack)
+    real[-1, 0, 1] += asymmetry * HERMITICITY_TOL
+    real[-1, 1, 1] += trace_shift * trace_edge * TRACE_TOL
+    assert real.dtype == np.float64
+    expected = _rejection(real)
+    assert _rejection(real.astype(complex)) == expected
+    if expected is None:
+        assert DensityMatrix(real).matrix.dtype == np.float64
+        assert DensityMatrix(real.astype(complex)).matrix.dtype == np.complex128

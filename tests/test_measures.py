@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wtangles.checks import run_check
 from wtangles.fock import DensityMatrix, w_state
 from wtangles import measures
 from wtangles.fock import _add_blocks, _trace_blocks, _transposed, partial_transpose
@@ -14,6 +15,7 @@ from wtangles.measures import (
     COLUMNS,
     big_pi4_tangle,
     evaluate,
+    evaluate_points,
     tangle_report,
     von_neumann_entropy,
 )
@@ -305,7 +307,8 @@ def test_entropy_groups_keep_the_bits_of_each_spectrum(seed, points):
     for observers in ([], ["D"], ["B", "D"], ["A", "C", "D"], ["A", "B", "C", "D"]):
         rho = observed_densities(w_state(4), observers,
                                  rng.uniform(0.0, R_MAX, (points, len(observers))))
-        spectra = np.linalg.eigvalsh(rho.matrix)
+        # rho is float64; its spectra are those of its complex128 cast
+        spectra = np.linalg.eigvalsh(rho.matrix.astype(complex))
         assert von_neumann_entropy(rho).tobytes() == _entropy_row_by_row(spectra).tobytes()
         assert von_neumann_entropy(rho[0]).tobytes() == _entropy_row_by_row(spectra[0]).tobytes()
 
@@ -351,3 +354,39 @@ def test_evaluate_rejects_an_empty_stack():
     for run in (lambda: tangle_report(empty), lambda: evaluate(empty, ["S"])):
         with pytest.raises(ValueError, match="^evaluate needs at least one state, got an empty stack$"):
             run()
+
+
+def _solver_inputs(monkeypatch):
+    """The arrays the pipeline hands numpy's eigvalsh and cholesky, by name."""
+    seen = {"eigvalsh": [], "cholesky": []}
+    for name, arrays in seen.items():
+        def spy(m, arrays=arrays, function=getattr(np.linalg, name)):
+            arrays.append(m)
+            return function(m)
+        monkeypatch.setattr(np.linalg, name, spy)
+    return seen
+
+
+def _assert_real_states_complex_spectra(seen):
+    # every spectrum is the complex solver's, whose bits the goldens pin, and
+    # every positivity factorization gets a real state: rho or a pair state
+    assert seen["eigvalsh"] and seen["cholesky"]
+    assert {m.dtype for m in seen["eigvalsh"]} == {np.dtype(np.complex128)}
+    assert {m.dtype for m in seen["cholesky"]} == {np.dtype(np.float64)}
+    assert {m.shape[-1] for m in seen["cholesky"]} == {4, 16}
+
+
+@pytest.mark.parametrize("observers", [(), ("D",), ("C", "D")])
+def test_solvers_get_real_states_and_complex_spectra(observers, monkeypatch):
+    seen = _solver_inputs(monkeypatch)
+    r = np.linspace(0.0, R_MAX, 5)[:, None].repeat(len(observers), axis=1)
+    evaluate_points(observers, r, COLUMNS)
+    _assert_real_states_complex_spectra(seen)
+    # the 1-3 stack, the pair transposes and rho for S
+    assert {m.shape[-1] for m in seen["eigvalsh"]} == {4, 16} and len(seen["eigvalsh"]) == 3
+
+
+def test_oracle_checks_give_solvers_real_states_and_complex_spectra(monkeypatch):
+    seen = _solver_inputs(monkeypatch)
+    assert all(result.passed for result in run_check())
+    _assert_real_states_complex_spectra(seen)

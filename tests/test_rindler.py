@@ -145,7 +145,9 @@ def _assert_complex_build_bytes(observers, r):
 
     The complex build splits the amplitudes of w_state(4), as complex128, with
     _split, which keeps their dtype, and traces region II out with
-    reference.trace_out_complex.  Comparing tobytes counts signed zeros too.
+    reference.trace_out_complex.  The observed states stay float64, and their
+    complex128 cast, the bytes eigvalsh sees, is compared.  Comparing tobytes
+    counts signed zeros too.
     """
     r = np.asarray(r, dtype=float)
     for start in range(0, len(r), CHUNK):
@@ -157,8 +159,8 @@ def _assert_complex_build_bytes(observers, r):
                          np.array([math.sin(x) for x in column]))
         expected = reference.trace_out_complex(amp)
         matrix = observed_densities(w_state(4), observers, chunk).matrix
-        assert matrix.dtype == expected.dtype
-        assert matrix.tobytes() == expected.tobytes()
+        assert matrix.dtype == np.float64 and expected.dtype == np.complex128
+        assert matrix.astype(complex).tobytes() == expected.tobytes()
 
 
 def test_float64_build_equals_complex_build_on_the_preset_grid():

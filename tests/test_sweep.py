@@ -1,6 +1,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -216,3 +217,23 @@ def test_preset_shapes():
     assert PRESETS["fig3"].measures == ("pi4", "Pi4")
     assert [a.observer for a in PRESETS["fig9"].accelerated] == ["C", "D"]
     assert [a.observer for a in PRESETS["fig8"].accelerated] == ["D"]
+
+
+# the tracemalloc peak of run_sweep(PRESETS["fig7"]) when DensityMatrix held a
+# complex128 copy of every observed state (numpy 2.4, Python 3.11)
+COMPLEX_STATES_FIG7_PEAK = 1_483_311
+
+
+def test_fig7_sweep_peaks_no_higher_than_with_complex_states():
+    # real states gather the 1-3 stack straight into complex128: a real stack
+    # cast after its gather holds both at once, and peaked 0.3 MiB above this
+    run_sweep(PRESETS["fig7"])      # the plan cache is filled first
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run_sweep(PRESETS["fig7"])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= COMPLEX_STATES_FIG7_PEAK
