@@ -21,23 +21,37 @@ products of V's columns, added in column (index) order.
 
 The initial amplitudes must be real, as those of |W4> are (Alsing et al.,
 PRA 74, 032326, 2006, for the real single-mode map), and cos r and sin r are
-real, so V and rho are real: they are built in float64, each outer product
-through one reused buffer, and the DensityMatrix keeps them float64.  Only
-the eigensolve casts to complex128 (linalg), and that cast is the bits of
-the complex build, whose x * conj(y) has real part x*y and imaginary part +0
-for real x and y.  Fresh arrays per chunk let glibc trim the top of the
-heap and fault it back on every chunk, so the build makes none it can
-avoid: a fresh process running run_check takes about 2,300 minor page
-faults per pass (the README Notes give the history).
+real, so V and rho are real: they are built in float64, and the
+DensityMatrix keeps them float64.  Only the eigensolve casts to complex128
+(linalg), and that cast is the bits of the complex build, whose
+x * conj(y) has real part x*y and imaginary part +0 for real x and y.
+
+The map conserves N_I - N_II, so V and rho are sparse: with C and D split,
+|W4> gives 12 nonzero amplitudes and 37 nonzero rho entries out of 256, 25
+with one observer.  rho is built from that support, not from dense outer
+products.  _support reads it off _split, once per set of split modes and
+nonzero pattern of psi0, and lists each nonzero amplitude's source and
+factors and each nonzero entry's products in region-II index order.  Per
+point, each amplitude is the initial one times its factors in split order
+(x 1.0 is exact where a split leaves it), and each entry adds its products
+in order onto +0.0.  That is the dense sum's arithmetic with its exact-zero
+terms left out, and those change no bit: adding +-0.0 leaves a nonzero sum
+as it is and keeps a zero one +0.0, since a sum that starts at +0.0 never
+becomes -0.0.  So each entry is the same bytes as the dense build's.  Fresh
+arrays per chunk let glibc trim the top of the heap and fault it back on
+every chunk, and the support build makes fewer and smaller ones: a fresh
+process running run_check takes about 1,700 minor page faults per pass,
+against 2,270 with the dense build (the README Notes give the history).
 
 observed_densities does this for N points at once: the amplitudes are an
-(N, 16) stack split by per-point cos r and sin r columns, and rho is an
+(N, M) stack scaled by per-point cos r and sin r columns, and rho is an
 (N, 16, 16) stack, validated once.  observed_density is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -77,6 +91,48 @@ def _split(amp: np.ndarray, pos: int, cos_r: np.ndarray, sin_r: np.ndarray) -> n
     return out.reshape(points, -1)
 
 
+@lru_cache
+def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
+    """The nonzero amplitudes of the split states and the products of their rho.
+
+    positions are the split modes, in register order, and nonzero the
+    indices of the nonzero initial amplitudes.  The table is read off _split
+    itself, run on one unit vector per nonzero amplitude: with every cos r
+    and sin r at 1 it gives the support, and with one split's cos r at 2 and
+    sin r at 3 it labels that split's factor.  It holds
+    - source: (M,) the initial amplitude of each nonzero split amplitude;
+    - factors: (k, M) what split j multiplies each by: 0 nothing, 1 cos r,
+      2 sin r;
+    - rounds: (entries, left, right) index arrays; round s adds, to each
+      flat rho entry with more than s products, its product number s in
+      region-II index order, amplitude left times amplitude right.
+    """
+    ones = np.ones(16)
+
+    def split(marked: int | None) -> np.ndarray:
+        amp = np.eye(16)
+        for j, pos in enumerate(positions):
+            amp = _split(amp, pos, ones * (2.0 if j == marked else 1.0),
+                         ones * (3.0 if j == marked else 1.0))
+        return amp[list(nonzero)]
+
+    index, probe = np.nonzero(split(None).T)
+    source = np.array(nonzero, dtype=np.intp)[probe]
+    factors = [(split(j)[probe, index] - 1.0).astype(np.intp) for j in range(len(positions))]
+    row, pattern = np.divmod(index, 1 << len(positions))
+    terms: dict[int, list[tuple[int, int]]] = {}
+    for t in range(1 << len(positions)):
+        at_t = np.flatnonzero(pattern == t).tolist()
+        for a in at_t:
+            for b in at_t:
+                terms.setdefault(16 * int(row[a]) + int(row[b]), []).append((a, b))
+    rounds = []
+    for s in range(max(map(len, terms.values()), default=0)):
+        step = [(e, *products[s]) for e, products in terms.items() if len(products) > s]
+        rounds.append(tuple(np.array(column, dtype=np.intp) for column in zip(*step)))
+    return source, factors, rounds
+
+
 def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> DensityMatrix:
     """Observed states at N >= 1 points, as one validated (N, 16, 16) stack.
 
@@ -105,23 +161,25 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
         if obs in observers[:j]:
             raise ValueError(f"observer {obs!r} is already transformed")
     points = len(r)
-    # float64 amplitudes are read in place: even this small a per-chunk temporary
-    # moved heap trimming (see the module docstring)
-    amp = np.asarray(psi0.real, dtype=float)[None].repeat(points, axis=0)
+    psi0 = np.asarray(psi0.real, dtype=float)
     # region-II axes go after every accessible one, so a mode's position holds
-    for pos, j in sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers)):
+    order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
+    source, factors, rounds = _support(tuple(pos for pos, _ in order),
+                                       tuple(np.flatnonzero(psi0).tolist()))
+    amp = psi0[source][None].repeat(points, axis=0)
+    for (_, j), factor in zip(order, factors):
         # math's cos and sin, value by value; numpy's vector loops may round differently
         column = r[:, j].tolist()
-        amp = _split(amp, pos, np.array([math.cos(x) for x in column]),
-                     np.array([math.sin(x) for x in column]))
-    # rows: the accessible modes; columns: the region-II patterns, appended last
-    v = amp.reshape(points, 16, -1)
-    rho = np.zeros((points, 16, 16))
-    # one reused product buffer; see the module docstring
-    term = np.empty_like(rho)
-    for t in range(v.shape[2]):
-        rho += np.multiply(v[:, :, t, None], v[:, None, :, t], out=term)
-    return DensityMatrix(rho)
+        choices = np.array([[1.0] * points, [math.cos(x) for x in column],
+                            [math.sin(x) for x in column]]).T
+        # x 1.0 where the split leaves an amplitude as it is: exact
+        amp *= choices[:, factor]
+    # added, never assigned: each sum starts at +0.0, as the dense sum did, so a
+    # -0.0 product lands as +0.0
+    rho = np.zeros((points, 256))
+    for entries, left, right in rounds:
+        rho[:, entries] += amp[:, left] * amp[:, right]
+    return DensityMatrix(rho.reshape(points, 16, 16))
 
 
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:

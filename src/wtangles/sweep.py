@@ -151,14 +151,6 @@ def write_csv(header: Sequence[str], rows: Sequence[Sequence[float]], stream: IO
         stream.write(row_format % tuple(row))
 
 
-def _open(path: str, mode: str, target: str) -> IO[str]:
-    """path opened as a UTF-8 text handle; an error names target."""
-    try:
-        return open(path, mode, encoding="utf-8", newline="")
-    except OSError as exc:
-        raise OSError(f"cannot write {target}: {exc.strerror}") from None
-
-
 @contextlib.contextmanager
 def atomic_output(target: str) -> Iterator[IO[str]]:
     """A text handle whose contents replace the file target whole on success.
@@ -169,7 +161,8 @@ def atomic_output(target: str) -> Iterator[IO[str]]:
     any work; a failed or interrupted block removes it and leaves the file as
     it was.  A target that exists but is not a regular file, such as a FIFO
     or a device, is written directly, as a shell redirect writes it, and
-    never replaced.  Open errors name target as given.
+    never replaced.  A failed open, write, close or rename raises a one-line
+    OSError that names target as given.
     """
     path = os.path.realpath(target)
     try:
@@ -179,19 +172,26 @@ def atomic_output(target: str) -> Iterator[IO[str]]:
     # a directory would pass the temporary file's open and fail only at the rename
     if stat.S_ISDIR(mode):
         raise IsADirectoryError(f"cannot write {target}: Is a directory")
-    if not stat.S_ISREG(mode):
-        with _open(path, "w", target) as handle:
-            yield handle
-        return
-    temp = f"{path}.{os.getpid()}.tmp"
-    handle = _open(temp, "x", target)
     try:
-        with handle:
-            yield handle
-        os.replace(temp, path)
-    except BaseException:
-        os.remove(temp)
-        raise
+        if not stat.S_ISREG(mode):
+            with open(path, "w", encoding="utf-8", newline="") as handle:
+                yield handle
+            return
+        temp = f"{path}.{os.getpid()}.tmp"
+        handle = open(temp, "x", encoding="utf-8", newline="")
+        try:
+            with handle:
+                yield handle
+            os.replace(temp, path)
+        except BaseException:
+            os.remove(temp)
+            raise
+    except OSError as exc:
+        # a system call on the output failed; an error the block raised
+        # without an errno, already one line, passes as it is
+        if exc.errno is None:
+            raise
+        raise OSError(f"cannot write {target}: {exc.strerror}") from None
 
 
 def _axis(observer: str, lo: float = 0.0, hi: float = R_MAX) -> AxisSpec:

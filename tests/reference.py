@@ -1,6 +1,7 @@
-"""Brute-force references: the trace-out, the partial transpose, the Rindler split,
-a pure projector, the n-mode W state, the pair negativities, the density-matrix
-checks by spectrum and the matrix printout.
+"""Brute-force references: the trace-out, the partial transpose, the Rindler
+split, the dense observed states, a pure projector, the n-mode W state, the
+pair negativities, the density-matrix checks by spectrum and the matrix
+printout.
 
 Each is written entry by entry from its definition over occupation patterns
 and imports nothing from wtangles, so a bookkeeping bug in the pipeline's
@@ -139,6 +140,27 @@ def trace_out_complex(amp):
     for t in range(v.shape[2]):
         rho += v[:, :, t, None] * v[:, None, :, t].conj()
     return rho
+
+
+def observed_dense(psi0, observers, r):
+    """The observed states of real amplitudes psi0 at each row of r, in float64.
+
+    The dense route, one point at a time: the modes of observers (r[p][j] is
+    the parameter of observers[j]) are split in register order with
+    rindler_split, whose real part is the float64 product for real input,
+    and rho is the sum of the outer products of the amplitudes' (16, 2^k)
+    columns, added in region-II index order into zeros.
+    """
+    splits = sorted(("ABCD".index(obs), j) for j, obs in enumerate(observers))
+    out = np.zeros((len(r), 16, 16))
+    for p, row in enumerate(r):
+        amp = np.asarray(psi0, dtype=float)
+        for n, (pos, j) in enumerate(splits, start=4):
+            amp = rindler_split(amp, n, pos, row[j]).real
+        v = amp.reshape(16, -1)
+        for t in range(v.shape[1]):
+            out[p] += np.outer(v[:, t], v[:, t])
+    return out
 
 
 def w_amplitudes(n):

@@ -1,5 +1,6 @@
 """Command-line behaviour, the README commands and the frozen sweep output."""
 
+import errno
 import importlib.util
 import math
 import os
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wtangles import sweep
 from wtangles.cli import _symbol_entries, _symbol_table, build_parser, emit_matrix, main
 from wtangles.fock import OBSERVERS, partial_transpose, w_state
 from wtangles.rindler import R_MAX, observed_density
@@ -192,6 +194,32 @@ def test_out_to_a_fifo_writes_through_it(tmp_path, capsys):
     assert received == [expected]
     assert stat.S_ISFIFO(fifo.lstat().st_mode)
     assert [p.name for p in tmp_path.iterdir()] == ["curve.fifo"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_out_to_a_full_device_names_it(capsys):
+    assert main([*_SMALL_SWEEP, "--out", "/dev/full"]) == 2
+    assert capsys.readouterr().err == "error: cannot write /dev/full: No space left on device\n"
+    assert stat.S_ISCHR(os.stat("/dev/full").st_mode)
+
+
+def test_failed_write_names_the_out_and_keeps_the_old_file(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "curve.csv"
+    out.write_text("old\n", encoding="utf-8")
+
+    def full_disk_open(*args, **kwargs):
+        handle = open(*args, **kwargs)
+
+        def no_space(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        handle.write = no_space
+        return handle
+    monkeypatch.setattr(sweep, "open", full_disk_open, raising=False)
+    assert main([*_SMALL_SWEEP, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
+    # the temporary file is gone and the old file is as it was
+    assert [p.name for p in tmp_path.iterdir()] == ["curve.csv"]
+    assert out.read_text(encoding="utf-8") == "old\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -17,7 +17,7 @@ from wtangles.fock import (
     w_state,
 )
 from wtangles.measures import CHUNK
-from wtangles.rindler import R_MAX, _split, observed_densities, observed_density
+from wtangles.rindler import R_MAX, _split, _support, observed_densities, observed_density
 
 from . import patterns, reference
 
@@ -187,6 +187,39 @@ KINK_R = (0.0, patterns.THRESHOLD_R, R_MAX)
 @example(observers=list(OBSERVERS), rows=[[x] * 4 for x in KINK_R])
 def test_float64_build_equals_complex_build_at_random_points(observers, rows):
     _assert_complex_build_bytes(observers, [row[:len(observers)] for row in rows])
+
+
+# real amplitudes of both signs, with exact zeros of both signs
+_AMPLITUDE = st.sampled_from((0.0, -0.0)) | st.floats(0.05, 1.0) | st.floats(-1.0, -0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(psi0=st.lists(_AMPLITUDE, min_size=16, max_size=16).filter(any),
+       observers=st.lists(st.sampled_from(OBSERVERS), unique=True, min_size=1, max_size=4),
+       rows=st.lists(st.lists(st.floats(0.0, R_MAX) | st.sampled_from((0.0, R_MAX)),
+                              min_size=4, max_size=4),
+                     min_size=1, max_size=4))
+@example(psi0=[(-1.0) ** i * (i % 3) for i in range(16)], observers=["D", "A", "C", "B"],
+         rows=[[0.0] * 4, [R_MAX] * 4, [0.0, R_MAX, 0.0, R_MAX]])
+@example(psi0=[-0.0, -0.5, 0.0, -0.5] * 4, observers=["B"], rows=[[0.0], [R_MAX]])
+def test_support_build_equals_the_dense_build(psi0, observers, rows):
+    # at r = 0, sin r times a negative amplitude is -0.0, and rho must still hold +0.0
+    psi0 = np.array(psi0) / np.linalg.norm(psi0)
+    r = [row[:len(observers)] for row in rows]
+    matrix = observed_densities(psi0, observers, r).matrix
+    assert matrix.tobytes() == reference.observed_dense(psi0, observers, r).tobytes()
+
+
+def test_one_nonzero_pattern_adds_one_support_table():
+    _support.cache_clear()
+    signs = np.array([1.0, -1.0, 0.3, -0.0] * 4)
+    psi0 = w_state(4) * signs / np.linalg.norm(w_state(4) * signs)
+    observed_densities(w_state(4), ["C", "D"], [[0.2, 0.3]])
+    # other values and observer order, the same nonzero pattern and split modes
+    observed_densities(psi0, ["D", "C"], [[0.1, 0.4], [0.0, R_MAX]])
+    assert _support.cache_info().currsize == 1
+    observed_densities(w_state(4), ["D"], [[0.2]])
+    assert _support.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("observers, r, fragment", [
