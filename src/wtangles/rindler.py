@@ -123,7 +123,8 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
     factors = [(split(j)[probe, index] - 1.0).astype(np.intp) for j in range(len(positions))]
     row, pattern = np.divmod(index, 1 << len(positions))
     blocks = []
-    for t in np.unique(pattern):
+    # not np.unique, whose first call imports numpy.ma
+    for t in sorted(set(pattern.tolist())):
         members = np.flatnonzero(pattern == t)
         blocks.append((members, (16 * row[members, None] + row[members]).ravel()))
     return source, factors, blocks
