@@ -41,9 +41,9 @@ as it is and keeps a zero one +0.0, since a sum that starts at +0.0 never
 becomes -0.0.  So each entry is the same bytes as the dense build's.  Fresh
 arrays per chunk let glibc trim the top of the heap and fault it back on
 every chunk, and the support build makes fewer and smaller ones: a fresh
-process running run_check took about 1,900 to 2,300 minor page faults per
-pass with the dense build, and with the support build takes about 440 on
-its first pass and almost none after (the README Notes give the history).
+process running run_check took about 1,870 to 2,270 minor page faults per
+pass with the dense build, and takes about 1,700 with the support build
+(the README Notes give the history).
 
 observed_densities does this for N points at once: the amplitudes are an
 (N, M) stack scaled by per-point cos r and sin r columns, and rho is an
