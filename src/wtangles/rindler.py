@@ -30,13 +30,12 @@ The map conserves N_I - N_II, so V and rho are sparse: with C and D split,
 |W4> gives 12 nonzero amplitudes and 37 nonzero rho entries out of 256, 25
 with one observer.  rho is built from that support, not from dense outer
 products.  _support reads it off _split, once per set of split modes and
-nonzero pattern of psi0: each nonzero amplitude's source and factors, and,
-for each region-II pattern in index order, the amplitudes that carry it and
-the rho entries of their outer product.  Per point, each amplitude is the
-initial one times its factors in split order (x 1.0 is exact where a split
-leaves it), and each pattern's products are added, in pattern order, onto a
-zeroed rho.  That is the dense sum's arithmetic with its exact-zero terms
-left out, and those change no bit: adding +-0.0 leaves a nonzero sum
+nonzero pattern of psi0: each nonzero amplitude's source and factors, and
+each nonzero rho entry's products in region-II index order.  Per point,
+each amplitude is the initial one times its factors in split order (x 1.0
+is exact where a split leaves it), and each entry adds its products, in
+order, onto the +0.0 of a zeroed rho.  That is the dense sum's arithmetic
+with its exact-zero terms left out, and those change no bit: adding +-0.0 leaves a nonzero sum
 as it is and keeps a zero one +0.0, since a sum that starts at +0.0 never
 becomes -0.0.  So each entry is the same bytes as the dense build's.  Fresh
 arrays per chunk let glibc trim the top of the heap and fault it back on
@@ -95,7 +94,7 @@ def _split(amp: np.ndarray, pos: int, cos_r: np.ndarray, sin_r: np.ndarray) -> n
 
 @lru_cache
 def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
-    """The nonzero amplitudes of the split states, and where their products go in rho.
+    """The nonzero amplitudes of the split states and the products of their rho.
 
     positions are the split modes, in register order, and nonzero the
     indices of the nonzero initial amplitudes.  The table is read off _split
@@ -105,9 +104,9 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
     - source: (M,) the initial amplitude of each nonzero split amplitude;
     - factors: (k, M) what split j multiplies each by: 0 nothing, 1 cos r,
       2 sin r;
-    - blocks: for each region-II pattern that has any, in index order, the
-      amplitudes with that pattern and the flat rho entries of their outer
-      product.
+    - rounds: (3, n) index arrays of entries, left and right; round s adds,
+      to each flat rho entry with more than s products, its product number s
+      in region-II index order, amplitude left times amplitude right.
     """
     ones = np.ones(16)
 
@@ -122,12 +121,16 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
     source = np.array(nonzero, dtype=np.intp)[probe]
     factors = [(split(j)[probe, index] - 1.0).astype(np.intp) for j in range(len(positions))]
     row, pattern = np.divmod(index, 1 << len(positions))
-    blocks = []
-    # not np.unique, whose first call imports numpy.ma
-    for t in sorted(set(pattern.tolist())):
-        members = np.flatnonzero(pattern == t)
-        blocks.append((members, (16 * row[members, None] + row[members]).ravel()))
-    return source, factors, blocks
+    terms: dict[int, list[tuple[int, int]]] = {}
+    for t in range(1 << len(positions)):
+        at_t = np.flatnonzero(pattern == t).tolist()
+        for a in at_t:
+            for b in at_t:
+                terms.setdefault(16 * int(row[a]) + int(row[b]), []).append((a, b))
+    rounds = [np.array([(e, *products[s]) for e, products in terms.items() if len(products) > s],
+                       dtype=np.intp).T
+              for s in range(max(map(len, terms.values()), default=0))]
+    return source, factors, rounds
 
 
 def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> DensityMatrix:
@@ -161,7 +164,7 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
     psi0 = np.asarray(psi0.real, dtype=float)
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
-    source, factors, blocks = _support(tuple(pos for pos, _ in order),
+    source, factors, rounds = _support(tuple(pos for pos, _ in order),
                                        tuple(np.flatnonzero(psi0).tolist()))
     amp = psi0[source][None].repeat(points, axis=0)
     for (_, j), factor in zip(order, factors):
@@ -174,9 +177,8 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
     # added, never assigned: each sum starts at +0.0, as the dense sum did, so a
     # -0.0 product lands as +0.0
     rho = np.zeros((points, 256))
-    for members, entries in blocks:
-        v = amp[:, members]
-        rho[:, entries] += (v[:, :, None] * v[:, None, :]).reshape(points, -1)
+    for entries, left, right in rounds:
+        rho[:, entries] += amp[:, left] * amp[:, right]
     return DensityMatrix(rho.reshape(points, 16, 16))
 
 
