@@ -96,7 +96,10 @@ def _check_vanishing_threshold(perturb: float) -> CheckResult:
     dev = abs(computed - analytic)
     printed_dev = abs(computed - PRINTED_THRESHOLD)
     passed = dev <= THRESHOLD_TOL and printed_dev <= PRINTED_THRESHOLD_TOL
-    detail = (f"r* = {computed:.10f}, |r* - {PRINTED_THRESHOLD}| = {printed_dev:.3e} "
+    # fixed-point below 1, as the check golden prints it; above, where a large
+    # perturb would print hundreds of digits, 10 significant ones
+    shown = f"{computed:.10f}" if abs(computed) < 1.0 else f"{computed:.10g}"
+    detail = (f"r* = {shown}, |r* - {PRINTED_THRESHOLD}| = {printed_dev:.3e} "
               f"(tol {PRINTED_THRESHOLD_TOL:g})")
     return CheckResult("vanishing_threshold", dev, THRESHOLD_TOL, passed, detail)
 

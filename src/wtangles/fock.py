@@ -22,9 +22,19 @@ trace check of the density matrix built from it covers the norm.
 
 A DensityMatrix holds one state or a (..., 2^n, 2^n) stack of states, with
 n >= 1, and validates Hermiticity, unit trace and positivity on construction
-(validate_density); violations raise instead of being clipped.  Indexing
+(validate_density); violations raise instead of being clipped.  It holds a
+read-only copy of a caller's array; a stack the package has just built
+(rindler) is validated and held as it is, read-only, with no copy.  Indexing
 selects states without checking them again: rho[p] is state p of a stack and
 rho[None] a stack of one.
+
+Positivity is a Cholesky factorization of each matrix shifted by
+_CHOLESKY_SHIFT on its diagonal; a stack is factored block by block, as the
+Hermiticity check runs, in blocks of about _BLOCK_BYTES.  Each matrix is
+factored on its own, so the verdict is that of one call over the whole
+stack, and no temporary is large enough for glibc to trim the top of the
+heap after each chunk and fault it back on the next.  A stack with a
+rejected block is diagonalized whole, and its smallest eigenvalue decides.
 
 A real matrix is stored as float64 and a complex one as complex128.  The
 observed states are real, so they stay float64 through validation, the
@@ -52,7 +62,7 @@ import numpy as np
 from .linalg import _eigvalsh
 
 HERMITICITY_TOL = 1e-12
-# stack bytes that the Hermiticity check handles at once
+# stack bytes that the Hermiticity and positivity checks handle at once
 _BLOCK_BYTES = 1 << 16
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-10
@@ -67,13 +77,12 @@ def _is_register(dim: int) -> bool:
     return dim >= 2 and dim & (dim - 1) == 0
 
 
-def _check_hermitian(m: np.ndarray) -> None:
-    """Check that each matrix of a nonempty stack is Hermitian within HERMITICITY_TOL.
+def _blocks(m: np.ndarray) -> list[np.ndarray]:
+    """A nonempty square stack over its leading axes, as blocks of about _BLOCK_BYTES.
 
-    The check runs over the stack in blocks of about _BLOCK_BYTES, so its
-    temporaries stay small however large the stack is.  m is never
-    symmetrized: eigvalsh reads one triangle, so a deviation d moves the
-    eigenvalues by up to about d.
+    Each block is a (b, dim, dim) slice, in stack order, so a check that
+    runs block by block keeps its temporaries small however large the stack
+    is.
     """
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"density expected a square matrix, got shape {m.shape}")
@@ -81,9 +90,18 @@ def _check_hermitian(m: np.ndarray) -> None:
     if not len(stack):
         raise ValueError(f"density matrix stack is empty: shape {m.shape}")
     step = max(1, _BLOCK_BYTES // max(1, m.itemsize * m.shape[-1] ** 2))
+    return [stack[start:start + step] for start in range(0, len(stack), step)]
+
+
+def _check_hermitian(m: np.ndarray) -> None:
+    """Check that each matrix of a nonempty stack is Hermitian within HERMITICITY_TOL.
+
+    The check runs block by block (_blocks).  m is never symmetrized:
+    eigvalsh reads one triangle, so a deviation d moves the eigenvalues by
+    up to about d.
+    """
     deviation = 0.0
-    for start in range(0, len(stack), step):
-        block = stack[start:start + step]
+    for block in _blocks(m):
         difference = block - np.conjugate(block.swapaxes(1, 2), order="C")
         # any() is cheaper than the moduli, and true for a NaN too
         worst = float(np.abs(difference).max()) if difference.any() else 0.0
@@ -100,9 +118,10 @@ def validate_density(m: np.ndarray) -> None:
     within the module tolerances; a failed check raises, naming the worst
     value in the stack.  m may be any array-like, real or complex, and is
     checked in its own dtype; a ragged one raises numpy's ValueError.
-    Positivity is a Cholesky test; only a stack it rejects, or one above
-    16x16, is diagonalized, as its complex128 cast.  A failed eigensolve
-    raises numpy's LinAlgError, a ValueError.
+    Positivity is a Cholesky test, block by block (_blocks), each matrix
+    factored on its own; only a stack with a rejected block, or one above
+    16x16, is diagonalized, whole, as its complex128 cast.  A failed
+    eigensolve raises numpy's LinAlgError, a ValueError.
     """
     m = np.asarray(m)
     _check_hermitian(m)
@@ -113,8 +132,10 @@ def validate_density(m: np.ndarray) -> None:
         worst = float(np.ravel(traces)[np.ravel(deviations).argmax()])
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
     if m.shape[-1] <= 16:
+        shift = _CHOLESKY_SHIFT * np.eye(m.shape[-1])
         with contextlib.suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky(m + _CHOLESKY_SHIFT * np.eye(m.shape[-1]))
+            for block in _blocks(m):
+                np.linalg.cholesky(block + shift)
             return
     smallest = float(_eigvalsh(m)[..., 0].min())
     if not smallest >= MIN_EIGENVALUE:
@@ -128,7 +149,20 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float)
+        # a copy, so that the caller's array stays the caller's to change
+        self._hold(np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float))
+
+    @classmethod
+    def _owning(cls, m: np.ndarray) -> "DensityMatrix":
+        """Validate and hold m, a float64 or complex128 array the package built, without a copy.
+
+        m becomes read-only; no one else may hold it writeable.
+        """
+        rho = object.__new__(cls)
+        rho._hold(m)
+        return rho
+
+    def _hold(self, m: np.ndarray) -> None:
         if m.ndim < 2 or m.shape[-2] != m.shape[-1] or not _is_register(m.shape[-1]):
             raise ValueError(f"matrix has shape {m.shape}, want (..., 2^n, 2^n) with n >= 1")
         validate_density(m)

@@ -37,16 +37,12 @@ is exact where a split leaves it), and each entry adds its products, in
 order, onto the +0.0 of a zeroed rho.  That is the dense sum's arithmetic
 with its exact-zero terms left out, and those change no bit: adding +-0.0 leaves a nonzero sum
 as it is and keeps a zero one +0.0, since a sum that starts at +0.0 never
-becomes -0.0.  So each entry is the same bytes as the dense build's.  Fresh
-arrays per chunk let glibc trim the top of the heap and fault it back on
-every chunk, and the support build makes fewer and smaller ones: a fresh
-process running run_check took about 1,870 to 2,270 minor page faults per
-pass with the dense build, and takes about 1,700 with the support build
-(the README Notes give the history).
+becomes -0.0.  So each entry is the same bytes as the dense build's.
 
 observed_densities does this for N points at once: the amplitudes are an
 (N, M) stack scaled by per-point cos r and sin r columns, and rho is an
-(N, 16, 16) stack, validated once.  observed_density is the batch of one.
+(N, 16, 16) stack, validated once and held as built, with no copy.
+observed_density is the batch of one.
 """
 
 from __future__ import annotations
@@ -179,7 +175,7 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
     rho = np.zeros((points, 256))
     for entries, left, right in rounds:
         rho[:, entries] += amp[:, left] * amp[:, right]
-    return DensityMatrix(rho.reshape(points, 16, 16))
+    return DensityMatrix._owning(rho.reshape(points, 16, 16))
 
 
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:

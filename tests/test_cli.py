@@ -256,6 +256,18 @@ def test_check_perturbed_pipeline_fails(capsys):
     assert "first failing oracle: n_d1_abc" in out
 
 
+def test_check_huge_perturb_prints_short_lines(capsys):
+    # r* far from [0, 1) prints 10 significant digits, not 300 fixed-point ones
+    for perturb, shown in (("1e308", "1e+308"), ("-1e308", "-1e+308"), ("0.6", "1.072473128")):
+        assert main(["check", "vanishing_threshold", f"--perturb={perturb}"]) == 1
+        out = capsys.readouterr().out
+        assert f"FAIL  r* = {shown}, |r* - 0.472473| = " in out
+        assert max(map(len, out.splitlines())) <= 121
+    # below 1 the fixed-point digits stay as the check golden prints them
+    assert main(["check", "vanishing_threshold", "--perturb=-0.45"]) == 1
+    assert "r* = 0.0224731279, " in capsys.readouterr().out
+
+
 def test_check_unknown_name(capsys):
     assert main(["check", "no_such_curve"]) == 2
     assert "unknown oracle" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from wtangles.fock import (
     validate_density,
     w_state,
 )
-from wtangles.rindler import observed_density
+from wtangles.rindler import observed_densities, observed_density
 
 from . import patterns, reference
 
@@ -310,6 +310,29 @@ def test_density_matrix_keeps_real_states_real():
         assert rho.matrix.dtype == dtype
         assert np.array_equal(rho.matrix, state)
     assert observed_density(w_state(4), {"C": 0.3, "D": 0.5}).matrix.dtype == np.float64
+
+
+def test_density_matrix_copies_a_callers_array():
+    # the caller's array stays writeable, and changing it leaves the state as it was
+    for state in (np.eye(4) / 4, np.eye(4) / 4 + 0j, np.stack([np.eye(2) / 2] * 3)):
+        before = state.copy()
+        rho = DensityMatrix(state)
+        assert state.flags.writeable and not rho.matrix.flags.writeable
+        assert not np.shares_memory(rho.matrix, state)
+        state[..., 0, 0] = 7.0
+        assert rho.matrix.tobytes() == before.tobytes()
+
+
+def test_observed_states_hold_the_stack_they_built():
+    # the package's own stack is validated and held read-only, without a copy
+    rho = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1]])
+    assert rho.matrix.base.shape == (2, 256) and not rho.matrix.flags.writeable
+    with pytest.raises(ValueError, match=r"want \(\.\.\., 2\^n, 2\^n\) with n >= 1"):
+        DensityMatrix._owning(np.eye(3))
+    with pytest.raises(ValueError, match="^density matrix trace is 2.0, expected 1$"):
+        DensityMatrix._owning(np.eye(2))
+    held = np.eye(2) / 2
+    assert DensityMatrix._owning(held).matrix is held and not held.flags.writeable
 
 
 def _rejection(m):

@@ -125,15 +125,28 @@ def _shifted(m):
     return m + fock._CHOLESKY_SHIFT * np.eye(m.shape[-1])
 
 
+def _factored_slices(blocks, m):
+    """How many states of m the blocks cover, asserting that they are m's slices, in order, shifted."""
+    covered = 0
+    for block in blocks:
+        assert block.tobytes() == _shifted(m[covered:covered + len(block)]).tobytes()
+        covered += len(block)
+    return covered
+
+
 def test_stacks_within_tolerance_reach_eigvalsh_as_given(monkeypatch):
     # 40 16x16 matrices, so the check spans several blocks
     exact = _states(np.random.default_rng(11), 40, 16, 16)
     assert np.abs(exact - exact.conj().swapaxes(-1, -2)).max() == 0.0
-    # the factorization gets the stack shifted on its diagonal, and nothing else
-    [seen] = _seen_by(monkeypatch, "cholesky", exact)
-    assert seen.tobytes() == _shifted(exact).tobytes()
+    # the factorization gets the stack in blocks of at most _BLOCK_BYTES: each
+    # block its slice of the stack shifted on its diagonal, and nothing else,
+    # and the blocks add up to the stack
+    blocks = _seen_by(monkeypatch, "cholesky", exact)
+    assert len(blocks) > 1 and max(block.nbytes for block in blocks) <= fock._BLOCK_BYTES
+    assert _factored_slices(blocks, exact) == len(exact)
     assert _seen_by(monkeypatch, "eigvalsh", exact) == []
-    # a stack that the factorization rejects reaches eigvalsh itself
+    # a stack with a block that the factorization rejects reaches eigvalsh
+    # itself, whole
     edge = exact.copy()
     edge[7] = np.diag([-0.9995e-10] + [(1.0 + 0.9995e-10) / 15] * 15)
     assert _seen_by(monkeypatch, "eigvalsh", edge)[0] is edge
@@ -147,10 +160,12 @@ def test_stacks_within_tolerance_reach_eigvalsh_as_given(monkeypatch):
         deviation = float(np.abs(m - m.conj().swapaxes(-1, -2)).max())
         assert 0.0 < deviation <= fock.HERMITICITY_TOL
         before = m.copy()
-        # checked, never symmetrized: the factorization gets m shifted, and
+        # checked, never symmetrized: the factorization gets m's blocks
+        # shifted, up to the one that holds state 7 and is rejected, and
         # eigvalsh m itself, unchanged, or the complex128 cast of a real m
-        [seen] = _seen_by(monkeypatch, "cholesky", m)
-        assert seen.tobytes() == _shifted(m).tobytes()
+        blocks = _seen_by(monkeypatch, "cholesky", m)
+        covered = _factored_slices(blocks, m)
+        assert covered - len(blocks[-1]) <= 7 < covered
         [solved] = _seen_by(monkeypatch, "eigvalsh", m)
         if m.dtype == complex:
             assert solved is m

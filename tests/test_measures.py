@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from wtangles.checks import run_check
 from wtangles.fock import DensityMatrix, w_state
-from wtangles import measures
+from wtangles import fock, measures
 from wtangles.fock import _add_blocks, _trace_blocks, _transposed, partial_transpose
 from wtangles.linalg import negative_eigenvalue_sum
 from wtangles.measures import (
@@ -156,13 +156,31 @@ def test_tangle_report_bundle_is_consistent():
 
 
 def test_evaluate_takes_each_spectrum_once(monkeypatch):
-    # the positivity factorizations and the eigensolves, pinned separately
-    factored, solved = [], []
-    for name, shapes in (("cholesky", factored), ("eigvalsh", solved)):
-        def counted(m, function=getattr(np.linalg, name), shapes=shapes):
-            shapes.append(m.shape)
-            return function(m)
-        monkeypatch.setattr(np.linalg, name, counted)
+    # the validated stacks and the eigensolves, pinned separately; each
+    # validated stack is factored block by block, and its blocks are its
+    # slices in order, shifted on the diagonal and nothing else
+    factored, solved, blocks = [], [], []
+
+    def factoring(m, function=np.linalg.cholesky):
+        blocks.append(m)
+        return function(m)
+
+    def solving(m, function=np.linalg.eigvalsh):
+        solved.append(m.shape)
+        return function(m)
+
+    def validating(m, validate=fock.validate_density):
+        first = len(blocks)
+        validate(m)
+        stack = m.reshape((-1,) + m.shape[-2:])
+        shifted = stack + fock._CHOLESKY_SHIFT * np.eye(m.shape[-1])
+        assert sum(map(len, blocks[first:])) == len(stack)
+        assert np.concatenate(blocks[first:]).tobytes() == shifted.tobytes()
+        factored.append(m.shape)
+    monkeypatch.setattr(np.linalg, "cholesky", factoring)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solving)
+    monkeypatch.setattr(fock, "validate_density", validating)
+    monkeypatch.setattr(measures, "validate_density", validating)
 
     def taken():
         seen = factored[:], solved[:]
@@ -172,6 +190,11 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1], [0.7, 0.7]])
     # rho's validation factors it and takes no spectrum
     assert taken() == ([(3, 16, 16)], [])
+    # a rho chunk is factored in blocks of at most _BLOCK_BYTES
+    blocks.clear()
+    observed_densities(w_state(4), ["C", "D"], np.full((measures.CHUNK, 2), 0.3))
+    assert taken() == ([(measures.CHUNK, 16, 16)], [])
+    assert len(blocks) > 1 and max(block.nbytes for block in blocks) <= fock._BLOCK_BYTES
     # S takes rho's one eigensolve
     evaluate(stack, ["S"])
     assert taken() == ([], [(3, 16, 16)])

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from wtangles.measures import COLUMNS
+from wtangles.measures import COLUMNS, evaluate_points
 from wtangles.oracles import n_pair_accel_one
 from wtangles.sweep import (
     DEFAULT_GRID_1D,
@@ -18,6 +18,7 @@ from wtangles.sweep import (
     SweepConfig,
     normalize_measures,
     run_sweep,
+    sweep_points,
     write_csv,
 )
 
@@ -222,18 +223,34 @@ def test_preset_shapes():
 # the tracemalloc peak of run_sweep(PRESETS["fig7"]) when DensityMatrix held a
 # complex128 copy of every observed state (numpy 2.4, Python 3.11)
 COMPLEX_STATES_FIG7_PEAK = 1_483_311
+# a bound on the tracemalloc peak of evaluate_points over the 21x21 (C, D)
+# grid for N_CD, measured at 348,525-348,718 bytes (numpy 2.4, Python 3.11);
+# while DensityMatrix copied each rho chunk it was handed and the positivity
+# check factored the whole chunk at once, the peak was 546,351-546,572
+N_CD_GRID_PEAK = 370_000
+
+
+def _traced_peak(run):
+    """The tracemalloc peak of run(), above what was allocated before it, in bytes."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def test_fig7_sweep_peaks_no_higher_than_with_complex_states():
     # real states gather the 1-3 stack straight into complex128: a real stack
     # cast after its gather holds both at once, and peaked 0.3 MiB above this
     run_sweep(PRESETS["fig7"])      # the plan cache is filled first
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        run_sweep(PRESETS["fig7"])
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
-    assert peak <= COMPLEX_STATES_FIG7_PEAK
+    assert _traced_peak(lambda: run_sweep(PRESETS["fig7"])) <= COMPLEX_STATES_FIG7_PEAK
+
+
+def test_n_cd_grid_holds_no_copy_of_a_rho_chunk():
+    # rho is held as built, and factored in blocks of at most _BLOCK_BYTES
+    observers, r = sweep_points(replace(PRESETS["fig5"], diagonal=False, grid=21))
+    evaluate_points(observers, r, ["N_CD"])     # the plan cache is filled first
+    assert _traced_peak(lambda: evaluate_points(observers, r, ["N_CD"])) <= N_CD_GRID_PEAK
