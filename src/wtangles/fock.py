@@ -93,15 +93,16 @@ def _blocks(m: np.ndarray) -> list[np.ndarray]:
     return [stack[start:start + step] for start in range(0, len(stack), step)]
 
 
-def _check_hermitian(m: np.ndarray) -> None:
+def _check_hermitian(m: np.ndarray) -> list[np.ndarray]:
     """Check that each matrix of a nonempty stack is Hermitian within HERMITICITY_TOL.
 
-    The check runs block by block (_blocks).  m is never symmetrized:
-    eigvalsh reads one triangle, so a deviation d moves the eigenvalues by
-    up to about d.
+    The check runs block by block and returns the blocks (_blocks), for the
+    positivity test to factor.  m is never symmetrized: eigvalsh reads one
+    triangle, so a deviation d moves the eigenvalues by up to about d.
     """
+    blocks = _blocks(m)
     deviation = 0.0
-    for block in _blocks(m):
+    for block in blocks:
         difference = block - np.conjugate(block.swapaxes(1, 2), order="C")
         # any() is cheaper than the moduli, and true for a NaN too
         worst = float(np.abs(difference).max()) if difference.any() else 0.0
@@ -109,6 +110,7 @@ def _check_hermitian(m: np.ndarray) -> None:
             deviation = worst
     if not deviation <= HERMITICITY_TOL:
         raise ValueError(f"density matrix deviates from Hermiticity by {deviation:.3e}")
+    return blocks
 
 
 def validate_density(m: np.ndarray) -> None:
@@ -124,7 +126,7 @@ def validate_density(m: np.ndarray) -> None:
     eigensolve raises numpy's LinAlgError, a ValueError.
     """
     m = np.asarray(m)
-    _check_hermitian(m)
+    blocks = _check_hermitian(m)
     # the real parts' trace: a complex trace sums in another order
     traces = m.real.trace(axis1=-2, axis2=-1)
     deviations = np.abs(traces - 1.0)
@@ -134,7 +136,7 @@ def validate_density(m: np.ndarray) -> None:
     if m.shape[-1] <= 16:
         shift = _CHOLESKY_SHIFT * np.eye(m.shape[-1])
         with contextlib.suppress(np.linalg.LinAlgError):
-            for block in _blocks(m):
+            for block in blocks:
                 np.linalg.cholesky(block + shift)
             return
     smallest = float(_eigvalsh(m)[..., 0].min())
