@@ -157,9 +157,10 @@ def test_tangle_report_bundle_is_consistent():
 
 def test_evaluate_takes_each_spectrum_once(monkeypatch):
     # the validated stacks and the eigensolves, pinned separately; each
-    # validated stack is factored block by block, and its blocks are its
-    # slices in order, shifted on the diagonal and nothing else
-    factored, solved, blocks = [], [], []
+    # validated stack is factored block by block, its blocks its slices in
+    # order, shifted on the diagonal and nothing else, of at most
+    # _BLOCK_BYTES, and nothing else is factored
+    factored, solved, blocks, splits = [], [], [], []
 
     def factoring(m, function=np.linalg.cholesky):
         blocks.append(m)
@@ -170,19 +171,22 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
         return function(m)
 
     def validating(m, validate=fock.validate_density):
-        first = len(blocks)
         validate(m)
         stack = m.reshape((-1,) + m.shape[-2:])
         shifted = stack + fock._CHOLESKY_SHIFT * np.eye(m.shape[-1])
-        assert sum(map(len, blocks[first:])) == len(stack)
-        assert np.concatenate(blocks[first:]).tobytes() == shifted.tobytes()
+        assert sum(map(len, blocks)) == len(stack)
+        assert np.concatenate(blocks).tobytes() == shifted.tobytes()
+        assert max(block.nbytes for block in blocks) <= fock._BLOCK_BYTES
         factored.append(m.shape)
+        splits.append(len(blocks))
+        blocks.clear()
     monkeypatch.setattr(np.linalg, "cholesky", factoring)
     monkeypatch.setattr(np.linalg, "eigvalsh", solving)
     monkeypatch.setattr(fock, "validate_density", validating)
     monkeypatch.setattr(measures, "validate_density", validating)
 
     def taken():
+        assert not blocks
         seen = factored[:], solved[:]
         factored.clear()
         solved.clear()
@@ -190,11 +194,9 @@ def test_evaluate_takes_each_spectrum_once(monkeypatch):
     stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1], [0.7, 0.7]])
     # rho's validation factors it and takes no spectrum
     assert taken() == ([(3, 16, 16)], [])
-    # a rho chunk is factored in blocks of at most _BLOCK_BYTES
-    blocks.clear()
+    # a rho chunk is factored in more than one block
     observed_densities(w_state(4), ["C", "D"], np.full((measures.CHUNK, 2), 0.3))
-    assert taken() == ([(measures.CHUNK, 16, 16)], [])
-    assert len(blocks) > 1 and max(block.nbytes for block in blocks) <= fock._BLOCK_BYTES
+    assert taken() == ([(measures.CHUNK, 16, 16)], []) and splits[-1] > 1
     # S takes rho's one eigensolve
     evaluate(stack, ["S"])
     assert taken() == ([], [(3, 16, 16)])

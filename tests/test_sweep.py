@@ -224,9 +224,9 @@ def test_preset_shapes():
 # complex128 copy of every observed state (numpy 2.4, Python 3.11)
 COMPLEX_STATES_FIG7_PEAK = 1_483_311
 # a bound on the tracemalloc peak of evaluate_points over the 21x21 (C, D)
-# grid for N_CD, measured at 348,525-348,718 bytes (numpy 2.4, Python 3.11);
+# grid for N_CD, measured at 348,075-348,718 bytes (numpy 2.4, Python 3.11);
 # while DensityMatrix copied each rho chunk it was handed and the positivity
-# check factored the whole chunk at once, the peak was 546,351-546,572
+# check factored the whole chunk at once, the peak was 545,858-546,572
 N_CD_GRID_PEAK = 370_000
 
 
