@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import re
 import sys
 from dataclasses import replace
 from typing import Sequence
@@ -203,6 +204,12 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors raise, for main to report in one line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative number with an exponent, such as --perturb -1e-3, is a
+        # value, not a flag; argparse before 3.13 only knows -1 and -1.5
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message: str):
         raise ConfigError(message)

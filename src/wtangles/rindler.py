@@ -29,15 +29,18 @@ x * conj(y) has real part x*y and imaginary part +0 for real x and y.
 The map conserves N_I - N_II, so V and rho are sparse: with C and D split,
 |W4> gives 12 nonzero amplitudes and 37 nonzero rho entries out of 256, 25
 with one observer.  rho is built from that support, not from dense outer
-products.  _support reads it off _split, once per set of split modes and
-nonzero pattern of psi0: each nonzero amplitude's source and factors, and
-each nonzero rho entry's products in region-II index order.  Per point,
-each amplitude is the initial one times its factors in split order (x 1.0
-is exact where a split leaves it), and each entry adds its products, in
-order, onto the +0.0 of a zeroed rho.  That is the dense sum's arithmetic
-with its exact-zero terms left out, and those change no bit: adding +-0.0 leaves a nonzero sum
-as it is and keeps a zero one +0.0, since a sum that starts at +0.0 never
-becomes -0.0.  So each entry is the same bytes as the dense build's.
+products.  _support lists it by the rule above, once per set of split modes
+and nonzero pattern of psi0: a split mode that is occupied keeps its bit
+and leaves region II empty, and an empty one branches into cos r (both
+wedges empty) and sin r (both occupied).  That gives each nonzero
+amplitude's source and factors, and each nonzero rho entry's products in
+region-II index order.  Per point, each amplitude is the initial one times
+its factors in split order (x 1.0 is exact where a split leaves it), and
+each entry adds its products, in order, onto the +0.0 of a zeroed rho.
+That is the dense sum's arithmetic with its exact-zero terms left out, and
+those change no bit: adding +-0.0 leaves a nonzero sum as it is and keeps a
+zero one +0.0, since a sum that starts at +0.0 never becomes -0.0.  So each
+entry is the same bytes as the dense build's.
 
 observed_densities does this for N points at once: the amplitudes are an
 (N, M) stack scaled by per-point cos r and sin r columns, and rho is an
@@ -73,56 +76,47 @@ def out_of_domain(r) -> float | None:
     return next(x for x in r.ravel().tolist() if not lo <= x <= hi)
 
 
-def _split(amp: np.ndarray, pos: int, cos_r: np.ndarray, sin_r: np.ndarray) -> np.ndarray:
-    """Split mode pos of each (N, 2^n) amplitude row; region II is appended last.
-
-    The result keeps amp's dtype.
-    """
-    points = len(amp)
-    # axes (point, modes left of pos, mode pos, modes right of pos)
-    src = amp.reshape(points, 1 << pos, 2, -1)
-    out = np.zeros(src.shape + (2,), dtype=amp.dtype)
-    out[:, :, 0, :, 0] = cos_r.reshape(points, 1, 1) * src[:, :, 0]
-    out[:, :, 1, :, 1] = sin_r.reshape(points, 1, 1) * src[:, :, 0]
-    out[:, :, 1, :, 0] = src[:, :, 1]
-    return out.reshape(points, -1)
-
-
 @lru_cache
 def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
     """The nonzero amplitudes of the split states and the products of their rho.
 
     positions are the split modes, in register order, and nonzero the
-    indices of the nonzero initial amplitudes.  The table is read off _split
-    itself, run on the unit vector of each initial amplitude: with every
-    cos r and sin r at 1 it gives the support, and with one split's cos r at
-    2 and sin r at 3 it labels that split's factor.  It holds
+    indices of the nonzero initial amplitudes.  Each is split by the map's
+    rule, one mode at a time.  The amplitudes are listed by flat index,
+    region-I pattern << k | region-II pattern, with the first split's
+    region-II bit the most significant.  The table holds
     - source: (M,) the initial amplitude of each nonzero split amplitude;
-    - factors: (k, M) what split j multiplies each by: 0 nothing, 1 cos r,
-      2 sin r;
+    - factors: k (M,) arrays, what split j multiplies each by: 0 nothing,
+      1 cos r, 2 sin r;
     - rounds: (3, n) index arrays of entries, left and right; round s adds,
       to each flat rho entry with more than s products, its product number s
       in region-II index order, amplitude left times amplitude right.
     """
-    ones = np.ones(16)
-
-    def split(marked: int | None) -> np.ndarray:
-        amp = np.eye(16)
-        for j, pos in enumerate(positions):
-            amp = _split(amp, pos, ones * (2.0 if j == marked else 1.0),
-                         ones * (3.0 if j == marked else 1.0))
-        return amp[list(nonzero)]
-
-    index, probe = np.nonzero(split(None).T)
-    source = np.array(nonzero, dtype=np.intp)[probe]
-    factors = [(split(j)[probe, index] - 1.0).astype(np.intp) for j in range(len(positions))]
-    row, pattern = np.divmod(index, 1 << len(positions))
+    k = len(positions)
+    # (region-I pattern, region-II pattern, source, factors) of each nonzero amplitude
+    amplitudes = [(source, 0, source, ()) for source in nonzero]
+    for pos in positions:
+        bit = 8 >> pos
+        split = []
+        for row, pattern, source, factors in amplitudes:
+            if row & bit:
+                # |1> -> |1_I 0_II>
+                split.append((row, pattern << 1, source, factors + (0,)))
+            else:
+                # |0> -> cos r |0_I 0_II> + sin r |1_I 1_II>
+                split.append((row, pattern << 1, source, factors + (1,)))
+                split.append((row | bit, pattern << 1 | 1, source, factors + (2,)))
+        amplitudes = split
+    # (row, pattern) order is flat index order, and no two amplitudes share an index
+    amplitudes.sort()
+    source = np.array([a[2] for a in amplitudes], dtype=np.intp)
+    factors = [np.array([a[3][j] for a in amplitudes], dtype=np.intp) for j in range(k)]
     terms: dict[int, list[tuple[int, int]]] = {}
-    for t in range(1 << len(positions)):
-        at_t = np.flatnonzero(pattern == t).tolist()
-        for a in at_t:
-            for b in at_t:
-                terms.setdefault(16 * int(row[a]) + int(row[b]), []).append((a, b))
+    for t in range(1 << k):
+        at_t = [(a, row) for a, (row, pattern, _, _) in enumerate(amplitudes) if pattern == t]
+        for a, row_a in at_t:
+            for b, row_b in at_t:
+                terms.setdefault(16 * row_a + row_b, []).append((a, b))
     rounds = [np.array([(e, *products[s]) for e, products in terms.items() if len(products) > s],
                        dtype=np.intp).T
               for s in range(max(map(len, terms.values()), default=0))]

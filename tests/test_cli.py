@@ -268,6 +268,20 @@ def test_check_huge_perturb_prints_short_lines(capsys):
     assert "r* = 0.0224731279, " in capsys.readouterr().out
 
 
+def test_check_takes_a_negative_perturb_with_an_exponent(capsys):
+    # argparse before 3.13 reads -1e-3 as a flag, not as the value of --perturb
+    assert main(["check", "vanishing_threshold", "--perturb=-1e-3"]) == 1
+    joined = capsys.readouterr()
+    assert main(["check", "vanishing_threshold", "--perturb", "-1e-3"]) == 1
+    assert capsys.readouterr() == joined
+    assert main(["check", "vanishing_threshold", "--perturb", "-1e308"]) == 1
+    assert "FAIL  r* = -1e+308, " in capsys.readouterr().out
+    # -inf is still no number to argparse: one line, exit 2
+    assert main(["check", "--perturb", "-inf"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+
+
 def test_check_unknown_name(capsys):
     assert main(["check", "no_such_curve"]) == 2
     assert "unknown oracle" in capsys.readouterr().err

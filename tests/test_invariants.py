@@ -16,6 +16,7 @@ here with exact 0.0, not with a tolerance:
 """
 
 import functools
+import math
 from itertools import combinations
 
 import numpy as np
@@ -23,8 +24,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtangles import fock, measures, rindler, sweep
-from wtangles.fock import OBSERVERS, _add_blocks, partial_transpose, w_state
+from wtangles import fock, measures, sweep
+from wtangles.fock import OBSERVERS, DensityMatrix, _add_blocks, partial_transpose, w_state
 from wtangles.measures import CHUNK, COLUMNS, evaluate_points
 from wtangles.rindler import R_MAX, observed_densities
 from wtangles.sweep import PRESETS
@@ -235,25 +236,27 @@ def test_random_states_are_real_and_charge_block_diagonal(seed, points, observer
     _assert_charge_blocks(observed_densities(w_state(4), observers, r))
 
 
-def test_misplaced_split_amplitude_breaks_the_charge_blocks(monkeypatch):
-    def misplaced(amp, pos, cos_r, sin_r):
-        # |1>_M sent to |0_I 1_II> rather than |1_I 0_II>: still an isometry
-        points = len(amp)
-        src = amp.reshape(points, 1 << pos, 2, -1)
-        out = np.zeros(src.shape + (2,), dtype=amp.dtype)
-        out[:, :, 0, :, 0] = cos_r.reshape(points, 1, 1) * src[:, :, 0]
-        out[:, :, 1, :, 1] = sin_r.reshape(points, 1, 1) * src[:, :, 0]
-        out[:, :, 0, :, 1] = src[:, :, 1]
-        return out.reshape(points, -1)
-    monkeypatch.setattr(rindler, "_split", misplaced)
-    # the support table is read off _split and cached: read it off the
-    # misplaced split here, and drop that table afterwards
-    rindler._support.cache_clear()
-    try:
-        # the state still passes every DensityMatrix check: trace, Hermiticity, positivity
-        rho = observed_densities(w_state(4), ["D"], [[0.3]])
-    finally:
-        rindler._support.cache_clear()
+def _d_split_state(r, occupied):
+    """rho of w_state(4) with D split, built on its own: v[i, t] is the
+    amplitude of region-I pattern i and D_II = t, |0>_M of pattern i goes to
+    cos r |0_I 0_II> + sin r |1_I 1_II>, and |1>_M to v[occupied(i)]."""
+    v = np.zeros((16, 2))
+    for i, value in enumerate(w_state(4).tolist()):
+        if i & 1:
+            v[occupied(i)] += value
+        else:
+            v[i, 0] += math.cos(r) * value
+            v[i | 1, 1] += math.sin(r) * value
+    return DensityMatrix(v @ v.T)
+
+
+def test_misplaced_split_amplitude_breaks_the_charge_blocks():
+    # |1>_M sent to |1_I 0_II> is the pipeline's state
+    placed = _d_split_state(0.3, lambda i: (i, 0))
+    assert np.array_equal(placed.matrix, observed_densities(w_state(4), ["D"], [[0.3]]).matrix[0])
+    # sent to |0_I 1_II> instead: still an isometry, and the state still
+    # passes every DensityMatrix check: trace, Hermiticity, positivity
+    rho = _d_split_state(0.3, lambda i: (i & ~1, 1))
     assert float(np.abs(rho.matrix.imag).max()) == 0.0
     assert _off_block(rho.matrix, OCCUPATION) > 0.0
     with pytest.raises(AssertionError):

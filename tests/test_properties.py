@@ -26,7 +26,7 @@ from wtangles.measures import (
     tangle_report,
     von_neumann_entropy,
 )
-from wtangles.rindler import R_MAX, _split, observed_densities, observed_density
+from wtangles.rindler import R_MAX, observed_densities, observed_density
 
 from . import reference
 
@@ -35,7 +35,6 @@ PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 dims = st.integers(min_value=2, max_value=8)
 mode_counts = st.integers(min_value=2, max_value=4)
-r_values = st.floats(min_value=0.0, max_value=R_MAX)
 
 
 def random_hermitian(rng, dim):
@@ -144,16 +143,6 @@ def test_partial_transpose_involution_on_separable_state(seed):
     twice = partial_transpose(DensityMatrix(once), [0])
     np.testing.assert_allclose(twice, rho.matrix, atol=1e-12)
     assert negative_eigenvalue_sum(once) < 1e-10     # product states stay positive under PT
-
-
-@settings(max_examples=40)
-@given(seed=seeds, n_modes=st.integers(min_value=1, max_value=3), r=r_values,
-       which=st.integers(min_value=0, max_value=2))
-def test_rindler_split_preserves_norm(seed, n_modes, r, which):
-    amp = random_amplitudes(np.random.default_rng(seed), n_modes)
-    out = _split(amp[None], which % n_modes, np.array([np.cos(r)]), np.array([np.sin(r)]))[0]
-    assert abs(np.vdot(out, out).real - 1.0) < 1e-12
-    assert out.shape == (2 << n_modes,)
 
 
 @given(seed=seeds)

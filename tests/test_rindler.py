@@ -1,7 +1,8 @@
 """Splitting modes under acceleration, and the observed (region-I) state."""
 
+import functools
 import math
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -17,15 +18,28 @@ from wtangles.fock import (
     w_state,
 )
 from wtangles.measures import CHUNK
-from wtangles.rindler import R_MAX, _split, _support, observed_densities, observed_density
+from wtangles.rindler import R_MAX, _support, observed_densities, observed_density
 
 from . import patterns, reference
 
 
-def _split_one(amp, pos, r):
-    """The pipeline's split of mode pos of one amplitude vector."""
-    return _split(np.asarray(amp, dtype=complex)[None], pos,
-                  np.array([math.cos(r)]), np.array([math.sin(r)]))[0]
+def _table_split(psi0, positions, r):
+    """The nonzero split amplitudes of psi0 at one point, as the support table
+    lists them, in flat index order: each initial amplitude times its factors."""
+    source, factors, _ = _support(tuple(positions), tuple(np.flatnonzero(psi0).tolist()))
+    amp = np.asarray(psi0, dtype=float)[source]
+    for factor, x in zip(factors, r):
+        amp = amp * np.array([1.0, math.cos(x), math.sin(x)])[factor]
+    return amp
+
+
+def _products(rounds):
+    """Each rho entry's products (left, right), in the order the rounds add them."""
+    out = {}
+    for entries, left, right in rounds:
+        for e, a, b in zip(entries.tolist(), left.tolist(), right.tolist()):
+            out.setdefault(e, []).append((a, b))
+    return out
 
 
 def _reduced_pair(rho, pair):
@@ -41,18 +55,24 @@ def test_parameter_range_validation():
 
 
 def test_vacuum_mode_splits_into_both_wedges():
-    amp = _split_one([1.0, 0.0], 0, 0.3)
-    assert amp[0] == pytest.approx(math.cos(0.3))    # |0_I 0_II>
-    assert amp[3] == pytest.approx(math.sin(0.3))    # |1_I 1_II>
-    assert amp[1] == amp[2] == 0.0
-    assert np.array_equal(amp, reference.rindler_split(np.array([1.0, 0.0]), 1, 0, 0.3))
+    # |0000> with A split: cos r |0000, 0_II> + sin r |1000, 1_II>
+    source, (factor,), rounds = _support((0,), (0,))
+    assert source.tolist() == [0, 0] and factor.tolist() == [1, 2]
+    # rho holds cos^2 r at (0000, 0000) and sin^2 r at (1000, 1000)
+    assert _products(rounds) == {0: [(0, 0)], 16 * 8 + 8: [(1, 1)]}
+    amp = reference.rindler_split(np.eye(16)[0], 4, 0, 0.3)
+    assert np.flatnonzero(amp).tolist() == [0, 17]
+    assert np.array_equal(_table_split(np.eye(16)[0], [0], [0.3]), amp[[0, 17]].real)
 
 
 def test_occupied_mode_stays_in_region_one():
-    amp = _split_one([0.0, 1.0], 0, 0.3)
-    assert amp[2] == pytest.approx(1.0)              # |1_I 0_II>
-    assert amp[0] == amp[1] == amp[3] == 0.0
-    assert np.array_equal(amp, reference.rindler_split(np.array([0.0, 1.0]), 1, 0, 0.3))
+    # |1000> with A split: |1000, 0_II>, with nothing to multiply
+    source, (factor,), rounds = _support((0,), (8,))
+    assert source.tolist() == [8] and factor.tolist() == [0]
+    assert _products(rounds) == {16 * 8 + 8: [(0, 0)]}
+    amp = reference.rindler_split(np.eye(16)[8], 4, 0, 0.3)
+    assert np.flatnonzero(amp).tolist() == [16]
+    assert np.array_equal(_table_split(np.eye(16)[8], [0], [0.3]), amp[[16]].real)
 
 
 def test_w4_splits_into_seven_terms():
@@ -65,15 +85,65 @@ def test_w4_splits_into_seven_terms():
         assert amp[index] == pytest.approx(0.5 * math.sin(r))
     assert amp[2] == pytest.approx(0.5)
     assert np.count_nonzero(amp) == 7
-    assert np.array_equal(_split_one(psi, 3, r), amp)
+    # the table lists the same seven, in flat index order
+    assert np.array_equal(_table_split(psi, [3], [r]), amp[np.flatnonzero(amp)].real)
 
 
-def test_split_preserves_norm():
-    rng = np.random.default_rng(5)
-    for _ in range(8):
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        out = _split_one(v / np.linalg.norm(v), 1, float(rng.uniform(0.0, R_MAX)))
-        assert np.vdot(out, out).real == pytest.approx(1.0, abs=1e-12)
+@functools.cache
+def _reference_reading(positions, source):
+    """The flat index and factors of each nonzero split amplitude of basis
+    state source, read off reference.rindler_split.
+
+    The modes at positions are split with every r at 0.3, and again with
+    split j's r at 0: an amplitude that keeps its value takes nothing from
+    split j, one that vanishes takes sin r, and any other takes cos r.
+    """
+    def split(r):
+        amp = np.eye(16)[source]
+        for n, (pos, x) in enumerate(zip(positions, r), start=4):
+            amp = reference.rindler_split(amp, n, pos, x).real
+        return amp
+
+    k = len(positions)
+    base = split([0.3] * k)
+    index = np.flatnonzero(base)
+    factors = []
+    for j in range(k):
+        moved = split([0.0 if i == j else 0.3 for i in range(k)])[index]
+        factors.append(np.where(moved == base[index], 0, np.where(moved == 0.0, 2, 1)))
+    return [(int(i), source, tuple(int(f[a]) for f in factors)) for a, i in enumerate(index)]
+
+
+SPLIT_SETS = [c for k in range(5) for c in combinations(range(4), k)]
+
+
+@pytest.mark.parametrize("positions", SPLIT_SETS,
+                         ids=["".join(OBSERVERS[p] for p in c) or "inertial" for c in SPLIT_SETS])
+def test_support_table_equals_the_reference_split(positions):
+    k = len(positions)
+    for nonzero in [(1, 2, 4, 8)] + [(s,) for s in range(16)]:
+        source, factors, rounds = _support(positions, nonzero)
+        listing = sorted(a for s in nonzero for a in _reference_reading(positions, s))
+        assert source.tolist() == [s for _, s, _ in listing]
+        assert len(factors) == k
+        for j, factor in enumerate(factors):
+            assert factor.tolist() == [f[j] for _, _, f in listing]
+        # entry (i, j) of rho adds V[i, t] V[j, t] over region-II patterns t in order
+        at = {index: a for a, (index, _, _) in enumerate(listing)}
+        expected = {}
+        for i, j, t in product(range(16), range(16), range(1 << k)):
+            if i << k | t in at and j << k | t in at:
+                expected.setdefault(16 * i + j, []).append((at[i << k | t], at[j << k | t]))
+        assert _products(rounds) == expected
+
+
+def test_support_table_sizes():
+    # the sizes the rindler docstring gives for |W4>
+    for positions, amplitudes, entries, rounds in (((2, 3), 12, 37, 2), ((3,), 7, 25, 1)):
+        source, _, table_rounds = _support(positions, (1, 2, 4, 8))
+        assert len(source) == amplitudes
+        assert len(_products(table_rounds)) == entries
+        assert len(table_rounds) == rounds
 
 
 def test_observed_density_inertial_is_pure():
@@ -143,21 +213,23 @@ def test_observed_stack_equals_points_one_by_one():
 def _assert_complex_build_bytes(observers, r):
     """observed_densities gives the bytes of the complex build, chunk by chunk.
 
-    The complex build splits the amplitudes of w_state(4), as complex128, with
-    _split, which keeps their dtype, and traces region II out with
+    The complex build splits the amplitudes of w_state(4), point by point and
+    in complex128, with reference.rindler_split, and traces region II out with
     reference.trace_out_complex.  The observed states stay float64, and their
     complex128 cast, the bytes eigvalsh sees, is compared.  Comparing tobytes
     counts signed zeros too.
     """
     r = np.asarray(r, dtype=float)
+    splits = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
     for start in range(0, len(r), CHUNK):
         chunk = r[start:start + CHUNK]
-        amp = w_state(4).astype(complex)[None].repeat(len(chunk), axis=0)
-        for pos, j in sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers)):
-            column = chunk[:, j].tolist()
-            amp = _split(amp, pos, np.array([math.cos(x) for x in column]),
-                         np.array([math.sin(x) for x in column]))
-        expected = reference.trace_out_complex(amp)
+        amps = []
+        for row in chunk.tolist():
+            amp = w_state(4)
+            for n, (pos, j) in enumerate(splits, start=4):
+                amp = reference.rindler_split(amp, n, pos, row[j])
+            amps.append(amp)
+        expected = reference.trace_out_complex(np.array(amps))
         matrix = observed_densities(w_state(4), observers, chunk).matrix
         assert matrix.dtype == np.float64 and expected.dtype == np.complex128
         assert matrix.astype(complex).tobytes() == expected.tobytes()

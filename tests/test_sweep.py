@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from wtangles.checks import run_check
 from wtangles.measures import COLUMNS, evaluate_points
 from wtangles.oracles import n_pair_accel_one
 from wtangles.sweep import (
@@ -211,6 +212,19 @@ def test_preset_default_grid_sha256(name):
     buffer = io.StringIO()
     write_csv(*run_sweep(PRESETS[name]), buffer)
     assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == DEFAULT_GRID_SHA256[name]
+
+
+# sha256 of repr(run_check(perturb=p)): every result's deviation, to the bit
+CHECK_SHA256 = {
+    0.0: "f022603e6091e35eec298b3819152648d0df9f3c9ec74f62a5871eeb1d87084b",
+    0.01: "23e74089f35ff020f3f112918ee7836bf070eb39f653913373e413294c76e895",
+}
+
+
+@pytest.mark.parametrize("perturb", sorted(CHECK_SHA256))
+def test_check_results_sha256(perturb):
+    results = repr(run_check(perturb=perturb))
+    assert hashlib.sha256(results.encode()).hexdigest() == CHECK_SHA256[perturb]
 
 
 def test_preset_shapes():
