@@ -1,4 +1,4 @@
-"""Command-line front end: sweeps, oracle cross-checks and matrix dumps.
+"""Command-line front end: sweeps, figure CSVs, oracle cross-checks and matrix dumps.
 
 A sweep is configured by its flags alone: --preset, or the defaults, gives
 the base SweepConfig, and each other flag given replaces one of its fields.
@@ -9,8 +9,10 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
+import pathlib
 import re
 import sys
+import time
 from dataclasses import replace
 from typing import Sequence
 
@@ -20,6 +22,8 @@ from .checks import run_check
 from .fock import OBSERVERS, partial_transpose, w_state
 from .rindler import R_MAX, observed_density
 from .sweep import (
+    DEFAULT_GRID_1D,
+    DEFAULT_GRID_2D,
     PRESETS,
     AxisSpec,
     ConfigError,
@@ -72,15 +76,46 @@ def _build_sweep_config(args: argparse.Namespace) -> SweepConfig:
     return config
 
 
+def _write_sweep(config: SweepConfig, target: str) -> int:
+    """Sweep config into the CSV file target and return its row count.
+
+    The file is opened before the sweep and replaced whole only once it is
+    done, so a sweep that fails leaves the old file as it was.
+    """
+    with atomic_output(target) as handle:
+        header, rows = run_sweep(config)
+        write_csv(header, rows, handle)
+    return len(rows)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     config = _build_sweep_config(args)
     if not args.out or args.out == "-":
         write_csv(*run_sweep(config), sys.stdout)
         return 0
-    with atomic_output(args.out) as handle:
-        header, rows = run_sweep(config)
-        write_csv(header, rows, handle)
-    print(f"wrote {len(rows)} rows to {args.out}", file=sys.stderr)
+    rows = _write_sweep(config, args.out)
+    print(f"wrote {rows} rows to {args.out}", file=sys.stderr)
+    return 0
+
+
+def _cmd_figures(args: argparse.Namespace) -> int:
+    # each named preset once, in order of first appearance
+    names = list(dict.fromkeys(args.only.split(","))) if args.only else list(PRESETS)
+    unknown = [name for name in names if name not in PRESETS]
+    if unknown:
+        raise ConfigError(f"unknown presets {unknown}; known: {', '.join(PRESETS)}")
+    out_dir = pathlib.Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot create {out_dir}: {exc.strerror}") from None
+    total_start = time.perf_counter()
+    for name in names:
+        start = time.perf_counter()
+        path = out_dir / f"{name}.csv"
+        rows = _write_sweep(PRESETS[name], str(path))
+        print(f"{name}: {rows} rows in {time.perf_counter() - start:.2f} s -> {path}")
+    print(f"total: {time.perf_counter() - total_start:.2f} s")
     return 0
 
 
@@ -207,9 +242,10 @@ class _Parser(argparse.ArgumentParser):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        # a negative number with an exponent, such as --perturb -1e-3, is a
-        # value, not a flag; argparse before 3.13 only knows -1 and -1.5
-        self._negative_number_matcher = re.compile(r"^-\.?\d")
+        # a negative number with an exponent, such as --perturb -1e-3, and
+        # -inf or -nan in any case are values, not flags; argparse before
+        # 3.13 only knows -1 and -1.5
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def error(self, message: str):
         raise ConfigError(message)
@@ -227,7 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="sweep acceleration parameters, emit CSV")
     sweep.add_argument("--accel", action="append", metavar="OBS=R|OBS=LO:HI",
                        help="accelerated observer, fixed r or swept range; repeatable")
-    sweep.add_argument("--grid", type=int, help="points per swept axis (default 101, 41 for 2D)")
+    sweep.add_argument("--grid", type=int,
+                       help=f"points per swept axis (default {DEFAULT_GRID_1D}, "
+                            f"{DEFAULT_GRID_2D} for 2D)")
     sweep.add_argument("--measures", metavar="LIST",
                        help="comma-separated column names, or all (default all)")
     sweep.add_argument("--out", metavar="PATH", help="CSV output path ('-' for stdout)")
@@ -236,6 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--diagonal", action="store_true",
                        help="sweep both accelerated observers along r_c = r_d")
     sweep.set_defaults(func=_cmd_sweep)
+
+    figures = sub.add_parser("figures", help="write one CSV per figure preset into a directory")
+    figures.add_argument("--out-dir", default="figures_csv", help="directory for the CSV files")
+    figures.add_argument("--only", metavar="LIST",
+                         help="comma-separated preset names (default: all)")
+    figures.set_defaults(func=_cmd_figures)
 
     check = sub.add_parser("check", help="compare pipeline against closed forms")
     check.add_argument("names", nargs="*", help="oracle names (default: all)")

@@ -1,7 +1,7 @@
 """Command-line behaviour, the README commands and the frozen sweep output."""
 
 import errno
-import importlib.util
+import hashlib
 import math
 import os
 import shlex
@@ -25,10 +25,10 @@ from wtangles.rindler import R_MAX, observed_density
 from wtangles.sweep import PRESETS
 
 from . import patterns, reference
+from .test_sweep import DEFAULT_GRID_SHA256
 
 DATA = Path(__file__).with_name("data")
 README = Path(__file__).resolve().parents[1] / "README.md"
-REPRODUCE_FIGURES = Path(__file__).parents[1] / "scripts" / "reproduce_figures.py"
 
 
 def test_parser_program_name_and_subcommands():
@@ -92,6 +92,12 @@ def test_sweep_preset_and_override(capsys):
     (["matrix", "--accel", "D=nan"], "accel: r=nan for D outside [0, pi/4]"),
     (["check", "--perturb", "nan"], "perturb: expected a finite number, got nan"),
     (["check", "--perturb", "inf"], "perturb: expected a finite number, got inf"),
+    # a negative infinity or NaN is a value, not a flag, in either spelling and any case
+    (["check", "--perturb", "-inf"], "perturb: expected a finite number, got -inf"),
+    (["check", "--perturb=-inf"], "perturb: expected a finite number, got -inf"),
+    (["check", "--perturb", "-Infinity"], "perturb: expected a finite number, got -inf"),
+    (["check", "--perturb", "-nan"], "perturb: expected a finite number, got nan"),
+    (["check", "--perturb", "-NaN"], "perturb: expected a finite number, got nan"),
     (["matrix", "--transpose", "X"], "transpose"),
     (["sweep", "--accel", "D=0.5", "--measures", "N_D1_ABC"], "unknown measure 'N_D1_ABC'"),
     (["sweep", "--accel", "D=0.5", "--measures", "entropy"], "unknown measure 'entropy'"),
@@ -117,7 +123,8 @@ def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     assert fragment in err
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["check", "--help"]])
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"], ["check", "--help"],
+                                  ["check", "-h"], ["figures", "--help"]])
 def test_help_exits_0(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
@@ -226,8 +233,9 @@ def test_failed_write_names_the_out_and_keeps_the_old_file(tmp_path, capsys, mon
     ["sweep", "--accel", "D=0:pi/4", "--grid", "3"],
     ["matrix", "--accel", "D=0.3"],
     ["check"],
+    ["figures", "--only", "fig3"],
 ])
-def test_failed_eigensolve_exits_2(argv, capsys, monkeypatch):
+def test_failed_eigensolve_exits_2(argv, tmp_path, capsys, monkeypatch):
     # numpy's LinAlgError is a ValueError, and reaches main as it is; the
     # positivity factorization fails too, so that matrix, which takes no
     # other spectrum, goes on to the failing eigensolve
@@ -238,8 +246,11 @@ def test_failed_eigensolve_exits_2(argv, capsys, monkeypatch):
         raise np.linalg.LinAlgError("Matrix is not positive definite")
     monkeypatch.setattr(np.linalg, "eigvalsh", not_converging)
     monkeypatch.setattr(np.linalg, "cholesky", not_factoring)
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: Eigenvalues did not converge\n"
+    # figures made its default directory, but left no CSV and no temporary file in it
+    assert [p.name for p in tmp_path.rglob("*")] == (["figures_csv"] if argv[0] == "figures" else [])
 
 
 def test_check_passes_and_reports(capsys):
@@ -276,10 +287,6 @@ def test_check_takes_a_negative_perturb_with_an_exponent(capsys):
     assert capsys.readouterr() == joined
     assert main(["check", "vanishing_threshold", "--perturb", "-1e308"]) == 1
     assert "FAIL  r* = -1e+308, " in capsys.readouterr().out
-    # -inf is still no number to argparse: one line, exit 2
-    assert main(["check", "--perturb", "-inf"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and len(captured.err.splitlines()) == 1
 
 
 def test_check_unknown_name(capsys):
@@ -425,72 +432,62 @@ def test_module_entry_point_runs():
     ("taken/sub", "cannot create {tmp}/taken/sub: Not a directory"),
     ("figures", "cannot write {tmp}/figures/fig3.csv: Is a directory"),
 ], ids=["a-file", "under-a-file", "csv-is-a-directory"])
-def test_reproduce_figures_bad_out_dir_exits_2(out_dir, message, tmp_path):
+def test_reproduce_figures_bad_out_dir_exits_2(out_dir, message, tmp_path, capsys):
     (tmp_path / "taken").write_text("", encoding="utf-8")
     (tmp_path / "figures" / "fig3.csv").mkdir(parents=True)
-    result = subprocess.run([sys.executable, str(REPRODUCE_FIGURES), "--out-dir",
-                             str(tmp_path / out_dir), "--only", "fig3"],
-                            capture_output=True, text=True, timeout=120)
-    assert result.returncode == 2
-    assert result.stderr == f"error: {message.format(tmp=tmp_path)}\n"
-    assert result.stdout == ""
+    assert main(["figures", "--out-dir", str(tmp_path / out_dir), "--only", "fig3"]) == 2
+    assert capsys.readouterr() == ("", f"error: {message.format(tmp=tmp_path)}\n")
 
 
 @pytest.mark.parametrize("argv, message", [
     (["--only", "fig3,nope"], f"unknown presets ['nope']; known: {', '.join(PRESETS)}"),
     (["--bogus"], "unrecognized arguments: --bogus"),
 ], ids=["unknown-preset", "unknown-flag"])
-def test_reproduce_figures_bad_arguments_exit_2(argv, message, tmp_path):
+def test_reproduce_figures_bad_arguments_exit_2(argv, message, tmp_path, capsys):
     out_dir = tmp_path / "out"
-    result = subprocess.run([sys.executable, str(REPRODUCE_FIGURES), "--out-dir", str(out_dir),
-                             *argv], capture_output=True, text=True, timeout=120)
-    assert result.returncode == 2
-    assert result.stderr == f"error: {message}\n"
-    assert result.stdout == ""
+    assert main(["figures", "--out-dir", str(out_dir), *argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out_dir.exists()
 
 
-def _reproduce_figures_module():
-    spec = importlib.util.spec_from_file_location("reproduce_figures", REPRODUCE_FIGURES)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
 def test_reproduce_figures_sweeps_each_named_preset_once(tmp_path, monkeypatch, capsys):
-    script = _reproduce_figures_module()
-    swept, run_sweep = [], script.run_sweep
+    swept, run_sweep = [], sweep.run_sweep
 
     def recording(config):
-        swept.append(next(name for name, preset in script.PRESETS.items() if preset is config))
+        swept.append(next(name for name, preset in PRESETS.items() if preset is config))
         return run_sweep(replace(config, grid=3))
-    monkeypatch.setattr(script, "run_sweep", recording)
-    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--out-dir", str(tmp_path),
-                                      "--only", "fig8,fig3,fig8,fig3"])
-    assert script.main() == 0
+    monkeypatch.setattr("wtangles.cli.run_sweep", recording)
+    assert main(["figures", "--out-dir", str(tmp_path), "--only", "fig8,fig3,fig8,fig3"]) == 0
     assert swept == ["fig8", "fig3"]
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
         "fig8", "fig3", "total"]
 
 
-def test_reproduce_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatch):
-    script = _reproduce_figures_module()
-    run_sweep = script.run_sweep
+def test_reproduce_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatch, capsys):
+    run_sweep = sweep.run_sweep
 
     def failing_on_fig8(config):
-        if config is script.PRESETS["fig8"]:
+        if config is PRESETS["fig8"]:
             raise ValueError("sweep failed")
         return run_sweep(config)
-    monkeypatch.setattr(script, "run_sweep", failing_on_fig8)
+    monkeypatch.setattr("wtangles.cli.run_sweep", failing_on_fig8)
     for name in ("fig3", "fig8"):
         (tmp_path / f"{name}.csv").write_text("old\n", encoding="utf-8")
-    monkeypatch.setattr(sys, "argv", ["reproduce_figures.py", "--out-dir", str(tmp_path),
-                                      "--only", "fig3,fig8"])
-    with pytest.raises(ValueError, match="sweep failed"):
-        script.main()
+    assert main(["figures", "--out-dir", str(tmp_path), "--only", "fig3,fig8"]) == 2
+    out, err = capsys.readouterr()
+    assert out.startswith("fig3: 101 rows in ") and out.endswith(f" s -> {tmp_path}/fig3.csv\n")
+    assert err == "error: sweep failed\n"
     # fig3 was replaced whole; fig8 failed part-way and is left as it was
     assert (tmp_path / "fig3.csv").read_text(encoding="utf-8").startswith("r_D,pi4,Pi4\n")
     assert (tmp_path / "fig8.csv").read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3.csv", "fig8.csv"]
+
+
+def test_figures_writes_the_pinned_default_grid_csvs(tmp_path, capsys):
+    assert main(["figures", "--out-dir", str(tmp_path), "--only", "fig3,fig8"]) == 0
+    for name in ("fig3", "fig8"):
+        digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
+        assert digest == DEFAULT_GRID_SHA256[name]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3.csv", "fig8.csv"]
 
 
