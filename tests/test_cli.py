@@ -92,12 +92,6 @@ def test_sweep_preset_and_override(capsys):
     (["matrix", "--accel", "D=nan"], "accel: r=nan for D outside [0, pi/4]"),
     (["check", "--perturb", "nan"], "perturb: expected a finite number, got nan"),
     (["check", "--perturb", "inf"], "perturb: expected a finite number, got inf"),
-    # a negative infinity or NaN is a value, not a flag, in either spelling and any case
-    (["check", "--perturb", "-inf"], "perturb: expected a finite number, got -inf"),
-    (["check", "--perturb=-inf"], "perturb: expected a finite number, got -inf"),
-    (["check", "--perturb", "-Infinity"], "perturb: expected a finite number, got -inf"),
-    (["check", "--perturb", "-nan"], "perturb: expected a finite number, got nan"),
-    (["check", "--perturb", "-NaN"], "perturb: expected a finite number, got nan"),
     (["matrix", "--transpose", "X"], "transpose"),
     (["sweep", "--accel", "D=0.5", "--measures", "N_D1_ABC"], "unknown measure 'N_D1_ABC'"),
     (["sweep", "--accel", "D=0.5", "--measures", "entropy"], "unknown measure 'entropy'"),
@@ -109,6 +103,12 @@ def test_sweep_preset_and_override(capsys):
     # one OBS=R or OBS=LO:HI per --accel, and an r value is a float or pi/4
     (["sweep", "--accel", "C=0:pi/4,D=0.2"], "accel: cannot parse r value 'pi/4,D=0.2'"),
     (["sweep", "--accel", "D=0:pi4"], "accel: cannot parse r value 'pi4'"),
+    # a negative infinity or NaN is a value, not a flag, in either spelling and any case
+    (["check", "--perturb", "-inf"], "perturb: expected a finite number, got -inf"),
+    (["check", "--perturb=-inf"], "perturb: expected a finite number, got -inf"),
+    (["check", "--perturb", "-Infinity"], "perturb: expected a finite number, got -inf"),
+    (["check", "--perturb", "-nan"], "perturb: expected a finite number, got nan"),
+    (["check", "--perturb", "-NaN"], "perturb: expected a finite number, got nan"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
