@@ -111,15 +111,13 @@ CHECKS: dict[str, Callable[[float], CheckResult]] = {
 
 
 def run_check(names: Sequence[str] | None = None, perturb: float = 0.0) -> list[CheckResult]:
-    """Run the named checks (all of them by default) in registry order."""
+    """Run the named checks (all of them by default, or where all is named) in registry order."""
     if not math.isfinite(perturb):
         raise ValueError(f"perturb: expected a finite number, got {perturb!r}")
-    if names is None or list(names) == ["all"]:
-        selected = list(CHECKS)
-    else:
-        unknown = [n for n in names if n not in CHECKS]
-        if unknown:
-            raise ValueError(
-                f"unknown oracle name(s) {unknown}; known: {', '.join(CHECKS)}")
-        selected = [n for n in CHECKS if n in set(names)]
-    return [CHECKS[name](perturb) for name in selected]
+    # all expands where it appears, as in a sweep's measures
+    names = list(CHECKS) if names is None else [
+        check for name in names for check in (CHECKS if name == "all" else (name,))]
+    unknown = [n for n in names if n not in CHECKS]
+    if unknown:
+        raise ValueError(f"unknown oracle name(s) {unknown}; known: {', '.join(CHECKS)}")
+    return [CHECKS[name](perturb) for name in CHECKS if name in names]

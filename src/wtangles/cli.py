@@ -2,13 +2,14 @@
 
 A sweep is configured by its flags alone: --preset, or the defaults, gives
 the base SweepConfig, and each other flag given replaces one of its fields.
+A matrix dump names its entries from the Rindler support table that builds
+the matrix.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import pathlib
 import re
 import sys
@@ -19,8 +20,8 @@ from typing import Sequence
 import numpy as np
 
 from .checks import run_check
-from .fock import OBSERVERS, partial_transpose, w_state
-from .rindler import R_MAX, observed_density
+from .fock import OBSERVERS, _transposed, partial_transpose, w_state
+from .rindler import R_MAX, _support, observed_density
 from .sweep import (
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
@@ -34,7 +35,6 @@ from .sweep import (
     write_csv,
 )
 
-SYMBOL_MATCH_TOL = 1e-9
 ZERO_ENTRY_TOL = 1e-12
 
 
@@ -100,7 +100,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     # each named preset once, in order of first appearance
-    names = list(dict.fromkeys(args.only.split(","))) if args.only else list(PRESETS)
+    names = list(PRESETS) if args.only is None else list(dict.fromkeys(args.only.split(",")))
+    if names == [""]:
+        raise ConfigError("figures: empty selection")
     unknown = [name for name in names if name not in PRESETS]
     if unknown:
         raise ConfigError(f"unknown presets {unknown}; known: {', '.join(PRESETS)}")
@@ -133,82 +135,53 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
+# the shorthands of sin r and cos r of each observer; A and B have none
+_SHORTHANDS = {"A": (None, None), "B": (None, None), "C": ("α", "γ"), "D": ("β", "δ")}
+
+
 @functools.cache
-def _symbol_entries(symbols: tuple[str, ...]) -> tuple[tuple[str, tuple, tuple], ...]:
-    """The names of the table in match order, each with the recipe of its value.
+def _entry_names(observers: tuple[str, ...]) -> np.ndarray:
+    """The name of 4 rho_ij for each entry of rho with the sorted observers accelerated.
 
-    A recipe is either the (symbol, power) factors of a monomial of degree 0
-    to 4, or the two symbols of a sum of squares.  Neither depends on r, so
-    each symbol set is enumerated once.
+    Read off rindler's support table: every |W4> amplitude is 1/2, so 4 rho_ij
+    is the sum of its products' factors.  A product is named by the power of
+    sin r (code 2) and cos r (code 1) that each split mode puts on its two
+    sides, in the symbol order α γ β δ with ^p for p > 1, or 1 without a
+    factor; a sum joins its products with +, in name order.  An entry with a
+    factor from A or B, and one outside the support, is None.
     """
-    entries = []
-    for exponents in itertools.product(range(5), repeat=len(symbols)):
-        degree = sum(exponents)
-        if degree > 4:
-            continue
-        factors = tuple((k, power) for k, power in enumerate(exponents) if power)
-        name = "".join(symbols[k] if power == 1 else f"{symbols[k]}^{power}"
-                       for k, power in factors)
-        entries.append((degree, name or "1", factors, ()))
-    squares = [k for k, symbol in enumerate(symbols) if symbol in ("α", "β")]
-    for a, b in itertools.combinations(squares, 2):
-        entries.append((4, f"{symbols[a]}^2+{symbols[b]}^2", (), (a, b)))
-    entries.sort(key=lambda entry: (entry[0], entry[1]))
-    return tuple(entry[1:] for entry in entries)
-
-
-def _symbol_table(params: dict[str, float]) -> list[tuple[str, float]]:
-    """Each candidate name with its value, in Python floats from numpy's sin and cos."""
-    symbols, values = (), []
-    for observer, names in (("C", ("α", "γ")), ("D", ("β", "δ"))):
-        if observer in params:
-            symbols += names
-            values += [float(np.sin(params[observer])), float(np.cos(params[observer]))]
-    table = []
-    for name, factors, squares in _symbol_entries(symbols):
-        if squares:
-            a, b = squares
-            value = values[a] * values[a] + values[b] * values[b]
-        else:
-            value = 1.0
-            for k, power in factors:
-                value *= values[k] ** power
-        table.append((name, value))
-    return table
-
-
-def _symbolic_entries(real: np.ndarray, table: list[tuple[str, float]]) -> list[str]:
-    """One line per nonzero upper-triangle entry, in row-major order.
-
-    Each entry (times 4) is named by the first candidate of the table within
-    SYMBOL_MATCH_TOL; an entry that matches none prints as a decimal.
-    """
-    rows, cols = np.nonzero(np.triu(np.abs(real) > ZERO_ENTRY_TOL))
-    values = 4.0 * real[rows, cols]
-    candidates = np.array([value for _, value in table])
-    hits = np.abs(values[:, None] - candidates) <= SYMBOL_MATCH_TOL
-    lines = []
-    for i, j, value, k, hit in zip(rows.tolist(), cols.tolist(), values.tolist(),
-                                   hits.argmax(axis=1).tolist(), hits.any(axis=1).tolist()):
-        label = table[k][0] if hit else f"{value:.10g}"
-        lines.append(f"  ({i:2d},{j:2d})  {label}")
-    return lines
+    _, factors, rounds = _support(tuple(map(OBSERVERS.index, observers)),
+                                  tuple(np.flatnonzero(w_state(4)).tolist()))
+    codes = [factor.tolist() for factor in factors]
+    products: dict[int, list] = {}
+    for entries, left, right in rounds:
+        for e, a, b in zip(entries.tolist(), left.tolist(), right.tolist()):
+            powers = [(symbol, (code[a], code[b]).count(kind))
+                      for observer, code in zip(observers, codes)
+                      for symbol, kind in zip(_SHORTHANDS[observer], (2, 1))]
+            products.setdefault(e, []).append([(s, p) for s, p in powers if p])
+    names = np.full(256, None, dtype=object)
+    for e, terms in products.items():
+        if all(symbol for term in terms for symbol, _ in term):
+            names[e] = "+".join(sorted("".join(s if p == 1 else f"{s}^{p}" for s, p in term) or "1"
+                                       for term in terms))
+    return names.reshape(16, 16)
 
 
 def emit_matrix(params: dict[str, float], transpose: str | None = None,
                 symbolic: bool = False) -> str:
     """Format the observed density matrix, or one of its partial transposes.
 
-    With symbolic=True, each nonzero entry (times 4) is matched against the
-    monomials in the trig shorthands of the accelerated observers.
+    With symbolic=True, each nonzero upper-triangle entry (times 4) is listed
+    by its name in the trig shorthands of the accelerated C and D, read off
+    the Rindler map and permuted as the matrix is, or, with a factor from an
+    accelerated A or B, as a 10-digit decimal.
     """
     if transpose is not None and transpose not in OBSERVERS:
         raise ConfigError(f"transpose: unknown observer {transpose!r}, use one of {OBSERVERS}")
     rho = observed_density(w_state(4), params)
-    if transpose is None:
-        matrix = rho.matrix
-    else:
-        matrix = partial_transpose(rho, [OBSERVERS.index(transpose)])
+    part = None if transpose is None else [OBSERVERS.index(transpose)]
+    matrix = rho.matrix if part is None else partial_transpose(rho, part)
     labels = (f"{obs}_I" if obs in params else obs for obs in OBSERVERS)
     lines = [f"layout: {', '.join(labels)}"]
     if transpose is not None:
@@ -221,7 +194,13 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     if symbolic:
         lines.append("")
         lines.append("nonzero entries as multiples of 1/4 (upper triangle):")
-        lines.extend(_symbolic_entries(real, _symbol_table(params)))
+        names = _entry_names(tuple(sorted(params)))
+        if part is not None:
+            names = _transposed(names, 4, part)
+        rows, cols = np.nonzero(np.triu(np.abs(real) > ZERO_ENTRY_TOL))
+        for i, j, value in zip(rows.tolist(), cols.tolist(), (4.0 * real[rows, cols]).tolist()):
+            label = names[i, j] or f"{value:.10g}"
+            lines.append(f"  ({i:2d},{j:2d})  {label}")
     return "\n".join(lines)
 
 

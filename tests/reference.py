@@ -172,21 +172,11 @@ def w_amplitudes(n):
     return out
 
 
-def _match_symbol(value, table):
-    for name, candidate in table:
-        if abs(value - candidate) <= 1e-9:
-            return name
-    return f"{value:.10g}"
+def render_matrix(matrix, accelerated, transpose):
+    """The `matrix` printout's grid, formatted value by value.
 
-
-def render_matrix(matrix, accelerated, transpose, table):
-    """The `matrix` printout, formatted value by value.
-
-    accelerated holds the accelerated observers among A, B, C, D; table lists
-    (name, value) candidates in match order, or is None without --symbolic.
-    Each grid value is formatted on its own, and each nonzero upper-triangle
-    entry (times 4) takes the name of the first candidate within 1e-9, else
-    its value to 10 significant digits.
+    accelerated holds the accelerated observers among A, B, C, D, and
+    transpose the observer of the partial transpose, or None.
     """
     labels = (f"{obs}_I" if obs in accelerated else obs for obs in "ABCD")
     lines = [f"layout: {', '.join(labels)}"]
@@ -194,12 +184,4 @@ def render_matrix(matrix, accelerated, transpose, table):
         lines.append(f"partial transpose over: {transpose}")
     for row in matrix:
         lines.append(" ".join(f"{value.real: .5f}" for value in row))
-    if table is not None:
-        lines.append("")
-        lines.append("nonzero entries as multiples of 1/4 (upper triangle):")
-        for i in range(len(matrix)):
-            for j in range(i, len(matrix)):
-                entry = matrix[i, j].real
-                if abs(entry) > 1e-12:
-                    lines.append(f"  ({i:2d},{j:2d})  {_match_symbol(4.0 * entry, table)}")
     return "\n".join(lines)

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import math
 import os
+import re
 import shlex
 import stat
 import subprocess
@@ -15,11 +16,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from wtangles import sweep
-from wtangles.cli import _symbol_entries, _symbol_table, build_parser, emit_matrix, main
+from wtangles.cli import build_parser, emit_matrix, main
 from wtangles.fock import OBSERVERS, partial_transpose, w_state
 from wtangles.rindler import R_MAX, observed_density
 from wtangles.sweep import PRESETS
@@ -356,23 +357,79 @@ MATRIX_SCENARIOS = ((), ("D",), ("C", "D"), ("A", "D"))
 TRANSPOSES = (None, *OBSERVERS)
 
 
-def _reference_printout(params, transpose):
+# the observer and function of each shorthand
+SHORTHANDS = {"α": ("C", math.sin), "γ": ("C", math.cos), "β": ("D", math.sin),
+              "δ": ("D", math.cos)}
+NAME = re.compile(r"1|(?:[αγβδ](?:\^[2-4])?)+(?:\+(?:[αγβδ](?:\^[2-4])?)+)*")
+
+
+def _printed_matrix(params, transpose):
     rho = observed_density(w_state(4), params)
-    matrix = rho.matrix if transpose is None else partial_transpose(
-        rho, [OBSERVERS.index(transpose)])
-    return reference.render_matrix(matrix, params, transpose, _symbol_table(params))
+    if transpose is None:
+        return rho.matrix
+    return partial_transpose(rho, [OBSERVERS.index(transpose)])
+
+
+def _name_value(name, params):
+    """A --symbolic name in math's sin and cos: 1, or a +-joined sum of monomials."""
+    total = 0.0
+    for term in name.split("+"):
+        value = 1.0
+        for symbol, power in re.findall(r"([αγβδ])(?:\^(\d))?", term):
+            observer, function = SHORTHANDS[symbol]
+            value *= function(params[observer]) ** int(power or 1)
+        total += value
+    return total
+
+
+def _checked_labels(params, transpose, text):
+    """The label of each entry that the --symbolic text lists, each checked against 4 rho_ij.
+
+    The listed entries are the nonzero upper-triangle ones, in row-major
+    order.  A name evaluates to 4 rho_ij within 1e-12 relative; any other
+    label is the entry's 10-digit decimal, which only an accelerated A or B
+    gives, and maps to "decimal", or to None where it reads as a name too.
+    """
+    matrix = _printed_matrix(params, transpose).real
+    header, *lines = text.split("\n\n")[1].splitlines()
+    assert header == "nonzero entries as multiples of 1/4 (upper triangle):"
+    labels = {}
+    for line in lines:
+        i, j, label = re.fullmatch(r"  \(([ \d]\d),([ \d]\d)\)  (\S+)", line).groups()
+        key, want = (int(i), int(j)), 4.0 * matrix[int(i), int(j)]
+        if label == f"{want:.10g}" and {"A", "B"} & params.keys():
+            labels[key] = None if NAME.fullmatch(label) else "decimal"
+        else:
+            assert NAME.fullmatch(label), line
+            assert math.isclose(_name_value(label, params), want, rel_tol=1e-12, abs_tol=0), line
+            labels[key] = label
+    rows, cols = np.nonzero(np.triu(np.abs(matrix) > 1e-12))
+    assert list(labels) == list(zip(rows.tolist(), cols.tolist()))
+    return labels
+
+
+def _check_printout(params, transpose, seen):
+    """Check emit_matrix at params against the reference grid and the labels in seen.
+
+    seen maps each entry to its label at other r for the same observers, and
+    takes the new ones: an entry has one label at every r.
+    """
+    text = emit_matrix(params, transpose, symbolic=True)
+    grid = text.split("\n\n")[0]
+    assert grid == reference.render_matrix(_printed_matrix(params, transpose), params, transpose)
+    assert emit_matrix(params, transpose) == grid
+    for key, label in _checked_labels(params, transpose, text).items():
+        if label is not None:
+            assert seen.setdefault(key, label) == label, key
 
 
 @pytest.mark.parametrize("transpose", TRANSPOSES)
 @pytest.mark.parametrize("observers", MATRIX_SCENARIOS, ids="".join)
 def test_matrix_printout_matches_the_per_entry_reference(observers, transpose):
-    # at r = 0 and pi/4 many candidates share a value, which pins first-match order
-    for r in product((0.0, R_STAR, R_MAX), repeat=len(observers)):
-        params = dict(zip(observers, r))
-        text = emit_matrix(params, transpose, symbolic=True)
-        assert text == _reference_printout(params, transpose)
-        grid = text.split("\n\n")[0]
-        assert emit_matrix(params, transpose) == grid
+    # at r = 0 many entries vanish, and at pi/4 sin r and cos r coincide
+    seen = {}
+    for r in product((0.3, 0.0, R_STAR, R_MAX), repeat=len(observers)):
+        _check_printout(dict(zip(observers, r)), transpose, seen)
 
 
 def test_matrix_entries_without_shorthand_print_as_decimals():
@@ -381,43 +438,29 @@ def test_matrix_entries_without_shorthand_print_as_decimals():
     assert "  ( 4, 4)  0.7742647962\n" in text and "  ( 8, 8)  δ^2\n" in text
 
 
+R_VALUES = st.one_of(st.floats(0.0, R_MAX),
+                     st.floats(math.log(1e-8), math.log(R_MAX)).map(lambda x: min(math.exp(x), R_MAX)))
+
+
 @given(observers=st.sampled_from(MATRIX_SCENARIOS), transpose=st.sampled_from(TRANSPOSES),
-       r=st.lists(st.floats(0.0, R_MAX), min_size=2, max_size=2))
+       r=st.lists(R_VALUES, min_size=2, max_size=2))
 def test_matrix_printout_matches_the_reference_at_random_points(observers, transpose, r):
-    params = dict(zip(observers, r))
-    assert emit_matrix(params, transpose, symbolic=True) == _reference_printout(params, transpose)
+    # the labels at a point where no two shorthands coincide and no entry vanishes
+    seen = {}
+    _check_printout(dict(zip(observers, (0.3, 0.4))), transpose, seen)
+    listed = set(seen)
+    _check_printout(dict(zip(observers, r)), transpose, seen)
+    assert set(seen) == listed
 
 
-def _numpy_scalar_table(params):
-    """The symbol table with every value a numpy float64 scalar, from numpy's sin and cos."""
-    symbols, values = (), []
-    for observer, names in (("C", ("α", "γ")), ("D", ("β", "δ"))):
-        if observer in params:
-            symbols += names
-            values += [np.sin(params[observer]), np.cos(params[observer])]
-    table = []
-    for name, factors, squares in _symbol_entries(symbols):
-        if squares:
-            value = values[squares[0]] * values[squares[0]] + values[squares[1]] * values[squares[1]]
-        else:
-            value = np.float64(1.0)
-            for k, power in factors:
-                value *= values[k] ** power
-        table.append((name, value))
-    return table
-
-
-@settings(max_examples=300)
-@given(observers=st.sampled_from(MATRIX_SCENARIOS),
-       r=st.lists(st.floats(0.0, R_MAX), min_size=2, max_size=2))
-def test_symbol_table_in_python_floats_keeps_the_numpy_bits(observers, r):
-    # the table is built in Python floats; numpy float64 scalars give the same bits
-    params = dict(zip(observers, r))
-    table, expected = _symbol_table(params), _numpy_scalar_table(params)
-    assert all(type(value) is float for _, value in table)
-    assert [name for name, _ in table] == [name for name, _ in expected]
-    assert np.array([value for _, value in table]).tobytes() == \
-        np.array([value for _, value in expected], dtype=float).tobytes()
+def test_matrix_names_entries_that_a_value_match_confused(capsys):
+    # at r_C = 1e-4, α^2β^2 (8.7e-10) lies within 1e-9 of α^3 (1.0e-12), and γβ^2
+    # within 1e-9 of β^2; on fig5's diagonal, r_C = r_D, γ equals δ
+    golden = (DATA / "matrix_C0.0001_D0.3_symbolic.txt").read_text(encoding="utf-8")
+    assert main(["matrix", "--accel", "C=1e-4", "--accel", "D=0.3", "--symbolic"]) == 0
+    assert capsys.readouterr().out == golden
+    assert "  ( 7, 7)  α^2β^2\n" in golden and "  ( 3, 5)  γβ^2\n" in golden
+    assert "  ( 2, 2)  δ^2\n" in emit_matrix({"C": 0.3, "D": 0.3}, symbolic=True)
 
 
 def test_module_entry_point_runs():
@@ -442,7 +485,9 @@ def test_reproduce_figures_bad_out_dir_exits_2(out_dir, message, tmp_path, capsy
 @pytest.mark.parametrize("argv, message", [
     (["--only", "fig3,nope"], f"unknown presets ['nope']; known: {', '.join(PRESETS)}"),
     (["--bogus"], "unrecognized arguments: --bogus"),
-], ids=["unknown-preset", "unknown-flag"])
+    (["--only", ""], "figures: empty selection"),
+    (["--only", ","], "figures: empty selection"),
+], ids=["unknown-preset", "unknown-flag", "empty-selection", "commas-only"])
 def test_reproduce_figures_bad_arguments_exit_2(argv, message, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["figures", "--out-dir", str(out_dir), *argv]) == 2
@@ -496,6 +541,13 @@ def test_check_golden_byte_for_byte(capsys):
     assert main(["check"]) == 0
     assert capsys.readouterr().out == golden
     assert golden.endswith("7 checks, 7 passed\n")
+
+
+@pytest.mark.parametrize("names", [["all", "n_d1_abc"], ["all", "all"], ["n_d1_abc", "all"]])
+def test_check_expands_all_wherever_it_appears(names, capsys):
+    # each check once, in registry order, as a plain check runs them
+    assert main(["check", *names]) == 0
+    assert capsys.readouterr().out == (DATA / "check_all.txt").read_text(encoding="utf-8")
 
 
 def test_golden_sweep_reproduced_byte_for_byte(capsys):
