@@ -175,7 +175,7 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     With symbolic=True, each nonzero upper-triangle entry (times 4) is listed
     by its name in the trig shorthands of the accelerated C and D, read off
     the Rindler map and permuted as the matrix is, or, with a factor from an
-    accelerated A or B, as a 10-digit decimal.
+    accelerated A or B, as a 10-digit decimal with a point or an exponent.
     """
     if transpose is not None and transpose not in OBSERVERS:
         raise ConfigError(f"transpose: unknown observer {transpose!r}, use one of {OBSERVERS}")
@@ -199,7 +199,8 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
             names = _transposed(names, 4, part)
         rows, cols = np.nonzero(np.triu(np.abs(real) > ZERO_ENTRY_TOL))
         for i, j, value in zip(rows.tolist(), cols.tolist(), (4.0 * real[rows, cols]).tolist()):
-            label = names[i, j] or f"{value:.10g}"
+            # "#": a decimal keeps its point, so 0.99999999996 cannot read as the name 1
+            label = names[i, j] or f"{value:#.10g}"
             lines.append(f"  ({i:2d},{j:2d})  {label}")
     return "\n".join(lines)
 

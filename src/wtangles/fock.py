@@ -28,26 +28,15 @@ read-only copy of a caller's array; a stack the package has just built
 selects states without checking them again: rho[p] is state p of a stack and
 rho[None] a stack of one.
 
-Positivity is a Cholesky factorization of each matrix shifted by
-_CHOLESKY_SHIFT on its diagonal; a stack is factored block by block, as the
-Hermiticity check runs, in blocks of about _BLOCK_BYTES.  Each matrix is
-factored on its own, so the verdict is that of one call over the whole
-stack, and no temporary is large enough for glibc to trim the top of the
-heap after each chunk and fault it back on the next.  A stack with a
-rejected block is diagonalized whole, and its smallest eigenvalue decides.
-
-A real matrix is stored as float64 and a complex one as complex128.  The
-observed states are real, so they stay float64 through validation, the
-trace-out and the gathers; only the eigensolve takes their complex128 cast
-(linalg).  validate_density runs on either dtype, and a real stack and its
-complex128 cast get the same verdict and message: the trace sums the real
-parts, and a spectrum is always that of the complex128 cast.
+A real matrix is stored as float64 and a complex one as complex128.
+validate_density runs on either dtype, and a real stack and its complex128
+cast get the same verdict and message: the trace sums the real parts, and a
+spectrum is always that of the complex128 cast.
 
 validate_density is the one place Hermiticity is checked: on rho when it is
 built, and on the reduced pair states measures gathers.  A partial transpose
 moves each entry together with its adjoint partner, so it deviates from
-Hermiticity exactly as much as its state, and is not checked again.  The
-check only checks: a stack within HERMITICITY_TOL is never symmetrized.
+Hermiticity exactly as much as its state, and is not checked again.
 """
 
 from __future__ import annotations
@@ -62,7 +51,7 @@ import numpy as np
 from .linalg import _eigvalsh
 
 HERMITICITY_TOL = 1e-12
-# stack bytes that the Hermiticity and positivity checks handle at once
+# stack bytes that validate_density checks at once
 _BLOCK_BYTES = 1 << 16
 TRACE_TOL = 1e-10
 MIN_EIGENVALUE = -1e-10
@@ -72,35 +61,34 @@ _CHOLESKY_SHIFT = -0.999 * MIN_EIGENVALUE
 OBSERVERS = ("A", "B", "C", "D")
 
 
-def _is_register(dim: int) -> bool:
-    """Whether dim is 2^n for some n >= 1."""
-    return dim >= 2 and dim & (dim - 1) == 0
+def validate_density(m: np.ndarray) -> None:
+    """Check a nonempty (..., dim, dim) stack of density matrices.
 
+    Each matrix must be Hermitian, of unit trace and positive semidefinite
+    within the module tolerances; a failed check raises, naming the worst
+    value in the stack.  m may be any array-like, real or complex, and is
+    checked in its own dtype; a ragged one raises numpy's ValueError.
 
-def _blocks(m: np.ndarray) -> list[np.ndarray]:
-    """A nonempty square stack over its leading axes, as blocks of about _BLOCK_BYTES.
-
-    Each block is a (b, dim, dim) slice, in stack order, so a check that
-    runs block by block keeps its temporaries small however large the stack
-    is.
+    The stack is cut, in order, into (b, dim, dim) blocks of about
+    _BLOCK_BYTES; the Hermiticity check and then the positivity test run
+    block by block, so no temporary is large enough for glibc to trim the
+    top of the heap after each chunk and fault it back on the next.  m is
+    never symmetrized: eigvalsh reads one triangle, so a deviation d moves
+    the eigenvalues by up to about d.  Positivity is a Cholesky test of each
+    block shifted by _CHOLESKY_SHIFT on its diagonal; each matrix is
+    factored on its own, so the verdict is that of one call over the whole
+    stack.  Only a stack with a rejected block, or one above 16x16, is
+    diagonalized, whole, as its complex128 cast, and its smallest eigenvalue
+    decides.  A failed eigensolve raises numpy's LinAlgError, a ValueError.
     """
+    m = np.asarray(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"density expected a square matrix, got shape {m.shape}")
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
     if not len(stack):
         raise ValueError(f"density matrix stack is empty: shape {m.shape}")
     step = max(1, _BLOCK_BYTES // max(1, m.itemsize * m.shape[-1] ** 2))
-    return [stack[start:start + step] for start in range(0, len(stack), step)]
-
-
-def _check_hermitian(m: np.ndarray) -> list[np.ndarray]:
-    """Check that each matrix of a nonempty stack is Hermitian within HERMITICITY_TOL.
-
-    The check runs block by block and returns the blocks (_blocks), for the
-    positivity test to factor.  m is never symmetrized: eigvalsh reads one
-    triangle, so a deviation d moves the eigenvalues by up to about d.
-    """
-    blocks = _blocks(m)
+    blocks = [stack[start:start + step] for start in range(0, len(stack), step)]
     deviation = 0.0
     for block in blocks:
         difference = block - np.conjugate(block.swapaxes(1, 2), order="C")
@@ -110,23 +98,6 @@ def _check_hermitian(m: np.ndarray) -> list[np.ndarray]:
             deviation = worst
     if not deviation <= HERMITICITY_TOL:
         raise ValueError(f"density matrix deviates from Hermiticity by {deviation:.3e}")
-    return blocks
-
-
-def validate_density(m: np.ndarray) -> None:
-    """Check a nonempty (..., dim, dim) stack of density matrices.
-
-    Each matrix must be Hermitian, of unit trace and positive semidefinite
-    within the module tolerances; a failed check raises, naming the worst
-    value in the stack.  m may be any array-like, real or complex, and is
-    checked in its own dtype; a ragged one raises numpy's ValueError.
-    Positivity is a Cholesky test, block by block (_blocks), each matrix
-    factored on its own; only a stack with a rejected block, or one above
-    16x16, is diagonalized, whole, as its complex128 cast.  A failed
-    eigensolve raises numpy's LinAlgError, a ValueError.
-    """
-    m = np.asarray(m)
-    blocks = _check_hermitian(m)
     # the real parts' trace: a complex trace sums in another order
     traces = m.real.trace(axis1=-2, axis2=-1)
     deviations = np.abs(traces - 1.0)
@@ -165,7 +136,7 @@ class DensityMatrix:
         return rho
 
     def _hold(self, m: np.ndarray) -> None:
-        if m.ndim < 2 or m.shape[-2] != m.shape[-1] or not _is_register(m.shape[-1]):
+        if m.ndim < 2 or m.shape[-2] != (dim := m.shape[-1]) or dim < 2 or dim & (dim - 1):
             raise ValueError(f"matrix has shape {m.shape}, want (..., 2^n, 2^n) with n >= 1")
         validate_density(m)
         m.setflags(write=False)

@@ -6,11 +6,8 @@ and a stack is diagonalized by one numpy eigvalsh call.  Problem sizes stay
 at or below 64x64, so everything is dense double precision.  This is the
 bare eigensolve: the input must be Hermitian, and nothing here checks it.
 eigvalsh reads one triangle, so a matrix that is not Hermitian gets the
-spectrum of that triangle's Hermitian completion.  Hermiticity is checked
-where a state is made (fock.validate_density); a partial transpose
-deviates from Hermiticity exactly as much as its state, so nothing is
-checked again on the way to eigvalsh.  A failed eigensolve or a
-non-square input raises numpy's LinAlgError, a ValueError, as it is.
+spectrum of that triangle's Hermitian completion.  A failed eigensolve or
+a non-square input raises numpy's LinAlgError, a ValueError, as it is.
 
 The observed states and everything gathered from them are real, and stay
 float64 up to here; _eigvalsh is the one place a real stack is cast to

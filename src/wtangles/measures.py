@@ -20,17 +20,15 @@ transposes and which pairs, with flat index tables to gather them.  Each
 stack of states then takes at most three eigvalsh calls: every needed
 rho^{T_k} at once, the partial transpose on the first mode of every pair at
 once, and rho for S.  The observed rho is real, and the pair states and
-their transposes stay real; each eigvalsh input is complex128 (linalg), so
-its spectrum has the bits of a complex build.  The 1-3 stack, the largest,
-is gathered straight into complex128.  A pair's negativity is taken from
-the first side alone: the partial transpose on the second mode is the
-transpose of the first, with the same spectrum.  The pair states are validated here, at once and
-with no spectrum (fock.validate_density); rho was validated when it was
-built, and a gathered partial transpose deviates from Hermiticity exactly
-as much as its state.  evaluate then fills the planned residuals, pi4, Pi4
-and S in that order.  Squares and fourth roots are taken value by value in
-Python floats, and sums run left to right over whole arrays, which keeps a
-point's values independent of its stack (see the README Notes).
+their transposes stay real; the 1-3 stack, the largest, is gathered straight
+into complex128.  A pair's negativity is taken from the first side alone:
+the partial transpose on the second mode is the transpose of the first,
+with the same spectrum.  The pair states are validated here, at once and
+with no spectrum (fock.validate_density).  evaluate then fills the planned
+residuals, pi4, Pi4 and S in that order.  Squares and fourth roots are taken
+value by value in Python floats, and sums run left to right over whole
+arrays, which keeps a point's values independent of its stack (see the
+README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, takes the points as one

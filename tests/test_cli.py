@@ -387,8 +387,8 @@ def _checked_labels(params, transpose, text):
 
     The listed entries are the nonzero upper-triangle ones, in row-major
     order.  A name evaluates to 4 rho_ij within 1e-12 relative; any other
-    label is the entry's 10-digit decimal, which only an accelerated A or B
-    gives, and maps to "decimal", or to None where it reads as a name too.
+    label is the entry's 10-digit decimal, with a point or an exponent,
+    which only an accelerated A or B gives, and maps to "decimal".
     """
     matrix = _printed_matrix(params, transpose).real
     header, *lines = text.split("\n\n")[1].splitlines()
@@ -397,8 +397,8 @@ def _checked_labels(params, transpose, text):
     for line in lines:
         i, j, label = re.fullmatch(r"  \(([ \d]\d),([ \d]\d)\)  (\S+)", line).groups()
         key, want = (int(i), int(j)), 4.0 * matrix[int(i), int(j)]
-        if label == f"{want:.10g}" and {"A", "B"} & params.keys():
-            labels[key] = None if NAME.fullmatch(label) else "decimal"
+        if label == f"{want:#.10g}" and {"A", "B"} & params.keys():
+            labels[key] = "decimal"
         else:
             assert NAME.fullmatch(label), line
             assert math.isclose(_name_value(label, params), want, rel_tol=1e-12, abs_tol=0), line
@@ -419,8 +419,7 @@ def _check_printout(params, transpose, seen):
     assert grid == reference.render_matrix(_printed_matrix(params, transpose), params, transpose)
     assert emit_matrix(params, transpose) == grid
     for key, label in _checked_labels(params, transpose, text).items():
-        if label is not None:
-            assert seen.setdefault(key, label) == label, key
+        assert seen.setdefault(key, label) == label, key
 
 
 @pytest.mark.parametrize("transpose", TRANSPOSES)
@@ -436,6 +435,18 @@ def test_matrix_entries_without_shorthand_print_as_decimals():
     # only C and D have shorthands; an entry free of r_a, such as (8, 8), keeps its monomial
     text = emit_matrix({"A": 0.3, "D": 0.4}, symbolic=True)
     assert "  ( 4, 4)  0.7742647962\n" in text and "  ( 8, 8)  δ^2\n" in text
+
+
+def test_matrix_decimals_never_read_as_a_name(capsys):
+    # at r_B = 6.6e-6 these entries are 0.99999999996, which 10 digits round to 1
+    params = {"B": 6.5632086339512176e-06, "C": 1.0154747385014225e-08}
+    assert main(["matrix", "--accel", f"B={params['B']!r}", "--accel", f"C={params['C']!r}",
+                 "--transpose", "C", "--symbolic"]) == 0
+    text = capsys.readouterr().out
+    labels = _checked_labels(params, "C", text)
+    for entry in ((0, 3), (1, 4), (2, 2)):
+        assert labels[entry] == "decimal"
+        assert f"  ({entry[0]:2d},{entry[1]:2d})  1.000000000\n" in text
 
 
 R_VALUES = st.one_of(st.floats(0.0, R_MAX),

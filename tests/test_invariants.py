@@ -198,13 +198,14 @@ def test_a_chunk_checks_hermiticity_where_its_states_are_made(seed, points, obse
     # one chunk checks rho when it is built and its six pair states, and no
     # partial transpose: each has its parent's deviation (the test above)
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
-    shapes, check = [], fock._check_hermitian
+    shapes, check = [], fock.validate_density
 
     def recording(m):
         shapes.append(m.shape)
         return check(m)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fock, "_check_hermitian", recording)
+        patch.setattr(fock, "validate_density", recording)
+        patch.setattr(measures, "validate_density", recording)
         evaluate_points(observers, r, COLUMNS)
     assert shapes == [(points, 16, 16), (points, 6, 4, 4)]
 
