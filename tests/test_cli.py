@@ -486,7 +486,7 @@ def test_module_entry_point_runs():
     ("taken/sub", "cannot create {tmp}/taken/sub: Not a directory"),
     ("figures", "cannot write {tmp}/figures/fig3.csv: Is a directory"),
 ], ids=["a-file", "under-a-file", "csv-is-a-directory"])
-def test_reproduce_figures_bad_out_dir_exits_2(out_dir, message, tmp_path, capsys):
+def test_figures_bad_out_dir_exits_2(out_dir, message, tmp_path, capsys):
     (tmp_path / "taken").write_text("", encoding="utf-8")
     (tmp_path / "figures" / "fig3.csv").mkdir(parents=True)
     assert main(["figures", "--out-dir", str(tmp_path / out_dir), "--only", "fig3"]) == 2
@@ -499,14 +499,14 @@ def test_reproduce_figures_bad_out_dir_exits_2(out_dir, message, tmp_path, capsy
     (["--only", ""], "figures: empty selection"),
     (["--only", ","], "figures: empty selection"),
 ], ids=["unknown-preset", "unknown-flag", "empty-selection", "commas-only"])
-def test_reproduce_figures_bad_arguments_exit_2(argv, message, tmp_path, capsys):
+def test_figures_bad_arguments_exit_2(argv, message, tmp_path, capsys):
     out_dir = tmp_path / "out"
     assert main(["figures", "--out-dir", str(out_dir), *argv]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out_dir.exists()
 
 
-def test_reproduce_figures_sweeps_each_named_preset_once(tmp_path, monkeypatch, capsys):
+def test_figures_sweeps_each_named_preset_once(tmp_path, monkeypatch, capsys):
     swept, run_sweep = [], sweep.run_sweep
 
     def recording(config):
@@ -519,7 +519,7 @@ def test_reproduce_figures_sweeps_each_named_preset_once(tmp_path, monkeypatch, 
         "fig8", "fig3", "total"]
 
 
-def test_reproduce_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatch, capsys):
+def test_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatch, capsys):
     run_sweep = sweep.run_sweep
 
     def failing_on_fig8(config):

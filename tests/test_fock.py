@@ -19,6 +19,7 @@ from wtangles.fock import (
 from wtangles.rindler import observed_densities, observed_density
 
 from . import patterns, reference
+from .lapack import recorded
 
 # |W4><W4|, as the pipeline builds it for an all-inertial observation
 W4 = observed_density(w_state(4), None)
@@ -227,20 +228,9 @@ def _diagonal_state(smallest, dim=4):
     return np.diag(w)
 
 
-def _routes(monkeypatch):
-    """The numpy linalg calls validate_density makes, each with whether it raised."""
-    calls = []
-    for name in ("cholesky", "eigvalsh"):
-        def spy(m, name=name, function=getattr(np.linalg, name)):
-            try:
-                out = function(m)
-            except np.linalg.LinAlgError:
-                calls.append((name, "raised"))
-                raise
-            calls.append((name, "returned"))
-            return out
-        monkeypatch.setattr(np.linalg, name, spy)
-    return calls
+def _routes(calls):
+    """The route of each recorded call, with whether it raised."""
+    return [(call.route, "raised" if call.raised else "returned") for call in calls]
 
 
 @pytest.mark.parametrize("smallest, routes", [
@@ -249,27 +239,27 @@ def _routes(monkeypatch):
     # shifted it is still indefinite: the factorization fails and the spectrum accepts
     (-0.9995e-10, [("cholesky", "raised"), ("eigvalsh", "returned")]),
 ])
-def test_positivity_near_the_threshold_is_accepted(smallest, routes, monkeypatch):
-    calls = _routes(monkeypatch)
-    validate_density(_diagonal_state(smallest))
-    assert calls == routes
-    calls.clear()
-    DensityMatrix(_diagonal_state(smallest, 16))
-    assert calls == routes
+def test_positivity_near_the_threshold_is_accepted(smallest, routes):
+    with recorded() as calls:
+        validate_density(_diagonal_state(smallest))
+    assert _routes(calls) == routes
+    with recorded() as calls:
+        DensityMatrix(_diagonal_state(smallest, 16))
+    assert _routes(calls) == routes
 
 
-def test_eigenvalue_below_the_threshold_is_rejected(monkeypatch):
-    calls = _routes(monkeypatch)
-    with pytest.raises(ValueError, match=r"^density matrix has eigenvalue -1\.001e-10 below -1e-10$"):
+def test_eigenvalue_below_the_threshold_is_rejected():
+    message = r"^density matrix has eigenvalue -1\.001e-10 below -1e-10$"
+    with recorded() as calls, pytest.raises(ValueError, match=message):
         validate_density(_diagonal_state(-1.001e-10))
-    assert calls == [("cholesky", "raised"), ("eigvalsh", "returned")]
+    assert _routes(calls) == [("cholesky", "raised"), ("eigvalsh", "returned")]
 
 
-def test_large_states_take_their_spectra(monkeypatch):
+def test_large_states_take_their_spectra():
     # above 16x16 the factorization's margin is not proven: eigvalsh decides
-    calls = _routes(monkeypatch)
-    DensityMatrix(_diagonal_state(-0.9e-10, 32))
-    assert calls == [("eigvalsh", "returned")]
+    with recorded() as calls:
+        DensityMatrix(_diagonal_state(-0.9e-10, 32))
+    assert _routes(calls) == [("eigvalsh", "returned")]
 
 
 @settings(max_examples=200)

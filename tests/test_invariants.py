@@ -13,9 +13,11 @@ here with exact 0.0, not with a tolerance:
 * The Rindler map conserves Q = N_I - N_II and has real amplitudes, so rho is
   real and block-diagonal in the region-I occupation N_I, and each rho^{T_k}
   is block-diagonal in q = N_rest - n_k, with blocks of 1 + 4 + 6 + 4 + 1.
+
+The stacks are recorded where numpy gets them (tests/lapack.py), and each
+preset's sweep hands on exactly the matrices of a hand-typed work table.
 """
 
-import functools
 import math
 from itertools import combinations
 
@@ -24,11 +26,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wtangles import fock, measures, sweep
+from wtangles import measures, sweep
 from wtangles.fock import OBSERVERS, DensityMatrix, _add_blocks, partial_transpose, w_state
 from wtangles.measures import CHUNK, COLUMNS, evaluate_points
 from wtangles.rindler import R_MAX, observed_densities
 from wtangles.sweep import PRESETS
+
+from .lapack import recorded, work
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 observer_sets = st.sampled_from([("D",), ("C", "D"), ("A",), ("B", "D"), ("D", "A", "C"),
@@ -51,104 +55,62 @@ def _off_block(m, charge):
     return float(np.abs(m[..., charge[:, None] != charge[None, :]]).max())
 
 
-@functools.cache
-def _preset_points(name):
-    """The observers and (N, k) r array that run_sweep evaluates for a preset."""
-    seen = {}
-
-    def capture(observers, points, columns):
-        seen["observers"], seen["r"] = tuple(observers), np.array(list(points))
-        return {column: np.zeros(len(seen["r"])) for column in columns}
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(sweep, "evaluate_points", capture)
-        sweep.run_sweep(PRESETS[name])
-    return seen["observers"], seen["r"]
-
-
-def _stack_kind(m, validating):
-    """rho (N, 16, 16), 1-3 transposes (N, K, 16, 16), pair states (N, P, 4, 4),
-    which measures validates, and their side 0 (N, P, 4, 4)."""
-    if m.shape[-1] == 16:
-        return "rho" if m.ndim == 3 else "one-three"
-    return "pair states" if validating else "pair sides"
-
-
-def _deviations_seen(monkeypatch, run):
-    """The Hermiticity deviation of every stack that eigvalsh and the positivity
-    factorization get while run() runs, by route and kind."""
-    seen = {}
-    validating = []
-
-    def recording(route, function):
-        def recorded(m):
-            seen.setdefault((route, _stack_kind(m, bool(validating))), []).append(_deviation(m))
-            return function(m)
-        return recorded
-
-    def validating_pairs(m, validate=measures.validate_density):
-        validating.append(m)
-        try:
-            return validate(m)
-        finally:
-            validating.pop()
-    for route in ("eigvalsh", "cholesky"):
-        monkeypatch.setattr(np.linalg, route, recording(route, getattr(np.linalg, route)))
-    monkeypatch.setattr(measures, "validate_density", validating_pairs)
-    run()
-    monkeypatch.undo()
-    return seen
-
-
-def _kinds_taken(columns):
-    """The (route, kind) of each stack a chunk hands to eigvalsh or the factorization.
+def _work(points, one_three, pairs, entropy):
+    """The matrices of each kind that a sweep over points hands LAPACK.
 
     rho and the pair states are validated by the factorization alone; rho
-    is diagonalized only for S.
+    is diagonalized only for S, and each pair is solved on one side.
     """
-    plan = measures._plan(tuple(columns))
-    kinds = {("cholesky", "rho")}
-    if "S" in columns:
-        kinds.add(("eigvalsh", "rho"))
-    if plan.one_three:
-        kinds.add(("eigvalsh", "one-three"))
-    if plan.pairs:
-        kinds.update((("cholesky", "pair states"), ("eigvalsh", "pair sides")))
-    return kinds
+    work = {"rho factored": points, "rho diagonalized": points * entropy,
+            "1-3 transposes": points * one_three, "pair states": points * pairs,
+            "pair sides": points * pairs}
+    return {kind: count for kind, count in work.items() if count}
+
+
+# each preset's points, 1-3 transposes, pairs and whether it asks for S; in
+# all, 10,692 rho factored, 1,782 diagonalized, 20,980 1-3 transposes and
+# 28,512 pair states and as many pair sides
+PRESET_WORK = {
+    "fig1a": (101, 2, 0, False),
+    "fig1b": (101, 0, 2, False),
+    "fig2": (101, 2, 5, False),
+    "fig3": (101, 4, 6, False),
+    "fig4a": (1681, 2, 0, False),
+    "fig4b": (1681, 2, 0, False),
+    "fig5": (101, 0, 3, False),
+    "fig6a": (1681, 2, 5, False),
+    "fig6b": (1681, 2, 5, False),
+    "fig7": (1681, 4, 6, False),
+    "fig8": (101, 0, 0, True),
+    "fig9": (1681, 0, 0, True),
+}
+
+
+def _deviations(calls):
+    """The kind and the Hermiticity deviation of each recorded stack; a NaN matches nothing."""
+    return {(call.kind, _deviation(call.array)) for call in calls}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
-def test_every_preset_stack_is_exactly_hermitian(name, monkeypatch):
+def test_every_preset_stack_is_exactly_hermitian(name):
     # rho, each rho^{T_k}, each pair state and side 0 of each pair, as the
     # sweep hands them to eigvalsh or the factorization: all have rho's
-    # deviation, exactly 0.0
-    seen = _deviations_seen(monkeypatch, lambda: sweep.run_sweep(PRESETS[name]))
-    assert set(seen) == _kinds_taken(sweep.normalize_measures(PRESETS[name].measures))
-    assert {kind: max(deviations) for kind, deviations in seen.items()} == dict.fromkeys(seen, 0.0)
+    # deviation, exactly 0.0; and the preset hands on the matrices of its
+    # work, no more
+    with recorded() as calls:
+        sweep.run_sweep(PRESETS[name])
+    assert work(calls) == _work(*PRESET_WORK[name])
+    assert _deviations(calls) == {(kind, 0.0) for kind in work(calls)}
 
 
 @settings(max_examples=20)
 @given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1), observers=observer_sets)
 def test_every_stack_at_random_points_is_exactly_hermitian(seed, points, observers):
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
-    with pytest.MonkeyPatch.context() as patch:
-        seen = _deviations_seen(patch, lambda: evaluate_points(observers, r, COLUMNS))
-    assert set(seen) == _kinds_taken(COLUMNS)
-    assert {kind: max(deviations) for kind, deviations in seen.items()} == dict.fromkeys(seen, 0.0)
-
-
-def _side_stacks(run):
-    """The shape of every 4x4 stack whose negativities measures takes while run() runs."""
-    shapes = []
-    original = measures.negative_eigenvalue_sum
-
-    def recording(m):
-        if m.shape[-1] == 4:
-            shapes.append(m.shape)
-        return original(m)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "negative_eigenvalue_sum", recording)
-        run()
-    return shapes
+    with recorded() as calls:
+        evaluate_points(observers, r, COLUMNS)
+    assert work(calls) == _work(points, 4, 6, True)
+    assert _deviations(calls) == {(kind, 0.0) for kind in work(calls)}
 
 
 @pytest.mark.parametrize("observers", [observers for k in range(1, 5)
@@ -159,7 +121,9 @@ def test_real_pair_states_never_solve_side_one(observers, seed, points):
     # every chunk solves side 0 of its six pairs, one (n, 6, 4, 4) stack, and
     # no other 4x4 negativity
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
-    shapes = _side_stacks(lambda: evaluate_points(observers, r, COLUMNS))
+    with recorded() as calls:
+        evaluate_points(observers, r, COLUMNS)
+    shapes = [call.array.shape for call in calls if call.kind == "pair sides"]
     assert shapes == [(len(r[start:start + CHUNK]), 6, 4, 4) for start in range(0, points, CHUNK)]
 
 
@@ -198,16 +162,11 @@ def test_a_chunk_checks_hermiticity_where_its_states_are_made(seed, points, obse
     # one chunk checks rho when it is built and its six pair states, and no
     # partial transpose: each has its parent's deviation (the test above)
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
-    shapes, check = [], fock.validate_density
-
-    def recording(m):
-        shapes.append(m.shape)
-        return check(m)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fock, "validate_density", recording)
-        patch.setattr(measures, "validate_density", recording)
+    with recorded() as calls:
         evaluate_points(observers, r, COLUMNS)
-    assert shapes == [(points, 16, 16), (points, 6, 4, 4)]
+    # the check runs on exactly the blocks the factorization gets
+    factored = [call for call in calls if call.route == "cholesky"]
+    assert list(work(factored).items()) == [("rho factored", points), ("pair states", 6 * points)]
 
 
 def test_charge_labels_give_the_expected_blocks():
@@ -225,7 +184,8 @@ def _assert_charge_blocks(rho):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_preset_states_are_real_and_charge_block_diagonal(name):
-    observers, r = _preset_points(name)
+    # the points run_sweep evaluates
+    observers, r = sweep.sweep_points(PRESETS[name])
     for start in range(0, len(r), CHUNK):
         _assert_charge_blocks(observed_densities(w_state(4), observers, r[start:start + CHUNK]))
 

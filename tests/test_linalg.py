@@ -7,6 +7,8 @@ from wtangles import fock
 from wtangles.fock import validate_density
 from wtangles.linalg import negative_eigenvalue_sum
 
+from .lapack import ROUTES, recorded, shifted
+
 
 def _trace_norm(m):
     """The sum of the absolute eigenvalues, straight from numpy."""
@@ -107,49 +109,39 @@ def test_large_stacks_are_checked_block_by_block():
         validate_density(bad)
 
 
-def _seen_by(monkeypatch, name, m):
-    """The arrays validate_density hands to numpy's linalg function name for m."""
-    seen, function = [], getattr(np.linalg, name)
-
-    def spy(h):
-        seen.append(h)
-        return function(h)
-    monkeypatch.setattr(np.linalg, name, spy)
-    validate_density(m)
-    monkeypatch.undo()
-    return seen
-
-
-def _shifted(m):
-    """m shifted on its diagonal as the positivity factorization takes it."""
-    return m + fock._CHOLESKY_SHIFT * np.eye(m.shape[-1])
+def _seen(m):
+    """The arrays validate_density hands to numpy's eigvalsh and cholesky for m, by route."""
+    with recorded() as calls:
+        validate_density(m)
+    return {route: [call.array for call in calls if call.route == route] for route in ROUTES}
 
 
 def _factored_slices(blocks, m):
     """How many states of m the blocks cover, asserting that they are m's slices, in order, shifted."""
     covered = 0
     for block in blocks:
-        assert block.tobytes() == _shifted(m[covered:covered + len(block)]).tobytes()
+        assert block.tobytes() == shifted(m[covered:covered + len(block)]).tobytes()
         covered += len(block)
     return covered
 
 
-def test_stacks_within_tolerance_reach_eigvalsh_as_given(monkeypatch):
+def test_stacks_within_tolerance_reach_eigvalsh_as_given():
     # 40 16x16 matrices, so the check spans several blocks
     exact = _states(np.random.default_rng(11), 40, 16, 16)
     assert np.abs(exact - exact.conj().swapaxes(-1, -2)).max() == 0.0
     # the factorization gets the stack in blocks of at most _BLOCK_BYTES: each
     # block its slice of the stack shifted on its diagonal, and nothing else,
     # and the blocks add up to the stack
-    blocks = _seen_by(monkeypatch, "cholesky", exact)
+    seen = _seen(exact)
+    blocks = seen["cholesky"]
     assert len(blocks) > 1 and max(block.nbytes for block in blocks) <= fock._BLOCK_BYTES
     assert _factored_slices(blocks, exact) == len(exact)
-    assert _seen_by(monkeypatch, "eigvalsh", exact) == []
+    assert seen["eigvalsh"] == []
     # a stack with a block that the factorization rejects reaches eigvalsh
     # itself, whole
     edge = exact.copy()
     edge[7] = np.diag([-0.9995e-10] + [(1.0 + 0.9995e-10) / 15] * 15)
-    assert _seen_by(monkeypatch, "eigvalsh", edge)[0] is edge
+    assert _seen(edge)["eigvalsh"][0] is edge
     # roundoff-asymmetric stacks, complex and real, deviating by up to the tolerance
     inexact = edge.copy()
     inexact[0, 0, 1] += 9e-13
@@ -163,10 +155,10 @@ def test_stacks_within_tolerance_reach_eigvalsh_as_given(monkeypatch):
         # checked, never symmetrized: the factorization gets m's blocks
         # shifted, up to the one that holds state 7 and is rejected, and
         # eigvalsh m itself, unchanged, or the complex128 cast of a real m
-        blocks = _seen_by(monkeypatch, "cholesky", m)
-        covered = _factored_slices(blocks, m)
-        assert covered - len(blocks[-1]) <= 7 < covered
-        [solved] = _seen_by(monkeypatch, "eigvalsh", m)
+        seen = _seen(m)
+        covered = _factored_slices(seen["cholesky"], m)
+        assert covered - len(seen["cholesky"][-1]) <= 7 < covered
+        [solved] = seen["eigvalsh"]
         if m.dtype == complex:
             assert solved is m
         else:
@@ -176,8 +168,8 @@ def test_stacks_within_tolerance_reach_eigvalsh_as_given(monkeypatch):
         # the matrix whose spectrum the fallback reads (state 7 does not factor)
         garbled = np.where(np.triu(np.ones((16, 16), dtype=bool), 1), 7.0, m)
         assert np.array_equal(np.linalg.eigvalsh(garbled), np.linalg.eigvalsh(m))
-        assert np.array_equal(np.linalg.cholesky(_shifted(np.delete(garbled, 7, axis=0))),
-                              np.linalg.cholesky(_shifted(np.delete(m, 7, axis=0))))
+        assert np.array_equal(np.linalg.cholesky(shifted(np.delete(garbled, 7, axis=0))),
+                              np.linalg.cholesky(shifted(np.delete(m, 7, axis=0))))
     # NaN is never within the tolerance, and fails the check
     bad = exact.copy()
     bad[20, 3, 3] = np.nan

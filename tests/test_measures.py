@@ -1,4 +1,5 @@
 import math
+from itertools import groupby
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,6 +23,7 @@ from wtangles.measures import (
 from wtangles.rindler import R_MAX, observed_densities, observed_density
 
 from . import patterns, reference
+from .lapack import ROUTES, recorded, shifted
 
 # |W4><W4|, as the pipeline builds it for an all-inertial observation
 W4 = observed_density(w_state(4), None)
@@ -155,68 +157,59 @@ def test_tangle_report_bundle_is_consistent():
     assert evaluate(rho, ["S", "N_AB"]) == {"S": report["S"], "N_AB": report["N_AB"]}
 
 
-def test_evaluate_takes_each_spectrum_once(monkeypatch):
+def _pair_states(rho, *columns):
+    """The (N, P, 4, 4) pair states of a stack, from fock's own kernels."""
+    return np.stack([_add_blocks(_trace_blocks(rho.matrix, 4, list(measures.PAIRS[column])))
+                     for column in columns], axis=1)
+
+
+def test_evaluate_takes_each_spectrum_once():
     # the validated stacks and the eigensolves, pinned separately; each
     # validated stack is factored block by block, its blocks its slices in
     # order, shifted on the diagonal and nothing else, of at most
     # _BLOCK_BYTES, and nothing else is factored
-    factored, solved, blocks, splits = [], [], [], []
-
-    def factoring(m, function=np.linalg.cholesky):
-        blocks.append(m)
-        return function(m)
-
-    def solving(m, function=np.linalg.eigvalsh):
-        solved.append(m.shape)
-        return function(m)
-
-    def validating(m, validate=fock.validate_density):
-        validate(m)
-        stack = m.reshape((-1,) + m.shape[-2:])
-        shifted = stack + fock._CHOLESKY_SHIFT * np.eye(m.shape[-1])
-        assert sum(map(len, blocks)) == len(stack)
-        assert np.concatenate(blocks).tobytes() == shifted.tobytes()
-        assert max(block.nbytes for block in blocks) <= fock._BLOCK_BYTES
-        factored.append(m.shape)
-        splits.append(len(blocks))
-        blocks.clear()
-    monkeypatch.setattr(np.linalg, "cholesky", factoring)
-    monkeypatch.setattr(np.linalg, "eigvalsh", solving)
-    monkeypatch.setattr(fock, "validate_density", validating)
-    monkeypatch.setattr(measures, "validate_density", validating)
-
-    def taken():
-        assert not blocks
-        seen = factored[:], solved[:]
-        factored.clear()
-        solved.clear()
-        return seen
-    stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1], [0.7, 0.7]])
-    # rho's validation factors it and takes no spectrum
-    assert taken() == ([(3, 16, 16)], [])
-    # a rho chunk is factored in more than one block
-    observed_densities(w_state(4), ["C", "D"], np.full((measures.CHUNK, 2), 0.3))
-    assert taken() == ([(measures.CHUNK, 16, 16)], []) and splits[-1] > 1
-    # S takes rho's one eigensolve
-    evaluate(stack, ["S"])
-    assert taken() == ([], [(3, 16, 16)])
-    evaluate(stack, ["N_AB"])
-    # the pair state's validation, then side 0 of the pair, which gives the value
-    assert taken() == ([(3, 1, 4, 4)], [(3, 1, 4, 4)])
-    evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
-    # every 1-3 transpose in one call, every pair state in one, every pair's side 0 in one
-    assert taken() == ([(3, 6, 4, 4)], [(3, 4, 16, 16), (3, 6, 4, 4)])
-    evaluate(stack, ["pi_B", "N_C_rest"])
-    assert taken() == ([(3, 3, 4, 4)], [(3, 2, 16, 16), (3, 3, 4, 4)])
-    evaluate(stack[1], ["N_AB"])
-    assert taken() == ([(1, 1, 4, 4)], [(1, 1, 4, 4)])
-    tangle_report(observed_densities(w_state(4), ["D"], [[0.1], [0.5]]))
-    assert taken() == ([(2, 16, 16), (2, 6, 4, 4)], [(2, 4, 16, 16), (2, 6, 4, 4), (2, 16, 16)])
-    # a complex state takes the same two pair calls: side 0 alone gives the values
-    rho = _complex_w4(3)
-    taken()
-    evaluate(rho, ["N_AB", "N_AD", "N_BD", "N_CD"])
-    assert taken() == ([(1, 4, 4, 4)], [(1, 4, 4, 4)])
+    def taken(*validated):
+        """The shapes eigvalsh got since the last call, once the factorization
+        is seen to have got the validated stacks and nothing else."""
+        blocks = [call.array for call in calls if call.route == "cholesky"]
+        assert all(block.nbytes <= fock._BLOCK_BYTES for block in blocks)
+        # the blocks of one matrix size in a row make up one validated stack
+        runs = [np.concatenate(list(run)) for _, run in groupby(blocks, lambda block: block.shape[-1])]
+        assert [run.tobytes() for run in runs] == [
+            shifted(stack.reshape((-1,) + stack.shape[-2:])).tobytes() for stack in validated]
+        solved = [call.array.shape for call in calls if call.route == "eigvalsh"]
+        calls.clear()
+        return solved
+    with recorded() as calls:
+        stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1], [0.7, 0.7]])
+        # rho's validation factors it and takes no spectrum
+        assert taken(stack.matrix) == []
+        # a rho chunk is factored in more than one block
+        chunk = observed_densities(w_state(4), ["C", "D"], np.full((measures.CHUNK, 2), 0.3))
+        assert len(calls) > 1 and taken(chunk.matrix) == []
+        # S takes rho's one eigensolve
+        evaluate(stack, ["S"])
+        assert taken() == [(3, 16, 16)]
+        evaluate(stack, ["N_AB"])
+        # the pair state's validation, then side 0 of the pair, which gives the value
+        assert taken(_pair_states(stack, "N_AB")) == [(3, 1, 4, 4)]
+        evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
+        # every 1-3 transpose in one call, every pair state in one, every pair's side 0 in one
+        assert taken(_pair_states(stack, *measures.PAIRS)) == [(3, 4, 16, 16), (3, 6, 4, 4)]
+        evaluate(stack, ["pi_B", "N_C_rest"])
+        assert taken(_pair_states(stack, "N_AB", "N_BC", "N_BD")) == [(3, 2, 16, 16), (3, 3, 4, 4)]
+        evaluate(stack[1], ["N_AB"])
+        assert taken(_pair_states(stack[1][None], "N_AB")) == [(1, 1, 4, 4)]
+        rho = observed_densities(w_state(4), ["D"], [[0.1], [0.5]])
+        tangle_report(rho)
+        assert taken(rho.matrix, _pair_states(rho, *measures.PAIRS)) == [
+            (2, 4, 16, 16), (2, 6, 4, 4), (2, 16, 16)]
+        # a complex state takes the same two pair calls: side 0 alone gives the values
+        rho = _complex_w4(3)
+        calls.clear()
+        columns = ["N_AB", "N_AD", "N_BD", "N_CD"]
+        evaluate(rho, columns)
+        assert taken(_pair_states(rho[None], *columns)) == [(1, 4, 4, 4)]
 
 
 def test_index_tables_gather_what_the_fock_kernels_compute():
@@ -381,37 +374,26 @@ def test_evaluate_rejects_an_empty_stack():
             run()
 
 
-def _solver_inputs(monkeypatch):
-    """The arrays the pipeline hands numpy's eigvalsh and cholesky, by name."""
-    seen = {"eigvalsh": [], "cholesky": []}
-    for name, arrays in seen.items():
-        def spy(m, arrays=arrays, function=getattr(np.linalg, name)):
-            arrays.append(m)
-            return function(m)
-        monkeypatch.setattr(np.linalg, name, spy)
-    return seen
-
-
-def _assert_real_states_complex_spectra(seen):
+def _assert_real_states_complex_spectra(calls):
     # every spectrum is the complex solver's, whose bits the goldens pin, and
     # every positivity factorization gets a real state: rho or a pair state
-    assert seen["eigvalsh"] and seen["cholesky"]
-    assert {m.dtype for m in seen["eigvalsh"]} == {np.dtype(np.complex128)}
-    assert {m.dtype for m in seen["cholesky"]} == {np.dtype(np.float64)}
-    assert {m.shape[-1] for m in seen["cholesky"]} == {4, 16}
+    dtypes = {route: {call.array.dtype for call in calls if call.route == route} for route in ROUTES}
+    assert dtypes == {"eigvalsh": {np.dtype(np.complex128)}, "cholesky": {np.dtype(np.float64)}}
+    assert {call.kind for call in calls if call.route == "cholesky"} == {"rho factored", "pair states"}
 
 
 @pytest.mark.parametrize("observers", [(), ("D",), ("C", "D")])
-def test_solvers_get_real_states_and_complex_spectra(observers, monkeypatch):
-    seen = _solver_inputs(monkeypatch)
+def test_solvers_get_real_states_and_complex_spectra(observers):
     r = np.linspace(0.0, R_MAX, 5)[:, None].repeat(len(observers), axis=1)
-    evaluate_points(observers, r, COLUMNS)
-    _assert_real_states_complex_spectra(seen)
+    with recorded() as calls:
+        evaluate_points(observers, r, COLUMNS)
+    _assert_real_states_complex_spectra(calls)
     # the 1-3 stack, the pair transposes and rho for S
-    assert {m.shape[-1] for m in seen["eigvalsh"]} == {4, 16} and len(seen["eigvalsh"]) == 3
+    assert [call.kind for call in calls if call.route == "eigvalsh"] == [
+        "1-3 transposes", "pair sides", "rho diagonalized"]
 
 
-def test_oracle_checks_give_solvers_real_states_and_complex_spectra(monkeypatch):
-    seen = _solver_inputs(monkeypatch)
-    assert all(result.passed for result in run_check())
-    _assert_real_states_complex_spectra(seen)
+def test_oracle_checks_give_solvers_real_states_and_complex_spectra():
+    with recorded() as calls:
+        assert all(result.passed for result in run_check())
+    _assert_real_states_complex_spectra(calls)
