@@ -30,7 +30,7 @@ from .oracles import (
     vanishing_threshold,
 )
 from .rindler import R_MAX
-from .sweep import DEFAULT_GRID_1D, PRESETS, SweepConfig, sweep_points
+from .sweep import DEFAULT_GRID_1D, PRESETS, SweepConfig, select_names, sweep_points
 
 GRID_2D = 21
 VALUE_TOL = 1e-10
@@ -110,14 +110,9 @@ CHECKS: dict[str, Callable[[float], CheckResult]] = {
 }
 
 
-def run_check(names: Sequence[str] | None = None, perturb: float = 0.0) -> list[CheckResult]:
-    """Run the named checks (all of them by default, or where all is named) in registry order."""
+def run_check(names: Sequence[str] = ("all",), perturb: float = 0.0) -> list[CheckResult]:
+    """Run the checks sweep.select_names picks from names, in registry order."""
     if not math.isfinite(perturb):
         raise ValueError(f"perturb: expected a finite number, got {perturb!r}")
-    # all expands where it appears, as in a sweep's measures
-    names = list(CHECKS) if names is None else [
-        check for name in names for check in (CHECKS if name == "all" else (name,))]
-    unknown = [n for n in names if n not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown oracle name(s) {unknown}; known: {', '.join(CHECKS)}")
-    return [CHECKS[name](perturb) for name in CHECKS if name in names]
+    selected = select_names(names, CHECKS, "oracle")
+    return [CHECKS[name](perturb) for name in CHECKS if name in selected]

@@ -32,6 +32,7 @@ from .sweep import (
     atomic_output,
     check_axes,
     run_sweep,
+    select_names,
     write_csv,
 )
 
@@ -99,13 +100,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_figures(args: argparse.Namespace) -> int:
-    # each named preset once, in order of first appearance
-    names = list(PRESETS) if args.only is None else list(dict.fromkeys(args.only.split(",")))
-    if names == [""]:
-        raise ConfigError("figures: empty selection")
-    unknown = [name for name in names if name not in PRESETS]
-    if unknown:
-        raise ConfigError(f"unknown presets {unknown}; known: {', '.join(PRESETS)}")
+    names = select_names(args.only.split(","), PRESETS, "preset")
     out_dir = pathlib.Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -122,7 +117,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    results = run_check(args.names or None, perturb=args.perturb)
+    results = run_check(args.names, perturb=args.perturb)
     for result in results:
         status = "PASS" if result.passed else "FAIL"
         print(f"{result.name:<22} max dev {result.max_dev:11.3e}  tol {result.tol:<7g} "
@@ -257,12 +252,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     figures = sub.add_parser("figures", help="write one CSV per figure preset into a directory")
     figures.add_argument("--out-dir", default="figures_csv", help="directory for the CSV files")
-    figures.add_argument("--only", metavar="LIST",
-                         help="comma-separated preset names (default: all)")
+    figures.add_argument("--only", metavar="LIST", default="all",
+                         help="comma-separated preset names, or all (default: all)")
     figures.set_defaults(func=_cmd_figures)
 
     check = sub.add_parser("check", help="compare pipeline against closed forms")
-    check.add_argument("names", nargs="*", help="oracle names (default: all)")
+    check.add_argument("names", nargs="*", default=["all"],
+                       help="oracle names, or all (default: all)")
     check.add_argument("--perturb", type=float, default=0.0,
                        help="shift numeric-side r values; forces failures for testing")
     check.set_defaults(func=_cmd_check)

@@ -213,7 +213,7 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     return {column: float(v[0]) for column, v in out.items()} if single else out
 
 
-def evaluate_points(observers: Sequence[str], r, columns: Sequence[str]) -> dict[str, np.ndarray]:
+def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict[str, np.ndarray]:
     """The columns of the observed |W4> at N >= 1 points, as (N,) arrays.
 
     r is an (N, k) array: r[p, j] is the parameter of observers[j] at point
@@ -221,6 +221,7 @@ def evaluate_points(observers: Sequence[str], r, columns: Sequence[str]) -> dict
     one stack.
     """
     r = np.asarray(r, dtype=float)
+    columns = tuple(columns)    # each chunk reads them again
     if not r.ndim:
         # a scalar has no rows to slice: the shape message observed_densities gives
         raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")

@@ -21,7 +21,7 @@ import os
 import stat
 from dataclasses import dataclass, replace
 from itertools import product
-from typing import IO, Iterator, Sequence
+from typing import IO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,17 +60,21 @@ class SweepConfig:
     diagonal: bool = False
 
 
-def normalize_measures(tokens: Sequence[str]) -> tuple[str, ...]:
-    """The COLUMNS names in tokens, all expanded, each once where it first appears."""
-    names = [token.strip() for token in tokens if token.strip()]
-    columns = [column for name in names for column in (COLUMNS if name == "all" else (name,))]
-    unknown = [column for column in columns if column not in COLUMNS]
+def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
+    """The known names in tokens, all expanded, each once where it first appears.
+
+    Each token is stripped and an empty one dropped.  The first unknown name,
+    or no name at all, raises a ConfigError naming what is selected.
+    """
+    stripped = (token.strip() for token in tokens)
+    names = [name for token in stripped if token
+             for name in (known if token == "all" else (token,))]
+    unknown = [name for name in names if name not in known]
     if unknown:
-        raise ConfigError(
-            f"unknown measure {unknown[0]!r}; use column names {', '.join(COLUMNS)}, or all")
-    if not columns:
-        raise ConfigError("measures: empty selection")
-    return tuple(dict.fromkeys(columns))
+        raise ConfigError(f"unknown {what} {unknown[0]!r}; known: {', '.join(known)}, or all")
+    if not names:
+        raise ConfigError(f"{what}: empty selection")
+    return tuple(dict.fromkeys(names))
 
 
 def check_axes(axes: Sequence[AxisSpec]) -> None:
@@ -109,7 +113,7 @@ def _validated(config: SweepConfig) -> SweepConfig:
     # fix the axis order so row order never depends on flag order
     ordered = tuple(sorted(config.accelerated, key=lambda a: a.observer))
     return replace(config, accelerated=ordered,
-                   measures=normalize_measures(config.measures))
+                   measures=select_names(config.measures, COLUMNS, "measure"))
 
 
 def sweep_points(cfg: SweepConfig) -> tuple[tuple[str, ...], np.ndarray]:
@@ -177,7 +181,9 @@ def atomic_output(target: str) -> Iterator[IO[str]]:
             with open(path, "w", encoding="utf-8", newline="") as handle:
                 yield handle
             return
-        temp = f"{path}.{os.getpid()}.tmp"
+        # a random part too: a process killed hard leaves its file behind,
+        # and a later process may get the same pid
+        temp = f"{path}.{os.getpid()}.{os.urandom(4).hex()}.tmp"
         handle = open(temp, "x", encoding="utf-8", newline="")
         try:
             with handle:

@@ -295,6 +295,12 @@ def test_check_unknown_name(capsys):
     assert "unknown oracle" in capsys.readouterr().err
 
 
+def test_check_strips_a_name(capsys):
+    assert main(["check", " n_i_d1"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("n_i_d1 ") and out.endswith("1 checks, 1 passed\n")
+
+
 def _readme_commands():
     """Each 'wtangles ...' line inside a fenced code block of the README."""
     blocks = README.read_text(encoding="utf-8").split("```")[1::2]
@@ -494,10 +500,10 @@ def test_figures_bad_out_dir_exits_2(out_dir, message, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--only", "fig3,nope"], f"unknown presets ['nope']; known: {', '.join(PRESETS)}"),
+    (["--only", "fig3,nope"], f"unknown preset 'nope'; known: {', '.join(PRESETS)}, or all"),
     (["--bogus"], "unrecognized arguments: --bogus"),
-    (["--only", ""], "figures: empty selection"),
-    (["--only", ","], "figures: empty selection"),
+    (["--only", ""], "preset: empty selection"),
+    (["--only", ","], "preset: empty selection"),
 ], ids=["unknown-preset", "unknown-flag", "empty-selection", "commas-only"])
 def test_figures_bad_arguments_exit_2(argv, message, tmp_path, capsys):
     out_dir = tmp_path / "out"
@@ -517,6 +523,21 @@ def test_figures_sweeps_each_named_preset_once(tmp_path, monkeypatch, capsys):
     assert swept == ["fig8", "fig3"]
     assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
         "fig8", "fig3", "total"]
+
+
+@pytest.mark.parametrize("only, written", [
+    ("fig1a,", ["fig1a"]),
+    (" fig1a", ["fig1a"]),
+    ("all", list(PRESETS)),
+    ("fig8,all", ["fig8", *(name for name in PRESETS if name != "fig8")]),
+], ids=["trailing-comma", "spaced", "all", "all-after-a-name"])
+def test_figures_only_reads_names_as_measures_do(only, written, tmp_path, monkeypatch, capsys):
+    run_sweep = sweep.run_sweep
+    monkeypatch.setattr("wtangles.cli.run_sweep", lambda config: run_sweep(replace(config, grid=3)))
+    assert main(["figures", "--out-dir", str(tmp_path), "--only", only]) == 0
+    assert [line.split(":")[0] for line in capsys.readouterr().out.splitlines()] == [
+        *written, "total"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{name}.csv" for name in written)
 
 
 def test_figures_failed_preset_leaves_the_old_csv(tmp_path, monkeypatch, capsys):

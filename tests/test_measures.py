@@ -367,6 +367,16 @@ def test_evaluate_points_names_the_shape_of_a_scalar_r():
             measures.evaluate_points(["D"], r, ["S"])
 
 
+def test_evaluate_points_reads_a_one_shot_iterable_of_columns():
+    # more than one chunk, each of which reads the columns
+    r = np.linspace(0.0, 0.7, measures.CHUNK + 1)[:, None]
+    by_list = measures.evaluate_points(["D"], r, ["S", "N_AD"])
+    by_iterator = measures.evaluate_points(["D"], r, iter(["S", "N_AD"]))
+    assert list(by_iterator) == ["S", "N_AD"]
+    for column in by_list:
+        np.testing.assert_array_equal(by_iterator[column], by_list[column])
+
+
 def test_evaluate_rejects_an_empty_stack():
     empty = observed_densities(w_state(4), ["D"], [[0.3]])[0:0]
     for run in (lambda: tangle_report(empty), lambda: evaluate(empty, ["S"])):

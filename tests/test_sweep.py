@@ -1,6 +1,8 @@
 import hashlib
 import io
 import math
+import os
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -17,8 +19,9 @@ from wtangles.sweep import (
     AxisSpec,
     ConfigError,
     SweepConfig,
-    normalize_measures,
+    atomic_output,
     run_sweep,
+    select_names,
     sweep_points,
     write_csv,
 )
@@ -41,16 +44,36 @@ def swept(observer, lo=0.0, hi=R_MAX):
     return AxisSpec(observer, lo, hi)
 
 
-def test_normalize_groups_and_dedup():
-    assert normalize_measures(["S", "S", "pi4"]) == ("S", "pi4")
-    assert normalize_measures(["all"]) == COLUMNS
+@pytest.mark.parametrize("tokens, selected", [
+    ([" S ", "", "pi4", "  "], ("S", "pi4")),
+    (["S", "pi4", "S"], ("S", "pi4")),
+    (["all"], COLUMNS),
+    (["N_AB", "all"], ("N_AB",) + tuple(c for c in COLUMNS if c != "N_AB")),
+    (["S", " all", "pi4"], ("S",) + tuple(c for c in COLUMNS if c != "S")),
+    (["N_XY", "S", "N_ZZ"], "unknown measure 'N_XY'; known: " + ", ".join(COLUMNS) + ", or all"),
+    (["all", "All"], "unknown measure 'All'; known: "),
+    ([], "measure: empty selection"),
+    (["", " "], "measure: empty selection"),
+], ids=["stripped-and-empty", "first-appearance", "all", "all-last", "all-between",
+        "first-unknown", "all-is-lowercase", "no-tokens", "blank-tokens"])
+def test_select_names(tokens, selected):
+    if isinstance(selected, tuple):
+        assert select_names(tokens, COLUMNS, "measure") == selected
+    else:
+        with pytest.raises(ConfigError, match=f"^{re.escape(selected)}"):
+            select_names(tokens, COLUMNS, "measure")
 
 
-def test_unknown_or_empty_measures_raise():
-    with pytest.raises(ConfigError):
-        normalize_measures(["N_XY"])
-    with pytest.raises(ConfigError):
-        normalize_measures([])
+def test_atomic_output_passes_a_stale_temp_file(tmp_path):
+    # a process killed hard leaves its temporary file, and a later one may get its pid
+    target = tmp_path / "curve.csv"
+    stale = tmp_path / f"curve.csv.{os.getpid()}.tmp"
+    stale.write_text("stale\n", encoding="utf-8")
+    with atomic_output(str(target)) as handle:
+        handle.write("new\n")
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert stale.read_text(encoding="utf-8") == "stale\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", stale.name]
 
 
 @pytest.mark.parametrize("config", [
@@ -175,7 +198,7 @@ def test_sweep_is_deterministic():
 def test_preset_registry():
     assert set(PRESETS) == EXPECTED_PRESETS
     for config in PRESETS.values():
-        normalize_measures(config.measures)
+        assert select_names(config.measures, COLUMNS, "measure") == config.measures
         swept_axes = [a for a in config.accelerated if a.lo != a.hi]
         assert 1 <= len(swept_axes) <= 2
 
