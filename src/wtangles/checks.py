@@ -1,9 +1,12 @@
 """Cross-validation: numeric pipeline values against the closed-form curves.
 
-Each curve check is one row of ORACLE_ROWS: a measure column, the closed form
-it must match and the figure presets that plot that column, at check
+Each curve check is one row of ORACLE_ROWS, named for the oracles function
+it must match: a measure column, the observers that closed form reads, in its
+argument order, and the figure presets that plot that column, at check
 resolution.  The check walks each preset through sweep.sweep_points, the one
-point builder sweeps use, evaluates the column over its points as one stack,
+point builder sweeps use, and evaluates the column over its points as one
+stack.  It calls the closed form, looked up in the oracles module at call
+time, once per distinct tuple of the r values it reads within the row, then
 compares the two routes pointwise and reports the maximum absolute deviation.
 The perturb argument shifts the r values fed to the numeric side only, which
 makes the harness fail on purpose; it exists so the failure path itself can
@@ -19,16 +22,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import oracles
 from .measures import evaluate_points
-from .oracles import (
-    entropy_one_accel,
-    n_ab_const,
-    n_d1_abc,
-    n_i_d1,
-    n_pair_accel_both,
-    n_pair_accel_one,
-    vanishing_threshold,
-)
 from .rindler import R_MAX
 from .sweep import DEFAULT_GRID_1D, PRESETS, SweepConfig, select_names, sweep_points
 
@@ -50,9 +45,9 @@ class CheckResult:
 
 
 class OracleRow(NamedTuple):
-    name: str
+    name: str  # also the closed form's name in oracles
     column: str
-    closed_form: Callable[[dict[str, float]], float]  # of the unshifted r values
+    reads: tuple[str, ...]  # observers whose unshifted r the closed form takes, in order
     sweeps: tuple[SweepConfig, ...]  # presets that plot column, at check resolution
     tol: float
     detail: str
@@ -61,37 +56,42 @@ class OracleRow(NamedTuple):
 _FIG5_GRID = replace(PRESETS["fig5"], diagonal=False, grid=GRID_2D)  # holds fig5's diagonal
 
 ORACLE_ROWS = (
-    OracleRow("n_d1_abc", "N_D_rest", lambda r: n_d1_abc(r["D"]), (PRESETS["fig1a"],),
+    OracleRow("n_d1_abc", "N_D_rest", ("D",), (PRESETS["fig1a"],),
               VALUE_TOL, f"{DEFAULT_GRID_1D} points, one accelerated observer"),
-    OracleRow("n_ab_const", "N_AB", lambda r: n_ab_const(),
+    OracleRow("n_ab_const", "N_AB", (),
               (PRESETS["fig1b"], replace(_FIG5_GRID, grid=6)),
               CONSTANT_TOL, "both scenarios; constant for every acceleration"),
-    OracleRow("n_i_d1", "N_AD", lambda r: n_i_d1(r["D"]), (PRESETS["fig1b"],),
+    OracleRow("n_i_d1", "N_AD", ("D",), (PRESETS["fig1b"],),
               VALUE_TOL, f"{DEFAULT_GRID_1D} points, pair of inertial and accelerated"),
-    OracleRow("n_pair_accel_one", "N_AC", lambda r: n_pair_accel_one(r["C"]), (_FIG5_GRID,),
+    OracleRow("n_pair_accel_one", "N_AC", ("C",), (_FIG5_GRID,),
               VALUE_TOL, f"{GRID_2D}x{GRID_2D} grid; independent of the other acceleration"),
-    OracleRow("n_pair_accel_both", "N_CD", lambda r: n_pair_accel_both(r["C"], r["D"]),
-              (_FIG5_GRID,), VALUE_TOL,
+    OracleRow("n_pair_accel_both", "N_CD", ("C", "D"), (_FIG5_GRID,), VALUE_TOL,
               f"{GRID_2D}x{GRID_2D} grid, pair of accelerated observers"),
-    OracleRow("entropy_one_accel", "S", lambda r: entropy_one_accel(r["D"]), (PRESETS["fig8"],),
+    OracleRow("entropy_one_accel", "S", ("D",), (PRESETS["fig8"],),
               VALUE_TOL, f"{DEFAULT_GRID_1D} points, one accelerated observer"),
 )
 
 
 def _check_row(row: OracleRow, perturb: float) -> CheckResult:
+    closed_form = getattr(oracles, row.name)
+    values: dict[tuple[float, ...], float] = {}  # closed form by argument tuple
     deviations = []
     for sweep in row.sweeps:
         observers, r = sweep_points(sweep)
         shifted = np.clip(r + perturb, 0.0, R_MAX)
         numeric = evaluate_points(observers, shifted, [row.column])[row.column]
-        closed = [row.closed_form(dict(zip(observers, point))) for point in r.tolist()]
+        keys = list(map(tuple, r[:, [observers.index(o) for o in row.reads]].tolist()))
+        for key in keys:
+            if key not in values:
+                values[key] = closed_form(*key)
+        closed = [values[key] for key in keys]
         deviations.append(np.abs(numeric - closed))
     dev = float(np.concatenate(deviations).max())
     return CheckResult(row.name, dev, row.tol, dev <= row.tol, row.detail)
 
 
 def _check_vanishing_threshold(perturb: float) -> CheckResult:
-    computed = vanishing_threshold() + perturb
+    computed = oracles.vanishing_threshold() + perturb
     analytic = 0.5 * math.acos(2.0 - math.sqrt(2.0))
     dev = abs(computed - analytic)
     printed_dev = abs(computed - PRINTED_THRESHOLD)

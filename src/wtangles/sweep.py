@@ -5,9 +5,11 @@ computes the requested measures at every grid point and returns rows in
 deterministic lexicographic grid order.  Measures are named by the
 measures.COLUMNS names alone, with all standing for every column.
 sweep_points builds the points once, as one (N, k) array of r values, for
-sweeps and oracle checks alike: the swept columns first (the product of the
-axes' linspace values, or one shared axis on the diagonal), then the fixed
-ones.  measures.evaluate_points evaluates it measures.CHUNK rows per stack,
+sweeps and oracle checks alike: the swept columns first, then the fixed ones.
+Each swept axis is one np.linspace array; a grid takes np.repeat of the
+first axis and np.tile of the second, which is lexicographic grid order,
+and the diagonal takes the one shared axis for both columns.
+measures.evaluate_points evaluates the array measures.CHUNK rows per stack,
 and the rows are the swept columns of that same array followed by the
 measures.  Rows are plain floats; the CSV writer renders them with 17
 significant digits so output is byte-identical across runs and round-trips
@@ -20,7 +22,6 @@ import contextlib
 import os
 import stat
 from dataclasses import dataclass, replace
-from itertools import product
 from typing import IO, Collection, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -63,9 +64,12 @@ class SweepConfig:
 def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
     """The known names in tokens, all expanded, each once where it first appears.
 
-    Each token is stripped and an empty one dropped.  The first unknown name,
-    or no name at all, raises a ConfigError naming what is selected.
+    A bare str is one token, not a sequence of one-letter names.  Each token
+    is stripped and an empty one dropped.  The first unknown name, or no name
+    at all, raises a ConfigError naming what is selected.
     """
+    if isinstance(tokens, str):
+        tokens = (tokens,)
     stripped = (token.strip() for token in tokens)
     names = [name for token in stripped if token
              for name in (known if token == "all" else (token,))]
@@ -122,12 +126,16 @@ def sweep_points(cfg: SweepConfig) -> tuple[tuple[str, ...], np.ndarray]:
     fixed = [a for a in cfg.accelerated if a.fixed]
     two_axis = len(swept) == 2 and not cfg.diagonal
     points = cfg.grid or (DEFAULT_GRID_2D if two_axis else DEFAULT_GRID_1D)
-    lines = [np.linspace(a.lo, a.hi, points).tolist() for a in swept]
+    axes = [np.linspace(a.lo, a.hi, points) for a in swept]
     # the swept r of every point: along the one shared axis on the diagonal
     # (the swept ranges are equal), else in lexicographic grid order
-    grid = list(zip(*lines) if cfg.diagonal else product(*lines))
-    r = np.empty((len(grid), len(swept) + len(fixed)))
-    r[:, :len(swept)] = grid
+    if cfg.diagonal:
+        axes = [axes[0]] * len(axes)
+    elif two_axis:
+        axes = [np.repeat(axes[0], points), np.tile(axes[1], points)]
+    r = np.empty((len(axes[0]) if axes else 1, len(swept) + len(fixed)))
+    for column, axis in enumerate(axes):
+        r[:, column] = axis
     r[:, len(swept):] = [a.lo for a in fixed]
     return tuple(a.observer for a in swept + fixed), r
 

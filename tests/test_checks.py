@@ -1,12 +1,13 @@
 """The oracle rows: the points they walk and the figure presets they check."""
 
+import inspect
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from wtangles import checks
+from wtangles import checks, oracles
 from wtangles.checks import ORACLE_ROWS, run_check
 from wtangles.sweep import PRESETS
 
@@ -83,3 +84,37 @@ def test_drift_names_a_preset_without_the_column_or_observers():
         "n_i_d1: fig1a does not plot N_AD"]
     fig1b_on_c = replace(PRESETS["fig1b"], accelerated=PRESETS["fig5"].accelerated)
     assert len(_drift(n_i_d1._replace(sweeps=(fig1b_on_c,)))) == 1
+
+
+def test_run_check_reads_a_bare_string_as_one_name():
+    assert repr(run_check("n_i_d1")) == repr(run_check(["n_i_d1"]))
+
+
+@pytest.mark.parametrize("row", ORACLE_ROWS, ids=lambda row: row.name)
+def test_each_row_reads_its_closed_form_parameters(row):
+    parameters = inspect.signature(getattr(oracles, row.name)).parameters
+    assert row.reads == tuple({"r_c": "C", "r_d": "D"}[name] for name in parameters)
+
+
+# closed-form calls of one row: one per distinct tuple of the r values it reads,
+# so the 21x21 grid gives n_pair_accel_one its 21 values of r_C and n_ab_const
+# one call for both of its sweeps
+CLOSED_FORM_CALLS = {
+    "n_d1_abc": 101, "n_ab_const": 1, "n_i_d1": 101,
+    "n_pair_accel_one": 21, "n_pair_accel_both": 441, "entropy_one_accel": 101,
+}
+
+
+@pytest.mark.parametrize("name, calls", CLOSED_FORM_CALLS.items())
+def test_a_row_calls_its_closed_form_once_per_distinct_argument(name, calls, monkeypatch):
+    expected = repr(run_check([name]))
+    seen = []
+    closed_form = getattr(oracles, name)
+
+    def counting(*args):
+        seen.append(args)
+        return closed_form(*args)
+
+    monkeypatch.setattr(oracles, name, counting)
+    assert repr(run_check([name])) == expected
+    assert len(seen) == len(set(seen)) == calls

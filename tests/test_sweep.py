@@ -5,9 +5,13 @@ import os
 import re
 import tracemalloc
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wtangles.checks import run_check
 from wtangles.measures import COLUMNS, evaluate_points
@@ -62,6 +66,13 @@ def test_select_names(tokens, selected):
     else:
         with pytest.raises(ConfigError, match=f"^{re.escape(selected)}"):
             select_names(tokens, COLUMNS, "measure")
+
+
+def test_a_bare_measures_string_is_one_name():
+    config = SweepConfig(accelerated=(fixed("D", 0.3),), measures="N_AB")
+    header, rows = run_sweep(config)
+    assert header == ["N_AB"]
+    assert rows == run_sweep(replace(config, measures=("N_AB",)))[1]
 
 
 def test_atomic_output_passes_a_stale_temp_file(tmp_path):
@@ -156,6 +167,48 @@ def test_fixed_axis_combines_with_swept_axis():
     for row in rows:
         # independent of the swept partner acceleration
         assert row[1] == pytest.approx(n_pair_accel_one(0.2), abs=1e-11)
+
+
+@st.composite
+def point_configs(draw):
+    """A config as run_sweep validates it: observers sorted, 0 to 2 swept, a grid of 2 to 9."""
+    observers = draw(st.permutations("ABCD"))
+    n_swept = draw(st.integers(min_value=0, max_value=2))
+    n_fixed = draw(st.integers(min_value=0, max_value=4 - n_swept))
+    diagonal = n_swept == 2 and draw(st.booleans())
+    r = st.floats(min_value=0.0, max_value=R_MAX)
+    ranges = [sorted(draw(st.lists(r, min_size=2, max_size=2, unique=True)))
+              for _ in range(n_swept)]
+    if diagonal:
+        ranges = [ranges[0]] * 2
+    axes = [AxisSpec(o, lo, hi) for o, (lo, hi) in zip(observers, ranges)]
+    axes += [fixed(o, draw(r)) for o in observers[n_swept:n_swept + n_fixed]]
+    return SweepConfig(accelerated=tuple(sorted(axes, key=lambda a: a.observer)),
+                       grid=draw(st.integers(min_value=2, max_value=9)), diagonal=diagonal)
+
+
+def reference_points(config):
+    """The swept r of each point, by product or zip of the axes' floats, then the fixed r."""
+    swept_axes = [a for a in config.accelerated if not a.fixed]
+    lines = [np.linspace(a.lo, a.hi, config.grid).tolist() for a in swept_axes]
+    grid = zip(*lines) if config.diagonal else product(*lines)
+    return [(*point, *(a.lo for a in config.accelerated if a.fixed)) for point in grid]
+
+
+@given(config=point_configs())
+@example(config=SweepConfig(accelerated=(), grid=2))
+@example(config=SweepConfig(accelerated=(fixed("A", 0.1), swept("C"), swept("D")), grid=3,
+                            diagonal=True))
+@example(config=SweepConfig(accelerated=(swept("B"), fixed("C", 0.2), swept("D")), grid=9))
+def test_sweep_points_equal_the_product_of_the_axes(config):
+    observers, r = sweep_points(config)
+    swept_axes = [a for a in config.accelerated if not a.fixed]
+    assert observers == tuple(a.observer for a in swept_axes
+                              + [a for a in config.accelerated if a.fixed])
+    expected = reference_points(config)
+    assert r.dtype == np.float64
+    assert r.shape == (len(expected), len(config.accelerated))
+    assert np.array_equal(r, np.array(expected, dtype=np.float64).reshape(r.shape))
 
 
 def test_default_grid_sizes():
