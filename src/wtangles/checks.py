@@ -84,7 +84,7 @@ def _check_row(row: OracleRow, perturb: float) -> CheckResult:
         for key in keys:
             if key not in values:
                 values[key] = closed_form(*key)
-        closed = [values[key] for key in keys]
+        closed = np.fromiter(map(values.__getitem__, keys), float, len(keys))
         deviations.append(np.abs(numeric - closed))
     dev = float(np.concatenate(deviations).max())
     return CheckResult(row.name, dev, row.tol, dev <= row.tol, row.detail)

@@ -58,6 +58,8 @@ MIN_EIGENVALUE = -1e-10
 # positivity factors m + _CHOLESKY_SHIFT * I: up to 16x16 its backward error,
 # at most about 3e-14 at unit trace, fits in the 1e-13 margin below 1e-10
 _CHOLESKY_SHIFT = -0.999 * MIN_EIGENVALUE
+# _CHOLESKY_SHIFT * I of each size up to 16, built once, as read-only views
+_SHIFTS = tuple(np.broadcast_to(_CHOLESKY_SHIFT * np.eye(dim), (dim, dim)) for dim in range(17))
 OBSERVERS = ("A", "B", "C", "D")
 
 
@@ -105,7 +107,7 @@ def validate_density(m: np.ndarray) -> None:
         worst = float(np.ravel(traces)[np.ravel(deviations).argmax()])
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
     if m.shape[-1] <= 16:
-        shift = _CHOLESKY_SHIFT * np.eye(m.shape[-1])
+        shift = _SHIFTS[m.shape[-1]]
         with contextlib.suppress(np.linalg.LinAlgError):
             for block in blocks:
                 np.linalg.cholesky(block + shift)

@@ -32,7 +32,9 @@ README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, takes the points as one
-(N, k) array of r values and evaluates it CHUNK rows per stack.
+(N, k) array of r values, checks them once (the shape, the r domain, the
+amplitudes and the support lookup of rindler.observed_densities), then
+builds, validates as states and evaluates them CHUNK rows per stack.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .fock import (
     w_state,
 )
 from .linalg import _eigvalsh, negative_eigenvalue_sum
-from .rindler import observed_densities
+from .rindler import _built, _checked
 
 RESIDUAL_CLIP = -1e-10
 RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
@@ -217,18 +219,18 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
     """The columns of the observed |W4> at N >= 1 points, as (N,) arrays.
 
     r is an (N, k) array: r[p, j] is the parameter of observers[j] at point
-    p.  It is evaluated in slices of CHUNK rows, each built and evaluated as
-    one stack.
+    p.  Its points are checked once, as observed_densities checks them, and
+    then built, validated as states and evaluated in slices of CHUNK rows,
+    each as one stack.
     """
     r = np.asarray(r, dtype=float)
     columns = tuple(columns)    # each chunk reads them again
-    if not r.ndim:
-        # a scalar has no rows to slice: the shape message observed_densities gives
-        raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")
-    chunks = [evaluate(observed_densities(_W4, observers, r[start:start + CHUNK]), columns)
-              for start in range(0, len(r), CHUNK)]
-    if not chunks:
+    # a scalar r falls through to the shape message; an empty one has no point
+    if r.ndim and not len(r):
         raise ValueError("evaluate_points needs at least one point")
+    r, table = _checked(_W4, observers, r)
+    chunks = [evaluate(_built(r[start:start + CHUNK], table), columns)
+              for start in range(0, len(r), CHUNK)]
     if len(chunks) == 1:
         return chunks[0]
     return {column: np.concatenate([chunk[column] for chunk in chunks]) for column in columns}

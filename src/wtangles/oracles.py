@@ -8,13 +8,21 @@ stays at zero, so oracle outputs are reported as max(value, 0).
 
 Shorthands below: the accelerated observers C and D carry parameters r_c and
 r_d.  For a single accelerated observer only r_d is relevant.
+
+Every closed form, present and future, keeps one per-call convention.  Its
+domain guard is one chained comparison per argument against the bounds of
+rindler.out_of_domain, R_LO <= r <= R_HI, which a NaN fails; only a failed
+guard calls _check_domain, which raises the one message.  Each distinct
+trig term is computed once, into a local, and the expression then reads it
+with the operations and left-to-right order of the formula as written, so
+every value keeps the bits of the formula evaluated term by term.
 """
 
 from __future__ import annotations
 
 import math
 
-from .rindler import out_of_domain
+from .rindler import R_HI, R_LO, out_of_domain
 
 SQRT2 = math.sqrt(2.0)
 
@@ -33,10 +41,10 @@ def n_d1_abc(r_d: float) -> float:
 
     (1/8) [3 cos 2r + sqrt(3/2) sqrt(4 cos 2r + 3 cos 4r + 25) - 3]
     """
-    _check_domain("n_d1_abc", r_d=r_d)
-    value = (3.0 * math.cos(2 * r_d)
-             + math.sqrt(1.5) * math.sqrt(4 * math.cos(2 * r_d) + 3 * math.cos(4 * r_d) + 25)
-             - 3.0) / 8.0
+    if not R_LO <= r_d <= R_HI:
+        _check_domain("n_d1_abc", r_d=r_d)
+    c2 = math.cos(2 * r_d)
+    value = (3.0 * c2 + math.sqrt(1.5) * math.sqrt(4 * c2 + 3 * math.cos(4 * r_d) + 25) - 3.0) / 8.0
     return max(value, 0.0)
 
 
@@ -49,9 +57,8 @@ def n_ab_const() -> float:
 
 
 def _n_i_d1_raw(r: float) -> float:
-    return (-6.0
-            + SQRT2 * math.sqrt(28 * math.cos(2 * r) + 9 * math.cos(4 * r) + 27)
-            - 2.0 * math.cos(2 * r)) / 16.0
+    c2 = math.cos(2 * r)
+    return (-6.0 + SQRT2 * math.sqrt(28 * c2 + 9 * math.cos(4 * r) + 27) - 2.0 * c2) / 16.0
 
 
 def n_i_d1(r_d: float) -> float:
@@ -60,7 +67,8 @@ def n_i_d1(r_d: float) -> float:
     (1/16) [-6 + sqrt(2) sqrt(28 cos 2r + 9 cos 4r + 27) - 2 cos 2r];
     starts at (sqrt(2)-1)/2 and falls to 0 at r = pi/4.
     """
-    _check_domain("n_i_d1", r_d=r_d)
+    if not R_LO <= r_d <= R_HI:
+        _check_domain("n_i_d1", r_d=r_d)
     return max(_n_i_d1_raw(r_d), 0.0)
 
 
@@ -70,17 +78,17 @@ def n_pair_accel_one(r_c: float) -> float:
     Same functional form as n_i_d1, evaluated in that observer's own
     parameter; the other acceleration drops out entirely.
     """
-    _check_domain("n_pair_accel_one", r_c=r_c)
+    if not R_LO <= r_c <= R_HI:
+        _check_domain("n_pair_accel_one", r_c=r_c)
     return max(_n_i_d1_raw(r_c), 0.0)
 
 
 def _n_pair_accel_both_raw(r_c: float, r_d: float) -> float:
-    inner = (22 * math.cos(2 * r_c + 2 * r_d) + 22 * math.cos(2 * r_c - 2 * r_d)
-             + 9 * math.cos(4 * r_c) - 16 * math.cos(2 * r_c)
-             + 9 * math.cos(4 * r_d) - 16 * math.cos(2 * r_d) + 34)
-    return (SQRT2 * math.sqrt(inner)
-            - 2 * math.cos(2 * r_c + 2 * r_d) - 2 * math.cos(2 * r_c - 2 * r_d)
-            + 2 * math.cos(2 * r_c) + 2 * math.cos(2 * r_d) - 8.0) / 16.0
+    plus, minus = math.cos(2 * r_c + 2 * r_d), math.cos(2 * r_c - 2 * r_d)
+    c2, d2 = math.cos(2 * r_c), math.cos(2 * r_d)
+    inner = (22 * plus + 22 * minus + 9 * math.cos(4 * r_c) - 16 * c2
+             + 9 * math.cos(4 * r_d) - 16 * d2 + 34)
+    return (SQRT2 * math.sqrt(inner) - 2 * plus - 2 * minus + 2 * c2 + 2 * d2 - 8.0) / 16.0
 
 
 def n_pair_accel_both(r_c: float, r_d: float) -> float:
@@ -89,7 +97,8 @@ def n_pair_accel_both(r_c: float, r_d: float) -> float:
     Symmetric in (r_c, r_d); clipped to 0 on the plateau where the underlying
     eigenvalue has turned nonnegative (beyond r ~ 0.4725 on the diagonal).
     """
-    _check_domain("n_pair_accel_both", r_c=r_c, r_d=r_d)
+    if not (R_LO <= r_c <= R_HI and R_LO <= r_d <= R_HI):
+        _check_domain("n_pair_accel_both", r_c=r_c, r_d=r_d)
     return max(_n_pair_accel_both_raw(r_c, r_d), 0.0)
 
 
@@ -122,9 +131,11 @@ def entropy_one_accel(r_d: float) -> float:
     lambda_2 = (1/8)(3 cos 2r + 5); S = -sum(lambda ln lambda) with
     0 ln 0 = 0.
     """
-    _check_domain("entropy_one_accel", r_d=r_d)
-    lam1 = 0.375 * (1.0 - math.cos(2 * r_d))
-    lam2 = (3.0 * math.cos(2 * r_d) + 5.0) / 8.0
+    if not R_LO <= r_d <= R_HI:
+        _check_domain("entropy_one_accel", r_d=r_d)
+    c2 = math.cos(2 * r_d)
+    lam1 = 0.375 * (1.0 - c2)
+    lam2 = (3.0 * c2 + 5.0) / 8.0
     total = 0.0
     for lam in (lam1, lam2):
         if lam > 0.0:

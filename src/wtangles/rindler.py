@@ -45,7 +45,10 @@ entry is the same bytes as the dense build's.
 observed_densities does this for N points at once: the amplitudes are an
 (N, M) stack scaled by per-point cos r and sin r columns, and rho is an
 (N, 16, 16) stack, validated once and held as built, with no copy.
-observed_density is the batch of one.
+observed_density is the batch of one.  Its argument checks (_checked) and
+the build from the support table (_built) are two steps, so that
+measures.evaluate_points checks a call's points once and then builds each
+slice of CHUNK rows, each validated as a state.
 """
 
 from __future__ import annotations
@@ -61,19 +64,17 @@ from .fock import OBSERVERS, DensityMatrix
 R_MAX = math.pi / 4
 # slack on the r domain, so endpoints that carry roundoff are still accepted
 R_TOL = 1e-12
+# the r accepted, both ends included
+R_LO, R_HI = -R_TOL, R_MAX + R_TOL
 
 
 def out_of_domain(r) -> float | None:
     """The first value of r, a number or an array, outside [0, pi/4] (NaN too), or None."""
-    lo, hi = -R_TOL, R_MAX + R_TOL
-    # a lone float skips numpy, whose call overhead would dominate the oracles' checks
-    if isinstance(r, float):
-        return None if lo <= r <= hi else r
     r = np.asarray(r, dtype=float)
     # one min and one max clear a whole array; a NaN makes both NaN, failing either test
-    if r.size == 0 or (r.min() >= lo and r.max() <= hi):
+    if r.size == 0 or (r.min() >= R_LO and r.max() <= R_HI):
         return None
-    return next(x for x in r.ravel().tolist() if not lo <= x <= hi)
+    return next(x for x in r.ravel().tolist() if not R_LO <= x <= R_HI)
 
 
 @lru_cache
@@ -123,15 +124,11 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
     return source, factors, rounds
 
 
-def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> DensityMatrix:
-    """Observed states at N >= 1 points, as one validated (N, 16, 16) stack.
+def _checked(psi0, observers: Sequence[str], r):
+    """observed_densities' argument checks, in its order, on all N points at once.
 
-    psi0 is array-like: the 16 real amplitudes of the register A, B, C, D,
-    as w_state(4) gives them; a nonzero imaginary part raises ValueError.
-    Its norm is left to rho's trace check: the split preserves the norm, so
-    tr rho = |psi0|^2.  r is an (N, k) array: r[p, j] is the parameter of
-    observers[j] at point p.  The observers' modes are split in register
-    order and the region-II modes are traced out of the pure states directly.
+    Returns r as a float array and the table the build reads: psi0's real
+    amplitudes, the split order and the support.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
@@ -150,12 +147,17 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
             raise ValueError(f"unknown observer {obs!r}")
         if obs in observers[:j]:
             raise ValueError(f"observer {obs!r} is already transformed")
-    points = len(r)
     psi0 = np.asarray(psi0.real, dtype=float)
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
-    source, factors, rounds = _support(tuple(pos for pos, _ in order),
-                                       tuple(np.flatnonzero(psi0).tolist()))
+    support = _support(tuple(pos for pos, _ in order), tuple(np.flatnonzero(psi0).tolist()))
+    return r, (psi0, order, support)
+
+
+def _built(r: np.ndarray, table) -> DensityMatrix:
+    """The validated rho stack of the checked points r, from _checked's table."""
+    psi0, order, (source, factors, rounds) = table
+    points = len(r)
     amp = psi0[source][None].repeat(points, axis=0)
     for (_, j), factor in zip(order, factors):
         # math's cos and sin, value by value; numpy's vector loops may round differently
@@ -170,6 +172,19 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
     for entries, left, right in rounds:
         rho[:, entries] += amp[:, left] * amp[:, right]
     return DensityMatrix._owning(rho.reshape(points, 16, 16))
+
+
+def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> DensityMatrix:
+    """Observed states at N >= 1 points, as one validated (N, 16, 16) stack.
+
+    psi0 is array-like: the 16 real amplitudes of the register A, B, C, D,
+    as w_state(4) gives them; a nonzero imaginary part raises ValueError.
+    Its norm is left to rho's trace check: the split preserves the norm, so
+    tr rho = |psi0|^2.  r is an (N, k) array: r[p, j] is the parameter of
+    observers[j] at point p.  The observers' modes are split in register
+    order and the region-II modes are traced out of the pure states directly.
+    """
+    return _built(*_checked(psi0, observers, r))
 
 
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from wtangles.checks import run_check
 from wtangles.fock import DensityMatrix, w_state
-from wtangles import fock, measures
+from wtangles import fock, measures, rindler
 from wtangles.fock import _add_blocks, _trace_blocks, _transposed, partial_transpose
 from wtangles.linalg import negative_eigenvalue_sum
 from wtangles.measures import (
@@ -365,6 +365,41 @@ def test_evaluate_points_names_the_shape_of_a_scalar_r():
     for r, shape in ((0.3, r"\(\)"), ([0.3], r"\(1,\)")):
         with pytest.raises(ValueError, match=rf"r has shape {shape}, want \(points >= 1, 1\)"):
             measures.evaluate_points(["D"], r, ["S"])
+
+
+def test_evaluate_points_names_the_shape_of_the_whole_r():
+    # above CHUNK points, the message names the caller's r, not its first chunk
+    for r, shape in ((np.zeros((100, 3)), r"\(100, 3\)"), (np.zeros(100), r"\(100,\)")):
+        with pytest.raises(ValueError, match=rf"^r has shape {shape}, want \(points >= 1, 2\)$"):
+            measures.evaluate_points(("C", "D"), r, ["S"])
+
+
+def test_evaluate_points_rejects_a_bad_r_before_any_solve():
+    # the bad value sits in the second chunk; no chunk is built, factored or solved
+    r = np.full((100, 2), 0.3)
+    r[80, 1] = 1.0
+    with recorded() as calls:
+        with pytest.raises(ValueError, match=r"^acceleration parameter r=1\.0 outside \[0, pi/4\]$"):
+            measures.evaluate_points(("C", "D"), r, ["S", "N_CD"])
+    assert calls == []
+
+
+def test_evaluate_points_checks_its_points_once(monkeypatch):
+    r = np.random.default_rng(7).uniform(0.0, R_MAX, (2 * measures.CHUNK + 1, 2))
+    expected = measures.evaluate_points(("C", "D"), r, COLUMNS)
+    checked = []
+    out_of_domain = rindler.out_of_domain
+
+    def counting(values):
+        checked.append(np.shape(values))
+        return out_of_domain(values)
+
+    monkeypatch.setattr(rindler, "out_of_domain", counting)
+    values = measures.evaluate_points(("C", "D"), r, COLUMNS)
+    assert checked == [r.shape]
+    assert list(values) == list(expected)
+    for column in COLUMNS:
+        assert values[column].tobytes() == expected[column].tobytes()
 
 
 def test_evaluate_points_reads_a_one_shot_iterable_of_columns():

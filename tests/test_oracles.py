@@ -1,10 +1,12 @@
 """The closed-form curves themselves: endpoints, shape and domain checks."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from wtangles import oracles
 from wtangles.oracles import (
     entropy_one_accel,
     n_ab_const,
@@ -15,10 +17,13 @@ from wtangles.oracles import (
     vanishing_threshold,
 )
 
+from wtangles.rindler import R_TOL
+
 from . import patterns
 
 R_MAX = math.pi / 4
 GRID = np.linspace(0.0, R_MAX, 101)
+SQRT2 = math.sqrt(2.0)
 
 
 def test_single_observer_curve_endpoints():
@@ -87,3 +92,87 @@ def test_entropy_curve():
 def test_domain_validation(call):
     with pytest.raises(ValueError):
         call()
+
+
+# the closed forms as typed before each trig term was taken once: every cos
+# evaluated where it appears, with the same operations in the same order
+def _n_i_d1_raw_as_typed(r):
+    return (-6.0
+            + SQRT2 * math.sqrt(28 * math.cos(2 * r) + 9 * math.cos(4 * r) + 27)
+            - 2.0 * math.cos(2 * r)) / 16.0
+
+
+def _n_pair_accel_both_raw_as_typed(r_c, r_d):
+    inner = (22 * math.cos(2 * r_c + 2 * r_d) + 22 * math.cos(2 * r_c - 2 * r_d)
+             + 9 * math.cos(4 * r_c) - 16 * math.cos(2 * r_c)
+             + 9 * math.cos(4 * r_d) - 16 * math.cos(2 * r_d) + 34)
+    return (SQRT2 * math.sqrt(inner)
+            - 2 * math.cos(2 * r_c + 2 * r_d) - 2 * math.cos(2 * r_c - 2 * r_d)
+            + 2 * math.cos(2 * r_c) + 2 * math.cos(2 * r_d) - 8.0) / 16.0
+
+
+def _entropy_one_accel_as_typed(r_d):
+    lam1 = 0.375 * (1.0 - math.cos(2 * r_d))
+    lam2 = (3.0 * math.cos(2 * r_d) + 5.0) / 8.0
+    total = 0.0
+    for lam in (lam1, lam2):
+        if lam > 0.0:
+            total -= lam * math.log(lam)
+    return total
+
+
+AS_TYPED = {
+    "n_d1_abc": lambda r_d: max((3.0 * math.cos(2 * r_d)
+                                 + math.sqrt(1.5) * math.sqrt(4 * math.cos(2 * r_d)
+                                                              + 3 * math.cos(4 * r_d) + 25)
+                                 - 3.0) / 8.0, 0.0),
+    "_n_i_d1_raw": _n_i_d1_raw_as_typed,
+    "n_i_d1": lambda r_d: max(_n_i_d1_raw_as_typed(r_d), 0.0),
+    "n_pair_accel_one": lambda r_c: max(_n_i_d1_raw_as_typed(r_c), 0.0),
+    "_n_pair_accel_both_raw": _n_pair_accel_both_raw_as_typed,
+    "n_pair_accel_both": lambda r_c, r_d: max(_n_pair_accel_both_raw_as_typed(r_c, r_d), 0.0),
+    "entropy_one_accel": _entropy_one_accel_as_typed,
+}
+R_STAR = 0.5 * math.acos(2.0 - math.sqrt(2.0))
+# dense and random points, both ends, either side of r* and the least subnormal
+POINTS = [*np.linspace(0.0, R_MAX, 2001).tolist(),
+          *np.random.default_rng(29).uniform(0.0, R_MAX, 4000).tolist(),
+          0.0, R_MAX, R_STAR - 1e-9, R_STAR + 1e-9, 5e-324]
+
+
+@pytest.mark.parametrize("name", AS_TYPED)
+def test_closed_forms_keep_the_bits_of_the_formula_as_typed(name):
+    closed_form, as_typed = getattr(oracles, name), AS_TYPED[name]
+    if len(inspect.signature(as_typed).parameters) == 1:
+        arguments = [(r,) for r in POINTS]
+    else:
+        line = np.linspace(0.0, R_MAX, 101).tolist()
+        pairs = np.random.default_rng(2929).uniform(0.0, R_MAX, (5000, 2)).tolist()
+        arguments = [*((r, r) for r in POINTS), *((a, b) for a in line for b in line),
+                     *map(tuple, pairs)]
+    assert [closed_form(*args) for args in arguments] == [as_typed(*args) for args in arguments]
+
+
+# every closed form that takes an r, by name
+CLOSED_FORMS = ("n_d1_abc", "n_i_d1", "n_pair_accel_one", "n_pair_accel_both", "entropy_one_accel")
+
+
+@pytest.mark.parametrize("value", [-1e-11, R_MAX + 2e-12, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_a_closed_form_names_the_r_outside_its_domain(name, value):
+    closed_form = getattr(oracles, name)
+    parameters = list(inspect.signature(closed_form).parameters)
+    for arg in parameters:
+        arguments = dict.fromkeys(parameters, 0.3) | {arg: value}
+        with pytest.raises(ValueError) as info:
+            closed_form(**arguments)
+        assert str(info.value) == f"{name}: {arg}={value!r} outside [0, pi/4]"
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_a_closed_form_accepts_both_slack_edges(name):
+    closed_form = getattr(oracles, name)
+    parameters = list(inspect.signature(closed_form).parameters)
+    for edge in (-R_TOL, R_MAX + R_TOL):
+        for arg in parameters:
+            assert math.isfinite(closed_form(**dict.fromkeys(parameters, 0.3) | {arg: edge}))
