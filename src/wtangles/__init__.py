@@ -17,6 +17,7 @@ from .fock import (
 )
 from .measures import (
     COLUMNS,
+    ConfigError,
     big_pi4_tangle,
     evaluate,
     evaluate_points,
@@ -33,7 +34,7 @@ from .oracles import (
     vanishing_threshold,
 )
 from .rindler import observed_densities, observed_density
-from .sweep import PRESETS, AxisSpec, ConfigError, SweepConfig, run_sweep, write_csv
+from .sweep import PRESETS, AxisSpec, SweepConfig, run_sweep, write_csv
 
 __version__ = "0.1.0"
 

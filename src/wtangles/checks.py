@@ -23,9 +23,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import oracles
-from .measures import evaluate_points
+from .measures import evaluate_points, select_names
 from .rindler import R_MAX
-from .sweep import DEFAULT_GRID_1D, PRESETS, SweepConfig, select_names, sweep_points
+from .sweep import DEFAULT_GRID_1D, PRESETS, SweepConfig, sweep_points
 
 GRID_2D = 21
 VALUE_TOL = 1e-10
@@ -111,7 +111,7 @@ CHECKS: dict[str, Callable[[float], CheckResult]] = {
 
 
 def run_check(names: Sequence[str] = ("all",), perturb: float = 0.0) -> list[CheckResult]:
-    """Run the checks sweep.select_names picks from names, in registry order."""
+    """Run the checks measures.select_names picks from names, in registry order."""
     if not math.isfinite(perturb):
         raise ValueError(f"perturb: expected a finite number, got {perturb!r}")
     selected = select_names(names, CHECKS, "oracle")

@@ -21,18 +21,17 @@ import numpy as np
 
 from .checks import run_check
 from .fock import OBSERVERS, _transposed, partial_transpose, w_state
+from .measures import ConfigError, select_names
 from .rindler import R_MAX, _support, observed_density
 from .sweep import (
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
     PRESETS,
     AxisSpec,
-    ConfigError,
     SweepConfig,
     atomic_output,
     check_axes,
     run_sweep,
-    select_names,
     write_csv,
 )
 

@@ -14,34 +14,40 @@ are read off spectra.  TERMS maps each residual to the 1-3 tangle and the
 three pairs it reads; pi4 and Pi4 read all four residuals, and S reads rho's
 own spectra, which nothing else needs.
 
-evaluate plans a request once per column tuple (the plan is cached): which
-residuals it needs (all four for pi4 or Pi4), and from them which 1-3
-transposes and which pairs, with flat index tables to gather them.  Each
-stack of states then takes at most three eigvalsh calls: every needed
-rho^{T_k} at once, the partial transpose on the first mode of every pair at
-once, and rho for S.  The observed rho is real, and the pair states and
-their transposes stay real; the 1-3 stack, the largest, is gathered straight
-into complex128.  A pair's negativity is taken from the first side alone:
-the partial transpose on the second mode is the transpose of the first,
-with the same spectrum.  The pair states are validated here, at once and
-with no spectrum (fock.validate_density).  evaluate then fills the planned
-residuals, pi4, Pi4 and S in that order.  Squares and fourth roots are taken
-value by value in Python floats, and sums run left to right over whole
-arrays, which keeps a point's values independent of its stack (see the
-README Notes).
+select_names is the one rule that reads a list of names, here and in
+sweeps, figures and checks: a bare str is one name, each name is stripped
+and an empty one dropped, all stands for every known name, a name given
+twice is kept once, and an unknown name or none at all is a ConfigError.
+evaluate reads a request by it and plans the request once (the plan is
+cached): its columns, which residuals they need (all four for pi4 or Pi4),
+and from them which 1-3 tangles and which pairs, all by name.  Each needed
+matrix is gathered by its column's flat index table.  Each stack of states
+then takes at most three eigvalsh calls: every needed rho^{T_k} at once,
+the partial transpose on the first mode of every pair at once, and rho for
+S.  The observed rho is real, and the pair states and their transposes
+stay real; the 1-3 stack, the largest, is gathered straight into
+complex128.  A pair's negativity is taken from the first side alone: the
+partial transpose on the second mode is the transpose of the first, with
+the same spectrum.  The pair states are validated here, at once and with
+no spectrum (fock.validate_density).  evaluate then fills the planned
+residuals from TERMS, pi4, Pi4 and S in that order.  Squares and fourth
+roots are taken value by value in Python floats, and sums run left to
+right over whole arrays, which keeps a point's values independent of its
+stack (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, takes the points as one
 (N, k) array of r values, checks them once (the shape, the r domain, the
-amplitudes and the support lookup of rindler.observed_densities), then
-builds, validates as states and evaluates them CHUNK rows per stack.
+amplitudes and the support lookup of rindler.observed_densities), reads
+the request once, then builds, validates as states and evaluates them
+CHUNK rows per stack.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,34 +131,45 @@ _TRACED = {column: _trace_blocks(_FLAT, 4, list(pair)) for column, pair in PAIRS
 _PAIR_TRANSPOSED = _transposed(np.arange(16).reshape(4, 4), 2, [0])
 
 
-class _Plan(NamedTuple):
-    """What a set of columns takes: its residuals, 1-3 tangles and pairs."""
+class ConfigError(ValueError):
+    """Raised for an unknown or empty name list or a bad sweep configuration, naming it."""
 
-    one_three: tuple[str, ...]
-    transposed: np.ndarray      # (K, 16, 16) flat indices of their rho^{T_k}
-    pairs: tuple[str, ...]
-    traced: np.ndarray          # (P, 4, 4, 4) flat indices of their traced blocks
-    residuals: tuple[str, ...]
-    terms: np.ndarray           # (R, 4) positions of their terms in one_three + pairs
+
+def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
+    """The known names in tokens, all expanded, each once where it first appears.
+
+    A bare str is one token, not a sequence of one-letter names.  Each token
+    is stripped and an empty one dropped.  The first unknown name, or no name
+    at all, raises a ConfigError naming what is selected.
+    """
+    if isinstance(tokens, str):
+        tokens = (tokens,)
+    stripped = (token.strip() for token in tokens)
+    names = [name for token in stripped if token
+             for name in (known if token == "all" else (token,))]
+    unknown = [name for name in names if name not in known]
+    if unknown:
+        raise ConfigError(f"unknown {what} {unknown[0]!r}; known: {', '.join(known)}, or all")
+    if not names:
+        raise ConfigError(f"{what}: empty selection")
+    return tuple(dict.fromkeys(names))
 
 
 @lru_cache(maxsize=64)
-def _plan(columns: tuple[str, ...]) -> _Plan:
-    for column in columns:
-        if column not in COLUMNS:
-            raise ValueError(f"unknown measure column {column!r}")
+def _plan(request: str | tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+    """A request's columns, then the 1-3 tangles, pairs and residuals they take."""
+    columns = select_names(request, COLUMNS, "measure")
     means = "pi4" in columns or "Pi4" in columns
     residuals = tuple(column for column in RESIDUALS if means or column in columns)
     needed = set(columns).union(*(TERMS[column] for column in residuals))
     one_three = tuple(column for column in ONE_THREE if column in needed)
     pairs = tuple(column for column in PAIRS if column in needed)
-    terms = [[(one_three + pairs).index(term) for term in TERMS[column]] for column in residuals]
-    return _Plan(one_three, np.array([_TRANSPOSED[column] for column in one_three]),
-                 pairs, np.array([_TRACED[column] for column in pairs]), residuals, np.array(terms))
+    return columns, one_three, pairs, residuals
 
 
-def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
-    """The plan's 1-3 and 1-1 tangles over a stack of N states, as (N,) arrays.
+def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
+                      pairs: tuple[str, ...]) -> dict[str, np.ndarray]:
+    """The named 1-3 and 1-1 tangles over a stack of N states, as (N,) arrays.
 
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
     The pair states are gathered into one (N, P, 4, 4) stack, in rho's dtype,
@@ -161,25 +178,25 @@ def _spectral_columns(rho: DensityMatrix, plan: _Plan) -> dict[str, np.ndarray]:
     """
     flat = rho.matrix.reshape(len(rho.matrix), -1)
     out = {}
-    if plan.one_three:
+    if one_three:
         # gathered table by table into the complex128 stack eigvalsh takes, so
         # no real copy of the whole stack is alive next to it; the stack is
         # freed before the pair stage
-        stack = np.empty((len(flat),) + plan.transposed.shape, dtype=complex)
-        for k, table in enumerate(plan.transposed):
-            stack[:, k] = np.take(flat, table, axis=1)
-        out.update(zip(plan.one_three, negative_eigenvalue_sum(stack).T))
+        stack = np.empty((len(flat), len(one_three), 16, 16), dtype=complex)
+        for k, column in enumerate(one_three):
+            stack[:, k] = np.take(flat, _TRANSPOSED[column], axis=1)
+        out.update(zip(one_three, negative_eigenvalue_sum(stack).T))
         del stack
-    if plan.pairs:
-        reduced = _add_blocks(np.take(flat, plan.traced, axis=1))
+    if pairs:
+        reduced = _add_blocks(np.take(flat, [_TRACED[column] for column in pairs], axis=1))
         validate_density(reduced)
         transposed = np.take(reduced.reshape(reduced.shape[:2] + (16,)), _PAIR_TRANSPOSED, axis=2)
-        out.update(zip(plan.pairs, negative_eigenvalue_sum(transposed).T))
+        out.update(zip(pairs, negative_eigenvalue_sum(transposed).T))
     return out
 
 
 def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np.ndarray]:
-    """The requested columns, in request order.
+    """The requested columns, read by select_names, in request order.
 
     rho is one four-mode state, giving a float per column, or a stack of N
     states, giving an (N,) array per column.
@@ -192,23 +209,24 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
         raise ValueError(f"evaluate takes one state or a stack, got shape {shape}")
     if not shape[0]:
         raise ValueError("evaluate needs at least one state, got an empty stack")
-    columns = tuple(columns)
-    plan = _plan(columns)
+    columns, one_three, pairs, residuals = _plan(
+        columns if isinstance(columns, str) else tuple(columns))
     if single:
         rho = rho[None]
-    values = _spectral_columns(rho, plan)
-    if plan.residuals:
-        # each value squared once in Python floats, then gathered as (R, 4, N)
-        # terms; sums run left to right over whole (N,) arrays, which round
-        # each element as the float sums do
-        spectral = np.array([values[column] for column in plan.one_three + plan.pairs])
-        sq = np.array([n ** 2 for n in spectral.ravel().tolist()]).reshape(spectral.shape)[plan.terms]
-        residuals = sq[:, 0] - ((sq[:, 1] + sq[:, 2]) + sq[:, 3])
-        values.update(zip(plan.residuals, residuals))
+    values = _spectral_columns(rho, one_three, pairs)
+    if residuals:
+        # each value squared once in Python floats; sums run left to right
+        # over whole (N,) arrays, which round each element as the float sums do
+        squares = {column: np.array([n ** 2 for n in values[column].tolist()])
+                   for column in one_three + pairs}
+        for column in residuals:
+            whole, first, second, third = (squares[term] for term in TERMS[column])
+            values[column] = whole - ((first + second) + third)
         if "pi4" in columns:
-            values["pi4"] = (((residuals[0] + residuals[1]) + residuals[2]) + residuals[3]) / 4.0
+            a, b, c, d = (values[column] for column in RESIDUALS)
+            values["pi4"] = (((a + b) + c) + d) / 4.0
         if "Pi4" in columns:
-            values["Pi4"] = big_pi4_tangle(dict(zip(OBSERVERS, residuals)))
+            values["Pi4"] = big_pi4_tangle(dict(zip(OBSERVERS, map(values.get, RESIDUALS))))
     if "S" in columns:
         values["S"] = von_neumann_entropy(rho)
     out = {column: values[column] for column in columns}
@@ -220,20 +238,20 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
 
     r is an (N, k) array: r[p, j] is the parameter of observers[j] at point
     p.  Its points are checked once, as observed_densities checks them, and
-    then built, validated as states and evaluated in slices of CHUNK rows,
-    each as one stack.
+    then its columns are read once; the points are then built, validated as
+    states and evaluated in slices of CHUNK rows, each as one stack.
     """
     r = np.asarray(r, dtype=float)
-    columns = tuple(columns)    # each chunk reads them again
     # a scalar r falls through to the shape message; an empty one has no point
     if r.ndim and not len(r):
         raise ValueError("evaluate_points needs at least one point")
     r, table = _checked(_W4, observers, r)
-    chunks = [evaluate(_built(r[start:start + CHUNK], table), columns)
+    # read once, before any state is built; each chunk's plan is then a cache hit
+    columns = _plan(columns if isinstance(columns, str) else tuple(columns))[0]
+    # each chunk's columns as the rows of one (C, n) array, joined into (C, N)
+    chunks = [np.array(list(evaluate(_built(r[start:start + CHUNK], table), columns).values()))
               for start in range(0, len(r), CHUNK)]
-    if len(chunks) == 1:
-        return chunks[0]
-    return {column: np.concatenate([chunk[column] for chunk in chunks]) for column in columns}
+    return dict(zip(columns, np.concatenate(chunks, axis=1)))
 
 
 def tangle_report(rho: DensityMatrix) -> dict[str, float | np.ndarray]:

@@ -3,7 +3,9 @@
 A sweep fixes or sweeps the Rindler parameter of each accelerated observer,
 computes the requested measures at every grid point and returns rows in
 deterministic lexicographic grid order.  Measures are named by the
-measures.COLUMNS names alone, with all standing for every column.
+measures.COLUMNS names alone, read by measures.select_names, the one rule
+for every name list, when a config is validated, so a bad name fails
+before any point is computed.
 sweep_points builds the points once, as one (N, k) array of r values, for
 sweeps and oracle checks alike: the swept columns first, then the fixed ones.
 Each swept axis is one np.linspace array; a grid takes np.repeat of the
@@ -22,22 +24,18 @@ import contextlib
 import os
 import stat
 from dataclasses import dataclass, replace
-from typing import IO, Collection, Iterable, Iterator, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .fock import OBSERVERS
-from .measures import COLUMNS, evaluate_points
+from .measures import COLUMNS, ConfigError, evaluate_points, select_names
 from .rindler import R_MAX, out_of_domain
 
 DEFAULT_GRID_1D = 101
 DEFAULT_GRID_2D = 41
 # a sweep larger than this is a typo in --grid, not a run worth hours
 MAX_POINTS = 250_000
-
-
-class ConfigError(ValueError):
-    """Raised for an invalid sweep configuration, naming the bad field."""
 
 
 @dataclass(frozen=True)
@@ -59,26 +57,6 @@ class SweepConfig:
     grid: int | None = None
     measures: tuple[str, ...] = ("all",)
     diagonal: bool = False
-
-
-def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
-    """The known names in tokens, all expanded, each once where it first appears.
-
-    A bare str is one token, not a sequence of one-letter names.  Each token
-    is stripped and an empty one dropped.  The first unknown name, or no name
-    at all, raises a ConfigError naming what is selected.
-    """
-    if isinstance(tokens, str):
-        tokens = (tokens,)
-    stripped = (token.strip() for token in tokens)
-    names = [name for token in stripped if token
-             for name in (known if token == "all" else (token,))]
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise ConfigError(f"unknown {what} {unknown[0]!r}; known: {', '.join(known)}, or all")
-    if not names:
-        raise ConfigError(f"{what}: empty selection")
-    return tuple(dict.fromkeys(names))
 
 
 def check_axes(axes: Sequence[AxisSpec]) -> None:

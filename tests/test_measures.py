@@ -1,4 +1,5 @@
 import math
+import re
 from itertools import groupby
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from wtangles.checks import run_check
 from wtangles.fock import DensityMatrix, w_state
-from wtangles import fock, measures, rindler
+from wtangles import ConfigError, fock, measures, rindler
 from wtangles.fock import _add_blocks, _trace_blocks, _transposed, partial_transpose
 from wtangles.linalg import negative_eigenvalue_sum
 from wtangles.measures import (
@@ -21,6 +22,7 @@ from wtangles.measures import (
     von_neumann_entropy,
 )
 from wtangles.rindler import R_MAX, observed_densities, observed_density
+from wtangles.sweep import PRESETS, sweep_points
 
 from . import patterns, reference
 from .lapack import ROUTES, recorded, shifted
@@ -108,7 +110,8 @@ def test_residual_pi_input_validation():
     values = tangle_report(rho)
     pairs = values["N_AB"] ** 2 + values["N_AC"] ** 2 + values["N_AD"] ** 2
     assert values["pi_A"] == values["N_A_rest"] ** 2 - pairs
-    with pytest.raises(ValueError, match="unknown measure column"):
+    message = f"unknown measure 'pi_E'; known: {', '.join(COLUMNS)}, or all"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         evaluate(rho, ["pi_E"])
 
 
@@ -227,13 +230,16 @@ def test_index_tables_gather_what_the_fock_kernels_compute():
 def test_plans_are_cached_by_column_tuple():
     plan = measures._plan(("pi_B", "S"))
     assert plan is measures._plan(("pi_B", "S"))
-    assert plan.one_three == ("N_B_rest",)
-    assert plan.pairs == ("N_AB", "N_BC", "N_BD")
-    assert plan.residuals == ("pi_B",)
-    assert measures._plan(("S",)).one_three == measures._plan(("S",)).pairs == ()
-    assert measures._plan(("S",)).residuals == ()
-    assert measures._plan(("pi4",)).pairs == tuple(measures.PAIRS)
-    assert measures._plan(("pi4",)).residuals == measures.RESIDUALS
+    columns, one_three, pairs, residuals = plan
+    assert columns == ("pi_B", "S")
+    assert one_three == ("N_B_rest",)
+    assert pairs == ("N_AB", "N_BC", "N_BD")
+    assert residuals == ("pi_B",)
+    assert measures._plan(("S",)) == (("S",), (), (), ())
+    _, one_three, pairs, residuals = measures._plan(("pi4",))
+    assert one_three == tuple(measures.ONE_THREE)
+    assert pairs == tuple(measures.PAIRS)
+    assert residuals == measures.RESIDUALS
 
 
 def test_evaluate_stack_and_single_state_agree():
@@ -257,7 +263,7 @@ def test_sums_run_left_to_right(monkeypatch):
     spectral.update(N_A_rest=np.array([2.0, 1.0]), N_B_rest=np.array([0.0, 1e-8]),
                     N_C_rest=np.array([0.0, 1e-8]), N_AB=np.array([1.0, 0.0]),
                     N_AC=np.array([1e-8, 0.0]), N_AD=np.array([1e-8, 0.0]))
-    monkeypatch.setattr(measures, "_spectral_columns", lambda rho, plan: dict(spectral))
+    monkeypatch.setattr(measures, "_spectral_columns", lambda rho, one_three, pairs: dict(spectral))
     stack = observed_densities(w_state(4), ["D"], [[0.1], [0.3]])
     columns = evaluate(stack, ["pi_A", "pi4"])
     assert columns["pi_A"].tolist()[0] == 3.0
@@ -410,6 +416,51 @@ def test_evaluate_points_reads_a_one_shot_iterable_of_columns():
     assert list(by_iterator) == ["S", "N_AD"]
     for column in by_list:
         np.testing.assert_array_equal(by_iterator[column], by_list[column])
+
+
+
+def _assert_same_bytes(got, want):
+    assert list(got) == list(want)
+    for column in want:
+        assert np.asarray(got[column]).tobytes() == np.asarray(want[column]).tobytes()
+
+
+@pytest.mark.parametrize("request_, columns", [
+    ("pi4", ["pi4"]),
+    ([" S"], ["S"]),
+    (["all"], COLUMNS),
+    (["S", "", " all", "S"], ("S", *COLUMNS[:-1])),
+], ids=["bare", "stripped", "all", "all-among-names"])
+def test_columns_are_read_as_every_name_list_is(request_, columns):
+    # more than one chunk, and a single state as well as a stack
+    r = np.random.default_rng(5).uniform(0.0, R_MAX, (measures.CHUNK + 1, 2))
+    rho = observed_densities(w_state(4), ["C", "D"], r[:3])
+    for state in (rho, rho[0]):
+        _assert_same_bytes(evaluate(state, request_), evaluate(state, columns))
+    _assert_same_bytes(evaluate_points(("C", "D"), r, request_),
+                       evaluate_points(("C", "D"), r, columns))
+
+
+@pytest.mark.parametrize("request_, message", [
+    ([], "measure: empty selection"),
+    (["", " "], "measure: empty selection"),
+    (["S", "nope"], f"unknown measure 'nope'; known: {', '.join(COLUMNS)}, or all"),
+], ids=["none", "blank", "unknown"])
+def test_evaluate_points_rejects_a_bad_request_before_any_solve(request_, message):
+    observers, r = sweep_points(PRESETS["fig7"])
+    with recorded() as calls:
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            evaluate_points(observers, r, request_)
+    assert calls == []
+
+
+def test_evaluate_points_names_a_bad_r_before_a_bad_request():
+    r = np.full((100, 2), 0.3)
+    r[80, 1] = 1.0
+    with pytest.raises(ValueError, match=r"^acceleration parameter r=1\.0 outside \[0, pi/4\]$"):
+        evaluate_points(("C", "D"), r, ["nope"])
+    with pytest.raises(ValueError, match=r"^r has shape \(5, 3\), want \(points >= 1, 2\)$"):
+        evaluate_points(("C", "D"), np.zeros((5, 3)), [])
 
 
 def test_evaluate_rejects_an_empty_stack():

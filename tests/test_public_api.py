@@ -5,7 +5,9 @@ from pathlib import Path
 
 import wtangles
 import wtangles.cli
+import wtangles.measures
 import wtangles.oracles
+import wtangles.sweep
 
 PUBLIC = (
     "AxisSpec", "COLUMNS", "CheckResult", "ConfigError", "DensityMatrix", "PRESETS",
@@ -28,6 +30,12 @@ def test_all_names_exactly_the_public_surface():
         assert hasattr(wtangles, name), name
     assert set(BENCHMARK_CALLS) <= set(wtangles.__all__)
     assert callable(wtangles.cli.main)
+
+
+def test_config_error_is_one_class():
+    # raised by the one name rule in measures and by sweep's config checks alike
+    assert wtangles.ConfigError is wtangles.measures.ConfigError
+    assert wtangles.sweep.ConfigError is wtangles.measures.ConfigError
 
 
 def test_oracles_keep_every_closed_form_the_benchmark_verifies():
