@@ -6,7 +6,7 @@ argument order, and the figure presets that plot that column, at check
 resolution.  The check walks each preset through sweep.sweep_points, the one
 point builder sweeps use, and evaluates the column over its points as one
 stack.  It calls the closed form, looked up in the oracles module at call
-time, once per distinct tuple of the r values it reads within the row, then
+time, once per preset, on the array columns of the r values it reads, then
 compares the two routes pointwise and reports the maximum absolute deviation.
 The perturb argument shifts the r values fed to the numeric side only, which
 makes the harness fail on purpose; it exists so the failure path itself can
@@ -74,17 +74,12 @@ ORACLE_ROWS = (
 
 def _check_row(row: OracleRow, perturb: float) -> CheckResult:
     closed_form = getattr(oracles, row.name)
-    values: dict[tuple[float, ...], float] = {}  # closed form by argument tuple
     deviations = []
     for sweep in row.sweeps:
         observers, r = sweep_points(sweep)
         shifted = np.clip(r + perturb, 0.0, R_MAX)
         numeric = evaluate_points(observers, shifted, [row.column])[row.column]
-        keys = list(map(tuple, r[:, [observers.index(o) for o in row.reads]].tolist()))
-        for key in keys:
-            if key not in values:
-                values[key] = closed_form(*key)
-        closed = np.fromiter(map(values.__getitem__, keys), float, len(keys))
+        closed = closed_form(*(r[:, observers.index(o)] for o in row.reads))
         deviations.append(np.abs(numeric - closed))
     dev = float(np.concatenate(deviations).max())
     return CheckResult(row.name, dev, row.tol, dev <= row.tol, row.detail)

@@ -62,9 +62,11 @@ def _parse_accel_tokens(tokens: Sequence[str]) -> tuple[AxisSpec, ...]:
 
 
 def _build_sweep_config(args: argparse.Namespace) -> SweepConfig:
-    if args.preset is not None and args.preset not in PRESETS:
-        raise ConfigError(f"preset: unknown name {args.preset!r}, known: {', '.join(PRESETS)}")
-    config = PRESETS.get(args.preset, SweepConfig())
+    # read as figures --only reads its names, and then exactly one of them
+    names = () if args.preset is None else select_names(args.preset.split(","), PRESETS, "preset")
+    if len(names) > 1:
+        raise ConfigError(f"preset: expected one name, got {', '.join(names)}")
+    config = PRESETS[names[0]] if names else SweepConfig()
     if args.accel:
         config = replace(config, accelerated=_parse_accel_tokens(args.accel))
     if args.grid is not None:

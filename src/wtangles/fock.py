@@ -93,7 +93,8 @@ def validate_density(m: np.ndarray) -> None:
     blocks = [stack[start:start + step] for start in range(0, len(stack), step)]
     deviation = 0.0
     for block in blocks:
-        difference = block - np.conjugate(block.swapaxes(1, 2), order="C")
+        # conj() of a real block is the block itself, so it subtracts the transposed view
+        difference = block - block.swapaxes(1, 2).conj()
         # any() is cheaper than the moduli, and true for a NaN too
         worst = float(np.abs(difference).max()) if difference.any() else 0.0
         if worst > deviation or worst != worst:     # a NaN stays the worst

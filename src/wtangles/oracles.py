@@ -9,43 +9,73 @@ stays at zero, so oracle outputs are reported as max(value, 0).
 Shorthands below: the accelerated observers C and D carry parameters r_c and
 r_d.  For a single accelerated observer only r_d is relevant.
 
-Every closed form, present and future, keeps one per-call convention.  Its
-domain guard is one chained comparison per argument against the bounds of
-rindler.out_of_domain, R_LO <= r <= R_HI, which a NaN fails; only a failed
-guard calls _check_domain, which raises the one message.  Each distinct
-trig term is computed once, into a local, and the expression then reads it
-with the operations and left-to-right order of the formula as written, so
-every value keeps the bits of the formula evaluated term by term.
+Every closed form, present and future, keeps one array convention.  It
+takes floats, for which it returns a float, or float arrays of one shape,
+for which it returns an array of that shape.  Each argument is checked by
+_r, that is by rindler.out_of_domain, the one domain rule, whose first bad
+value the message names.  Each distinct term is computed once per call, and
+the expression then reads it with the operations and left-to-right order of
+the formula as written, value by value: cos and log are math's, applied to
+each value in turn, because numpy's may round differently; sqrt may be
+numpy's, since both are correctly rounded.  So every value keeps the bits of
+the formula evaluated term by term on floats.
 """
 
 from __future__ import annotations
 
 import math
 
-from .rindler import R_HI, R_LO, out_of_domain
+import numpy as np
+
+from .rindler import out_of_domain
 
 SQRT2 = math.sqrt(2.0)
 
 THRESHOLD_BRACKET = (0.4, 0.55)
 THRESHOLD_XTOL = 1e-10
+# the bisection needs 31 halvings of the bracket to reach THRESHOLD_XTOL
+THRESHOLD_HALVINGS = 64
+# what a closed form takes for each r, and returns: a float, or a float array
+Values = float | np.ndarray
 
 
-def _check_domain(name: str, **r_args: float) -> None:
-    for arg, value in r_args.items():
-        if out_of_domain(value) is not None:
-            raise ValueError(f"{name}: {arg}={value!r} outside [0, pi/4]")
+def _r(name: str, arg: str, value) -> Values:
+    """value, a number or an array, as a float or a float array once out_of_domain clears it."""
+    if (bad := out_of_domain(value)) is not None:
+        raise ValueError(f"{name}: {arg}={bad!r} outside [0, pi/4]")
+    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
 
 
-def n_d1_abc(r_d: float) -> float:
+def _each(f, x: Values) -> Values:
+    """f of a float, or of each value of a float array in turn, as an array of its shape."""
+    if isinstance(x, float):
+        return f(x)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _sqrt(x: Values) -> Values:
+    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
+
+
+def _clipped(value: Values) -> Values:
+    """max(value, 0.0), value by value."""
+    return max(value, 0.0) if isinstance(value, float) else np.where(value < 0.0, 0.0, value)
+
+
+def _xlogx(lam: float) -> float:
+    """The entropy term lam ln lam, or +0.0 for lam <= 0, taking 0 ln 0 = 0."""
+    return lam * math.log(lam) if lam > 0.0 else 0.0
+
+
+def n_d1_abc(r_d: Values) -> Values:
     """1-3 tangle of the accelerated observer against the three inertial ones.
 
     (1/8) [3 cos 2r + sqrt(3/2) sqrt(4 cos 2r + 3 cos 4r + 25) - 3]
     """
-    if not R_LO <= r_d <= R_HI:
-        _check_domain("n_d1_abc", r_d=r_d)
-    c2 = math.cos(2 * r_d)
-    value = (3.0 * c2 + math.sqrt(1.5) * math.sqrt(4 * c2 + 3 * math.cos(4 * r_d) + 25) - 3.0) / 8.0
-    return max(value, 0.0)
+    r_d = _r("n_d1_abc", "r_d", r_d)
+    c2 = _each(math.cos, 2 * r_d)
+    return _clipped((3.0 * c2 + math.sqrt(1.5) * _sqrt(4 * c2 + 3 * _each(math.cos, 4 * r_d) + 25)
+                     - 3.0) / 8.0)
 
 
 def n_ab_const() -> float:
@@ -56,50 +86,45 @@ def n_ab_const() -> float:
     return (SQRT2 - 1.0) / 2.0
 
 
-def _n_i_d1_raw(r: float) -> float:
-    c2 = math.cos(2 * r)
-    return (-6.0 + SQRT2 * math.sqrt(28 * c2 + 9 * math.cos(4 * r) + 27) - 2.0 * c2) / 16.0
+def _n_i_d1_raw(r: Values) -> Values:
+    c2 = _each(math.cos, 2 * r)
+    return (-6.0 + SQRT2 * _sqrt(28 * c2 + 9 * _each(math.cos, 4 * r) + 27) - 2.0 * c2) / 16.0
 
 
-def n_i_d1(r_d: float) -> float:
+def n_i_d1(r_d: Values) -> Values:
     """Pair negativity between an inertial and the accelerated observer.
 
     (1/16) [-6 + sqrt(2) sqrt(28 cos 2r + 9 cos 4r + 27) - 2 cos 2r];
     starts at (sqrt(2)-1)/2 and falls to 0 at r = pi/4.
     """
-    if not R_LO <= r_d <= R_HI:
-        _check_domain("n_i_d1", r_d=r_d)
-    return max(_n_i_d1_raw(r_d), 0.0)
+    return _clipped(_n_i_d1_raw(_r("n_i_d1", "r_d", r_d)))
 
 
-def n_pair_accel_one(r_c: float) -> float:
+def n_pair_accel_one(r_c: Values) -> Values:
     """Pair negativity of an inertial observer with one of two accelerated ones.
 
     Same functional form as n_i_d1, evaluated in that observer's own
     parameter; the other acceleration drops out entirely.
     """
-    if not R_LO <= r_c <= R_HI:
-        _check_domain("n_pair_accel_one", r_c=r_c)
-    return max(_n_i_d1_raw(r_c), 0.0)
+    return _clipped(_n_i_d1_raw(_r("n_pair_accel_one", "r_c", r_c)))
 
 
-def _n_pair_accel_both_raw(r_c: float, r_d: float) -> float:
-    plus, minus = math.cos(2 * r_c + 2 * r_d), math.cos(2 * r_c - 2 * r_d)
-    c2, d2 = math.cos(2 * r_c), math.cos(2 * r_d)
-    inner = (22 * plus + 22 * minus + 9 * math.cos(4 * r_c) - 16 * c2
-             + 9 * math.cos(4 * r_d) - 16 * d2 + 34)
-    return (SQRT2 * math.sqrt(inner) - 2 * plus - 2 * minus + 2 * c2 + 2 * d2 - 8.0) / 16.0
+def _n_pair_accel_both_raw(r_c: Values, r_d: Values) -> Values:
+    plus, minus = _each(math.cos, 2 * r_c + 2 * r_d), _each(math.cos, 2 * r_c - 2 * r_d)
+    c2, d2 = _each(math.cos, 2 * r_c), _each(math.cos, 2 * r_d)
+    inner = (22 * plus + 22 * minus + 9 * _each(math.cos, 4 * r_c) - 16 * c2
+             + 9 * _each(math.cos, 4 * r_d) - 16 * d2 + 34)
+    return (SQRT2 * _sqrt(inner) - 2 * plus - 2 * minus + 2 * c2 + 2 * d2 - 8.0) / 16.0
 
 
-def n_pair_accel_both(r_c: float, r_d: float) -> float:
+def n_pair_accel_both(r_c: Values, r_d: Values) -> Values:
     """Pair negativity of the two accelerated observers.
 
     Symmetric in (r_c, r_d); clipped to 0 on the plateau where the underlying
     eigenvalue has turned nonnegative (beyond r ~ 0.4725 on the diagonal).
     """
-    if not (R_LO <= r_c <= R_HI and R_LO <= r_d <= R_HI):
-        _check_domain("n_pair_accel_both", r_c=r_c, r_d=r_d)
-    return max(_n_pair_accel_both_raw(r_c, r_d), 0.0)
+    return _clipped(_n_pair_accel_both_raw(_r("n_pair_accel_both", "r_c", r_c),
+                                           _r("n_pair_accel_both", "r_d", r_d)))
 
 
 def vanishing_threshold() -> float:
@@ -108,37 +133,35 @@ def vanishing_threshold() -> float:
     Found by bisection on the raw (unclipped) diagonal curve over the bracket
     [0.4, 0.55] to an interval of 1e-10.  With x = cos 2r the zero condition
     factors as (x^2 - 4x + 2)(x + 1)^2 = 0, so the root is at
-    r = arccos(2 - sqrt(2)) / 2 = 0.47247312...
+    r = arccos(2 - sqrt(2)) / 2 = 0.47247312...  A bisection that has not
+    reached THRESHOLD_XTOL after THRESHOLD_HALVINGS halvings raises.
     """
     lo, hi = THRESHOLD_BRACKET
     f_lo = _n_pair_accel_both_raw(lo, lo)
     f_hi = _n_pair_accel_both_raw(hi, hi)
     if not (f_lo > 0.0 > f_hi):
         raise RuntimeError("threshold bracket does not straddle the zero crossing")
-    while hi - lo > THRESHOLD_XTOL:
+    for _ in range(THRESHOLD_HALVINGS):
+        if not hi - lo > THRESHOLD_XTOL:
+            return 0.5 * (lo + hi)
         mid = 0.5 * (lo + hi)
         if _n_pair_accel_both_raw(mid, mid) > 0.0:
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    raise RuntimeError(f"threshold bisection still {hi - lo!r} wide after "
+                       f"{THRESHOLD_HALVINGS} halvings (xtol {THRESHOLD_XTOL!r})")
 
 
-def entropy_one_accel(r_d: float) -> float:
+def entropy_one_accel(r_d: Values) -> Values:
     """Entropy of the observed state with one accelerated observer.
 
     Only two eigenvalues are nonzero: lambda_1 = (3/8)(1 - cos 2r) and
     lambda_2 = (1/8)(3 cos 2r + 5); S = -sum(lambda ln lambda) with
-    0 ln 0 = 0.
+    0 ln 0 = 0.  Subtracting the +0.0 of a zero eigenvalue leaves every bit
+    of the sum as it is.
     """
-    if not R_LO <= r_d <= R_HI:
-        _check_domain("entropy_one_accel", r_d=r_d)
-    c2 = math.cos(2 * r_d)
+    c2 = _each(math.cos, 2 * _r("entropy_one_accel", "r_d", r_d))
     lam1 = 0.375 * (1.0 - c2)
     lam2 = (3.0 * c2 + 5.0) / 8.0
-    total = 0.0
-    for lam in (lam1, lam2):
-        if lam > 0.0:
-            total -= lam * math.log(lam)
-    return total
-
+    return 0.0 - _each(_xlogx, lam1) - _each(_xlogx, lam2)

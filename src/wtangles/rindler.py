@@ -158,14 +158,16 @@ def _built(r: np.ndarray, table) -> DensityMatrix:
     """The validated rho stack of the checked points r, from _checked's table."""
     psi0, order, (source, factors, rounds) = table
     points = len(r)
-    amp = psi0[source][None].repeat(points, axis=0)
+    # one row of source amplitudes, which the first split's factors, or rho's
+    # sums with no split, broadcast over the points
+    amp = psi0[source][None]
     for (_, j), factor in zip(order, factors):
         # math's cos and sin, value by value; numpy's vector loops may round differently
         column = r[:, j].tolist()
         choices = np.array([[1.0] * points, [math.cos(x) for x in column],
                             [math.sin(x) for x in column]]).T
         # x 1.0 where the split leaves an amplitude as it is: exact
-        amp *= choices[:, factor]
+        amp = amp * choices[:, factor]
     # added, never assigned: each sum starts at +0.0, as the dense sum did, so a
     # -0.0 product lands as +0.0
     rho = np.zeros((points, 256))

@@ -9,7 +9,7 @@ import pytest
 
 from wtangles import checks, oracles
 from wtangles.checks import ORACLE_ROWS, run_check
-from wtangles.sweep import PRESETS
+from wtangles.sweep import PRESETS, sweep_points
 
 R_MAX = math.pi / 4
 
@@ -96,25 +96,34 @@ def test_each_row_reads_its_closed_form_parameters(row):
     assert row.reads == tuple({"r_c": "C", "r_d": "D"}[name] for name in parameters)
 
 
-# closed-form calls of one row: one per distinct tuple of the r values it reads,
-# so the 21x21 grid gives n_pair_accel_one its 21 values of r_C and n_ab_const
-# one call for both of its sweeps
-CLOSED_FORM_CALLS = {
-    "n_d1_abc": 101, "n_ab_const": 1, "n_i_d1": 101,
-    "n_pair_accel_one": 21, "n_pair_accel_both": 441, "entropy_one_accel": 101,
-}
-
-
-@pytest.mark.parametrize("name, calls", CLOSED_FORM_CALLS.items())
-def test_a_row_calls_its_closed_form_once_per_distinct_argument(name, calls, monkeypatch):
-    expected = repr(run_check([name]))
+@pytest.mark.parametrize("row", ORACLE_ROWS, ids=lambda row: row.name)
+def test_a_row_calls_its_closed_form_once_per_sweep(row, monkeypatch):
+    expected = repr(run_check([row.name]))
     seen = []
-    closed_form = getattr(oracles, name)
+    closed_form = getattr(oracles, row.name)
 
-    def counting(*args):
+    def recording(*args):
         seen.append(args)
         return closed_form(*args)
 
-    monkeypatch.setattr(oracles, name, counting)
-    assert repr(run_check([name])) == expected
-    assert len(seen) == len(set(seen)) == calls
+    monkeypatch.setattr(oracles, row.name, recording)
+    assert repr(run_check([row.name])) == expected
+    assert len(seen) == len(row.sweeps)
+    # each call takes the unshifted r columns the closed form reads, as arrays
+    for args, sweep in zip(seen, row.sweeps):
+        observers, r = sweep_points(sweep)
+        assert [type(arg) for arg in args] == [np.ndarray] * len(row.reads)
+        assert [arg.tobytes() for arg in args] == [
+            r[:, observers.index(observer)].tobytes() for observer in row.reads]
+
+
+def test_the_threshold_row_needs_both_deviations_within_tolerance(monkeypatch):
+    # dev 1.0e-5 fails THRESHOLD_TOL, while the printed dev 1.013e-5 is within 1e-4
+    result = checks._check_vanishing_threshold(1e-5)
+    assert result.max_dev > checks.THRESHOLD_TOL and "= 1.013e-05 (tol 0.0001)" in result.detail
+    assert not result.passed
+    # and the other way round: r* itself, against a printed value 1.3e-4 off
+    monkeypatch.setattr(checks, "PRINTED_THRESHOLD", 0.4726)
+    result = checks._check_vanishing_threshold(0.0)
+    assert result.max_dev <= checks.THRESHOLD_TOL and "(tol 0.0001)" in result.detail
+    assert not result.passed

@@ -79,6 +79,14 @@ def test_sweep_preset_and_override(capsys):
     assert capsys.readouterr().out.startswith("r_D,S\n")
 
 
+@pytest.mark.parametrize("preset", [" fig3", "fig3 ", "fig3,", ",fig3, fig3"])
+def test_sweep_reads_its_preset_as_figures_only_does(preset, capsys):
+    assert main(["sweep", "--preset", "fig3", "--grid", "3"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["sweep", "--preset", preset, "--grid", "3"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["sweep", "--accel", "D0.3"], "accel"),
     (["sweep", "--accel", "D=x"], "accel"),
@@ -110,6 +118,11 @@ def test_sweep_preset_and_override(capsys):
     (["check", "--perturb", "-Infinity"], "perturb: expected a finite number, got -inf"),
     (["check", "--perturb", "-nan"], "perturb: expected a finite number, got nan"),
     (["check", "--perturb", "-NaN"], "perturb: expected a finite number, got nan"),
+    # --preset is read as figures --only is, and must name exactly one preset
+    (["sweep", "--preset", "nope"], f"unknown preset 'nope'; known: {', '.join(PRESETS)}, or all"),
+    (["sweep", "--preset", "fig3,fig1a"], "preset: expected one name, got fig3, fig1a"),
+    (["sweep", "--preset", "all"], f"preset: expected one name, got {', '.join(PRESETS)}"),
+    (["sweep", "--preset", " , "], "preset: empty selection"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):

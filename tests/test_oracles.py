@@ -140,6 +140,10 @@ POINTS = [*np.linspace(0.0, R_MAX, 2001).tolist(),
           0.0, R_MAX, R_STAR - 1e-9, R_STAR + 1e-9, 5e-324]
 
 
+def _as_bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
 @pytest.mark.parametrize("name", AS_TYPED)
 def test_closed_forms_keep_the_bits_of_the_formula_as_typed(name):
     closed_form, as_typed = getattr(oracles, name), AS_TYPED[name]
@@ -150,7 +154,18 @@ def test_closed_forms_keep_the_bits_of_the_formula_as_typed(name):
         pairs = np.random.default_rng(2929).uniform(0.0, R_MAX, (5000, 2)).tolist()
         arguments = [*((r, r) for r in POINTS), *((a, b) for a in line for b in line),
                      *map(tuple, pairs)]
-    assert [closed_form(*args) for args in arguments] == [as_typed(*args) for args in arguments]
+    expected = _as_bytes([as_typed(*args) for args in arguments])
+    # one call on arrays, each value the bits of the scalar formula
+    columns = [np.array(column) for column in zip(*arguments)]
+    values = closed_form(*columns)
+    assert type(values) is np.ndarray and values.shape == (len(arguments),)
+    assert values.tobytes() == expected
+    # arrays of another shape give the same values in that shape
+    assert closed_form(*(column.reshape(1, -1) for column in columns)).tobytes() == expected
+    # a float argument gives a float, with the same bits
+    scalars = [closed_form(*args) for args in arguments]
+    assert all(type(value) is float for value in scalars)
+    assert _as_bytes(scalars) == expected
 
 
 # every closed form that takes an r, by name
@@ -176,3 +191,26 @@ def test_a_closed_form_accepts_both_slack_edges(name):
     for edge in (-R_TOL, R_MAX + R_TOL):
         for arg in parameters:
             assert math.isfinite(closed_form(**dict.fromkeys(parameters, 0.3) | {arg: edge}))
+
+
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_an_array_names_its_first_r_outside_the_domain(name):
+    closed_form = getattr(oracles, name)
+    parameters = list(inspect.signature(closed_form).parameters)
+    # the exact lower edge comes first and is accepted; 2.0 is the first bad value
+    bad = np.array([[0.3, -R_TOL, 2.0], [math.nan, -1.0, 0.3]])
+    for arg in parameters:
+        arguments = dict.fromkeys(parameters, np.full(bad.shape, 0.3)) | {arg: bad}
+        with pytest.raises(ValueError) as info:
+            closed_form(**arguments)
+        assert str(info.value) == f"{name}: {arg}=2.0 outside [0, pi/4]"
+
+
+def test_the_threshold_bisection_is_bounded(monkeypatch):
+    # 48 halvings of the bracket reach 1e-15, within the cap
+    monkeypatch.setattr(oracles, "THRESHOLD_XTOL", 1e-15)
+    assert vanishing_threshold() == pytest.approx(R_STAR, abs=1e-14)
+    # with no tolerance the bracket stops shrinking at two adjacent floats
+    monkeypatch.setattr(oracles, "THRESHOLD_XTOL", 0.0)
+    with pytest.raises(RuntimeError, match="after 64 halvings"):
+        vanishing_threshold()

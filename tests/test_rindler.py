@@ -18,7 +18,15 @@ from wtangles.fock import (
     w_state,
 )
 from wtangles.measures import CHUNK
-from wtangles.rindler import R_MAX, _support, observed_densities, observed_density
+from wtangles.rindler import (
+    R_HI,
+    R_LO,
+    R_MAX,
+    _support,
+    observed_densities,
+    observed_density,
+    out_of_domain,
+)
 
 from . import patterns, reference
 
@@ -52,6 +60,13 @@ def test_parameter_range_validation():
     for r in (-0.01, R_MAX + 0.01):
         with pytest.raises(ValueError, match=r"acceleration parameter r=.* outside \[0, pi/4\]"):
             observed_densities(w_state(4), ["D"], [[r]])
+
+
+def test_out_of_domain_names_the_first_bad_value_after_an_exact_edge():
+    assert out_of_domain([R_LO, 2.0]) == 2.0
+    assert out_of_domain([[R_HI, R_LO], [-1.0, 2.0]]) == -1.0
+    assert out_of_domain([R_LO, R_HI]) is None
+    assert out_of_domain(R_HI) is None
 
 
 def test_vacuum_mode_splits_into_both_wedges():
