@@ -22,7 +22,7 @@ import numpy as np
 from .checks import run_check
 from .fock import OBSERVERS, _transposed, partial_transpose, w_state
 from .measures import ConfigError, select_names
-from .rindler import R_MAX, _support, observed_density
+from .rindler import R_MAX, _support, check_observers, observed_density
 from .sweep import (
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
@@ -173,8 +173,8 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     the Rindler map and permuted as the matrix is, or, with a factor from an
     accelerated A or B, as a 10-digit decimal with a point or an exponent.
     """
-    if transpose is not None and transpose not in OBSERVERS:
-        raise ConfigError(f"transpose: unknown observer {transpose!r}, use one of {OBSERVERS}")
+    if transpose is not None:
+        check_observers([transpose], "transpose")
     rho = observed_density(w_state(4), params)
     part = None if transpose is None else [OBSERVERS.index(transpose)]
     matrix = rho.matrix if part is None else partial_transpose(rho, part)

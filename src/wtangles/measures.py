@@ -23,17 +23,21 @@ cached): its columns, which residuals they need (all four for pi4 or Pi4),
 and from them which 1-3 tangles and which pairs, all by name.  Each needed
 matrix is gathered by its column's flat index table.  Each stack of states
 then takes at most three eigvalsh calls: every needed rho^{T_k} at once,
-the partial transpose on the first mode of every pair at once, and rho for
-S.  The observed rho is real, and the pair states and their transposes
-stay real; the 1-3 stack, the largest, is gathered straight into
-complex128.  A pair's negativity is taken from the first side alone: the
-partial transpose on the second mode is the transpose of the first, with
-the same spectrum.  The pair states are validated here, at once and with
-no spectrum (fock.validate_density).  evaluate then fills the planned
-residuals from TERMS, pi4, Pi4 and S in that order.  Squares and fourth
-roots are taken value by value in Python floats, and sums run left to
-right over whole arrays, which keeps a point's values independent of its
-stack (see the README Notes).
+the partial transpose on the first mode of every distinct pair state at
+once, and rho for S.  The observed rho is real, and the pair states and
+their transposes stay real; the 1-3 stack, the largest, is gathered
+straight into complex128.  A pair's negativity is taken from the first side
+alone: the partial transpose on the second mode is the transpose of the
+first, with the same spectrum.  The pair states are validated here, at once
+and with no spectrum (fock.validate_density).  Pairs whose states are the
+same bytes over the stack, as the exchange symmetry of |W4> makes them
+(with D accelerated, rho_AB = rho_AC = rho_BC), get the same verdict and
+spectrum: only the first of each is validated and solved, and the others
+read its values, which moves no bit and assumes no symmetry.  evaluate then
+fills the planned residuals from TERMS, pi4, Pi4 and S in that order.
+Squares and fourth roots are taken value by value in Python floats, and
+sums run left to right over whole arrays, which keeps a point's values
+independent of its stack (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, takes the points as one
@@ -61,7 +65,7 @@ from .fock import (
     w_state,
 )
 from .linalg import _eigvalsh, negative_eigenvalue_sum
-from .rindler import _built, _checked
+from .rindler import ConfigError, _built, _checked
 
 RESIDUAL_CLIP = -1e-10
 RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
@@ -131,10 +135,6 @@ _TRACED = {column: _trace_blocks(_FLAT, 4, list(pair)) for column, pair in PAIRS
 _PAIR_TRANSPOSED = _transposed(np.arange(16).reshape(4, 4), 2, [0])
 
 
-class ConfigError(ValueError):
-    """Raised for an unknown or empty name list or a bad sweep configuration, naming it."""
-
-
 def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
     """The known names in tokens, all expanded, each once where it first appears.
 
@@ -173,8 +173,9 @@ def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
 
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
     The pair states are gathered into one (N, P, 4, 4) stack, in rho's dtype,
-    and validated at once, and their partial transposes on the first mode
-    take one eigvalsh call and give the values.
+    each keyed by its bytes; the first state of each key is validated, all
+    at once, and their partial transposes on the first mode take one
+    eigvalsh call and give each key's values.
     """
     flat = rho.matrix.reshape(len(rho.matrix), -1)
     out = {}
@@ -189,9 +190,20 @@ def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
         del stack
     if pairs:
         reduced = _add_blocks(np.take(flat, [_TRACED[column] for column in pairs], axis=1))
+        # equal bytes give one verdict and one spectrum; the stack is sliced
+        # only when a key repeats
+        keys = [reduced[:, p].tobytes() for p in range(len(pairs))]
+        distinct = list(dict.fromkeys(keys))
+        repeated = len(distinct) < len(keys)
+        if repeated:
+            reduced = reduced[:, [keys.index(key) for key in distinct]]
         validate_density(reduced)
         transposed = np.take(reduced.reshape(reduced.shape[:2] + (16,)), _PAIR_TRANSPOSED, axis=2)
-        out.update(zip(pairs, negative_eigenvalue_sum(transposed).T))
+        solved = negative_eigenvalue_sum(transposed)
+        if repeated:
+            # each pair's values in a column of its own, so no two share memory
+            solved = solved[:, [distinct.index(key) for key in keys]]
+        out.update(zip(pairs, solved.T))
     return out
 
 

@@ -48,7 +48,9 @@ observed_densities does this for N points at once: the amplitudes are an
 observed_density is the batch of one.  Its argument checks (_checked) and
 the build from the support table (_built) are two steps, so that
 measures.evaluate_points checks a call's points once and then builds each
-slice of CHUNK rows, each validated as a state.
+slice of CHUNK rows, each validated as a state.  check_observers is the one
+rule for a list of observers, here, in sweep's axes and in the observer a
+matrix dump transposes.
 """
 
 from __future__ import annotations
@@ -66,6 +68,19 @@ R_MAX = math.pi / 4
 R_TOL = 1e-12
 # the r accepted, both ends included
 R_LO, R_HI = -R_TOL, R_MAX + R_TOL
+
+
+class ConfigError(ValueError):
+    """Raised for a bad name list, observer list or sweep configuration, naming it."""
+
+
+def check_observers(observers: Sequence[str], what: str) -> None:
+    """Reject an unknown observer, or one given twice, in a ConfigError that names what."""
+    for j, obs in enumerate(observers):
+        if obs not in OBSERVERS:
+            raise ConfigError(f"{what}: unknown observer {obs!r}; known: {', '.join(OBSERVERS)}")
+        if obs in observers[:j]:
+            raise ConfigError(f"{what}: observer {obs!r} given twice")
 
 
 def out_of_domain(r) -> float | None:
@@ -142,11 +157,7 @@ def _checked(psi0, observers: Sequence[str], r):
         raise ValueError(f"observed states need the 16 amplitudes of A, B, C, D, got {got}")
     if psi0.imag.any():
         raise ValueError("observed states need real amplitudes")
-    for j, obs in enumerate(observers):
-        if obs not in OBSERVERS:
-            raise ValueError(f"unknown observer {obs!r}")
-        if obs in observers[:j]:
-            raise ValueError(f"observer {obs!r} is already transformed")
+    check_observers(observers, "observers")
     psi0 = np.asarray(psi0.real, dtype=float)
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))

@@ -28,9 +28,8 @@ from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .fock import OBSERVERS
 from .measures import COLUMNS, ConfigError, evaluate_points, select_names
-from .rindler import R_MAX, out_of_domain
+from .rindler import R_MAX, check_observers, out_of_domain
 
 DEFAULT_GRID_1D = 101
 DEFAULT_GRID_2D = 41
@@ -61,13 +60,8 @@ class SweepConfig:
 
 def check_axes(axes: Sequence[AxisSpec]) -> None:
     """Reject an unknown or repeated observer, an r outside [0, pi/4] or NaN, and lo > hi."""
-    seen = set()
+    check_observers([axis.observer for axis in axes], "accel")
     for axis in axes:
-        if axis.observer not in OBSERVERS:
-            raise ConfigError(f"accel: unknown observer {axis.observer!r}, use one of {OBSERVERS}")
-        if axis.observer in seen:
-            raise ConfigError(f"accel: observer {axis.observer!r} given twice")
-        seen.add(axis.observer)
         for value in (axis.lo, axis.hi):
             if out_of_domain(value) is not None:
                 raise ConfigError(f"accel: r={value!r} for {axis.observer} outside [0, pi/4]")

@@ -12,16 +12,25 @@ A record's kind follows from its route and shape alone:
     rho diagonalized  eigvalsh (N, 16, 16)     rho, for S
     1-3 transposes    eigvalsh (N, K, 16, 16)  every needed rho^{T_k}
     pair states       cholesky (b, 4, 4)       a block of the (N, P, 4, 4)
-                                               pair states, shifted
-    pair sides        eigvalsh (N, P, 4, 4)    each pair's transpose on its
-                                               first mode
+                                               distinct pair states, shifted
+    pair sides        eigvalsh (N, P, 4, 4)    each distinct pair state's
+                                               transpose on its first mode
 
-A spectrum that decides a rejected factorization has the shape of rho or
-of a pair side, and counts as one; any other shape has no kind (None).
+P counts the distinct pair states: the needed pairs whose (N, 4, 4) states
+differ in bytes over the stack.  A spectrum that decides a rejected
+factorization has the shape of rho or of a pair side, and counts as one;
+any other shape has no kind (None).
+
+blas_build() names the numpy and the OpenBLAS kernel a run uses, for the
+messages of the tests that pin output bytes: the 16x16 spectra round
+differently in each of OpenBLAS's run-time kernels, and the pins were made
+on PINNED_BUILD.
 """
 
 import contextlib
+import ctypes
 import math
+import pathlib
 from collections import Counter
 from typing import NamedTuple
 
@@ -31,6 +40,7 @@ import pytest
 from wtangles import fock
 
 ROUTES = ("eigvalsh", "cholesky")
+PINNED_BUILD = "numpy 2.4.6, scipy-openblas 0.3.31, SkylakeX"
 # (route, ndim, matrix size) -> kind
 KINDS = {
     ("cholesky", 3, 16): "rho factored",
@@ -82,3 +92,31 @@ def work(calls):
 def shifted(m):
     """m shifted on its diagonal, as the positivity factorization takes it."""
     return m + fock._CHOLESKY_SHIFT * np.eye(m.shape[-1])
+
+
+def blas_build():
+    """The numpy version, the OpenBLAS config and the run-time OpenBLAS core.
+
+    The last two are read with ctypes from the OpenBLAS that numpy's wheel
+    bundles; either is "unknown" where that library or its symbol is missing.
+    """
+    root = pathlib.Path(np.__file__).parent
+    # the Linux wheels' numpy.libs, next to the package, or the macOS wheels' .dylibs
+    libraries = sorted([*root.parent.glob("numpy.libs/*openblas*"),
+                        *root.glob(".dylibs/*openblas*")])
+    values = []
+    for symbol in ("scipy_openblas_get_config64_", "scipy_openblas_get_corename64_"):
+        try:
+            function = getattr(ctypes.CDLL(str(libraries[0])), symbol)
+        except (IndexError, OSError, AttributeError):
+            values.append("unknown")
+            continue
+        function.argtypes, function.restype = [], ctypes.c_char_p
+        values.append(function().decode().strip())
+    return (np.__version__, *values)
+
+
+def pinned_on():
+    """Where the byte pins were made and what this run uses, for a failed pin's message."""
+    version, config, core = blas_build()
+    return f"pins made on {PINNED_BUILD}; this run: numpy {version}, {config}, core {core}"

@@ -26,6 +26,7 @@ from wtangles.rindler import R_MAX, observed_density
 from wtangles.sweep import PRESETS
 
 from . import patterns, reference
+from .lapack import pinned_on
 from .test_sweep import DEFAULT_GRID_SHA256
 
 DATA = Path(__file__).with_name("data")
@@ -123,6 +124,10 @@ def test_sweep_reads_its_preset_as_figures_only_does(preset, capsys):
     (["sweep", "--preset", "fig3,fig1a"], "preset: expected one name, got fig3, fig1a"),
     (["sweep", "--preset", "all"], f"preset: expected one name, got {', '.join(PRESETS)}"),
     (["sweep", "--preset", " , "], "preset: empty selection"),
+    # one observer rule and one message form, wherever observers are read
+    (["sweep", "--accel", "E=0.3"], "accel: unknown observer 'E'; known: A, B, C, D"),
+    (["matrix", "--accel", "E=0.3"], "accel: unknown observer 'E'; known: A, B, C, D"),
+    (["matrix", "--transpose", "X"], "transpose: unknown observer 'X'; known: A, B, C, D"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
@@ -359,7 +364,7 @@ def test_emit_matrix_returns_string():
     text = emit_matrix({"D": 0.3}, transpose="D", symbolic=True)
     assert "layout: A, B, C, D_I" in text
     assert "nonzero entries" in text
-    with pytest.raises(ValueError, match="transpose: unknown observer 'X'"):
+    with pytest.raises(ValueError, match="^transpose: unknown observer 'X'; known: A, B, C, D$"):
         emit_matrix({"D": 0.3}, transpose="X")
 
 
@@ -577,7 +582,7 @@ def test_figures_writes_the_pinned_default_grid_csvs(tmp_path, capsys):
     assert main(["figures", "--out-dir", str(tmp_path), "--only", "fig3,fig8"]) == 0
     for name in ("fig3", "fig8"):
         digest = hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest()
-        assert digest == DEFAULT_GRID_SHA256[name]
+        assert digest == DEFAULT_GRID_SHA256[name], pinned_on()
     assert sorted(p.name for p in tmp_path.iterdir()) == ["fig3.csv", "fig8.csv"]
 
 
@@ -599,7 +604,7 @@ def test_golden_sweep_reproduced_byte_for_byte(capsys):
     golden = (DATA / "fig3_grid5.csv").read_text(encoding="utf-8")
     assert main(["sweep", "--preset", "fig3", "--grid", "5"]) == 0
     out = capsys.readouterr().out
-    assert out == golden
+    assert out == golden, pinned_on()
     # guard the frozen file itself: r = 0 row carries the inertial residual
     first = golden.splitlines()[1].split(",")
     assert float(first[0]) == 0.0

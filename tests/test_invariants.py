@@ -27,16 +27,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wtangles import measures, sweep
-from wtangles.fock import OBSERVERS, DensityMatrix, _add_blocks, partial_transpose, w_state
+from wtangles.fock import (
+    OBSERVERS,
+    DensityMatrix,
+    _add_blocks,
+    _trace_blocks,
+    partial_transpose,
+    w_state,
+)
 from wtangles.measures import CHUNK, COLUMNS, evaluate_points
 from wtangles.rindler import R_MAX, observed_densities
 from wtangles.sweep import PRESETS
 
-from .lapack import recorded, work
+from .lapack import recorded, shifted, work
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 observer_sets = st.sampled_from([("D",), ("C", "D"), ("A",), ("B", "D"), ("D", "A", "C"),
                                  ("A", "B", "C", "D")])
+EVERY_OBSERVER_SET = [observers for k in range(1, 5) for observers in combinations(OBSERVERS, k)]
 
 # the region-I occupation of each basis index, and the bit of mode k in it
 OCCUPATION = np.array([bin(i).count("1") for i in range(16)])
@@ -55,32 +63,51 @@ def _off_block(m, charge):
     return float(np.abs(m[..., charge[:, None] != charge[None, :]]).max())
 
 
-def _work(points, one_three, pairs, entropy):
+def _work(points, one_three, pair_states, entropy):
     """The matrices of each kind that a sweep over points hands LAPACK.
 
-    rho and the pair states are validated by the factorization alone; rho
-    is diagonalized only for S, and each pair is solved on one side.
+    rho and the distinct pair states are validated by the factorization
+    alone; rho is diagonalized only for S, and each distinct pair state is
+    solved on one side.
     """
     work = {"rho factored": points, "rho diagonalized": points * entropy,
-            "1-3 transposes": points * one_three, "pair states": points * pairs,
-            "pair sides": points * pairs}
+            "1-3 transposes": points * one_three, "pair states": pair_states,
+            "pair sides": pair_states}
     return {kind: count for kind, count in work.items() if count}
 
 
-# each preset's points, 1-3 transposes, pairs and whether it asks for S; in
-# all, 10,692 rho factored, 1,782 diagonalized, 20,980 1-3 transposes and
-# 28,512 pair states and as many pair sides
+def _pair_states(rho):
+    """The (n, 4, 4) state of each pair of an (n, 16, 16) stack, in order, by fock's kernels."""
+    return [_add_blocks(_trace_blocks(rho, 4, list(pair))) for pair in measures.PAIRS.values()]
+
+
+def _distinct_pairs(observers, r):
+    """(points, distinct pair states) of each CHUNK of the points, in order.
+
+    The six pair states of a chunk are built each on its own, and the
+    distinct ones are those that differ in bytes over the whole chunk.
+    """
+    chunks = [observed_densities(w_state(4), observers, r[start:start + CHUNK]).matrix
+              for start in range(0, len(r), CHUNK)]
+    return [(len(rho), len({state.tobytes() for state in _pair_states(rho)})) for rho in chunks]
+
+
+# each preset's points, 1-3 transposes, distinct pair states per point and
+# whether it asks for S; in all, 10,692 rho factored, 1,782 diagonalized,
+# 20,980 1-3 transposes and 17,719 pair states and as many pair sides.  With
+# D accelerated rho_AB = rho_AC = rho_BC and rho_AD = rho_BD = rho_CD; with C
+# and D, rho_AC = rho_BC and rho_AD = rho_BD
 PRESET_WORK = {
     "fig1a": (101, 2, 0, False),
     "fig1b": (101, 0, 2, False),
-    "fig2": (101, 2, 5, False),
-    "fig3": (101, 4, 6, False),
+    "fig2": (101, 2, 2, False),
+    "fig3": (101, 4, 2, False),
     "fig4a": (1681, 2, 0, False),
     "fig4b": (1681, 2, 0, False),
     "fig5": (101, 0, 3, False),
-    "fig6a": (1681, 2, 5, False),
-    "fig6b": (1681, 2, 5, False),
-    "fig7": (1681, 4, 6, False),
+    "fig6a": (1681, 2, 3, False),
+    "fig6b": (1681, 2, 3, False),
+    "fig7": (1681, 4, 4, False),
     "fig8": (101, 0, 0, True),
     "fig9": (1681, 0, 0, True),
 }
@@ -97,9 +124,10 @@ def test_every_preset_stack_is_exactly_hermitian(name):
     # sweep hands them to eigvalsh or the factorization: all have rho's
     # deviation, exactly 0.0; and the preset hands on the matrices of its
     # work, no more
+    points, one_three, pairs, entropy = PRESET_WORK[name]
     with recorded() as calls:
         sweep.run_sweep(PRESETS[name])
-    assert work(calls) == _work(*PRESET_WORK[name])
+    assert work(calls) == _work(points, one_three, points * pairs, entropy)
     assert _deviations(calls) == {(kind, 0.0) for kind in work(calls)}
 
 
@@ -109,22 +137,83 @@ def test_every_stack_at_random_points_is_exactly_hermitian(seed, points, observe
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
     with recorded() as calls:
         evaluate_points(observers, r, COLUMNS)
-    assert work(calls) == _work(points, 4, 6, True)
+    pair_states = sum(n * distinct for n, distinct in _distinct_pairs(observers, r))
+    assert work(calls) == _work(points, 4, pair_states, True)
     assert _deviations(calls) == {(kind, 0.0) for kind in work(calls)}
 
 
-@pytest.mark.parametrize("observers", [observers for k in range(1, 5)
-                                       for observers in combinations(OBSERVERS, k)])
+@pytest.mark.parametrize("observers", EVERY_OBSERVER_SET)
 @settings(max_examples=5)
 @given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1))
 def test_real_pair_states_never_solve_side_one(observers, seed, points):
-    # every chunk solves side 0 of its six pairs, one (n, 6, 4, 4) stack, and
-    # no other 4x4 negativity
+    # every chunk solves side 0 of its distinct pair states, one (n, P, 4, 4)
+    # stack, and no other 4x4 negativity
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
     with recorded() as calls:
         evaluate_points(observers, r, COLUMNS)
     shapes = [call.array.shape for call in calls if call.kind == "pair sides"]
-    assert shapes == [(len(r[start:start + CHUNK]), 6, 4, 4) for start in range(0, points, CHUNK)]
+    assert shapes == [(n, distinct, 4, 4) for n, distinct in _distinct_pairs(observers, r)]
+
+
+def _symmetric_pairs(observers):
+    """The pair columns grouped by the exchange symmetry of the W state.
+
+    rho_XY depends on r_X and r_Y alone, so two pairs are equal where their
+    modes carry the same accelerated observers, or none, in order.
+    """
+    labels = [obs if obs in observers else None for obs in OBSERVERS]
+    groups = {}
+    for column, (i, j) in measures.PAIRS.items():
+        groups.setdefault((labels[i], labels[j]), []).append(column)
+    return list(groups.values())
+
+
+# equal pairs that roundoff parts: with A and C accelerated, rho_AB traces C
+# before the inertial D and rho_AD the inertial B before C, so their blocks
+# add in another order; likewise rho_AD and rho_CD with B and D
+PARTED = {("A", "C"): ["N_AB", "N_AD"], ("B", "D"): ["N_AD", "N_CD"]}
+
+
+@pytest.mark.parametrize("observers", EVERY_OBSERVER_SET)
+def test_byte_equal_pair_states_are_the_symmetric_ones(observers):
+    # over a chunk of random points, the pairs whose states share bytes are
+    # the symmetric ones, but for the two sets where the trace-out order
+    # parts them
+    r = np.random.default_rng(7).uniform(0.0, R_MAX, (CHUNK, len(observers)))
+    rho = observed_densities(w_state(4), observers, r).matrix
+    groups = {}
+    for column, state in zip(measures.PAIRS, _pair_states(rho)):
+        groups.setdefault(state.tobytes(), []).append(column)
+    parted = PARTED.get(observers, [])
+    expected = [group for group in _symmetric_pairs(observers) if group != parted]
+    assert sorted(groups.values()) == sorted(expected + [[column] for column in parted])
+
+
+@settings(max_examples=30)
+@given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1),
+       observers=st.sampled_from(EVERY_OBSERVER_SET), tied=st.floats(0.0, 1.0))
+def test_solving_each_distinct_pair_state_once_moves_no_bit(seed, points, observers, tied):
+    # the first two observers share one r at a random share of the points, so
+    # two pair states can agree at some points of a chunk and not at others
+    rng = np.random.default_rng(seed)
+    r = rng.uniform(0.0, R_MAX, (points, len(observers)))
+    if len(observers) > 1:
+        ties = rng.random(points) < tied
+        r[ties, 1] = r[ties, 0]
+    with recorded() as calls:
+        values = evaluate_points(observers, r, COLUMNS)
+    for column in measures.PAIRS:
+        # each pair's state solved alone
+        assert np.array_equal(values[column], evaluate_points(observers, r, column)[column])
+    sides = [call.array for call in calls if call.kind == "pair sides"]
+    # side 0 of a side is its state: the stacks validated, chunk by chunk,
+    # whose blocks the factorization got shifted
+    states = [np.take(side.real.reshape(side.shape[:2] + (16,)), measures._PAIR_TRANSPOSED,
+                      axis=2).reshape(side.shape) for side in sides]
+    factored = np.concatenate([call.array for call in calls if call.kind == "pair states"])
+    assert factored.tobytes() == b"".join(shifted(stack).tobytes() for stack in states)
+    for stack in sides + states:
+        assert len({stack[:, p].tobytes() for p in range(stack.shape[1])}) == stack.shape[1]
 
 
 @settings(max_examples=30)
@@ -159,14 +248,16 @@ def test_gathered_transposes_keep_their_parents_deviation(seed, points, scale):
 @settings(max_examples=10)
 @given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK), observers=observer_sets)
 def test_a_chunk_checks_hermiticity_where_its_states_are_made(seed, points, observers):
-    # one chunk checks rho when it is built and its six pair states, and no
-    # partial transpose: each has its parent's deviation (the test above)
+    # one chunk checks rho when it is built and its distinct pair states, and
+    # no partial transpose: each has its parent's deviation (the test above)
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
     with recorded() as calls:
         evaluate_points(observers, r, COLUMNS)
     # the check runs on exactly the blocks the factorization gets
     factored = [call for call in calls if call.route == "cholesky"]
-    assert list(work(factored).items()) == [("rho factored", points), ("pair states", 6 * points)]
+    [(_, distinct)] = _distinct_pairs(observers, r)
+    assert list(work(factored).items()) == [("rho factored", points),
+                                            ("pair states", distinct * points)]
 
 
 def test_charge_labels_give_the_expected_blocks():

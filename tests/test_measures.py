@@ -197,22 +197,26 @@ def test_evaluate_takes_each_spectrum_once():
         # the pair state's validation, then side 0 of the pair, which gives the value
         assert taken(_pair_states(stack, "N_AB")) == [(3, 1, 4, 4)]
         evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
-        # every 1-3 transpose in one call, every pair state in one, every pair's side 0 in one
-        assert taken(_pair_states(stack, *measures.PAIRS)) == [(3, 4, 16, 16), (3, 6, 4, 4)]
+        # every 1-3 transpose in one call, every distinct pair state in one and
+        # its side 0 in one: with C and D accelerated rho_AC = rho_BC and
+        # rho_AD = rho_BD, so the first of each is taken
+        assert taken(_pair_states(stack, "N_AB", "N_AC", "N_AD", "N_CD")) == [
+            (3, 4, 16, 16), (3, 4, 4, 4)]
         evaluate(stack, ["pi_B", "N_C_rest"])
         assert taken(_pair_states(stack, "N_AB", "N_BC", "N_BD")) == [(3, 2, 16, 16), (3, 3, 4, 4)]
         evaluate(stack[1], ["N_AB"])
         assert taken(_pair_states(stack[1][None], "N_AB")) == [(1, 1, 4, 4)]
         rho = observed_densities(w_state(4), ["D"], [[0.1], [0.5]])
         tangle_report(rho)
-        assert taken(rho.matrix, _pair_states(rho, *measures.PAIRS)) == [
-            (2, 4, 16, 16), (2, 6, 4, 4), (2, 16, 16)]
-        # a complex state takes the same two pair calls: side 0 alone gives the values
+        # with D accelerated rho_AB = rho_AC = rho_BC and rho_AD = rho_BD = rho_CD
+        assert taken(rho.matrix, _pair_states(rho, "N_AB", "N_AD")) == [
+            (2, 4, 16, 16), (2, 2, 4, 4), (2, 16, 16)]
+        # a complex state takes the same two pair calls: side 0 alone gives the
+        # values; with the phase on D, rho_AD = rho_BD = rho_CD
         rho = _complex_w4(3)
         calls.clear()
-        columns = ["N_AB", "N_AD", "N_BD", "N_CD"]
-        evaluate(rho, columns)
-        assert taken(_pair_states(rho[None], *columns)) == [(1, 4, 4, 4)]
+        evaluate(rho, ["N_AB", "N_AD", "N_BD", "N_CD"])
+        assert taken(_pair_states(rho[None], "N_AB", "N_AD")) == [(1, 2, 4, 4)]
 
 
 def test_index_tables_gather_what_the_fock_kernels_compute():

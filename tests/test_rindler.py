@@ -315,7 +315,7 @@ def test_one_nonzero_pattern_adds_one_support_table():
     (["D"], [[0.1], [1.0]], "r=1.0 outside"),
     (["D"], [[0.1], [math.nan]], "r=nan outside"),
     (["X"], [[0.1]], "unknown observer"),
-    (["D", "D"], [[0.1, 0.2]], "already transformed"),
+    (["D", "D"], [[0.1, 0.2]], "observer 'D' given twice"),
 ])
 def test_observed_stack_rejects_bad_input(observers, r, fragment):
     with pytest.raises(ValueError, match=fragment):

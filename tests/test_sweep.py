@@ -31,6 +31,7 @@ from wtangles.sweep import (
 )
 
 from . import patterns
+from .lapack import pinned_on
 
 DATA = Path(__file__).with_name("data")
 R_MAX = math.pi / 4
@@ -262,7 +263,7 @@ def test_preset_golden_csv_byte_for_byte(name):
     golden = (DATA / f"{name}_grid5.csv").read_text(encoding="utf-8")
     buffer = io.StringIO()
     write_csv(*run_sweep(replace(PRESETS[name], grid=5)), buffer)
-    assert buffer.getvalue() == golden
+    assert buffer.getvalue() == golden, pinned_on()
 
 
 # sha256 of each preset's CSV at its default grid, unchanged since the first
@@ -287,7 +288,8 @@ DEFAULT_GRID_SHA256 = {
 def test_preset_default_grid_sha256(name):
     buffer = io.StringIO()
     write_csv(*run_sweep(PRESETS[name]), buffer)
-    assert hashlib.sha256(buffer.getvalue().encode()).hexdigest() == DEFAULT_GRID_SHA256[name]
+    digest = hashlib.sha256(buffer.getvalue().encode()).hexdigest()
+    assert digest == DEFAULT_GRID_SHA256[name], pinned_on()
 
 
 # sha256 of repr(run_check(perturb=p)): every result's deviation, to the bit
