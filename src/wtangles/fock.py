@@ -74,7 +74,14 @@ def validate_density(m: np.ndarray) -> None:
     The stack is cut, in order, into (b, dim, dim) blocks of about
     _BLOCK_BYTES; the Hermiticity check and then the positivity test run
     block by block, so no temporary is large enough for glibc to trim the
-    top of the heap after each chunk and fault it back on the next.  m is
+    top of the heap after each chunk and fault it back on the next.  The
+    deviation is the largest |m - m^H| entry, but it is computed only for a
+    block where an exact comparison finds an entry unequal to its adjoint
+    partner (a NaN is unequal to itself) or where the sum of the squared
+    moduli is not finite; elsewhere it is exactly 0.  That second test
+    catches an inf equal to its partner, whose difference is NaN, and which
+    the factorization below can let through; so each block gets the
+    deviation, and the message, of the full subtraction.  m is
     never symmetrized: eigvalsh reads one triangle, so a deviation d moves
     the eigenvalues by up to about d.  Positivity is a Cholesky test of each
     block shifted by _CHOLESKY_SHIFT on its diagonal; each matrix is
@@ -93,12 +100,14 @@ def validate_density(m: np.ndarray) -> None:
     blocks = [stack[start:start + step] for start in range(0, len(stack), step)]
     deviation = 0.0
     for block in blocks:
-        # conj() of a real block is the block itself, so it subtracts the transposed view
-        difference = block - block.swapaxes(1, 2).conj()
-        # any() is cheaper than the moduli, and true for a NaN too
-        worst = float(np.abs(difference).max()) if difference.any() else 0.0
-        if worst > deviation or worst != worst:     # a NaN stays the worst
-            deviation = worst
+        # conj() of a real block is the block itself, so it compares the transposed view
+        adjoint = block.swapaxes(1, 2).conj()
+        # != needs only a boolean temporary and is true for a NaN; an inf equal
+        # to its partner is not, but makes the sum of squares inf or NaN
+        if (block != adjoint).any() or not math.isfinite(np.vdot(block, block).real):
+            # inf - inf is a NaN, and np.maximum keeps a NaN as the worst
+            with np.errstate(invalid="ignore"):
+                deviation = np.maximum(deviation, np.abs(block - adjoint).max())
     if not deviation <= HERMITICITY_TOL:
         raise ValueError(f"density matrix deviates from Hermiticity by {deviation:.3e}")
     # the real parts' trace: a complex trace sums in another order

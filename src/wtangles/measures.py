@@ -249,20 +249,21 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
     """The columns of the observed |W4> at N >= 1 points, as (N,) arrays.
 
     r is an (N, k) array: r[p, j] is the parameter of observers[j] at point
-    p.  Its points are checked once, as observed_densities checks them, and
-    then its columns are read once; the points are then built, validated as
-    states and evaluated in slices of CHUNK rows, each as one stack.
+    p.  Its points are checked, and their cos r and sin r taken, once, as
+    observed_densities does, and then its columns are read once; the points
+    are then built, validated as states and evaluated in slices of CHUNK
+    rows, each as one stack.
     """
     r = np.asarray(r, dtype=float)
     # a scalar r falls through to the shape message; an empty one has no point
     if r.ndim and not len(r):
         raise ValueError("evaluate_points needs at least one point")
-    r, table = _checked(_W4, observers, r)
+    split, table = _checked(_W4, observers, r)
     # read once, before any state is built; each chunk's plan is then a cache hit
     columns = _plan(columns if isinstance(columns, str) else tuple(columns))[0]
     # each chunk's columns as the rows of one (C, n) array, joined into (C, N)
-    chunks = [np.array(list(evaluate(_built(r[start:start + CHUNK], table), columns).values()))
-              for start in range(0, len(r), CHUNK)]
+    chunks = [np.array(list(evaluate(_built(split[start:start + CHUNK], table), columns).values()))
+              for start in range(0, len(split), CHUNK)]
     return dict(zip(columns, np.concatenate(chunks, axis=1)))
 
 

@@ -12,8 +12,8 @@ r_d.  For a single accelerated observer only r_d is relevant.
 Every closed form, present and future, keeps one array convention.  It
 takes floats, for which it returns a float, or float arrays of one shape,
 for which it returns an array of that shape.  Each argument is checked by
-_r, that is by rindler.out_of_domain, the one domain rule, whose first bad
-value the message names.  Each distinct term is computed once per call, and
+_r, that is by rindler.check_r, the one domain rule, whose first bad value
+the message names.  Each distinct term is computed once per call, and
 the expression then reads it with the operations and left-to-right order of
 the formula as written, value by value: cos and log are math's, applied to
 each value in turn, because numpy's may round differently; sqrt may be
@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .rindler import out_of_domain
+from .rindler import check_r
 
 SQRT2 = math.sqrt(2.0)
 
@@ -40,9 +40,8 @@ Values = float | np.ndarray
 
 
 def _r(name: str, arg: str, value) -> Values:
-    """value, a number or an array, as a float or a float array once out_of_domain clears it."""
-    if (bad := out_of_domain(value)) is not None:
-        raise ValueError(f"{name}: {arg}={bad!r} outside [0, pi/4]")
+    """value, a number or an array, as a float or a float array once check_r clears it."""
+    check_r(value, f"{name}: {arg}")
     return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
 
 

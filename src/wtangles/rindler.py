@@ -48,9 +48,15 @@ observed_densities does this for N points at once: the amplitudes are an
 observed_density is the batch of one.  Its argument checks (_checked) and
 the build from the support table (_built) are two steps, so that
 measures.evaluate_points checks a call's points once and then builds each
-slice of CHUNK rows, each validated as a state.  check_observers is the one
-rule for a list of observers, here, in sweep's axes and in the observer a
-matrix dump transposes.
+slice of CHUNK rows, each validated as a state.  _checked also takes cos r
+and sin r of every point once per call, into a table of each point's split
+factors [1.0, cos r, sin r], with math's cos and sin applied to each value
+in turn (numpy's vector loops may round differently); _built indexes its
+slice's rows of that table, so each factor keeps math's bits and the x 1.0
+stays exact.  check_observers is the one rule for a list of observers,
+here, in sweep's axes and in the observer a matrix dump transposes; check_r
+is the one rule for r, here, in sweep's axes and in every closed form of
+oracles.
 """
 
 from __future__ import annotations
@@ -71,7 +77,7 @@ R_LO, R_HI = -R_TOL, R_MAX + R_TOL
 
 
 class ConfigError(ValueError):
-    """Raised for a bad name list, observer list or sweep configuration, naming it."""
+    """Raised for a bad name list, observer list, r or sweep configuration, naming it."""
 
 
 def check_observers(observers: Sequence[str], what: str) -> None:
@@ -90,6 +96,16 @@ def out_of_domain(r) -> float | None:
     if r.size == 0 or (r.min() >= R_LO and r.max() <= R_HI):
         return None
     return next(x for x in r.ravel().tolist() if not R_LO <= x <= R_HI)
+
+
+def check_r(r, what: str) -> None:
+    """Reject a value of r, a number or an array, outside [0, pi/4] (NaN too).
+
+    The ConfigError names what and the first bad value, as in
+    'accel: D=nan outside [0, pi/4]' or 'n_i_d1: r_d=1.0 outside [0, pi/4]'.
+    """
+    if (bad := out_of_domain(r)) is not None:
+        raise ConfigError(f"{what}={bad!r} outside [0, pi/4]")
 
 
 @lru_cache
@@ -142,15 +158,16 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
 def _checked(psi0, observers: Sequence[str], r):
     """observed_densities' argument checks, in its order, on all N points at once.
 
-    Returns r as a float array and the table the build reads: psi0's real
-    amplitudes, the split order and the support.
+    Returns each point's split factors, an (N, k, 3) array whose [p, j] is
+    [1.0, cos r, sin r] for r[p, j], and the table the build reads: psi0's
+    real amplitudes, the split order and the support.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
         raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")
-    bad = out_of_domain(r)
-    if bad is not None:
-        raise ValueError(f"acceleration parameter r={bad!r} outside [0, pi/4]")
+    if out_of_domain(r) is not None:
+        for obs, column in zip(observers, r.T):
+            check_r(column, f"accel: {obs}")
     psi0 = np.asarray(psi0)
     if psi0.shape != (16,):
         got = len(psi0) if psi0.ndim == 1 else f"shape {psi0.shape}"
@@ -162,23 +179,23 @@ def _checked(psi0, observers: Sequence[str], r):
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
     support = _support(tuple(pos for pos, _ in order), tuple(np.flatnonzero(psi0).tolist()))
-    return r, (psi0, order, support)
+    # math's cos and sin, value by value, once per call; numpy's vector loops may round differently
+    values, split = r.ravel().tolist(), np.ones((r.size, 3))
+    split[:, 1] = np.fromiter(map(math.cos, values), float, r.size)
+    split[:, 2] = np.fromiter(map(math.sin, values), float, r.size)
+    return split.reshape(r.shape + (3,)), (psi0, order, support)
 
 
-def _built(r: np.ndarray, table) -> DensityMatrix:
-    """The validated rho stack of the checked points r, from _checked's table."""
+def _built(split: np.ndarray, table) -> DensityMatrix:
+    """The validated rho stack of checked points, from their rows of _checked's split factors."""
     psi0, order, (source, factors, rounds) = table
-    points = len(r)
+    points = len(split)
     # one row of source amplitudes, which the first split's factors, or rho's
     # sums with no split, broadcast over the points
     amp = psi0[source][None]
     for (_, j), factor in zip(order, factors):
-        # math's cos and sin, value by value; numpy's vector loops may round differently
-        column = r[:, j].tolist()
-        choices = np.array([[1.0] * points, [math.cos(x) for x in column],
-                            [math.sin(x) for x in column]]).T
         # x 1.0 where the split leaves an amplitude as it is: exact
-        amp = amp * choices[:, factor]
+        amp = amp * split[:, j, factor]
     # added, never assigned: each sum starts at +0.0, as the dense sum did, so a
     # -0.0 product lands as +0.0
     rho = np.zeros((points, 256))

@@ -29,7 +29,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .measures import COLUMNS, ConfigError, evaluate_points, select_names
-from .rindler import R_MAX, check_observers, out_of_domain
+from .rindler import R_MAX, check_observers, check_r
 
 DEFAULT_GRID_1D = 101
 DEFAULT_GRID_2D = 41
@@ -62,9 +62,7 @@ def check_axes(axes: Sequence[AxisSpec]) -> None:
     """Reject an unknown or repeated observer, an r outside [0, pi/4] or NaN, and lo > hi."""
     check_observers([axis.observer for axis in axes], "accel")
     for axis in axes:
-        for value in (axis.lo, axis.hi):
-            if out_of_domain(value) is not None:
-                raise ConfigError(f"accel: r={value!r} for {axis.observer} outside [0, pi/4]")
+        check_r((axis.lo, axis.hi), f"accel: {axis.observer}")
         if axis.lo > axis.hi:
             raise ConfigError(f"accel: range for {axis.observer} has lo > hi")
 

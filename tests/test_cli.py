@@ -99,7 +99,7 @@ def test_sweep_reads_its_preset_as_figures_only_does(preset, capsys):
     (["sweep", "--accel", "C=0:0.5", "--accel", "D=0:0.5", "--grid", "100000"], "grid"),
     (["sweep", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
     (["matrix", "--accel", "D=0.3", "--accel", "D=0.6"], "observer 'D' given twice"),
-    (["matrix", "--accel", "D=nan"], "accel: r=nan for D outside [0, pi/4]"),
+    (["matrix", "--accel", "D=nan"], "accel: D=nan outside [0, pi/4]"),
     (["check", "--perturb", "nan"], "perturb: expected a finite number, got nan"),
     (["check", "--perturb", "inf"], "perturb: expected a finite number, got inf"),
     (["matrix", "--transpose", "X"], "transpose"),
@@ -128,6 +128,9 @@ def test_sweep_reads_its_preset_as_figures_only_does(preset, capsys):
     (["sweep", "--accel", "E=0.3"], "accel: unknown observer 'E'; known: A, B, C, D"),
     (["matrix", "--accel", "E=0.3"], "accel: unknown observer 'E'; known: A, B, C, D"),
     (["matrix", "--transpose", "X"], "transpose: unknown observer 'X'; known: A, B, C, D"),
+    # one r rule and one message form: sweep's axes, the library and the closed forms
+    (["sweep", "--accel", "C=0.1", "--accel", "D=0:2"], "accel: D=2.0 outside [0, pi/4]"),
+    (["matrix", "--accel", "C=-0.5"], "accel: C=-0.5 outside [0, pi/4]"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):

@@ -54,6 +54,39 @@ def test_non_hermitian_input_rejected(bad):
         validate_density(m)
 
 
+def _mixed(dim, entries, dtype=float):
+    """The maximally mixed dim x dim state, with each {(i, j): value} entry then set."""
+    m = np.eye(dim, dtype=dtype) / dim
+    for (i, j), value in entries.items():
+        m[i, j] = value
+    return m
+
+
+@pytest.mark.parametrize("m, deviation", [
+    # -0.0 equals +0.0, and an asymmetry within HERMITICITY_TOL passes
+    (_mixed(2, {(0, 1): -0.0, (1, 0): 0.0}), None),
+    (_mixed(2, {(0, 1): 1e-13}), None),
+    (_mixed(2, {(0, 1): 2e-12}), "2.000e-12"),
+    (_mixed(2, {(0, 1): math.inf, (1, 0): -math.inf}), "inf"),
+    # an inf equal to its partner compares equal, but its difference is NaN; off
+    # the diagonal of a 16x16 state the shifted Cholesky factorization can pass
+    # it, as a NaN pivot is not a negative one
+    (_mixed(2, {(0, 1): math.inf, (1, 0): math.inf}), "nan"),
+    (_mixed(16, {(0, 9): math.inf, (9, 0): math.inf}), "nan"),
+    (_mixed(16, {(3, 3): math.inf}), "nan"),
+    (_mixed(4, {(1, 2): complex(0, math.inf), (2, 1): complex(0, -math.inf)}, complex), "nan"),
+    # no entry equals its partner: each complex diagonal entry differs from its conjugate
+    (np.array([[0.5 + 1e-3j, 0.1], [0.2, 0.5 - 1e-3j]]), "1.000e-01"),
+])
+def test_hermiticity_is_checked_by_exact_comparison(m, deviation):
+    if deviation is None:
+        validate_density(m)
+        return
+    with pytest.raises(ValueError) as info:
+        validate_density(m)
+    assert str(info.value) == f"density matrix deviates from Hermiticity by {deviation}"
+
+
 def test_error_types_subclass_builtins():
     # numpy's LinAlgError reaches callers as it is, and they may catch plain
     # ValueError; a shape error is named as one, not as a failed convergence

@@ -389,7 +389,7 @@ def test_evaluate_points_rejects_a_bad_r_before_any_solve():
     r = np.full((100, 2), 0.3)
     r[80, 1] = 1.0
     with recorded() as calls:
-        with pytest.raises(ValueError, match=r"^acceleration parameter r=1\.0 outside \[0, pi/4\]$"):
+        with pytest.raises(ValueError, match=r"^accel: D=1\.0 outside \[0, pi/4\]$"):
             measures.evaluate_points(("C", "D"), r, ["S", "N_CD"])
     assert calls == []
 
@@ -461,7 +461,7 @@ def test_evaluate_points_rejects_a_bad_request_before_any_solve(request_, messag
 def test_evaluate_points_names_a_bad_r_before_a_bad_request():
     r = np.full((100, 2), 0.3)
     r[80, 1] = 1.0
-    with pytest.raises(ValueError, match=r"^acceleration parameter r=1\.0 outside \[0, pi/4\]$"):
+    with pytest.raises(ValueError, match=r"^accel: D=1\.0 outside \[0, pi/4\]$"):
         evaluate_points(("C", "D"), r, ["nope"])
     with pytest.raises(ValueError, match=r"^r has shape \(5, 3\), want \(points >= 1, 2\)$"):
         evaluate_points(("C", "D"), np.zeros((5, 3)), [])

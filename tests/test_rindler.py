@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wtangles import oracles
 from wtangles.fock import (
     OBSERVERS,
     DensityMatrix,
@@ -22,11 +23,15 @@ from wtangles.rindler import (
     R_HI,
     R_LO,
     R_MAX,
+    ConfigError,
+    _checked,
     _support,
+    check_r,
     observed_densities,
     observed_density,
     out_of_domain,
 )
+from wtangles.sweep import AxisSpec, check_axes
 
 from . import patterns, reference
 
@@ -58,7 +63,7 @@ def _reduced_pair(rho, pair):
 def test_parameter_range_validation():
     observed_densities(w_state(4), ["D"], [[0.0], [R_MAX]])
     for r in (-0.01, R_MAX + 0.01):
-        with pytest.raises(ValueError, match=r"acceleration parameter r=.* outside \[0, pi/4\]"):
+        with pytest.raises(ValueError, match=r"^accel: D=.* outside \[0, pi/4\]$"):
             observed_densities(w_state(4), ["D"], [[r]])
 
 
@@ -67,6 +72,28 @@ def test_out_of_domain_names_the_first_bad_value_after_an_exact_edge():
     assert out_of_domain([[R_HI, R_LO], [-1.0, 2.0]]) == -1.0
     assert out_of_domain([R_LO, R_HI]) is None
     assert out_of_domain(R_HI) is None
+
+
+def test_one_r_rule_for_axes_points_and_closed_forms():
+    check_r(np.array([[R_LO, R_HI]]), "accel: D")
+    # one class and one message form, wherever an r is read
+    with pytest.raises(ConfigError, match=r"^accel: D=nan outside \[0, pi/4\]$"):
+        check_r([0.3, math.nan], "accel: D")
+    with pytest.raises(ConfigError, match=r"^accel: D=nan outside \[0, pi/4\]$"):
+        check_axes([AxisSpec("D", math.nan, math.nan)])
+    with pytest.raises(ConfigError, match=r"^accel: D=nan outside \[0, pi/4\]$"):
+        observed_densities(w_state(4), ["D"], [[math.nan]])
+    with pytest.raises(ConfigError, match=r"^n_i_d1: r_d=nan outside \[0, pi/4\]$"):
+        oracles.n_i_d1(math.nan)
+
+
+def test_checked_takes_math_cos_and_sin_of_every_point_once():
+    r = np.array([[0.0, R_MAX], [0.3, 1e-300], [R_HI, R_LO]])
+    split, _ = _checked(w_state(4), ["C", "D"], r)
+    assert split.shape == (3, 2, 3)
+    for p, j in np.ndindex(r.shape):
+        x = float(r[p, j])
+        assert split[p, j].tobytes() == np.array([1.0, math.cos(x), math.sin(x)]).tobytes()
 
 
 def test_vacuum_mode_splits_into_both_wedges():
@@ -312,10 +339,13 @@ def test_one_nonzero_pattern_adds_one_support_table():
 @pytest.mark.parametrize("observers, r, fragment", [
     (["D"], [[0.1, 0.2]], "shape"),
     (["D"], [0.1, 0.2], "shape"),
-    (["D"], [[0.1], [1.0]], "r=1.0 outside"),
-    (["D"], [[0.1], [math.nan]], "r=nan outside"),
+    (["D"], [[0.1], [1.0]], "accel: D=1.0 outside"),
+    (["D"], [[0.1], [math.nan]], "accel: D=nan outside"),
     (["X"], [[0.1]], "unknown observer"),
     (["D", "D"], [[0.1, 0.2]], "observer 'D' given twice"),
+    # the first observer with a bad r is named, with its first bad value
+    (["C", "D"], [[0.1, 0.2], [0.3, 1.0]], "^accel: D=1.0 outside"),
+    (["C", "D"], [[0.1, 2.0], [-1.0, 0.2]], "^accel: C=-1.0 outside"),
 ])
 def test_observed_stack_rejects_bad_input(observers, r, fragment):
     with pytest.raises(ValueError, match=fragment):

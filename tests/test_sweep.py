@@ -313,12 +313,16 @@ def test_preset_shapes():
 
 
 # the tracemalloc peak of run_sweep(PRESETS["fig7"]) when DensityMatrix held a
-# complex128 copy of every observed state (numpy 2.4, Python 3.11)
+# complex128 copy of every observed state (numpy 2.4, Python 3.11); the peak
+# is now 1,454,620-1,457,044 bytes, of which 80,688 are the (1681, 2, 3)
+# split factors that rindler._checked takes once per call (1,373,462-1,377,271
+# while each chunk took its own cos r and sin r)
 COMPLEX_STATES_FIG7_PEAK = 1_483_311
 # a bound on the tracemalloc peak of evaluate_points over the 21x21 (C, D)
-# grid for N_CD, measured at 348,075-348,718 bytes (numpy 2.4, Python 3.11);
-# while DensityMatrix copied each rho chunk it was handed and the positivity
-# check factored the whole chunk at once, the peak was 545,858-546,572
+# grid for N_CD, measured at 301,164-301,333 bytes (numpy 2.4, Python 3.11);
+# 348,075-348,718 while each chunk made lists of its points' cos r and sin r,
+# and 545,858-546,572 while DensityMatrix copied each rho chunk it was handed
+# and the positivity check factored the whole chunk at once
 N_CD_GRID_PEAK = 370_000
 
 
