@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .checks import run_check
-from .fock import OBSERVERS, _transposed, partial_transpose, w_state
+from .fock import OBSERVERS, W4, _transposed, partial_transpose
 from .measures import ConfigError, select_names
 from .rindler import R_MAX, _support, check_observers, observed_density
 from .sweep import (
@@ -146,8 +146,7 @@ def _entry_names(observers: tuple[str, ...]) -> np.ndarray:
     factor; a sum joins its products with +, in name order.  An entry with a
     factor from A or B, and one outside the support, is None.
     """
-    _, factors, rounds = _support(tuple(map(OBSERVERS.index, observers)),
-                                  tuple(np.flatnonzero(w_state(4)).tolist()))
+    _, factors, rounds = _support(tuple(map(OBSERVERS.index, observers)))
     codes = [factor.tolist() for factor in factors]
     products: dict[int, list] = {}
     for entries, left, right in rounds:
@@ -175,7 +174,7 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     """
     if transpose is not None:
         check_observers([transpose], "transpose")
-    rho = observed_density(w_state(4), params)
+    rho = observed_density(W4, params)
     part = None if transpose is None else [OBSERVERS.index(transpose)]
     matrix = rho.matrix if part is None else partial_transpose(rho, part)
     labels = (f"{obs}_I" if obs in params else obs for obs in OBSERVERS)

@@ -16,9 +16,9 @@ one traced pattern at a time, in index order.  Their bare-array kernels
 array; run on np.arange they give the flat index tables with which measures
 gathers the transposes and reduced states of a stack.
 
-The register is only ever |W4>: w_state gives its amplitudes as a plain
-read-only array, and no state vector is validated on its own, because the
-trace check of the density matrix built from it covers the norm.
+The register is only ever |W4>: W4 holds its amplitudes, one read-only
+array, which w_state(4) returns.  rindler observes no other state, and
+checks that a caller's amplitudes are W4's once, where they are handed in.
 
 A DensityMatrix holds one state or a (..., 2^n, 2^n) stack of states, with
 n >= 1, and validates Hermiticity, unit trace and positivity on construction
@@ -61,6 +61,10 @@ _CHOLESKY_SHIFT = -0.999 * MIN_EIGENVALUE
 # _CHOLESKY_SHIFT * I of each size up to 16, built once, as read-only views
 _SHIFTS = tuple(np.broadcast_to(_CHOLESKY_SHIFT * np.eye(dim), (dim, dim)) for dim in range(17))
 OBSERVERS = ("A", "B", "C", "D")
+# |W4>: amplitude 1/2 on each single-excitation pattern, 8, 4, 2 and 1
+W4 = np.zeros(16)
+W4[[8, 4, 2, 1]] = 0.5
+W4.setflags(write=False)
 
 
 def validate_density(m: np.ndarray) -> None:
@@ -167,16 +171,13 @@ class DensityMatrix:
 def w_state(n: int) -> np.ndarray:
     """|W4>: equal superposition of the four single-excitation patterns.
 
-    The observers are A, B, C and D, so w_state(4) puts amplitude 1/2 on
+    The observers are A, B, C and D, so w_state(4) is W4, amplitude 1/2 on
     indices 8, 4, 2 and 1, in a read-only float64 (16,) array.  Every
     measure is four-mode, so n must be 4.
     """
     if n != 4:
         raise ValueError(f"w_state supports only the four-mode W state, got n={n}")
-    amplitudes = np.zeros(16)
-    amplitudes[[8, 4, 2, 1]] = 0.5
-    amplitudes.setflags(write=False)
-    return amplitudes
+    return W4
 
 
 def _transposed(m: np.ndarray, n: int, part: Iterable[int]) -> np.ndarray:

@@ -41,10 +41,11 @@ independent of its stack (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, takes the points as one
-(N, k) array of r values, checks them once (the shape, the r domain, the
-amplitudes and the support lookup of rindler.observed_densities), reads
-the request once, then builds, validates as states and evaluates them
-CHUNK rows per stack.
+(N, k) array of r values, checks them once (rindler._checked: the shape,
+the r domain, the observers and the support lookup of
+rindler.observed_densities), reads the request once, then builds the
+observed |W4>, validates it as states and evaluates it CHUNK rows per
+stack.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .fock import (
     _trace_blocks,
     _transposed,
     validate_density,
-    w_state,
 )
 from .linalg import _eigvalsh, negative_eigenvalue_sum
 from .rindler import ConfigError, _built, _checked
@@ -73,7 +73,6 @@ RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
 # numpy overhead is small next to the eigensolves, small enough that a stack
 # of 1-3 transposes stays about 1 MiB (CHUNK 256 measured slower than 64)
 CHUNK = 64
-_W4 = w_state(4)
 
 
 def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
@@ -81,14 +80,17 @@ def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
 
     The residuals are floats, or arrays with one value per point.  Residuals
     in [-1e-10, 0) are treated as roundoff and clipped to 0; any residual
-    below that is a pipeline defect and raises, naming the most negative one.
+    below that, or NaN, is a pipeline defect and raises, naming the most
+    negative one or the one that is not a number.
     """
     if len(pi_k) != 4:
         raise ValueError(f"big_pi4_tangle needs 4 residuals, got {len(pi_k)}")
     values = np.array(list(pi_k.values()), dtype=float)
     rows = values.reshape(4, -1)
     for obs, worst in zip(pi_k, rows.min(axis=1).tolist()):
-        if not worst >= RESIDUAL_CLIP:
+        if np.isnan(worst):
+            raise ValueError(f"residual tangle {obs} is not a number")
+        if worst < RESIDUAL_CLIP:
             raise ValueError(f"residual tangle {obs}={worst:.3e} is negative beyond roundoff")
     product = 1.0
     for row in rows:
@@ -250,15 +252,11 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
 
     r is an (N, k) array: r[p, j] is the parameter of observers[j] at point
     p.  Its points are checked, and their cos r and sin r taken, once, as
-    observed_densities does, and then its columns are read once; the points
-    are then built, validated as states and evaluated in slices of CHUNK
-    rows, each as one stack.
+    observed_densities does (an r with no point gets its shape message), and
+    then its columns are read once; the points are then built, validated as
+    states and evaluated in slices of CHUNK rows, each as one stack.
     """
-    r = np.asarray(r, dtype=float)
-    # a scalar r falls through to the shape message; an empty one has no point
-    if r.ndim and not len(r):
-        raise ValueError("evaluate_points needs at least one point")
-    split, table = _checked(_W4, observers, r)
+    split, table = _checked(observers, r)
     # read once, before any state is built; each chunk's plan is then a cache hit
     columns = _plan(columns if isinstance(columns, str) else tuple(columns))[0]
     # each chunk's columns as the rows of one (C, n) array, joined into (C, N)

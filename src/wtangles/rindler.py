@@ -19,22 +19,25 @@ out every region-II mode.  With the k appended region-II modes last, the
 amplitudes reshape to a (16, 2^k) matrix V, and rho is the sum of the outer
 products of V's columns, added in column (index) order.
 
-The initial amplitudes must be real, as those of |W4> are (Alsing et al.,
-PRA 74, 032326, 2006, for the real single-mode map), and cos r and sin r are
-real, so V and rho are real: they are built in float64, and the
-DensityMatrix keeps them float64.  Only the eigensolve casts to complex128
-(linalg), and that cast is the bits of the complex build, whose
-x * conj(y) has real part x*y and imaginary part +0 for real x and y.
+The initial state is always |W4> (fock.W4): observed_densities takes its
+amplitudes as psi0 only to check, once and before anything is built, that
+they are W4's, and raises one ValueError for any other.  Its amplitudes are
+real (Alsing et al., PRA 74, 032326, 2006, for the real single-mode map),
+and cos r and sin r are real, so V and rho are real: they are built in
+float64, and the DensityMatrix keeps them float64.  Only the eigensolve
+casts to complex128 (linalg), and that cast is the bits of the complex
+build, whose x * conj(y) has real part x*y and imaginary part +0 for real
+x and y.
 
 The map conserves N_I - N_II, so V and rho are sparse: with C and D split,
 |W4> gives 12 nonzero amplitudes and 37 nonzero rho entries out of 256, 25
 with one observer.  rho is built from that support, not from dense outer
 products.  _support lists it by the rule above, once per set of split modes
-and nonzero pattern of psi0: a split mode that is occupied keeps its bit
-and leaves region II empty, and an empty one branches into cos r (both
-wedges empty) and sin r (both occupied).  That gives each nonzero
-amplitude's source and factors, and each nonzero rho entry's products in
-region-II index order.  Per point, each amplitude is the initial one times
+(for W4's nonzero pattern, unless a builder names another): a split mode
+that is occupied keeps its bit and leaves region II empty, and an empty
+one branches into cos r (both wedges empty) and sin r (both occupied).
+That gives each nonzero amplitude's source and factors, and each nonzero
+rho entry's products in region-II index order.  Per point, each amplitude is the initial one times
 its factors in split order (x 1.0 is exact where a split leaves it), and
 each entry adds its products, in order, onto the +0.0 of a zeroed rho.
 That is the dense sum's arithmetic with its exact-zero terms left out, and
@@ -45,15 +48,15 @@ entry is the same bytes as the dense build's.
 observed_densities does this for N points at once: the amplitudes are an
 (N, M) stack scaled by per-point cos r and sin r columns, and rho is an
 (N, 16, 16) stack, validated once and held as built, with no copy.
-observed_density is the batch of one.  Its argument checks (_checked) and
-the build from the support table (_built) are two steps, so that
-measures.evaluate_points checks a call's points once and then builds each
-slice of CHUNK rows, each validated as a state.  _checked also takes cos r
-and sin r of every point once per call, into a table of each point's split
-factors [1.0, cos r, sin r], with math's cos and sin applied to each value
-in turn (numpy's vector loops may round differently); _built indexes its
-slice's rows of that table, so each factor keeps math's bits and the x 1.0
-stays exact.  check_observers is the one rule for a list of observers,
+observed_density is the batch of one.  The checks of its points
+(_checked) and the build from the support table (_built) are two steps, so
+that measures.evaluate_points checks a call's points once and then builds
+each slice of CHUNK rows, each validated as a state.  _checked also takes
+cos r and sin r of every point once per call, into a table of each point's
+split factors [1.0, cos r, sin r], with math's cos and sin applied to each
+value in turn (numpy's vector loops may round differently); _built indexes
+its slice's rows of that table, so each factor keeps math's bits and the
+x 1.0 stays exact.  check_observers is the one rule for a list of observers,
 here, in sweep's axes and in the observer a matrix dump transposes; check_r
 is the one rule for r, here, in sweep's axes and in every closed form of
 oracles.
@@ -67,13 +70,15 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .fock import OBSERVERS, DensityMatrix
+from .fock import OBSERVERS, W4, DensityMatrix
 
 R_MAX = math.pi / 4
 # slack on the r domain, so endpoints that carry roundoff are still accepted
 R_TOL = 1e-12
 # the r accepted, both ends included
 R_LO, R_HI = -R_TOL, R_MAX + R_TOL
+# the indices of W4's nonzero amplitudes, which every public build splits
+_NONZERO = tuple(np.flatnonzero(W4).tolist())
 
 
 class ConfigError(ValueError):
@@ -109,14 +114,15 @@ def check_r(r, what: str) -> None:
 
 
 @lru_cache
-def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
+def _support(positions: tuple[int, ...], nonzero: tuple[int, ...] = _NONZERO):
     """The nonzero amplitudes of the split states and the products of their rho.
 
     positions are the split modes, in register order, and nonzero the
-    indices of the nonzero initial amplitudes.  Each is split by the map's
-    rule, one mode at a time.  The amplitudes are listed by flat index,
-    region-I pattern << k | region-II pattern, with the first split's
-    region-II bit the most significant.  The table holds
+    indices of the nonzero initial amplitudes, W4's unless a builder of
+    other amplitudes names them.  Each is split by the map's rule, one mode
+    at a time.  The amplitudes are listed by flat index, region-I pattern
+    << k | region-II pattern, with the first split's region-II bit the most
+    significant.  The table holds
     - source: (M,) the initial amplitude of each nonzero split amplitude;
     - factors: k (M,) arrays, what split j multiplies each by: 0 nothing,
       1 cos r, 2 sin r;
@@ -155,12 +161,12 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...]):
     return source, factors, rounds
 
 
-def _checked(psi0, observers: Sequence[str], r):
-    """observed_densities' argument checks, in its order, on all N points at once.
+def _checked(observers: Sequence[str], r):
+    """observed_densities' checks of its points, in its order, on all N points at once.
 
     Returns each point's split factors, an (N, k, 3) array whose [p, j] is
-    [1.0, cos r, sin r] for r[p, j], and the table the build reads: psi0's
-    real amplitudes, the split order and the support.
+    [1.0, cos r, sin r] for r[p, j], and the table the build reads: W4's
+    amplitudes, the split order and the support.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
@@ -168,22 +174,15 @@ def _checked(psi0, observers: Sequence[str], r):
     if out_of_domain(r) is not None:
         for obs, column in zip(observers, r.T):
             check_r(column, f"accel: {obs}")
-    psi0 = np.asarray(psi0)
-    if psi0.shape != (16,):
-        got = len(psi0) if psi0.ndim == 1 else f"shape {psi0.shape}"
-        raise ValueError(f"observed states need the 16 amplitudes of A, B, C, D, got {got}")
-    if psi0.imag.any():
-        raise ValueError("observed states need real amplitudes")
     check_observers(observers, "observers")
-    psi0 = np.asarray(psi0.real, dtype=float)
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
-    support = _support(tuple(pos for pos, _ in order), tuple(np.flatnonzero(psi0).tolist()))
+    support = _support(tuple(pos for pos, _ in order))
     # math's cos and sin, value by value, once per call; numpy's vector loops may round differently
     values, split = r.ravel().tolist(), np.ones((r.size, 3))
     split[:, 1] = np.fromiter(map(math.cos, values), float, r.size)
     split[:, 2] = np.fromiter(map(math.sin, values), float, r.size)
-    return split.reshape(r.shape + (3,)), (psi0, order, support)
+    return split.reshape(r.shape + (3,)), (W4, order, support)
 
 
 def _built(split: np.ndarray, table) -> DensityMatrix:
@@ -207,14 +206,15 @@ def _built(split: np.ndarray, table) -> DensityMatrix:
 def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> DensityMatrix:
     """Observed states at N >= 1 points, as one validated (N, 16, 16) stack.
 
-    psi0 is array-like: the 16 real amplitudes of the register A, B, C, D,
-    as w_state(4) gives them; a nonzero imaginary part raises ValueError.
-    Its norm is left to rho's trace check: the split preserves the norm, so
-    tr rho = |psi0|^2.  r is an (N, k) array: r[p, j] is the parameter of
-    observers[j] at point p.  The observers' modes are split in register
-    order and the region-II modes are traced out of the pure states directly.
+    psi0 must equal w_state(4), the amplitudes of |W4> on the register A, B,
+    C, D; any other array-like raises one ValueError before anything is
+    built.  r is an (N, k) array: r[p, j] is the parameter of observers[j]
+    at point p.  The observers' modes are split in register order and the
+    region-II modes are traced out of the pure states directly.
     """
-    return _built(*_checked(psi0, observers, r))
+    if not np.array_equal(psi0, W4):
+        raise ValueError("observed states start from |W4>: psi0 must equal w_state(4)")
+    return _built(*_checked(observers, r))
 
 
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:

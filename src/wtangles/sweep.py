@@ -80,6 +80,8 @@ def _validated(config: SweepConfig) -> SweepConfig:
         if any((a.lo, a.hi) != (swept[0].lo, swept[0].hi) for a in swept):
             raise ConfigError("diagonal: swept axes must share one range")
     if config.grid is not None:
+        if not swept:
+            raise ConfigError("grid: no swept axis")
         total = config.grid ** (1 if config.diagonal else len(swept))
         if total > MAX_POINTS:
             raise ConfigError(

@@ -29,6 +29,8 @@ ENTROPY_LIMIT_TWO = 1.2554823251787535         # (1/4)ln 8 + (3/4)ln(8/3)
 ENTROPY_AT_03 = 0.2418378551709358
 ONE_ACCEL_LIMIT_EIGS = (0.375, 0.625)
 TWO_ACCEL_LIMIT_EIGS = (0.125, 0.125, 0.375, 0.375)
+# the one message for initial amplitudes other than those of |W4>
+W4_ONLY = "observed states start from |W4>: psi0 must equal w_state(4)"
 
 
 def _mirror(entries, dim=16):

@@ -131,6 +131,9 @@ def test_sweep_reads_its_preset_as_figures_only_does(preset, capsys):
     # one r rule and one message form: sweep's axes, the library and the closed forms
     (["sweep", "--accel", "C=0.1", "--accel", "D=0:2"], "accel: D=2.0 outside [0, pi/4]"),
     (["matrix", "--accel", "C=-0.5"], "accel: C=-0.5 outside [0, pi/4]"),
+    # a grid needs a swept axis to lay its points on
+    (["sweep", "--accel", "D=0.3", "--grid", "5"], "grid: no swept axis"),
+    (["sweep", "--preset", "fig3", "--accel", "D=0.2", "--grid", "5"], "grid: no swept axis"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):

@@ -52,26 +52,17 @@ def test_w_state_rejects_bad_sizes(n):
 
 
 def test_state_vector_validation():
-    # a state vector is checked where it is observed: its shape by
-    # observed_densities, its norm and values by rho's own checks
-    for amplitudes in (np.eye(1, 3)[0], np.eye(1, 1)[0], np.eye(1, 4).reshape(2, 2)):
-        with pytest.raises(ValueError, match=r"16 amplitudes of A, B, C, D, got (3|1|shape \(2, 2\))$"):
-            observed_density(amplitudes, None)
-    # nor is anything but a vector
-    for amplitudes in (np.zeros((4, 4)), 0.5):
-        with pytest.raises(ValueError, match=r"A, B, C, D, got shape \((4, 4)?\)$"):
-            observed_density(amplitudes, None)
-    # the norm is left to rho's trace check: the split preserves it, so tr rho = |psi0|^2
-    for scenario in (None, {"D": 0.3}, {"C": 0.2, "D": 0.6}):
-        with pytest.raises(ValueError) as info:
-            observed_density(2 * w_state(4), scenario)
-        assert str(info.value) == "density matrix trace is 4.0, expected 1"
-    # a NaN amplitude is one line from rho's Hermiticity check
-    unknown = reference.w_amplitudes(4)
+    # the register is only ever |W4>: any other amplitudes, a wrong size, a
+    # non-vector, another norm, a NaN or a phase, get one message
+    unknown, phased = reference.w_amplitudes(4), reference.w_amplitudes(4)
     unknown[4] = np.nan
-    with pytest.raises(ValueError) as info:
-        observed_density(unknown, {"D": 0.3})
-    assert str(info.value) == "density matrix deviates from Hermiticity by nan"
+    phased[8] = 0.5j
+    for amplitudes in (np.eye(1, 3)[0], np.eye(1, 1)[0], np.eye(1, 4).reshape(2, 2),
+                       np.zeros((4, 4)), 0.5, 2 * w_state(4), unknown, phased):
+        for scenario in (None, {"D": 0.3}, {"C": 0.2, "D": 0.6}):
+            with pytest.raises(ValueError) as info:
+                observed_density(amplitudes, scenario)
+            assert str(info.value) == patterns.W4_ONLY
 
 
 def test_state_vector_amplitudes_read_only():

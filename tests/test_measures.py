@@ -360,13 +360,15 @@ def test_geometric_mean_over_a_stack_names_the_worst_residual():
     pi_k["D"] = np.array([-2e-9, -1e-9])
     with pytest.raises(ValueError, match=r"residual tangle D=-2\.000e-09"):
         big_pi4_tangle(pi_k)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         big_pi4_tangle({"A": 1.0, "B": 1.0, "C": 1.0, "D": math.nan})
+    assert str(info.value) == "residual tangle D is not a number"
 
 
 def test_evaluate_points_needs_a_point():
-    for r in ([], np.empty((0, 1))):
-        with pytest.raises(ValueError, match="at least one point"):
+    # no point: rindler._checked's shape message, which names the caller's r
+    for r, shape in (([], r"\(0,\)"), (np.empty((0, 1)), r"\(0, 1\)")):
+        with pytest.raises(ValueError, match=rf"^r has shape {shape}, want \(points >= 1, 1\)$"):
             measures.evaluate_points(["D"], r, ["S"])
 
 

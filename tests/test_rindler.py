@@ -24,6 +24,7 @@ from wtangles.rindler import (
     R_LO,
     R_MAX,
     ConfigError,
+    _built,
     _checked,
     _support,
     check_r,
@@ -34,6 +35,7 @@ from wtangles.rindler import (
 from wtangles.sweep import AxisSpec, check_axes
 
 from . import patterns, reference
+from .lapack import recorded
 
 
 def _table_split(psi0, positions, r):
@@ -89,7 +91,7 @@ def test_one_r_rule_for_axes_points_and_closed_forms():
 
 def test_checked_takes_math_cos_and_sin_of_every_point_once():
     r = np.array([[0.0, R_MAX], [0.3, 1e-300], [R_HI, R_LO]])
-    split, _ = _checked(w_state(4), ["C", "D"], r)
+    split, _ = _checked(["C", "D"], r)
     assert split.shape == (3, 2, 3)
     for p, j in np.ndindex(r.shape):
         x = float(r[p, j])
@@ -207,17 +209,17 @@ def test_observed_density_rejects_bad_input():
         observed_density(w_state(4), {"X": 0.1})
     with pytest.raises(ValueError, match="outside"):
         observed_density(w_state(4), {"D": 1.0})
-    # the register is A, B, C, D: three or five modes are not it
-    for n in (3, 5):
-        with pytest.raises(ValueError, match=f"16 amplitudes of A, B, C, D, got {1 << n}"):
-            observed_density(reference.w_amplitudes(n), {"C": 0.1})
-    # a relative phase: still a normalized state, but the build is real
-    phased = reference.w_amplitudes(4)
+    # the register is |W4> on A, B, C, D: three or five modes, another norm, a
+    # NaN or a relative phase is not it, and each gets the one message
+    unknown, phased = reference.w_amplitudes(4), reference.w_amplitudes(4)
+    unknown[4] = np.nan
     phased[8] = 0.5j
-    for scenario in (None, {"D": 0.3}):
-        with pytest.raises(ValueError) as info:
-            observed_density(phased, scenario)
-        assert str(info.value) == "observed states need real amplitudes"
+    for psi0 in (reference.w_amplitudes(3), reference.w_amplitudes(5), np.zeros((4, 4)),
+                 2 * w_state(4), unknown, phased):
+        for scenario in (None, {"D": 0.3}):
+            with pytest.raises(ValueError) as info:
+                observed_density(psi0, scenario)
+            assert str(info.value) == patterns.W4_ONLY
     # no points: the shape check names it, not numpy's reshape
     with pytest.raises(ValueError) as info:
         observed_densities(w_state(4), ["D"], np.empty((0, 1)))
@@ -317,23 +319,42 @@ _AMPLITUDE = st.sampled_from((0.0, -0.0)) | st.floats(0.05, 1.0) | st.floats(-1.
          rows=[[0.0] * 4, [R_MAX] * 4, [0.0, R_MAX, 0.0, R_MAX]])
 @example(psi0=[-0.0, -0.5, 0.0, -0.5] * 4, observers=["B"], rows=[[0.0], [R_MAX]])
 def test_support_build_equals_the_dense_build(psi0, observers, rows):
-    # at r = 0, sin r times a negative amplitude is -0.0, and rho must still hold +0.0
+    # at r = 0, sin r times a negative amplitude is -0.0, and rho must still hold +0.0;
+    # other amplitudes than |W4>'s take the private builder: a support table
+    # of their nonzero pattern, and _built over _checked's split factors
     psi0 = np.array(psi0) / np.linalg.norm(psi0)
     r = [row[:len(observers)] for row in rows]
-    matrix = observed_densities(psi0, observers, r).matrix
+    split, (_, order, _) = _checked(observers, r)
+    support = _support(tuple(pos for pos, _ in order), tuple(np.flatnonzero(psi0).tolist()))
+    matrix = _built(split, (psi0, order, support)).matrix
     assert matrix.tobytes() == reference.observed_dense(psi0, observers, r).tobytes()
 
 
 def test_one_nonzero_pattern_adds_one_support_table():
+    # the public path splits |W4>'s one nonzero pattern: one table per observer set
     _support.cache_clear()
-    signs = np.array([1.0, -1.0, 0.3, -0.0] * 4)
-    psi0 = w_state(4) * signs / np.linalg.norm(w_state(4) * signs)
     observed_densities(w_state(4), ["C", "D"], [[0.2, 0.3]])
-    # other values and observer order, the same nonzero pattern and split modes
-    observed_densities(psi0, ["D", "C"], [[0.1, 0.4], [0.0, R_MAX]])
+    # other values and observer order, the same split modes
+    observed_densities(w_state(4), ["D", "C"], [[0.1, 0.4], [0.0, R_MAX]])
+    observed_density(w_state(4), {"D": 0.5, "C": 0.1})
     assert _support.cache_info().currsize == 1
     observed_densities(w_state(4), ["D"], [[0.2]])
     assert _support.cache_info().currsize == 2
+
+
+def test_only_w4_is_observed():
+    # a normalized |W4> with one sign flipped, and |W4> with twice its norm:
+    # one message, before any state is built, factored or solved
+    flipped = w_state(4) * np.array([1.0, -1.0] * 8)
+    assert np.linalg.norm(flipped) == 1.0 and flipped[1] == -0.5
+    with recorded() as calls:
+        for psi0 in (flipped, 2 * w_state(4)):
+            for observers, r in ((["D"], [[0.3]]), (["C", "D"], [[0.2, 0.6], [0.4, 0.1]]),
+                                 ([], np.empty((1, 0)))):
+                with pytest.raises(ValueError) as info:
+                    observed_densities(psi0, observers, r)
+                assert str(info.value) == patterns.W4_ONLY
+    assert calls == []
 
 
 @pytest.mark.parametrize("observers, r, fragment", [

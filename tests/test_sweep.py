@@ -98,6 +98,9 @@ def test_atomic_output_passes_a_stale_temp_file(tmp_path):
     SweepConfig(accelerated=(swept("B"), swept("C"), swept("D"))),
     SweepConfig(accelerated=(swept("D"),), diagonal=True),
     SweepConfig(accelerated=(AxisSpec("C", 0.0, 0.5), AxisSpec("D", 0.0, 0.7)), diagonal=True),
+    # a grid with no swept axis to lay its points on
+    SweepConfig(grid=3),
+    SweepConfig(accelerated=(fixed("C", 0.2), fixed("D", 0.3)), grid=3),
 ])
 def test_invalid_configs_raise(config):
     with pytest.raises(ConfigError):
