@@ -3,7 +3,9 @@
 A sweep is configured by its flags alone: --preset, or the defaults, gives
 the base SweepConfig, and each other flag given replaces one of its fields.
 A matrix dump names its entries from the Rindler support table that builds
-the matrix.
+the matrix, and permutes the matrix and its names by one partial transpose,
+over no mode unless --transpose names one.  main is run by the wtangles
+console script and by python -m wtangles (__main__).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .checks import run_check
-from .fock import OBSERVERS, W4, _transposed, partial_transpose
+from .fock import OBSERVERS, W4, _transposed
 from .measures import ConfigError, select_names
 from .rindler import R_MAX, _support, check_observers, observed_density
 from .sweep import (
@@ -172,16 +174,14 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     the Rindler map and permuted as the matrix is, or, with a factor from an
     accelerated A or B, as a 10-digit decimal with a point or an exponent.
     """
-    if transpose is not None:
-        check_observers([transpose], "transpose")
-    rho = observed_density(W4, params)
-    part = None if transpose is None else [OBSERVERS.index(transpose)]
-    matrix = rho.matrix if part is None else partial_transpose(rho, part)
+    # the observer transposed, stripped as every name is, or none
+    transposed = [] if transpose is None else [transpose.strip()]
+    check_observers(transposed, "transpose")
+    part = [OBSERVERS.index(obs) for obs in transposed]
+    real = _transposed(observed_density(W4, params).matrix, 4, part)
     labels = (f"{obs}_I" if obs in params else obs for obs in OBSERVERS)
     lines = [f"layout: {', '.join(labels)}"]
-    if transpose is not None:
-        lines.append(f"partial transpose over: {transpose}")
-    real = matrix.real
+    lines.extend(f"partial transpose over: {obs}" for obs in transposed)
     # one printf template per row over Python floats: the same bytes as
     # formatting each value
     row_format = " ".join(["% .5f"] * real.shape[1])
@@ -189,9 +189,7 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     if symbolic:
         lines.append("")
         lines.append("nonzero entries as multiples of 1/4 (upper triangle):")
-        names = _entry_names(tuple(sorted(params)))
-        if part is not None:
-            names = _transposed(names, 4, part)
+        names = _transposed(_entry_names(tuple(sorted(params))), 4, part)
         rows, cols = np.nonzero(np.triu(np.abs(real) > ZERO_ENTRY_TOL))
         for i, j, value in zip(rows.tolist(), cols.tolist(), (4.0 * real[rows, cols]).tolist()):
             # "#": a decimal keeps its point, so 0.99999999996 cannot read as the name 1
@@ -281,7 +279,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -32,8 +32,9 @@ first, with the same spectrum.  The pair states are validated here, at once
 and with no spectrum (fock.validate_density).  Pairs whose states are the
 same bytes over the stack, as the exchange symmetry of |W4> makes them
 (with D accelerated, rho_AB = rho_AC = rho_BC), get the same verdict and
-spectrum: only the first of each is validated and solved, and the others
-read its values, which moves no bit and assumes no symmetry.  evaluate then
+spectrum: the pair stack is indexed by its distinct keys, repeated or not,
+so only the first of each is validated and solved, and each pair reads its
+key's values, which moves no bit and assumes no symmetry.  evaluate then
 fills the planned residuals from TERMS, pi4, Pi4 and S in that order.
 Squares and fourth roots are taken value by value in Python floats, and
 sums run left to right over whole arrays, which keeps a point's values
@@ -109,11 +110,9 @@ def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
     spectra = _eigvalsh(rho.matrix)
     rows = spectra.reshape(-1, spectra.shape[-1])
     positive = (rows > 0.0).sum(axis=1)
-    sizes = set(positive.tolist())
     entropies = np.empty(len(rows))
-    for k in sizes:
-        # a stack with one k, a single state among them, needs no mask
-        group = positive == k if len(sizes) > 1 else slice(None)
+    for k in set(positive.tolist()):
+        group = positive == k
         w = rows[group, rows.shape[1] - k:]
         entropies[group] = -(w * np.log(w)).sum(axis=1)
     return entropies.reshape(spectra.shape[:-1])
@@ -175,9 +174,10 @@ def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
 
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
     The pair states are gathered into one (N, P, 4, 4) stack, in rho's dtype,
-    each keyed by its bytes; the first state of each key is validated, all
-    at once, and their partial transposes on the first mode take one
-    eigvalsh call and give each key's values.
+    each keyed by its bytes, and the stack is indexed by its distinct keys;
+    those states are validated, all at once, and their partial transposes
+    on the first mode take one eigvalsh call and give each key's values,
+    a column of its own for each pair.
     """
     flat = rho.matrix.reshape(len(rho.matrix), -1)
     out = {}
@@ -192,19 +192,13 @@ def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
         del stack
     if pairs:
         reduced = _add_blocks(np.take(flat, [_TRACED[column] for column in pairs], axis=1))
-        # equal bytes give one verdict and one spectrum; the stack is sliced
-        # only when a key repeats
+        # equal bytes give one verdict and one spectrum
         keys = [reduced[:, p].tobytes() for p in range(len(pairs))]
         distinct = list(dict.fromkeys(keys))
-        repeated = len(distinct) < len(keys)
-        if repeated:
-            reduced = reduced[:, [keys.index(key) for key in distinct]]
+        reduced = reduced[:, [keys.index(key) for key in distinct]]
         validate_density(reduced)
         transposed = np.take(reduced.reshape(reduced.shape[:2] + (16,)), _PAIR_TRANSPOSED, axis=2)
-        solved = negative_eigenvalue_sum(transposed)
-        if repeated:
-            # each pair's values in a column of its own, so no two share memory
-            solved = solved[:, [distinct.index(key) for key in keys]]
+        solved = negative_eigenvalue_sum(transposed)[:, [distinct.index(key) for key in keys]]
         out.update(zip(pairs, solved.T))
     return out
 

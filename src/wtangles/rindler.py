@@ -33,17 +33,18 @@ The map conserves N_I - N_II, so V and rho are sparse: with C and D split,
 |W4> gives 12 nonzero amplitudes and 37 nonzero rho entries out of 256, 25
 with one observer.  rho is built from that support, not from dense outer
 products.  _support lists it by the rule above, once per set of split modes
-(for W4's nonzero pattern, unless a builder names another): a split mode
-that is occupied keeps its bit and leaves region II empty, and an empty
-one branches into cos r (both wedges empty) and sin r (both occupied).
-That gives each nonzero amplitude's source and factors, and each nonzero
-rho entry's products in region-II index order.  Per point, each amplitude is the initial one times
-its factors in split order (x 1.0 is exact where a split leaves it), and
-each entry adds its products, in order, onto the +0.0 of a zeroed rho.
-That is the dense sum's arithmetic with its exact-zero terms left out, and
-those change no bit: adding +-0.0 leaves a nonzero sum as it is and keeps a
-zero one +0.0, since a sum that starts at +0.0 never becomes -0.0.  So each
-entry is the same bytes as the dense build's.
+(for W4's amplitudes, unless a builder names others): a split mode that is
+occupied keeps its bit and leaves region II empty, and an empty one
+branches into cos r (both wedges empty) and sin r (both occupied).  That
+gives the table: the row of initial amplitudes that the nonzero split
+amplitudes come from, each one's factors in split order, and each nonzero
+rho entry's products in region-II index order.  Per point, each amplitude
+is its initial one times its factors (x 1.0 is exact where a split leaves
+it), and each entry adds its products, in order, onto the +0.0 of a zeroed
+rho.  That is the dense sum's arithmetic with its exact-zero terms left
+out, and those change no bit: adding +-0.0 leaves a nonzero sum as it is
+and keeps a zero one +0.0, since a sum that starts at +0.0 never becomes
+-0.0.  So each entry is the same bytes as the dense build's.
 
 observed_densities does this for N points at once: the amplitudes are an
 (N, M) stack scaled by per-point cos r and sin r columns, and rho is an
@@ -52,11 +53,12 @@ observed_density is the batch of one.  The checks of its points
 (_checked) and the build from the support table (_built) are two steps, so
 that measures.evaluate_points checks a call's points once and then builds
 each slice of CHUNK rows, each validated as a state.  _checked also takes
-cos r and sin r of every point once per call, into a table of each point's
-split factors [1.0, cos r, sin r], with math's cos and sin applied to each
-value in turn (numpy's vector loops may round differently); _built indexes
-its slice's rows of that table, so each factor keeps math's bits and the
-x 1.0 stays exact.  check_observers is the one rule for a list of observers,
+cos r and sin r of every point once per call, into each point's split
+factors [1.0, cos r, sin r], one row per split mode in split order, with
+math's cos and sin applied to each value in turn (numpy's vector loops may
+round differently); _built reads only its slice's rows of those factors and
+the support table, so each factor keeps math's bits and the x 1.0 stays
+exact.  check_observers is the one rule for a list of observers,
 here, in sweep's axes and in the observer a matrix dump transposes; check_r
 is the one rule for r, here, in sweep's axes and in every closed form of
 oracles.
@@ -77,8 +79,6 @@ R_MAX = math.pi / 4
 R_TOL = 1e-12
 # the r accepted, both ends included
 R_LO, R_HI = -R_TOL, R_MAX + R_TOL
-# the indices of W4's nonzero amplitudes, which every public build splits
-_NONZERO = tuple(np.flatnonzero(W4).tolist())
 
 
 class ConfigError(ValueError):
@@ -114,16 +114,17 @@ def check_r(r, what: str) -> None:
 
 
 @lru_cache
-def _support(positions: tuple[int, ...], nonzero: tuple[int, ...] = _NONZERO):
+def _support(positions: tuple[int, ...], psi0: tuple[float, ...] = tuple(W4.tolist())):
     """The nonzero amplitudes of the split states and the products of their rho.
 
-    positions are the split modes, in register order, and nonzero the
-    indices of the nonzero initial amplitudes, W4's unless a builder of
-    other amplitudes names them.  Each is split by the map's rule, one mode
-    at a time.  The amplitudes are listed by flat index, region-I pattern
-    << k | region-II pattern, with the first split's region-II bit the most
+    positions are the split modes, in register order, and psi0 the 16 real
+    initial amplitudes, W4's unless a builder of other amplitudes names them.
+    Each nonzero one is split by the map's rule, one mode at a time.
+    The amplitudes are listed by flat index, region-I pattern << k |
+    region-II pattern, with the first split's region-II bit the most
     significant.  The table holds
-    - source: (M,) the initial amplitude of each nonzero split amplitude;
+    - initial: a (1, M) row, the initial amplitude each nonzero split
+      amplitude comes from;
     - factors: k (M,) arrays, what split j multiplies each by: 0 nothing,
       1 cos r, 2 sin r;
     - rounds: (3, n) index arrays of entries, left and right; round s adds,
@@ -132,7 +133,7 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...] = _NONZERO):
     """
     k = len(positions)
     # (region-I pattern, region-II pattern, source, factors) of each nonzero amplitude
-    amplitudes = [(source, 0, source, ()) for source in nonzero]
+    amplitudes = [(source, 0, source, ()) for source, x in enumerate(psi0) if x]
     for pos in positions:
         bit = 8 >> pos
         split = []
@@ -147,7 +148,7 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...] = _NONZERO):
         amplitudes = split
     # (row, pattern) order is flat index order, and no two amplitudes share an index
     amplitudes.sort()
-    source = np.array([a[2] for a in amplitudes], dtype=np.intp)
+    initial = np.array([[psi0[a[2]] for a in amplitudes]])
     factors = [np.array([a[3][j] for a in amplitudes], dtype=np.intp) for j in range(k)]
     terms: dict[int, list[tuple[int, int]]] = {}
     for t in range(1 << k):
@@ -158,15 +159,15 @@ def _support(positions: tuple[int, ...], nonzero: tuple[int, ...] = _NONZERO):
     rounds = [np.array([(e, *products[s]) for e, products in terms.items() if len(products) > s],
                        dtype=np.intp).T
               for s in range(max(map(len, terms.values()), default=0))]
-    return source, factors, rounds
+    return initial, factors, rounds
 
 
 def _checked(observers: Sequence[str], r):
     """observed_densities' checks of its points, in its order, on all N points at once.
 
     Returns each point's split factors, an (N, k, 3) array whose [p, j] is
-    [1.0, cos r, sin r] for r[p, j], and the table the build reads: W4's
-    amplitudes, the split order and the support.
+    [1.0, cos r, sin r] for point p's r of the j-th split mode in register
+    order, and the support table of W4 split at those modes.
     """
     r = np.asarray(r, dtype=float)
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
@@ -179,20 +180,19 @@ def _checked(observers: Sequence[str], r):
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
     support = _support(tuple(pos for pos, _ in order))
     # math's cos and sin, value by value, once per call; numpy's vector loops may round differently
-    values, split = r.ravel().tolist(), np.ones((r.size, 3))
+    values, split = r[:, [j for _, j in order]].ravel().tolist(), np.ones((r.size, 3))
     split[:, 1] = np.fromiter(map(math.cos, values), float, r.size)
     split[:, 2] = np.fromiter(map(math.sin, values), float, r.size)
-    return split.reshape(r.shape + (3,)), (W4, order, support)
+    return split.reshape(r.shape + (3,)), support
 
 
-def _built(split: np.ndarray, table) -> DensityMatrix:
-    """The validated rho stack of checked points, from their rows of _checked's split factors."""
-    psi0, order, (source, factors, rounds) = table
+def _built(split: np.ndarray, support) -> DensityMatrix:
+    """The validated rho stack of checked points, from their split factors and support table."""
+    # amp starts as the row of initial amplitudes, which the first split's
+    # factors, or rho's sums with no split, broadcast over the points
+    amp, factors, rounds = support
     points = len(split)
-    # one row of source amplitudes, which the first split's factors, or rho's
-    # sums with no split, broadcast over the points
-    amp = psi0[source][None]
-    for (_, j), factor in zip(order, factors):
+    for j, factor in enumerate(factors):
         # x 1.0 where the split leaves an amplitude as it is: exact
         amp = amp * split[:, j, factor]
     # added, never assigned: each sum starts at +0.0, as the dense sum did, so a

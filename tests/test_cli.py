@@ -88,6 +88,14 @@ def test_sweep_reads_its_preset_as_figures_only_does(preset, capsys):
     assert capsys.readouterr().out == expected
 
 
+def test_sweep_diagonal_prints_the_diagonal_preset(capsys):
+    assert main(["sweep", "--preset", "fig5"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["sweep", "--accel", "C=0:pi/4", "--accel", "D=0:pi/4", "--diagonal",
+                 "--measures", "N_AB,N_AC,N_CD"]) == 0
+    assert capsys.readouterr().out == expected
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["sweep", "--accel", "D0.3"], "accel"),
     (["sweep", "--accel", "D=x"], "accel"),
@@ -354,6 +362,15 @@ def test_matrix_transpose_and_symbolic_annotation(capsys):
     assert "partial transpose over: D" in out
     assert "nonzero entries" in out
     assert "δ" in out            # cos r_d monomial recognised
+
+
+@pytest.mark.parametrize("name", [" C", "C ", " C "])
+def test_matrix_reads_its_transpose_as_every_name_is_read(name, capsys):
+    argv = ["matrix", "--accel", "C=0.3", "--accel", "D=0.4", "--symbolic", "--transpose"]
+    assert main(argv + ["C"]) == 0
+    expected = capsys.readouterr().out
+    assert main(argv + [name]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_matrix_inertial_default(capsys):

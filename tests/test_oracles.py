@@ -214,3 +214,13 @@ def test_the_threshold_bisection_is_bounded(monkeypatch):
     monkeypatch.setattr(oracles, "THRESHOLD_XTOL", 0.0)
     with pytest.raises(RuntimeError, match="after 64 halvings"):
         vanishing_threshold()
+
+
+@pytest.mark.parametrize("bracket", [(0.1, 0.4), (0.5, R_MAX), (0.55, 0.4)],
+                         ids=["below", "above", "reversed"])
+def test_a_bracket_that_misses_the_threshold_raises(bracket, monkeypatch):
+    # r* ~ 0.47247: the raw curve is positive on both ends below it, negative above it
+    monkeypatch.setattr(oracles, "THRESHOLD_BRACKET", bracket)
+    with pytest.raises(RuntimeError) as info:
+        vanishing_threshold()
+    assert str(info.value) == "threshold bracket does not straddle the zero crossing"

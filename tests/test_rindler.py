@@ -41,11 +41,20 @@ from .lapack import recorded
 def _table_split(psi0, positions, r):
     """The nonzero split amplitudes of psi0 at one point, as the support table
     lists them, in flat index order: each initial amplitude times its factors."""
-    source, factors, _ = _support(tuple(positions), tuple(np.flatnonzero(psi0).tolist()))
-    amp = np.asarray(psi0, dtype=float)[source]
+    initial, factors, _ = _support(tuple(positions), tuple(np.asarray(psi0, dtype=float).tolist()))
+    amp = initial[0]
     for factor, x in zip(factors, r):
         amp = amp * np.array([1.0, math.cos(x), math.sin(x)])[factor]
     return amp
+
+
+def _labelled_support(positions, nonzero):
+    """The support table of amplitudes s + 1 at each index s in nonzero, and 0
+    elsewhere, with the source of each split amplitude read off its initial one."""
+    psi0 = tuple(float(s + 1) if s in nonzero else 0.0 for s in range(16))
+    initial, factors, rounds = _support(tuple(positions), psi0)
+    assert initial.shape == (1, initial.size)
+    return [int(x) - 1 for x in initial[0].tolist()], factors, rounds
 
 
 def _products(rounds):
@@ -96,12 +105,14 @@ def test_checked_takes_math_cos_and_sin_of_every_point_once():
     for p, j in np.ndindex(r.shape):
         x = float(r[p, j])
         assert split[p, j].tobytes() == np.array([1.0, math.cos(x), math.sin(x)]).tobytes()
+    # the factors come in split order, the register order of the modes
+    assert np.array_equal(_checked(["D", "C"], r[:, ::-1])[0], split)
 
 
 def test_vacuum_mode_splits_into_both_wedges():
     # |0000> with A split: cos r |0000, 0_II> + sin r |1000, 1_II>
-    source, (factor,), rounds = _support((0,), (0,))
-    assert source.tolist() == [0, 0] and factor.tolist() == [1, 2]
+    source, (factor,), rounds = _labelled_support((0,), (0,))
+    assert source == [0, 0] and factor.tolist() == [1, 2]
     # rho holds cos^2 r at (0000, 0000) and sin^2 r at (1000, 1000)
     assert _products(rounds) == {0: [(0, 0)], 16 * 8 + 8: [(1, 1)]}
     amp = reference.rindler_split(np.eye(16)[0], 4, 0, 0.3)
@@ -111,8 +122,8 @@ def test_vacuum_mode_splits_into_both_wedges():
 
 def test_occupied_mode_stays_in_region_one():
     # |1000> with A split: |1000, 0_II>, with nothing to multiply
-    source, (factor,), rounds = _support((0,), (8,))
-    assert source.tolist() == [8] and factor.tolist() == [0]
+    source, (factor,), rounds = _labelled_support((0,), (8,))
+    assert source == [8] and factor.tolist() == [0]
     assert _products(rounds) == {16 * 8 + 8: [(0, 0)]}
     amp = reference.rindler_split(np.eye(16)[8], 4, 0, 0.3)
     assert np.flatnonzero(amp).tolist() == [16]
@@ -166,9 +177,9 @@ SPLIT_SETS = [c for k in range(5) for c in combinations(range(4), k)]
 def test_support_table_equals_the_reference_split(positions):
     k = len(positions)
     for nonzero in [(1, 2, 4, 8)] + [(s,) for s in range(16)]:
-        source, factors, rounds = _support(positions, nonzero)
+        source, factors, rounds = _labelled_support(positions, nonzero)
         listing = sorted(a for s in nonzero for a in _reference_reading(positions, s))
-        assert source.tolist() == [s for _, s, _ in listing]
+        assert source == [s for _, s, _ in listing]
         assert len(factors) == k
         for j, factor in enumerate(factors):
             assert factor.tolist() == [f[j] for _, _, f in listing]
@@ -184,7 +195,7 @@ def test_support_table_equals_the_reference_split(positions):
 def test_support_table_sizes():
     # the sizes the rindler docstring gives for |W4>
     for positions, amplitudes, entries, rounds in (((2, 3), 12, 37, 2), ((3,), 7, 25, 1)):
-        source, _, table_rounds = _support(positions, (1, 2, 4, 8))
+        source, _, table_rounds = _labelled_support(positions, (1, 2, 4, 8))
         assert len(source) == amplitudes
         assert len(_products(table_rounds)) == entries
         assert len(table_rounds) == rounds
@@ -321,12 +332,12 @@ _AMPLITUDE = st.sampled_from((0.0, -0.0)) | st.floats(0.05, 1.0) | st.floats(-1.
 def test_support_build_equals_the_dense_build(psi0, observers, rows):
     # at r = 0, sin r times a negative amplitude is -0.0, and rho must still hold +0.0;
     # other amplitudes than |W4>'s take the private builder: a support table
-    # of their nonzero pattern, and _built over _checked's split factors
+    # of those amplitudes, and _built over _checked's split factors
     psi0 = np.array(psi0) / np.linalg.norm(psi0)
     r = [row[:len(observers)] for row in rows]
-    split, (_, order, _) = _checked(observers, r)
-    support = _support(tuple(pos for pos, _ in order), tuple(np.flatnonzero(psi0).tolist()))
-    matrix = _built(split, (psi0, order, support)).matrix
+    split, _ = _checked(observers, r)
+    positions = tuple(sorted(map(OBSERVERS.index, observers)))
+    matrix = _built(split, _support(positions, tuple(psi0.tolist()))).matrix
     assert matrix.tobytes() == reference.observed_dense(psi0, observers, r).tobytes()
 
 

@@ -88,6 +88,19 @@ def test_atomic_output_passes_a_stale_temp_file(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["curve.csv", stale.name]
 
 
+def test_atomic_output_passes_an_error_without_errno_raised_in_the_block(tmp_path):
+    # an OSError with no errno is already one line: it propagates as it is,
+    # and the temporary file goes with it
+    target = tmp_path / "curve.csv"
+    error = OSError("cannot write curve.csv: the sweep failed")
+    with pytest.raises(OSError) as info:
+        with atomic_output(str(target)) as handle:
+            handle.write("partial\n")
+            raise error
+    assert info.value is error and info.value.errno is None
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("config", [
     SweepConfig(accelerated=(swept("X"),)),
     SweepConfig(accelerated=(fixed("D", 0.1), fixed("D", 0.2))),
