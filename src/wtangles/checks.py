@@ -8,9 +8,17 @@ point builder sweeps use, and evaluates the column over its points as one
 stack.  It calls the closed form, looked up in the oracles module at call
 time, once per preset, on the array columns of the r values it reads, then
 compares the two routes pointwise and reports the maximum absolute deviation.
-The perturb argument shifts the r values fed to the numeric side only, which
-makes the harness fail on purpose; it exists so the failure path itself can
-be tested.
+
+The vanishing_threshold row holds the paper's printed threshold against the
+pipeline: it evaluates N_CD on the diagonal at r* - THRESHOLD_TOL and
+r* + THRESHOLD_TOL, in one evaluate_points call, with r* the analytic root
+that oracles.vanishing_threshold gives.  It passes when N_CD is positive
+below r*, exactly zero above it, and r* lies within PRINTED_THRESHOLD_TOL of
+the printed value; its deviation is N_CD above r*, at tolerance 0.
+
+In every row the perturb argument shifts the r values fed to the numeric
+side only, clipped to [0, pi/4], which makes the harness fail on purpose; it
+exists so the failure path itself can be tested.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from .sweep import DEFAULT_GRID_1D, PRESETS, SweepConfig, sweep_points
 GRID_2D = 21
 VALUE_TOL = 1e-10
 CONSTANT_TOL = 1e-12
-THRESHOLD_TOL = 1e-6
+THRESHOLD_TOL = 1e-12
 PRINTED_THRESHOLD = 0.472473
 PRINTED_THRESHOLD_TOL = 1e-4
 
@@ -86,17 +94,15 @@ def _check_row(row: OracleRow, perturb: float) -> CheckResult:
 
 
 def _check_vanishing_threshold(perturb: float) -> CheckResult:
-    computed = oracles.vanishing_threshold() + perturb
-    analytic = 0.5 * math.acos(2.0 - math.sqrt(2.0))
-    dev = abs(computed - analytic)
-    printed_dev = abs(computed - PRINTED_THRESHOLD)
-    passed = dev <= THRESHOLD_TOL and printed_dev <= PRINTED_THRESHOLD_TOL
-    # fixed-point below 1, as the check golden prints it; above, where a large
-    # perturb would print hundreds of digits, 10 significant ones
-    shown = f"{computed:.10f}" if abs(computed) < 1.0 else f"{computed:.10g}"
-    detail = (f"r* = {shown}, |r* - {PRINTED_THRESHOLD}| = {printed_dev:.3e} "
-              f"(tol {PRINTED_THRESHOLD_TOL:g})")
-    return CheckResult("vanishing_threshold", dev, THRESHOLD_TOL, passed, detail)
+    r_star = oracles.vanishing_threshold()
+    r = np.array([[r_star - THRESHOLD_TOL] * 2, [r_star + THRESHOLD_TOL] * 2])
+    shifted = np.clip(r + perturb, 0.0, R_MAX)
+    below, above = evaluate_points(("C", "D"), shifted, ["N_CD"])["N_CD"].tolist()
+    passed = (below > 0.0 and above == 0.0
+              and abs(r_star - PRINTED_THRESHOLD) <= PRINTED_THRESHOLD_TOL)
+    detail = (f"r* = {r_star:.10f} vs {PRINTED_THRESHOLD}; "
+              f"N_CD(r* - {THRESHOLD_TOL:g}) = {below:.3e}")
+    return CheckResult("vanishing_threshold", above, 0.0, passed, detail)
 
 
 CHECKS: dict[str, Callable[[float], CheckResult]] = {

@@ -17,7 +17,8 @@ own spectra, which nothing else needs.
 select_names is the one rule that reads a list of names, here and in
 sweeps, figures and checks: a bare str is one name, each name is stripped
 and an empty one dropped, all stands for every known name, a name given
-twice is kept once, and an unknown name or none at all is a ConfigError.
+twice is kept once, and a token that is not a str, an unknown name or none
+at all is a ConfigError.
 evaluate reads a request by it and plans the request once (the plan is
 cached): its columns, which residuals they need (all four for pi4 or Pi4),
 and from them which 1-3 tangles and which pairs, all by name.  Each needed
@@ -42,8 +43,8 @@ independent of its stack (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, takes the points as one
-(N, k) array of r values, checks them once (rindler._checked: the shape,
-the r domain, the observers and the support lookup of
+(N, k) array of r values, checks them once (rindler._checked: the dtype,
+the shape, the r domain, the observers and the support lookup of
 rindler.observed_densities), reads the request once, then builds the
 observed |W4>, validates it as states and evaluates it CHUNK rows per
 stack.
@@ -139,12 +140,14 @@ _PAIR_TRANSPOSED = _transposed(np.arange(16).reshape(4, 4), 2, [0])
 def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
     """The known names in tokens, all expanded, each once where it first appears.
 
-    A bare str is one token, not a sequence of one-letter names.  Each token
-    is stripped and an empty one dropped.  The first unknown name, or no name
-    at all, raises a ConfigError naming what is selected.
+    A bare str, or bytes, is one token, not a sequence of letters or bytes.
+    Each token is stripped and an empty one dropped.  The first token that is
+    not a str, the first unknown name, or no name at all, raises a
+    ConfigError naming what is selected.
     """
-    if isinstance(tokens, str):
-        tokens = (tokens,)
+    tokens = (tokens,) if isinstance(tokens, (str, bytes)) else tuple(tokens)
+    if bad := [token for token in tokens if not isinstance(token, str)]:
+        raise ConfigError(f"{what}: expected names as str, got {bad[0]!r}")
     stripped = (token.strip() for token in tokens)
     names = [name for token in stripped if token
              for name in (known if token == "all" else (token,))]
@@ -157,7 +160,7 @@ def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tu
 
 
 @lru_cache(maxsize=64)
-def _plan(request: str | tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+def _plan(request: str | bytes | tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
     """A request's columns, then the 1-3 tangles, pairs and residuals they take."""
     columns = select_names(request, COLUMNS, "measure")
     means = "pi4" in columns or "Pi4" in columns
@@ -218,7 +221,7 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     if not shape[0]:
         raise ValueError("evaluate needs at least one state, got an empty stack")
     columns, one_three, pairs, residuals = _plan(
-        columns if isinstance(columns, str) else tuple(columns))
+        columns if isinstance(columns, (str, bytes)) else tuple(columns))
     if single:
         rho = rho[None]
     values = _spectral_columns(rho, one_three, pairs)
@@ -252,7 +255,7 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
     """
     split, table = _checked(observers, r)
     # read once, before any state is built; each chunk's plan is then a cache hit
-    columns = _plan(columns if isinstance(columns, str) else tuple(columns))[0]
+    columns = _plan(columns if isinstance(columns, (str, bytes)) else tuple(columns))[0]
     # each chunk's columns as the rows of one (C, n) array, joined into (C, N)
     chunks = [np.array(list(evaluate(_built(split[start:start + CHUNK], table), columns).values()))
               for start in range(0, len(split), CHUNK)]

@@ -30,11 +30,6 @@ import numpy as np
 from .rindler import check_r
 
 SQRT2 = math.sqrt(2.0)
-
-THRESHOLD_BRACKET = (0.4, 0.55)
-THRESHOLD_XTOL = 1e-10
-# the bisection needs 31 halvings of the bracket to reach THRESHOLD_XTOL
-THRESHOLD_HALVINGS = 64
 # what a closed form takes for each r, and returns: a float, or a float array
 Values = float | np.ndarray
 
@@ -129,27 +124,11 @@ def n_pair_accel_both(r_c: Values, r_d: Values) -> Values:
 def vanishing_threshold() -> float:
     """Diagonal r at which the accelerated-pair negativity reaches zero.
 
-    Found by bisection on the raw (unclipped) diagonal curve over the bracket
-    [0.4, 0.55] to an interval of 1e-10.  With x = cos 2r the zero condition
-    factors as (x^2 - 4x + 2)(x + 1)^2 = 0, so the root is at
-    r = arccos(2 - sqrt(2)) / 2 = 0.47247312...  A bisection that has not
-    reached THRESHOLD_XTOL after THRESHOLD_HALVINGS halvings raises.
+    With x = cos 2r the raw diagonal curve's zero condition factors as
+    (x^2 - 4x + 2)(x + 1)^2 = 0; its one root with r in [0, pi/4] is
+    x = 2 - sqrt(2), so r* = arccos(2 - sqrt(2)) / 2 = 0.47247312...
     """
-    lo, hi = THRESHOLD_BRACKET
-    f_lo = _n_pair_accel_both_raw(lo, lo)
-    f_hi = _n_pair_accel_both_raw(hi, hi)
-    if not (f_lo > 0.0 > f_hi):
-        raise RuntimeError("threshold bracket does not straddle the zero crossing")
-    for _ in range(THRESHOLD_HALVINGS):
-        if not hi - lo > THRESHOLD_XTOL:
-            return 0.5 * (lo + hi)
-        mid = 0.5 * (lo + hi)
-        if _n_pair_accel_both_raw(mid, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    raise RuntimeError(f"threshold bisection still {hi - lo!r} wide after "
-                       f"{THRESHOLD_HALVINGS} halvings (xtol {THRESHOLD_XTOL!r})")
+    return 0.5 * math.acos(2.0 - SQRT2)
 
 
 def entropy_one_accel(r_d: Values) -> Values:

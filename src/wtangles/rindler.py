@@ -167,9 +167,13 @@ def _checked(observers: Sequence[str], r):
 
     Returns each point's split factors, an (N, k, 3) array whose [p, j] is
     [1.0, cos r, sin r] for point p's r of the j-th split mode in register
-    order, and the support table of W4 split at those modes.
+    order, and the support table of W4 split at those modes.  A bare str of
+    observers is one name, as measures.select_names reads it, and r must be
+    of an integer or float dtype: bool, complex, str or object is rejected.
     """
-    r = np.asarray(r, dtype=float)
+    observers = (observers,) if isinstance(observers, str) else observers
+    if (r := np.asarray(r)).dtype.kind not in "iuf":
+        raise ConfigError(f"r has dtype {r.dtype}, want real numbers")
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
         raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")
     if out_of_domain(r) is not None:

@@ -14,8 +14,7 @@ from wtangles.checks import run_check
 from wtangles.fock import _add_blocks, _trace_blocks, partial_transpose, w_state
 from wtangles.fock import DensityMatrix
 from wtangles.linalg import negative_eigenvalue_sum
-from wtangles.measures import evaluate, tangle_report, von_neumann_entropy
-from wtangles.oracles import vanishing_threshold
+from wtangles.measures import evaluate, evaluate_points, tangle_report, von_neumann_entropy
 from wtangles.rindler import observed_density
 
 from . import patterns, reference
@@ -84,13 +83,15 @@ def test_criterion_04_infinite_acceleration_endpoints():
 
 
 def test_criterion_05_vanishing_threshold():
-    r_star = vanishing_threshold()
-    analytic = 0.5 * math.acos(2.0 - math.sqrt(2.0))
-    dev = abs(r_star - analytic)
+    # the pipeline's own N_CD on the diagonal, 1e-12 either side of r*
+    r_star = patterns.THRESHOLD_R
+    r = np.array([[r_star - 1e-12] * 2, [r_star + 1e-12] * 2])
+    below, above = evaluate_points(("C", "D"), r, ["N_CD"])["N_CD"].tolist()
     printed_dev = abs(r_star - patterns.THRESHOLD_PRINTED)
-    passed = dev <= 1e-6 and printed_dev <= 1e-4
+    passed = below > 0.0 and above == 0.0 and printed_dev <= 1e-4
     _record(5, "vanishing threshold", passed,
-            f"r* = {r_star:.10f}, formula dev {dev:.2e} (tol 1e-6), "
+            f"r* = {r_star:.10f}, N_CD(r* - 1e-12) = {below:.2e} (want > 0), "
+            f"N_CD(r* + 1e-12) = {above:.2e} (want 0), "
             f"printed-value dev {printed_dev:.2e} (tol 1e-4)")
 
 

@@ -11,6 +11,8 @@ from wtangles import checks, oracles
 from wtangles.checks import ORACLE_ROWS, run_check
 from wtangles.sweep import PRESETS, sweep_points
 
+from . import patterns
+
 R_MAX = math.pi / 4
 
 
@@ -21,6 +23,12 @@ def _line():
 def _grid(n):
     axis = np.linspace(0.0, R_MAX, n)
     return ("C", "D"), np.column_stack([np.repeat(axis, n), np.tile(axis, n)])
+
+
+def _threshold_points():
+    # the diagonal 1e-12 below and above r*, typed out rather than read from oracles
+    return ("C", "D"), np.array([[patterns.THRESHOLD_R - 1e-12] * 2,
+                                 [patterns.THRESHOLD_R + 1e-12] * 2])
 
 
 # the points of each evaluate_points call of a run_check() pass, in row order,
@@ -34,6 +42,7 @@ EXPECTED_POINTS = [
     _grid(21),  # n_pair_accel_one
     _grid(21),  # n_pair_accel_both
     _line(),  # entropy_one_accel
+    _threshold_points(),  # vanishing_threshold
 ]
 
 
@@ -117,13 +126,62 @@ def test_a_row_calls_its_closed_form_once_per_sweep(row, monkeypatch):
             r[:, observers.index(observer)].tobytes() for observer in row.reads]
 
 
-def test_the_threshold_row_needs_both_deviations_within_tolerance(monkeypatch):
-    # dev 1.0e-5 fails THRESHOLD_TOL, while the printed dev 1.013e-5 is within 1e-4
-    result = checks._check_vanishing_threshold(1e-5)
-    assert result.max_dev > checks.THRESHOLD_TOL and "= 1.013e-05 (tol 0.0001)" in result.detail
+def test_the_threshold_row_reads_the_pipeline(monkeypatch):
+    def raising(*args):
+        raise RuntimeError("no pipeline")
+
+    monkeypatch.setattr(checks, "evaluate_points", raising)
+    with pytest.raises(RuntimeError, match="^no pipeline$"):
+        run_check(["vanishing_threshold"])
+
+
+def _shifted_pipeline(monkeypatch, shift):
+    """Wrap the row's evaluate_points so that its crossing moves by -shift in r."""
+    evaluate_points = checks.evaluate_points
+    monkeypatch.setattr(checks, "evaluate_points",
+                        lambda observers, r, columns: evaluate_points(observers, r + shift, columns))
+
+
+def test_a_moved_crossing_fails_the_threshold_row(monkeypatch):
+    # the pipeline's N_CD crossing 1e-9 lower: zero on both sides of r*
+    _shifted_pipeline(monkeypatch, 1e-9)
+    [result] = run_check(["vanishing_threshold"])
     assert not result.passed
-    # and the other way round: r* itself, against a printed value 1.3e-4 off
-    monkeypatch.setattr(checks, "PRINTED_THRESHOLD", 0.4726)
-    result = checks._check_vanishing_threshold(0.0)
-    assert result.max_dev <= checks.THRESHOLD_TOL and "(tol 0.0001)" in result.detail
-    assert not result.passed
+    assert result.max_dev == 0.0 and result.detail.endswith("N_CD(r* - 1e-12) = 0.000e+00")
+
+
+def test_the_threshold_row_needs_each_of_its_three_conditions(monkeypatch):
+    [result] = run_check(["vanishing_threshold"])
+    assert result.passed and result.max_dev == 0.0 and result.tol == 0.0
+    assert result.detail == "r* = 0.4724731279 vs 0.472473; N_CD(r* - 1e-12) = 8.200e-13"
+    with monkeypatch.context() as patch:
+        # N_CD above r* alone is off: the crossing 1e-9 higher, positive on both sides
+        _shifted_pipeline(patch, -1e-9)
+        [result] = run_check(["vanishing_threshold"])
+        assert not result.passed and result.max_dev > 0.0
+        assert not result.detail.endswith("= 0.000e+00")
+    with monkeypatch.context() as patch:
+        # N_CD below r* alone is off: zero there, and still zero above
+        evaluate_points = checks.evaluate_points
+
+        def zero_below(observers, r, columns):
+            values = evaluate_points(observers, r, columns)
+            return {"N_CD": np.array([0.0, values["N_CD"][1]])}
+
+        patch.setattr(checks, "evaluate_points", zero_below)
+        [result] = run_check(["vanishing_threshold"])
+        assert not result.passed and result.max_dev == 0.0
+    with monkeypatch.context() as patch:
+        # r* alone is off: the printed value 1.3e-4 away from it
+        patch.setattr(checks, "PRINTED_THRESHOLD", 0.4726)
+        [result] = run_check(["vanishing_threshold"])
+        assert not result.passed and result.max_dev == 0.0
+        assert result.detail.endswith("N_CD(r* - 1e-12) = 8.200e-13")
+
+
+def test_the_threshold_row_takes_its_root_from_oracles(monkeypatch):
+    # checks keeps no copy of r*: another root moves both points below the crossing
+    monkeypatch.setattr(oracles, "vanishing_threshold", lambda: 0.47)
+    [result] = run_check(["vanishing_threshold"])
+    assert not result.passed and result.max_dev > 0.0
+    assert result.detail.startswith("r* = 0.4700000000 vs 0.472473; ")

@@ -300,26 +300,33 @@ def test_check_perturbed_pipeline_fails(capsys):
     assert "first failing oracle: n_d1_abc" in out
 
 
+THRESHOLD_LINE = ("vanishing_threshold    max dev {}  tol 0       FAIL  "
+                  "r* = 0.4724731279 vs 0.472473; N_CD(r* - 1e-12) = {}")
+
+
 def test_check_huge_perturb_prints_short_lines(capsys):
-    # r* far from [0, 1) prints 10 significant digits, not 300 fixed-point ones
-    for perturb, shown in (("1e308", "1e+308"), ("-1e308", "-1e+308"), ("0.6", "1.072473128")):
+    # r* is never perturbed, only the points the pipeline reads, clipped to [0, pi/4]
+    for perturb, dev, below in (("1e308", "  0.000e+00", "0.000e+00"),
+                                ("-1e308", "  2.071e-01", "2.071e-01"),
+                                ("0.6", "  0.000e+00", "0.000e+00"),
+                                ("0.01", "  0.000e+00", "0.000e+00"),
+                                ("-0.45", "  2.066e-01", "2.066e-01")):
         assert main(["check", "vanishing_threshold", f"--perturb={perturb}"]) == 1
         out = capsys.readouterr().out
-        assert f"FAIL  r* = {shown}, |r* - 0.472473| = " in out
+        assert out.splitlines()[0] == THRESHOLD_LINE.format(dev, below)
         assert max(map(len, out.splitlines())) <= 121
-    # below 1 the fixed-point digits stay as the check golden prints them
-    assert main(["check", "vanishing_threshold", "--perturb=-0.45"]) == 1
-    assert "r* = 0.0224731279, " in capsys.readouterr().out
 
 
 def test_check_takes_a_negative_perturb_with_an_exponent(capsys):
     # argparse before 3.13 reads -1e-3 as a flag, not as the value of --perturb
     assert main(["check", "vanishing_threshold", "--perturb=-1e-3"]) == 1
     joined = capsys.readouterr()
+    assert joined.out.splitlines()[0] == THRESHOLD_LINE.format("  8.198e-04", "8.198e-04")
     assert main(["check", "vanishing_threshold", "--perturb", "-1e-3"]) == 1
     assert capsys.readouterr() == joined
     assert main(["check", "vanishing_threshold", "--perturb", "-1e308"]) == 1
-    assert "FAIL  r* = -1e+308, " in capsys.readouterr().out
+    assert "FAIL  r* = 0.4724731279 vs 0.472473; N_CD(r* - 1e-12) = 2.071e-01" in (
+        capsys.readouterr().out)
 
 
 def test_check_unknown_name(capsys):

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 from itertools import groupby
 from types import SimpleNamespace
 
@@ -458,6 +459,59 @@ def test_evaluate_points_rejects_a_bad_request_before_any_solve(request_, messag
         with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             evaluate_points(observers, r, request_)
     assert calls == []
+
+
+@pytest.mark.parametrize("request_, shown", [
+    ([1], "1"),
+    (b"N_CD", "b'N_CD'"),
+    (["S", None], "None"),
+], ids=["int", "bytes", "none-among-names"])
+def test_a_token_that_is_not_a_str_is_a_config_error(request_, shown):
+    observers, r = sweep_points(PRESETS["fig7"])
+    with recorded() as calls:
+        for read, what in ((lambda: evaluate_points(observers, r, request_), "measure"),
+                           (lambda: run_check(request_), "oracle")):
+            with pytest.raises(ConfigError,
+                               match=f"^{what}: expected names as str, got {re.escape(shown)}$"):
+                read()
+    assert calls == []
+
+
+def test_a_bare_str_of_observers_is_one_name():
+    # as select_names reads a bare str: "CD" is one unknown observer, not C and D
+    with recorded() as calls:
+        with pytest.raises(ValueError, match=r"^r has shape \(1, 2\), want \(points >= 1, 1\)$"):
+            evaluate_points("CD", [[0.3, 0.4]], "N_CD")
+        for run in (lambda: evaluate_points("CD", [[0.3]], "N_CD"),
+                    lambda: observed_densities(w_state(4), "CD", [[0.3]])):
+            with pytest.raises(ConfigError,
+                               match="^observers: unknown observer 'CD'; known: A, B, C, D$"):
+                run()
+    assert calls == []
+    _assert_same_bytes(evaluate_points("D", [[0.3]], COLUMNS),
+                       evaluate_points(("D",), [[0.3]], COLUMNS))
+
+
+@pytest.mark.parametrize("r, dtype", [
+    ([["0.3"]], "<U3"),
+    ([[False]], "bool"),
+    ([[0.3 + 0j]], "complex128"),
+    ([[Fraction(3, 10)]], "object"),
+], ids=["str", "bool", "complex", "object"])
+def test_r_that_is_not_of_a_real_numeric_dtype_is_a_config_error(r, dtype):
+    message = f"^r has dtype {re.escape(dtype)}, want real numbers$"
+    with recorded() as calls:
+        for run in (lambda: evaluate_points(("D",), r, "N_CD"),
+                    lambda: observed_densities(w_state(4), ("D",), r),
+                    lambda: observed_density(w_state(4), {"D": r[0][0]})):
+            with pytest.raises(ConfigError, match=message):
+                run()
+    assert calls == []
+
+
+def test_r_of_an_integer_dtype_is_read_as_its_float():
+    _assert_same_bytes(evaluate_points(("C", "D"), [[0, 0]], COLUMNS),
+                       evaluate_points(("C", "D"), [[0.0, 0.0]], COLUMNS))
 
 
 def test_evaluate_points_names_a_bad_r_before_a_bad_request():

@@ -69,8 +69,10 @@ def test_two_observer_pair_vanishes_past_the_threshold():
 
 
 def test_threshold_value():
+    # the analytic root itself, to the bit, not a bisection's approximation of it
     r_star = vanishing_threshold()
-    assert r_star == pytest.approx(patterns.THRESHOLD_R, abs=1e-9)
+    assert r_star == patterns.THRESHOLD_R
+    assert math.cos(2.0 * r_star) == pytest.approx(2.0 - SQRT2, abs=1e-15)
     assert abs(r_star - patterns.THRESHOLD_PRINTED) <= 1e-4
 
 
@@ -204,23 +206,3 @@ def test_an_array_names_its_first_r_outside_the_domain(name):
         with pytest.raises(ValueError) as info:
             closed_form(**arguments)
         assert str(info.value) == f"{name}: {arg}=2.0 outside [0, pi/4]"
-
-
-def test_the_threshold_bisection_is_bounded(monkeypatch):
-    # 48 halvings of the bracket reach 1e-15, within the cap
-    monkeypatch.setattr(oracles, "THRESHOLD_XTOL", 1e-15)
-    assert vanishing_threshold() == pytest.approx(R_STAR, abs=1e-14)
-    # with no tolerance the bracket stops shrinking at two adjacent floats
-    monkeypatch.setattr(oracles, "THRESHOLD_XTOL", 0.0)
-    with pytest.raises(RuntimeError, match="after 64 halvings"):
-        vanishing_threshold()
-
-
-@pytest.mark.parametrize("bracket", [(0.1, 0.4), (0.5, R_MAX), (0.55, 0.4)],
-                         ids=["below", "above", "reversed"])
-def test_a_bracket_that_misses_the_threshold_raises(bracket, monkeypatch):
-    # r* ~ 0.47247: the raw curve is positive on both ends below it, negative above it
-    monkeypatch.setattr(oracles, "THRESHOLD_BRACKET", bracket)
-    with pytest.raises(RuntimeError) as info:
-        vanishing_threshold()
-    assert str(info.value) == "threshold bracket does not straddle the zero crossing"

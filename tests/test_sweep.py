@@ -310,8 +310,8 @@ def test_preset_default_grid_sha256(name):
 
 # sha256 of repr(run_check(perturb=p)): every result's deviation, to the bit
 CHECK_SHA256 = {
-    0.0: "f022603e6091e35eec298b3819152648d0df9f3c9ec74f62a5871eeb1d87084b",
-    0.01: "23e74089f35ff020f3f112918ee7836bf070eb39f653913373e413294c76e895",
+    0.0: "380b1dd8d8afc0f15625fcaab680e5b73fa7926b47276707e95afbec92b7ea2c",
+    0.01: "69cea4d7f9adc9a28d466ecbf63fc9f8ae666b4972b194ddaa494c2dba4269bf",
 }
 
 
