@@ -15,10 +15,7 @@ three pairs it reads; pi4 and Pi4 read all four residuals, and S reads rho's
 own spectra, which nothing else needs.
 
 select_names is the one rule that reads a list of names, here and in
-sweeps, figures and checks: a bare str is one name, each name is stripped
-and an empty one dropped, all stands for every known name, a name given
-twice is kept once, and a token that is not a str, an unknown name or none
-at all is a ConfigError.
+sweeps, figures and checks, as its docstring says.
 evaluate reads a request by it and plans the request once (the plan is
 cached): its columns, which residuals they need (all four for pi4 or Pi4),
 and from them which 1-3 tangles and which pairs, all by name.  Each needed
@@ -42,19 +39,16 @@ sums run left to right over whole arrays, which keeps a point's values
 independent of its stack (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
-evaluate_points, the core of sweeps and checks, takes the points as one
-(N, k) array of r values, checks them once (rindler._checked: the dtype,
-the shape, the r domain, the observers and the support lookup of
-rindler.observed_densities), reads the request once, then builds the
-observed |W4>, validates it as states and evaluates it CHUNK rows per
-stack.
+evaluate_points, the core of sweeps and checks, checks its points and reads
+its request once each, then builds and evaluates CHUNK points per stack.
 """
 
 from __future__ import annotations
 
+import contextlib
+from collections.abc import Collection, Iterable, Mapping, Sequence
 from functools import lru_cache
 from itertools import combinations
-from typing import Collection, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -140,19 +134,19 @@ _PAIR_TRANSPOSED = _transposed(np.arange(16).reshape(4, 4), 2, [0])
 def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
     """The known names in tokens, all expanded, each once where it first appears.
 
-    A bare str, or bytes, is one token, not a sequence of letters or bytes.
-    Each token is stripped and an empty one dropped.  The first token that is
-    not a str, the first unknown name, or no name at all, raises a
-    ConfigError naming what is selected.
+    A bare str, bytes, None or anything else not iterable is one token, not a
+    sequence of letters or bytes.  Each token is stripped and an empty one
+    dropped.  The first token that is not a str, the first unknown name, or
+    no name at all, raises a ConfigError naming what is selected.
     """
-    tokens = (tokens,) if isinstance(tokens, (str, bytes)) else tuple(tokens)
+    one = isinstance(tokens, (str, bytes)) or not isinstance(tokens, Iterable)
+    tokens = (tokens,) if one else tuple(tokens)
     if bad := [token for token in tokens if not isinstance(token, str)]:
         raise ConfigError(f"{what}: expected names as str, got {bad[0]!r}")
     stripped = (token.strip() for token in tokens)
     names = [name for token in stripped if token
              for name in (known if token == "all" else (token,))]
-    unknown = [name for name in names if name not in known]
-    if unknown:
+    if unknown := [name for name in names if name not in known]:
         raise ConfigError(f"unknown {what} {unknown[0]!r}; known: {', '.join(known)}, or all")
     if not names:
         raise ConfigError(f"{what}: empty selection")
@@ -169,6 +163,13 @@ def _plan(request: str | bytes | tuple[str, ...]) -> tuple[tuple[str, ...], ...]
     one_three = tuple(column for column in ONE_THREE if column in needed)
     pairs = tuple(column for column in PAIRS if column in needed)
     return columns, one_three, pairs, residuals
+
+
+def _planned(request) -> tuple[tuple[str, ...], ...]:
+    """_plan of a request, a cache hit once seen; None or an unhashable token is read uncached."""
+    with contextlib.suppress(TypeError):
+        return _plan(request := request if isinstance(request, (str, bytes)) else tuple(request))
+    return _plan.__wrapped__(request)
 
 
 def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
@@ -220,8 +221,7 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
         raise ValueError(f"evaluate takes one state or a stack, got shape {shape}")
     if not shape[0]:
         raise ValueError("evaluate needs at least one state, got an empty stack")
-    columns, one_three, pairs, residuals = _plan(
-        columns if isinstance(columns, (str, bytes)) else tuple(columns))
+    columns, one_three, pairs, residuals = _planned(columns)
     if single:
         rho = rho[None]
     values = _spectral_columns(rho, one_three, pairs)
@@ -255,7 +255,7 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
     """
     split, table = _checked(observers, r)
     # read once, before any state is built; each chunk's plan is then a cache hit
-    columns = _plan(columns if isinstance(columns, (str, bytes)) else tuple(columns))[0]
+    columns = _planned(columns)[0]
     # each chunk's columns as the rows of one (C, n) array, joined into (C, N)
     chunks = [np.array(list(evaluate(_built(split[start:start + CHUNK], table), columns).values()))
               for start in range(0, len(split), CHUNK)]

@@ -9,16 +9,17 @@ stays at zero, so oracle outputs are reported as max(value, 0).
 Shorthands below: the accelerated observers C and D carry parameters r_c and
 r_d.  For a single accelerated observer only r_d is relevant.
 
-Every closed form, present and future, keeps one array convention.  It
-takes floats, for which it returns a float, or float arrays of one shape,
-for which it returns an array of that shape.  Each argument is checked by
-_r, that is by rindler.check_r, the one domain rule, whose first bad value
-the message names.  Each distinct term is computed once per call, and
-the expression then reads it with the operations and left-to-right order of
-the formula as written, value by value: cos and log are math's, applied to
-each value in turn, because numpy's may round differently; sqrt may be
-numpy's, since both are correctly rounded.  So every value keeps the bits of
-the formula evaluated term by term on floats.
+Every closed form, present and future, computes on float64 arrays alone:
+rindler.check_r, the one r rule, takes each argument as real numbers in
+[0, pi/4], naming the first bad value or dtype, and gives a float64 array,
+0-d for a number.  Each distinct term is computed once per call, and the
+expression reads it with the operations and left-to-right order of the
+formula as written, value by value: cos and log are math's, applied to each
+value in turn, as numpy's may round differently; sqrt is numpy's, correctly
+rounded as math's is.  A 0-d array's arithmetic runs on numpy scalars, as
+a float's, and _out turns a 0-d result into a float once, at the end.  So an
+array gives an array of its shape, a number (float, 0-d array or numpy
+scalar) a float, and every value the bits of the formula typed on floats.
 """
 
 from __future__ import annotations
@@ -34,26 +35,19 @@ SQRT2 = math.sqrt(2.0)
 Values = float | np.ndarray
 
 
-def _r(name: str, arg: str, value) -> Values:
-    """value, a number or an array, as a float or a float array once check_r clears it."""
-    check_r(value, f"{name}: {arg}")
-    return float(value) if np.ndim(value) == 0 else np.asarray(value, dtype=float)
+def _each(f, x) -> np.ndarray:
+    """f of each value of x, an array or a numpy scalar, in turn, as an array of its shape."""
+    return np.fromiter(map(f, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x))
 
 
-def _each(f, x: Values) -> Values:
-    """f of a float, or of each value of a float array in turn, as an array of its shape."""
-    if isinstance(x, float):
-        return f(x)
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+def _out(value) -> Values:
+    """A closed form's value: a float for a 0-d array or numpy scalar, else the array."""
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _sqrt(x: Values) -> Values:
-    return math.sqrt(x) if isinstance(x, float) else np.sqrt(x)
-
-
-def _clipped(value: Values) -> Values:
+def _clipped(value) -> Values:
     """max(value, 0.0), value by value."""
-    return max(value, 0.0) if isinstance(value, float) else np.where(value < 0.0, 0.0, value)
+    return _out(np.where(value < 0.0, 0.0, value))
 
 
 def _xlogx(lam: float) -> float:
@@ -66,9 +60,9 @@ def n_d1_abc(r_d: Values) -> Values:
 
     (1/8) [3 cos 2r + sqrt(3/2) sqrt(4 cos 2r + 3 cos 4r + 25) - 3]
     """
-    r_d = _r("n_d1_abc", "r_d", r_d)
+    r_d = check_r(r_d, "n_d1_abc: r_d")
     c2 = _each(math.cos, 2 * r_d)
-    return _clipped((3.0 * c2 + math.sqrt(1.5) * _sqrt(4 * c2 + 3 * _each(math.cos, 4 * r_d) + 25)
+    return _clipped((3.0 * c2 + math.sqrt(1.5) * np.sqrt(4 * c2 + 3 * _each(math.cos, 4 * r_d) + 25)
                      - 3.0) / 8.0)
 
 
@@ -80,9 +74,9 @@ def n_ab_const() -> float:
     return (SQRT2 - 1.0) / 2.0
 
 
-def _n_i_d1_raw(r: Values) -> Values:
+def _n_i_d1_raw(r: np.ndarray) -> np.ndarray:
     c2 = _each(math.cos, 2 * r)
-    return (-6.0 + SQRT2 * _sqrt(28 * c2 + 9 * _each(math.cos, 4 * r) + 27) - 2.0 * c2) / 16.0
+    return (-6.0 + SQRT2 * np.sqrt(28 * c2 + 9 * _each(math.cos, 4 * r) + 27) - 2.0 * c2) / 16.0
 
 
 def n_i_d1(r_d: Values) -> Values:
@@ -91,7 +85,7 @@ def n_i_d1(r_d: Values) -> Values:
     (1/16) [-6 + sqrt(2) sqrt(28 cos 2r + 9 cos 4r + 27) - 2 cos 2r];
     starts at (sqrt(2)-1)/2 and falls to 0 at r = pi/4.
     """
-    return _clipped(_n_i_d1_raw(_r("n_i_d1", "r_d", r_d)))
+    return _clipped(_n_i_d1_raw(check_r(r_d, "n_i_d1: r_d")))
 
 
 def n_pair_accel_one(r_c: Values) -> Values:
@@ -100,15 +94,7 @@ def n_pair_accel_one(r_c: Values) -> Values:
     Same functional form as n_i_d1, evaluated in that observer's own
     parameter; the other acceleration drops out entirely.
     """
-    return _clipped(_n_i_d1_raw(_r("n_pair_accel_one", "r_c", r_c)))
-
-
-def _n_pair_accel_both_raw(r_c: Values, r_d: Values) -> Values:
-    plus, minus = _each(math.cos, 2 * r_c + 2 * r_d), _each(math.cos, 2 * r_c - 2 * r_d)
-    c2, d2 = _each(math.cos, 2 * r_c), _each(math.cos, 2 * r_d)
-    inner = (22 * plus + 22 * minus + 9 * _each(math.cos, 4 * r_c) - 16 * c2
-             + 9 * _each(math.cos, 4 * r_d) - 16 * d2 + 34)
-    return (SQRT2 * _sqrt(inner) - 2 * plus - 2 * minus + 2 * c2 + 2 * d2 - 8.0) / 16.0
+    return _clipped(_n_i_d1_raw(check_r(r_c, "n_pair_accel_one: r_c")))
 
 
 def n_pair_accel_both(r_c: Values, r_d: Values) -> Values:
@@ -117,8 +103,12 @@ def n_pair_accel_both(r_c: Values, r_d: Values) -> Values:
     Symmetric in (r_c, r_d); clipped to 0 on the plateau where the underlying
     eigenvalue has turned nonnegative (beyond r ~ 0.4725 on the diagonal).
     """
-    return _clipped(_n_pair_accel_both_raw(_r("n_pair_accel_both", "r_c", r_c),
-                                           _r("n_pair_accel_both", "r_d", r_d)))
+    r_c, r_d = check_r(r_c, "n_pair_accel_both: r_c"), check_r(r_d, "n_pair_accel_both: r_d")
+    plus, minus = _each(math.cos, 2 * r_c + 2 * r_d), _each(math.cos, 2 * r_c - 2 * r_d)
+    c2, d2 = _each(math.cos, 2 * r_c), _each(math.cos, 2 * r_d)
+    inner = (22 * plus + 22 * minus + 9 * _each(math.cos, 4 * r_c) - 16 * c2
+             + 9 * _each(math.cos, 4 * r_d) - 16 * d2 + 34)
+    return _clipped((SQRT2 * np.sqrt(inner) - 2 * plus - 2 * minus + 2 * c2 + 2 * d2 - 8.0) / 16.0)
 
 
 def vanishing_threshold() -> float:
@@ -139,7 +129,7 @@ def entropy_one_accel(r_d: Values) -> Values:
     0 ln 0 = 0.  Subtracting the +0.0 of a zero eigenvalue leaves every bit
     of the sum as it is.
     """
-    c2 = _each(math.cos, 2 * _r("entropy_one_accel", "r_d", r_d))
+    c2 = _each(math.cos, 2 * check_r(r_d, "entropy_one_accel: r_d"))
     lam1 = 0.375 * (1.0 - c2)
     lam2 = (3.0 * c2 + 5.0) / 8.0
-    return 0.0 - _each(_xlogx, lam1) - _each(_xlogx, lam2)
+    return _out(0.0 - _each(_xlogx, lam1) - _each(_xlogx, lam2))

@@ -52,12 +52,9 @@ observed_densities does this for N points at once: the amplitudes are an
 observed_density is the batch of one.  The checks of its points
 (_checked) and the build from the support table (_built) are two steps, so
 that measures.evaluate_points checks a call's points once and then builds
-each slice of CHUNK rows, each validated as a state.  _checked also takes
-cos r and sin r of every point once per call, into each point's split
-factors [1.0, cos r, sin r], one row per split mode in split order, with
-math's cos and sin applied to each value in turn (numpy's vector loops may
-round differently); _built reads only its slice's rows of those factors and
-the support table, so each factor keeps math's bits and the x 1.0 stays
+each slice of CHUNK rows, each validated as a state.  _checked takes math's
+cos r and sin r of every point once per call, and _built reads its slice's
+rows of those split factors, so each keeps math's bits and the x 1.0 stays
 exact.  check_observers is the one rule for a list of observers,
 here, in sweep's axes and in the observer a matrix dump transposes; check_r
 is the one rule for r, here, in sweep's axes and in every closed form of
@@ -103,14 +100,25 @@ def out_of_domain(r) -> float | None:
     return next(x for x in r.ravel().tolist() if not R_LO <= x <= R_HI)
 
 
-def check_r(r, what: str) -> None:
-    """Reject a value of r, a number or an array, outside [0, pi/4] (NaN too).
+def _real(r, what: str) -> np.ndarray:
+    """r as an array of an integer or float dtype, else a ConfigError that names what."""
+    if (array := np.asarray(r)).dtype.kind not in "iuf":
+        raise ConfigError(f"{what} has dtype {array.dtype}, want real numbers")
+    # numpy reads a bool that a list mixes into numbers as a number; an ndarray has one dtype
+    if array is not r and any(isinstance(x, (bool, np.bool_)) for x in np.array(r, object).flat):
+        raise ConfigError(f"{what} mixes a bool into its numbers, want real numbers")
+    return array
 
-    The ConfigError names what and the first bad value, as in
+
+def check_r(r, what: str) -> np.ndarray:
+    """r, real numbers (_real), as a float64 array, 0-d for a number, once all lie in [0, pi/4].
+
+    A ConfigError names what and the first bad value, NaN too, as in
     'accel: D=nan outside [0, pi/4]' or 'n_i_d1: r_d=1.0 outside [0, pi/4]'.
     """
-    if (bad := out_of_domain(r)) is not None:
+    if (bad := out_of_domain(r := _real(r, what))) is not None:
         raise ConfigError(f"{what}={bad!r} outside [0, pi/4]")
+    return np.asarray(r, dtype=float)
 
 
 @lru_cache
@@ -163,23 +171,25 @@ def _support(positions: tuple[int, ...], psi0: tuple[float, ...] = tuple(W4.toli
 
 
 def _checked(observers: Sequence[str], r):
-    """observed_densities' checks of its points, in its order, on all N points at once.
+    """observed_densities' checks, in order: dtype, shape, observers, then r's domain, of all N.
 
     Returns each point's split factors, an (N, k, 3) array whose [p, j] is
     [1.0, cos r, sin r] for point p's r of the j-th split mode in register
-    order, and the support table of W4 split at those modes.  A bare str of
-    observers is one name, as measures.select_names reads it, and r must be
-    of an integer or float dtype: bool, complex, str or object is rejected.
+    order, and the support table of W4 split at those modes.  A bare str
+    or bytes of observers is one name, as measures.select_names reads it,
+    anything else not iterable a ConfigError, and r must be real (_real).
     """
-    observers = (observers,) if isinstance(observers, str) else observers
-    if (r := np.asarray(r)).dtype.kind not in "iuf":
-        raise ConfigError(f"r has dtype {r.dtype}, want real numbers")
+    try:
+        observers = (observers,) if isinstance(observers, (str, bytes)) else tuple(observers)
+    except TypeError:
+        raise ConfigError(f"observers: expected names as str, got {observers!r}") from None
+    r = _real(r, "r")
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
         raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")
+    check_observers(observers, "observers")
     if out_of_domain(r) is not None:
         for obs, column in zip(observers, r.T):
             check_r(column, f"accel: {obs}")
-    check_observers(observers, "observers")
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
     support = _support(tuple(pos for pos, _ in order))

@@ -477,6 +477,62 @@ def test_a_token_that_is_not_a_str_is_a_config_error(request_, shown):
     assert calls == []
 
 
+@pytest.mark.parametrize("read, message", [
+    (lambda rho: evaluate_points(("C", "D"), [[0.1, 0.2]], [["S"]]),
+     "measure: expected names as str, got ['S']"),
+    (lambda rho: evaluate(rho, [["S"]]), "measure: expected names as str, got ['S']"),
+    (lambda rho: evaluate(rho, None), "measure: expected names as str, got None"),
+    (lambda rho: evaluate_points(("C", "D"), [[0.1, 0.2]], None),
+     "measure: expected names as str, got None"),
+    (lambda rho: run_check(None), "oracle: expected names as str, got None"),
+], ids=["unhashable-points", "unhashable-state", "none-state", "none-points", "none-check"])
+def test_a_request_no_cache_can_key_is_one_config_error_before_any_solve(read, message):
+    rho = observed_densities(w_state(4), ["C", "D"], [[0.1, 0.2]])
+    with recorded() as calls:
+        with pytest.raises(ConfigError) as info:
+            read(rho)
+    assert calls == []
+    # the ConfigError alone, with no TypeError of the cache lookup chained to it
+    assert str(info.value) == message and info.value.__context__ is None
+
+
+def test_a_valid_request_stays_a_cache_hit(monkeypatch):
+    rho = observed_densities(w_state(4), ["D"], [[0.3]])
+    evaluate_points(("D",), [[0.3]], ["S", "N_AD"])
+
+    def no_read(*args):
+        raise AssertionError("a request the cache holds was read again")
+    monkeypatch.setattr(measures, "select_names", no_read)
+    evaluate_points(("D",), [[0.3]], ["S", "N_AD"])
+    evaluate(rho, ("S", "N_AD"))
+
+
+@pytest.mark.parametrize("read", [
+    lambda: evaluate_points(("C", "D"), [[False, 0.3]], "N_CD"),
+    lambda: evaluate_points(("C", "D"), [[0.1, 0.2], [0.3, True]], "N_CD"),
+    lambda: evaluate_points(("C", "D"), [[True, 0]], "N_CD"),
+    lambda: observed_density(w_state(4), {"C": False, "D": 0.3}),
+    lambda: observed_densities(w_state(4), ("C", "D"), [[np.True_, 0.3]]),
+], ids=["false-float", "true-second-row", "true-int", "scenario", "numpy-bool"])
+def test_a_bool_among_numbers_is_one_config_error_before_any_solve(read):
+    # numpy reads each as numbers, [[0.0, 0.3]] and so on, so the dtype rule alone cannot see it
+    with recorded() as calls:
+        with pytest.raises(ConfigError,
+                           match=r"^r mixes a bool into its numbers, want real numbers$"):
+            read()
+    assert calls == []
+
+
+def test_observers_that_are_not_iterable_are_one_config_error_before_any_solve():
+    with recorded() as calls:
+        for observers, shown in ((None, "None"), (3, "3")):
+            for r in ([[0.1]], [[0.1, 0.2]]):
+                with pytest.raises(ConfigError,
+                                   match=f"^observers: expected names as str, got {shown}$"):
+                    evaluate_points(observers, r, "S")
+    assert calls == []
+
+
 def test_a_bare_str_of_observers_is_one_name():
     # as select_names reads a bare str: "CD" is one unknown observer, not C and D
     with recorded() as calls:

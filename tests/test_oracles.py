@@ -128,10 +128,8 @@ AS_TYPED = {
                                  + math.sqrt(1.5) * math.sqrt(4 * math.cos(2 * r_d)
                                                               + 3 * math.cos(4 * r_d) + 25)
                                  - 3.0) / 8.0, 0.0),
-    "_n_i_d1_raw": _n_i_d1_raw_as_typed,
     "n_i_d1": lambda r_d: max(_n_i_d1_raw_as_typed(r_d), 0.0),
     "n_pair_accel_one": lambda r_c: max(_n_i_d1_raw_as_typed(r_c), 0.0),
-    "_n_pair_accel_both_raw": _n_pair_accel_both_raw_as_typed,
     "n_pair_accel_both": lambda r_c, r_d: max(_n_pair_accel_both_raw_as_typed(r_c, r_d), 0.0),
     "entropy_one_accel": _entropy_one_accel_as_typed,
 }
@@ -170,6 +168,27 @@ def test_closed_forms_keep_the_bits_of_the_formula_as_typed(name):
     assert _as_bytes(scalars) == expected
 
 
+@pytest.mark.parametrize("name", AS_TYPED)
+def test_a_0d_array_or_numpy_scalar_gives_a_float(name):
+    closed_form, as_typed = getattr(oracles, name), AS_TYPED[name]
+    arity = len(inspect.signature(as_typed).parameters)
+    for r in (0.0, 0.3, R_STAR + 1e-9, R_MAX):
+        expected = _as_bytes([as_typed(*[r] * arity)])
+        for value in (np.array(r), np.float64(r), np.array([r])[0]):
+            out = closed_form(*[value] * arity)
+            assert type(out) is float and _as_bytes([out]) == expected
+
+
+def test_the_shared_raw_form_keeps_the_bits_of_the_formula_as_typed():
+    # a private helper of n_i_d1 and n_pair_accel_one, which take its value
+    # to a float: it keeps the bits on arrays, of any shape
+    expected = _as_bytes([_n_i_d1_raw_as_typed(r) for r in POINTS])
+    for shape in ((len(POINTS),), (1, len(POINTS))):
+        values = oracles._n_i_d1_raw(np.array(POINTS).reshape(shape))
+        assert type(values) is np.ndarray and values.shape == shape
+        assert values.tobytes() == expected
+
+
 # every closed form that takes an r, by name
 CLOSED_FORMS = ("n_d1_abc", "n_i_d1", "n_pair_accel_one", "n_pair_accel_both", "entropy_one_accel")
 
@@ -184,6 +203,25 @@ def test_a_closed_form_names_the_r_outside_its_domain(name, value):
         with pytest.raises(ValueError) as info:
             closed_form(**arguments)
         assert str(info.value) == f"{name}: {arg}={value!r} outside [0, pi/4]"
+
+
+@pytest.mark.parametrize("value, shown", [
+    (0.3 + 0j, "has dtype complex128"),
+    (np.array([0.3 + 0j]), "has dtype complex128"),
+    (True, "has dtype bool"),
+    ("0.3", "has dtype <U3"),
+    (None, "has dtype object"),
+    ([0.3, False], "mixes a bool into its numbers"),
+])
+@pytest.mark.parametrize("name", CLOSED_FORMS)
+def test_a_closed_form_takes_only_real_numbers(name, value, shown):
+    # the r rule of the pipeline: no complex value cast to its real part, no bool read as a number
+    closed_form = getattr(oracles, name)
+    parameters = list(inspect.signature(closed_form).parameters)
+    for arg in parameters:
+        with pytest.raises(ValueError) as info:
+            closed_form(**dict.fromkeys(parameters, 0.3) | {arg: value})
+        assert str(info.value) == f"{name}: {arg} {shown}, want real numbers"
 
 
 @pytest.mark.parametrize("name", CLOSED_FORMS)

@@ -378,6 +378,9 @@ def test_only_w4_is_observed():
     # the first observer with a bad r is named, with its first bad value
     (["C", "D"], [[0.1, 0.2], [0.3, 1.0]], "^accel: D=1.0 outside"),
     (["C", "D"], [[0.1, 2.0], [-1.0, 0.2]], "^accel: C=-1.0 outside"),
+    # the observers are checked before r's domain, so its message names a known one
+    (["X"], [[2.0]], "^observers: unknown observer 'X'"),
+    (["\n"], [[2.0]], r"^observers: unknown observer '\\n'"),
 ])
 def test_observed_stack_rejects_bad_input(observers, r, fragment):
     with pytest.raises(ValueError, match=fragment):
