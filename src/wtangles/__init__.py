@@ -9,12 +9,7 @@ accelerated observer, plus N_AB, N_AD, N_AC and N_CD.
 """
 
 from .checks import CheckResult, run_check
-from .fock import (
-    DensityMatrix,
-    partial_transpose,
-    validate_density,
-    w_state,
-)
+from .fock import DensityMatrix, partial_transpose, validate_density, w_state
 from .measures import (
     COLUMNS,
     ConfigError,

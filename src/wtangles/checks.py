@@ -26,13 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from numbers import Real
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import oracles
 from .measures import evaluate_points, select_names
-from .rindler import R_MAX
+from .rindler import R_MAX, ConfigError
 from .sweep import DEFAULT_GRID_1D, PRESETS, SweepConfig, sweep_points
 
 GRID_2D = 21
@@ -113,7 +114,7 @@ CHECKS: dict[str, Callable[[float], CheckResult]] = {
 
 def run_check(names: Sequence[str] = ("all",), perturb: float = 0.0) -> list[CheckResult]:
     """Run the checks measures.select_names picks from names, in registry order."""
-    if not math.isfinite(perturb):
-        raise ValueError(f"perturb: expected a finite number, got {perturb!r}")
+    if isinstance(perturb, bool) or not isinstance(perturb, Real) or not math.isfinite(perturb):
+        raise ConfigError(f"perturb: expected a finite number, got {perturb!r}")
     selected = select_names(names, CHECKS, "oracle")
     return [CHECKS[name](perturb) for name in CHECKS if name in selected]

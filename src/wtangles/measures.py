@@ -16,8 +16,8 @@ own spectra, which nothing else needs.
 
 select_names is the one rule that reads a list of names, here and in
 sweeps, figures and checks, as its docstring says.
-evaluate reads a request by it and plans the request once (the plan is
-cached): its columns, which residuals they need (all four for pi4 or Pi4),
+evaluate and evaluate_points plan a request once per call, uncached: its
+columns, read by it, which residuals they need (all four for pi4 or Pi4),
 and from them which 1-3 tangles and which pairs, all by name.  Each needed
 matrix is gathered by its column's flat index table.  Each stack of states
 then takes at most three eigvalsh calls: every needed rho^{T_k} at once,
@@ -32,22 +32,20 @@ same bytes over the stack, as the exchange symmetry of |W4> makes them
 (with D accelerated, rho_AB = rho_AC = rho_BC), get the same verdict and
 spectrum: the pair stack is indexed by its distinct keys, repeated or not,
 so only the first of each is validated and solved, and each pair reads its
-key's values, which moves no bit and assumes no symmetry.  evaluate then
-fills the planned residuals from TERMS, pi4, Pi4 and S in that order.
+key's values, which moves no bit and assumes no symmetry.  _stack_values
+then fills the planned residuals from TERMS, pi4, Pi4 and S in that order.
 Squares and fourth roots are taken value by value in Python floats, and
 sums run left to right over whole arrays, which keeps a point's values
 independent of its stack (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
-evaluate_points, the core of sweeps and checks, checks its points and reads
+evaluate_points, the core of sweeps and checks, checks its points and plans
 its request once each, then builds and evaluates CHUNK points per stack.
 """
 
 from __future__ import annotations
 
-import contextlib
 from collections.abc import Collection, Iterable, Mapping, Sequence
-from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -153,8 +151,7 @@ def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tu
     return tuple(dict.fromkeys(names))
 
 
-@lru_cache(maxsize=64)
-def _plan(request: str | bytes | tuple[str, ...]) -> tuple[tuple[str, ...], ...]:
+def _plan(request: Iterable[str]) -> tuple[tuple[str, ...], ...]:
     """A request's columns, then the 1-3 tangles, pairs and residuals they take."""
     columns = select_names(request, COLUMNS, "measure")
     means = "pi4" in columns or "Pi4" in columns
@@ -163,13 +160,6 @@ def _plan(request: str | bytes | tuple[str, ...]) -> tuple[tuple[str, ...], ...]
     one_three = tuple(column for column in ONE_THREE if column in needed)
     pairs = tuple(column for column in PAIRS if column in needed)
     return columns, one_three, pairs, residuals
-
-
-def _planned(request) -> tuple[tuple[str, ...], ...]:
-    """_plan of a request, a cache hit once seen; None or an unhashable token is read uncached."""
-    with contextlib.suppress(TypeError):
-        return _plan(request := request if isinstance(request, (str, bytes)) else tuple(request))
-    return _plan.__wrapped__(request)
 
 
 def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
@@ -207,23 +197,9 @@ def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
     return out
 
 
-def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np.ndarray]:
-    """The requested columns, read by select_names, in request order.
-
-    rho is one four-mode state, giving a float per column, or a stack of N
-    states, giving an (N,) array per column.
-    """
-    shape = rho.matrix.shape
-    if shape[-2:] != (16, 16):
-        raise ValueError(f"measures need a four-mode state, got shape {shape}")
-    single = len(shape) == 2
-    if not single and len(shape) != 3:
-        raise ValueError(f"evaluate takes one state or a stack, got shape {shape}")
-    if not shape[0]:
-        raise ValueError("evaluate needs at least one state, got an empty stack")
-    columns, one_three, pairs, residuals = _planned(columns)
-    if single:
-        rho = rho[None]
+def _stack_values(rho: DensityMatrix, plan: tuple[tuple[str, ...], ...]) -> list[np.ndarray]:
+    """The planned columns over a stack of N states, as (N,) arrays in plan order."""
+    columns, one_three, pairs, residuals = plan
     values = _spectral_columns(rho, one_three, pairs)
     if residuals:
         # each value squared once in Python floats; sums run left to right
@@ -240,8 +216,26 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
             values["Pi4"] = big_pi4_tangle(dict(zip(OBSERVERS, map(values.get, RESIDUALS))))
     if "S" in columns:
         values["S"] = von_neumann_entropy(rho)
-    out = {column: values[column] for column in columns}
-    return {column: float(v[0]) for column, v in out.items()} if single else out
+    return [values[column] for column in columns]
+
+
+def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np.ndarray]:
+    """The requested columns, read by select_names, in request order.
+
+    rho is one four-mode state, giving a float per column, or a stack of N
+    states, giving an (N,) array per column.
+    """
+    shape = rho.matrix.shape
+    if shape[-2:] != (16, 16):
+        raise ValueError(f"measures need a four-mode state, got shape {shape}")
+    single = len(shape) == 2
+    if not single and len(shape) != 3:
+        raise ValueError(f"evaluate takes one state or a stack, got shape {shape}")
+    if not shape[0]:
+        raise ValueError("evaluate needs at least one state, got an empty stack")
+    plan = _plan(columns)
+    values = dict(zip(plan[0], _stack_values(rho[None] if single else rho, plan)))
+    return {column: float(v[0]) for column, v in values.items()} if single else values
 
 
 def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict[str, np.ndarray]:
@@ -250,16 +244,16 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
     r is an (N, k) array: r[p, j] is the parameter of observers[j] at point
     p.  Its points are checked, and their cos r and sin r taken, once, as
     observed_densities does (an r with no point gets its shape message), and
-    then its columns are read once; the points are then built, validated as
-    states and evaluated in slices of CHUNK rows, each as one stack.
+    then its columns are planned once per call, not cached; the points are
+    then built, validated as states and evaluated CHUNK rows per stack.
     """
     split, table = _checked(observers, r)
-    # read once, before any state is built; each chunk's plan is then a cache hit
-    columns = _planned(columns)[0]
+    # planned once, before any state is built
+    plan = _plan(columns)
     # each chunk's columns as the rows of one (C, n) array, joined into (C, N)
-    chunks = [np.array(list(evaluate(_built(split[start:start + CHUNK], table), columns).values()))
+    chunks = [np.array(_stack_values(_built(split[start:start + CHUNK], table), plan))
               for start in range(0, len(split), CHUNK)]
-    return dict(zip(columns, np.concatenate(chunks, axis=1)))
+    return dict(zip(plan[0], np.concatenate(chunks, axis=1)))
 
 
 def tangle_report(rho: DensityMatrix) -> dict[str, float | np.ndarray]:

@@ -64,8 +64,8 @@ oracles.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
-from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -234,8 +234,10 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:
     """Density matrix seen after acceleration: transform, then drop region II.
 
-    scenario maps each accelerated observer to its r; None means nobody
-    accelerates.  This is observed_densities at one point.
+    scenario is a mapping of each accelerated observer to its r, or None for
+    no acceleration.  This is observed_densities at one point.
     """
+    if scenario is not None and not isinstance(scenario, Mapping):
+        raise ConfigError(f"scenario: expected a mapping or None, got {scenario!r}")
     params = dict(scenario or {})
     return observed_densities(psi0, tuple(params), [list(params.values())])[0]

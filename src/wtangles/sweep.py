@@ -106,8 +106,7 @@ def sweep_points(cfg: SweepConfig) -> tuple[tuple[str, ...], np.ndarray]:
     elif two_axis:
         axes = [np.repeat(axes[0], points), np.tile(axes[1], points)]
     r = np.empty((len(axes[0]) if axes else 1, len(swept) + len(fixed)))
-    for column, axis in enumerate(axes):
-        r[:, column] = axis
+    r[:, :len(swept)] = np.transpose(axes)
     r[:, len(swept):] = [a.lo for a in fixed]
     return tuple(a.observer for a in swept + fixed), r
 

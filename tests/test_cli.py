@@ -535,6 +535,32 @@ def test_module_entry_point_runs():
     assert "1 checks, 1 passed" in result.stdout
 
 
+@pytest.mark.parametrize("argv, shared, lines", [
+    (["sweep", "--preset", "fig7"], True, 1),
+    (["sweep", "--preset", "fig7"], False, 1),
+    (["sweep", "--preset", "fig3", "--out", "{tmp}/fig3.csv"], True, 0),
+    (["check", "n_ab_const"], True, 0),
+], ids=["stderr-on-the-pipe", "stderr-to-a-file", "wrote-line-on-a-closed-pipe", "check-output"])
+def test_a_reader_that_closes_the_pipe_early_reads_exit_2(argv, shared, lines, tmp_path):
+    # as 2>&1 | head -n 1 does, or 2>file | head -n 1: fig7's CSV is larger
+    # than a pipe holds, so the sweep writes on after the reader is gone; a
+    # reader that reads nothing leaves a short output to fail at its flush.
+    # Each ends quietly, with no traceback and no failed flush at exit (exit 1 or 120)
+    read, write = os.pipe()
+    # buffered, as stdout is by default: a rest left in the buffer would fail the flush at exit
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    with open(tmp_path / "stderr", "wb") as err, \
+            subprocess.Popen([sys.executable, "-m", "wtangles", *argv],
+                             stdout=write, stderr=write if shared else err, env=env) as process:
+        os.close(write)
+        with open(read, "rb") as pipe:
+            head = [pipe.readline() for _ in range(lines)]
+        assert process.wait(timeout=120) == 2
+    assert head == [b"r_C,r_D,pi4,Pi4\n"][:lines]
+    assert (tmp_path / "stderr").read_text() == ""
+
+
 @pytest.mark.parametrize("out_dir, message", [
     ("taken", "cannot create {tmp}/taken: File exists"),
     ("taken/sub", "cannot create {tmp}/taken/sub: Not a directory"),

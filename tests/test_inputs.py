@@ -5,8 +5,12 @@ observed_density, observed_densities, run_check and the closed forms from
 the kinds of input a caller can get wrong: None, bytes, a bare str, nested
 and unhashable tokens as names; bools mixed with floats, complex values,
 NaN, inf and text as r; ragged and wrongly shaped r; unknown and repeated
-observers.  Each call must return, or raise one ValueError (a ConfigError is
-one) whose message is one line, with no other exception chained to it.
+observers; bytes, numbers, text and lists as a scenario; None, text, bools,
+complex values and inf as a perturb.  Each call must return, or raise one
+ValueError (a ConfigError is one) whose message is one line, with no other
+exception chained to it; a ConfigError comes before any call into LAPACK
+(tests/lapack.py records none).  A scenario that is not a mapping or None,
+and a perturb that is not a finite real number or is a bool, must raise.
 
 The CLI test draws argv from build_parser's own subcommands and options,
 with tricky values, and runs cli.main in a scratch directory: the exit code
@@ -18,6 +22,7 @@ evaluates at most MAX_POINTS points, so that each example stays cheap.
 import argparse
 import contextlib
 import io
+import math
 import tempfile
 from functools import partial
 
@@ -32,8 +37,10 @@ from wtangles.checks import CHECKS, run_check
 from wtangles.cli import build_parser, main
 from wtangles.fock import OBSERVERS, w_state
 from wtangles.measures import COLUMNS, evaluate, evaluate_points
-from wtangles.rindler import R_MAX, observed_densities, observed_density
+from wtangles.rindler import R_MAX, ConfigError, observed_densities, observed_density
 from wtangles.sweep import PRESETS
+
+from .lapack import recorded
 
 # names of every kind, and tokens that are not names: hashable and not
 NAMES = [*OBSERVERS, *COLUMNS, *CHECKS, *PRESETS, "all", "E", " C", "S ", "", ","]
@@ -86,6 +93,19 @@ def _evaluate(rho, columns):
     return evaluate(_RHO if rho == "stack" else _RHO[0], columns)
 
 
+def _wrong_kind(call):
+    """Whether call passes a scenario or a perturb of a kind that must raise.
+
+    A scenario is a mapping or None; a perturb is a finite real number, not a bool.
+    """
+    if call.func is observed_density:
+        return not isinstance(call.args[1], (dict, type(None)))
+    if call.func is run_check:
+        perturb = call.args[1]
+        return not (isinstance(perturb, float) and math.isfinite(perturb))
+    return False
+
+
 def _holds_bool(value):
     """Whether value is or holds a bool: in a list, tuple or dict, or as an array's dtype."""
     if isinstance(value, (list, tuple)):
@@ -100,11 +120,15 @@ CALLS = st.one_of(
               _points(), NAME_LISTS),
     st.builds(lambda points: partial(observed_densities, w_state(4), *points), _points()),
     st.builds(partial, st.just(observed_density), st.just(w_state(4)),
-              st.one_of(st.none(), st.dictionaries(HASHABLE_TOKENS, R_VALUES, max_size=3))),
+              st.one_of(st.none(), st.dictionaries(HASHABLE_TOKENS, R_VALUES, max_size=3),
+                        st.binary(max_size=3), st.integers(-2, 5), st.text(max_size=3),
+                        st.lists(st.tuples(st.sampled_from(OBSERVERS), R_VALUES), max_size=2))),
     st.builds(partial, st.just(_evaluate), st.sampled_from(["stack", "state"]), NAME_LISTS),
     st.builds(partial, st.just(run_check), NAME_LISTS,
               st.one_of(st.sampled_from([0.0, 0.01]),
-                        st.floats(allow_nan=True, allow_infinity=True))),
+                        st.floats(allow_nan=True, allow_infinity=True),
+                        st.none(), st.text(max_size=3), st.booleans(),
+                        st.complex_numbers(max_magnitude=1.0), st.just(math.inf))),
     st.builds(lambda closed_form, r_c, r_d: partial(closed_form, r_c, r_d),
               st.just(oracles.n_pair_accel_both), R_ANY, R_ANY),
     st.builds(partial, st.sampled_from(_ONE_R_FORMS), R_ANY),
@@ -115,17 +139,28 @@ CALLS = st.one_of(
 @given(call=CALLS)
 @example(call=partial(evaluate_points, ("C", "D"), [[0.1, 0.2]], [["S"]]))
 @example(call=partial(evaluate_points, ("C", "D"), [[False, 0.3]], "N_CD"))
+@example(call=partial(observed_density, w_state(4), b"CD"))
+@example(call=partial(observed_density, w_state(4), 5))
+@example(call=partial(observed_density, w_state(4), [("C", 0.3)]))
+@example(call=partial(run_check, ["n_ab_const"], None))
+@example(call=partial(run_check, ["n_ab_const"], "0.1"))
+@example(call=partial(run_check, ["n_ab_const"], True))
+@example(call=partial(run_check, ["n_ab_const"], 1j))
 def test_a_library_call_gives_values_or_one_line_error(call):
-    try:
-        call()
-    except ValueError as exc:
-        message = str(exc)
-        assert message and "\n" not in message
-        # nothing chained that a traceback would print as well
-        assert exc.__cause__ is None and (exc.__context__ is None or exc.__suppress_context__)
-    else:
-        # a bool is no r, not even among numbers, which numpy reads as numbers
-        assert not any(map(_holds_bool, call.args)), "a bool was read as an r"
+    with recorded() as calls:
+        try:
+            call()
+        except ValueError as exc:
+            message = str(exc)
+            assert message and "\n" not in message
+            # nothing chained that a traceback would print as well
+            assert exc.__cause__ is None and (exc.__context__ is None or exc.__suppress_context__)
+            if isinstance(exc, ConfigError):
+                assert calls == [], "a ConfigError came after a call into LAPACK"
+        else:
+            # a bool is no r or perturb, not even among numbers, which numpy reads as numbers
+            assert not any(map(_holds_bool, call.args)), "a bool was read as a number"
+            assert not _wrong_kind(call), "a scenario or perturb of the wrong kind was read"
 
 
 # each example evaluates at most this many points through run_sweep and run_check;

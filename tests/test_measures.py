@@ -19,6 +19,7 @@ from wtangles.measures import (
     big_pi4_tangle,
     evaluate,
     evaluate_points,
+    select_names,
     tangle_report,
     von_neumann_entropy,
 )
@@ -232,10 +233,8 @@ def test_index_tables_gather_what_the_fock_kernels_compute():
         assert np.array_equal(side, partial_transpose(reduced, [0]))
 
 
-def test_plans_are_cached_by_column_tuple():
-    plan = measures._plan(("pi_B", "S"))
-    assert plan is measures._plan(("pi_B", "S"))
-    columns, one_three, pairs, residuals = plan
+def test_a_plan_names_the_terms_its_columns_need():
+    columns, one_three, pairs, residuals = measures._plan(("pi_B", "S"))
     assert columns == ("pi_B", "S")
     assert one_three == ("N_B_rest",)
     assert pairs == ("N_AB", "N_BC", "N_BD")
@@ -492,19 +491,22 @@ def test_a_request_no_cache_can_key_is_one_config_error_before_any_solve(read, m
         with pytest.raises(ConfigError) as info:
             read(rho)
     assert calls == []
-    # the ConfigError alone, with no TypeError of the cache lookup chained to it
+    # the ConfigError alone, with no TypeError chained to it
     assert str(info.value) == message and info.value.__context__ is None
 
 
-def test_a_valid_request_stays_a_cache_hit(monkeypatch):
-    rho = observed_densities(w_state(4), ["D"], [[0.3]])
-    evaluate_points(("D",), [[0.3]], ["S", "N_AD"])
+def test_evaluate_points_reads_its_request_once_per_call(monkeypatch):
+    # three chunks evaluated from one plan, read afresh on a repeated call: no cache
+    reads = []
 
-    def no_read(*args):
-        raise AssertionError("a request the cache holds was read again")
-    monkeypatch.setattr(measures, "select_names", no_read)
-    evaluate_points(("D",), [[0.3]], ["S", "N_AD"])
-    evaluate(rho, ("S", "N_AD"))
+    def counted(*args):
+        reads.append(args)
+        return select_names(*args)
+    monkeypatch.setattr(measures, "select_names", counted)
+    r = np.linspace(0.0, R_MAX, 2 * measures.CHUNK + 1)[:, None]
+    for calls in (1, 2):
+        evaluate_points(("D",), r, ["S", "N_AD"])
+        assert len(reads) == calls
 
 
 @pytest.mark.parametrize("read", [

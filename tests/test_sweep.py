@@ -357,12 +357,12 @@ def _traced_peak(run):
 def test_fig7_sweep_peaks_no_higher_than_with_complex_states():
     # real states gather the 1-3 stack straight into complex128: a real stack
     # cast after its gather holds both at once, and peaked 0.3 MiB above this
-    run_sweep(PRESETS["fig7"])      # the plan cache is filled first
+    run_sweep(PRESETS["fig7"])      # the support table is filled first
     assert _traced_peak(lambda: run_sweep(PRESETS["fig7"])) <= COMPLEX_STATES_FIG7_PEAK
 
 
 def test_n_cd_grid_holds_no_copy_of_a_rho_chunk():
     # rho is held as built, and factored in blocks of at most _BLOCK_BYTES
     observers, r = sweep_points(replace(PRESETS["fig5"], diagonal=False, grid=21))
-    evaluate_points(observers, r, ["N_CD"])     # the plan cache is filled first
+    evaluate_points(observers, r, ["N_CD"])     # the support table is filled first
     assert _traced_peak(lambda: evaluate_points(observers, r, ["N_CD"])) <= N_CD_GRID_PEAK
