@@ -3,11 +3,12 @@
 Each curve check is one row of ORACLE_ROWS, named for the oracles function
 it must match: a measure column, the observers that closed form reads, in its
 argument order, and the figure presets that plot that column, at check
-resolution.  The check walks each preset through sweep.sweep_points, the one
-point builder sweeps use, and evaluates the column over its points as one
-stack.  It calls the closed form, looked up in the oracles module at call
-time, once per preset, on the array columns of the r values it reads, then
-compares the two routes pointwise and reports the maximum absolute deviation.
+resolution.  The check walks each preset through sweep.sweep_points, which
+checks it and lays out its points as it does for run_sweep, and evaluates
+the column over its points as one stack.  It calls the closed form, looked
+up in the oracles module at call time, once per preset, on the array columns
+of the r values it reads, then compares the two routes pointwise and reports
+the maximum absolute deviation.
 
 The vanishing_threshold row holds the paper's printed threshold against the
 pipeline: it evaluates N_CD on the diagonal at r* - THRESHOLD_TOL and

@@ -3,11 +3,11 @@
 A sweep fixes or sweeps the Rindler parameter of each accelerated observer,
 computes the requested measures at every grid point and returns rows in
 deterministic lexicographic grid order.  Measures are named by the
-measures.COLUMNS names alone, read by measures.select_names, the one rule
-for every name list, when a config is validated, so a bad name fails
-before any point is computed.
-sweep_points builds the points once, as one (N, k) array of r values, for
-sweeps and oracle checks alike: the swept columns first, then the fixed ones.
+measures.COLUMNS names alone, read once, by the plan measures.evaluate_points
+makes before it builds any state.
+sweep_points checks any config (a bad one is one ConfigError), then builds
+its points once, as one (N, k) array of r values, for sweeps and oracle checks
+alike: the swept columns first, then the fixed ones, each in observer order.
 Each swept axis is one np.linspace array; a grid takes np.repeat of the
 first axis and np.tile of the second, which is lexicographic grid order,
 and the diagonal takes the one shared axis for both columns.
@@ -23,12 +23,12 @@ from __future__ import annotations
 import contextlib
 import os
 import stat
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import IO, Iterator, Sequence
 
 import numpy as np
 
-from .measures import COLUMNS, ConfigError, evaluate_points, select_names
+from .measures import ConfigError, evaluate_points
 from .rindler import R_MAX, check_observers, check_r
 
 DEFAULT_GRID_1D = 101
@@ -67,59 +67,57 @@ def check_axes(axes: Sequence[AxisSpec]) -> None:
             raise ConfigError(f"accel: range for {axis.observer} has lo > hi")
 
 
-def _validated(config: SweepConfig) -> SweepConfig:
-    check_axes(config.accelerated)
-    if config.grid is not None and config.grid < 2:
-        raise ConfigError(f"grid: need at least 2 points, got {config.grid}")
-    swept = [a for a in config.accelerated if not a.fixed]
+def sweep_points(config: SweepConfig) -> tuple[tuple[str, ...], np.ndarray]:
+    """Check any config, then lay out its observers, swept first, and its (N, k) r array."""
+    accelerated, grid, diagonal = config.accelerated, config.grid, config.diagonal
+    if not isinstance(accelerated, tuple) or not all(isinstance(a, AxisSpec) for a in accelerated):
+        raise ConfigError(f"accel: expected a tuple of AxisSpec, got {accelerated!r}")
+    if isinstance(grid, bool) or not isinstance(grid, (int, np.integer, type(None))):
+        raise ConfigError(f"grid: expected an integer or None, got {grid!r}")
+    if not isinstance(diagonal, bool):
+        raise ConfigError(f"diagonal: expected a bool, got {diagonal!r}")
+    check_axes(accelerated)
+    if grid is not None and grid < 2:
+        raise ConfigError(f"grid: need at least 2 points, got {grid}")
+    # swept axes first, each kind in observer order, so row order never depends on flag order
+    ordered = sorted(accelerated, key=lambda a: (a.fixed, a.observer))
+    swept = [a for a in ordered if not a.fixed]
     if len(swept) > 2:
         raise ConfigError(f"accel: at most 2 swept axes, got {len(swept)}")
-    if config.diagonal:
-        if len(swept) != 2:
-            raise ConfigError("diagonal: needs exactly 2 swept axes")
-        if any((a.lo, a.hi) != (swept[0].lo, swept[0].hi) for a in swept):
-            raise ConfigError("diagonal: swept axes must share one range")
-    if config.grid is not None:
+    if diagonal and len(swept) != 2:
+        raise ConfigError("diagonal: needs exactly 2 swept axes")
+    if diagonal and any((a.lo, a.hi) != (swept[0].lo, swept[0].hi) for a in swept):
+        raise ConfigError("diagonal: swept axes must share one range")
+    if grid is not None:
         if not swept:
             raise ConfigError("grid: no swept axis")
-        total = config.grid ** (1 if config.diagonal else len(swept))
+        total = int(grid) ** (1 if diagonal else len(swept))
         if total > MAX_POINTS:
             raise ConfigError(
-                f"grid: {config.grid} points per axis give {total} points, above {MAX_POINTS}")
-    # fix the axis order so row order never depends on flag order
-    ordered = tuple(sorted(config.accelerated, key=lambda a: a.observer))
-    return replace(config, accelerated=ordered,
-                   measures=select_names(config.measures, COLUMNS, "measure"))
-
-
-def sweep_points(cfg: SweepConfig) -> tuple[tuple[str, ...], np.ndarray]:
-    """The observers of a validated config, swept first, and its (N, k) r array."""
-    swept = [a for a in cfg.accelerated if not a.fixed]
-    fixed = [a for a in cfg.accelerated if a.fixed]
-    two_axis = len(swept) == 2 and not cfg.diagonal
-    points = cfg.grid or (DEFAULT_GRID_2D if two_axis else DEFAULT_GRID_1D)
+                f"grid: {grid} points per axis give {total} points, above {MAX_POINTS}")
+    two_axis = len(swept) == 2 and not diagonal
+    points = grid or (DEFAULT_GRID_2D if two_axis else DEFAULT_GRID_1D)
     axes = [np.linspace(a.lo, a.hi, points) for a in swept]
     # the swept r of every point: along the one shared axis on the diagonal
     # (the swept ranges are equal), else in lexicographic grid order
-    if cfg.diagonal:
+    if diagonal:
         axes = [axes[0]] * len(axes)
     elif two_axis:
         axes = [np.repeat(axes[0], points), np.tile(axes[1], points)]
-    r = np.empty((len(axes[0]) if axes else 1, len(swept) + len(fixed)))
+    r = np.empty((len(axes[0]) if axes else 1, len(ordered)))
     r[:, :len(swept)] = np.transpose(axes)
-    r[:, len(swept):] = [a.lo for a in fixed]
-    return tuple(a.observer for a in swept + fixed), r
+    r[:, len(swept):] = [a.lo for a in ordered[len(swept):]]
+    return tuple(a.observer for a in ordered), r
 
 
 def run_sweep(config: SweepConfig) -> tuple[list[str], list[list[float]]]:
     """Evaluate the sweep; returns (header, rows) in deterministic order."""
-    cfg = _validated(config)
-    observers, r = sweep_points(cfg)
-    swept = sum(not a.fixed for a in cfg.accelerated)
-    header = [f"r_{o}" for o in observers[:swept]] + list(cfg.measures)
-    values = evaluate_points(observers, r, cfg.measures)
+    observers, r = sweep_points(config)
+    values = evaluate_points(observers, r, config.measures)
+    swept = sum(not a.fixed for a in config.accelerated)
+    header = [f"r_{o}" for o in observers[:swept]] + list(values)
     # each row: the swept r of its point, then its measures
-    return header, np.array([*r[:, :swept].T, *(values[c] for c in cfg.measures)]).T.tolist()
+    return header, np.array([*r[:, :swept].T, *values.values()]).T.tolist()
 
 
 def write_csv(header: Sequence[str], rows: Sequence[Sequence[float]], stream: IO[str]) -> None:

@@ -26,7 +26,7 @@ from wtangles.rindler import R_MAX, observed_density
 from wtangles.sweep import PRESETS
 
 from . import patterns, reference
-from .lapack import pinned_on
+from .lapack import pinned_on, recorded
 from .test_sweep import DEFAULT_GRID_SHA256
 
 DATA = Path(__file__).with_name("data")
@@ -146,10 +146,12 @@ def test_sweep_diagonal_prints_the_diagonal_preset(capsys):
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
         raise AssertionError("a rejected command computed a point")
-    monkeypatch.setattr("wtangles.sweep.evaluate_points", no_points)
-    monkeypatch.setattr("wtangles.checks.evaluate_points", no_points)
+    # a sweep's measure names are read by evaluate_points' plan, before any state is built
+    monkeypatch.setattr("wtangles.measures._built", no_points)
     monkeypatch.setattr("wtangles.cli.observed_density", no_points)
-    assert main(argv) == 2
+    with recorded() as calls:
+        assert main(argv) == 2
+    assert calls == []
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert err.count("\n") == 1

@@ -1,16 +1,18 @@
 """Generative tests of both input surfaces: any input gives values or one line of error.
 
 The library test draws every argument of evaluate, evaluate_points,
-observed_density, observed_densities, run_check and the closed forms from
-the kinds of input a caller can get wrong: None, bytes, a bare str, nested
-and unhashable tokens as names; bools mixed with floats, complex values,
-NaN, inf and text as r; ragged and wrongly shaped r; unknown and repeated
-observers; bytes, numbers, text and lists as a scenario; None, text, bools,
-complex values and inf as a perturb.  Each call must return, or raise one
+observed_density, observed_densities, run_check, run_sweep and the closed
+forms from the kinds of input a caller can get wrong: None, bytes, a bare
+str, nested and unhashable tokens as names; bools mixed with floats, complex
+values, NaN, inf and text as r; ragged and wrongly shaped r; unknown and
+repeated observers; bytes, numbers, text and lists as a scenario; None, text,
+bools, complex values and inf as a perturb; a SweepConfig whose accelerated,
+grid or diagonal is of a wrong kind.  Each call must return, or raise one
 ValueError (a ConfigError is one) whose message is one line, with no other
 exception chained to it; a ConfigError comes before any call into LAPACK
-(tests/lapack.py records none).  A scenario that is not a mapping or None,
-and a perturb that is not a finite real number or is a bool, must raise.
+(tests/lapack.py records none).  A scenario that is not a mapping or None, a
+perturb that is not a finite real number or is a bool, and a config field of
+a wrong kind must raise.
 
 The CLI test draws argv from build_parser's own subcommands and options,
 with tricky values, and runs cli.main in a scratch directory: the exit code
@@ -36,9 +38,9 @@ from wtangles import checks, oracles, sweep
 from wtangles.checks import CHECKS, run_check
 from wtangles.cli import build_parser, main
 from wtangles.fock import OBSERVERS, w_state
-from wtangles.measures import COLUMNS, evaluate, evaluate_points
+from wtangles.measures import COLUMNS, evaluate, evaluate_points, select_names
 from wtangles.rindler import R_MAX, ConfigError, observed_densities, observed_density
-from wtangles.sweep import PRESETS
+from wtangles.sweep import PRESETS, AxisSpec, SweepConfig, run_sweep
 
 from .lapack import recorded
 
@@ -93,11 +95,29 @@ def _evaluate(rho, columns):
     return evaluate(_RHO if rho == "stack" else _RHO[0], columns)
 
 
-def _wrong_kind(call):
-    """Whether call passes a scenario or a perturb of a kind that must raise.
+_AXES = (AxisSpec("C", 0.0, 0.5), AxisSpec("D", 0.0, 0.5))
+# the values each drawn SweepConfig field takes, of its kind and of wrong kinds
+SWEEP_FIELDS = {
+    "accelerated": [(AxisSpec("D", 0.3, 0.3),), _AXES[1:], _AXES,
+                    None, list(_AXES), (("D", 0.0, 0.5),), _AXES[1], (_AXES[0], "D")],
+    "grid": [None, 2, 3, np.int64(3), 2.5, "3", True, np.float64(3.0)],
+    "diagonal": [False, True, "no", "", 0, 1, None, np.bool_(True)],
+}
 
-    A scenario is a mapping or None; a perturb is a finite real number, not a bool.
+
+def _wrong_kind(call):
+    """Whether call passes a scenario, a perturb or a config field of a kind that must raise.
+
+    A scenario is a mapping or None; a perturb is a finite real number, not a
+    bool; a config's accelerated is a tuple of AxisSpec, its grid None or an
+    int or numpy integer, its diagonal a bool.
     """
+    if call.func is run_sweep:
+        config = call.args[0]
+        return not (type(config.accelerated) is tuple
+                    and all(type(axis) is AxisSpec for axis in config.accelerated)
+                    and (config.grid is None or type(config.grid) in (int, np.int64))
+                    and type(config.diagonal) is bool)
     if call.func is observed_density:
         return not isinstance(call.args[1], (dict, type(None)))
     if call.func is run_check:
@@ -132,6 +152,10 @@ CALLS = st.one_of(
     st.builds(lambda closed_form, r_c, r_d: partial(closed_form, r_c, r_d),
               st.just(oracles.n_pair_accel_both), R_ANY, R_ANY),
     st.builds(partial, st.sampled_from(_ONE_R_FORMS), R_ANY),
+    st.builds(lambda fields, measures: partial(run_sweep, SweepConfig(**fields, measures=measures)),
+              st.fixed_dictionaries({name: st.sampled_from(values)
+                                     for name, values in SWEEP_FIELDS.items()}),
+              st.sampled_from([("S",), "N_CD"])),
 )
 
 
@@ -146,6 +170,11 @@ CALLS = st.one_of(
 @example(call=partial(run_check, ["n_ab_const"], "0.1"))
 @example(call=partial(run_check, ["n_ab_const"], True))
 @example(call=partial(run_check, ["n_ab_const"], 1j))
+@example(call=partial(run_sweep, SweepConfig(_AXES, grid=3, diagonal="no")))
+@example(call=partial(run_sweep, SweepConfig(_AXES[1:], grid=2.5)))
+@example(call=partial(run_sweep, SweepConfig(_AXES[1:], grid="3")))
+@example(call=partial(run_sweep, SweepConfig(accelerated=None)))
+@example(call=partial(run_sweep, SweepConfig(accelerated=(("D", 0.0, 0.5),))))
 def test_a_library_call_gives_values_or_one_line_error(call):
     with recorded() as calls:
         try:
@@ -173,6 +202,8 @@ class _Capped(Exception):
 
 
 def _capped(evaluated, observers, r, columns):
+    # a bad request is an exit 2 at any size: evaluate_points reads it before any state
+    select_names(columns, COLUMNS, "measure")
     evaluated.append(len(r))
     if sum(evaluated) > MAX_POINTS:
         raise _Capped

@@ -3,6 +3,7 @@ import io
 import math
 import os
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 from itertools import product
@@ -14,7 +15,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wtangles.checks import run_check
-from wtangles.measures import COLUMNS, evaluate_points
+from wtangles.measures import COLUMNS, evaluate_points, select_names
 from wtangles.oracles import n_pair_accel_one
 from wtangles.sweep import (
     DEFAULT_GRID_1D,
@@ -25,13 +26,12 @@ from wtangles.sweep import (
     SweepConfig,
     atomic_output,
     run_sweep,
-    select_names,
     sweep_points,
     write_csv,
 )
 
 from . import patterns
-from .lapack import pinned_on
+from .lapack import pinned_on, recorded
 
 DATA = Path(__file__).with_name("data")
 R_MAX = math.pi / 4
@@ -114,10 +114,50 @@ def test_atomic_output_passes_an_error_without_errno_raised_in_the_block(tmp_pat
     # a grid with no swept axis to lay its points on
     SweepConfig(grid=3),
     SweepConfig(accelerated=(fixed("C", 0.2), fixed("D", 0.3)), grid=3),
+    # fields of the wrong kind: none is read as another
+    SweepConfig(accelerated=(swept("C", 0.0, 0.5), swept("D", 0.0, 0.5)), grid=3, diagonal="no"),
+    SweepConfig(accelerated=(swept("D"),), diagonal=1),
+    SweepConfig(accelerated=(swept("D"),), grid=2.5),
+    SweepConfig(accelerated=(swept("D"),), grid="3"),
+    SweepConfig(accelerated=(swept("D"),), grid=True),
+    SweepConfig(accelerated=None),
+    SweepConfig(accelerated=(("D", 0.0, 0.5),)),
+    SweepConfig(accelerated=[swept("D")]),
+    SweepConfig(accelerated=swept("D")),
 ])
 def test_invalid_configs_raise(config):
-    with pytest.raises(ConfigError):
-        run_sweep(config)
+    # one check for the sweep and for the points alike, before any call into LAPACK
+    with recorded() as calls:
+        with pytest.raises(ConfigError) as swept_info:
+            run_sweep(config)
+        with pytest.raises(ConfigError) as points_info:
+            sweep_points(config)
+    assert str(swept_info.value) == str(points_info.value)
+    assert calls == []
+
+
+def test_a_numpy_integer_is_a_grid():
+    config = SweepConfig(accelerated=(swept("D"),), grid=np.int64(3), measures=("S",))
+    assert run_sweep(config) == run_sweep(replace(config, grid=3))
+    # its points counted in Python ints, which do not wrap past 2**63
+    grid = np.int64(2**32 + 1)
+    with pytest.raises(ConfigError, match=f"give {int(grid) ** 2} points, above"):
+        run_sweep(SweepConfig(accelerated=(swept("C"), swept("D")), grid=grid))
+
+
+def test_a_sweep_reads_its_measure_names_once(monkeypatch):
+    reads = []
+
+    def counting(tokens, known, what):
+        reads.append(what)
+        return select_names(tokens, known, what)
+    # every module of the package that holds the name rule reads through the counter
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wtangles") and getattr(module, "select_names", None) is select_names:
+            monkeypatch.setattr(module, "select_names", counting)
+    header, _ = run_sweep(PRESETS["fig3"])
+    assert reads.count("measure") == 1
+    assert header == ["r_D", "pi4", "Pi4"]
 
 
 def test_all_axes_fixed_yields_single_row():
@@ -188,7 +228,7 @@ def test_fixed_axis_combines_with_swept_axis():
 
 @st.composite
 def point_configs(draw):
-    """A config as run_sweep validates it: observers sorted, 0 to 2 swept, a grid of 2 to 9."""
+    """A config run_sweep accepts: observers sorted, 0 to 2 swept, a grid of 2 to 9 if any is."""
     observers = draw(st.permutations("ABCD"))
     n_swept = draw(st.integers(min_value=0, max_value=2))
     n_fixed = draw(st.integers(min_value=0, max_value=4 - n_swept))
@@ -201,7 +241,8 @@ def point_configs(draw):
     axes = [AxisSpec(o, lo, hi) for o, (lo, hi) in zip(observers, ranges)]
     axes += [fixed(o, draw(r)) for o in observers[n_swept:n_swept + n_fixed]]
     return SweepConfig(accelerated=tuple(sorted(axes, key=lambda a: a.observer)),
-                       grid=draw(st.integers(min_value=2, max_value=9)), diagonal=diagonal)
+                       grid=draw(st.integers(min_value=2, max_value=9)) if n_swept else None,
+                       diagonal=diagonal)
 
 
 def reference_points(config):
@@ -213,7 +254,7 @@ def reference_points(config):
 
 
 @given(config=point_configs())
-@example(config=SweepConfig(accelerated=(), grid=2))
+@example(config=SweepConfig(accelerated=()))
 @example(config=SweepConfig(accelerated=(fixed("A", 0.1), swept("C"), swept("D")), grid=3,
                             diagonal=True))
 @example(config=SweepConfig(accelerated=(swept("B"), fixed("C", 0.2), swept("D")), grid=9))
