@@ -37,6 +37,8 @@ validate_density is the one place Hermiticity is checked: on rho when it is
 built, and on the reduced pair states measures gathers.  A partial transpose
 moves each entry together with its adjoint partner, so it deviates from
 Hermiticity exactly as much as its state, and is not checked again.
+ConfigError, the one error for an input of a wrong kind or a bad name, r
+or sweep, is defined here, in the lowest module that raises it.
 """
 
 from __future__ import annotations
@@ -67,13 +69,18 @@ W4[[8, 4, 2, 1]] = 0.5
 W4.setflags(write=False)
 
 
+class ConfigError(ValueError):
+    """Raised for an input of the wrong kind, or a bad name list, observer list, r or sweep."""
+
+
 def validate_density(m: np.ndarray) -> None:
     """Check a nonempty (..., dim, dim) stack of density matrices.
 
     Each matrix must be Hermitian, of unit trace and positive semidefinite
     within the module tolerances; a failed check raises, naming the worst
     value in the stack.  m may be any array-like, real or complex, and is
-    checked in its own dtype; a ragged one raises numpy's ValueError.
+    checked in its own dtype; a ragged one raises numpy's ValueError, and
+    one of any other dtype (bool, str, object) a ConfigError.
 
     The stack is cut, in order, into (b, dim, dim) blocks of about
     _BLOCK_BYTES; the Hermiticity check and then the positivity test run
@@ -94,7 +101,8 @@ def validate_density(m: np.ndarray) -> None:
     diagonalized, whole, as its complex128 cast, and its smallest eigenvalue
     decides.  A failed eigensolve raises numpy's LinAlgError, a ValueError.
     """
-    m = np.asarray(m)
+    if (m := np.asarray(m)).dtype.kind not in "iufc":
+        raise ConfigError(f"density matrix has dtype {m.dtype}, want real or complex numbers")
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"density expected a square matrix, got shape {m.shape}")
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
@@ -218,8 +226,15 @@ def partial_transpose(rho: DensityMatrix, part: Iterable[int]) -> np.ndarray:
 
     Entry <i_part i_rest| M |j_part j_rest> = <j_part i_rest| rho |i_part j_rest>.
     Transposing all modes gives the ordinary transpose; applying the same
-    partial transpose twice returns the original matrix.
+    partial transpose twice returns the original matrix.  part is an
+    iterable of positions, each a Python or numpy integer and not a bool;
+    anything else is one ConfigError, raised before any work.
     """
+    if isinstance(part, (str, bytes)) or not np.iterable(part):
+        raise ConfigError(f"part: want an iterable of mode positions, got {type(part).__name__}")
+    part = list(part)
+    if bad := [p for p in part if isinstance(p, bool) or not isinstance(p, (int, np.integer))]:
+        raise ConfigError(f"part: want mode positions as ints, got {type(bad[0]).__name__}")
     part_sorted = sorted(set(part))
     if not part_sorted:
         raise ValueError("partial transpose needs a nonempty mode subset")

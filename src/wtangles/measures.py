@@ -34,9 +34,9 @@ spectrum: the pair stack is indexed by its distinct keys, repeated or not,
 so only the first of each is validated and solved, and each pair reads its
 key's values, which moves no bit and assumes no symmetry.  _stack_values
 then fills the planned residuals from TERMS, pi4, Pi4 and S in that order.
-Squares and fourth roots are taken value by value in Python floats, and
-sums run left to right over whole arrays, which keeps a point's values
-independent of its stack (see the README Notes).
+Squares and fourth roots are taken value by value in Python floats, by
+rindler._each, and sums run left to right over whole arrays, which keeps a
+point's values independent of its stack (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, checks its points and plans
@@ -59,7 +59,7 @@ from .fock import (
     validate_density,
 )
 from .linalg import _eigvalsh, negative_eigenvalue_sum
-from .rindler import ConfigError, _built, _checked
+from .rindler import ConfigError, _built, _checked, _each
 
 RESIDUAL_CLIP = -1e-10
 RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
@@ -75,8 +75,11 @@ def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
     The residuals are floats, or arrays with one value per point.  Residuals
     in [-1e-10, 0) are treated as roundoff and clipped to 0; any residual
     below that, or NaN, is a pipeline defect and raises, naming the most
-    negative one or the one that is not a number.
+    negative one or the one that is not a number.  pi_k must be a mapping:
+    anything else is one ConfigError.
     """
+    if not isinstance(pi_k, Mapping):
+        raise ConfigError(f"pi_k: expected a mapping of residuals, got {type(pi_k).__name__}")
     if len(pi_k) != 4:
         raise ValueError(f"big_pi4_tangle needs 4 residuals, got {len(pi_k)}")
     values = np.array(list(pi_k.values()), dtype=float)
@@ -89,7 +92,7 @@ def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
     product = 1.0
     for row in rows:
         product = product * np.maximum(row, 0.0)
-    return np.array([p ** 0.25 for p in product.tolist()]).reshape(values.shape[1:])
+    return _each(lambda p: p ** 0.25, product).reshape(values.shape[1:])
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
@@ -98,8 +101,11 @@ def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
     One eigvalsh call over rho's states gives the spectra, ascending, so a
     state's k positive eigenvalues are its last k: the states with the same
     k are one (n, k) array and one reduction, whose rows are summed as a
-    single spectrum's k values would be.
+    single spectrum's k values would be.  rho is a DensityMatrix, or an
+    object whose matrix is an array; anything else is one ConfigError.
     """
+    if not isinstance(getattr(rho, "matrix", None), np.ndarray):
+        raise ConfigError(f"rho: expected a DensityMatrix, got {type(rho).__name__}")
     spectra = _eigvalsh(rho.matrix)
     rows = spectra.reshape(-1, spectra.shape[-1])
     positive = (rows > 0.0).sum(axis=1)
@@ -204,8 +210,7 @@ def _stack_values(rho: DensityMatrix, plan: tuple[tuple[str, ...], ...]) -> list
     if residuals:
         # each value squared once in Python floats; sums run left to right
         # over whole (N,) arrays, which round each element as the float sums do
-        squares = {column: np.array([n ** 2 for n in values[column].tolist()])
-                   for column in one_three + pairs}
+        squares = {column: _each(lambda n: n ** 2, values[column]) for column in one_three + pairs}
         for column in residuals:
             whole, first, second, third = (squares[term] for term in TERMS[column])
             values[column] = whole - ((first + second) + third)
@@ -223,8 +228,11 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     """The requested columns, read by select_names, in request order.
 
     rho is one four-mode state, giving a float per column, or a stack of N
-    states, giving an (N,) array per column.
+    states, giving an (N,) array per column; a bare array or anything else
+    that is no DensityMatrix is one ConfigError.
     """
+    if not isinstance(getattr(rho, "matrix", None), np.ndarray):
+        raise ConfigError(f"rho: expected a DensityMatrix, got {type(rho).__name__}")
     shape = rho.matrix.shape
     if shape[-2:] != (16, 16):
         raise ValueError(f"measures need a four-mode state, got shape {shape}")

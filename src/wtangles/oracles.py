@@ -15,11 +15,12 @@ rindler.check_r, the one r rule, takes each argument as real numbers in
 0-d for a number.  Each distinct term is computed once per call, and the
 expression reads it with the operations and left-to-right order of the
 formula as written, value by value: cos and log are math's, applied to each
-value in turn, as numpy's may round differently; sqrt is numpy's, correctly
-rounded as math's is.  A 0-d array's arithmetic runs on numpy scalars, as
-a float's, and _out turns a 0-d result into a float once, at the end.  So an
-array gives an array of its shape, a number (float, 0-d array or numpy
-scalar) a float, and every value the bits of the formula typed on floats.
+value in turn by rindler._each, as numpy's may round differently; sqrt is
+numpy's, correctly rounded as math's is.  A 0-d array's arithmetic runs on
+numpy scalars, as a float's, and _out turns a 0-d result into a float once,
+at the end.  So an array gives an array of its shape, a number (float, 0-d
+array or numpy scalar) a float, and every value the bits of the formula
+typed on floats.
 """
 
 from __future__ import annotations
@@ -28,16 +29,11 @@ import math
 
 import numpy as np
 
-from .rindler import check_r
+from .rindler import _each, check_r
 
 SQRT2 = math.sqrt(2.0)
 # what a closed form takes for each r, and returns: a float, or a float array
 Values = float | np.ndarray
-
-
-def _each(f, x) -> np.ndarray:
-    """f of each value of x, an array or a numpy scalar, in turn, as an array of its shape."""
-    return np.fromiter(map(f, np.ravel(x).tolist()), float, np.size(x)).reshape(np.shape(x))
 
 
 def _out(value) -> Values:

@@ -56,9 +56,12 @@ each slice of CHUNK rows, each validated as a state.  _checked takes math's
 cos r and sin r of every point once per call, and _built reads its slice's
 rows of those split factors, so each keeps math's bits and the x 1.0 stays
 exact.  check_observers is the one rule for a list of observers,
-here, in sweep's axes and in the observer a matrix dump transposes; check_r
-is the one rule for r, here, in sweep's axes and in every closed form of
-oracles.
+here, in sweep's axes and in the observer a matrix dump transposes.
+check_r is the one rule for r: here, once per call on each observer's
+column, in sweep's axes and in every closed form of oracles.  _each is the
+one per-value map, a Python float function applied to each value in turn,
+as numpy's vector loops may round differently: cos r and sin r here, the
+squares and fourth roots in measures, and the closed forms' cos and log.
 """
 
 from __future__ import annotations
@@ -69,17 +72,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import OBSERVERS, W4, DensityMatrix
+from .fock import OBSERVERS, W4, ConfigError, DensityMatrix
 
 R_MAX = math.pi / 4
 # slack on the r domain, so endpoints that carry roundoff are still accepted
 R_TOL = 1e-12
 # the r accepted, both ends included
 R_LO, R_HI = -R_TOL, R_MAX + R_TOL
-
-
-class ConfigError(ValueError):
-    """Raised for a bad name list, observer list, r or sweep configuration, naming it."""
 
 
 def check_observers(observers: Sequence[str], what: str) -> None:
@@ -89,15 +88,6 @@ def check_observers(observers: Sequence[str], what: str) -> None:
             raise ConfigError(f"{what}: unknown observer {obs!r}; known: {', '.join(OBSERVERS)}")
         if obs in observers[:j]:
             raise ConfigError(f"{what}: observer {obs!r} given twice")
-
-
-def out_of_domain(r) -> float | None:
-    """The first value of r, a number or an array, outside [0, pi/4] (NaN too), or None."""
-    r = np.asarray(r, dtype=float)
-    # one min and one max clear a whole array; a NaN makes both NaN, failing either test
-    if r.size == 0 or (r.min() >= R_LO and r.max() <= R_HI):
-        return None
-    return next(x for x in r.ravel().tolist() if not R_LO <= x <= R_HI)
 
 
 def _real(r, what: str) -> np.ndarray:
@@ -116,9 +106,18 @@ def check_r(r, what: str) -> np.ndarray:
     A ConfigError names what and the first bad value, NaN too, as in
     'accel: D=nan outside [0, pi/4]' or 'n_i_d1: r_d=1.0 outside [0, pi/4]'.
     """
-    if (bad := out_of_domain(r := _real(r, what))) is not None:
+    r = np.asarray(_real(r, what), dtype=float)
+    # one min and one max clear a whole array; a NaN makes both NaN, failing either test
+    if r.size and not (r.min() >= R_LO and r.max() <= R_HI):
+        bad = next(x for x in r.ravel().tolist() if not R_LO <= x <= R_HI)
         raise ConfigError(f"{what}={bad!r} outside [0, pi/4]")
-    return np.asarray(r, dtype=float)
+    return r
+
+
+def _each(f, x) -> np.ndarray:
+    """f of each value of x, an array or a number, in turn, as a float64 array of its shape."""
+    x = np.asarray(x)
+    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 @lru_cache
@@ -187,17 +186,14 @@ def _checked(observers: Sequence[str], r):
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
         raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")
     check_observers(observers, "observers")
-    if out_of_domain(r) is not None:
-        for obs, column in zip(observers, r.T):
-            check_r(column, f"accel: {obs}")
+    for obs, column in zip(observers, r.T):
+        check_r(column, f"accel: {obs}")
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
     support = _support(tuple(pos for pos, _ in order))
-    # math's cos and sin, value by value, once per call; numpy's vector loops may round differently
-    values, split = r[:, [j for _, j in order]].ravel().tolist(), np.ones((r.size, 3))
-    split[:, 1] = np.fromiter(map(math.cos, values), float, r.size)
-    split[:, 2] = np.fromiter(map(math.sin, values), float, r.size)
-    return split.reshape(r.shape + (3,)), support
+    values, split = r[:, [j for _, j in order]], np.ones(r.shape + (3,))
+    split[..., 1], split[..., 2] = _each(math.cos, values), _each(math.sin, values)
+    return split, support
 
 
 def _built(split: np.ndarray, support) -> DensityMatrix:

@@ -1,18 +1,25 @@
 """Generative tests of both input surfaces: any input gives values or one line of error.
 
 The library test draws every argument of evaluate, evaluate_points,
-observed_density, observed_densities, run_check, run_sweep and the closed
-forms from the kinds of input a caller can get wrong: None, bytes, a bare
-str, nested and unhashable tokens as names; bools mixed with floats, complex
-values, NaN, inf and text as r; ragged and wrongly shaped r; unknown and
-repeated observers; bytes, numbers, text and lists as a scenario; None, text,
-bools, complex values and inf as a perturb; a SweepConfig whose accelerated,
-grid or diagonal is of a wrong kind.  Each call must return, or raise one
+observed_density, observed_densities, run_check, run_sweep, the closed
+forms, partial_transpose, tangle_report, von_neumann_entropy, big_pi4_tangle
+and validate_density from the kinds of input a caller can get wrong: None,
+bytes, a bare str, nested and unhashable tokens as names; bools mixed with
+floats, complex values, NaN, inf and text as r; ragged and wrongly shaped r;
+unknown and repeated observers; bytes, numbers, text and lists as a
+scenario; None, text, bools, complex values and inf as a perturb; a
+SweepConfig whose accelerated, grid or diagonal is of a wrong kind; bools,
+floats, None, text, numbers and nested lists as transpose positions; arrays,
+None and text as a state; lists, None and text as residuals; object, str and
+bool arrays as a density matrix.  Each call must return, or raise one
 ValueError (a ConfigError is one) whose message is one line, with no other
 exception chained to it; a ConfigError comes before any call into LAPACK
-(tests/lapack.py records none).  A scenario that is not a mapping or None, a
-perturb that is not a finite real number or is a bool, and a config field of
-a wrong kind must raise.
+(tests/lapack.py records none).  An input of a wrong kind must raise a
+ConfigError: a scenario that is not a mapping or None, a perturb that is not
+a finite real number or is a bool, a config field of a wrong kind, positions
+that are not an iterable of ints, a state that is not a DensityMatrix,
+residuals that are not a mapping, and a density matrix that is not of real
+or complex numbers.
 
 The CLI test draws argv from build_parser's own subcommands and options,
 with tricky values, and runs cli.main in a scratch directory: the exit code
@@ -37,8 +44,16 @@ from hypothesis.extra import numpy as hnp
 from wtangles import checks, oracles, sweep
 from wtangles.checks import CHECKS, run_check
 from wtangles.cli import build_parser, main
-from wtangles.fock import OBSERVERS, w_state
-from wtangles.measures import COLUMNS, evaluate, evaluate_points, select_names
+from wtangles.fock import OBSERVERS, DensityMatrix, partial_transpose, validate_density, w_state
+from wtangles.measures import (
+    COLUMNS,
+    big_pi4_tangle,
+    evaluate,
+    evaluate_points,
+    select_names,
+    tangle_report,
+    von_neumann_entropy,
+)
 from wtangles.rindler import R_MAX, ConfigError, observed_densities, observed_density
 from wtangles.sweep import PRESETS, AxisSpec, SweepConfig, run_sweep
 
@@ -105,13 +120,54 @@ SWEEP_FIELDS = {
 }
 
 
+# transpose positions: lists of positions of every kind, and what is no list of them
+PARTS = st.one_of(
+    st.lists(st.one_of(st.integers(-1, 4), st.booleans(), st.floats(-1.0, 4.0), st.none(),
+                       st.sampled_from([np.int64(1), np.bool_(True), "0", b"", [0], 1j])),
+             max_size=3),
+    st.sampled_from(["0", b"0", "", 1, 0.0, None, np.array(1), np.array([0, 3]),
+                     np.array([[0]]), np.array([0.0]), range(2), (3,)]),
+)
+# a state, one or a stack, and what is no DensityMatrix: its bare array, None, text, a list
+STATES = st.sampled_from([_RHO, _RHO[0], _RHO.matrix, _RHO[0].matrix, None, "rho", [[1.0]]])
+RESIDUAL_VALUES = st.one_of(st.floats(-1e-9, 1.0), st.just(math.nan), st.just(np.full(2, 0.1)))
+# residuals: mappings of every size, and what is no mapping
+RESIDUAL_SETS = st.one_of(
+    st.dictionaries(st.sampled_from(OBSERVERS), RESIDUAL_VALUES, max_size=4),
+    st.fixed_dictionaries({obs: RESIDUAL_VALUES for obs in OBSERVERS}),
+    st.sampled_from([[0.1, 0.2, 0.3, 0.4], None, "ABCD", 4, (0.1,) * 4, np.full(4, 0.1),
+                     [("A", 0.1)]]),
+)
+# density matrices of every dtype: states, a bad trace, wrong shapes and drawn values
+DENSITY_ARRAYS = st.builds(
+    lambda m, dtype: np.asarray(m).astype(dtype),
+    st.one_of(st.sampled_from([np.eye(2) / 2, _RHO[0].matrix, _RHO.matrix, np.eye(4)]),
+              hnp.arrays("f8", st.sampled_from([(2, 2), (3,), (1, 4, 4), (2, 3)]),
+                         elements=st.floats(-1.0, 1.0))),
+    st.sampled_from([float, complex, int, bool, str, object]),
+)
+
+
 def _wrong_kind(call):
-    """Whether call passes a scenario, a perturb or a config field of a kind that must raise.
+    """Whether call passes an argument of a kind that must raise a ConfigError.
 
     A scenario is a mapping or None; a perturb is a finite real number, not a
     bool; a config's accelerated is a tuple of AxisSpec, its grid None or an
-    int or numpy integer, its diagonal a bool.
+    int or numpy integer, its diagonal a bool.  Transpose positions are an
+    iterable of ints or numpy integers, not bools; a state is a
+    DensityMatrix; residuals are a mapping; a density matrix has an integer,
+    float or complex dtype.
     """
+    if call.func is partial_transpose:
+        part = call.args[1]
+        return (isinstance(part, (str, bytes)) or not np.iterable(part)
+                or not all(type(p) in (int, np.int64) for p in part))
+    if call.func in (evaluate, tangle_report, von_neumann_entropy):
+        return not isinstance(call.args[0], DensityMatrix)
+    if call.func is big_pi4_tangle:
+        return not isinstance(call.args[0], dict)
+    if call.func is validate_density:
+        return call.args[0].dtype.kind not in "iufc"
     if call.func is run_sweep:
         config = call.args[0]
         return not (type(config.accelerated) is tuple
@@ -156,6 +212,11 @@ CALLS = st.one_of(
               st.fixed_dictionaries({name: st.sampled_from(values)
                                      for name, values in SWEEP_FIELDS.items()}),
               st.sampled_from([("S",), "N_CD"])),
+    st.builds(partial, st.just(partial_transpose), st.sampled_from([_RHO, _RHO[0]]), PARTS),
+    st.builds(partial, st.just(evaluate), STATES, st.sampled_from(["S", ["N_CD", "Pi4"]])),
+    st.builds(partial, st.sampled_from([tangle_report, von_neumann_entropy]), STATES),
+    st.builds(partial, st.just(big_pi4_tangle), RESIDUAL_SETS),
+    st.builds(partial, st.just(validate_density), DENSITY_ARRAYS),
 )
 
 
@@ -175,6 +236,22 @@ CALLS = st.one_of(
 @example(call=partial(run_sweep, SweepConfig(_AXES[1:], grid="3")))
 @example(call=partial(run_sweep, SweepConfig(accelerated=None)))
 @example(call=partial(run_sweep, SweepConfig(accelerated=(("D", 0.0, 0.5),))))
+@example(call=partial(partial_transpose, _RHO[0], [True]))
+@example(call=partial(partial_transpose, _RHO[0], [1.0]))
+@example(call=partial(partial_transpose, _RHO[0], [-0.0]))
+@example(call=partial(partial_transpose, _RHO[0], "0"))
+@example(call=partial(partial_transpose, _RHO[0], [None]))
+@example(call=partial(partial_transpose, _RHO[0], 1))
+@example(call=partial(partial_transpose, _RHO[0], [[0]]))
+@example(call=partial(evaluate, _RHO.matrix, "S"))
+@example(call=partial(evaluate, None, "S"))
+@example(call=partial(tangle_report, _RHO[0].matrix))
+@example(call=partial(tangle_report, None))
+@example(call=partial(von_neumann_entropy, _RHO.matrix))
+@example(call=partial(von_neumann_entropy, None))
+@example(call=partial(big_pi4_tangle, [0.1, 0.2, 0.3, 0.4]))
+@example(call=partial(big_pi4_tangle, None))
+@example(call=partial(validate_density, (np.eye(2) / 2).astype(object)))
 def test_a_library_call_gives_values_or_one_line_error(call):
     with recorded() as calls:
         try:
@@ -184,12 +261,14 @@ def test_a_library_call_gives_values_or_one_line_error(call):
             assert message and "\n" not in message
             # nothing chained that a traceback would print as well
             assert exc.__cause__ is None and (exc.__context__ is None or exc.__suppress_context__)
+            assert isinstance(exc, ConfigError) or not _wrong_kind(call), \
+                "an input of the wrong kind raised no ConfigError"
             if isinstance(exc, ConfigError):
                 assert calls == [], "a ConfigError came after a call into LAPACK"
         else:
             # a bool is no r or perturb, not even among numbers, which numpy reads as numbers
             assert not any(map(_holds_bool, call.args)), "a bool was read as a number"
-            assert not _wrong_kind(call), "a scenario or perturb of the wrong kind was read"
+            assert not _wrong_kind(call), "an input of the wrong kind was read"
 
 
 # each example evaluates at most this many points through run_sweep and run_check;

@@ -400,15 +400,15 @@ def test_evaluate_points_checks_its_points_once(monkeypatch):
     r = np.random.default_rng(7).uniform(0.0, R_MAX, (2 * measures.CHUNK + 1, 2))
     expected = measures.evaluate_points(("C", "D"), r, COLUMNS)
     checked = []
-    out_of_domain = rindler.out_of_domain
+    check_r = rindler.check_r
 
-    def counting(values):
-        checked.append(np.shape(values))
-        return out_of_domain(values)
+    def counting(values, what):
+        checked.append((np.shape(values), what))
+        return check_r(values, what)
 
-    monkeypatch.setattr(rindler, "out_of_domain", counting)
+    monkeypatch.setattr(rindler, "check_r", counting)
     values = measures.evaluate_points(("C", "D"), r, COLUMNS)
-    assert checked == [r.shape]
+    assert checked == [((len(r),), "accel: C"), ((len(r),), "accel: D")]
     assert list(values) == list(expected)
     for column in COLUMNS:
         assert values[column].tobytes() == expected[column].tobytes()

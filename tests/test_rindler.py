@@ -30,7 +30,6 @@ from wtangles.rindler import (
     check_r,
     observed_densities,
     observed_density,
-    out_of_domain,
 )
 from wtangles.sweep import AxisSpec, check_axes
 
@@ -79,10 +78,12 @@ def test_parameter_range_validation():
 
 
 def test_out_of_domain_names_the_first_bad_value_after_an_exact_edge():
-    assert out_of_domain([R_LO, 2.0]) == 2.0
-    assert out_of_domain([[R_HI, R_LO], [-1.0, 2.0]]) == -1.0
-    assert out_of_domain([R_LO, R_HI]) is None
-    assert out_of_domain(R_HI) is None
+    with pytest.raises(ConfigError, match=r"^r=2\.0 outside"):
+        check_r([R_LO, 2.0], "r")
+    with pytest.raises(ConfigError, match=r"^r=-1\.0 outside"):
+        check_r([[R_HI, R_LO], [-1.0, 2.0]], "r")
+    assert check_r([R_LO, R_HI], "r").tolist() == [R_LO, R_HI]
+    assert check_r(R_HI, "r").tolist() == R_HI
 
 
 def test_one_r_rule_for_axes_points_and_closed_forms():
