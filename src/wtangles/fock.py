@@ -23,9 +23,15 @@ checks that a caller's amplitudes are W4's once, where they are handed in.
 A DensityMatrix holds one state or a (..., 2^n, 2^n) stack of states, with
 n >= 1, and validates Hermiticity, unit trace and positivity on construction
 (validate_density); violations raise instead of being clipped.  It holds a
-read-only copy of a caller's array; a stack the package has just built
-(rindler) is validated and held as it is, read-only, with no copy.  Indexing
-selects states without checking them again: rho[p] is state p of a stack and
+read-only copy of a caller's array, cast to float64 or complex128 only once
+it passes validate_density's dtype rule (_numbers): a bool, str or object
+array is one ConfigError, as there, and is never read as numbers.  _state
+is the one rule for what is a state: partial_transpose and measures'
+evaluate and von_neumann_entropy take rho's matrix through it, and anything
+without an array as its matrix, a bare array or None, is one ConfigError
+before any work.  A stack the package has just built (rindler) is
+validated and held as it is, read-only, with no copy.  Indexing selects
+states without checking them again: rho[p] is state p of a stack and
 rho[None] a stack of one.
 
 A real matrix is stored as float64 and a complex one as complex128.
@@ -73,6 +79,24 @@ class ConfigError(ValueError):
     """Raised for an input of the wrong kind, or a bad name list, observer list, r or sweep."""
 
 
+def _numbers(m) -> np.ndarray:
+    """m as an array of an integer, float or complex dtype, else a ConfigError."""
+    if (m := np.asarray(m)).dtype.kind not in "iufc":
+        raise ConfigError(f"density matrix has dtype {m.dtype}, want real or complex numbers")
+    return m
+
+
+def _state(rho) -> np.ndarray:
+    """rho's matrix, if rho is a DensityMatrix or holds an array as its matrix.
+
+    Anything else, such as a bare array or None, is a ConfigError.  The
+    attribute is read, not the class, so an object holding spectra passes.
+    """
+    if not isinstance(matrix := getattr(rho, "matrix", None), np.ndarray):
+        raise ConfigError(f"rho: expected a DensityMatrix, got {type(rho).__name__}")
+    return matrix
+
+
 def validate_density(m: np.ndarray) -> None:
     """Check a nonempty (..., dim, dim) stack of density matrices.
 
@@ -101,8 +125,7 @@ def validate_density(m: np.ndarray) -> None:
     diagonalized, whole, as its complex128 cast, and its smallest eigenvalue
     decides.  A failed eigensolve raises numpy's LinAlgError, a ValueError.
     """
-    if (m := np.asarray(m)).dtype.kind not in "iufc":
-        raise ConfigError(f"density matrix has dtype {m.dtype}, want real or complex numbers")
+    m = _numbers(m)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"density expected a square matrix, got shape {m.shape}")
     stack = m.reshape((math.prod(m.shape[:-2]),) + m.shape[-2:])
@@ -147,7 +170,8 @@ class DensityMatrix:
 
     def __post_init__(self) -> None:
         # a copy, so that the caller's array stays the caller's to change
-        self._hold(np.array(self.matrix, dtype=complex if np.iscomplexobj(self.matrix) else float))
+        m = _numbers(self.matrix)
+        self._hold(np.array(m, dtype=complex if m.dtype.kind == "c" else float))
 
     @classmethod
     def _owning(cls, m: np.ndarray) -> "DensityMatrix":
@@ -226,10 +250,12 @@ def partial_transpose(rho: DensityMatrix, part: Iterable[int]) -> np.ndarray:
 
     Entry <i_part i_rest| M |j_part j_rest> = <j_part i_rest| rho |i_part j_rest>.
     Transposing all modes gives the ordinary transpose; applying the same
-    partial transpose twice returns the original matrix.  part is an
-    iterable of positions, each a Python or numpy integer and not a bool;
-    anything else is one ConfigError, raised before any work.
+    partial transpose twice returns the original matrix.  rho is a state
+    (_state) and part an iterable of positions, each a Python or numpy
+    integer and not a bool; anything else is one ConfigError, raised before
+    any work.
     """
+    n = _state(rho).shape[-1].bit_length() - 1
     if isinstance(part, (str, bytes)) or not np.iterable(part):
         raise ConfigError(f"part: want an iterable of mode positions, got {type(part).__name__}")
     part = list(part)
@@ -238,7 +264,6 @@ def partial_transpose(rho: DensityMatrix, part: Iterable[int]) -> np.ndarray:
     part_sorted = sorted(set(part))
     if not part_sorted:
         raise ValueError("partial transpose needs a nonempty mode subset")
-    n = rho.matrix.shape[-1].bit_length() - 1
     if part_sorted[0] < 0 or part_sorted[-1] >= n:
         raise ValueError(f"transpose positions {part_sorted} out of range for {n} modes")
     return _transposed(rho.matrix, n, part_sorted)

@@ -33,10 +33,15 @@ same bytes over the stack, as the exchange symmetry of |W4> makes them
 spectrum: the pair stack is indexed by its distinct keys, repeated or not,
 so only the first of each is validated and solved, and each pair reads its
 key's values, which moves no bit and assumes no symmetry.  _stack_values
-then fills the planned residuals from TERMS, pi4, Pi4 and S in that order.
-Squares and fourth roots are taken value by value in Python floats, by
-rindler._each, and sums run left to right over whole arrays, which keeps a
-point's values independent of its stack (see the README Notes).
+then fills the planned residuals from TERMS, pi4, Pi4 and S in that order,
+the residual chain in one stacked pass: one rindler._each call squares
+every spectral column as one (C, N) array, the residuals are one (R, N)
+expression whole - ((first + second) + third), pi4 sums their four rows,
+and Pi4 (_geometric_mean, as big_pi4_tangle) clears the whole array with
+one min and takes the fourth roots.  Squares and fourth roots are taken
+value by value in Python floats, and sums run left to right over whole
+arrays, which keeps a point's values independent of its stack and of how
+many columns it is stacked with (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, checks its points and plans
@@ -54,6 +59,7 @@ from .fock import (
     OBSERVERS,
     DensityMatrix,
     _add_blocks,
+    _state,
     _trace_blocks,
     _transposed,
     validate_density,
@@ -83,16 +89,24 @@ def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
     if len(pi_k) != 4:
         raise ValueError(f"big_pi4_tangle needs 4 residuals, got {len(pi_k)}")
     values = np.array(list(pi_k.values()), dtype=float)
-    rows = values.reshape(4, -1)
-    for obs, worst in zip(pi_k, rows.min(axis=1).tolist()):
-        if np.isnan(worst):
-            raise ValueError(f"residual tangle {obs} is not a number")
-        if worst < RESIDUAL_CLIP:
-            raise ValueError(f"residual tangle {obs}={worst:.3e} is negative beyond roundoff")
-    product = 1.0
-    for row in rows:
-        product = product * np.maximum(row, 0.0)
-    return _each(lambda p: p ** 0.25, product).reshape(values.shape[1:])
+    return _geometric_mean(pi_k, values.reshape(4, -1)).reshape(values.shape[1:])
+
+
+def _geometric_mean(names: Iterable[str], rows: np.ndarray) -> np.ndarray:
+    """big_pi4_tangle of (4, N) residual rows, named by names in the messages, as an (N,) array.
+
+    One min clears the whole array; only if it fails, a NaN making it NaN,
+    is each row's minimum read, in order, to name the first bad residual.
+    """
+    if not rows.min() >= RESIDUAL_CLIP:
+        for obs, worst in zip(names, rows.min(axis=1).tolist()):
+            if np.isnan(worst):
+                raise ValueError(f"residual tangle {obs} is not a number")
+            if worst < RESIDUAL_CLIP:
+                raise ValueError(f"residual tangle {obs}={worst:.3e} is negative beyond roundoff")
+    # the product of the clipped rows, left to right, as 1.0 * a * b * c * d rounds it
+    a, b, c, d = np.maximum(rows, 0.0)
+    return _each(lambda p: p ** 0.25, ((a * b) * c) * d)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
@@ -104,9 +118,7 @@ def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
     single spectrum's k values would be.  rho is a DensityMatrix, or an
     object whose matrix is an array; anything else is one ConfigError.
     """
-    if not isinstance(getattr(rho, "matrix", None), np.ndarray):
-        raise ConfigError(f"rho: expected a DensityMatrix, got {type(rho).__name__}")
-    spectra = _eigvalsh(rho.matrix)
+    spectra = _eigvalsh(_state(rho))
     rows = spectra.reshape(-1, spectra.shape[-1])
     positive = (rows > 0.0).sum(axis=1)
     entropies = np.empty(len(rows))
@@ -208,17 +220,20 @@ def _stack_values(rho: DensityMatrix, plan: tuple[tuple[str, ...], ...]) -> list
     columns, one_three, pairs, residuals = plan
     values = _spectral_columns(rho, one_three, pairs)
     if residuals:
-        # each value squared once in Python floats; sums run left to right
-        # over whole (N,) arrays, which round each element as the float sums do
-        squares = {column: _each(lambda n: n ** 2, values[column]) for column in one_three + pairs}
-        for column in residuals:
-            whole, first, second, third = (squares[term] for term in TERMS[column])
-            values[column] = whole - ((first + second) + third)
+        # every spectral value squared once in Python floats, as one (C, N) array;
+        # whole, first, second and third are (R, N) arrays, row i the terms of
+        # residuals[i], and sums run left to right over whole arrays, which
+        # round each element as the float sums do
+        squares = dict(zip(values, _each(lambda n: n ** 2, list(values.values()))))
+        whole, first, second, third = (np.array([squares[term] for term in terms])
+                                       for terms in zip(*map(TERMS.get, residuals)))
+        rows = whole - ((first + second) + third)
+        values.update(zip(residuals, rows))
         if "pi4" in columns:
-            a, b, c, d = (values[column] for column in RESIDUALS)
+            a, b, c, d = rows
             values["pi4"] = (((a + b) + c) + d) / 4.0
         if "Pi4" in columns:
-            values["Pi4"] = big_pi4_tangle(dict(zip(OBSERVERS, map(values.get, RESIDUALS))))
+            values["Pi4"] = _geometric_mean(OBSERVERS, rows)
     if "S" in columns:
         values["S"] = von_neumann_entropy(rho)
     return [values[column] for column in columns]
@@ -231,9 +246,7 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     states, giving an (N,) array per column; a bare array or anything else
     that is no DensityMatrix is one ConfigError.
     """
-    if not isinstance(getattr(rho, "matrix", None), np.ndarray):
-        raise ConfigError(f"rho: expected a DensityMatrix, got {type(rho).__name__}")
-    shape = rho.matrix.shape
+    shape = _state(rho).shape
     if shape[-2:] != (16, 16):
         raise ValueError(f"measures need a four-mode state, got shape {shape}")
     single = len(shape) == 2

@@ -57,8 +57,12 @@ cos r and sin r of every point once per call, and _built reads its slice's
 rows of those split factors, so each keeps math's bits and the x 1.0 stays
 exact.  check_observers is the one rule for a list of observers,
 here, in sweep's axes and in the observer a matrix dump transposes.
-check_r is the one rule for r: here, once per call on each observer's
-column, in sweep's axes and in every closed form of oracles.  _each is the
+check_r is the one rule for r: here, in sweep's axes and in every closed
+form of oracles.  _checked clears all of a call's r, and sweep.check_axes
+all of its axes' bounds, with one check_r pass (_clears); only when that
+pass fails do they check again observer by observer, or axis by axis, so
+that the message names the first bad value of the first bad part, as a
+check of each part in turn would.  _each is the
 one per-value map, a Python float function applied to each value in turn,
 as numpy's vector loops may round differently: cos r and sin r here, the
 squares and fourth roots in measures, and the closed forms' cos and log.
@@ -112,6 +116,21 @@ def check_r(r, what: str) -> np.ndarray:
         bad = next(x for x in r.ravel().tolist() if not R_LO <= x <= R_HI)
         raise ConfigError(f"{what}={bad!r} outside [0, pi/4]")
     return r
+
+
+def _clears(r) -> bool:
+    """Whether one check_r pass clears all of r, the values of several parts.
+
+    A ValueError of that pass, a bad value or dtype (ConfigError) or numpy's
+    ragged layout, is False: the caller then checks part by part, in order,
+    and raises what that part's own check raises, outside this handler, so
+    no error is chained to it.
+    """
+    try:
+        check_r(r, "accel")
+    except ValueError:
+        return False
+    return True
 
 
 def _each(f, x) -> np.ndarray:
@@ -172,6 +191,10 @@ def _support(positions: tuple[int, ...], psi0: tuple[float, ...] = tuple(W4.toli
 def _checked(observers: Sequence[str], r):
     """observed_densities' checks, in order: dtype, shape, observers, then r's domain, of all N.
 
+    One check_r pass clears the whole (N, k) r; only if it fails is each
+    observer's column checked in turn, to name the first bad value of the
+    first bad observer, 'accel: D=1.0 outside [0, pi/4]'.
+
     Returns each point's split factors, an (N, k, 3) array whose [p, j] is
     [1.0, cos r, sin r] for point p's r of the j-th split mode in register
     order, and the support table of W4 split at those modes.  A bare str
@@ -186,8 +209,9 @@ def _checked(observers: Sequence[str], r):
     if r.ndim != 2 or r.shape[1] != len(observers) or not len(r):
         raise ValueError(f"r has shape {r.shape}, want (points >= 1, {len(observers)})")
     check_observers(observers, "observers")
-    for obs, column in zip(observers, r.T):
-        check_r(column, f"accel: {obs}")
+    if not _clears(r):
+        for obs, column in zip(observers, r.T):
+            check_r(column, f"accel: {obs}")
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
     support = _support(tuple(pos for pos, _ in order))

@@ -29,7 +29,7 @@ from typing import IO, Iterator, Sequence
 import numpy as np
 
 from .measures import ConfigError, evaluate_points
-from .rindler import R_MAX, check_observers, check_r
+from .rindler import R_MAX, _clears, check_observers, check_r
 
 DEFAULT_GRID_1D = 101
 DEFAULT_GRID_2D = 41
@@ -59,10 +59,17 @@ class SweepConfig:
 
 
 def check_axes(axes: Sequence[AxisSpec]) -> None:
-    """Reject an unknown or repeated observer, an r outside [0, pi/4] or NaN, and lo > hi."""
+    """Reject an unknown or repeated observer, an r outside [0, pi/4] or NaN, and lo > hi.
+
+    One check_r pass clears every axis's bounds; only if it fails are they
+    checked axis by axis.  Either way each axis's lo > hi is checked in
+    turn, so the first bad axis is named, by its range or by its r.
+    """
     check_observers([axis.observer for axis in axes], "accel")
+    cleared = _clears([(axis.lo, axis.hi) for axis in axes])
     for axis in axes:
-        check_r((axis.lo, axis.hi), f"accel: {axis.observer}")
+        if not cleared:
+            check_r((axis.lo, axis.hi), f"accel: {axis.observer}")
         if axis.lo > axis.hi:
             raise ConfigError(f"accel: range for {axis.observer} has lo > hi")
 

@@ -142,6 +142,12 @@ def test_sweep_diagonal_prints_the_diagonal_preset(capsys):
     # a grid needs a swept axis to lay its points on
     (["sweep", "--accel", "D=0.3", "--grid", "5"], "grid: no swept axis"),
     (["sweep", "--preset", "fig3", "--accel", "D=0.2", "--grid", "5"], "grid: no swept axis"),
+    # several axes: the first bad one in flag order, its range's r before its lo > hi
+    (["sweep", "--accel", "C=0.5:0.1", "--accel", "D=0:2"], "accel: range for C has lo > hi"),
+    (["sweep", "--accel", "C=1", "--accel", "D=2"], "accel: C=1.0 outside [0, pi/4]"),
+    (["matrix", "--accel", "C=1", "--accel", "D=2"], "accel: C=1.0 outside [0, pi/4]"),
+    (["sweep", "--accel", "C=nan", "--accel", "D=0:2"], "accel: C=nan outside [0, pi/4]"),
+    (["matrix", "--accel", "D=2", "--accel", "C=nan"], "accel: D=2.0 outside [0, pi/4]"),
 ])
 def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):

@@ -2,16 +2,17 @@
 
 The library test draws every argument of evaluate, evaluate_points,
 observed_density, observed_densities, run_check, run_sweep, the closed
-forms, partial_transpose, tangle_report, von_neumann_entropy, big_pi4_tangle
-and validate_density from the kinds of input a caller can get wrong: None,
+forms, partial_transpose, tangle_report, von_neumann_entropy, big_pi4_tangle,
+validate_density and DensityMatrix from the kinds of input a caller can get wrong: None,
 bytes, a bare str, nested and unhashable tokens as names; bools mixed with
 floats, complex values, NaN, inf and text as r; ragged and wrongly shaped r;
 unknown and repeated observers; bytes, numbers, text and lists as a
 scenario; None, text, bools, complex values and inf as a perturb; a
 SweepConfig whose accelerated, grid or diagonal is of a wrong kind; bools,
 floats, None, text, numbers and nested lists as transpose positions; arrays,
-None and text as a state; lists, None and text as residuals; object, str and
-bool arrays as a density matrix.  Each call must return, or raise one
+None and text as a state, to evaluate and to partial_transpose; lists, None
+and text as residuals; object, str and bool arrays and lists as a density
+matrix, to validate_density and to DensityMatrix.  Each call must return, or raise one
 ValueError (a ConfigError is one) whose message is one line, with no other
 exception chained to it; a ConfigError comes before any call into LAPACK
 (tests/lapack.py records none).  An input of a wrong kind must raise a
@@ -160,14 +161,15 @@ def _wrong_kind(call):
     """
     if call.func is partial_transpose:
         part = call.args[1]
-        return (isinstance(part, (str, bytes)) or not np.iterable(part)
+        return (not isinstance(call.args[0], DensityMatrix)
+                or isinstance(part, (str, bytes)) or not np.iterable(part)
                 or not all(type(p) in (int, np.int64) for p in part))
     if call.func in (evaluate, tangle_report, von_neumann_entropy):
         return not isinstance(call.args[0], DensityMatrix)
     if call.func is big_pi4_tangle:
         return not isinstance(call.args[0], dict)
-    if call.func is validate_density:
-        return call.args[0].dtype.kind not in "iufc"
+    if call.func in (validate_density, DensityMatrix):
+        return np.asarray(call.args[0]).dtype.kind not in "iufc"
     if call.func is run_sweep:
         config = call.args[0]
         return not (type(config.accelerated) is tuple
@@ -212,11 +214,12 @@ CALLS = st.one_of(
               st.fixed_dictionaries({name: st.sampled_from(values)
                                      for name, values in SWEEP_FIELDS.items()}),
               st.sampled_from([("S",), "N_CD"])),
-    st.builds(partial, st.just(partial_transpose), st.sampled_from([_RHO, _RHO[0]]), PARTS),
+    st.builds(partial, st.just(partial_transpose),
+              st.one_of(st.sampled_from([_RHO, _RHO[0]]), STATES), PARTS),
     st.builds(partial, st.just(evaluate), STATES, st.sampled_from(["S", ["N_CD", "Pi4"]])),
     st.builds(partial, st.sampled_from([tangle_report, von_neumann_entropy]), STATES),
     st.builds(partial, st.just(big_pi4_tangle), RESIDUAL_SETS),
-    st.builds(partial, st.just(validate_density), DENSITY_ARRAYS),
+    st.builds(partial, st.sampled_from([validate_density, DensityMatrix]), DENSITY_ARRAYS),
 )
 
 
@@ -252,6 +255,11 @@ CALLS = st.one_of(
 @example(call=partial(big_pi4_tangle, [0.1, 0.2, 0.3, 0.4]))
 @example(call=partial(big_pi4_tangle, None))
 @example(call=partial(validate_density, (np.eye(2) / 2).astype(object)))
+@example(call=partial(partial_transpose, np.eye(4) / 4, [0]))
+@example(call=partial(partial_transpose, None, [0]))
+@example(call=partial(DensityMatrix, [[True, False], [False, False]]))
+@example(call=partial(DensityMatrix, [["1", "0"], ["0", "0"]]))
+@example(call=partial(DensityMatrix, (np.eye(2) / 2).astype(object)))
 def test_a_library_call_gives_values_or_one_line_error(call):
     with recorded() as calls:
         try:

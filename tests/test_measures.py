@@ -408,7 +408,8 @@ def test_evaluate_points_checks_its_points_once(monkeypatch):
 
     monkeypatch.setattr(rindler, "check_r", counting)
     values = measures.evaluate_points(("C", "D"), r, COLUMNS)
-    assert checked == [((len(r),), "accel: C"), ((len(r),), "accel: D")]
+    # one pass over the whole (N, 2) array clears every point of every observer
+    assert checked == [((len(r), 2), "accel")]
     assert list(values) == list(expected)
     for column in COLUMNS:
         assert values[column].tobytes() == expected[column].tobytes()
@@ -485,7 +486,7 @@ def test_a_token_that_is_not_a_str_is_a_config_error(request_, shown):
      "measure: expected names as str, got None"),
     (lambda rho: run_check(None), "oracle: expected names as str, got None"),
 ], ids=["unhashable-points", "unhashable-state", "none-state", "none-points", "none-check"])
-def test_a_request_no_cache_can_key_is_one_config_error_before_any_solve(read, message):
+def test_a_request_that_is_not_names_is_one_config_error_before_any_solve(read, message):
     rho = observed_densities(w_state(4), ["C", "D"], [[0.1, 0.2]])
     with recorded() as calls:
         with pytest.raises(ConfigError) as info:

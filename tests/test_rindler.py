@@ -99,6 +99,22 @@ def test_one_r_rule_for_axes_points_and_closed_forms():
         oracles.n_i_d1(math.nan)
 
 
+@pytest.mark.parametrize("axes, message", [
+    # each axis in turn: its range's r, then lo > hi, as if checked one by one;
+    # the command-line tests hold the out-of-range and NaN cases
+    ([("C", 0.1, 0.2), ("D", 0.3, 0.2)], "accel: range for D has lo > hi"),
+    ([("C", 0.1, 0.2), ("D", True, 0.3)],
+     "accel: D mixes a bool into its numbers, want real numbers"),
+    # a later axis whose bound is no number at all still lets the first bad one be named
+    ([("C", 2.0, 2.0), ("D", "x", 0.3)], "accel: C=2.0 outside [0, pi/4]"),
+    ([("C", 0.1, 0.2), ("D", "x", 0.3)], "accel: D has dtype <U32, want real numbers"),
+])
+def test_check_axes_names_the_first_bad_axis(axes, message):
+    with pytest.raises(ConfigError) as info:
+        check_axes([AxisSpec(*axis) for axis in axes])
+    assert str(info.value) == message and info.value.__context__ is None
+
+
 def test_checked_takes_math_cos_and_sin_of_every_point_once():
     r = np.array([[0.0, R_MAX], [0.3, 1e-300], [R_HI, R_LO]])
     split, _ = _checked(["C", "D"], r)
@@ -382,6 +398,11 @@ def test_only_w4_is_observed():
     # the observers are checked before r's domain, so its message names a known one
     (["X"], [[2.0]], "^observers: unknown observer 'X'"),
     (["\n"], [[2.0]], r"^observers: unknown observer '\\n'"),
+    # several observers with bad r: the first bad value of the first bad one
+    (["C", "D"], [[2.0, 3.0]], r"^accel: C=2\.0 outside"),
+    (["C", "D"], [[math.nan, 2.0]], "^accel: C=nan outside"),
+    (["C", "D"], [[0.1, 2.0], [math.nan, 0.2]], "^accel: C=nan outside"),
+    (["D", "C"], [[2.0, math.nan]], r"^accel: D=2\.0 outside"),
 ])
 def test_observed_stack_rejects_bad_input(observers, r, fragment):
     with pytest.raises(ValueError, match=fragment):
