@@ -30,19 +30,23 @@ is the one rule for what is a state: partial_transpose and measures'
 evaluate and von_neumann_entropy take rho's matrix through it, and anything
 without an array as its matrix, a bare array or None, is one ConfigError
 before any work.  A stack the package has just built (rindler) is
-validated and held as it is, read-only, with no copy.  Indexing selects
-states without checking them again: rho[p] is state p of a stack and
-rho[None] a stack of one.
+checked in its compact layout (Layout, _validate_compact), and its dense
+view is held as it is, read-only, with no copy and no second check.
+Indexing selects states without checking them again: rho[p] is state p of
+a stack and rho[None] a stack of one.
 
 A real matrix is stored as float64 and a complex one as complex128.
 validate_density runs on either dtype, and a real stack and its complex128
 cast get the same verdict and message: the trace sums the real parts, and a
 spectrum is always that of the complex128 cast.
 
-validate_density is the one place Hermiticity is checked: on rho when it is
-built, and on the reduced pair states measures gathers.  A partial transpose
-moves each entry together with its adjoint partner, so it deviates from
-Hermiticity exactly as much as its state, and is not checked again.
+Hermiticity is checked where a state is made: on rho when rindler builds
+it, in its compact Layout (_validate_compact, with validate_density's
+verdicts and messages), and by validate_density on a caller's
+DensityMatrix and on the reduced pair states measures gathers.  A partial
+transpose moves each entry together with its adjoint partner, so it
+deviates from Hermiticity exactly as much as its state, and is not checked
+again.
 ConfigError, the one error for an input of a wrong kind or a bad name, r
 or sweep, is defined here, in the lowest module that raises it.
 """
@@ -162,6 +166,72 @@ def validate_density(m: np.ndarray) -> None:
         raise ValueError(f"density matrix has eigenvalue {smallest:.3e} below {MIN_EIGENVALUE}")
 
 
+class Layout:
+    """The compact layout of (dim, dim) matrices whose support is the symmetric flat entries.
+
+    A stack in this layout is an (n, E + 1) array: each matrix's E support
+    entries in flat order, then one +0.0 column.  Everything here is read
+    from the entries alone: column maps each flat position to its compact
+    column, the zero column E off the support, mirror each entry to its
+    transposed one's, and diagonal holds the diagonal's columns.  The
+    structural blocks are the connected components of the support's index
+    graph: blocks holds the columns of the multi-entry ones, each padded to
+    the largest with the zero column, shifts _CHOLESKY_SHIFT on their
+    diagonals and 1.0 on the padding's, and singles the column of each 1x1
+    block on the support (one off it holds +0.0).
+    """
+
+    def __init__(self, entries: Iterable[int], dim: int) -> None:
+        entries = np.array(sorted(entries), dtype=np.intp)
+        self.column = column = np.full(dim * dim, len(entries))
+        column[entries] = np.arange(len(entries))
+        rows, columns = np.divmod(entries, dim)
+        self.mirror, self.diagonal = column[columns * dim + rows], column[::dim + 1]
+        # each index's block, named by its smallest index: an entry joins its row's and column's
+        label = list(range(dim))
+        for i, j in zip(rows.tolist(), columns.tolist()):
+            joined = (label[i], label[j])
+            label = [min(joined) if x in joined else x for x in label]
+        groups = [[i for i in range(dim) if label[i] == b] for b in sorted(set(label))]
+        multi = [np.array(group) for group in groups if len(group) > 1]
+        size = max(map(len, multi), default=0)
+        self.blocks = np.full((len(multi), size, size), len(entries))
+        for b, group in enumerate(multi):
+            self.blocks[b, :len(group), :len(group)] = column[np.add.outer(group * dim, group)]
+        # a block's own diagonal is on the support, its padding's is the zero column
+        self.shifts = np.where(self.blocks == len(entries), 1.0, _CHOLESKY_SHIFT) * np.eye(size)
+        singles = column[[group[0] * (dim + 1) for group in groups if len(group) == 1]]
+        self.singles = singles[singles < len(entries)]
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """The (n, dim, dim) stack that the (n, E + 1) values hold, off-support entries +0.0."""
+        dim = math.isqrt(len(self.column))
+        return np.take(values, self.column, axis=1).reshape(len(values), dim, dim)
+
+
+def _validate_compact(values: np.ndarray, layout: Layout) -> None:
+    """validate_density of the real stack that values hold in layout, without building it.
+
+    Each entry equals its mirror and np.vdot is finite, so the stack is
+    exactly Hermitian; the trace sums the diagonal as m.real.trace does, to
+    the same bits; the shifted multi-entry blocks factor in one
+    np.linalg.cholesky call, and each 1x1 block's d + _CHOLESKY_SHIFT, its
+    pivot in the whole matrix's factorization, is positive.  If any test
+    fails, validate_density runs on the dense view and gives the verdict.
+    """
+    # each test runs once those before it pass, so none meets an inf or a NaN;
+    # np.add.reduce is ndarray.sum without its Python wrapper
+    if (math.isfinite(np.vdot(values, values))
+            and not (values[:, :-1] != values[:, layout.mirror]).any()
+            and np.abs(np.add.reduce(values[:, layout.diagonal], axis=1) - 1.0).max() <= TRACE_TOL
+            and (not layout.singles.size
+                 or (values[:, layout.singles] + _CHOLESKY_SHIFT > 0.0).all())):
+        with contextlib.suppress(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.take(values, layout.blocks, axis=1) + layout.shifts)
+            return
+    validate_density(layout.dense(values))
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator(s) over n >= 1 modes."""
@@ -174,19 +244,22 @@ class DensityMatrix:
         self._hold(np.array(m, dtype=complex if m.dtype.kind == "c" else float))
 
     @classmethod
-    def _owning(cls, m: np.ndarray) -> "DensityMatrix":
-        """Validate and hold m, a float64 or complex128 array the package built, without a copy.
+    def _owning(cls, m: np.ndarray, checked: bool = False) -> "DensityMatrix":
+        """Hold m, a float64 or complex128 array the package built, without a copy.
 
+        m is validated, unless checked says that its values passed
+        validate_density's verdict already (rindler checks them compactly).
         m becomes read-only; no one else may hold it writeable.
         """
         rho = object.__new__(cls)
-        rho._hold(m)
+        rho._hold(m, checked)
         return rho
 
-    def _hold(self, m: np.ndarray) -> None:
+    def _hold(self, m: np.ndarray, checked: bool = False) -> None:
         if m.ndim < 2 or m.shape[-2] != (dim := m.shape[-1]) or dim < 2 or dim & (dim - 1):
             raise ValueError(f"matrix has shape {m.shape}, want (..., 2^n, 2^n) with n >= 1")
-        validate_density(m)
+        if not checked:
+            validate_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -19,14 +19,17 @@ sweeps, figures and checks, as its docstring says.
 evaluate and evaluate_points plan a request once per call, uncached: its
 columns, read by it, which residuals they need (all four for pi4 or Pi4),
 and from them which 1-3 tangles and which pairs, all by name.  Each needed
-matrix is gathered by its column's flat index table.  Each stack of states
-then takes at most three eigvalsh calls: every needed rho^{T_k} at once,
-the partial transpose on the first mode of every distinct pair state at
-once, and rho for S.  The observed rho is real, and the pair states and
-their transposes stay real; the 1-3 stack, the largest, is gathered
-straight into complex128.  A pair's negativity is taken from the first side
-alone: the partial transpose on the second mode is the transpose of the
-first, with the same spectrum.  The pair states are validated here, at once
+matrix is gathered by its column's flat index table, composed once per
+observer set with the map of rho's compact layout (_gathers), so each
+stack of evaluate_points is one gather from a chunk's compact values;
+evaluate runs the same code on a flat (N, 256) stack, with the identity
+map.  Each stack of states then takes at most three eigvalsh calls: every
+needed rho^{T_k} at once, the partial transpose on the first mode of every
+distinct pair state at once, and rho for S.  The observed rho is real, and
+the pair states and their transposes stay real; the 1-3 stack, the
+largest, is gathered straight into complex128.  A pair's negativity is
+taken from the first side alone: the partial transpose on the second mode
+is the transpose of the first, with the same spectrum.  The pair states are validated here, at once
 and with no spectrum (fock.validate_density).  Pairs whose states are the
 same bytes over the stack, as the exchange symmetry of |W4> makes them
 (with D accelerated, rho_AB = rho_AC = rho_BC), get the same verdict and
@@ -45,12 +48,14 @@ many columns it is stacked with (see the README Notes).
 evaluate is the one place that tells a single state from a stack: it
 evaluates a single state as a stack of one and returns floats.
 evaluate_points, the core of sweeps and checks, checks its points and plans
-its request once each, then builds and evaluates CHUNK points per stack.
+its request once each, then builds, checks and evaluates CHUNK points per
+stack in rho's compact layout.
 """
 
 from __future__ import annotations
 
 from collections.abc import Collection, Iterable, Mapping, Sequence
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -58,6 +63,7 @@ import numpy as np
 from .fock import (
     OBSERVERS,
     DensityMatrix,
+    Layout,
     _add_blocks,
     _state,
     _trace_blocks,
@@ -118,7 +124,12 @@ def von_neumann_entropy(rho: DensityMatrix) -> np.ndarray:
     single spectrum's k values would be.  rho is a DensityMatrix, or an
     object whose matrix is an array; anything else is one ConfigError.
     """
-    spectra = _eigvalsh(_state(rho))
+    return _entropy(_state(rho))
+
+
+def _entropy(m: np.ndarray) -> np.ndarray:
+    """von_neumann_entropy of each matrix of a (..., d, d) stack."""
+    spectra = _eigvalsh(m)
     rows = spectra.reshape(-1, spectra.shape[-1])
     positive = (rows > 0.0).sum(axis=1)
     entropies = np.empty(len(rows))
@@ -145,6 +156,15 @@ _FLAT = np.arange(256).reshape(16, 16)
 _TRANSPOSED = {column: _transposed(_FLAT, 4, [k]) for column, k in ONE_THREE.items()}
 _TRACED = {column: _trace_blocks(_FLAT, 4, list(pair)) for column, pair in PAIRS.items()}
 _PAIR_TRANSPOSED = _transposed(np.arange(16).reshape(4, 4), 2, [0])
+
+
+@lru_cache
+def _gathers(layout: Layout | None = None):
+    """The tables above, and the dense one for S, composed with layout's column map (None: flat)."""
+    column = _FLAT.ravel() if layout is None else layout.column
+    return ({name: column[table] for name, table in _TRANSPOSED.items()},
+            {name: column[table] for name, table in _TRACED.items()},
+            column.reshape(16, 16))
 
 
 def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
@@ -180,10 +200,11 @@ def _plan(request: Iterable[str]) -> tuple[tuple[str, ...], ...]:
     return columns, one_three, pairs, residuals
 
 
-def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
+def _spectral_columns(values: np.ndarray, gathers, one_three: tuple[str, ...],
                       pairs: tuple[str, ...]) -> dict[str, np.ndarray]:
     """The named 1-3 and 1-1 tangles over a stack of N states, as (N,) arrays.
 
+    values holds the states as the tables of gathers (_gathers) read them.
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
     The pair states are gathered into one (N, P, 4, 4) stack, in rho's dtype,
     each keyed by its bytes, and the stack is indexed by its distinct keys;
@@ -191,19 +212,19 @@ def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
     on the first mode take one eigvalsh call and give each key's values,
     a column of its own for each pair.
     """
-    flat = rho.matrix.reshape(len(rho.matrix), -1)
+    transposed_at, traced_at, _ = gathers
     out = {}
     if one_three:
         # gathered table by table into the complex128 stack eigvalsh takes, so
         # no real copy of the whole stack is alive next to it; the stack is
         # freed before the pair stage
-        stack = np.empty((len(flat), len(one_three), 16, 16), dtype=complex)
+        stack = np.empty((len(values), len(one_three), 16, 16), dtype=complex)
         for k, column in enumerate(one_three):
-            stack[:, k] = np.take(flat, _TRANSPOSED[column], axis=1)
+            stack[:, k] = np.take(values, transposed_at[column], axis=1)
         out.update(zip(one_three, negative_eigenvalue_sum(stack).T))
         del stack
     if pairs:
-        reduced = _add_blocks(np.take(flat, [_TRACED[column] for column in pairs], axis=1))
+        reduced = _add_blocks(np.take(values, [traced_at[column] for column in pairs], axis=1))
         # equal bytes give one verdict and one spectrum
         keys = [reduced[:, p].tobytes() for p in range(len(pairs))]
         distinct = list(dict.fromkeys(keys))
@@ -215,10 +236,11 @@ def _spectral_columns(rho: DensityMatrix, one_three: tuple[str, ...],
     return out
 
 
-def _stack_values(rho: DensityMatrix, plan: tuple[tuple[str, ...], ...]) -> list[np.ndarray]:
-    """The planned columns over a stack of N states, as (N,) arrays in plan order."""
+def _stack_values(states: np.ndarray, gathers,
+                  plan: tuple[tuple[str, ...], ...]) -> list[np.ndarray]:
+    """The planned columns over N states, held as gathers reads them, as (N,) arrays in order."""
     columns, one_three, pairs, residuals = plan
-    values = _spectral_columns(rho, one_three, pairs)
+    values = _spectral_columns(states, gathers, one_three, pairs)
     if residuals:
         # every spectral value squared once in Python floats, as one (C, N) array;
         # whole, first, second and third are (R, N) arrays, row i the terms of
@@ -235,7 +257,7 @@ def _stack_values(rho: DensityMatrix, plan: tuple[tuple[str, ...], ...]) -> list
         if "Pi4" in columns:
             values["Pi4"] = _geometric_mean(OBSERVERS, rows)
     if "S" in columns:
-        values["S"] = von_neumann_entropy(rho)
+        values["S"] = _entropy(np.take(states, gathers[2], axis=1))
     return [values[column] for column in columns]
 
 
@@ -246,7 +268,8 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     states, giving an (N,) array per column; a bare array or anything else
     that is no DensityMatrix is one ConfigError.
     """
-    shape = _state(rho).shape
+    matrix = _state(rho)
+    shape = matrix.shape
     if shape[-2:] != (16, 16):
         raise ValueError(f"measures need a four-mode state, got shape {shape}")
     single = len(shape) == 2
@@ -255,7 +278,7 @@ def evaluate(rho: DensityMatrix, columns: Iterable[str]) -> dict[str, float | np
     if not shape[0]:
         raise ValueError("evaluate needs at least one state, got an empty stack")
     plan = _plan(columns)
-    values = dict(zip(plan[0], _stack_values(rho[None] if single else rho, plan)))
+    values = dict(zip(plan[0], _stack_values(matrix.reshape(-1, 256), _gathers(), plan)))
     return {column: float(v[0]) for column, v in values.items()} if single else values
 
 
@@ -266,13 +289,14 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
     p.  Its points are checked, and their cos r and sin r taken, once, as
     observed_densities does (an r with no point gets its shape message), and
     then its columns are planned once per call, not cached; the points are
-    then built, validated as states and evaluated CHUNK rows per stack.
+    then built, checked as states and evaluated CHUNK rows per stack, each
+    in rho's compact layout (rindler._built).
     """
     split, table = _checked(observers, r)
     # planned once, before any state is built
-    plan = _plan(columns)
+    plan, gathers = _plan(columns), _gathers(table[-1])
     # each chunk's columns as the rows of one (C, n) array, joined into (C, N)
-    chunks = [np.array(_stack_values(_built(split[start:start + CHUNK], table), plan))
+    chunks = [np.array(_stack_values(_built(split[start:start + CHUNK], table), gathers, plan))
               for start in range(0, len(split), CHUNK)]
     return dict(zip(plan[0], np.concatenate(chunks, axis=1)))
 

@@ -38,21 +38,27 @@ occupied keeps its bit and leaves region II empty, and an empty one
 branches into cos r (both wedges empty) and sin r (both occupied).  That
 gives the table: the row of initial amplitudes that the nonzero split
 amplitudes come from, each one's factors in split order, and each nonzero
-rho entry's products in region-II index order.  Per point, each amplitude
-is its initial one times its factors (x 1.0 is exact where a split leaves
-it), and each entry adds its products, in order, onto the +0.0 of a zeroed
-rho.  That is the dense sum's arithmetic with its exact-zero terms left
-out, and those change no bit: adding +-0.0 leaves a nonzero sum as it is
-and keeps a zero one +0.0, since a sum that starts at +0.0 never becomes
--0.0.  So each entry is the same bytes as the dense build's.
+rho entry's products in region-II index order.  _compact lays rho out by
+those entries alone (fock.Layout): an (n, E + 1) array of its support
+entries in flat order and one +0.0 column, with structural blocks of 4 and
+3 plus nine 1x1 with D accelerated, and 5, 4 and 2 plus five 1x1 with C
+and D.  Per point, each amplitude is its initial one times its factors
+(x 1.0 is exact where a split leaves it), and each entry adds its
+products, in order, onto the +0.0 of a zeroed column.  That is the dense
+sum's arithmetic with its exact-zero terms left out, and those change no
+bit: adding +-0.0 leaves a nonzero sum as it is and keeps a zero one
++0.0, since a sum that starts at +0.0 never becomes -0.0.  So each entry,
+and the +0.0 off the support, is the same bytes as the dense build's.
 
 observed_densities does this for N points at once: the amplitudes are an
-(N, M) stack scaled by per-point cos r and sin r columns, and rho is an
-(N, 16, 16) stack, validated once and held as built, with no copy.
-observed_density is the batch of one.  The checks of its points
-(_checked) and the build from the support table (_built) are two steps, so
-that measures.evaluate_points checks a call's points once and then builds
-each slice of CHUNK rows, each validated as a state.  _checked takes math's
+(N, M) stack scaled by per-point cos r and sin r columns, and rho is
+checked in its compact layout (fock._validate_compact) and returned as its
+dense (N, 16, 16) view, with no second check.  observed_density is the
+batch of one.  The checks of its points (_checked) and the build from the
+compact table (_built) are two steps, so that measures.evaluate_points
+checks a call's points once and then builds and checks each slice of CHUNK
+rows compactly, and gathers every matrix it solves from there.  _checked
+takes math's
 cos r and sin r of every point once per call, and _built reads its slice's
 rows of those split factors, so each keeps math's bits and the x 1.0 stays
 exact.  check_observers is the one rule for a list of observers,
@@ -76,7 +82,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import OBSERVERS, W4, ConfigError, DensityMatrix
+from .fock import OBSERVERS, W4, ConfigError, DensityMatrix, Layout, _validate_compact
 
 R_MAX = math.pi / 4
 # slack on the r domain, so endpoints that carry roundoff are still accepted
@@ -188,6 +194,18 @@ def _support(positions: tuple[int, ...], psi0: tuple[float, ...] = tuple(W4.toli
     return initial, factors, rounds
 
 
+@lru_cache
+def _compact(positions: tuple[int, ...], psi0: tuple[float, ...] = tuple(W4.tolist())):
+    """_support's table with each round's entries as compact columns, then rho's fock.Layout.
+
+    Round 0 adds to every entry of rho's support.
+    """
+    initial, factors, rounds = _support(positions, psi0)
+    layout = Layout(rounds[0][0].tolist() if rounds else (), 16)
+    compact = [np.array([layout.column[entries], left, right]) for entries, left, right in rounds]
+    return initial, factors, compact, layout
+
+
 def _checked(observers: Sequence[str], r):
     """observed_densities' checks, in order: dtype, shape, observers, then r's domain, of all N.
 
@@ -197,7 +215,8 @@ def _checked(observers: Sequence[str], r):
 
     Returns each point's split factors, an (N, k, 3) array whose [p, j] is
     [1.0, cos r, sin r] for point p's r of the j-th split mode in register
-    order, and the support table of W4 split at those modes.  A bare str
+    order, and the compact support table of W4 split at those modes
+    (_compact).  A bare str
     or bytes of observers is one name, as measures.select_names reads it,
     anything else not iterable a ConfigError, and r must be real (_real).
     """
@@ -214,27 +233,29 @@ def _checked(observers: Sequence[str], r):
             check_r(column, f"accel: {obs}")
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
-    support = _support(tuple(pos for pos, _ in order))
-    values, split = r[:, [j for _, j in order]], np.ones(r.shape + (3,))
+    columns = [j for _, j in order]
+    # a sweep's observers come in register order, and r's columns are read as they are
+    values = r if columns == sorted(columns) else r[:, columns]
+    split = np.ones(r.shape + (3,))
     split[..., 1], split[..., 2] = _each(math.cos, values), _each(math.sin, values)
-    return split, support
+    return split, _compact(tuple(pos for pos, _ in order))
 
 
-def _built(split: np.ndarray, support) -> DensityMatrix:
-    """The validated rho stack of checked points, from their split factors and support table."""
+def _built(split: np.ndarray, table) -> np.ndarray:
+    """The checked (n, E + 1) states of checked points, from their split factors and table."""
     # amp starts as the row of initial amplitudes, which the first split's
     # factors, or rho's sums with no split, broadcast over the points
-    amp, factors, rounds = support
-    points = len(split)
+    amp, factors, rounds, layout = table
     for j, factor in enumerate(factors):
         # x 1.0 where the split leaves an amplitude as it is: exact
         amp = amp * split[:, j, factor]
     # added, never assigned: each sum starts at +0.0, as the dense sum did, so a
-    # -0.0 product lands as +0.0
-    rho = np.zeros((points, 256))
+    # -0.0 product lands as +0.0; the last column stays +0.0
+    values = np.zeros((len(split), len(layout.mirror) + 1))
     for entries, left, right in rounds:
-        rho[:, entries] += amp[:, left] * amp[:, right]
-    return DensityMatrix._owning(rho.reshape(points, 16, 16))
+        values[:, entries] += amp[:, left] * amp[:, right]
+    _validate_compact(values, layout)
+    return values
 
 
 def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> DensityMatrix:
@@ -248,7 +269,8 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
     """
     if not np.array_equal(psi0, W4):
         raise ValueError("observed states start from |W4>: psi0 must equal w_state(4)")
-    return _built(*_checked(observers, r))
+    split, table = _checked(observers, r)
+    return DensityMatrix._owning(table[-1].dense(_built(split, table)), checked=True)
 
 
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:

@@ -8,7 +8,13 @@ that hands LAPACK the same arrays leaves every record as it was.
 
 A record's kind follows from its route and shape alone:
 
-    rho factored      cholesky (b, 16, 16)     a block of rho, shifted
+    rho blocks        cholesky (N, B, m, m)    rho's B multi-entry structural
+                                               blocks, shifted and padded to
+                                               the largest, m (4, 5 or 6)
+    rho factored      cholesky (b, 16, 16)     a block of a dense rho,
+                                               shifted: a DensityMatrix's own
+                                               check, or a compact check's
+                                               failure checked again
     rho diagonalized  eigvalsh (N, 16, 16)     rho, for S
     1-3 transposes    eigvalsh (N, K, 16, 16)  every needed rho^{T_k}
     pair states       cholesky (b, 4, 4)       a block of the (N, P, 4, 4)
@@ -16,7 +22,9 @@ A record's kind follows from its route and shape alone:
     pair sides        eigvalsh (N, P, 4, 4)    each distinct pair state's
                                                transpose on its first mode
 
-P counts the distinct pair states: the needed pairs whose (N, 4, 4) states
+B counts rho's structural blocks of more than one index (charge_blocks):
+one with no observer accelerated, two with one, three with two or more.  P
+counts the distinct pair states: the needed pairs whose (N, 4, 4) states
 differ in bytes over the stack.  A spectrum that decides a rejected
 factorization has the shape of rho or of a pair side, and counts as one;
 any other shape has no kind (None).
@@ -39,10 +47,13 @@ import pytest
 
 from wtangles import fock
 
+from . import reference
+
 ROUTES = ("eigvalsh", "cholesky")
 PINNED_BUILD = "numpy 2.4.6, scipy-openblas 0.3.31, SkylakeX"
 # (route, ndim, matrix size) -> kind
 KINDS = {
+    **{("cholesky", 4, size): "rho blocks" for size in (4, 5, 6)},
     ("cholesky", 3, 16): "rho factored",
     ("eigvalsh", 3, 16): "rho diagonalized",
     ("eigvalsh", 4, 16): "1-3 transposes",
@@ -92,6 +103,36 @@ def work(calls):
 def shifted(m):
     """m shifted on its diagonal, as the positivity factorization takes it."""
     return m + fock._CHOLESKY_SHIFT * np.eye(m.shape[-1])
+
+
+def charge_blocks(observers):
+    """rho's structural blocks of more than one index with observers accelerated.
+
+    The indices whose population is on rho's support, read off the reference
+    build at a point where no amplitude vanishes, joined by their region-I
+    occupation, the charge the map conserves; each block in index order, and
+    the blocks by their first index.
+    """
+    rho = reference.observed_dense(fock.W4, observers, [[0.3] * len(observers)])[0]
+    blocks = {}
+    for i in np.flatnonzero(np.diagonal(rho)).tolist():
+        blocks.setdefault(bin(i).count("1"), []).append(i)
+    return sorted(block for block in blocks.values() if len(block) > 1)
+
+
+def factored_blocks(stack, observers):
+    """The blocks of each state of an (N, 16, 16) stack, as the factorization of rho takes them.
+
+    An (N, B, m, m) array: block b of charge_blocks, shifted on its
+    diagonal, then 1.0 on the diagonal of its padding up to the largest m.
+    """
+    blocks = charge_blocks(observers)
+    size = max(map(len, blocks))
+    out = np.zeros((len(stack), len(blocks), size, size))
+    for b, block in enumerate(blocks):
+        out[:, b, :len(block), :len(block)] = shifted(stack[:, block][:, :, block])
+        out[:, b, range(len(block), size), range(len(block), size)] = 1.0
+    return out
 
 
 def blas_build():

@@ -12,11 +12,14 @@ from wtangles.fock import (
     DensityMatrix,
     _add_blocks,
     _trace_blocks,
+    _validate_compact,
     partial_transpose,
     validate_density,
     w_state,
 )
-from wtangles.rindler import observed_densities, observed_density
+from wtangles.measures import CHUNK
+from wtangles.rindler import _built, _checked, observed_densities, observed_density
+from wtangles.sweep import PRESETS, sweep_points
 
 from . import patterns, reference
 from .lapack import recorded
@@ -361,3 +364,106 @@ def test_real_and_complex_stacks_get_one_verdict(seed, dim, states, smallest, as
     if expected is None:
         assert DensityMatrix(real).matrix.dtype == np.float64
         assert DensityMatrix(real.astype(complex)).matrix.dtype == np.complex128
+
+
+def _compact_rejection(values, layout):
+    """The message the compact check rejects values in layout with, or None if it passes."""
+    try:
+        _validate_compact(values, layout)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_compact_check_accepts_every_preset_point_on_its_own(name):
+    # each chunk's built values pass the compact check with no dense
+    # fallback, and validate_density passes their dense view
+    observers, r = sweep_points(PRESETS[name])
+    split, table = _checked(observers, r)
+    for start in range(0, len(r), CHUNK):
+        with recorded() as calls:
+            values = _built(split[start:start + CHUNK], table)
+        assert {call.kind for call in calls} == {"rho blocks"}
+        assert _compact_rejection(values, table[-1]) is _rejection(table[-1].dense(values)) is None
+
+
+def _cell(layout, i, j):
+    """The compact column of rho's entry (i, j)."""
+    return layout.column[16 * i + j]
+
+
+def _eigenvalue(i, j, target):
+    """Give rho the eigenvalue target on the rank-one 2x2 block of indices i and j.
+
+    Both hold one region-II pattern's amplitudes, so that block is a a^T and
+    its null vector u is one of rho's: the block gains target (u u^T - v v^T),
+    with v = a / |a|, which keeps the trace and every other eigenvalue >= 0.
+    """
+    def corrupt(values, layout):
+        cells = layout.column[[[17 * i, 16 * i + j], [16 * j + i, 17 * j]]]
+        u, v = np.linalg.eigh(values[0, cells])[1].T
+        values[0, cells] += target * (np.outer(u, u) - np.outer(v, v))
+    return corrupt
+
+
+def _single(target):
+    """Set the 1x1 block of |1111> to target, the population it loses added to |1000>'s."""
+    def corrupt(values, layout):
+        values[0, _cell(layout, 8, 8)] += values[0, _cell(layout, 15, 15)] - target
+        values[0, _cell(layout, 15, 15)] = target
+    return corrupt
+
+
+def _set(i, j, value, add=False):
+    """Set rho's entry (i, j) alone to value, or add value to it."""
+    def corrupt(values, layout):
+        values[0, _cell(layout, i, j)] = value + (values[0, _cell(layout, i, j)] if add else 0.0)
+    return corrupt
+
+
+def _inf_pair(values, layout):
+    # a pair that the factorization lets through: inf * 0 makes its pivots NaN
+    values[0, [_cell(layout, 8, 1), _cell(layout, 1, 8)]] = np.inf
+
+
+BLOCK_EIGENVALUE = "density matrix has eigenvalue -1.001e-10 below -1e-10"
+CORRUPTIONS = {
+    # an eigenvalue that factors, one that is accepted by its spectrum, and one rejected
+    **{f"{block}-eigenvalue-{-target:g}": (point, _eigenvalue(i, j, target), message)
+       for block, point, i, j in (("4-block", {"D": 0.3}, 4, 8),
+                                  ("5-block", {"C": 0.3, "D": 0.4}, 5, 9))
+       for target, message in ((-0.9e-10, None), (-0.9995e-10, None),
+                               (-1.001e-10, BLOCK_EIGENVALUE))},
+    # with three observers |1111> is populated alone, a 1x1 block on the support
+    **{f"1x1-eigenvalue-{-target:g}": ({"A": 0.3, "B": 0.3, "C": 0.3}, _single(target), message)
+       for target, message in ((-0.9e-10, None), (-0.9995e-10, None),
+                               (-1.001e-10, BLOCK_EIGENVALUE))},
+    # (9, 5) is 0.0 at r = 0: off its mirror by exactly the value it is set to
+    **{f"{label}-mirror-{delta:g}": (point, _set(9, 5, delta), message)
+       for label, point in (("D", {"D": 0.0}), ("CD", {"C": 0.0, "D": 0.0}))
+       for delta, message in ((1e-12, None),
+                              (1.01e-12, "density matrix deviates from Hermiticity by 1.010e-12"))},
+    **{f"{label}-{name}": (point, corrupt, message)
+       for label, point in (("D", {"D": 0.3}), ("CD", {"C": 0.3, "D": 0.4}))
+       for name, corrupt, message in (
+           ("inf-pair", _inf_pair, "density matrix deviates from Hermiticity by nan"),
+           ("nan", _set(4, 2, np.nan), "density matrix deviates from Hermiticity by nan"),
+           ("trace-up", _set(8, 8, 1.01e-10, add=True), "density matrix trace is 1.0000000001"),
+           ("trace-down", _set(8, 8, -1.01e-10, add=True),
+            "density matrix trace is 0.9999999998"))},
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_compact_check_gives_validate_densitys_verdict_at_the_edges(case):
+    # built values, corrupted at one point: the compact check's verdict and
+    # message are validate_density's on the dense view, and that verdict is
+    # the one each corruption sits just inside or just outside of
+    point, corrupt, message = CORRUPTIONS[case]
+    split, table = _checked(tuple(point), [list(point.values())])
+    values = np.concatenate([_built(split, table)] * 2)
+    corrupt(values, table[-1])
+    expected = _rejection(table[-1].dense(values))
+    assert _compact_rejection(values, table[-1]) == expected
+    assert expected is None if message is None else expected.startswith(message)

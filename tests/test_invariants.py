@@ -36,10 +36,11 @@ from wtangles.fock import (
     w_state,
 )
 from wtangles.measures import CHUNK, COLUMNS, evaluate_points
-from wtangles.rindler import R_MAX, observed_densities
+from wtangles.rindler import R_MAX, _built, _checked, _compact, observed_densities
 from wtangles.sweep import PRESETS
 
-from .lapack import recorded, shifted, work
+from . import reference
+from .lapack import charge_blocks, factored_blocks, recorded, shifted, work
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 observer_sets = st.sampled_from([("D",), ("C", "D"), ("A",), ("B", "D"), ("D", "A", "C"),
@@ -63,14 +64,14 @@ def _off_block(m, charge):
     return float(np.abs(m[..., charge[:, None] != charge[None, :]]).max())
 
 
-def _work(points, one_three, pair_states, entropy):
+def _work(points, blocks, one_three, pair_states, entropy):
     """The matrices of each kind that a sweep over points hands LAPACK.
 
-    rho and the distinct pair states are validated by the factorization
-    alone; rho is diagonalized only for S, and each distinct pair state is
-    solved on one side.
+    rho, on its blocks of more than one index, and the distinct pair states
+    are validated by the factorization alone; rho is diagonalized only for
+    S, and each distinct pair state is solved on one side.
     """
-    work = {"rho factored": points, "rho diagonalized": points * entropy,
+    work = {"rho blocks": points * blocks, "rho diagonalized": points * entropy,
             "1-3 transposes": points * one_three, "pair states": pair_states,
             "pair sides": pair_states}
     return {kind: count for kind, count in work.items() if count}
@@ -92,24 +93,26 @@ def _distinct_pairs(observers, r):
     return [(len(rho), len({state.tobytes() for state in _pair_states(rho)})) for rho in chunks]
 
 
-# each preset's points, 1-3 transposes, distinct pair states per point and
-# whether it asks for S; in all, 10,692 rho factored, 1,782 diagonalized,
-# 20,980 1-3 transposes and 17,719 pair states and as many pair sides.  With
-# D accelerated rho_AB = rho_AC = rho_BC and rho_AD = rho_BD = rho_CD; with C
-# and D, rho_AC = rho_BC and rho_AD = rho_BD
+# each preset's points, rho's blocks of more than one index per point (2
+# with D accelerated, 3 with C and D), 1-3 transposes, distinct pair states
+# per point and whether it asks for S; in all, 31,571 rho blocks factored for
+# 10,692 points, 1,782 rho diagonalized, 20,980 1-3 transposes and 17,719
+# pair states and as many pair sides.  With D accelerated rho_AB = rho_AC =
+# rho_BC and rho_AD = rho_BD = rho_CD; with C and D, rho_AC = rho_BC and
+# rho_AD = rho_BD
 PRESET_WORK = {
-    "fig1a": (101, 2, 0, False),
-    "fig1b": (101, 0, 2, False),
-    "fig2": (101, 2, 2, False),
-    "fig3": (101, 4, 2, False),
-    "fig4a": (1681, 2, 0, False),
-    "fig4b": (1681, 2, 0, False),
-    "fig5": (101, 0, 3, False),
-    "fig6a": (1681, 2, 3, False),
-    "fig6b": (1681, 2, 3, False),
-    "fig7": (1681, 4, 4, False),
-    "fig8": (101, 0, 0, True),
-    "fig9": (1681, 0, 0, True),
+    "fig1a": (101, 2, 2, 0, False),
+    "fig1b": (101, 2, 0, 2, False),
+    "fig2": (101, 2, 2, 2, False),
+    "fig3": (101, 2, 4, 2, False),
+    "fig4a": (1681, 3, 2, 0, False),
+    "fig4b": (1681, 3, 2, 0, False),
+    "fig5": (101, 3, 0, 3, False),
+    "fig6a": (1681, 3, 2, 3, False),
+    "fig6b": (1681, 3, 2, 3, False),
+    "fig7": (1681, 3, 4, 4, False),
+    "fig8": (101, 2, 0, 0, True),
+    "fig9": (1681, 3, 0, 0, True),
 }
 
 
@@ -120,14 +123,14 @@ def _deviations(calls):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_stack_is_exactly_hermitian(name):
-    # rho, each rho^{T_k}, each pair state and side 0 of each pair, as the
-    # sweep hands them to eigvalsh or the factorization: all have rho's
-    # deviation, exactly 0.0; and the preset hands on the matrices of its
-    # work, no more
-    points, one_three, pairs, entropy = PRESET_WORK[name]
+    # rho's blocks, rho, each rho^{T_k}, each pair state and side 0 of each
+    # pair, as the sweep hands them to eigvalsh or the factorization: all
+    # have rho's deviation, exactly 0.0; and the preset hands on the matrices
+    # of its work, no more
+    points, blocks, one_three, pairs, entropy = PRESET_WORK[name]
     with recorded() as calls:
         sweep.run_sweep(PRESETS[name])
-    assert work(calls) == _work(points, one_three, points * pairs, entropy)
+    assert work(calls) == _work(points, blocks, one_three, points * pairs, entropy)
     assert _deviations(calls) == {(kind, 0.0) for kind in work(calls)}
 
 
@@ -138,7 +141,8 @@ def test_every_stack_at_random_points_is_exactly_hermitian(seed, points, observe
     with recorded() as calls:
         evaluate_points(observers, r, COLUMNS)
     pair_states = sum(n * distinct for n, distinct in _distinct_pairs(observers, r))
-    assert work(calls) == _work(points, 4, pair_states, True)
+    blocks = len(charge_blocks(observers))
+    assert work(calls) == _work(points, blocks, 4, pair_states, True)
     assert _deviations(calls) == {(kind, 0.0) for kind in work(calls)}
 
 
@@ -253,10 +257,13 @@ def test_a_chunk_checks_hermiticity_where_its_states_are_made(seed, points, obse
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
     with recorded() as calls:
         evaluate_points(observers, r, COLUMNS)
-    # the check runs on exactly the blocks the factorization gets
+    # the check runs on exactly the blocks the factorization gets: rho's in
+    # one call, each state's blocks shifted and padded
     factored = [call for call in calls if call.route == "cholesky"]
     [(_, distinct)] = _distinct_pairs(observers, r)
-    assert list(work(factored).items()) == [("rho factored", points),
+    blocks = factored_blocks(observed_densities(w_state(4), observers, r).matrix, observers)
+    assert factored[0].array.tobytes() == blocks.tobytes()
+    assert list(work(factored).items()) == [("rho blocks", points * blocks.shape[1]),
                                             ("pair states", distinct * points)]
 
 
@@ -264,6 +271,54 @@ def test_charge_labels_give_the_expected_blocks():
     assert np.bincount(OCCUPATION).tolist() == [1, 4, 6, 4, 1]
     for q in Q:
         assert np.unique(q, return_counts=True)[1].tolist() == [1, 4, 6, 4, 1]
+
+
+def _layout(observers):
+    """rho's compact layout with observers accelerated, as rindler builds it."""
+    return _compact(tuple(sorted(map(OBSERVERS.index, observers))))[-1]
+
+
+def _indices(layout, columns):
+    """The indices whose diagonal entry is held in one of columns, in index order."""
+    return [i for i in range(16) if layout.column[17 * i] in columns[columns < len(layout.mirror)]]
+
+
+@pytest.mark.parametrize("observers", [(), *EVERY_OBSERVER_SET])
+def test_block_plan_is_the_charge_components_of_the_support(observers):
+    # the blocks of the layout, read from the support's entries alone, are
+    # its populated indices joined by their region-I occupation, and each
+    # populated index alone in its occupation is a 1x1 block on the support
+    layout = _layout(observers)
+    populated = np.flatnonzero(layout.column[::17] < len(layout.mirror))
+    charges = [populated[OCCUPATION[populated] == q].tolist() for q in range(5)]
+    assert [_indices(layout, block.diagonal()) for block in layout.blocks] == sorted(
+        group for group in charges if len(group) > 1)
+    assert _indices(layout, layout.singles) == sorted(i for group in charges if len(group) == 1
+                                                      for i in group)
+    # the populated indices are those of the reference build, which zeroes
+    # no amplitude at r = 0.3
+    dense = reference.observed_dense(w_state(4), observers, [[0.3] * len(observers)])[0]
+    assert populated.tolist() == np.flatnonzero(np.diagonal(dense)).tolist()
+    assert layout.blocks.shape[0] == len(charge_blocks(observers))
+
+
+@pytest.mark.parametrize("observers", [(), *EVERY_OBSERVER_SET])
+def test_dense_views_hold_plus_zero_off_the_support_and_the_compact_trace(observers):
+    # random points and r = 0 and pi/4, where sin r or cos r products are
+    # signed zeros: each entry off the support is +0.0, and the trace over
+    # the compact diagonal has the bits of the dense trace
+    rng = np.random.default_rng(len(observers))
+    r = np.concatenate([rng.uniform(0.0, R_MAX, (CHUNK, len(observers))),
+                        np.zeros((1, len(observers))), np.full((1, len(observers)), R_MAX)])
+    split, table = _checked(observers, r)
+    layout = table[-1]
+    for start in range(0, len(r), CHUNK):
+        values = _built(split[start:start + CHUNK], table)
+        dense = layout.dense(values)
+        off = dense.reshape(len(dense), 256)[:, layout.column == len(layout.mirror)]
+        assert off.tobytes() == bytes(off.nbytes)
+        traces = np.take(values, layout.diagonal, axis=1).sum(axis=1)
+        assert traces.tobytes() == dense.real.trace(axis1=-2, axis2=-1).tobytes()
 
 
 def _assert_charge_blocks(rho):

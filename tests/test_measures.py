@@ -27,7 +27,7 @@ from wtangles.rindler import R_MAX, observed_densities, observed_density
 from wtangles.sweep import PRESETS, sweep_points
 
 from . import patterns, reference
-from .lapack import ROUTES, recorded, shifted
+from .lapack import ROUTES, factored_blocks, recorded, shifted
 
 # |W4><W4|, as the pipeline builds it for an all-inertial observation
 W4 = observed_density(w_state(4), None)
@@ -170,55 +170,60 @@ def _pair_states(rho, *columns):
 
 def test_evaluate_takes_each_spectrum_once():
     # the validated stacks and the eigensolves, pinned separately; each
-    # validated stack is factored block by block, its blocks its slices in
-    # order, shifted on the diagonal and nothing else, of at most
-    # _BLOCK_BYTES, and nothing else is factored
+    # validated pair stack is factored block by block, its blocks its slices
+    # in order, shifted on the diagonal and nothing else, of at most
+    # _BLOCK_BYTES, rho on its blocks (factored_blocks), and nothing else is
+    # factored
     def taken(*validated):
         """The shapes eigvalsh got since the last call, once the factorization
         is seen to have got the validated stacks and nothing else."""
         blocks = [call.array for call in calls if call.route == "cholesky"]
         assert all(block.nbytes <= fock._BLOCK_BYTES for block in blocks)
-        # the blocks of one matrix size in a row make up one validated stack
-        runs = [np.concatenate(list(run)) for _, run in groupby(blocks, lambda block: block.shape[-1])]
-        assert [run.tobytes() for run in runs] == [
-            shifted(stack.reshape((-1,) + stack.shape[-2:])).tobytes() for stack in validated]
+        # the blocks of one shape in a row make up one validated stack
+        runs = [np.concatenate(list(run)) for _, run in groupby(blocks, lambda block: block.shape[1:])]
+        assert [run.tobytes() for run in runs] == [stack.tobytes() for stack in validated]
         solved = [call.array.shape for call in calls if call.route == "eigvalsh"]
         calls.clear()
         return solved
+
+    def pairs(rho, *columns):
+        """The pair states of rho named by columns, as their factorization takes them."""
+        states = _pair_states(rho, *columns)
+        return shifted(states.reshape((-1,) + states.shape[-2:]))
     with recorded() as calls:
         stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1], [0.7, 0.7]])
-        # rho's validation factors it and takes no spectrum
-        assert taken(stack.matrix) == []
-        # a rho chunk is factored in more than one block
+        # rho's validation factors its blocks and takes no spectrum
+        assert taken(factored_blocks(stack.matrix, ("C", "D"))) == []
+        # a rho chunk is factored in one call
         chunk = observed_densities(w_state(4), ["C", "D"], np.full((measures.CHUNK, 2), 0.3))
-        assert len(calls) > 1 and taken(chunk.matrix) == []
+        assert len(calls) == 1 and taken(factored_blocks(chunk.matrix, ("C", "D"))) == []
         # S takes rho's one eigensolve
         evaluate(stack, ["S"])
         assert taken() == [(3, 16, 16)]
         evaluate(stack, ["N_AB"])
         # the pair state's validation, then side 0 of the pair, which gives the value
-        assert taken(_pair_states(stack, "N_AB")) == [(3, 1, 4, 4)]
+        assert taken(pairs(stack, "N_AB")) == [(3, 1, 4, 4)]
         evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
         # every 1-3 transpose in one call, every distinct pair state in one and
         # its side 0 in one: with C and D accelerated rho_AC = rho_BC and
         # rho_AD = rho_BD, so the first of each is taken
-        assert taken(_pair_states(stack, "N_AB", "N_AC", "N_AD", "N_CD")) == [
+        assert taken(pairs(stack, "N_AB", "N_AC", "N_AD", "N_CD")) == [
             (3, 4, 16, 16), (3, 4, 4, 4)]
         evaluate(stack, ["pi_B", "N_C_rest"])
-        assert taken(_pair_states(stack, "N_AB", "N_BC", "N_BD")) == [(3, 2, 16, 16), (3, 3, 4, 4)]
+        assert taken(pairs(stack, "N_AB", "N_BC", "N_BD")) == [(3, 2, 16, 16), (3, 3, 4, 4)]
         evaluate(stack[1], ["N_AB"])
-        assert taken(_pair_states(stack[1][None], "N_AB")) == [(1, 1, 4, 4)]
+        assert taken(pairs(stack[1][None], "N_AB")) == [(1, 1, 4, 4)]
         rho = observed_densities(w_state(4), ["D"], [[0.1], [0.5]])
         tangle_report(rho)
         # with D accelerated rho_AB = rho_AC = rho_BC and rho_AD = rho_BD = rho_CD
-        assert taken(rho.matrix, _pair_states(rho, "N_AB", "N_AD")) == [
+        assert taken(factored_blocks(rho.matrix, ("D",)), pairs(rho, "N_AB", "N_AD")) == [
             (2, 4, 16, 16), (2, 2, 4, 4), (2, 16, 16)]
         # a complex state takes the same two pair calls: side 0 alone gives the
         # values; with the phase on D, rho_AD = rho_BD = rho_CD
         rho = _complex_w4(3)
         calls.clear()
         evaluate(rho, ["N_AB", "N_AD", "N_BD", "N_CD"])
-        assert taken(_pair_states(rho[None], "N_AB", "N_AD")) == [(1, 2, 4, 4)]
+        assert taken(pairs(rho[None], "N_AB", "N_AD")) == [(1, 2, 4, 4)]
 
 
 def test_index_tables_gather_what_the_fock_kernels_compute():
@@ -267,7 +272,8 @@ def test_sums_run_left_to_right(monkeypatch):
     spectral.update(N_A_rest=np.array([2.0, 1.0]), N_B_rest=np.array([0.0, 1e-8]),
                     N_C_rest=np.array([0.0, 1e-8]), N_AB=np.array([1.0, 0.0]),
                     N_AC=np.array([1e-8, 0.0]), N_AD=np.array([1e-8, 0.0]))
-    monkeypatch.setattr(measures, "_spectral_columns", lambda rho, one_three, pairs: dict(spectral))
+    monkeypatch.setattr(measures, "_spectral_columns",
+                        lambda values, gathers, one_three, pairs: dict(spectral))
     stack = observed_densities(w_state(4), ["D"], [[0.1], [0.3]])
     columns = evaluate(stack, ["pi_A", "pi4"])
     assert columns["pi_A"].tolist()[0] == 3.0
@@ -591,10 +597,11 @@ def test_evaluate_rejects_an_empty_stack():
 
 def _assert_real_states_complex_spectra(calls):
     # every spectrum is the complex solver's, whose bits the goldens pin, and
-    # every positivity factorization gets a real state: rho or a pair state
+    # every positivity factorization gets a real state: rho's blocks or a
+    # pair state
     dtypes = {route: {call.array.dtype for call in calls if call.route == route} for route in ROUTES}
     assert dtypes == {"eigvalsh": {np.dtype(np.complex128)}, "cholesky": {np.dtype(np.float64)}}
-    assert {call.kind for call in calls if call.route == "cholesky"} == {"rho factored", "pair states"}
+    assert {call.kind for call in calls if call.route == "cholesky"} == {"rho blocks", "pair states"}
 
 
 @pytest.mark.parametrize("observers", [(), ("D",), ("C", "D")])

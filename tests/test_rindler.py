@@ -26,6 +26,7 @@ from wtangles.rindler import (
     ConfigError,
     _built,
     _checked,
+    _compact,
     _support,
     check_r,
     observed_densities,
@@ -348,26 +349,30 @@ _AMPLITUDE = st.sampled_from((0.0, -0.0)) | st.floats(0.05, 1.0) | st.floats(-1.
 @example(psi0=[-0.0, -0.5, 0.0, -0.5] * 4, observers=["B"], rows=[[0.0], [R_MAX]])
 def test_support_build_equals_the_dense_build(psi0, observers, rows):
     # at r = 0, sin r times a negative amplitude is -0.0, and rho must still hold +0.0;
-    # other amplitudes than |W4>'s take the private builder: a support table
-    # of those amplitudes, and _built over _checked's split factors
+    # other amplitudes than |W4>'s take the private builder: a compact support
+    # table of those amplitudes, _built over _checked's split factors, and the
+    # dense view of what it built
     psi0 = np.array(psi0) / np.linalg.norm(psi0)
     r = [row[:len(observers)] for row in rows]
     split, _ = _checked(observers, r)
     positions = tuple(sorted(map(OBSERVERS.index, observers)))
-    matrix = _built(split, _support(positions, tuple(psi0.tolist()))).matrix
+    table = _compact(positions, tuple(psi0.tolist()))
+    matrix = table[-1].dense(_built(split, table))
     assert matrix.tobytes() == reference.observed_dense(psi0, observers, r).tobytes()
 
 
 def test_one_nonzero_pattern_adds_one_support_table():
-    # the public path splits |W4>'s one nonzero pattern: one table per observer set
+    # the public path splits |W4>'s one nonzero pattern: one table, and one
+    # compact layout of it, per observer set
     _support.cache_clear()
+    _compact.cache_clear()
     observed_densities(w_state(4), ["C", "D"], [[0.2, 0.3]])
     # other values and observer order, the same split modes
     observed_densities(w_state(4), ["D", "C"], [[0.1, 0.4], [0.0, R_MAX]])
     observed_density(w_state(4), {"D": 0.5, "C": 0.1})
-    assert _support.cache_info().currsize == 1
+    assert _support.cache_info().currsize == _compact.cache_info().currsize == 1
     observed_densities(w_state(4), ["D"], [[0.2]])
-    assert _support.cache_info().currsize == 2
+    assert _support.cache_info().currsize == _compact.cache_info().currsize == 2
 
 
 def test_only_w4_is_observed():

@@ -371,16 +371,19 @@ def test_preset_shapes():
 
 # the tracemalloc peak of run_sweep(PRESETS["fig7"]) when DensityMatrix held a
 # complex128 copy of every observed state (numpy 2.4, Python 3.11); the peak
-# is now 1,454,620-1,457,044 bytes, of which 80,688 are the (1681, 2, 3)
-# split factors that rindler._checked takes once per call (1,373,462-1,377,271
-# while each chunk took its own cos r and sin r)
+# is now 1,343,671-1,346,242 bytes, of which 80,688 are the (1681, 2, 3)
+# split factors that rindler._checked takes once per call (1,454,620-1,457,044
+# while each chunk built its dense rho, 1,373,462-1,377,271 while each chunk
+# also took its own cos r and sin r)
 COMPLEX_STATES_FIG7_PEAK = 1_483_311
 # a bound on the tracemalloc peak of evaluate_points over the 21x21 (C, D)
-# grid for N_CD, measured at 301,164-301,333 bytes (numpy 2.4, Python 3.11);
-# 348,075-348,718 while each chunk made lists of its points' cos r and sin r,
-# and 545,858-546,572 while DensityMatrix copied each rho chunk it was handed
-# and the positivity check factored the whole chunk at once
-N_CD_GRID_PEAK = 370_000
+# grid for N_CD, measured at 171,482-171,874 bytes (numpy 2.4, Python 3.11),
+# each chunk's rho held in its compact layout; 301,164-301,333 while each
+# chunk built and validated its dense rho, 348,075-348,718 while each chunk
+# made lists of its points' cos r and sin r, and 545,858-546,572 while
+# DensityMatrix copied each rho chunk it was handed and the positivity check
+# factored the whole chunk at once
+N_CD_GRID_PEAK = 210_000
 
 
 def _traced_peak(run):
@@ -403,7 +406,7 @@ def test_fig7_sweep_peaks_no_higher_than_with_complex_states():
 
 
 def test_n_cd_grid_holds_no_copy_of_a_rho_chunk():
-    # rho is held as built, and factored in blocks of at most _BLOCK_BYTES
+    # rho is held as built, in its compact layout, and factored on its blocks
     observers, r = sweep_points(replace(PRESETS["fig5"], diagonal=False, grid=21))
-    evaluate_points(observers, r, ["N_CD"])     # the support table is filled first
+    evaluate_points(observers, r, ["N_CD"])     # the support table and its gathers are filled first
     assert _traced_peak(lambda: evaluate_points(observers, r, ["N_CD"])) <= N_CD_GRID_PEAK
