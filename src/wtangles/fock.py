@@ -178,13 +178,15 @@ class Layout:
     graph: blocks holds the columns of the multi-entry ones, each padded to
     the largest with the zero column, shifts _CHOLESKY_SHIFT on their
     diagonals and 1.0 on the padding's, and singles the column of each 1x1
-    block on the support (one off it holds +0.0).
+    block on the support (one off it holds +0.0).  step is the number of
+    matrices whose blocks take about _BLOCK_BYTES.
     """
 
     def __init__(self, entries: Iterable[int], dim: int) -> None:
         entries = np.array(sorted(entries), dtype=np.intp)
-        self.column = column = np.full(dim * dim, len(entries))
-        column[entries] = np.arange(len(entries))
+        self.zero = zero = len(entries)
+        self.column = column = np.full(dim * dim, zero)
+        column[entries] = np.arange(zero)
         rows, columns = np.divmod(entries, dim)
         self.mirror, self.diagonal = column[columns * dim + rows], column[::dim + 1]
         # each index's block, named by its smallest index: an entry joins its row's and column's
@@ -195,13 +197,19 @@ class Layout:
         groups = [[i for i in range(dim) if label[i] == b] for b in sorted(set(label))]
         multi = [np.array(group) for group in groups if len(group) > 1]
         size = max(map(len, multi), default=0)
-        self.blocks = np.full((len(multi), size, size), len(entries))
+        self.blocks = np.full((len(multi), size, size), zero)
         for b, group in enumerate(multi):
             self.blocks[b, :len(group), :len(group)] = column[np.add.outer(group * dim, group)]
         # a block's own diagonal is on the support, its padding's is the zero column
-        self.shifts = np.where(self.blocks == len(entries), 1.0, _CHOLESKY_SHIFT) * np.eye(size)
+        self.shifts = np.where(self.blocks == zero, 1.0, _CHOLESKY_SHIFT) * np.eye(size)
         singles = column[[group[0] * (dim + 1) for group in groups if len(group) == 1]]
-        self.singles = singles[singles < len(entries)]
+        self.singles = singles[singles < zero]
+        # points that the positivity test factors at once, in about _BLOCK_BYTES
+        self.step = max(1, _BLOCK_BYTES // max(1, 8 * self.blocks.size))
+
+    def zeros(self, n: int) -> np.ndarray:
+        """An (n, E + 1) stack of +0.0 in this layout."""
+        return np.zeros((n, self.zero + 1))
 
     def dense(self, values: np.ndarray) -> np.ndarray:
         """The (n, dim, dim) stack that the (n, E + 1) values hold, off-support entries +0.0."""
@@ -214,10 +222,11 @@ def _validate_compact(values: np.ndarray, layout: Layout) -> None:
 
     Each entry equals its mirror and np.vdot is finite, so the stack is
     exactly Hermitian; the trace sums the diagonal as m.real.trace does, to
-    the same bits; the shifted multi-entry blocks factor in one
-    np.linalg.cholesky call, and each 1x1 block's d + _CHOLESKY_SHIFT, its
-    pivot in the whole matrix's factorization, is positive.  If any test
-    fails, validate_density runs on the dense view and gives the verdict.
+    the same bits; the shifted multi-entry blocks factor, in one
+    np.linalg.cholesky call per layout.step matrices (one per chunk of
+    measures.CHUNK), and each 1x1 block's d + _CHOLESKY_SHIFT, its pivot in
+    the whole matrix's factorization, is positive.  If any test fails,
+    validate_density runs on the dense view and gives the verdict.
     """
     # each test runs once those before it pass, so none meets an inf or a NaN;
     # np.add.reduce is ndarray.sum without its Python wrapper
@@ -227,7 +236,9 @@ def _validate_compact(values: np.ndarray, layout: Layout) -> None:
             and (not layout.singles.size
                  or (values[:, layout.singles] + _CHOLESKY_SHIFT > 0.0).all())):
         with contextlib.suppress(np.linalg.LinAlgError):
-            np.linalg.cholesky(np.take(values, layout.blocks, axis=1) + layout.shifts)
+            for start in range(0, len(values), layout.step):
+                block = values[start:start + layout.step]
+                np.linalg.cholesky(np.take(block, layout.blocks, axis=1) + layout.shifts)
             return
     validate_density(layout.dense(values))
 
@@ -242,24 +253,22 @@ class DensityMatrix:
         # a copy, so that the caller's array stays the caller's to change
         m = _numbers(self.matrix)
         self._hold(np.array(m, dtype=complex if m.dtype.kind == "c" else float))
+        validate_density(self.matrix)
 
     @classmethod
-    def _owning(cls, m: np.ndarray, checked: bool = False) -> "DensityMatrix":
-        """Hold m, a float64 or complex128 array the package built, without a copy.
+    def _owning(cls, m: np.ndarray) -> "DensityMatrix":
+        """Hold m, a float64 or complex128 stack the package built and checked, without a copy.
 
-        m is validated, unless checked says that its values passed
-        validate_density's verdict already (rindler checks them compactly).
-        m becomes read-only; no one else may hold it writeable.
+        m is not validated again (rindler checks it in its compact layout).
+        It becomes read-only; no one else may hold it writeable.
         """
         rho = object.__new__(cls)
-        rho._hold(m, checked)
+        rho._hold(m)
         return rho
 
-    def _hold(self, m: np.ndarray, checked: bool = False) -> None:
+    def _hold(self, m: np.ndarray) -> None:
         if m.ndim < 2 or m.shape[-2] != (dim := m.shape[-1]) or dim < 2 or dim & (dim - 1):
             raise ValueError(f"matrix has shape {m.shape}, want (..., 2^n, 2^n) with n >= 1")
-        if not checked:
-            validate_density(m)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -251,7 +251,7 @@ def _built(split: np.ndarray, table) -> np.ndarray:
         amp = amp * split[:, j, factor]
     # added, never assigned: each sum starts at +0.0, as the dense sum did, so a
     # -0.0 product lands as +0.0; the last column stays +0.0
-    values = np.zeros((len(split), len(layout.mirror) + 1))
+    values = layout.zeros(len(split))
     for entries, left, right in rounds:
         values[:, entries] += amp[:, left] * amp[:, right]
     _validate_compact(values, layout)
@@ -270,7 +270,7 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
     if not np.array_equal(psi0, W4):
         raise ValueError("observed states start from |W4>: psi0 must equal w_state(4)")
     split, table = _checked(observers, r)
-    return DensityMatrix._owning(table[-1].dense(_built(split, table)), checked=True)
+    return DensityMatrix._owning(table[-1].dense(_built(split, table)))
 
 
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:

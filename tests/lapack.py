@@ -8,9 +8,10 @@ that hands LAPACK the same arrays leaves every record as it was.
 
 A record's kind follows from its route and shape alone:
 
-    rho blocks        cholesky (N, B, m, m)    rho's B multi-entry structural
+    rho blocks        cholesky (b, B, m, m)    rho's B multi-entry structural
                                                blocks, shifted and padded to
-                                               the largest, m (4, 5 or 6)
+                                               the largest, m (4, 5 or 6), of
+                                               a chunk or a step of a stack
     rho factored      cholesky (b, 16, 16)     a block of a dense rho,
                                                shifted: a DensityMatrix's own
                                                check, or a compact check's

@@ -10,6 +10,7 @@ from wtangles.fock import (
     MIN_EIGENVALUE,
     TRACE_TOL,
     DensityMatrix,
+    _BLOCK_BYTES,
     _add_blocks,
     _trace_blocks,
     _validate_compact,
@@ -308,13 +309,16 @@ def test_density_matrix_copies_a_callers_array():
 
 
 def test_observed_states_hold_the_stack_they_built():
-    # the package's own stack is validated and held read-only, without a copy
+    # the package's own stack, checked where it is built, is held read-only
+    # without a copy or a second check; a caller's matrix is validated
     rho = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.4, 0.1]])
     assert rho.matrix.base.shape == (2, 256) and not rho.matrix.flags.writeable
     with pytest.raises(ValueError, match=r"want \(\.\.\., 2\^n, 2\^n\) with n >= 1"):
         DensityMatrix._owning(np.eye(3))
+    with pytest.raises(ValueError, match=r"want \(\.\.\., 2\^n, 2\^n\) with n >= 1"):
+        DensityMatrix(np.eye(3) / 3)
     with pytest.raises(ValueError, match="^density matrix trace is 2.0, expected 1$"):
-        DensityMatrix._owning(np.eye(2))
+        DensityMatrix(np.eye(2))
     held = np.eye(2) / 2
     assert DensityMatrix._owning(held).matrix is held and not held.flags.writeable
 
@@ -467,3 +471,22 @@ def test_compact_check_gives_validate_densitys_verdict_at_the_edges(case):
     expected = _rejection(table[-1].dense(values))
     assert _compact_rejection(values, table[-1]) == expected
     assert expected is None if message is None else expected.startswith(message)
+
+
+@pytest.mark.parametrize("point", [{"D": 0.3}, {"C": 0.3, "D": 0.4}, dict.fromkeys("ABCD", 0.3)])
+def test_compact_check_factors_a_long_stack_step_by_step(point):
+    # a chunk of CHUNK points is one factorization; a longer stack is
+    # factored layout.step points at a time, each step's blocks about
+    # _BLOCK_BYTES, and a block that fails in the last step is found
+    split, table = _checked(tuple(point), [list(point.values())])
+    layout = table[-1]
+    assert CHUNK <= layout.step and layout.step * layout.blocks.size * 8 <= _BLOCK_BYTES
+    values = np.concatenate([_built(split, table)] * (2 * layout.step + 1))
+    with recorded() as calls:
+        _validate_compact(values, layout)
+    assert [(call.kind, len(call.array)) for call in calls] == [
+        ("rho blocks", layout.step)] * 2 + [("rho blocks", 1)]
+    _eigenvalue(4, 8, -1.001e-10)(values[-1:], layout)
+    expected = _rejection(layout.dense(values))
+    assert expected.startswith(BLOCK_EIGENVALUE)
+    assert _compact_rejection(values, layout) == expected

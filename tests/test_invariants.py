@@ -280,7 +280,7 @@ def _layout(observers):
 
 def _indices(layout, columns):
     """The indices whose diagonal entry is held in one of columns, in index order."""
-    return [i for i in range(16) if layout.column[17 * i] in columns[columns < len(layout.mirror)]]
+    return [i for i in range(16) if layout.column[17 * i] in columns[columns < layout.zero]]
 
 
 @pytest.mark.parametrize("observers", [(), *EVERY_OBSERVER_SET])
@@ -289,7 +289,7 @@ def test_block_plan_is_the_charge_components_of_the_support(observers):
     # its populated indices joined by their region-I occupation, and each
     # populated index alone in its occupation is a 1x1 block on the support
     layout = _layout(observers)
-    populated = np.flatnonzero(layout.column[::17] < len(layout.mirror))
+    populated = np.flatnonzero(layout.column[::17] < layout.zero)
     charges = [populated[OCCUPATION[populated] == q].tolist() for q in range(5)]
     assert [_indices(layout, block.diagonal()) for block in layout.blocks] == sorted(
         group for group in charges if len(group) > 1)
@@ -315,7 +315,7 @@ def test_dense_views_hold_plus_zero_off_the_support_and_the_compact_trace(observ
     for start in range(0, len(r), CHUNK):
         values = _built(split[start:start + CHUNK], table)
         dense = layout.dense(values)
-        off = dense.reshape(len(dense), 256)[:, layout.column == len(layout.mirror)]
+        off = dense.reshape(len(dense), 256)[:, layout.column == layout.zero]
         assert off.tobytes() == bytes(off.nbytes)
         traces = np.take(values, layout.diagonal, axis=1).sum(axis=1)
         assert traces.tobytes() == dense.real.trace(axis1=-2, axis2=-1).tobytes()

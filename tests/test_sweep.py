@@ -15,8 +15,10 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wtangles.checks import run_check
+from wtangles.fock import _BLOCK_BYTES, _validate_compact, w_state
 from wtangles.measures import COLUMNS, evaluate_points, select_names
 from wtangles.oracles import n_pair_accel_one
+from wtangles.rindler import _built, _checked, observed_densities
 from wtangles.sweep import (
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
@@ -410,3 +412,20 @@ def test_n_cd_grid_holds_no_copy_of_a_rho_chunk():
     observers, r = sweep_points(replace(PRESETS["fig5"], diagonal=False, grid=21))
     evaluate_points(observers, r, ["N_CD"])     # the support table and its gathers are filled first
     assert _traced_peak(lambda: evaluate_points(observers, r, ["N_CD"])) <= N_CD_GRID_PEAK
+
+
+@pytest.mark.parametrize("observers", [("D",), ("C", "D"), tuple("ABCD")])
+def test_a_long_stack_is_checked_in_little_more_memory_than_it_holds(observers):
+    # observed_densities builds and checks all N points at once: the compact
+    # check's temporaries stay near the values' own bytes, its factorization
+    # taking a few _BLOCK_BYTES at a time (1.17-1.24x the values, and 2.5-4.0x
+    # when the blocks of the whole stack were factored in one call), and the
+    # call peaks at 1.11-1.41x the dense stack it returns (1.43-2.16x while
+    # it built and validated that stack dense)
+    r = np.random.default_rng(len(observers)).uniform(0.0, R_MAX, (4096, len(observers)))
+    split, table = _checked(observers, r)
+    values = _built(split, table)
+    assert _traced_peak(lambda: _validate_compact(values, table[-1])) <= (
+        1.25 * values.nbytes + 3 * _BLOCK_BYTES)
+    dense = 16 * 16 * 8 * len(r)
+    assert _traced_peak(lambda: observed_densities(w_state(4), observers, r)) <= 1.5 * dense
