@@ -149,7 +149,7 @@ def _entry_names(observers: tuple[str, ...]) -> np.ndarray:
     factor; a sum joins its products with +, in name order.  An entry with a
     factor from A or B, and one outside the support, is None.
     """
-    _, factors, rounds = _support(tuple(map(OBSERVERS.index, observers)))
+    _, factors, rounds, layout = _support(tuple(map(OBSERVERS.index, observers)))
     codes = [factor.tolist() for factor in factors]
     products: dict[int, list] = {}
     for entries, left, right in rounds:
@@ -158,12 +158,13 @@ def _entry_names(observers: tuple[str, ...]) -> np.ndarray:
                       for observer, code in zip(observers, codes)
                       for symbol, kind in zip(_SHORTHANDS[observer], (2, 1))]
             products.setdefault(e, []).append([(s, p) for s, p in powers if p])
-    names = np.full(256, None, dtype=object)
+    # one name per compact column; the zero column, off the support, stays None
+    names = np.full(layout.zero + 1, None, dtype=object)
     for e, terms in products.items():
         if all(symbol for term in terms for symbol, _ in term):
             names[e] = "+".join(sorted("".join(s if p == 1 else f"{s}^{p}" for s, p in term) or "1"
                                        for term in terms))
-    return names.reshape(16, 16)
+    return names[layout.column].reshape(16, 16)
 
 
 def emit_matrix(params: dict[str, float], transpose: str | None = None,

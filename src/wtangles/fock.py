@@ -29,11 +29,10 @@ array is one ConfigError, as there, and is never read as numbers.  _state
 is the one rule for what is a state: partial_transpose and measures'
 evaluate and von_neumann_entropy take rho's matrix through it, and anything
 without an array as its matrix, a bare array or None, is one ConfigError
-before any work.  A stack the package has just built (rindler) is
-checked in its compact layout (Layout, _validate_compact), and its dense
-view is held as it is, read-only, with no copy and no second check.
-Indexing selects states without checking them again: rho[p] is state p of
-a stack and rho[None] a stack of one.
+before any work.  A stack that rindler has built and checked, chunk by
+chunk, in its compact layout (Layout, _validate_compact), and the states
+that index a held stack, rho[p] or rho[None], are held by _owning: as they
+are, read-only, with no copy and no second check.
 
 A real matrix is stored as float64 and a complex one as complex128.
 validate_density runs on either dtype, and a real stack and its complex128
@@ -46,9 +45,8 @@ verdicts and messages), and by validate_density on a caller's
 DensityMatrix and on the reduced pair states measures gathers.  A partial
 transpose moves each entry together with its adjoint partner, so it
 deviates from Hermiticity exactly as much as its state, and is not checked
-again.
-ConfigError, the one error for an input of a wrong kind or a bad name, r
-or sweep, is defined here, in the lowest module that raises it.
+again.  ConfigError, the one error for an input of a wrong kind or a bad
+name, r or sweep, is defined here, in the lowest module that raises it.
 """
 
 from __future__ import annotations
@@ -177,9 +175,7 @@ class Layout:
     structural blocks are the connected components of the support's index
     graph: blocks holds the columns of the multi-entry ones, each padded to
     the largest with the zero column, shifts _CHOLESKY_SHIFT on their
-    diagonals and 1.0 on the padding's, and singles the column of each 1x1
-    block on the support (one off it holds +0.0).  step is the number of
-    matrices whose blocks take about _BLOCK_BYTES.
+    diagonals and 1.0 on the padding's.
     """
 
     def __init__(self, entries: Iterable[int], dim: int) -> None:
@@ -202,10 +198,6 @@ class Layout:
             self.blocks[b, :len(group), :len(group)] = column[np.add.outer(group * dim, group)]
         # a block's own diagonal is on the support, its padding's is the zero column
         self.shifts = np.where(self.blocks == zero, 1.0, _CHOLESKY_SHIFT) * np.eye(size)
-        singles = column[[group[0] * (dim + 1) for group in groups if len(group) == 1]]
-        self.singles = singles[singles < zero]
-        # points that the positivity test factors at once, in about _BLOCK_BYTES
-        self.step = max(1, _BLOCK_BYTES // max(1, 8 * self.blocks.size))
 
     def zeros(self, n: int) -> np.ndarray:
         """An (n, E + 1) stack of +0.0 in this layout."""
@@ -222,23 +214,25 @@ def _validate_compact(values: np.ndarray, layout: Layout) -> None:
 
     Each entry equals its mirror and np.vdot is finite, so the stack is
     exactly Hermitian; the trace sums the diagonal as m.real.trace does, to
-    the same bits; the shifted multi-entry blocks factor, in one
-    np.linalg.cholesky call per layout.step matrices (one per chunk of
-    measures.CHUNK), and each 1x1 block's d + _CHOLESKY_SHIFT, its pivot in
-    the whole matrix's factorization, is positive.  If any test fails,
-    validate_density runs on the dense view and gives the verdict.
+    the same bits; every diagonal entry d has d + _CHOLESKY_SHIFT > 0, the
+    pivot of a 1x1 block in the whole matrix's factorization (one off the
+    support is +0.0, and one at or below -_CHOLESKY_SHIFT fails a larger
+    block's factorization too), tested on the smallest, as rounding is
+    monotonic; and the shifted multi-entry blocks factor, in one
+    np.linalg.cholesky call.  values is one chunk of at most rindler.CHUNK
+    matrices, so its padded blocks stay a few _BLOCK_BYTES.  If any test
+    fails, validate_density runs on the dense view and gives the verdict.
     """
+    diagonal = values[:, layout.diagonal]
     # each test runs once those before it pass, so none meets an inf or a NaN;
-    # np.add.reduce is ndarray.sum without its Python wrapper
+    # np.add.reduce and np.minimum.reduce are ndarray.sum and min without
+    # their Python wrappers
     if (math.isfinite(np.vdot(values, values))
             and not (values[:, :-1] != values[:, layout.mirror]).any()
-            and np.abs(np.add.reduce(values[:, layout.diagonal], axis=1) - 1.0).max() <= TRACE_TOL
-            and (not layout.singles.size
-                 or (values[:, layout.singles] + _CHOLESKY_SHIFT > 0.0).all())):
+            and np.abs(np.add.reduce(diagonal, axis=1) - 1.0).max() <= TRACE_TOL
+            and np.minimum.reduce(diagonal, axis=None) + _CHOLESKY_SHIFT > 0.0):
         with contextlib.suppress(np.linalg.LinAlgError):
-            for start in range(0, len(values), layout.step):
-                block = values[start:start + layout.step]
-                np.linalg.cholesky(np.take(block, layout.blocks, axis=1) + layout.shifts)
+            np.linalg.cholesky(np.take(values, layout.blocks, axis=1) + layout.shifts)
             return
     validate_density(layout.dense(values))
 
@@ -257,10 +251,11 @@ class DensityMatrix:
 
     @classmethod
     def _owning(cls, m: np.ndarray) -> "DensityMatrix":
-        """Hold m, a float64 or complex128 stack the package built and checked, without a copy.
+        """Hold m, a float64 or complex128 stack already checked, without a copy.
 
-        m is not validated again (rindler checks it in its compact layout).
-        It becomes read-only; no one else may hold it writeable.
+        m is rindler's stack, checked in its compact layout, or states that
+        index a held stack, and is not validated again.  It becomes
+        read-only; no one else may hold it writeable.
         """
         rho = object.__new__(cls)
         rho._hold(m)
@@ -277,9 +272,7 @@ class DensityMatrix:
         matrix = self.matrix[index]
         if matrix.shape[-2:] != self.matrix.shape[-2:]:
             raise IndexError("a DensityMatrix index selects whole states")
-        view = object.__new__(DensityMatrix)
-        object.__setattr__(view, "matrix", matrix)
-        return view
+        return self._owning(matrix)
 
 
 def w_state(n: int) -> np.ndarray:

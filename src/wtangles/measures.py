@@ -15,41 +15,36 @@ three pairs it reads; pi4 and Pi4 read all four residuals, and S reads rho's
 own spectra, which nothing else needs.
 
 select_names is the one rule that reads a list of names, here and in
-sweeps, figures and checks, as its docstring says.
-evaluate and evaluate_points plan a request once per call, uncached: its
-columns, read by it, which residuals they need (all four for pi4 or Pi4),
-and from them which 1-3 tangles and which pairs, all by name.  Each needed
-matrix is gathered by its column's flat index table, composed once per
-observer set with the map of rho's compact layout (_gathers), so each
-stack of evaluate_points is one gather from a chunk's compact values;
-evaluate runs the same code on a flat (N, 256) stack, with the identity
-map.  Each stack of states then takes at most three eigvalsh calls: every
-needed rho^{T_k} at once, the partial transpose on the first mode of every
-distinct pair state at once, and rho for S.  The observed rho is real, and
-the pair states and their transposes stay real; the 1-3 stack, the
-largest, is gathered straight into complex128.  A pair's negativity is
-taken from the first side alone: the partial transpose on the second mode
-is the transpose of the first, with the same spectrum.  The pair states are validated here, at once
-and with no spectrum (fock.validate_density).  Pairs whose states are the
-same bytes over the stack, as the exchange symmetry of |W4> makes them
-(with D accelerated, rho_AB = rho_AC = rho_BC), get the same verdict and
-spectrum: the pair stack is indexed by its distinct keys, repeated or not,
-so only the first of each is validated and solved, and each pair reads its
-key's values, which moves no bit and assumes no symmetry.  _stack_values
-then fills the planned residuals from TERMS, pi4, Pi4 and S in that order,
-the residual chain in one stacked pass: one rindler._each call squares
-every spectral column as one (C, N) array, the residuals are one (R, N)
-expression whole - ((first + second) + third), pi4 sums their four rows,
-and Pi4 (_geometric_mean, as big_pi4_tangle) clears the whole array with
-one min and takes the fourth roots.  Squares and fourth roots are taken
-value by value in Python floats, and sums run left to right over whole
-arrays, which keeps a point's values independent of its stack and of how
-many columns it is stacked with (see the README Notes).
-evaluate is the one place that tells a single state from a stack: it
-evaluates a single state as a stack of one and returns floats.
-evaluate_points, the core of sweeps and checks, checks its points and plans
-its request once each, then builds, checks and evaluates CHUNK points per
-stack in rho's compact layout.
+sweeps, figures and checks.  evaluate and evaluate_points plan a request
+once per call, uncached: its columns, which residuals they need (all four
+for pi4 or Pi4), and from them which 1-3 tangles and which pairs.  Each
+needed matrix is gathered by its column's flat index table, composed once
+per observer set with the map of rho's compact layout (_gathers), so each
+stack of evaluate_points is one gather from one of rindler's compact
+chunks; evaluate runs the same code on a flat (N, 256) stack, with the
+identity map.
+
+Each stack then takes at most three eigvalsh calls: every needed rho^{T_k}
+at once, the partial transpose on the first mode of every distinct pair
+state at once, and rho for S.  The observed rho is real, and the pair
+states and their transposes stay real; the 1-3 stack, the largest, is
+gathered straight into complex128.  A pair's negativity is taken from the
+first side alone: the partial transpose on the second mode is the
+transpose of the first, with the same spectrum.  The pair states are
+validated here (fock.validate_density).  Pairs whose states are the same
+bytes over the stack, as the exchange symmetry of |W4> makes them (with D
+accelerated, rho_AB = rho_AC = rho_BC), are validated and solved once,
+which moves no bit and assumes no symmetry.
+
+The residual chain is one stacked pass.  Squares and fourth roots are
+taken value by value in Python floats (rindler._each), and sums run left
+to right over whole arrays, which keeps a point's values independent of
+its stack and of how many columns it is stacked with (see the README
+Notes).  evaluate is the one place that tells a single state from a stack:
+it evaluates a single state as a stack of one and returns floats.
+evaluate_points, the core of sweeps and checks, reads rindler's chunks
+(rindler._checked): its points are checked first, then its request is
+planned, then each chunk is built, checked and evaluated.
 """
 
 from __future__ import annotations
@@ -71,14 +66,10 @@ from .fock import (
     validate_density,
 )
 from .linalg import _eigvalsh, negative_eigenvalue_sum
-from .rindler import ConfigError, _built, _checked, _each
+from .rindler import ConfigError, _checked, _each
 
 RESIDUAL_CLIP = -1e-10
 RESIDUALS = tuple(f"pi_{obs}" for obs in OBSERVERS)
-# points per stack in evaluate_points: large enough that per-stack Python and
-# numpy overhead is small next to the eigensolves, small enough that a stack
-# of 1-3 transposes stays about 1 MiB (CHUNK 256 measured slower than 64)
-CHUNK = 64
 
 
 def big_pi4_tangle(pi_k: Mapping[str, float | np.ndarray]) -> np.ndarray:
@@ -289,16 +280,15 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
     p.  Its points are checked, and their cos r and sin r taken, once, as
     observed_densities does (an r with no point gets its shape message), and
     then its columns are planned once per call, not cached; the points are
-    then built, checked as states and evaluated CHUNK rows per stack, each
-    in rho's compact layout (rindler._built).
+    then built, checked as states and evaluated rindler.CHUNK rows per
+    stack, each in rho's compact layout (rindler._checked).
     """
-    split, table = _checked(observers, r)
+    layout, chunks = _checked(observers, r)
     # planned once, before any state is built
-    plan, gathers = _plan(columns), _gathers(table[-1])
+    plan, gathers = _plan(columns), _gathers(layout)
     # each chunk's columns as the rows of one (C, n) array, joined into (C, N)
-    chunks = [np.array(_stack_values(_built(split[start:start + CHUNK], table), gathers, plan))
-              for start in range(0, len(split), CHUNK)]
-    return dict(zip(plan[0], np.concatenate(chunks, axis=1)))
+    stacks = [np.array(_stack_values(values, gathers, plan)) for values in chunks]
+    return dict(zip(plan[0], np.concatenate(stacks, axis=1)))
 
 
 def tangle_report(rho: DensityMatrix) -> dict[str, float | np.ndarray]:

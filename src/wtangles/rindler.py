@@ -36,42 +36,42 @@ products.  _support lists it by the rule above, once per set of split modes
 (for W4's amplitudes, unless a builder names others): a split mode that is
 occupied keeps its bit and leaves region II empty, and an empty one
 branches into cos r (both wedges empty) and sin r (both occupied).  That
-gives the table: the row of initial amplitudes that the nonzero split
-amplitudes come from, each one's factors in split order, and each nonzero
-rho entry's products in region-II index order.  _compact lays rho out by
-those entries alone (fock.Layout): an (n, E + 1) array of its support
-entries in flat order and one +0.0 column, with structural blocks of 4 and
-3 plus nine 1x1 with D accelerated, and 5, 4 and 2 plus five 1x1 with C
-and D.  Per point, each amplitude is its initial one times its factors
-(x 1.0 is exact where a split leaves it), and each entry adds its
-products, in order, onto the +0.0 of a zeroed column.  That is the dense
-sum's arithmetic with its exact-zero terms left out, and those change no
-bit: adding +-0.0 leaves a nonzero sum as it is and keeps a zero one
-+0.0, since a sum that starts at +0.0 never becomes -0.0.  So each entry,
-and the +0.0 off the support, is the same bytes as the dense build's.
+gives one table: the row of initial amplitudes that the nonzero split
+amplitudes come from, each one's factors in split order, each nonzero rho
+entry's products in region-II index order, and rho's compact layout
+(fock.Layout), an (n, E + 1) array of the support entries in flat order
+and one +0.0 column, with structural blocks of 4 and 3 plus nine 1x1 with
+D accelerated, and 5, 4 and 2 plus five 1x1 with C and D.  Per point, each
+amplitude is its initial one times its factors (x 1.0 is exact where a
+split leaves it), and each entry adds its products, in order, onto the
++0.0 of a zeroed column.  That is the dense sum's arithmetic with its
+exact-zero terms left out, and those change no bit: adding +-0.0 leaves a
+nonzero sum as it is and keeps a zero one +0.0, since a sum that starts at
++0.0 never becomes -0.0.  So each entry, and the +0.0 off the support, is
+the same bytes as the dense build's.
 
-observed_densities does this for N points at once: the amplitudes are an
-(N, M) stack scaled by per-point cos r and sin r columns, and rho is
-checked in its compact layout (fock._validate_compact) and returned as its
-dense (N, 16, 16) view, with no second check.  observed_density is the
-batch of one.  The checks of its points (_checked) and the build from the
-compact table (_built) are two steps, so that measures.evaluate_points
-checks a call's points once and then builds and checks each slice of CHUNK
-rows compactly, and gathers every matrix it solves from there.  _checked
-takes math's
-cos r and sin r of every point once per call, and _built reads its slice's
-rows of those split factors, so each keeps math's bits and the x 1.0 stays
-exact.  check_observers is the one rule for a list of observers,
-here, in sweep's axes and in the observer a matrix dump transposes.
-check_r is the one rule for r: here, in sweep's axes and in every closed
-form of oracles.  _checked clears all of a call's r, and sweep.check_axes
-all of its axes' bounds, with one check_r pass (_clears); only when that
-pass fails do they check again observer by observer, or axis by axis, so
-that the message names the first bad value of the first bad part, as a
-check of each part in turn would.  _each is the
-one per-value map, a Python float function applied to each value in turn,
-as numpy's vector loops may round differently: cos r and sin r here, the
-squares and fourth roots in measures, and the closed forms' cos and log.
+Every observed rho comes through _checked: it checks a call's points and
+takes math's cos r and sin r of each once, so each factor keeps math's bits
+and the x 1.0 stays exact, then hands back rho's layout and the chunks,
+CHUNK points each, that it builds and checks in that layout
+(fock._validate_compact) only as they are read.  measures.evaluate_points
+plans its request between the two, so a bad measure name fails before any
+state is built, and gathers every matrix it solves from each chunk.
+observed_densities joins the chunks and returns their dense (N, 16, 16)
+view, with no second check; observed_density is the batch of one.  A chunk
+is the most any check is handed, which bounds its temporaries.
+
+check_observers is the one rule for a list of observers, here, in sweep's
+axes and in the observer a matrix dump transposes.  check_r is the one
+rule for r: here, in sweep's axes and in every closed form of oracles.
+_checked clears all of a call's r, and sweep.check_axes all of its axes'
+bounds, with one check_r pass (_clears); only when that pass fails do they
+check again observer by observer, or axis by axis, so that the message
+names the first bad value of the first bad part, as a check of each part
+in turn would.  _each is the one per-value map, a Python float function
+applied to each value in turn, as numpy's vector loops may round
+differently: cos r and sin r here, the squares and fourth roots in
+measures, and the closed forms' cos and log.
 """
 
 from __future__ import annotations
@@ -89,6 +89,10 @@ R_MAX = math.pi / 4
 R_TOL = 1e-12
 # the r accepted, both ends included
 R_LO, R_HI = -R_TOL, R_MAX + R_TOL
+# points built and checked per stack: large enough that per-stack Python and
+# numpy overhead is small next to measures' eigensolves, small enough that a
+# stack of 1-3 transposes stays about 1 MiB (CHUNK 256 measured slower than 64)
+CHUNK = 64
 
 
 def check_observers(observers: Sequence[str], what: str) -> None:
@@ -160,8 +164,11 @@ def _support(positions: tuple[int, ...], psi0: tuple[float, ...] = tuple(W4.toli
     - factors: k (M,) arrays, what split j multiplies each by: 0 nothing,
       1 cos r, 2 sin r;
     - rounds: (3, n) index arrays of entries, left and right; round s adds,
-      to each flat rho entry with more than s products, its product number s
-      in region-II index order, amplitude left times amplitude right.
+      to each rho entry with more than s products, its product number s in
+      region-II index order, amplitude left times amplitude right; an entry
+      is its column in layout;
+    - layout: rho's compact fock.Layout, whose support is the entries that
+      round 0 adds to.
     """
     k = len(positions)
     # (region-I pattern, region-II pattern, source, factors) of each nonzero amplitude
@@ -188,22 +195,11 @@ def _support(positions: tuple[int, ...], psi0: tuple[float, ...] = tuple(W4.toli
         for a, row_a in at_t:
             for b, row_b in at_t:
                 terms.setdefault(16 * row_a + row_b, []).append((a, b))
-    rounds = [np.array([(e, *products[s]) for e, products in terms.items() if len(products) > s],
-                       dtype=np.intp).T
+    layout = Layout(terms, 16)
+    rounds = [np.array([(layout.column[e], *products[s]) for e, products in terms.items()
+                        if len(products) > s], dtype=np.intp).T
               for s in range(max(map(len, terms.values()), default=0))]
-    return initial, factors, rounds
-
-
-@lru_cache
-def _compact(positions: tuple[int, ...], psi0: tuple[float, ...] = tuple(W4.tolist())):
-    """_support's table with each round's entries as compact columns, then rho's fock.Layout.
-
-    Round 0 adds to every entry of rho's support.
-    """
-    initial, factors, rounds = _support(positions, psi0)
-    layout = Layout(rounds[0][0].tolist() if rounds else (), 16)
-    compact = [np.array([layout.column[entries], left, right]) for entries, left, right in rounds]
-    return initial, factors, compact, layout
+    return initial, factors, rounds, layout
 
 
 def _checked(observers: Sequence[str], r):
@@ -211,14 +207,15 @@ def _checked(observers: Sequence[str], r):
 
     One check_r pass clears the whole (N, k) r; only if it fails is each
     observer's column checked in turn, to name the first bad value of the
-    first bad observer, 'accel: D=1.0 outside [0, pi/4]'.
-
-    Returns each point's split factors, an (N, k, 3) array whose [p, j] is
-    [1.0, cos r, sin r] for point p's r of the j-th split mode in register
-    order, and the compact support table of W4 split at those modes
-    (_compact).  A bare str
-    or bytes of observers is one name, as measures.select_names reads it,
+    first bad observer, 'accel: D=1.0 outside [0, pi/4]'.  A bare str or
+    bytes of observers is one name, as measures.select_names reads it,
     anything else not iterable a ConfigError, and r must be real (_real).
+
+    Returns rho's compact layout and an iterator that builds and checks the
+    states CHUNK points at a time (_built), in order, each an (n, E + 1)
+    array; nothing is built before it is read.  Each point's split factors,
+    [1.0, cos r, sin r] of its r of each split mode in register order, are
+    taken here, once.
     """
     try:
         observers = (observers,) if isinstance(observers, (str, bytes)) else tuple(observers)
@@ -238,7 +235,9 @@ def _checked(observers: Sequence[str], r):
     values = r if columns == sorted(columns) else r[:, columns]
     split = np.ones(r.shape + (3,))
     split[..., 1], split[..., 2] = _each(math.cos, values), _each(math.sin, values)
-    return split, _compact(tuple(pos for pos, _ in order))
+    table = _support(tuple(pos for pos, _ in order))
+    return table[-1], (_built(split[start:start + CHUNK], table)
+                       for start in range(0, len(split), CHUNK))
 
 
 def _built(split: np.ndarray, table) -> np.ndarray:
@@ -269,8 +268,8 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
     """
     if not np.array_equal(psi0, W4):
         raise ValueError("observed states start from |W4>: psi0 must equal w_state(4)")
-    split, table = _checked(observers, r)
-    return DensityMatrix._owning(table[-1].dense(_built(split, table)))
+    layout, chunks = _checked(observers, r)
+    return DensityMatrix._owning(layout.dense(np.concatenate([*chunks])))
 
 
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:

@@ -11,7 +11,7 @@ alike: the swept columns first, then the fixed ones, each in observer order.
 Each swept axis is one np.linspace array; a grid takes np.repeat of the
 first axis and np.tile of the second, which is lexicographic grid order,
 and the diagonal takes the one shared axis for both columns.
-measures.evaluate_points evaluates the array measures.CHUNK rows per stack,
+measures.evaluate_points evaluates the array rindler.CHUNK rows per stack,
 and the rows are the swept columns of that same array followed by the
 measures.  Rows are plain floats; the CSV writer renders them with 17
 significant digits so output is byte-identical across runs and round-trips

@@ -153,7 +153,7 @@ def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
     def no_points(*args):
         raise AssertionError("a rejected command computed a point")
     # a sweep's measure names are read by evaluate_points' plan, before any state is built
-    monkeypatch.setattr("wtangles.measures._built", no_points)
+    monkeypatch.setattr("wtangles.rindler._built", no_points)
     monkeypatch.setattr("wtangles.cli.observed_density", no_points)
     with recorded() as calls:
         assert main(argv) == 2

@@ -10,7 +10,6 @@ from wtangles.fock import (
     MIN_EIGENVALUE,
     TRACE_TOL,
     DensityMatrix,
-    _BLOCK_BYTES,
     _add_blocks,
     _trace_blocks,
     _validate_compact,
@@ -18,8 +17,7 @@ from wtangles.fock import (
     validate_density,
     w_state,
 )
-from wtangles.measures import CHUNK
-from wtangles.rindler import _built, _checked, observed_densities, observed_density
+from wtangles.rindler import CHUNK, _checked, observed_densities, observed_density
 from wtangles.sweep import PRESETS, sweep_points
 
 from . import patterns, reference
@@ -384,12 +382,13 @@ def test_compact_check_accepts_every_preset_point_on_its_own(name):
     # each chunk's built values pass the compact check with no dense
     # fallback, and validate_density passes their dense view
     observers, r = sweep_points(PRESETS[name])
-    split, table = _checked(observers, r)
+    layout, chunks = _checked(observers, r)
     for start in range(0, len(r), CHUNK):
         with recorded() as calls:
-            values = _built(split[start:start + CHUNK], table)
+            values = next(chunks)
         assert {call.kind for call in calls} == {"rho blocks"}
-        assert _compact_rejection(values, table[-1]) is _rejection(table[-1].dense(values)) is None
+        assert _compact_rejection(values, layout) is _rejection(layout.dense(values)) is None
+    assert next(chunks, None) is None
 
 
 def _cell(layout, i, j):
@@ -411,11 +410,11 @@ def _eigenvalue(i, j, target):
     return corrupt
 
 
-def _single(target):
-    """Set the 1x1 block of |1111> to target, the population it loses added to |1000>'s."""
+def _diagonal(i, target):
+    """Set rho's diagonal entry (i, i) to target, the population it loses added to |1000>'s."""
     def corrupt(values, layout):
-        values[0, _cell(layout, 8, 8)] += values[0, _cell(layout, 15, 15)] - target
-        values[0, _cell(layout, 15, 15)] = target
+        values[0, _cell(layout, 8, 8)] += values[0, _cell(layout, i, i)] - target
+        values[0, _cell(layout, i, i)] = target
     return corrupt
 
 
@@ -440,9 +439,16 @@ CORRUPTIONS = {
        for target, message in ((-0.9e-10, None), (-0.9995e-10, None),
                                (-1.001e-10, BLOCK_EIGENVALUE))},
     # with three observers |1111> is populated alone, a 1x1 block on the support
-    **{f"1x1-eigenvalue-{-target:g}": ({"A": 0.3, "B": 0.3, "C": 0.3}, _single(target), message)
+    **{f"1x1-eigenvalue-{-target:g}": ({"A": 0.3, "B": 0.3, "C": 0.3}, _diagonal(15, target),
+                                       message)
        for target, message in ((-0.9e-10, None), (-0.9995e-10, None),
                                (-1.001e-10, BLOCK_EIGENVALUE))},
+    # a negative diagonal in a multi-entry block, |0100>'s: inside the diagonal
+    # pre-test's -_CHOLESKY_SHIFT, left to the block's factorization, and past it
+    **{f"{label}-block-diagonal-{-target:g}": (point, _diagonal(4, target),
+                                               "density matrix has eigenvalue -")
+       for label, point in (("D", {"D": 0.3}), ("CD", {"C": 0.3, "D": 0.4}))
+       for target in (-0.9e-10, -1.001e-10, -1e-3)},
     # (9, 5) is 0.0 at r = 0: off its mirror by exactly the value it is set to
     **{f"{label}-mirror-{delta:g}": (point, _set(9, 5, delta), message)
        for label, point in (("D", {"D": 0.0}), ("CD", {"C": 0.0, "D": 0.0}))
@@ -465,28 +471,34 @@ def test_compact_check_gives_validate_densitys_verdict_at_the_edges(case):
     # message are validate_density's on the dense view, and that verdict is
     # the one each corruption sits just inside or just outside of
     point, corrupt, message = CORRUPTIONS[case]
-    split, table = _checked(tuple(point), [list(point.values())])
-    values = np.concatenate([_built(split, table)] * 2)
-    corrupt(values, table[-1])
-    expected = _rejection(table[-1].dense(values))
-    assert _compact_rejection(values, table[-1]) == expected
+    layout, chunks = _checked(tuple(point), [list(point.values())])
+    values = np.concatenate([next(chunks)] * 2)
+    corrupt(values, layout)
+    expected = _rejection(layout.dense(values))
+    assert _compact_rejection(values, layout) == expected
     assert expected is None if message is None else expected.startswith(message)
 
 
 @pytest.mark.parametrize("point", [{"D": 0.3}, {"C": 0.3, "D": 0.4}, dict.fromkeys("ABCD", 0.3)])
-def test_compact_check_factors_a_long_stack_step_by_step(point):
-    # a chunk of CHUNK points is one factorization; a longer stack is
-    # factored layout.step points at a time, each step's blocks about
-    # _BLOCK_BYTES, and a block that fails in the last step is found
-    split, table = _checked(tuple(point), [list(point.values())])
-    layout = table[-1]
-    assert CHUNK <= layout.step and layout.step * layout.blocks.size * 8 <= _BLOCK_BYTES
-    values = np.concatenate([_built(split, table)] * (2 * layout.step + 1))
+def test_observed_densities_factors_a_long_stack_chunk_by_chunk(point, monkeypatch):
+    # each chunk of CHUNK points is one factorization, the last one of a
+    # single point, and a block that fails in the last chunk gets
+    # validate_density's message
+    r = [list(point.values())] * (2 * CHUNK + 1)
     with recorded() as calls:
-        _validate_compact(values, layout)
+        observed_densities(w_state(4), tuple(point), r)
     assert [(call.kind, len(call.array)) for call in calls] == [
-        ("rho blocks", layout.step)] * 2 + [("rho blocks", 1)]
-    _eigenvalue(4, 8, -1.001e-10)(values[-1:], layout)
-    expected = _rejection(layout.dense(values))
-    assert expected.startswith(BLOCK_EIGENVALUE)
-    assert _compact_rejection(values, layout) == expected
+        ("rho blocks", CHUNK)] * 2 + [("rho blocks", 1)]
+    expected = []
+
+    def corrupted(values, layout):
+        if len(values) == 1:
+            _eigenvalue(4, 8, -1.001e-10)(values, layout)
+            expected.append(_rejection(layout.dense(values)))
+        _validate_compact(values, layout)
+
+    monkeypatch.setattr("wtangles.rindler._validate_compact", corrupted)
+    with pytest.raises(ValueError) as info:
+        observed_densities(w_state(4), tuple(point), r)
+    [message] = expected
+    assert message.startswith(BLOCK_EIGENVALUE) and str(info.value) == message

@@ -35,8 +35,8 @@ from wtangles.fock import (
     partial_transpose,
     w_state,
 )
-from wtangles.measures import CHUNK, COLUMNS, evaluate_points
-from wtangles.rindler import R_MAX, _built, _checked, _compact, observed_densities
+from wtangles.measures import COLUMNS, evaluate_points
+from wtangles.rindler import CHUNK, R_MAX, _checked, _support, observed_densities
 from wtangles.sweep import PRESETS
 
 from . import reference
@@ -275,7 +275,7 @@ def test_charge_labels_give_the_expected_blocks():
 
 def _layout(observers):
     """rho's compact layout with observers accelerated, as rindler builds it."""
-    return _compact(tuple(sorted(map(OBSERVERS.index, observers))))[-1]
+    return _support(tuple(sorted(map(OBSERVERS.index, observers))))[-1]
 
 
 def _indices(layout, columns):
@@ -293,8 +293,9 @@ def test_block_plan_is_the_charge_components_of_the_support(observers):
     charges = [populated[OCCUPATION[populated] == q].tolist() for q in range(5)]
     assert [_indices(layout, block.diagonal()) for block in layout.blocks] == sorted(
         group for group in charges if len(group) > 1)
-    assert _indices(layout, layout.singles) == sorted(i for group in charges if len(group) == 1
-                                                      for i in group)
+    in_blocks = {i for block in layout.blocks for i in _indices(layout, block.diagonal())}
+    assert sorted(set(populated.tolist()) - in_blocks) == sorted(
+        i for group in charges if len(group) == 1 for i in group)
     # the populated indices are those of the reference build, which zeroes
     # no amplitude at r = 0.3
     dense = reference.observed_dense(w_state(4), observers, [[0.3] * len(observers)])[0]
@@ -310,10 +311,8 @@ def test_dense_views_hold_plus_zero_off_the_support_and_the_compact_trace(observ
     rng = np.random.default_rng(len(observers))
     r = np.concatenate([rng.uniform(0.0, R_MAX, (CHUNK, len(observers))),
                         np.zeros((1, len(observers))), np.full((1, len(observers)), R_MAX)])
-    split, table = _checked(observers, r)
-    layout = table[-1]
-    for start in range(0, len(r), CHUNK):
-        values = _built(split[start:start + CHUNK], table)
+    layout, chunks = _checked(observers, r)
+    for values in chunks:
         dense = layout.dense(values)
         off = dense.reshape(len(dense), 256)[:, layout.column == layout.zero]
         assert off.tobytes() == bytes(off.nbytes)

@@ -195,7 +195,7 @@ def test_evaluate_takes_each_spectrum_once():
         # rho's validation factors its blocks and takes no spectrum
         assert taken(factored_blocks(stack.matrix, ("C", "D"))) == []
         # a rho chunk is factored in one call
-        chunk = observed_densities(w_state(4), ["C", "D"], np.full((measures.CHUNK, 2), 0.3))
+        chunk = observed_densities(w_state(4), ["C", "D"], np.full((rindler.CHUNK, 2), 0.3))
         assert len(calls) == 1 and taken(factored_blocks(chunk.matrix, ("C", "D"))) == []
         # S takes rho's one eigensolve
         evaluate(stack, ["S"])
@@ -403,7 +403,7 @@ def test_evaluate_points_rejects_a_bad_r_before_any_solve():
 
 
 def test_evaluate_points_checks_its_points_once(monkeypatch):
-    r = np.random.default_rng(7).uniform(0.0, R_MAX, (2 * measures.CHUNK + 1, 2))
+    r = np.random.default_rng(7).uniform(0.0, R_MAX, (2 * rindler.CHUNK + 1, 2))
     expected = measures.evaluate_points(("C", "D"), r, COLUMNS)
     checked = []
     check_r = rindler.check_r
@@ -423,7 +423,7 @@ def test_evaluate_points_checks_its_points_once(monkeypatch):
 
 def test_evaluate_points_reads_a_one_shot_iterable_of_columns():
     # more than one chunk, each of which reads the columns
-    r = np.linspace(0.0, 0.7, measures.CHUNK + 1)[:, None]
+    r = np.linspace(0.0, 0.7, rindler.CHUNK + 1)[:, None]
     by_list = measures.evaluate_points(["D"], r, ["S", "N_AD"])
     by_iterator = measures.evaluate_points(["D"], r, iter(["S", "N_AD"]))
     assert list(by_iterator) == ["S", "N_AD"]
@@ -446,7 +446,7 @@ def _assert_same_bytes(got, want):
 ], ids=["bare", "stripped", "all", "all-among-names"])
 def test_columns_are_read_as_every_name_list_is(request_, columns):
     # more than one chunk, and a single state as well as a stack
-    r = np.random.default_rng(5).uniform(0.0, R_MAX, (measures.CHUNK + 1, 2))
+    r = np.random.default_rng(5).uniform(0.0, R_MAX, (rindler.CHUNK + 1, 2))
     rho = observed_densities(w_state(4), ["C", "D"], r[:3])
     for state in (rho, rho[0]):
         _assert_same_bytes(evaluate(state, request_), evaluate(state, columns))
@@ -510,7 +510,7 @@ def test_evaluate_points_reads_its_request_once_per_call(monkeypatch):
         reads.append(args)
         return select_names(*args)
     monkeypatch.setattr(measures, "select_names", counted)
-    r = np.linspace(0.0, R_MAX, 2 * measures.CHUNK + 1)[:, None]
+    r = np.linspace(0.0, R_MAX, 2 * rindler.CHUNK + 1)[:, None]
     for calls in (1, 2):
         evaluate_points(("D",), r, ["S", "N_AD"])
         assert len(reads) == calls

@@ -17,7 +17,6 @@ from wtangles.fock import (
 )
 from wtangles.linalg import negative_eigenvalue_sum
 from wtangles.measures import (
-    CHUNK,
     COLUMNS,
     RESIDUALS,
     TERMS,
@@ -26,7 +25,7 @@ from wtangles.measures import (
     tangle_report,
     von_neumann_entropy,
 )
-from wtangles.rindler import R_MAX, observed_densities, observed_density
+from wtangles.rindler import CHUNK, R_MAX, observed_densities, observed_density
 
 from . import reference
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wtangles import oracles
+from wtangles import oracles, rindler
 from wtangles.fock import (
     OBSERVERS,
     DensityMatrix,
@@ -18,15 +18,14 @@ from wtangles.fock import (
     partial_transpose,
     w_state,
 )
-from wtangles.measures import CHUNK
 from wtangles.rindler import (
+    CHUNK,
     R_HI,
     R_LO,
     R_MAX,
     ConfigError,
     _built,
     _checked,
-    _compact,
     _support,
     check_r,
     observed_densities,
@@ -41,7 +40,7 @@ from .lapack import recorded
 def _table_split(psi0, positions, r):
     """The nonzero split amplitudes of psi0 at one point, as the support table
     lists them, in flat index order: each initial amplitude times its factors."""
-    initial, factors, _ = _support(tuple(positions), tuple(np.asarray(psi0, dtype=float).tolist()))
+    initial, factors, *_ = _support(tuple(positions), tuple(np.asarray(psi0, dtype=float).tolist()))
     amp = initial[0]
     for factor, x in zip(factors, r):
         amp = amp * np.array([1.0, math.cos(x), math.sin(x)])[factor]
@@ -50,11 +49,28 @@ def _table_split(psi0, positions, r):
 
 def _labelled_support(positions, nonzero):
     """The support table of amplitudes s + 1 at each index s in nonzero, and 0
-    elsewhere, with the source of each split amplitude read off its initial one."""
+    elsewhere, with the source of each split amplitude read off its initial one
+    and each round's entries read back from compact columns to flat indices."""
     psi0 = tuple(float(s + 1) if s in nonzero else 0.0 for s in range(16))
-    initial, factors, rounds = _support(tuple(positions), psi0)
+    initial, factors, rounds, layout = _support(tuple(positions), psi0)
     assert initial.shape == (1, initial.size)
+    # the support's flat entries in order, each at its compact column
+    flat = np.flatnonzero(layout.column < layout.zero)
+    assert layout.column[flat].tolist() == list(range(layout.zero))
+    rounds = [(flat[entries], left, right) for entries, left, right in rounds]
     return [int(x) - 1 for x in initial[0].tolist()], factors, rounds
+
+
+def _split_factors(observers, r):
+    """The split factors that _checked hands _built, every chunk's, joined in order."""
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rindler, "_built", lambda split, table: seen.append(split))
+        _, chunks = _checked(observers, r)
+        assert seen == []
+        for _ in chunks:
+            pass
+    return np.concatenate(seen)
 
 
 def _products(rounds):
@@ -118,13 +134,13 @@ def test_check_axes_names_the_first_bad_axis(axes, message):
 
 def test_checked_takes_math_cos_and_sin_of_every_point_once():
     r = np.array([[0.0, R_MAX], [0.3, 1e-300], [R_HI, R_LO]])
-    split, _ = _checked(["C", "D"], r)
+    split = _split_factors(["C", "D"], r)
     assert split.shape == (3, 2, 3)
     for p, j in np.ndindex(r.shape):
         x = float(r[p, j])
         assert split[p, j].tobytes() == np.array([1.0, math.cos(x), math.sin(x)]).tobytes()
     # the factors come in split order, the register order of the modes
-    assert np.array_equal(_checked(["D", "C"], r[:, ::-1])[0], split)
+    assert np.array_equal(_split_factors(["D", "C"], r[:, ::-1]), split)
 
 
 def test_vacuum_mode_splits_into_both_wedges():
@@ -349,30 +365,29 @@ _AMPLITUDE = st.sampled_from((0.0, -0.0)) | st.floats(0.05, 1.0) | st.floats(-1.
 @example(psi0=[-0.0, -0.5, 0.0, -0.5] * 4, observers=["B"], rows=[[0.0], [R_MAX]])
 def test_support_build_equals_the_dense_build(psi0, observers, rows):
     # at r = 0, sin r times a negative amplitude is -0.0, and rho must still hold +0.0;
-    # other amplitudes than |W4>'s take the private builder: a compact support
+    # other amplitudes than |W4>'s take the private builder: the support
     # table of those amplitudes, _built over _checked's split factors, and the
     # dense view of what it built
     psi0 = np.array(psi0) / np.linalg.norm(psi0)
     r = [row[:len(observers)] for row in rows]
-    split, _ = _checked(observers, r)
+    split = _split_factors(observers, r)
     positions = tuple(sorted(map(OBSERVERS.index, observers)))
-    table = _compact(positions, tuple(psi0.tolist()))
+    table = _support(positions, tuple(psi0.tolist()))
     matrix = table[-1].dense(_built(split, table))
     assert matrix.tobytes() == reference.observed_dense(psi0, observers, r).tobytes()
 
 
 def test_one_nonzero_pattern_adds_one_support_table():
-    # the public path splits |W4>'s one nonzero pattern: one table, and one
-    # compact layout of it, per observer set
+    # the public path splits |W4>'s one nonzero pattern: one table, with its
+    # compact layout, per observer set
     _support.cache_clear()
-    _compact.cache_clear()
     observed_densities(w_state(4), ["C", "D"], [[0.2, 0.3]])
     # other values and observer order, the same split modes
     observed_densities(w_state(4), ["D", "C"], [[0.1, 0.4], [0.0, R_MAX]])
     observed_density(w_state(4), {"D": 0.5, "C": 0.1})
-    assert _support.cache_info().currsize == _compact.cache_info().currsize == 1
+    assert _support.cache_info().currsize == 1
     observed_densities(w_state(4), ["D"], [[0.2]])
-    assert _support.cache_info().currsize == _compact.cache_info().currsize == 2
+    assert _support.cache_info().currsize == 2
 
 
 def test_only_w4_is_observed():

@@ -18,7 +18,7 @@ from wtangles.checks import run_check
 from wtangles.fock import _BLOCK_BYTES, _validate_compact, w_state
 from wtangles.measures import COLUMNS, evaluate_points, select_names
 from wtangles.oracles import n_pair_accel_one
-from wtangles.rindler import _built, _checked, observed_densities
+from wtangles.rindler import CHUNK, _checked, observed_densities
 from wtangles.sweep import (
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
@@ -415,17 +415,27 @@ def test_n_cd_grid_holds_no_copy_of_a_rho_chunk():
 
 
 @pytest.mark.parametrize("observers", [("D",), ("C", "D"), tuple("ABCD")])
-def test_a_long_stack_is_checked_in_little_more_memory_than_it_holds(observers):
-    # observed_densities builds and checks all N points at once: the compact
-    # check's temporaries stay near the values' own bytes, its factorization
-    # taking a few _BLOCK_BYTES at a time (1.17-1.24x the values, and 2.5-4.0x
-    # when the blocks of the whole stack were factored in one call), and the
-    # call peaks at 1.11-1.41x the dense stack it returns (1.43-2.16x while
-    # it built and validated that stack dense)
+def test_a_long_stack_is_checked_in_little_more_memory_than_it_holds(observers, monkeypatch):
+    # observed_densities builds and checks CHUNK points at a time, the most any
+    # caller hands the compact check: on one chunk its temporaries, the padded
+    # blocks it factors in one call, take 59-176 KB, under a few _BLOCK_BYTES
+    # (the whole 4,096-point stack factored a few _BLOCK_BYTES at a time took
+    # 1.17-1.24x its values, and in one call 2.5-4.0x); the call peaks at
+    # 1.10-1.25x the dense stack it returns (1.11-1.41x while it built and
+    # checked the whole stack at once, 1.43-2.16x while it built and validated
+    # that stack dense)
     r = np.random.default_rng(len(observers)).uniform(0.0, R_MAX, (4096, len(observers)))
-    split, table = _checked(observers, r)
-    values = _built(split, table)
-    assert _traced_peak(lambda: _validate_compact(values, table[-1])) <= (
+    layout, chunks = _checked(observers, r[:CHUNK])
+    values = next(chunks)
+    assert _traced_peak(lambda: _validate_compact(values, layout)) <= (
         1.25 * values.nbytes + 3 * _BLOCK_BYTES)
+    rows = []
+
+    def counted(values, layout):
+        rows.append(len(values))
+        _validate_compact(values, layout)
+
+    monkeypatch.setattr("wtangles.rindler._validate_compact", counted)
     dense = 16 * 16 * 8 * len(r)
     assert _traced_peak(lambda: observed_densities(w_state(4), observers, r)) <= 1.5 * dense
+    assert sum(rows) == len(r) and max(rows) <= CHUNK
