@@ -25,7 +25,7 @@ import numpy as np
 from .checks import run_check
 from .fock import OBSERVERS, W4, _transposed
 from .measures import ConfigError, select_names
-from .rindler import R_MAX, _support, check_observers, observed_density
+from .rindler import R_MAX, _chunks, _support, check_observers, observed_density
 from .sweep import (
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
@@ -179,8 +179,14 @@ def emit_matrix(params: dict[str, float], transpose: str | None = None,
     # the observer transposed, stripped as every name is, or none
     transposed = [] if transpose is None else [transpose.strip()]
     check_observers(transposed, "transpose")
+    return _printed(observed_density(W4, params).matrix, params, transposed, symbolic)
+
+
+def _printed(rho: np.ndarray, params: dict[str, float], transposed: list[str],
+             symbolic: bool) -> str:
+    """emit_matrix's text of the (16, 16) state rho observed at params."""
     part = [OBSERVERS.index(obs) for obs in transposed]
-    real = _transposed(observed_density(W4, params).matrix, 4, part)
+    real = _transposed(rho, 4, part)
     labels = (f"{obs}_I" if obs in params else obs for obs in OBSERVERS)
     lines = [f"layout: {', '.join(labels)}"]
     lines.extend(f"partial transpose over: {obs}" for obs in transposed)
@@ -208,7 +214,11 @@ def _cmd_matrix(args: argparse.Namespace) -> int:
         if not axis.fixed:
             raise ConfigError(f"matrix: needs a fixed r for {axis.observer}, got a range")
     params = {axis.observer: axis.lo for axis in axes}
-    print(emit_matrix(params, transpose=args.transpose, symbolic=args.symbolic))
+    transposed = [] if args.transpose is None else [args.transpose.strip()]
+    check_observers(transposed, "transpose")
+    # check_axes has checked the observers and each r: the state is built with no second check
+    layout, chunks = _chunks(tuple(params), np.array([[*params.values()]]))
+    print(_printed(layout.dense(next(chunks))[0], params, transposed, args.symbolic))
     return 0
 
 

@@ -30,9 +30,9 @@ is the one rule for what is a state: partial_transpose and measures'
 evaluate and von_neumann_entropy take rho's matrix through it, and anything
 without an array as its matrix, a bare array or None, is one ConfigError
 before any work.  A stack that rindler has built and checked, chunk by
-chunk, in its compact layout (Layout, _validate_compact), and the states
-that index a held stack, rho[p] or rho[None], are held by _owning: as they
-are, read-only, with no copy and no second check.
+chunk, in its compact layout (Layout, _validate_compact), is held by
+_owning, and the whole states that index a held stack, rho[p] or rho[None],
+by __getitem__: as they are, read-only, with no copy and no second check.
 
 A real matrix is stored as float64 and a complex one as complex128.
 validate_density runs on either dtype, and a real stack and its complex128
@@ -40,9 +40,10 @@ cast get the same verdict and message: the trace sums the real parts, and a
 spectrum is always that of the complex128 cast.
 
 Hermiticity is checked where a state is made: on rho when rindler builds
-it, in its compact Layout (_validate_compact, with validate_density's
-verdicts and messages), and by validate_density on a caller's
-DensityMatrix and on the reduced pair states measures gathers.  A partial
+it, in its compact Layout (_validate_compact), on the reduced pair states
+measures gathers, on their charge blocks (_validate_pairs), both with
+validate_density's verdicts and messages, and by validate_density on a
+caller's DensityMatrix.  A partial
 transpose moves each entry together with its adjoint partner, so it
 deviates from Hermiticity exactly as much as its state, and is not checked
 again.  ConfigError, the one error for an input of a wrong kind or a bad
@@ -70,6 +71,8 @@ MIN_EIGENVALUE = -1e-10
 _CHOLESKY_SHIFT = -0.999 * MIN_EIGENVALUE
 # _CHOLESKY_SHIFT * I of each size up to 16, built once, as read-only views
 _SHIFTS = tuple(np.broadcast_to(_CHOLESKY_SHIFT * np.eye(dim), (dim, dim)) for dim in range(17))
+# the flat entries of a (4, 4) pair state off its charge blocks {00}, {01, 10} and {11}
+_PAIR_OFF_BLOCK = np.array([1, 2, 3, 4, 7, 8, 11, 12, 13, 14])
 OBSERVERS = ("A", "B", "C", "D")
 # |W4>: amplitude 1/2 on each single-excitation pattern, 8, 4, 2 and 1
 W4 = np.zeros(16)
@@ -237,6 +240,35 @@ def _validate_compact(values: np.ndarray, layout: Layout) -> None:
     validate_density(layout.dense(values))
 
 
+def _validate_pairs(states: np.ndarray) -> None:
+    """validate_density of a stack of (4, 4) pair states, on their charge blocks, without LAPACK.
+
+    A pair state commutes with the pair's occupation number, so its support
+    is the blocks {00}, {01, 10} and {11}, flat entries 0, 5, 6, 9, 10 and 15.
+    A real stack passes when np.vdot is finite, the other ten entries are
+    exactly 0 and entry (1, 2) equals (2, 1), so it is exactly Hermitian; its
+    trace, validate_density's to the bit, is within TRACE_TOL of 1; every
+    diagonal entry d has d + _CHOLESKY_SHIFT > 0; and the shifted {01, 10}
+    block's determinant is > 0.  Entries are at most about 1, so that
+    determinant, rounded positive, leaves the block's smallest eigenvalue
+    above -_CHOLESKY_SHIFT - 1e-15 > MIN_EIGENVALUE, and validate_density,
+    by its factorization or its spectrum, passes the stack too.  If any test
+    fails, or the stack is complex, validate_density runs on it and gives
+    the verdict.
+    """
+    flat, shift = states.reshape(-1, 16), _CHOLESKY_SHIFT
+    # each test runs once those before it pass, so none meets an inf or a NaN
+    if (flat.dtype == float and math.isfinite(np.vdot(flat, flat))
+            and not flat[:, _PAIR_OFF_BLOCK].any()
+            and not (flat[:, 6] != flat[:, 9]).any()
+            and np.abs(states.trace(axis1=-2, axis2=-1) - 1.0).max() <= TRACE_TOL
+            and np.minimum.reduce(flat[:, ::5], axis=None) + shift > 0.0
+            and np.minimum.reduce((flat[:, 5] + shift) * (flat[:, 10] + shift)
+                                  - np.square(flat[:, 6])) > 0.0):
+        return
+    validate_density(states)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite operator(s) over n >= 1 modes."""
@@ -272,7 +304,12 @@ class DensityMatrix:
         matrix = self.matrix[index]
         if matrix.shape[-2:] != self.matrix.shape[-2:]:
             raise IndexError("a DensityMatrix index selects whole states")
-        return self._owning(matrix)
+        # whole states of a held stack, so no second shape check: a view of it
+        # is read-only already, and a copy that an array index makes becomes so
+        matrix.setflags(write=False)
+        rho = object.__new__(type(self))
+        object.__setattr__(rho, "matrix", matrix)
+        return rho
 
 
 def w_state(n: int) -> np.ndarray:

@@ -31,10 +31,12 @@ states and their transposes stay real; the 1-3 stack, the largest, is
 gathered straight into complex128.  A pair's negativity is taken from the
 first side alone: the partial transpose on the second mode is the
 transpose of the first, with the same spectrum.  The pair states are
-validated here (fock.validate_density).  Pairs whose states are the same
-bytes over the stack, as the exchange symmetry of |W4> makes them (with D
-accelerated, rho_AB = rho_AC = rho_BC), are validated and solved once,
-which moves no bit and assumes no symmetry.
+checked here on their charge blocks, with no LAPACK call, and any stack
+that fails that check, or is complex, by fock.validate_density
+(fock._validate_pairs).  Pairs whose states are the same bytes over the
+stack, as the exchange symmetry of |W4> makes them (with D accelerated,
+rho_AB = rho_AC = rho_BC), are checked and solved once, which moves no bit
+and assumes no symmetry.
 
 The residual chain is one stacked pass.  Squares and fourth roots are
 taken value by value in Python floats (rindler._each), and sums run left
@@ -63,7 +65,7 @@ from .fock import (
     _state,
     _trace_blocks,
     _transposed,
-    validate_density,
+    _validate_pairs,
 )
 from .linalg import _eigvalsh, negative_eigenvalue_sum
 from .rindler import ConfigError, _checked, _each
@@ -151,11 +153,13 @@ _PAIR_TRANSPOSED = _transposed(np.arange(16).reshape(4, 4), 2, [0])
 
 @lru_cache
 def _gathers(layout: Layout | None = None):
-    """The tables above, and the dense one for S, composed with layout's column map (None: flat)."""
+    """The tables above, and the dense one for S, composed with layout's column map (None: flat).
+
+    The traced blocks are one (6, 4, 4, 4) table, a pair's in PAIRS order.
+    """
     column = _FLAT.ravel() if layout is None else layout.column
     return ({name: column[table] for name, table in _TRANSPOSED.items()},
-            {name: column[table] for name, table in _TRACED.items()},
-            column.reshape(16, 16))
+            column[np.stack(list(_TRACED.values()))], column.reshape(16, 16))
 
 
 def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
@@ -198,10 +202,10 @@ def _spectral_columns(values: np.ndarray, gathers, one_three: tuple[str, ...],
     values holds the states as the tables of gathers (_gathers) read them.
     All 1-3 transposes are one (N, K, 16, 16) stack and one eigvalsh call.
     The pair states are gathered into one (N, P, 4, 4) stack, in rho's dtype,
-    each keyed by its bytes, and the stack is indexed by its distinct keys;
-    those states are validated, all at once, and their partial transposes
-    on the first mode take one eigvalsh call and give each key's values,
-    a column of its own for each pair.
+    each keyed by its bytes, and the stack is indexed by its distinct keys
+    where two share one; those states are checked, all at once, and their
+    partial transposes on the first mode take one eigvalsh call and give
+    each key's values, a column of its own for each pair.
     """
     transposed_at, traced_at, _ = gathers
     out = {}
@@ -215,14 +219,19 @@ def _spectral_columns(values: np.ndarray, gathers, one_three: tuple[str, ...],
         out.update(zip(one_three, negative_eigenvalue_sum(stack).T))
         del stack
     if pairs:
-        reduced = _add_blocks(np.take(values, [traced_at[column] for column in pairs], axis=1))
+        numbers = [*map(list(PAIRS).index, pairs)]
+        reduced = _add_blocks(np.take(values, traced_at[numbers], axis=1))
         # equal bytes give one verdict and one spectrum
         keys = [reduced[:, p].tobytes() for p in range(len(pairs))]
         distinct = list(dict.fromkeys(keys))
-        reduced = reduced[:, [keys.index(key) for key in distinct]]
-        validate_density(reduced)
+        shared = len(distinct) < len(keys)
+        if shared:
+            reduced = reduced[:, [keys.index(key) for key in distinct]]
+        _validate_pairs(reduced)
         transposed = np.take(reduced.reshape(reduced.shape[:2] + (16,)), _PAIR_TRANSPOSED, axis=2)
-        solved = negative_eigenvalue_sum(transposed)[:, [distinct.index(key) for key in keys]]
+        solved = negative_eigenvalue_sum(transposed)
+        if shared:
+            solved = solved[:, [distinct.index(key) for key in keys]]
         out.update(zip(pairs, solved.T))
     return out
 
@@ -286,9 +295,9 @@ def evaluate_points(observers: Sequence[str], r, columns: Iterable[str]) -> dict
     layout, chunks = _checked(observers, r)
     # planned once, before any state is built
     plan, gathers = _plan(columns), _gathers(layout)
-    # each chunk's columns as the rows of one (C, n) array, joined into (C, N)
-    stacks = [np.array(_stack_values(values, gathers, plan)) for values in chunks]
-    return dict(zip(plan[0], np.concatenate(stacks, axis=1)))
+    stacks = [_stack_values(values, gathers, plan) for values in chunks]
+    # one chunk's columns as they are; more, each chunk's as the rows of a (C, n) array, joined
+    return dict(zip(plan[0], stacks[0] if len(stacks) == 1 else np.concatenate(stacks, axis=1)))
 
 
 def tangle_report(rho: DensityMatrix) -> dict[str, float | np.ndarray]:

@@ -50,16 +50,18 @@ nonzero sum as it is and keeps a zero one +0.0, since a sum that starts at
 +0.0 never becomes -0.0.  So each entry, and the +0.0 off the support, is
 the same bytes as the dense build's.
 
-Every observed rho comes through _checked: it checks a call's points and
-takes math's cos r and sin r of each once, so each factor keeps math's bits
-and the x 1.0 stays exact, then hands back rho's layout and the chunks,
-CHUNK points each, that it builds and checks in that layout
-(fock._validate_compact) only as they are read.  measures.evaluate_points
-plans its request between the two, so a bad measure name fails before any
-state is built, and gathers every matrix it solves from each chunk.
-observed_densities joins the chunks and returns their dense (N, 16, 16)
-view, with no second check; observed_density is the batch of one.  A chunk
-is the most any check is handed, which bounds its temporaries.
+Every observed rho comes through _checked, which checks a call's points,
+and _chunks: that takes math's cos r and sin r of each point once, so each
+factor keeps math's bits and the x 1.0 stays exact, then hands back rho's
+layout and the chunks, CHUNK points each, that it builds and checks in
+that layout (fock._validate_compact) only as they are read.  The matrix
+command calls _chunks alone, once sweep.check_axes has checked its axes.
+measures.evaluate_points plans its request between the checks and the
+build, so a bad measure name fails before any state is built, and gathers
+every matrix it solves from each chunk.  observed_densities takes a single chunk as it is,
+or joins the chunks, and returns their dense (N, 16, 16) view, with no
+second check; observed_density is the batch of one.  A chunk is the most
+any check is handed, which bounds its temporaries.
 
 check_observers is the one rule for a list of observers, here, in sweep's
 axes and in the observer a matrix dump transposes.  check_r is the one
@@ -211,11 +213,7 @@ def _checked(observers: Sequence[str], r):
     bytes of observers is one name, as measures.select_names reads it,
     anything else not iterable a ConfigError, and r must be real (_real).
 
-    Returns rho's compact layout and an iterator that builds and checks the
-    states CHUNK points at a time (_built), in order, each an (n, E + 1)
-    array; nothing is built before it is read.  Each point's split factors,
-    [1.0, cos r, sin r] of its r of each split mode in register order, are
-    taken here, once.
+    Returns _chunks of the checked observers and r.
     """
     try:
         observers = (observers,) if isinstance(observers, (str, bytes)) else tuple(observers)
@@ -228,6 +226,17 @@ def _checked(observers: Sequence[str], r):
     if not _clears(r):
         for obs, column in zip(observers, r.T):
             check_r(column, f"accel: {obs}")
+    return _chunks(observers, r)
+
+
+def _chunks(observers: tuple[str, ...], r: np.ndarray):
+    """rho's compact layout, and an iterator over the states at checked observers and (N, k) r.
+
+    The iterator builds and checks the states CHUNK points at a time
+    (_built), in order, each an (n, E + 1) array; nothing is built before it
+    is read.  Each point's split factors, [1.0, cos r, sin r] of its r of
+    each split mode in register order, are taken here, once.
+    """
     # region-II axes go after every accessible one, so a mode's position holds
     order = sorted((OBSERVERS.index(obs), j) for j, obs in enumerate(observers))
     columns = [j for _, j in order]
@@ -269,7 +278,10 @@ def observed_densities(psi0: np.ndarray, observers: Sequence[str], r) -> Density
     if not np.array_equal(psi0, W4):
         raise ValueError("observed states start from |W4>: psi0 must equal w_state(4)")
     layout, chunks = _checked(observers, r)
-    return DensityMatrix._owning(layout.dense(np.concatenate([*chunks])))
+    # one chunk's values as they are; more are joined, and the chunks freed
+    values = [*chunks]
+    values = values[0] if len(values) == 1 else np.concatenate(values)
+    return DensityMatrix._owning(layout.dense(values))
 
 
 def observed_density(psi0: np.ndarray, scenario: Mapping[str, float] | None) -> DensityMatrix:

@@ -19,7 +19,11 @@ A record's kind follows from its route and shape alone:
     rho diagonalized  eigvalsh (N, 16, 16)     rho, for S
     1-3 transposes    eigvalsh (N, K, 16, 16)  every needed rho^{T_k}
     pair states       cholesky (b, 4, 4)       a block of the (N, P, 4, 4)
-                                               distinct pair states, shifted
+                                               distinct pair states, shifted,
+                                               only where their charge-block
+                                               check falls back to
+                                               validate_density: a complex
+                                               stack, or one failing a test
     pair sides        eigvalsh (N, P, 4, 4)    each distinct pair state's
                                                transpose on its first mode
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wtangles import sweep
+from wtangles import rindler, sweep
 from wtangles.cli import build_parser, emit_matrix, main
 from wtangles.fock import OBSERVERS, partial_transpose, w_state
 from wtangles.rindler import R_MAX, observed_density
@@ -396,6 +396,21 @@ def test_matrix_inertial_default(capsys):
 def test_matrix_rejects_swept_range(capsys):
     assert main(["matrix", "--accel", "D=0:0.5"]) == 2
     assert "fixed r" in capsys.readouterr().err
+
+
+def test_matrix_checks_its_observers_and_r_once(capsys, monkeypatch):
+    # sweep's check of the axes is the command's one check: its observers and
+    # its r's one check_r pass, and the state is built with no second check
+    seen = []
+    real, check_observers = rindler._real, rindler.check_observers
+    monkeypatch.setattr(rindler, "_real", lambda r, what: seen.append(("r", what)) or real(r, what))
+    for module in (rindler, sweep):
+        monkeypatch.setattr(module, "check_observers", lambda observers, what: seen.append(
+            ("observers", what)) or check_observers(observers, what))
+    assert main(["matrix", "--accel", "C=0.3", "--accel", "D=0.4", "--symbolic"]) == 0
+    assert seen == [("observers", "accel"), ("r", "accel")]
+    golden = (DATA / "matrix_C0.3_D0.4_symbolic.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden
 
 
 def test_emit_matrix_returns_string():

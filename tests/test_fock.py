@@ -13,10 +13,12 @@ from wtangles.fock import (
     _add_blocks,
     _trace_blocks,
     _validate_compact,
+    _validate_pairs,
     partial_transpose,
     validate_density,
     w_state,
 )
+from wtangles.measures import PAIRS
 from wtangles.rindler import CHUNK, _checked, observed_densities, observed_density
 from wtangles.sweep import PRESETS, sweep_points
 
@@ -377,10 +379,26 @@ def _compact_rejection(values, layout):
     return None
 
 
+def _pair_rejection(states):
+    """The message the pair check rejects states with, or None if it passes."""
+    try:
+        _validate_pairs(states)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _pair_states(rho):
+    """The (n, 6, 4, 4) states of every pair of an (n, 16, 16) stack, in PAIRS order."""
+    return np.stack([_traced(rho, 4, list(pair)) for pair in PAIRS.values()], axis=1)
+
+
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_compact_check_accepts_every_preset_point_on_its_own(name):
     # each chunk's built values pass the compact check with no dense
-    # fallback, and validate_density passes their dense view
+    # fallback, and validate_density passes their dense view; their pair
+    # states pass the pair check with no LAPACK call, and validate_density
+    # passes them too
     observers, r = sweep_points(PRESETS[name])
     layout, chunks = _checked(observers, r)
     for start in range(0, len(r), CHUNK):
@@ -388,6 +406,10 @@ def test_compact_check_accepts_every_preset_point_on_its_own(name):
             values = next(chunks)
         assert {call.kind for call in calls} == {"rho blocks"}
         assert _compact_rejection(values, layout) is _rejection(layout.dense(values)) is None
+        pairs = _pair_states(layout.dense(values))
+        with recorded() as calls:
+            assert _pair_rejection(pairs) is None
+        assert calls == [] and _rejection(pairs) is None
     assert next(chunks, None) is None
 
 
@@ -502,3 +524,92 @@ def test_observed_densities_factors_a_long_stack_chunk_by_chunk(point, monkeypat
         observed_densities(w_state(4), tuple(point), r)
     [message] = expected
     assert message.startswith(BLOCK_EIGENVALUE) and str(info.value) == message
+
+
+def _pair_block_eigenvalue(target):
+    """Give the first pair state's {01, 10} block the smallest eigenvalue target, trace kept."""
+    def corrupt(states):
+        block = states[0, 0, 1:3, 1:3]
+        w, vectors = np.linalg.eigh(block)
+        u, v = vectors.T
+        block += (target - w[0]) * (np.outer(u, u) - np.outer(v, v))
+    return corrupt
+
+
+def _pair_entry(i, j, value, mirrored=False, add=False):
+    """Set the first pair state's entry (i, j), and (j, i) if mirrored, to value, or add it."""
+    def corrupt(states):
+        for a, b in [(i, j), (j, i)] if mirrored else [(i, j)]:
+            states[0, 0, a, b] = value + (states[0, 0, a, b] if add else 0.0)
+    return corrupt
+
+
+def _pair_mirror(delta):
+    """Set the inertial pair state's entry (1, 2) to its mirror (2, 1), 1/4, plus delta."""
+    def corrupt(states):
+        states[1, 0, 1, 2] = states[1, 0, 2, 1] + delta
+    return corrupt
+
+
+def _pair_population(target):
+    """Set the first pair state's |11> population to target, what it loses added to |00>'s."""
+    def corrupt(states):
+        states[0, 0, 0, 0] += states[0, 0, 3, 3] - target
+        states[0, 0, 3, 3] = target
+    return corrupt
+
+
+# each case: the corruption, the message it gets (None: accepted), and
+# whether the pair check passes it itself, with no LAPACK call
+PAIR_CORRUPTIONS = {
+    # a {01, 10}-block eigenvalue that factors, one the spectrum accepts, and two rejected
+    **{f"block-eigenvalue-{-target:g}": (_pair_block_eigenvalue(target), message,
+                                         target == -0.9e-10)
+       for target, message in ((-0.9e-10, None), (-0.9995e-10, None),
+                               (-1.001e-10, BLOCK_EIGENVALUE),
+                               (-1e-3, "density matrix has eigenvalue -1.000e-03 below"))},
+    # the 1x1 block {11}: its population is the eigenvalue
+    **{f"population-{-target:g}": (_pair_population(target), message, target == -0.9e-10)
+       for target, message in ((-0.9e-10, None), (-1.001e-10, BLOCK_EIGENVALUE))},
+    # the inertial (1, 2) entry is 1/4, off its mirror by the delta it is set to
+    "mirror-1e-12": (_pair_mirror(1e-12), None, False),
+    "mirror-1.01e-12": (_pair_mirror(1.01e-12),
+                        "density matrix deviates from Hermiticity by 1.010e-12", False),
+    # an off-block entry alone, within the Hermiticity tolerance, and a
+    # mirrored pair that the {00} and {11} blocks cannot hold
+    "off-block-1e-14": (_pair_entry(0, 3, 1e-14), None, False),
+    "off-block-pair-0.2": (_pair_entry(0, 3, 0.2, mirrored=True),
+                           "density matrix has eigenvalue -", False),
+    "inf": (_pair_entry(1, 2, np.inf), "density matrix deviates from Hermiticity by inf", False),
+    "inf-pair": (_pair_entry(1, 2, np.inf, mirrored=True),
+                 "density matrix deviates from Hermiticity by nan", False),
+    "nan": (_pair_entry(2, 2, np.nan), "density matrix deviates from Hermiticity by nan", False),
+    "trace-up": (_pair_entry(0, 0, 1.1e-10, add=True), "density matrix trace is 1.00000000011",
+                 False),
+    "trace-down": (_pair_entry(0, 0, -1.1e-10, add=True), "density matrix trace is 0.999999999889",
+                   False),
+}
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("case", PAIR_CORRUPTIONS)
+def test_pair_check_gives_validate_densitys_verdict_at_the_edges(case, complex_):
+    # the states of pairs CD and AD at an accelerated and the inertial point,
+    # corrupted in one state: the pair check's verdict and message are
+    # validate_density's, and that verdict is the one each corruption sits
+    # just inside or just outside of; only a real stack that passes every
+    # test skips LAPACK, and any other reaches validate_density, whose
+    # factorization gets it whenever its Hermiticity and trace pass
+    rho = observed_densities(w_state(4), ("C", "D"), [[0.3, 0.4], [0.0, 0.0]]).matrix
+    states = np.stack([_traced(rho, 4, [2, 3]), _traced(rho, 4, [0, 3])], axis=1)
+    corrupt, message, fast = PAIR_CORRUPTIONS[case]
+    states = states.astype(complex) if complex_ else states
+    corrupt(states)
+    expected = _rejection(states)
+    with recorded() as calls:
+        assert _pair_rejection(states) == expected
+    assert expected is None if message is None else expected.startswith(message)
+    if fast and not complex_:
+        assert calls == []
+    elif message is None or message.startswith("density matrix has eigenvalue"):
+        assert calls[0].kind == "pair states" and calls[0].array.shape == (4, 4, 4)

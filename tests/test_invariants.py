@@ -18,6 +18,7 @@ The stacks are recorded where numpy gets them (tests/lapack.py), and each
 preset's sweep hands on exactly the matrices of a hand-typed work table.
 """
 
+import contextlib
 import math
 from itertools import combinations
 
@@ -32,7 +33,9 @@ from wtangles.fock import (
     DensityMatrix,
     _add_blocks,
     _trace_blocks,
+    _validate_pairs,
     partial_transpose,
+    validate_density,
     w_state,
 )
 from wtangles.measures import COLUMNS, evaluate_points
@@ -40,7 +43,7 @@ from wtangles.rindler import CHUNK, R_MAX, _checked, _support, observed_densitie
 from wtangles.sweep import PRESETS
 
 from . import reference
-from .lapack import charge_blocks, factored_blocks, recorded, shifted, work
+from .lapack import charge_blocks, factored_blocks, recorded, work
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 observer_sets = st.sampled_from([("D",), ("C", "D"), ("A",), ("B", "D"), ("D", "A", "C"),
@@ -67,14 +70,24 @@ def _off_block(m, charge):
 def _work(points, blocks, one_three, pair_states, entropy):
     """The matrices of each kind that a sweep over points hands LAPACK.
 
-    rho, on its blocks of more than one index, and the distinct pair states
-    are validated by the factorization alone; rho is diagonalized only for
+    rho is validated by the factorization of its blocks of more than one
+    index alone, and the real distinct pair states on their charge blocks
+    with no LAPACK call (fock._validate_pairs); rho is diagonalized only for
     S, and each distinct pair state is solved on one side.
     """
     work = {"rho blocks": points * blocks, "rho diagonalized": points * entropy,
-            "1-3 transposes": points * one_three, "pair states": pair_states,
-            "pair sides": pair_states}
+            "1-3 transposes": points * one_three, "pair sides": pair_states}
     return {kind: count for kind, count in work.items() if count}
+
+
+@contextlib.contextmanager
+def _pair_checks():
+    """Yield the list of stacks that measures hands the pair check in the block, in order."""
+    checked = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "_validate_pairs",
+                      lambda states: checked.append(states) or _validate_pairs(states))
+        yield checked
 
 
 def _pair_states(rho):
@@ -97,7 +110,7 @@ def _distinct_pairs(observers, r):
 # with D accelerated, 3 with C and D), 1-3 transposes, distinct pair states
 # per point and whether it asks for S; in all, 31,571 rho blocks factored for
 # 10,692 points, 1,782 rho diagonalized, 20,980 1-3 transposes and 17,719
-# pair states and as many pair sides.  With D accelerated rho_AB = rho_AC =
+# pair states checked with no LAPACK call and as many pair sides.  With D accelerated rho_AB = rho_AC =
 # rho_BC and rho_AD = rho_BD = rho_CD; with C and D, rho_AC = rho_BC and
 # rho_AD = rho_BD
 PRESET_WORK = {
@@ -123,10 +136,10 @@ def _deviations(calls):
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_every_preset_stack_is_exactly_hermitian(name):
-    # rho's blocks, rho, each rho^{T_k}, each pair state and side 0 of each
-    # pair, as the sweep hands them to eigvalsh or the factorization: all
-    # have rho's deviation, exactly 0.0; and the preset hands on the matrices
-    # of its work, no more
+    # rho's blocks, rho, each rho^{T_k} and side 0 of each pair, as the
+    # sweep hands them to eigvalsh or the factorization: all have rho's
+    # deviation, exactly 0.0; and the preset hands on the matrices of its
+    # work, no more: no pair state is factored
     points, blocks, one_three, pairs, entropy = PRESET_WORK[name]
     with recorded() as calls:
         sweep.run_sweep(PRESETS[name])
@@ -151,12 +164,17 @@ def test_every_stack_at_random_points_is_exactly_hermitian(seed, points, observe
 @given(seed=seeds, points=st.integers(min_value=1, max_value=CHUNK + 1))
 def test_real_pair_states_never_solve_side_one(observers, seed, points):
     # every chunk solves side 0 of its distinct pair states, one (n, P, 4, 4)
-    # stack, and no other 4x4 negativity
+    # stack, and no other 4x4 negativity; it checks those states with no
+    # LAPACK call, and validate_density gives them its verdict too
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
-    with recorded() as calls:
+    with recorded() as calls, _pair_checks() as checked:
         evaluate_points(observers, r, COLUMNS)
     shapes = [call.array.shape for call in calls if call.kind == "pair sides"]
     assert shapes == [(n, distinct, 4, 4) for n, distinct in _distinct_pairs(observers, r)]
+    assert [states.shape for states in checked] == shapes
+    assert "pair states" not in work(calls)
+    for states in checked:
+        validate_density(states)
 
 
 def _symmetric_pairs(observers):
@@ -204,18 +222,16 @@ def test_solving_each_distinct_pair_state_once_moves_no_bit(seed, points, observ
     if len(observers) > 1:
         ties = rng.random(points) < tied
         r[ties, 1] = r[ties, 0]
-    with recorded() as calls:
+    with recorded() as calls, _pair_checks() as checked:
         values = evaluate_points(observers, r, COLUMNS)
     for column in measures.PAIRS:
         # each pair's state solved alone
         assert np.array_equal(values[column], evaluate_points(observers, r, column)[column])
     sides = [call.array for call in calls if call.kind == "pair sides"]
-    # side 0 of a side is its state: the stacks validated, chunk by chunk,
-    # whose blocks the factorization got shifted
+    # side 0 of a side is its state: the stacks checked, chunk by chunk
     states = [np.take(side.real.reshape(side.shape[:2] + (16,)), measures._PAIR_TRANSPOSED,
                       axis=2).reshape(side.shape) for side in sides]
-    factored = np.concatenate([call.array for call in calls if call.kind == "pair states"])
-    assert factored.tobytes() == b"".join(shifted(stack).tobytes() for stack in states)
+    assert [stack.tobytes() for stack in checked] == [stack.tobytes() for stack in states]
     for stack in sides + states:
         assert len({stack[:, p].tobytes() for p in range(stack.shape[1])}) == stack.shape[1]
 
@@ -255,16 +271,17 @@ def test_a_chunk_checks_hermiticity_where_its_states_are_made(seed, points, obse
     # one chunk checks rho when it is built and its distinct pair states, and
     # no partial transpose: each has its parent's deviation (the test above)
     r = np.random.default_rng(seed).uniform(0.0, R_MAX, (points, len(observers)))
-    with recorded() as calls:
+    with recorded() as calls, _pair_checks() as checked:
         evaluate_points(observers, r, COLUMNS)
-    # the check runs on exactly the blocks the factorization gets: rho's in
-    # one call, each state's blocks shifted and padded
+    # rho's check runs on exactly the blocks the factorization gets, in one
+    # call, each state's blocks shifted and padded; the pair states' runs on
+    # their charge blocks, once, with no factorization
     factored = [call for call in calls if call.route == "cholesky"]
     [(_, distinct)] = _distinct_pairs(observers, r)
     blocks = factored_blocks(observed_densities(w_state(4), observers, r).matrix, observers)
     assert factored[0].array.tobytes() == blocks.tobytes()
-    assert list(work(factored).items()) == [("rho blocks", points * blocks.shape[1]),
-                                            ("pair states", distinct * points)]
+    assert list(work(factored).items()) == [("rho blocks", points * blocks.shape[1])]
+    assert [states.shape for states in checked] == [(points, distinct, 4, 4)]
 
 
 def test_charge_labels_give_the_expected_blocks():

@@ -169,11 +169,12 @@ def _pair_states(rho, *columns):
 
 
 def test_evaluate_takes_each_spectrum_once():
-    # the validated stacks and the eigensolves, pinned separately; each
-    # validated pair stack is factored block by block, its blocks its slices
-    # in order, shifted on the diagonal and nothing else, of at most
-    # _BLOCK_BYTES, rho on its blocks (factored_blocks), and nothing else is
-    # factored
+    # the factored stacks and the eigensolves, pinned separately: rho on its
+    # blocks (factored_blocks), and a pair stack only where it is complex, as
+    # validate_density factors it, block by block, its blocks its slices in
+    # order, shifted on the diagonal and nothing else, of at most
+    # _BLOCK_BYTES; a real pair stack is checked on its charge blocks with no
+    # factorization, and nothing else is factored
     def taken(*validated):
         """The shapes eigvalsh got since the last call, once the factorization
         is seen to have got the validated stacks and nothing else."""
@@ -201,29 +202,38 @@ def test_evaluate_takes_each_spectrum_once():
         evaluate(stack, ["S"])
         assert taken() == [(3, 16, 16)]
         evaluate(stack, ["N_AB"])
-        # the pair state's validation, then side 0 of the pair, which gives the value
-        assert taken(pairs(stack, "N_AB")) == [(3, 1, 4, 4)]
+        # side 0 of the pair, which gives the value; its state is checked unfactored
+        assert taken() == [(3, 1, 4, 4)]
         evaluate(stack, ["pi4", "Pi4", "pi_A", "N_AB"])
-        # every 1-3 transpose in one call, every distinct pair state in one and
-        # its side 0 in one: with C and D accelerated rho_AC = rho_BC and
+        # every 1-3 transpose in one call and every distinct pair state's
+        # side 0 in one: with C and D accelerated rho_AC = rho_BC and
         # rho_AD = rho_BD, so the first of each is taken
-        assert taken(pairs(stack, "N_AB", "N_AC", "N_AD", "N_CD")) == [
-            (3, 4, 16, 16), (3, 4, 4, 4)]
+        assert taken() == [(3, 4, 16, 16), (3, 4, 4, 4)]
         evaluate(stack, ["pi_B", "N_C_rest"])
-        assert taken(pairs(stack, "N_AB", "N_BC", "N_BD")) == [(3, 2, 16, 16), (3, 3, 4, 4)]
+        assert taken() == [(3, 2, 16, 16), (3, 3, 4, 4)]
         evaluate(stack[1], ["N_AB"])
-        assert taken(pairs(stack[1][None], "N_AB")) == [(1, 1, 4, 4)]
+        assert taken() == [(1, 1, 4, 4)]
         rho = observed_densities(w_state(4), ["D"], [[0.1], [0.5]])
         tangle_report(rho)
         # with D accelerated rho_AB = rho_AC = rho_BC and rho_AD = rho_BD = rho_CD
-        assert taken(factored_blocks(rho.matrix, ("D",)), pairs(rho, "N_AB", "N_AD")) == [
+        assert taken(factored_blocks(rho.matrix, ("D",))) == [
             (2, 4, 16, 16), (2, 2, 4, 4), (2, 16, 16)]
-        # a complex state takes the same two pair calls: side 0 alone gives the
-        # values; with the phase on D, rho_AD = rho_BD = rho_CD
+        # a complex state's distinct pair states go on to validate_density,
+        # which factors them, and side 0 alone gives the values; with the
+        # phase on D, rho_AD = rho_BD = rho_CD
         rho = _complex_w4(3)
         calls.clear()
         evaluate(rho, ["N_AB", "N_AD", "N_BD", "N_CD"])
         assert taken(pairs(rho[None], "N_AB", "N_AD")) == [(1, 2, 4, 4)]
+        # a real state with |0000> in the superposition: its pair state has
+        # entries off the charge blocks, fails the check on them and still
+        # reaches validate_density's factorization
+        amp = np.full(16, 0.0)
+        amp[[0, 8, 4, 2, 1]] = 1.0 / math.sqrt(5.0)
+        rho = DensityMatrix(np.outer(amp, amp))
+        calls.clear()
+        evaluate(rho, ["N_AB"])
+        assert taken(pairs(rho[None], "N_AB")) == [(1, 1, 4, 4)]
 
 
 def test_index_tables_gather_what_the_fock_kernels_compute():
@@ -597,11 +607,11 @@ def test_evaluate_rejects_an_empty_stack():
 
 def _assert_real_states_complex_spectra(calls):
     # every spectrum is the complex solver's, whose bits the goldens pin, and
-    # every positivity factorization gets a real state: rho's blocks or a
-    # pair state
+    # every positivity factorization gets a real state, rho's blocks: the
+    # real pair states are checked on their charge blocks, unfactored
     dtypes = {route: {call.array.dtype for call in calls if call.route == route} for route in ROUTES}
     assert dtypes == {"eigvalsh": {np.dtype(np.complex128)}, "cholesky": {np.dtype(np.float64)}}
-    assert {call.kind for call in calls if call.route == "cholesky"} == {"rho blocks", "pair states"}
+    assert {call.kind for call in calls if call.route == "cholesky"} == {"rho blocks"}
 
 
 @pytest.mark.parametrize("observers", [(), ("D",), ("C", "D")])
