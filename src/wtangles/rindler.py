@@ -58,10 +58,10 @@ that layout (fock._validate_compact) only as they are read.  The matrix
 command calls _chunks alone, once sweep.check_axes has checked its axes.
 measures.evaluate_points plans its request between the checks and the
 build, so a bad measure name fails before any state is built, and gathers
-every matrix it solves from each chunk.  observed_densities takes a single chunk as it is,
-or joins the chunks, and returns their dense (N, 16, 16) view, with no
-second check; observed_density is the batch of one.  A chunk is the most
-any check is handed, which bounds its temporaries.
+every matrix it solves from each chunk.  observed_densities takes a single
+chunk as it is, or joins the chunks, and returns their dense (N, 16, 16)
+view, with no second check; observed_density is the batch of one.  A chunk
+is the most any check is handed, which bounds its temporaries.
 
 check_observers is the one rule for a list of observers, here, in sweep's
 axes and in the observer a matrix dump transposes.  check_r is the one
