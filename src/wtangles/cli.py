@@ -2,10 +2,12 @@
 
 A sweep is configured by its flags alone: --preset, or the defaults, gives
 the base SweepConfig, and each other flag given replaces one of its fields.
-A matrix dump names its entries from the Rindler support table that builds
-the matrix, and permutes the matrix and its names by one partial transpose,
-over no mode unless --transpose names one.  main is run by the wtangles
-console script and by python -m wtangles (__main__).
+A matrix dump has one route, the matrix command: its axes are checked once,
+as a sweep's are, its state is built through the Rindler chunks, and its
+entries are named from the support table that builds them; the matrix and
+its names are permuted by one partial transpose, over no mode unless
+--transpose names one.  main is run by the wtangles console script and by
+python -m wtangles (__main__).
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from .checks import run_check
-from .fock import OBSERVERS, W4, _transposed
+from .fock import OBSERVERS, _transposed
 from .measures import ConfigError, select_names
-from .rindler import R_MAX, _chunks, _support, check_observers, observed_density
+from .rindler import R_MAX, _chunks, _support, check_observers
 from .sweep import (
     DEFAULT_GRID_1D,
     DEFAULT_GRID_2D,
@@ -167,26 +169,28 @@ def _entry_names(observers: tuple[str, ...]) -> np.ndarray:
     return names[layout.column].reshape(16, 16)
 
 
-def emit_matrix(params: dict[str, float], transpose: str | None = None,
-                symbolic: bool = False) -> str:
-    """Format the observed density matrix, or one of its partial transposes.
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    """Print the observed density matrix, or its partial transpose over --transpose's mode.
 
-    With symbolic=True, each nonzero upper-triangle entry (times 4) is listed
+    With --symbolic, each nonzero upper-triangle entry (times 4) is listed
     by its name in the trig shorthands of the accelerated C and D, read off
     the Rindler map and permuted as the matrix is, or, with a factor from an
     accelerated A or B, as a 10-digit decimal with a point or an exponent.
     """
+    axes = _parse_accel_tokens(args.accel or [])
+    # sweep's checks first, since a NaN bound never equals itself and would read as a range
+    check_axes(axes)
+    for axis in axes:
+        if not axis.fixed:
+            raise ConfigError(f"matrix: needs a fixed r for {axis.observer}, got a range")
+    params = {axis.observer: axis.lo for axis in axes}
     # the observer transposed, stripped as every name is, or none
-    transposed = [] if transpose is None else [transpose.strip()]
+    transposed = [] if args.transpose is None else [args.transpose.strip()]
     check_observers(transposed, "transpose")
-    return _printed(observed_density(W4, params).matrix, params, transposed, symbolic)
-
-
-def _printed(rho: np.ndarray, params: dict[str, float], transposed: list[str],
-             symbolic: bool) -> str:
-    """emit_matrix's text of the (16, 16) state rho observed at params."""
+    # check_axes has checked the observers and each r: the state is built with no second check
+    layout, chunks = _chunks(tuple(params), np.array([[*params.values()]]))
     part = [OBSERVERS.index(obs) for obs in transposed]
-    real = _transposed(rho, 4, part)
+    real = _transposed(layout.dense(next(chunks))[0], 4, part)
     labels = (f"{obs}_I" if obs in params else obs for obs in OBSERVERS)
     lines = [f"layout: {', '.join(labels)}"]
     lines.extend(f"partial transpose over: {obs}" for obs in transposed)
@@ -194,7 +198,7 @@ def _printed(rho: np.ndarray, params: dict[str, float], transposed: list[str],
     # formatting each value
     row_format = " ".join(["% .5f"] * real.shape[1])
     lines.extend(row_format % tuple(row) for row in real.tolist())
-    if symbolic:
+    if args.symbolic:
         lines.append("")
         lines.append("nonzero entries as multiples of 1/4 (upper triangle):")
         names = _transposed(_entry_names(tuple(sorted(params))), 4, part)
@@ -203,22 +207,7 @@ def _printed(rho: np.ndarray, params: dict[str, float], transposed: list[str],
             # "#": a decimal keeps its point, so 0.99999999996 cannot read as the name 1
             label = names[i, j] or f"{value:#.10g}"
             lines.append(f"  ({i:2d},{j:2d})  {label}")
-    return "\n".join(lines)
-
-
-def _cmd_matrix(args: argparse.Namespace) -> int:
-    axes = _parse_accel_tokens(args.accel or [])
-    # sweep's checks first, since a NaN bound never equals itself and would read as a range
-    check_axes(axes)
-    for axis in axes:
-        if not axis.fixed:
-            raise ConfigError(f"matrix: needs a fixed r for {axis.observer}, got a range")
-    params = {axis.observer: axis.lo for axis in axes}
-    transposed = [] if args.transpose is None else [args.transpose.strip()]
-    check_observers(transposed, "transpose")
-    # check_axes has checked the observers and each r: the state is built with no second check
-    layout, chunks = _chunks(tuple(params), np.array([[*params.values()]]))
-    print(_printed(layout.dense(next(chunks))[0], params, transposed, args.symbolic))
+    print("\n".join(lines))
     return 0
 
 

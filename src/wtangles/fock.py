@@ -69,8 +69,6 @@ MIN_EIGENVALUE = -1e-10
 # positivity factors m + _CHOLESKY_SHIFT * I: up to 16x16 its backward error,
 # at most about 3e-14 at unit trace, fits in the 1e-13 margin below 1e-10
 _CHOLESKY_SHIFT = -0.999 * MIN_EIGENVALUE
-# _CHOLESKY_SHIFT * I of each size up to 16, built once, as read-only views
-_SHIFTS = tuple(np.broadcast_to(_CHOLESKY_SHIFT * np.eye(dim), (dim, dim)) for dim in range(17))
 # the flat entries of a (4, 4) pair state off its charge blocks {00}, {01, 10} and {11}
 _PAIR_OFF_BLOCK = np.array([1, 2, 3, 4, 7, 8, 11, 12, 13, 14])
 OBSERVERS = ("A", "B", "C", "D")
@@ -157,7 +155,7 @@ def validate_density(m: np.ndarray) -> None:
         worst = float(np.ravel(traces)[np.ravel(deviations).argmax()])
         raise ValueError(f"density matrix trace is {worst!r}, expected 1")
     if m.shape[-1] <= 16:
-        shift = _SHIFTS[m.shape[-1]]
+        shift = _CHOLESKY_SHIFT * np.eye(m.shape[-1])
         with contextlib.suppress(np.linalg.LinAlgError):
             for block in blocks:
                 np.linalg.cholesky(block + shift)

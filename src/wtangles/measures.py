@@ -143,23 +143,20 @@ TERMS = {f"pi_{obs}": (f"N_{obs}_rest", *(column for column, pair in PAIRS.items
 COLUMNS = (*ONE_THREE, *PAIRS, *RESIDUALS, "pi4", "Pi4", "S")
 
 # flat index tables into a (16, 16) matrix, from fock's own kernels: the
-# entries of each rho^{T_k}, the traced blocks of each pair's reduced state,
-# and the partial transpose of a (4, 4) pair state on its first mode
+# entries of each rho^{T_k}, one (4, 16, 16) table in ONE_THREE order, the
+# traced blocks of each pair's reduced state, one (6, 4, 4, 4) table in PAIRS
+# order, and the partial transpose of a (4, 4) pair state on its first mode
 _FLAT = np.arange(256).reshape(16, 16)
-_TRANSPOSED = {column: _transposed(_FLAT, 4, [k]) for column, k in ONE_THREE.items()}
-_TRACED = {column: _trace_blocks(_FLAT, 4, list(pair)) for column, pair in PAIRS.items()}
+_TRANSPOSED = np.stack([_transposed(_FLAT, 4, [k]) for k in ONE_THREE.values()])
+_TRACED = np.stack([_trace_blocks(_FLAT, 4, list(pair)) for pair in PAIRS.values()])
 _PAIR_TRANSPOSED = _transposed(np.arange(16).reshape(4, 4), 2, [0])
 
 
 @lru_cache
 def _gathers(layout: Layout | None = None):
-    """The tables above, and the dense one for S, composed with layout's column map (None: flat).
-
-    The traced blocks are one (6, 4, 4, 4) table, a pair's in PAIRS order.
-    """
+    """The tables above, and the dense one for S, composed with layout's column map (None: flat)."""
     column = _FLAT.ravel() if layout is None else layout.column
-    return ({name: column[table] for name, table in _TRANSPOSED.items()},
-            column[np.stack(list(_TRACED.values()))], column.reshape(16, 16))
+    return column[_TRANSPOSED], column[_TRACED], column.reshape(16, 16)
 
 
 def select_names(tokens: Iterable[str], known: Collection[str], what: str) -> tuple[str, ...]:
@@ -215,7 +212,7 @@ def _spectral_columns(values: np.ndarray, gathers, one_three: tuple[str, ...],
         # freed before the pair stage
         stack = np.empty((len(values), len(one_three), 16, 16), dtype=complex)
         for k, column in enumerate(one_three):
-            stack[:, k] = np.take(values, transposed_at[column], axis=1)
+            stack[:, k] = np.take(values, transposed_at[ONE_THREE[column]], axis=1)
         out.update(zip(one_three, negative_eigenvalue_sum(stack).T))
         del stack
     if pairs:

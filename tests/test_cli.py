@@ -1,6 +1,8 @@
 """Command-line behaviour, the README commands and the frozen sweep output."""
 
+import contextlib
 import errno
+import io
 import hashlib
 import math
 import os
@@ -20,7 +22,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wtangles import rindler, sweep
-from wtangles.cli import build_parser, emit_matrix, main
+from wtangles.cli import build_parser, main
 from wtangles.fock import OBSERVERS, partial_transpose, w_state
 from wtangles.rindler import R_MAX, observed_density
 from wtangles.sweep import PRESETS
@@ -154,7 +156,6 @@ def test_bad_arguments_exit_2(argv, fragment, capsys, monkeypatch):
         raise AssertionError("a rejected command computed a point")
     # a sweep's measure names are read by evaluate_points' plan, before any state is built
     monkeypatch.setattr("wtangles.rindler._built", no_points)
-    monkeypatch.setattr("wtangles.cli.observed_density", no_points)
     with recorded() as calls:
         assert main(argv) == 2
     assert calls == []
@@ -413,12 +414,22 @@ def test_matrix_checks_its_observers_and_r_once(capsys, monkeypatch):
     assert capsys.readouterr().out == golden
 
 
-def test_emit_matrix_returns_string():
-    text = emit_matrix({"D": 0.3}, transpose="D", symbolic=True)
+def _matrix_text(params, transpose=None, symbolic=False):
+    """What wtangles matrix prints at params, each r given back exactly by its repr."""
+    argv = ["matrix", *(arg for obs, r in params.items() for arg in ("--accel", f"{obs}={r!r}"))]
+    argv += [] if transpose is None else ["--transpose", transpose]
+    argv += ["--symbolic"] if symbolic else []
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+def test_matrix_prints_the_transposed_dump_and_rejects_an_unknown_mode(capsys):
+    text = _matrix_text({"D": 0.3}, transpose="D", symbolic=True)
     assert "layout: A, B, C, D_I" in text
     assert "nonzero entries" in text
-    with pytest.raises(ValueError, match="^transpose: unknown observer 'X'; known: A, B, C, D$"):
-        emit_matrix({"D": 0.3}, transpose="X")
+    assert main(["matrix", "--accel", "D=0.3", "--transpose", "X"]) == 2
+    assert capsys.readouterr().err == "error: transpose: unknown observer 'X'; known: A, B, C, D\n"
 
 
 def test_matrix_symbolic_golden_byte_for_byte(capsys):
@@ -486,15 +497,15 @@ def _checked_labels(params, transpose, text):
 
 
 def _check_printout(params, transpose, seen):
-    """Check emit_matrix at params against the reference grid and the labels in seen.
+    """Check wtangles matrix at params against the reference grid and the labels in seen.
 
     seen maps each entry to its label at other r for the same observers, and
     takes the new ones: an entry has one label at every r.
     """
-    text = emit_matrix(params, transpose, symbolic=True)
+    text = _matrix_text(params, transpose, symbolic=True)
     grid = text.split("\n\n")[0]
     assert grid == reference.render_matrix(_printed_matrix(params, transpose), params, transpose)
-    assert emit_matrix(params, transpose) == grid
+    assert _matrix_text(params, transpose) == grid + "\n"
     for key, label in _checked_labels(params, transpose, text).items():
         assert seen.setdefault(key, label) == label, key
 
@@ -510,7 +521,7 @@ def test_matrix_printout_matches_the_per_entry_reference(observers, transpose):
 
 def test_matrix_entries_without_shorthand_print_as_decimals():
     # only C and D have shorthands; an entry free of r_a, such as (8, 8), keeps its monomial
-    text = emit_matrix({"A": 0.3, "D": 0.4}, symbolic=True)
+    text = _matrix_text({"A": 0.3, "D": 0.4}, symbolic=True)
     assert "  ( 4, 4)  0.7742647962\n" in text and "  ( 8, 8)  δ^2\n" in text
 
 
@@ -548,7 +559,7 @@ def test_matrix_names_entries_that_a_value_match_confused(capsys):
     assert main(["matrix", "--accel", "C=1e-4", "--accel", "D=0.3", "--symbolic"]) == 0
     assert capsys.readouterr().out == golden
     assert "  ( 7, 7)  α^2β^2\n" in golden and "  ( 3, 5)  γβ^2\n" in golden
-    assert "  ( 2, 2)  δ^2\n" in emit_matrix({"C": 0.3, "D": 0.3}, symbolic=True)
+    assert "  ( 2, 2)  δ^2\n" in _matrix_text({"C": 0.3, "D": 0.3}, symbolic=True)
 
 
 def test_module_entry_point_runs():

@@ -251,7 +251,7 @@ def test_gathered_transposes_keep_their_parents_deviation(seed, points, scale):
     rho = stack(points, 16, 16)
     parent = np.abs(rho - rho.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     flat = rho.reshape(points, -1)
-    for table in measures._TRANSPOSED.values():
+    for table in measures._TRANSPOSED:
         transposed = np.take(flat, table, axis=1)
         assert np.array_equal(np.abs(transposed - transposed.conj().swapaxes(-1, -2))
                               .max(axis=(-2, -1)), parent)
@@ -261,7 +261,7 @@ def test_gathered_transposes_keep_their_parents_deviation(seed, points, scale):
     assert np.array_equal(np.abs(side - side.conj().swapaxes(-1, -2)).max(axis=(-2, -1)), parent)
     if scale == 0.0:
         # an exactly Hermitian parent gives exactly Hermitian reduced pair states
-        for table in measures._TRACED.values():
+        for table in measures._TRACED:
             assert _deviation(_add_blocks(np.take(flat, table, axis=1))) == 0.0
 
 

@@ -239,11 +239,11 @@ def test_evaluate_takes_each_spectrum_once():
 def test_index_tables_gather_what_the_fock_kernels_compute():
     stack = observed_densities(w_state(4), ["C", "D"], [[0.2, 0.6], [0.7, 0.1]])
     flat = stack.matrix.reshape(2, -1)
-    for column, k in measures.ONE_THREE.items():
-        assert np.array_equal(flat[:, measures._TRANSPOSED[column]], partial_transpose(stack, [k]))
-    for column, pair in measures.PAIRS.items():
+    for k in measures.ONE_THREE.values():
+        assert np.array_equal(flat[:, measures._TRANSPOSED[k]], partial_transpose(stack, [k]))
+    for number, pair in enumerate(measures.PAIRS.values()):
         reduced = DensityMatrix(_add_blocks(_trace_blocks(stack.matrix, 4, list(pair))))
-        assert np.array_equal(_add_blocks(flat[:, measures._TRACED[column]]), reduced.matrix)
+        assert np.array_equal(_add_blocks(flat[:, measures._TRACED[number]]), reduced.matrix)
         side = reduced.matrix.reshape(2, 16)[:, measures._PAIR_TRANSPOSED]
         assert np.array_equal(side, partial_transpose(reduced, [0]))
 
